@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race bench bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test race bench bench-smoke bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
 
 all: check
 
@@ -22,30 +22,38 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-heavy subset under the race detector: the parallel
-# (Workers>1) trace/sweep tests, the mutator-vs-collector stress and
-# race interleaving tests, and the sharded-allocator stress test that
-# churns allocations while minor and full cycles run.
+# The concurrency-heavy subset under the race detector: the worker-pool
+# (Workers>1) trace/sweep tests including the white-box drain
+# termination test, the mutator-vs-collector stress and race
+# interleaving tests, and the allocator stress test that churns
+# allocations while minor and full cycles run.
 race:
 	$(GO) test -race -run 'Race|Stress|Parallel' ./...
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
+# bench-smoke runs the tests of the repository benchmark (benchmark/ is
+# a module of its own, so the root `go test ./...` does not reach it):
+# a seconds-long smoke of every workload against this checkout, the
+# BENCHMARK.json ↔ command consistency check and input determinism.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
+
 # bench-json sweeps the allocation path over mutator counts (1/2/4/8)
-# and shard counts (single lock vs per-class) into BENCH_alloc.json,
-# then the write barrier over mutator counts × barrier modes × write
+# into BENCH_alloc.json, then the write barrier over mutator counts × barrier modes × write
 # APIs into BENCH_barrier.json, then the telemetry surface (tracer +
 # flight recorder + pause SLO, on vs off, plus the scrape-vs-snapshot
-# agreement check) into BENCH_telemetry.json. The files embed their
-# baselines for before/after comparison and flag regressions.
+# agreement check) into BENCH_telemetry.json. The barrier and
+# telemetry files embed their baselines for before/after comparison and
+# flag regressions.
 bench-json:
 	$(GO) run ./cmd/gcbench -experiment alloc -benchjson BENCH_alloc.json
 	$(GO) run ./cmd/gcbench -experiment barrier -barrierjson BENCH_barrier.json
 	$(GO) run ./cmd/gcbench -experiment telemetry -telemetryjson BENCH_telemetry.json
 
 # bench-matrix runs the full contention matrix (cmd/gcsweep): mutators
-# × collector workers × alloc shards × barrier mode × workload
+# × collector workers × barrier mode × workload
 # contention (churn, Zipf-skewed, auction) into BENCH_matrix.json, with
 # interleaved passes, host-fingerprinted baseline comparison and
 # structural sanity checks (exit 2 on regressions — see BENCHMARKS.md
@@ -94,7 +102,7 @@ verify-protocol:
 
 # chaos runs a short fixed-seed fault-injection campaign under the race
 # detector: every schedule (stalls, slow workers, transient OOM, the
-# allocstorm campaigns against the tiered allocation path, failing sink,
+# allocstorm campaign against the tiered allocation path, failing sink,
 # close race) must finish with zero Verify/self-check violations. The
 # fixed seed keeps the fault schedule reproducible run to run.
 chaos:
@@ -119,4 +127,4 @@ trace-verify:
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt $$tmp/batched.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc
 
-check: lint build test race chaos trace-verify verify-protocol
+check: lint build test bench-smoke race chaos trace-verify verify-protocol

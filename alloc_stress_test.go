@@ -1,7 +1,6 @@
 package gengc
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -39,8 +38,7 @@ func allocChurnMutator(t *testing.T, rt *Runtime, id, ops int) {
 }
 
 // TestAllocShardStressUnderCycles churns allocations from several
-// mutators while partial and full collections run continuously, for
-// both the degenerate single central lock and the per-class shards.
+// mutators while partial and full collections run continuously.
 // Afterwards it requires Verify (allocator bookkeeping + exact shard
 // counter reconciliation + reachability) to pass and the Stats totals
 // to agree with the heap's allocation counters. Run under -race by
@@ -50,76 +48,68 @@ func TestAllocShardStressUnderCycles(t *testing.T) {
 	if testing.Short() {
 		ops = 6000
 	}
-	for _, shards := range []int{1, 0} { // single lock vs per-class default
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rt, err := NewManual(
-				WithMode(GenerationalAging),
-				WithHeapBytes(16<<20),
-				WithYoungBytes(256<<10),
-				WithOldAge(2),
-				WithAllocShards(shards),
-				WithSelfCheck(true),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Close()
+	rt, err := NewManual(
+		WithMode(GenerationalAging),
+		WithHeapBytes(16<<20),
+		WithYoungBytes(256<<10),
+		WithOldAge(2),
+		WithSelfCheck(true),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
 
-			// Cycle driver: alternate minor and full collections for
-			// the whole run, so refills, flushes and sweep frees hit
-			// the shards concurrently from both sides.
-			stop := make(chan struct{})
-			var driver sync.WaitGroup
-			driver.Add(1)
-			go func() {
-				defer driver.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					rt.Collect(i%3 == 0)
-				}
-			}()
+	// Cycle driver: alternate minor and full collections for the whole
+	// run, so refills, flushes and sweep frees hit the shards
+	// concurrently from both sides.
+	stop := make(chan struct{})
+	var driver sync.WaitGroup
+	driver.Add(1)
+	go func() {
+		defer driver.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.Collect(i%3 == 0)
+		}
+	}()
 
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					allocChurnMutator(t, rt, id, ops)
-				}(w)
-			}
-			wg.Wait()
-			close(stop)
-			driver.Wait()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			allocChurnMutator(t, rt, id, ops)
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	driver.Wait()
 
-			if err := rt.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			if err, n := rt.Collector().SelfCheckErr(); err != nil {
-				t.Fatalf("%d self-check violations, first: %v", n, err)
-			}
-			// Stats totals must agree with the allocator's shard
-			// counters once everything is quiescent.
-			h := rt.Collector().H
-			st := h.Census()
-			if int64(st.ObjectBytes) != h.AllocatedBytes() {
-				t.Errorf("census %d object bytes, counters say %d",
-					st.ObjectBytes, h.AllocatedBytes())
-			}
-			if int64(st.Objects) != h.AllocatedObjects() {
-				t.Errorf("census %d objects, counters say %d",
-					st.Objects, h.AllocatedObjects())
-			}
-			if st.Alloc.CachedCells != 0 {
-				t.Errorf("%d cells still marked cached after all mutators detached",
-					st.Alloc.CachedCells)
-			}
-			if shards == 0 && st.Alloc.Shards != 13 {
-				t.Errorf("default shard count = %d, want one per class (13)", st.Alloc.Shards)
-			}
-		})
+	if err := rt.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err, n := rt.Collector().SelfCheckErr(); err != nil {
+		t.Fatalf("%d self-check violations, first: %v", n, err)
+	}
+	// Stats totals must agree with the allocator's shard counters once
+	// everything is quiescent.
+	h := rt.Collector().H
+	st := h.Census()
+	if int64(st.ObjectBytes) != h.AllocatedBytes() {
+		t.Errorf("census %d object bytes, counters say %d",
+			st.ObjectBytes, h.AllocatedBytes())
+	}
+	if int64(st.Objects) != h.AllocatedObjects() {
+		t.Errorf("census %d objects, counters say %d",
+			st.Objects, h.AllocatedObjects())
+	}
+	if st.Alloc.CachedCells != 0 {
+		t.Errorf("%d cells still marked cached after all mutators detached",
+			st.Alloc.CachedCells)
 	}
 }

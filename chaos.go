@@ -34,6 +34,7 @@ const (
 	FaultHandshakePost = fault.HandshakePost
 	FaultHandshakeAck  = fault.HandshakeAck
 	FaultCooperate     = fault.Cooperate
+	FaultTraceDrain    = fault.TraceDrain
 	FaultTraceSteal    = fault.TraceSteal
 	FaultSweepShard    = fault.SweepShard
 	FaultAlloc         = fault.Alloc

@@ -13,89 +13,62 @@ import (
 	"gengc/internal/heap"
 )
 
-// preShardingBaselineNs is the BenchmarkAllocParallel ns/op measured on
-// the global-heap-lock allocator (single mutex around every refill,
-// flush and free) immediately before the tiered lock-sharded allocation
-// path landed, on the reference container (1 CPU, GOMAXPROCS=1,
-// go test -bench AllocParallel -count 3, means). Kept in the report so
-// every future BENCH_alloc.json carries the before/after trajectory.
-var preShardingBaselineNs = map[string]float64{
-	"1": 88.8,
-	"2": 87.2,
-	"4": 85.1,
-	"8": 86.8,
-}
-
 // allocRun is one measured configuration of the mutator-count sweep.
 type allocRun struct {
 	Mutators int     `json:"mutators"`
-	Shards   int     `json:"shards"`
 	NsPerOp  float64 `json:"ns_per_op"`
 	Iters    int     `json:"iterations"`
 }
 
 // allocReport is the BENCH_alloc.json schema.
 type allocReport struct {
-	Generated       string             `json:"generated"`
-	GoMaxProcs      int                `json:"gomaxprocs"`
-	NumCPU          int                `json:"numcpu"`
-	Workload        string             `json:"workload"`
-	BaselineNsPerOp map[string]float64 `json:"baseline_ns_per_op_global_lock"`
-	Runs            []allocRun         `json:"runs"`
+	Generated  string     `json:"generated"`
+	GoMaxProcs int        `json:"gomaxprocs"`
+	NumCPU     int        `json:"numcpu"`
+	Workload   string     `json:"workload"`
+	Runs       []allocRun `json:"runs"`
 }
 
 // allocExperiment sweeps the AllocChurn workload over mutator counts
-// (1/2/4/8) and shard counts (1 = the old single central lock, and the
-// per-class default), prints the table, and writes the machine-readable
-// sweep to jsonPath so successive changes leave a perf trajectory.
+// (1/2/4/8), prints the table, and writes the machine-readable sweep to
+// jsonPath so successive changes leave a perf trajectory.
 func allocExperiment(w io.Writer, jsonPath string) error {
-	mutCounts := []int{1, 2, 4, 8}
-	shardCounts := []int{1, heap.NumClasses}
 	rep := allocReport{
-		Generated:       time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Workload:        "heap.AllocChurn: mixed size classes, window=256, FreeBatch recycling",
-		BaselineNsPerOp: preShardingBaselineNs,
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Workload:   "heap.AllocChurn: mixed size classes, window=256, FreeBatch recycling",
 	}
-	fmt.Fprintf(w, "Allocation-path sweep (ns/op, AllocChurn; baseline = pre-sharding global lock)\n")
-	fmt.Fprintf(w, "%-9s %-8s %12s %12s\n", "mutators", "shards", "ns/op", "baseline")
-	for _, shards := range shardCounts {
-		for _, muts := range mutCounts {
-			r := testing.Benchmark(func(b *testing.B) {
-				h, err := heap.NewSharded(64<<20, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				per := b.N/muts + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				errs := make(chan error, muts)
-				for id := 0; id < muts; id++ {
-					wg.Add(1)
-					go func(id int) {
-						defer wg.Done()
-						if err := h.AllocChurn(id, per); err != nil {
-							errs <- err
-						}
-					}(id)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					b.Fatal(err)
-				}
-			})
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			rep.Runs = append(rep.Runs, allocRun{
-				Mutators: muts, Shards: shards, NsPerOp: ns, Iters: r.N,
-			})
-			base := ""
-			if shards == heap.NumClasses {
-				base = fmt.Sprintf("%12.1f", preShardingBaselineNs[fmt.Sprint(muts)])
+	fmt.Fprintf(w, "Allocation-path sweep (ns/op, AllocChurn)\n")
+	fmt.Fprintf(w, "%-9s %12s\n", "mutators", "ns/op")
+	for _, muts := range []int{1, 2, 4, 8} {
+		r := testing.Benchmark(func(b *testing.B) {
+			h, err := heap.New(64 << 20)
+			if err != nil {
+				b.Fatal(err)
 			}
-			fmt.Fprintf(w, "%-9d %-8d %12.1f %s\n", muts, shards, ns, base)
-		}
+			per := b.N/muts + 1
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			errs := make(chan error, muts)
+			for id := 0; id < muts; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					if err := h.AllocChurn(id, per); err != nil {
+						errs <- err
+					}
+				}(id)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				b.Fatal(err)
+			}
+		})
+		ns := float64(r.T.Nanoseconds()) / float64(r.N)
+		rep.Runs = append(rep.Runs, allocRun{Mutators: muts, NsPerOp: ns, Iters: r.N})
+		fmt.Fprintf(w, "%-9d %12.1f\n", muts, ns)
 	}
 	fmt.Fprintln(w)
 	f, err := os.Create(jsonPath)

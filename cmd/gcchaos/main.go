@@ -2,8 +2,7 @@
 // churning multi-mutator workload executes under a sequence of fault
 // schedules — stalled safe points, slow trace workers and sweep shards,
 // transient allocation failures, allocation storms against the tiered
-// allocation path (at the default per-class shards and the degenerate
-// single lock), a failing trace sink, a close racing live allocators,
+// allocation path, a failing trace sink, a close racing live allocators,
 // and a server-mode arrival storm against the admission controller
 // (serverstorm: shed, don't panic) — with the full invariant battery (Verify,
 // the card invariant, and the per-cycle self-check) auditing every
@@ -50,7 +49,6 @@ type schedule struct {
 	name    string
 	rules   []gengc.FaultRule
 	workers int  // collector workers (0 = the -workers flag)
-	shards  int  // allocation shards (0 = the per-class default)
 	flight  int  // flight-recorder ring size (0 = recorder off)
 	storm   bool // run allocStorm instead of churn
 	sink    bool
@@ -120,17 +118,23 @@ func schedules(workers int) []schedule {
 		},
 		{
 			// Slow collector internals: delayed handshake posting and
-			// ack rounds, dropped steal scans, slow sweep shards. All
-			// latency, no lost work — the invariant battery is the
-			// assertion.
+			// ack rounds, slow per-object drains, dropped steal scans,
+			// slow sweep shards. All latency, no lost work — the
+			// invariant battery is the assertion.
 			name:    "slowpool",
 			workers: max(workers, 3),
 			rules: []gengc.FaultRule{
 				{Point: gengc.FaultHandshakePost, Kind: gengc.FaultDelay, P: 0.2, Delay: 500 * time.Microsecond},
 				{Point: gengc.FaultHandshakeAck, Kind: gengc.FaultDelay, P: 0.2, Delay: 300 * time.Microsecond},
+				{Point: gengc.FaultTraceDrain, Kind: gengc.FaultDelay, P: 1, Delay: 10 * time.Microsecond},
 				{Point: gengc.FaultTraceSteal, Kind: gengc.FaultDrop, P: 0.2},
 				{Point: gengc.FaultTraceSteal, Kind: gengc.FaultDelay, P: 0.2, Delay: 100 * time.Microsecond},
 				{Point: gengc.FaultSweepShard, Kind: gengc.FaultDelay, P: 0.2, Delay: 50 * time.Microsecond},
+			},
+			expect: func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string) {
+				if in.Fired(gengc.FaultTraceDrain) == 0 {
+					*v = append(*v, "slowpool: the TraceDrain point never fired at Workers > 1")
+				}
 			},
 		},
 		{
@@ -172,27 +176,6 @@ func schedules(workers int) []schedule {
 				if a.FreeCells < 0 {
 					*v = append(*v, fmt.Sprintf(
 						"allocstorm: negative shard free-cell total %d", a.FreeCells))
-				}
-			},
-		},
-		{
-			// The same storm against a single central lock (the
-			// pre-sharding degenerate configuration): the tiers must be
-			// correct, not just fast, at every shard count.
-			name:   "allocstorm1",
-			storm:  true,
-			shards: 1,
-			rules: []gengc.FaultRule{
-				{Point: gengc.FaultAlloc, Kind: gengc.FaultFail, P: 0.001},
-			},
-			expect: func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string) {
-				a := rt.Snapshot().Alloc
-				if a.Shards != 1 {
-					*v = append(*v, fmt.Sprintf("allocstorm1: %d shards, want 1", a.Shards))
-				}
-				if a.CachedCells != 0 {
-					*v = append(*v, fmt.Sprintf(
-						"allocstorm1: %d cells still cached after every mutator detached", a.CachedCells))
 				}
 			},
 		},
@@ -315,7 +298,6 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops,
 		gengc.WithHeapBytes(16 << 20),
 		gengc.WithYoungBytes(256 << 10),
 		gengc.WithWorkers(w),
-		gengc.WithAllocShards(s.shards),
 		gengc.WithBarrier(s.barrier),
 		gengc.WithFlightRecorder(s.flight),
 		gengc.WithSelfCheck(true),

@@ -1,6 +1,6 @@
 // Command gcsweep runs the contention-matrix experiment: one command
-// sweeps mutator counts × collector Workers × AllocShards × barrier
-// mode × workload contention level over the churn, Zipf and auction
+// sweeps mutator counts × collector Workers × barrier mode × workload
+// contention level over the churn, Zipf and auction
 // profiles and writes the versioned BENCH_matrix.json report
 // (schema: BENCHMARKS.md; methodology: EXPERIMENTS.md).
 //
@@ -78,7 +78,6 @@ func main() {
 		smoke     = flag.Bool("smoke", false, "tiny CI matrix (seconds): 1,2 mutators, high-contention variants, one pass")
 		muts      = flag.String("muts", "1,2,4", "mutator thread counts")
 		workers   = flag.String("workers", "1,2", "collector worker counts")
-		shards    = flag.String("shards", "1,0", "central shard counts (0 = per-class default)")
 		barriers  = flag.String("barriers", "eager,batched", "barrier modes")
 		profiles  = flag.String("profiles", "churn,zipf,auction", "workload profiles")
 		ops       = flag.Int("ops", 0, "operations per run, split across mutators (0 = default)")
@@ -90,7 +89,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*out, *smoke, *muts, *workers, *shards, *barriers, *profiles,
+	if err := run(*out, *smoke, *muts, *workers, *barriers, *profiles,
 		*ops, *passes, *seed, *tolerance, *quiet, *printBase); err != nil {
 		fmt.Fprintln(os.Stderr, "gcsweep:", err)
 		if err == errRegression {
@@ -105,7 +104,7 @@ func main() {
 // collecting the artifact.
 var errRegression = fmt.Errorf("regressions flagged (see the JSON report)")
 
-func run(out string, smoke bool, muts, workers, shards, barriers, profiles string,
+func run(out string, smoke bool, muts, workers, barriers, profiles string,
 	ops, passes int, seed int64, tolerance float64, quiet, printBase bool) error {
 	if smoke {
 		// The CI preset: every axis still has ≥2 values where the full
@@ -113,7 +112,7 @@ func run(out string, smoke bool, muts, workers, shards, barriers, profiles strin
 		// profile, one pass, and a small op budget. Completes in
 		// seconds; the sanity checks (and, on the reference host, the
 		// baseline) still gate.
-		muts, workers, shards, barriers = "1,2", "1,2", "1,0", "eager,batched"
+		muts, workers, barriers = "1,2", "1,2", "eager,batched"
 		if ops == 0 {
 			ops = 12_000
 		}
@@ -126,10 +125,6 @@ func run(out string, smoke bool, muts, workers, shards, barriers, profiles strin
 		return err
 	}
 	workersL, err := parseInts(workers)
-	if err != nil {
-		return err
-	}
-	shardsL, err := parseInts(shards)
 	if err != nil {
 		return err
 	}
@@ -156,7 +151,6 @@ func run(out string, smoke bool, muts, workers, shards, barriers, profiles strin
 	spec := bench.MatrixSpec{
 		Mutators: mutsL,
 		Workers:  workersL,
-		Shards:   shardsL,
 		Barriers: barriersL,
 		Variants: variants,
 		TotalOps: ops,
@@ -179,7 +173,7 @@ func run(out string, smoke bool, muts, workers, shards, barriers, profiles strin
 	}()
 
 	fmt.Printf("gcsweep: %d cells × %d passes, %d ops/run, host %s (%s)\n",
-		len(mutsL)*len(workersL)*len(shardsL)*len(barriersL)*len(variants),
+		len(mutsL)*len(workersL)*len(barriersL)*len(variants),
 		orDefault(passes, 2), orDefault(ops, 60_000),
 		bench.CurrentHost().Fingerprint(), bench.CurrentHost().GoVersion)
 	start := time.Now()
@@ -231,12 +225,12 @@ func orDefault(v, def int) int {
 // printTable renders the cell medians as an aligned text table grouped
 // by profile/contention.
 func printTable(rep *bench.MatrixReport) {
-	fmt.Printf("\n%-8s %-6s %4s %3s %3s %-7s %9s %9s %10s %9s %8s %8s %8s\n",
-		"profile", "cont", "muts", "w", "sh", "barrier", "ns/op",
+	fmt.Printf("\n%-8s %-6s %4s %3s %-7s %9s %9s %10s %9s %8s %8s %8s\n",
+		"profile", "cont", "muts", "w", "barrier", "ns/op",
 		"p99(us)", "p99.9(us)", "cycMax(ms)", "cycles", "contend", "dedup")
 	for _, c := range rep.Cells {
-		fmt.Printf("%-8s %-6s %4d %3d %3d %-7s %9.1f %9.1f %10.1f %9.1f %8d %8d %8d\n",
-			c.Profile, c.Contention, c.Mutators, c.Workers, c.Shards, c.Barrier,
+		fmt.Printf("%-8s %-6s %4d %3d %-7s %9.1f %9.1f %10.1f %9.1f %8d %8d %8d\n",
+			c.Profile, c.Contention, c.Mutators, c.Workers, c.Barrier,
 			c.NsPerOp,
 			float64(c.PauseP99Ns)/1e3, float64(c.PauseP999Ns)/1e3,
 			float64(c.CycleMaxNs)/1e6,

@@ -315,7 +315,7 @@ type Snapshot struct {
 
 	// Alloc is the tiered allocator's counter snapshot: shard and
 	// page-lock contention, refill/flush traffic, free and cached
-	// cells, with a per-shard breakdown (see WithAllocShards).
+	// cells, with a per-shard (one per size class) breakdown.
 	Alloc AllocStats
 
 	// Barrier is the write barrier's counter snapshot: the configured

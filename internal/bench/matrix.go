@@ -13,10 +13,10 @@ import (
 )
 
 // This file is the contention-matrix harness behind cmd/gcsweep: one
-// sweep over mutators × collector Workers × AllocShards × barrier mode
-// × workload contention level, producing the versioned BENCH_matrix.json
+// sweep over mutators × collector Workers × barrier mode × workload
+// contention level, producing the versioned BENCH_matrix.json
 // report (schema: BENCHMARKS.md). The sweep exists to answer the
-// question the single-experiment harnesses cannot: how the sharded
+// question the single-experiment harnesses cannot: how the tiered
 // allocator, the batched barrier and the card table behave as skewed
 // pointer-mutation traffic and thread counts rise together.
 
@@ -25,7 +25,7 @@ import (
 // change in BENCHMARKS.md.
 const (
 	MatrixSchema        = "gengc/bench-matrix"
-	MatrixSchemaVersion = 1
+	MatrixSchemaVersion = 2
 )
 
 // HostMeta is the host-metadata stanza stamped into every matrix
@@ -132,7 +132,6 @@ func MatrixVariants(profiles []string) ([]MatrixVariant, error) {
 type MatrixSpec struct {
 	Mutators []int               // mutator thread counts
 	Workers  []int               // collector worker counts (WithWorkers)
-	Shards   []int               // central shard counts (WithAllocShards; 0 = per-class default)
 	Barriers []gengc.BarrierMode // barrier modes (WithBarrier)
 	Variants []MatrixVariant     // workload × contention legs
 
@@ -178,7 +177,7 @@ func (s MatrixSpec) withDefaults() MatrixSpec {
 }
 
 func (s MatrixSpec) validate() error {
-	if len(s.Mutators) == 0 || len(s.Workers) == 0 || len(s.Shards) == 0 ||
+	if len(s.Mutators) == 0 || len(s.Workers) == 0 ||
 		len(s.Barriers) == 0 || len(s.Variants) == 0 {
 		return fmt.Errorf("matrix: every axis needs at least one value")
 	}
@@ -198,7 +197,6 @@ type MatrixCell struct {
 	Contention string `json:"contention"`
 	Mutators   int    `json:"mutators"`
 	Workers    int    `json:"workers"`
-	Shards     int    `json:"shards"` // 0 = per-class default
 	Barrier    string `json:"barrier"`
 
 	NsPerOp float64 `json:"ns_per_op"`
@@ -226,10 +224,10 @@ type MatrixCell struct {
 }
 
 // Key is the cell's identity in baseline maps:
-// "profile/contention/m<mutators>/w<workers>/s<shards>/<barrier>".
+// "profile/contention/m<mutators>/w<workers>/<barrier>".
 func (c MatrixCell) Key() string {
-	return fmt.Sprintf("%s/%s/m%d/w%d/s%d/%s",
-		c.Profile, c.Contention, c.Mutators, c.Workers, c.Shards, c.Barrier)
+	return fmt.Sprintf("%s/%s/m%d/w%d/%s",
+		c.Profile, c.Contention, c.Mutators, c.Workers, c.Barrier)
 }
 
 // MatrixBaseline is an embedded reference run: the fingerprint of the
@@ -284,13 +282,12 @@ type oneRun struct {
 	contended, flushes, dedup int64
 }
 
-func (s MatrixSpec) runCell(v MatrixVariant, muts, workers, shards int, barrier gengc.BarrierMode, pass int) (oneRun, error) {
+func (s MatrixSpec) runCell(v MatrixVariant, muts, workers int, barrier gengc.BarrierMode, pass int) (oneRun, error) {
 	rt, err := gengc.New(
 		gengc.WithMode(gengc.Generational),
 		gengc.WithHeapBytes(s.HeapBytes),
 		gengc.WithYoungBytes(s.YoungBytes),
 		gengc.WithWorkers(workers),
-		gengc.WithAllocShards(shards),
 		gengc.WithBarrier(barrier),
 	)
 	if err != nil {
@@ -383,18 +380,16 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 	}
 
 	type coords struct {
-		v                     MatrixVariant
-		muts, workers, shards int
-		barrier               gengc.BarrierMode
+		v             MatrixVariant
+		muts, workers int
+		barrier       gengc.BarrierMode
 	}
 	var cells []coords
 	for _, v := range spec.Variants {
 		for _, m := range spec.Mutators {
 			for _, w := range spec.Workers {
-				for _, sh := range spec.Shards {
-					for _, b := range spec.Barriers {
-						cells = append(cells, coords{v, m, w, sh, b})
-					}
+				for _, b := range spec.Barriers {
+					cells = append(cells, coords{v, m, w, b})
 				}
 			}
 		}
@@ -402,16 +397,16 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 	runs := make([][]oneRun, len(cells))
 	for pass := 0; pass < spec.Passes; pass++ {
 		for i, c := range cells {
-			r, err := spec.runCell(c.v, c.muts, c.workers, c.shards, c.barrier, pass)
+			r, err := spec.runCell(c.v, c.muts, c.workers, c.barrier, pass)
 			if err != nil {
-				return nil, fmt.Errorf("matrix cell %s/%s m%d w%d s%d %v pass %d: %w",
-					c.v.Profile, c.v.Contention, c.muts, c.workers, c.shards, c.barrier, pass, err)
+				return nil, fmt.Errorf("matrix cell %s/%s m%d w%d %v pass %d: %w",
+					c.v.Profile, c.v.Contention, c.muts, c.workers, c.barrier, pass, err)
 			}
 			runs[i] = append(runs[i], r)
 			if spec.Progress != nil {
-				spec.Progress(fmt.Sprintf("pass %d/%d %-8s %-6s m%d w%d s%d %-7v %8.1f ns/op",
+				spec.Progress(fmt.Sprintf("pass %d/%d %-8s %-6s m%d w%d %-7v %8.1f ns/op",
 					pass+1, spec.Passes, c.v.Profile, c.v.Contention,
-					c.muts, c.workers, c.shards, c.barrier, r.nsPerOp))
+					c.muts, c.workers, c.barrier, r.nsPerOp))
 			}
 		}
 	}
@@ -446,7 +441,6 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 			Contention:     c.v.Contention,
 			Mutators:       c.muts,
 			Workers:        c.workers,
-			Shards:         c.shards,
 			Barrier:        c.barrier.String(),
 			NsPerOp:        medianF(ns),
 			PauseP50Ns:     medianI(p50),
@@ -465,7 +459,7 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 }
 
 // groupOfKey extracts the profile/contention group from a cell key
-// ("churn/high/m2/w1/s0/batched" → "churn/high").
+// ("churn/high/m2/w1/batched" → "churn/high").
 func groupOfKey(key string) string {
 	parts := strings.SplitN(key, "/", 3)
 	if len(parts) < 3 {

@@ -26,7 +26,6 @@ func tinySpec(t *testing.T) MatrixSpec {
 	return MatrixSpec{
 		Mutators:   []int{1, 2},
 		Workers:    []int{1},
-		Shards:     []int{0},
 		Barriers:   []gengc.BarrierMode{gengc.BarrierBatched},
 		Variants:   picked,
 		TotalOps:   30_000,

@@ -59,8 +59,9 @@ const (
 	// mutator answers at its next safe point instead.
 	Cooperate
 
-	// TraceSteal fires when a dry trace worker is about to scan its
-	// victims: Delay simulates a slow worker, Drop/Fail skip one
+	// TraceSteal fires when a dry trace worker of an engaged pool is
+	// about to scan its victims (never with one active worker: there is
+	// no victim): Delay simulates a slow worker, Drop/Fail skip one
 	// steal scan.
 	TraceSteal
 
@@ -95,9 +96,9 @@ const (
 	// free per card.
 	CardScan
 
-	// TraceDrain fires once per object the serial trace pops from the
-	// collector's mark stack (delay only). Like CardScan it is guarded
-	// by an armed-seam check hoisted out of the drain loop.
+	// TraceDrain fires once per object a trace worker pops from its
+	// stack, at any worker count (delay only). Like CardScan it is
+	// guarded by an armed-seam check hoisted out of the drain loop.
 	TraceDrain
 
 	// RemsetDrain fires once per remembered-set buffer the collector

@@ -62,6 +62,7 @@ func (c *Collector) drainDirtyAllocatedCards(fn func(ci int)) int {
 // the color toggle, so no yellow objects exist yet (§7.1's required
 // ordering).
 func (c *Collector) clearCardsSimple() {
+	w0 := c.workers[0]
 	c.cyc.AllocatedCards = c.drainDirtyAllocatedCards(func(ci int) {
 		// The drain already cleared the mark (whole words at a time).
 		c.cyc.DirtyCards++
@@ -73,7 +74,7 @@ func (c *Collector) clearCardsSimple() {
 			if c.H.Color(addr) == heap.Black {
 				c.H.Pages.TouchHeap(addr, size)
 				if c.H.CasColor(addr, heap.Black, heap.Gray) {
-					c.markStack = append(c.markStack, addr)
+					w0.stack = append(w0.stack, addr)
 					c.cyc.InterGenScanned++
 					c.cyc.InterGenBytes += size
 				}
@@ -104,6 +105,7 @@ func (c *Collector) clearCardsSimple() {
 // objects on dirty cards.)
 func (c *Collector) clearCardsAging() {
 	oldest := c.oldestAge()
+	w0, cc := c.workers[0], c.ClearColor()
 	c.cyc.AllocatedCards = c.drainDirtyAllocatedCards(func(ci int) {
 		c.cyc.DirtyCards++
 		// Step 1 (clear) already happened: the drain fetched and
@@ -140,7 +142,7 @@ func (c *Collector) clearCardsAging() {
 				if t == 0 {
 					continue
 				}
-				c.collectorMarkGray(t) // step 2
+				c.shade(w0, t, cc) // step 2
 				if col := c.H.Color(t); col != heap.Black && col != heap.Blue {
 					remark = true
 				}
@@ -161,21 +163,20 @@ func (c *Collector) clearCardsAging() {
 // algorithm keeps them, because its inter-generational pointers can
 // outlive a full collection (§6).
 func (c *Collector) initFullCollection() {
-	if c.cfg.Workers > 1 {
-		c.initFullParallel()
-	} else {
-		// Recoloring invalidates every all-black hint.
-		for b := 1; b < c.H.NumBlocks(); b++ {
-			c.H.SetAllBlackHint(b, false)
+	ac := c.AllocColor()
+	recolor := func(addr heap.Addr) {
+		c.H.Pages.TouchHeap(addr, 1)
+		if col := c.H.Color(addr); col == heap.Black || col == heap.Gray {
+			c.H.SetColor(addr, ac)
 		}
-		ac := heap.Color(c.allocColor.Load())
-		c.H.ForEachObject(func(addr heap.Addr) {
-			c.H.Pages.TouchHeap(addr, 1)
-			if col := c.H.Color(addr); col == heap.Black || col == heap.Gray {
-				c.H.SetColor(addr, ac)
-			}
-		})
 	}
+	c.walkBlocks(func(_ *traceWorker, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			// Recoloring invalidates every all-black hint.
+			c.H.SetAllBlackHint(b, false)
+			c.H.ForEachObjectInBlock(b, recolor)
+		}
+	}, nil)
 	if c.cfg.Mode == Generational {
 		c.Cards.ClearAll()
 		for ci := 0; ci < c.Cards.NumCards(); ci += heap.PageBytes {

@@ -65,6 +65,13 @@ type Collector struct {
 	// (see trace.go).
 	ackEpoch atomic.Int64
 
+	// The three counters below are written by mutators on their hottest
+	// paths (every allocation, every shade), so they are padded onto
+	// cache lines of their own: the words around them — the colors and
+	// handshake status every mutator reads per allocation and barrier,
+	// the registry lock the collector polls — must not bounce with them.
+	_ [64]byte
+
 	// grayProduced counts gray transitions performed by mutators; the
 	// trace-termination fixpoint check compares it across an
 	// acknowledgement round (monotonic, never reset).
@@ -78,6 +85,7 @@ type Collector struct {
 	// Snapshot and HeapBytes/HeapObjects promise.
 	heapBytes   atomic.Int64
 	heapObjects atomic.Int64
+	_           [64]byte
 
 	// muts is the mutator registry.
 	muts struct {
@@ -91,16 +99,15 @@ type Collector struct {
 	// special treatment beyond being grayed as a root each cycle.
 	globals heap.Addr
 
-	// markStack is the collector's gray set working stack. Only the
-	// collector goroutine touches it.
-	markStack []heap.Addr
-
-	// workers is the trace worker pool (Workers > 1 only), built
-	// lazily on the first parallel drain; tracePending counts gray
-	// objects queued in or being scanned from the worker deques — the
-	// drain-local termination condition (parallel.go).
-	workers      []*traceWorker
-	tracePending atomic.Int64
+	// workers is the trace/sweep worker pool (trace.go). Worker 0 is
+	// the collector goroutine itself and always exists: its stack is
+	// the collector's gray-set working stack, fed by root marking, the
+	// card scan and the mutator gray buffers. The rest are created on
+	// first use (pool). traceIdle counts the workers of an engaged pool
+	// that found no work anywhere — the drain-local termination
+	// condition.
+	workers   []*traceWorker
+	traceIdle atomic.Int32
 
 	// orphans holds gray objects inherited from detached mutators.
 	orphans struct {
@@ -150,8 +157,9 @@ type Collector struct {
 
 	// tracer and ring are the structured-event layer (nil without a
 	// configured TraceSink or armed flight recorder); ring is the
-	// collector goroutine's own event buffer, workers and mutators get
-	// their own (observe.go).
+	// collector goroutine's own event buffer (shared with pool worker 0,
+	// which it runs); the other workers and the mutators get their own
+	// (observe.go).
 	tracer *trace.Tracer
 	ring   *trace.Ring
 
@@ -256,7 +264,7 @@ func New(cfg Config) (*Collector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	h, err := heap.NewSharded(cfg.HeapBytes, cfg.AllocShards)
+	h, err := heap.New(cfg.HeapBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -279,10 +287,11 @@ func New(cfg Config) (*Collector, error) {
 		sink = c.recorder
 	}
 	if sink != nil {
-		c.tracer = trace.NewWithMeta(sink, runMeta(cfg, h))
+		c.tracer = trace.NewWithMeta(sink, runMeta(cfg))
 		c.tracer.SetInjector(c.flt)
 		c.ring = c.tracer.NewRing()
 	}
+	c.workers = []*traceWorker{{ring: c.ring}}
 	if cfg.TrackPages || cfg.PageCostSpins > 0 {
 		h.Pages = heap.NewPageSet(h.SizeBytes, ct.NumCards())
 		h.Pages.CostSpins = cfg.PageCostSpins
@@ -324,14 +333,13 @@ func New(cfg Config) (*Collector, error) {
 // runMeta builds the run-metadata string stamped into the trace "start"
 // event: the knobs a reader needs to interpret a run's numbers, in a
 // fixed "key=value" order.
-func runMeta(cfg Config, h *heap.Heap) string {
+func runMeta(cfg Config) string {
 	version := "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
 	}
-	return fmt.Sprintf("gomaxprocs=%d workers=%d shards=%d barrier=%s mode=%s version=%s",
-		runtime.GOMAXPROCS(0), cfg.Workers, h.AllocStats().Shards,
-		cfg.Barrier, cfg.Mode, version)
+	return fmt.Sprintf("gomaxprocs=%d workers=%d barrier=%s mode=%s version=%s",
+		runtime.GOMAXPROCS(0), cfg.Workers, cfg.Barrier, cfg.Mode, version)
 }
 
 // Config returns the collector's effective configuration.
@@ -339,7 +347,7 @@ func (c *Collector) Config() Config { return c.cfg }
 
 // RunMeta returns the run-metadata string this collector stamps into
 // its trace "start" event.
-func (c *Collector) RunMeta() string { return runMeta(c.cfg, c.H) }
+func (c *Collector) RunMeta() string { return runMeta(c.cfg) }
 
 // Metrics returns the cycle recorder.
 func (c *Collector) Metrics() *metrics.Recorder { return c.rec }

@@ -165,14 +165,13 @@ type Config struct {
 	// go through the ordinary write barrier.
 	GlobalRootSlots int
 
-	// Workers is the number of collector worker goroutines used for
-	// the trace and sweep phases. 1 (the default) reproduces the
-	// paper's single collector thread exactly — the sequential trace
-	// and sweep code paths run unchanged. Values above 1 parallelize
-	// the trace with per-worker work-stealing deques and shard the
-	// sweep by block ranges; the on-the-fly property and the
-	// handshake protocol are unaffected (see DESIGN.md, "Parallel
-	// trace & sweep").
+	// Workers is the size of the collector's worker pool for the trace
+	// and sweep phases; the collector goroutine is worker 0. 1 (the
+	// default) is the paper's single collector thread. With more, a
+	// long drain spills from worker 0 onto per-worker stacks with work
+	// stealing and a long sweep shares its block cursor with the pool;
+	// the on-the-fly property and the handshake protocol are
+	// unaffected (see DESIGN.md, "Collector engine").
 	Workers int
 
 	// Barrier selects the write-barrier publication strategy:
@@ -181,16 +180,6 @@ type Config struct {
 	// Batched mode requires the color toggle, so it cannot be combined
 	// with DisableColorToggle.
 	Barrier BarrierMode
-
-	// AllocShards is the number of central free-list shards of the
-	// tiered allocator (per-mutator cache → class shard → page
-	// allocator). 0 — the default — selects one shard per size class,
-	// the maximum: cache refills, flushes and sweep frees of
-	// different size classes then never contend on a lock. 1
-	// degenerates to a single central lock (the pre-sharding
-	// behavior, useful for comparison); values above the class count
-	// are clamped to it.
-	AllocShards int
 
 	// DisableColorToggle runs the baseline with the *original* DLG
 	// create protocol of §2 instead of the color toggle of §5 /
@@ -263,8 +252,9 @@ type Config struct {
 	// collector's handshake/acknowledgement wait loops block on
 	// Scheduler.Wait instead of spinning. This is the model-checking
 	// hook (internal/modelcheck); it requires Workers == 1 (the virtual
-	// scheduler serializes execution, and the parallel phases spawn
-	// pool goroutines it does not control) and excludes Fault (the two
+	// scheduler serializes execution and cannot own the pool goroutines
+	// a larger pool spawns — the one-worker engine it steps is the
+	// same code every worker count runs) and excludes Fault (the two
 	// consumers share the seam — the scheduler's Step decisions replace
 	// injector decisions wholesale).
 	Scheduler fault.Scheduler
@@ -400,9 +390,6 @@ func (c Config) validate() error {
 	}
 	if c.Workers < 1 || c.Workers > 256 {
 		return fmt.Errorf("gc: %w: worker count %d out of [1,256]", ErrInvalidConfig, c.Workers)
-	}
-	if c.AllocShards < 0 || c.AllocShards > 256 {
-		return fmt.Errorf("gc: %w: allocation shard count %d out of [0,256]", ErrInvalidConfig, c.AllocShards)
 	}
 	if c.AllocRetries < 1 || c.AllocRetries > 1000 {
 		return fmt.Errorf("gc: %w: allocation retry bound %d out of [1,1000]", ErrInvalidConfig, c.AllocRetries)

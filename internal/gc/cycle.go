@@ -30,11 +30,9 @@ func (c *Collector) Cycle(full bool) {
 	if full {
 		kind = metrics.Full
 	}
-	c.cyc = metrics.Cycle{Kind: kind, Workers: c.cfg.Workers}
-	if c.cfg.Workers > 1 {
-		c.cyc.WorkerScanned = make([]int, c.cfg.Workers)
-		c.cyc.WorkerFreed = make([]int, c.cfg.Workers)
-	}
+	c.cyc = metrics.Cycle{Kind: kind, Workers: c.cfg.Workers,
+		WorkerScanned: make([]int, c.cfg.Workers),
+		WorkerFreed:   make([]int, c.cfg.Workers)}
 	c.H.Pages.Reset()
 	allocBase := c.H.AllocStats()
 	barrierBase := c.barrierFlushes.Load()
@@ -108,10 +106,11 @@ func (c *Collector) Cycle(full bool) {
 	// object to the trace — if the card scan already re-grayed it, it
 	// is inside the InterGenScanned counters instead — so the simple
 	// scheme's trace-side promotion arithmetic below can exclude it.
-	rootsBefore := len(c.markStack)
-	c.collectorMarkGray(c.globals)
-	c.collectorShadeFrom(c.globals, heap.Black)
-	rootedGlobals := len(c.markStack) > rootsBefore
+	w0 := c.workers[0]
+	rootsBefore := len(w0.stack)
+	c.shade(w0, c.globals, c.ClearColor())
+	c.shade(w0, c.globals, heap.Black)
+	rootedGlobals := len(w0.stack) > rootsBefore
 	if !c.waitHandshake() {
 		c.abortCycle(start, "sync3")
 		return
@@ -308,8 +307,11 @@ func (c *Collector) abortCycle(start time.Time, phase string) {
 	c.postHandshake(StatusAsync)
 	c.tracing.Store(false)
 	c.phase.Store(uint32(phaseIdle))
-	c.markStack = c.markStack[:0]
-	c.tracePending.Store(0)
+	for _, w := range c.workers {
+		// An aborted trace leaves its grays queued; no drain is running,
+		// so the steal windows are already empty.
+		w.stack = w.stack[:0]
+	}
 	c.abortedCycles.Add(1)
 	c.emit("cycleabort", start, phase, 0, 0)
 	c.flushTrace()

@@ -96,10 +96,11 @@ func TestAckRoundVisibility(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("collected %d grays after ack round, want 1", n)
 	}
-	if len(c.markStack) != 1 || c.markStack[0] != x {
-		t.Fatalf("mark stack = %v", c.markStack)
+	w0 := c.workers[0]
+	if len(w0.stack) != 1 || w0.stack[0] != x {
+		t.Fatalf("worker 0 stack = %v", w0.stack)
 	}
-	c.markStack = c.markStack[:0]
+	w0.stack = w0.stack[:0]
 	c.switchColors() // restore
 }
 

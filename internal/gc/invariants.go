@@ -18,7 +18,7 @@ import (
 //
 //   - CheckQuiescentCycle is safe on the collector goroutine whenever
 //     a cycle just completed (mutators may keep running): it reads only
-//     atomics, the collector-owned mark stack, and lock-protected heap
+//     atomics, the collector-owned worker stacks, and lock-protected heap
 //     bookkeeping.
 //
 //   - The CheckReachable* and CheckBarrierBuffers walkers read mutator
@@ -31,7 +31,7 @@ import (
 // CheckQuiescentCycle audits the collector's own post-cycle state:
 //
 //   - the trace machinery is quiesced (status async, trace predicate
-//     off, no queued or in-flight parallel work, empty mark stack),
+//     off, no gray object queued on any trace worker),
 //   - allocator bookkeeping is consistent (heap.CheckIntegrity walks
 //     the free lists under the heap lock),
 //   - no object is left gray — the trace fixpoint plus the final
@@ -49,11 +49,10 @@ func (c *Collector) CheckQuiescentCycle() error {
 	if c.tracing.Load() {
 		return fmt.Errorf("gc: self-check: trace predicate still set after cycle")
 	}
-	if n := c.tracePending.Load(); n != 0 {
-		return fmt.Errorf("gc: self-check: %d objects still pending in worker deques", n)
-	}
-	if n := len(c.markStack); n != 0 {
-		return fmt.Errorf("gc: self-check: %d objects left on the mark stack", n)
+	for id, w := range c.workers {
+		if n := len(w.stack) + int(w.sharedN.Load()); n != 0 {
+			return fmt.Errorf("gc: self-check: %d objects left queued on trace worker %d", n, id)
+		}
 	}
 	if err := c.H.CheckIntegrity(); err != nil {
 		return fmt.Errorf("gc: self-check: %w", err)

@@ -13,8 +13,8 @@ import (
 // comparison per call site.
 
 // emit appends a span event to the collector goroutine's ring. It must
-// be called from the collector goroutine (cycle phases, serial drains,
-// handshake and ack rounds).
+// be called from the collector goroutine (cycle phases, handshake and
+// ack rounds).
 func (c *Collector) emit(ev string, start time.Time, detail string, n, m int64) {
 	if c.tracer == nil {
 		return
@@ -30,8 +30,8 @@ func (c *Collector) emit(ev string, start time.Time, detail string, n, m int64) 
 	})
 }
 
-// emitWorker appends a span event to one worker's ring; used by the
-// parallel trace and sweep goroutines. ring may be nil (no sink).
+// emitWorker appends a span event to one pool worker's ring, from the
+// goroutine running that worker. ring may be nil (no sink).
 func (c *Collector) emitWorker(ring *trace.Ring, ev string, worker int, start time.Time, n int64) {
 	if ring == nil {
 		return

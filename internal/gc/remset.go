@@ -39,6 +39,7 @@ func (c *Collector) drainRememberedSet() {
 	c.muts.Lock()
 	snapshot := append([]*Mutator(nil), c.muts.list...)
 	c.muts.Unlock()
+	w0 := c.workers[0]
 	drain := func(buf []heap.Addr) {
 		if len(buf) == 0 {
 			return
@@ -50,7 +51,7 @@ func (c *Collector) drainRememberedSet() {
 		for _, x := range buf {
 			c.H.Pages.TouchHeap(x, 1)
 			if c.H.Color(x) == heap.Black && c.H.CasColor(x, heap.Black, heap.Gray) {
-				c.markStack = append(c.markStack, x)
+				w0.stack = append(w0.stack, x)
 				size := c.H.SizeOf(x)
 				c.cyc.InterGenScanned++
 				c.cyc.InterGenBytes += size

@@ -66,7 +66,7 @@ const (
 )
 
 // seamArmed reports whether any seam consumer is installed. Hot loops
-// (drainStack, the card scan) hoist this so the per-object cost of the
+// (scan, the card scan) hoist this so the per-object cost of the
 // seam is zero in production.
 func (c *Collector) seamArmed() bool { return c.vsched != nil || c.flt != nil }
 

@@ -1,6 +1,10 @@
 package gc
 
 import (
+	"sync"
+	"sync/atomic"
+	"time"
+
 	"gengc/internal/fault"
 	"gengc/internal/heap"
 )
@@ -9,10 +13,24 @@ import (
 // returning them to the heap under one lock acquisition.
 const freeBatchSize = 256
 
-// sweepState accumulates one sweeper's reclamation results: the pending
+// sweepChunkBlocks is how many blocks a walker claims per cursor bump:
+// large enough to amortize the atomic, small enough to balance uneven
+// block populations.
+const sweepChunkBlocks = 16
+
+// sweepSpillLatency approximates the scheduler cost of engaging the
+// pool mid-phase on a loaded machine: a freshly spawned worker may wait
+// a full rotation of the run queue — tens of milliseconds behind
+// compute-bound mutators — before claiming its first block, so the pool
+// is engaged only when the projected remaining walk time dwarfs that
+// latency.
+const sweepSpillLatency = 25 * time.Millisecond
+
+// sweepState accumulates one worker's reclamation results: the pending
 // free batch and the counters that are merged into the cycle record when
-// the sweeper finishes. With Workers == 1 there is a single state; the
-// sharded sweep gives each worker its own so no counter is contended.
+// the sweep finishes. It lives on the pool's traceWorker and is reused
+// across cycles, so no counter is contended and nothing is allocated per
+// sweep.
 type sweepState struct {
 	batch        []heap.Addr
 	objectsFreed int
@@ -164,29 +182,101 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 	}
 }
 
-// sweep reclaims every clear-colored object. With Workers == 1 it is the
-// paper's serial block walk; otherwise the block range is sharded across
-// the worker pool (parallel.go).
-func (c *Collector) sweep(full bool) {
-	if c.cfg.Workers > 1 {
-		c.sweepParallel(full)
+// walkBlocks applies visit to every block of the heap, in chunks of
+// sweepChunkBlocks claimed from an atomic cursor — the one block walker
+// under both the sweep and the full-collection recoloring pass. Worker 0
+// walks alone first; when more workers are active it projects the whole
+// walk's duration from its progress and engages the rest of the pool
+// only for a walk long enough to pay for it (sweepSpillLatency). With
+// one active worker it neither reads the clock nor spawns. Blocks are
+// disjoint and the hint, color, age and page structures take concurrent
+// writers, so visits need no further coordination.
+//
+// visit handles blocks [lo, hi) on behalf of worker w. When the pool
+// engages, shard (if non-nil) runs once on each engaged worker after its
+// last claim, with the time that worker joined — worker 0's being the
+// start of the walk — so the caller can record per-worker spans.
+func (c *Collector) walkBlocks(visit func(w *traceWorker, lo, hi int), shard func(id int, w *traceWorker, joined time.Time)) {
+	ws := c.pool()
+	nBlocks := c.H.NumBlocks()
+	var cursor atomic.Int64
+	cursor.Store(1) // block 0 is reserved
+	claim := func(w *traceWorker) bool {
+		lo := int(cursor.Add(sweepChunkBlocks)) - sweepChunkBlocks
+		if lo >= nBlocks {
+			return false
+		}
+		// Delay-only point: skipping a claimed chunk would leak its dead
+		// cells and corrupt the hint/aging bookkeeping, so Drop/Fail
+		// rules degrade to their configured delay.
+		c.seamDelay(fault.SweepShard)
+		hi := lo + sweepChunkBlocks
+		if hi > nBlocks {
+			hi = nBlocks
+		}
+		visit(w, lo, hi)
+		return true
+	}
+	if len(ws) == 1 {
+		for claim(ws[0]) {
+		}
 		return
 	}
-	cc := heap.Color(c.clearColor.Load())
-	ac := heap.Color(c.allocColor.Load())
+
+	start := time.Now()
+	spill := false
+	for !spill && claim(ws[0]) {
+		if elapsed := time.Since(start); elapsed > sweepSpillLatency/8 {
+			walked := cursor.Load() - 1
+			if walked > int64(nBlocks) {
+				walked = int64(nBlocks)
+			}
+			projected := time.Duration(float64(elapsed) * float64(nBlocks) / float64(walked))
+			spill = projected-elapsed > sweepSpillLatency
+		}
+	}
+	if !spill {
+		return
+	}
+	run := func(id int, joined time.Time) {
+		for claim(ws[id]) {
+		}
+		if shard != nil {
+			shard(id, ws[id], joined)
+		}
+	}
+	var wg sync.WaitGroup
+	for id := 1; id < len(ws); id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			run(id, time.Now())
+		}(id)
+	}
+	run(0, start)
+	wg.Wait()
+}
+
+// sweep reclaims every clear-colored object, block by block.
+func (c *Collector) sweep(full bool) {
+	cc := c.ClearColor()
+	ac := c.AllocColor()
 	aging := c.cfg.Mode == GenerationalAging
 	oldest := c.oldestAge()
-
-	st := &sweepState{batch: make([]heap.Addr, 0, freeBatchSize)}
-	nBlocks := c.H.NumBlocks()
-	for b := 1; b < nBlocks; b++ {
-		if c.seamArmed() && (b-1)%sweepChunkBlocks == 0 {
-			// Same cadence as a parallel shard claim; delay-only —
-			// every block must be swept (see sweepParallel).
-			c.seamDelay(fault.SweepShard)
+	c.walkBlocks(func(w *traceWorker, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			c.sweepBlockOne(b, full, aging, cc, ac, oldest, &w.sweep)
 		}
-		c.sweepBlockOne(b, full, aging, cc, ac, oldest, st)
+	}, func(id int, w *traceWorker, joined time.Time) {
+		// The sweep state was reset by the previous sweep, so the
+		// counter is this worker's whole share.
+		c.emitWorker(w.ring, "sweepshard", id, joined, int64(w.sweep.objectsFreed))
+	})
+	for id, w := range c.workers {
+		st := &w.sweep
+		st.flush(c)
+		st.mergeInto(c)
+		c.cyc.WorkerFreed[id] += st.objectsFreed
+		*st = sweepState{batch: st.batch}
 	}
-	st.flush(c)
-	st.mergeInto(c)
 }

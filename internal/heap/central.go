@@ -7,10 +7,9 @@ import (
 
 // The allocator is tiered: per-mutator Cache (lock-free) → per-class
 // central shard (one small lock each) → page allocator (one narrow lock
-// for whole-block acquisition and retirement). Size classes are mapped
-// onto shards round-robin (class % nShards); with the default shard
-// count of NumClasses the mapping is the identity and two mutators
-// refilling different classes never touch the same lock.
+// for whole-block acquisition and retirement). Every size class has its
+// own shard, so two mutators refilling different classes never touch the
+// same lock.
 //
 // Lock ordering: shard → page. A thread holding a shard lock may take
 // the page lock (refill formatting a fresh block, reclaim retiring an
@@ -23,9 +22,8 @@ import (
 // under the page lock, always sees each block either in the free pool
 // or already stamped with its destination.
 
-// centralShard is one lock's worth of central free lists: the partial
-// lists of the classes mapped to it, plus the allocation counters of
-// those classes. Counters are atomics so the hot path (cache pop) and
+// centralShard is one size class's central free lists: its partial
+// list's lock plus the class's allocation counters. Counters are atomics so the hot path (cache pop) and
 // Stats() never need the lock.
 type centralShard struct {
 	mu sync.Mutex
@@ -96,12 +94,7 @@ func (p *pageAllocator) lock() {
 func (p *pageAllocator) unlock() { p.mu.Unlock() }
 
 // shardFor returns the central shard that owns size class `class`.
-func (h *Heap) shardFor(class int) *centralShard {
-	return &h.shards[class%len(h.shards)]
-}
-
-// NumShards reports how many central shards the heap was built with.
-func (h *Heap) NumShards() int { return len(h.shards) }
+func (h *Heap) shardFor(class int) *centralShard { return &h.shards[class] }
 
 // ShardStats is the counter snapshot of one central shard.
 type ShardStats struct {
@@ -118,7 +111,6 @@ type ShardStats struct {
 // (the cache pop decrements it without a lock); everything else is
 // exact at the instant each atomic was read.
 type AllocStats struct {
-	Shards                     int
 	ShardLocks, ShardContended int64
 	PageLocks, PageContended   int64
 	Refills, Flushes           int64
@@ -136,7 +128,6 @@ func (a AllocStats) Contended() int64 {
 // AllocStats snapshots the tiered allocator's counters.
 func (h *Heap) AllocStats() AllocStats {
 	a := AllocStats{
-		Shards:        len(h.shards),
 		PageLocks:     h.pages.locks.Load(),
 		PageContended: h.pages.contended.Load(),
 		PerShard:      make([]ShardStats, len(h.shards)),

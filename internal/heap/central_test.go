@@ -5,56 +5,34 @@ import (
 	"testing"
 )
 
-// TestShardedAllocReconciles churns allocations over every shard count
-// from the degenerate single lock to one-lock-per-class and checks that
-// the shard counters reconcile exactly against the block lists and a
-// color census once the mutators quiesce.
+// TestShardedAllocReconciles churns allocations from four mutators over
+// the per-class shards and checks that the shard counters reconcile
+// exactly against the block lists and a color census once the mutators
+// quiesce.
 func TestShardedAllocReconciles(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, NumClasses} {
-		h, err := NewSharded(1<<20, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.NumShards() != shards {
-			t.Fatalf("NumShards = %d, want %d", h.NumShards(), shards)
-		}
-		var wg sync.WaitGroup
-		for id := 0; id < 4; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				if err := h.AllocChurn(id, 20000); err != nil {
-					t.Error(err)
-				}
-			}(id)
-		}
-		wg.Wait()
-		if err := h.CheckIntegrity(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := h.ReconcileCounters(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if n := h.AllocatedObjects(); n != 0 {
-			t.Fatalf("shards=%d: %d objects leaked after churn", shards, n)
-		}
+	h, err := New(1 << 20)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestNewShardedClamps checks the shard-count normalization: zero and
-// negative select the default, values beyond NumClasses are clamped.
-func TestNewShardedClamps(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, NumClasses}, {-3, NumClasses}, {1, 1}, {5, 5},
-		{NumClasses, NumClasses}, {NumClasses + 7, NumClasses},
-	} {
-		h, err := NewSharded(1<<20, tc.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.NumShards() != tc.want {
-			t.Errorf("NewSharded(_, %d): NumShards = %d, want %d", tc.in, h.NumShards(), tc.want)
-		}
+	var wg sync.WaitGroup
+	for id := 0; id < 4; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			if err := h.AllocChurn(id, 20000); err != nil {
+				t.Error(err)
+			}
+		}(id)
+	}
+	wg.Wait()
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReconcileCounters(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.AllocatedObjects(); n != 0 {
+		t.Fatalf("%d objects leaked after churn", n)
 	}
 }
 
@@ -85,6 +63,9 @@ func TestAllocStatsCounters(t *testing.T) {
 	}
 	if a.Flushes == 0 {
 		t.Error("no flushes recorded")
+	}
+	if len(a.PerShard) != NumClasses {
+		t.Errorf("%d shard rows, want one per size class (%d)", len(a.PerShard), NumClasses)
 	}
 	var locks, refills, free, cached int64
 	for _, ss := range a.PerShard {

@@ -124,7 +124,10 @@ type Heap struct {
 
 	// shards are the per-class central free lists; partial[class] is
 	// guarded by shardFor(class).mu. pages owns the free-block pool.
-	shards  []centralShard
+	// The array is its own allocation: inline, its write-hot counters
+	// would share cache lines with the read-mostly slice headers above,
+	// which every Color/SizeOf call of every thread loads.
+	shards  *[NumClasses]centralShard
 	partial [NumClasses][]uint32 // blocks of a class with free cells
 	pages   pageAllocator
 
@@ -138,23 +141,11 @@ type Heap struct {
 // full collection and retrying.
 var ErrOutOfMemory = errors.New("heap: out of memory")
 
-// New creates a heap of the given size with the default shard count
-// (one central shard per size class). Size is rounded up to a whole
+// New creates a heap of the given size. Size is rounded up to a whole
 // number of blocks; block 0 is reserved so that address 0 means nil.
-func New(sizeBytes int) (*Heap, error) { return NewSharded(sizeBytes, 0) }
-
-// NewSharded creates a heap with an explicit number of central free-list
-// shards. shards <= 0 selects the default (NumClasses, the maximum —
-// every class its own lock); shards == 1 degenerates to a single central
-// lock, the pre-sharding behavior. Values above NumClasses are clamped:
-// the shard is the unit classes are mapped onto, so extra shards would
-// sit idle.
-func NewSharded(sizeBytes, shards int) (*Heap, error) {
+func New(sizeBytes int) (*Heap, error) {
 	if sizeBytes < 2*BlockSize {
 		return nil, fmt.Errorf("heap: size %d too small (min %d)", sizeBytes, 2*BlockSize)
-	}
-	if shards <= 0 || shards > NumClasses {
-		shards = NumClasses
 	}
 	nBlocks := (sizeBytes + BlockSize - 1) / BlockSize
 	sizeBytes = nBlocks * BlockSize
@@ -168,7 +159,7 @@ func NewSharded(sizeBytes, shards int) (*Heap, error) {
 		ages:      make([]uint8, sizeBytes/Granule),
 		largeSize: make([]uint32, sizeBytes/Granule),
 		blocks:    make([]blockMeta, nBlocks),
-		shards:    make([]centralShard, shards),
+		shards:    new([NumClasses]centralShard),
 	}
 	for i := range h.blocks {
 		h.blocks[i].class.Store(blockFree)

@@ -48,7 +48,7 @@ func (h *Heap) CheckIntegrity() error {
 			return fmt.Errorf("heap: block %d in free pool but has class %d", b, h.blocks[b].class.Load())
 		}
 	}
-	freeByShard := make([]int64, len(h.shards))
+	var freeByShard [NumClasses]int64
 	for b := 1; b < h.nBlocks; b++ {
 		bm := &h.blocks[b]
 		switch class := bm.class.Load(); class {
@@ -75,7 +75,7 @@ func (h *Heap) CheckIntegrity() error {
 			if err := h.checkBlockFreeList(b, bm); err != nil {
 				return err
 			}
-			freeByShard[int(class)%len(h.shards)] += int64(bm.freeCells)
+			freeByShard[class] += int64(bm.freeCells)
 		}
 	}
 	for i := range h.shards {
@@ -102,11 +102,11 @@ func (h *Heap) CheckIntegrity() error {
 // on demand. Tests and the collector's Verify (which publishes every
 // registered mutator's cache first) call it at such points.
 func (h *Heap) ReconcileCounters() error {
-	cachedByShard := make([]int64, len(h.shards))
+	var cachedByShard [NumClasses]int64
 	for b := 1; b < h.nBlocks; b++ {
 		bm := &h.blocks[b]
 		if class := bm.class.Load(); class >= 0 {
-			cachedByShard[int(class)%len(h.shards)] += int64(bm.cached.Load())
+			cachedByShard[class] += int64(bm.cached.Load())
 		}
 	}
 	for i := range h.shards {

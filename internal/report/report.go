@@ -219,7 +219,7 @@ func (t *Trace) Breakdown() []CycleBreakdown {
 }
 
 // Meta returns each run's metadata string — the key=value pairs the
-// collector stamps into its "start" event (GOMAXPROCS, workers, shards,
+// collector stamps into its "start" event (GOMAXPROCS, workers,
 // barrier, mode, module version) — indexed by run. Runs traced before
 // metadata stamping existed, or streams without a leading boundary,
 // yield empty strings.

@@ -36,8 +36,8 @@ import (
 //	start     runtime created; marks a run boundary in concatenated
 //	          traces (T is 0 at the runtime's epoch). K carries the
 //	          run metadata string when the tracer was built with
-//	          NewWithMeta ("gomaxprocs=8 workers=4 shards=13
-//	          barrier=eager mode=generational version=(devel)"), so
+//	          NewWithMeta ("gomaxprocs=8 workers=4 barrier=eager
+//	          mode=generational version=(devel)"), so
 //	          multi-run concatenations stay labeled
 //	cycle     one whole collection cycle; K = "partial"|"full",
 //	          N = objects scanned, M = objects freed
@@ -46,10 +46,12 @@ import (
 //	initfull  the InitFullCollection recoloring walk (full cycles)
 //	cardscan  the dirty-card scan; N = dirty cards, M = allocated cards
 //	trace     the whole trace-to-fixpoint phase; N = objects scanned
-//	drain     one trace drain; W = worker, N = objects blackened
+//	drain     one worker's part in one trace drain; W = worker,
+//	          N = objects blackened (per cycle they sum to the
+//	          cycle's objects scanned)
 //	sweep     the whole sweep phase; N = objects freed
-//	sweepshard one worker's share of a parallel sweep; W = worker,
-//	          N = objects freed by that worker
+//	sweepshard one worker's share of a sweep that engaged the worker
+//	          pool; W = worker, N = objects freed by that worker
 //	pause     one mutator-visible delay; W = mutator id,
 //	          K = "roots"|"handshake"|"ack"|"allocwait"
 //	stall     the handshake watchdog caught a mutator past the stall

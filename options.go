@@ -43,25 +43,13 @@ func WithCardBytes(n int) Option {
 	return func(c *Config) { c.CardBytes = n }
 }
 
-// WithWorkers sets the number of collector worker goroutines used for
-// the trace and sweep phases. 1 (the default) is the paper's single
-// collector thread; higher values parallelize the collector with
-// work-stealing tracing and a sharded sweep while preserving the
-// on-the-fly property.
+// WithWorkers sets the size of the collector's worker pool for the
+// trace and sweep phases (the collector goroutine is worker 0). 1 (the
+// default) is the paper's single collector thread; with more, long
+// drains and sweeps spill onto the pool — work-stealing tracing and a
+// shared sweep cursor — while preserving the on-the-fly property.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
-}
-
-// WithAllocShards sets the number of central free-list shards of the
-// tiered allocator (per-mutator cache → per-class central shard → page
-// allocator). 0 — the default — gives every size class its own shard
-// and lock, so cache refills, flushes and sweep frees of different
-// classes never contend; 1 degenerates to a single central lock (the
-// pre-sharding behavior, useful for comparison). Values above the size
-// class count are clamped to it. Snapshot.Alloc reports the per-shard
-// contention counters.
-func WithAllocShards(n int) Option {
-	return func(c *Config) { c.AllocShards = n }
 }
 
 // WithBarrier selects the write-barrier implementation. BarrierEager

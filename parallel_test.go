@@ -71,43 +71,17 @@ func essence(cycles []CycleRecord) []cycleEssence {
 	return out
 }
 
-// TestParallelWorkersDeterministicSerial checks that Workers=1 is the
-// exact pre-parallelism collector: two identical deterministic runs
-// must produce identical cycle records (modulo timing).
-func TestParallelWorkersDeterministicSerial(t *testing.T) {
-	run := func() []cycleEssence {
-		rt, err := NewManual(WithMode(Generational),
-			WithHeapBytes(8<<20), WithYoungBytes(256<<10), WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		buildChurn(t, rt)
-		if err := rt.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		return essence(rt.Cycles())
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("runs produced %d vs %d cycles", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("cycle %d differs between identical runs:\n  %+v\n  %+v", i+1, a[i], b[i])
-		}
-	}
-}
-
-// TestParallelWorkersSemanticEquivalence runs the same deterministic
-// workload under Workers=1 and Workers=4. The trace interleaving
-// differs, but with the mutator quiescent during each manual collection
-// the reachable set — and therefore what is scanned and what is freed —
-// must be identical.
-func TestParallelWorkersSemanticEquivalence(t *testing.T) {
-	run := func(workers int) (ce []cycleEssence, objects int64, steals int) {
-		rt, err := NewManual(WithMode(Generational),
-			WithHeapBytes(8<<20), WithYoungBytes(256<<10), WithWorkers(workers))
+// TestParallelWorkersEquivalence runs the same deterministic workload in
+// every mode at Workers ∈ {1, 2, 4} and compares each run against a
+// reference Workers=1 run of that mode. With the mutator quiescent
+// during each manual collection the reachable set — and therefore what
+// is scanned and what is freed — must be identical whatever the pool
+// size; the Workers=1 row compares two identical runs, pinning that the
+// one-worker engine is deterministic.
+func TestParallelWorkersEquivalence(t *testing.T) {
+	run := func(t *testing.T, mode Mode, workers int) (ce []cycleEssence, objects int64, steals int) {
+		rt, err := NewManual(WithMode(mode), WithHeapBytes(8<<20),
+			WithYoungBytes(256<<10), WithOldAge(2), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,28 +98,34 @@ func TestParallelWorkersSemanticEquivalence(t *testing.T) {
 		}
 		return essence(rt.Cycles()), rt.HeapObjects(), steals
 	}
-	serial, serialObjects, _ := run(1)
-	parallel, parallelObjects, steals := run(4)
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial ran %d cycles, parallel ran %d", len(serial), len(parallel))
+	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
+		t.Run(mode.String(), func(t *testing.T) {
+			ref, refObjects, _ := run(t, mode, 1)
+			for _, workers := range []int{1, 2, 4} {
+				got, objects, steals := run(t, mode, workers)
+				if len(got) != len(ref) {
+					t.Fatalf("Workers=%d ran %d cycles, the Workers=1 reference %d", workers, len(got), len(ref))
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Errorf("cycle %d differs between Workers=1 and Workers=%d:\n  ref: %+v\n  got: %+v",
+							i+1, workers, ref[i], got[i])
+					}
+				}
+				if objects != refObjects {
+					t.Errorf("final heap: %d objects at Workers=1, %d at Workers=%d", refObjects, objects, workers)
+				}
+				t.Logf("Workers=%d stole %d work batches over %d cycles", workers, steals, len(got))
+			}
+		})
 	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("cycle %d differs between Workers=1 and Workers=4:\n  serial:   %+v\n  parallel: %+v",
-				i+1, serial[i], parallel[i])
-		}
-	}
-	if serialObjects != parallelObjects {
-		t.Errorf("final heap: %d objects serial, %d parallel", serialObjects, parallelObjects)
-	}
-	t.Logf("parallel run stole %d work batches over %d cycles", steals, len(parallel))
 }
 
 // TestParallelRaceStress is the Workers=4 counterpart of
-// TestStressConcurrent: four mutator goroutines race the parallel
-// on-the-fly collector in every mode, then the full heap audit and the
-// card invariant must hold. Run under -race this exercises every
-// cross-thread access path in the parallel trace and sharded sweep.
+// TestStressConcurrent: four mutator goroutines race the on-the-fly
+// collector and its worker pool in every mode, then the full heap audit
+// and the card invariant must hold. Run under -race this exercises every
+// cross-thread access path of the pooled trace and sweep.
 func TestParallelRaceStress(t *testing.T) {
 	ops := 40000
 	if testing.Short() {
