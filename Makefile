@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race bench bench-smoke bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test alloc-guard race bench bench-smoke bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
 
 all: check
 
@@ -22,11 +22,20 @@ build:
 test:
 	$(GO) test ./...
 
+# alloc-guard runs, by name, the guards that the reclamation path makes
+# no Go-heap allocation: the block-free primitive allocates nothing, and
+# a warmed partial collection allocates the same small constant whether
+# it frees 10 000 cells or 100 000. A reintroduced per-batch or
+# per-cycle allocation fails here rather than in a benchmark.
+alloc-guard:
+	$(GO) test -count=1 -run 'TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
+
 # The concurrency-heavy subset under the race detector: the worker-pool
 # (Workers>1) trace/sweep tests including the white-box drain
 # termination test, the mutator-vs-collector stress and race
-# interleaving tests, and the allocator stress test that churns
-# allocations while minor and full cycles run.
+# interleaving tests, the allocator stress test that churns allocations
+# while minor and full cycles run, and the sweep-vs-owner race on one
+# block's color entries and counts.
 race:
 	$(GO) test -race -run 'Race|Stress|Parallel' ./...
 
@@ -127,4 +136,4 @@ trace-verify:
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt $$tmp/batched.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc
 
-check: lint build test bench-smoke race chaos trace-verify verify-protocol
+check: lint build test alloc-guard bench-smoke race chaos trace-verify verify-protocol

@@ -37,7 +37,7 @@ func allocExperiment(w io.Writer, jsonPath string) error {
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Workload:   "heap.AllocChurn: mixed size classes, window=256, FreeBatch recycling",
+		Workload:   "heap.AllocChurn: mixed size classes, window=256, SweepBlock recycling",
 	}
 	fmt.Fprintf(w, "Allocation-path sweep (ns/op, AllocChurn)\n")
 	fmt.Fprintf(w, "%-9s %12s\n", "mutators", "ns/op")

@@ -48,6 +48,8 @@ func main() {
 		traceOut    = flag.String("trace", "", "write a JSONL event trace of every run to this file (render with gcreport)")
 		csv         = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		quiet       = flag.Bool("q", false, "suppress per-run progress")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
 
@@ -80,8 +82,17 @@ func main() {
 
 	fmt.Fprintf(w, "gcbench: scale=%v repeats=%d gcworkers=%d GOMAXPROCS=%d NumCPU=%d\n\n",
 		*scale, *repeats, *gcworkers, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	stopProfiles, err := bench.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gcbench:", err)
+		os.Exit(1)
+	}
 	start := time.Now()
-	if err := run(w, opts, *experiment, *csv, *benchJSON, *barrierJSON, *telemJSON); err != nil {
+	err = run(w, opts, *experiment, *csv, *benchJSON, *barrierJSON, *telemJSON)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintln(os.Stderr, "gcbench: writing profile:", perr)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gcbench:", err)
 		if errors.Is(err, errRegression) {
 			os.Exit(2)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gengc"
+	"gengc/internal/bench"
 	"gengc/internal/metrics"
 	"gengc/internal/workload"
 )
@@ -32,6 +33,8 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		traceOut = flag.String("trace", "", "write a JSONL event trace to this file (render with gcreport)")
 		list     = flag.Bool("list", false, "list profiles and exit")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
 
@@ -99,6 +102,10 @@ func main() {
 		ropts = append(ropts, workload.TraceTo(sink))
 	}
 
+	stopProfiles, err := bench.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := workload.Run(p, gengc.Config{
 		Mode:          mode,
 		Barrier:       barrier,
@@ -109,6 +116,9 @@ func main() {
 		TrackPages:    true,
 		PageCostSpins: *pageCost,
 	}, *seed, ropts...)
+	if perr := stopProfiles(); perr != nil {
+		log.Printf("writing profile: %v", perr)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -140,9 +140,10 @@ type JSONLTraceSink = trace.JSONLSink
 func NewJSONLTraceSink(w io.Writer) *JSONLTraceSink { return trace.NewJSONLSink(w) }
 
 // AllocStats aggregates the tiered allocator's contention and
-// throughput counters: refills and flushes served by the central
-// free-list shards, contended lock acquisitions per tier, and the
-// free/cached cell census, plus a per-shard breakdown. Reported by
+// throughput counters: blocks acquired (refills) and handed back
+// (flushes) by mutator allocation caches, contended lock acquisitions
+// per tier, and the census of blue cells in unowned (free) and owned
+// (cached) blocks, plus a per-shard breakdown. Reported by
 // Snapshot; see OBSERVABILITY.md.
 type AllocStats = heap.AllocStats
 

@@ -32,8 +32,8 @@ import (
 //
 //   - the trace machinery is quiesced (status async, trace predicate
 //     off, no gray object queued on any trace worker),
-//   - allocator bookkeeping is consistent (heap.CheckIntegrity walks
-//     the free lists under the heap lock),
+//   - allocator bookkeeping is consistent (heap.CheckIntegrity counts
+//     the blue cells of every unowned block under the shard locks),
 //   - no object is left gray — the trace fixpoint plus the final
 //     acknowledgement round blackened every gray before the sweep, and
 //     in the async window between cycles the write barrier cannot
@@ -125,7 +125,7 @@ func (c *Collector) CheckReachableAllocated() error {
 			return fmt.Errorf("gc: invariant: reachable address %#x is not a live object (freed or corrupt)", a)
 		}
 		if c.H.Color(a) == heap.Blue {
-			return fmt.Errorf("gc: invariant: reachable object %#x is blue (on a free list)", a)
+			return fmt.Errorf("gc: invariant: reachable object %#x is blue (free)", a)
 		}
 		return nil
 	})

@@ -84,35 +84,21 @@ func (m *Mutator) allocToggleFree(slots, size int) (heap.Addr, error) {
 // the heap is all-white again at the end — no InitFullCollection pass
 // and no color exchange.
 func (c *Collector) sweepToggleFree() {
-	batch := make([]heap.Addr, 0, freeBatchSize)
-	flush := func() {
-		if n := len(batch); n > 0 {
-			bytes := c.H.FreeBatch(batch)
-			c.cyc.BytesFreed += bytes
-			c.noteFreed(n, bytes)
-			batch = batch[:0]
-		}
-	}
 	nBlocks := c.H.NumBlocks()
 	for b := 1; b < nBlocks; b++ {
 		c.sweepBlock.Store(int32(b))
-		c.H.ForEachObjectInBlock(b, func(addr heap.Addr) {
+		n, bytes := c.H.SweepBlock(b, func(addr heap.Addr, col heap.Color) bool {
 			c.H.Pages.TouchHeap(addr, 1)
-			switch c.H.Color(addr) {
-			case heap.White:
-				c.H.Pages.TouchHeap(addr, heap.WordBytes)
-				c.cyc.ObjectsFreed++
-				batch = append(batch, addr)
-				if len(batch) >= freeBatchSize {
-					flush()
-				}
-			case heap.Black:
+			if col == heap.Black {
 				c.H.SetColor(addr, heap.White)
 			}
 			// Gray (a boundary creation or a late shade): left as is;
 			// its buffered entry makes the next trace process it.
+			return col == heap.White
 		})
+		c.cyc.ObjectsFreed += n
+		c.cyc.BytesFreed += bytes
+		c.noteFreed(n, bytes)
 	}
-	flush()
 	c.sweepBlock.Store(int32(nBlocks))
 }

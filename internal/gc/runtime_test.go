@@ -151,8 +151,8 @@ func TestVerifyCatchesDanglingRoot(t *testing.T) {
 	m := c.NewMutator()
 	a := mustAlloc(t, m, 0, 32)
 	m.PushRoot(a)
-	c.H.SetColor(a, heap.Yellow)
-	c.H.FreeCell(a) // simulate an (incorrect) free of a live object
+	// Simulate an (incorrect) free of a live object.
+	c.H.SweepBlock(int(a/heap.BlockSize), func(x heap.Addr, _ heap.Color) bool { return x == a })
 	if err := c.Verify(); err == nil {
 		t.Fatal("Verify missed a dangling root")
 	}

@@ -9,10 +9,6 @@ import (
 	"gengc/internal/heap"
 )
 
-// freeBatchSize bounds how many dead cells sweep accumulates before
-// returning them to the heap under one lock acquisition.
-const freeBatchSize = 256
-
 // sweepChunkBlocks is how many blocks a walker claims per cursor bump:
 // large enough to amortize the atomic, small enough to balance uneven
 // block populations.
@@ -26,13 +22,11 @@ const sweepChunkBlocks = 16
 // latency.
 const sweepSpillLatency = 25 * time.Millisecond
 
-// sweepState accumulates one worker's reclamation results: the pending
-// free batch and the counters that are merged into the cycle record when
-// the sweep finishes. It lives on the pool's traceWorker and is reused
-// across cycles, so no counter is contended and nothing is allocated per
-// sweep.
+// sweepState accumulates one worker's reclamation results: the counters
+// that are merged into the cycle record when the sweep finishes. It
+// lives on the pool's traceWorker and is reused across cycles, so no
+// counter is contended and nothing is allocated per sweep.
 type sweepState struct {
-	batch        []heap.Addr
 	objectsFreed int
 	bytesFreed   int
 	survivors    int
@@ -88,17 +82,6 @@ func (st *sweepState) mergeInto(c *Collector) {
 	}
 }
 
-// flush returns the batched dead cells to the heap under one heap-lock
-// acquisition.
-func (st *sweepState) flush(c *Collector) {
-	if n := len(st.batch); n > 0 {
-		bytes := c.H.FreeBatch(st.batch)
-		st.bytesFreed += bytes
-		c.noteFreed(n, bytes)
-		st.batch = st.batch[:0]
-	}
-}
-
 // sweepBlockOne reclaims the clear-colored objects of block b (Figures 2
 // and 5) into st. With the color toggle there is nothing else to do in
 // the simple algorithm: black (old) objects stay black — that is the
@@ -111,8 +94,9 @@ func (st *sweepState) flush(c *Collector) {
 // their age is incremented; objects at the threshold stay black.
 //
 // Distinct blocks hold distinct objects, so concurrent calls for
-// different blocks touch disjoint color/age entries and per-block hints;
-// the free batches go through the heap lock.
+// different blocks touch disjoint color/age entries and per-block hints.
+// The dead cells are freed by heap.SweepBlock as it walks: a color store
+// each, and one count publication for the block.
 func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, oldest uint8, st *sweepState) {
 	if !full && c.H.AllBlackHint(b) {
 		// Entirely old block: it holds only black objects and
@@ -125,33 +109,21 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 	}
 	allBlack := true
 	populated := false
-	cls := c.H.BlockClass(b)
-	if cls < 0 || cls >= heap.NumClasses {
-		cls = heap.NumClasses // large-object bucket
-	}
-	c.H.ForEachObjectInBlock(b, func(addr heap.Addr) {
+	n, bytes := c.H.SweepBlock(b, func(addr heap.Addr, col heap.Color) bool {
 		// The paper keeps the color in the object header, so
 		// examining an object during sweep touches its page;
 		// the page model charges that layout even though our
-		// colors live in an atomic side table.
+		// colors live in an atomic side table. Freeing is a
+		// color store, so the same charge covers it.
 		c.H.Pages.TouchHeap(addr, 1)
-		col := c.H.Color(addr)
 		populated = true
 		if col != heap.Black || (aging && c.H.Age(addr) < oldest) {
 			allBlack = false
 		}
-		switch {
-		case col == cc:
-			// Dead: reclaim. Freeing writes the free-list
-			// link into the cell, touching its heap page.
-			c.H.Pages.TouchHeap(addr, heap.WordBytes)
-			st.objectsFreed++
-			st.deathsByClass[cls]++
-			st.batch = append(st.batch, addr)
-			if len(st.batch) >= freeBatchSize {
-				st.flush(c)
-			}
-		case aging && col != heap.Blue && addr != c.globals:
+		if col == cc {
+			return true // dead: reclaim
+		}
+		if aging && addr != c.globals {
 			c.H.Pages.TouchAge(addr)
 			// Objects at or past the threshold stay black with their
 			// age frozen: that is the promotion, counted trace-side in
@@ -169,15 +141,27 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 				}
 			}
 		}
+		return false
 	})
-	if full || c.H.BlockClass(b) < 0 {
+	cls := c.H.BlockClass(b)
+	if n > 0 {
+		bucket := cls
+		if bucket < 0 {
+			bucket = heap.NumClasses // a dead large object, its blocks free by now
+		}
+		st.objectsFreed += n
+		st.bytesFreed += bytes
+		st.deathsByClass[bucket] += int64(n)
+		c.noteFreed(n, bytes)
+	}
+	if full || cls < 0 {
 		// Full sweeps recompute hints from scratch; non-small
 		// blocks (free or large-object) are never hinted.
 		c.H.SetAllBlackHint(b, false)
 	}
 	if populated && allBlack && c.H.BlockQuiet(b) {
 		c.H.SetAllBlackHint(b, true)
-	} else if populated || c.H.BlockClass(b) < 0 {
+	} else if populated || cls < 0 {
 		c.H.SetAllBlackHint(b, false)
 	}
 }
@@ -274,9 +258,8 @@ func (c *Collector) sweep(full bool) {
 	})
 	for id, w := range c.workers {
 		st := &w.sweep
-		st.flush(c)
 		st.mergeInto(c)
 		c.cyc.WorkerFreed[id] += st.objectsFreed
-		*st = sweepState{batch: st.batch}
+		*st = sweepState{}
 	}
 }

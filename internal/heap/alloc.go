@@ -2,30 +2,31 @@ package heap
 
 import "sync/atomic"
 
-// Cache is a per-mutator allocation cache: one free-cell list per size
-// class, threaded through the first word of each (blue) cell. It is the
-// stand-in for the DLG thread-local allocation mechanism the paper
-// mentions in §7: the common allocation path takes no lock — and no
-// atomic read-modify-write either: the accounting for popped cells is
-// deferred in pendBlock/pendN and published in batches (see
-// publishAllocRun), so the steady-state cost per allocation is plain
-// loads and stores plus the object-initialization barrier.
+// Cache is a mutator's allocation state: at most one owned block per
+// size class and a cursor into that block's color entries. The color
+// table is the free list — a cell is free iff it is blue — so the cache
+// holds no cells, only the right to claim the blue cells of its blocks.
+// It is the stand-in for the DLG thread-local allocation mechanism the
+// paper mentions in §7: the common allocation path takes no lock and no
+// atomic read-modify-write, and touches no cell memory beyond the slots
+// it zeroes; the accounting for claimed cells is deferred in pend and
+// published in one step (see publishClaims).
 type Cache struct {
-	head  [NumClasses]Addr
-	count [NumClasses]int
-	// The pending allocation run: pendN[c] cells of class c were popped
-	// from block pendBlock[c] and not yet folded into the shard and
-	// block counters. Publication happens when the pop stream crosses a
-	// block boundary, at refill, at Flush, and on demand via
-	// PublishAllocs. Block 0 never holds cells, so the zero value means
-	// "no run open".
-	pendBlock [NumClasses]uint32
-	pendN     [NumClasses]int32
+	cls [NumClasses]classCursor
 }
 
-// refillBatch bounds how many free cells one refill moves from a block's
-// free list into a mutator cache.
-const refillBatch = 64
+// classCursor is a cache's hold on one size class. cur is the granule
+// index of the next color entry to examine in the owned block and end
+// the index one past the block's last cell; both zero means no block is
+// owned (block 0 never holds cells). pend counts the cells claimed
+// since the last publication, all from the owned block.
+type classCursor struct {
+	cur, end uint32
+	pend     int32
+}
+
+// block returns the index of the owned block; end must be nonzero.
+func (cc *classCursor) block() uint32 { return (cc.end - 1) / (BlockSize / Granule) }
 
 // Alloc allocates an object with the given number of pointer slots and a
 // total payload of at least size bytes (the header is added on top), and
@@ -43,10 +44,19 @@ func (h *Heap) Alloc(c *Cache, slots int, size int, allocColor Color) (Addr, err
 }
 
 // AllocBlue allocates and initializes a cell but leaves it blue; the
-// caller assigns the final color. Used by the toggle-free create
-// protocol, whose color depends on the sweep position: a blue cell is
-// invisible to a concurrently running sweep, so the window between
-// allocation and coloring is safe.
+// caller assigns the final color, and must do so before its next
+// allocation from this cache (a blue cell behind the cursor is claimed
+// again once the block is released and rescanned). Used by the
+// toggle-free create protocol, whose color depends on the sweep
+// position: a blue cell is invisible to a concurrently running sweep
+// and to the card scan, so the window between claim and coloring is
+// safe.
+//
+// The claim is a scan of the owned block's color entries, at cell
+// stride from the cursor, for the next blue one. Only the owner claims
+// in its block and only the sweep turns cells blue, so the load needs
+// no read-modify-write: a cell seen blue stays blue until this cache
+// colors it.
 func (h *Heap) AllocBlue(c *Cache, slots int, size int) (Addr, error) {
 	need := HeaderBytes + slots*WordBytes
 	if size < need {
@@ -56,51 +66,57 @@ func (h *Heap) AllocBlue(c *Cache, slots int, size int) (Addr, error) {
 	if class < 0 {
 		return h.allocLarge(slots, cell)
 	}
-	if c.count[class] == 0 {
-		if err := h.refill(c, class); err != nil {
+	cc := &c.cls[class]
+	stride := uint32(cell / Granule)
+	for {
+		for g := cc.cur; g < cc.end; g += stride {
+			if atomic.LoadUint32(&h.colors[g]) == uint32(Blue) {
+				cc.cur = g + stride
+				cc.pend++
+				addr := g * Granule
+				h.initObject(addr, slots)
+				return addr, nil
+			}
+		}
+		if err := h.refill(cc, class); err != nil {
 			return 0, err
 		}
 	}
-	addr := c.head[class]
-	c.head[class] = atomic.LoadUint32(&h.mem[addr/WordBytes])
-	c.count[class]--
-	if b := addr / BlockSize; b != c.pendBlock[class] {
-		h.publishAllocRun(c, class, b)
-	}
-	c.pendN[class]++
-	h.initObject(addr, slots)
-	return addr, nil
 }
 
-// publishAllocRun folds the cache's pending allocation run for class —
-// pendN cells popped from block pendBlock since the last publication —
-// into the shared counters, then restarts the run at newBlock. The
-// block and shard counters move by the same amount in one publication,
-// so the cached-vs-blocks reconcile holds at every publication
-// boundary; the allocation totals simply lag the true values by the
-// open runs (at most one block's worth of cells per class per cache)
-// until the next refill, Flush or PublishAllocs.
-func (h *Heap) publishAllocRun(c *Cache, class int, newBlock uint32) {
-	if n := c.pendN[class]; n != 0 {
-		h.blocks[c.pendBlock[class]].cached.Add(-n)
-		s := h.shardFor(class)
-		s.cached.Add(-int64(n))
-		s.allocatedBytes.Add(int64(n) * int64(classSizes[class]))
-		s.allocatedObjects.Add(int64(n))
-		c.pendN[class] = 0
+// publishClaims folds the cursor's pending claims — pend cells taken
+// from the owned block since the last publication — into the block and
+// shard counters. They move by the same amount in one step, so the
+// cached-vs-blocks reconcile holds at every publication boundary; the
+// allocation totals simply lag the true values by the open claims (at
+// most one block's worth of cells per class per cache) until the next
+// refill, Flush or PublishAllocs. Caller holds the class shard lock s.
+func (h *Heap) publishClaims(cc *classCursor, class int, s *centralShard) {
+	n := cc.pend
+	if n == 0 {
+		return
 	}
-	c.pendBlock[class] = newBlock
+	h.blocks[cc.block()].freeCells -= n
+	s.cached.Add(-int64(n))
+	s.allocatedBytes.Add(int64(n) * int64(classSizes[class]))
+	s.allocatedObjects.Add(int64(n))
+	cc.pend = 0
 }
 
 // PublishAllocs folds all of the cache's pending allocation accounting
-// into the shard and block counters without returning any cells. Refill
+// into the shard and block counters without giving up any block. Refill
 // and Flush publish implicitly; callers that need the global counters
 // exact while keeping the cache warm — the verifier, tests asserting on
 // AllocatedBytes — call this. The cache's owner must not be allocating
 // concurrently.
 func (h *Heap) PublishAllocs(c *Cache) {
-	for class := 0; class < NumClasses; class++ {
-		h.publishAllocRun(c, class, 0)
+	for class := range c.cls {
+		if cc := &c.cls[class]; cc.pend != 0 {
+			s := h.shardFor(class)
+			s.lock()
+			h.publishClaims(cc, class, s)
+			s.unlock()
+		}
 	}
 }
 
@@ -120,60 +136,56 @@ func (h *Heap) initObject(addr Addr, slots int) {
 	}
 }
 
-// refill moves up to refillBatch free cells of the class into the cache,
-// formatting a fresh block if no partially free block exists. Only the
-// class's shard lock is held for list surgery; the page lock is taken
-// briefly inside takeFreeBlock when a new block is needed.
-func (h *Heap) refill(c *Cache, class int) error {
+// refill replaces the cursor's exhausted block: the old block is
+// released (its claims published, its leftover blue cells — freed
+// behind the cursor — offered to everyone again) and the most recently
+// listed partial block is taken over whole, or a fresh block formatted
+// if the class has none. One shard-lock acquisition and no per-cell
+// work; the page lock is taken briefly inside takeFreeBlock when a new
+// block is needed.
+func (h *Heap) refill(cc *classCursor, class int) error {
 	s := h.shardFor(class)
-	h.publishAllocRun(c, class, 0)
 	s.lock()
 	defer s.unlock()
-	s.refills.Add(1)
-	for {
-		// Prefer a block that already has free cells.
-		list := h.partial[class]
-		if n := len(list); n > 0 {
-			b := list[n-1]
-			bm := &h.blocks[b]
-			taken := h.takeCells(c, class, s, bm)
-			if bm.freeCells == 0 {
-				h.partial[class] = list[:n-1]
-				bm.inPartial = false
-			}
-			if taken > 0 {
-				return nil
-			}
-			continue
-		}
-		// Otherwise format a fresh block for this class.
-		b, ok := h.takeFreeBlock(class)
-		if !ok {
+	h.releaseBlock(cc, class, s)
+	var b uint32
+	if list := h.partial[class]; len(list) > 0 {
+		b = list[len(list)-1]
+		h.partial[class] = list[:len(list)-1]
+	} else {
+		var ok bool
+		if b, ok = h.takeFreeBlock(class); !ok {
 			return ErrOutOfMemory
 		}
 		h.formatBlock(b, class, s)
-		h.partial[class] = append(h.partial[class], b)
-		h.blocks[b].inPartial = true
 	}
+	s.refills.Add(1)
+	bm := &h.blocks[b]
+	bm.owned = true
+	s.freeCells.Add(-int64(bm.freeCells))
+	s.cached.Add(int64(bm.freeCells))
+	cc.cur = b * (BlockSize / Granule)
+	cc.end = cc.cur + uint32(CellsPerBlock(class)*classSizes[class]/Granule)
+	return nil
 }
 
-// takeCells moves up to refillBatch cells from the block's free list into
-// the cache. Caller holds the class shard lock s.
-func (h *Heap) takeCells(c *Cache, class int, s *centralShard, bm *blockMeta) int {
-	taken := 0
-	for bm.freeCells > 0 && taken < refillBatch {
-		addr := bm.freeHead
-		bm.freeHead = atomic.LoadUint32(&h.mem[addr/WordBytes])
-		bm.freeCells--
-		atomic.StoreUint32(&h.mem[addr/WordBytes], c.head[class])
-		c.head[class] = addr
-		taken++
+// releaseBlock gives up the cursor's block, if it owns one: the pending
+// claims are published and the block goes back on the partial list when
+// it still counts blue cells. Caller holds the class shard lock s.
+func (h *Heap) releaseBlock(cc *classCursor, class int, s *centralShard) {
+	if cc.end == 0 {
+		return
 	}
-	c.count[class] += taken
-	bm.cached.Add(int32(taken))
-	s.cached.Add(int64(taken))
-	s.freeCells.Add(-int64(taken))
-	return taken
+	h.publishClaims(cc, class, s)
+	b := cc.block()
+	bm := &h.blocks[b]
+	bm.owned = false
+	s.cached.Add(-int64(bm.freeCells))
+	s.freeCells.Add(int64(bm.freeCells))
+	if bm.freeCells > 0 {
+		h.partial[class] = append(h.partial[class], b)
+	}
+	cc.cur, cc.end = 0, 0
 }
 
 // takeFreeBlock pops one unassigned block from the page pool and stamps
@@ -196,24 +208,19 @@ func (h *Heap) takeFreeBlock(class int) (uint32, bool) {
 	return b, true
 }
 
-// formatBlock carves a block already stamped with the class into blue
-// cells linked into the block's free list. Caller holds the class shard
-// lock s; the block is not yet on any partial list, so nothing else can
-// touch its cells.
+// formatBlock makes every cell of a block already stamped with the class
+// blue and counts them. Caller holds the class shard lock s; the block
+// is on no partial list and owned by nobody, so nothing else can touch
+// its cells.
 func (h *Heap) formatBlock(b uint32, class int, s *centralShard) {
-	bm := &h.blocks[b]
-	bm.freeHead = 0
-	bm.freeCells = 0
 	cell := classSizes[class]
+	n := BlockSize / cell
 	base := b * BlockSize
-	for i := BlockSize/cell - 1; i >= 0; i-- {
-		addr := base + uint32(i*cell)
-		h.SetColor(addr, Blue)
-		atomic.StoreUint32(&h.mem[addr/WordBytes], bm.freeHead)
-		bm.freeHead = addr
-		bm.freeCells++
+	for i := 0; i < n; i++ {
+		h.SetColor(base+uint32(i*cell), Blue)
 	}
-	s.freeCells.Add(int64(bm.freeCells))
+	h.blocks[b].freeCells = int32(n)
+	s.freeCells.Add(int64(n))
 }
 
 // allocLarge allocates an object spanning whole blocks, leaving it
@@ -273,157 +280,79 @@ func (h *Heap) removeFreeBlocks(start, n int) {
 	h.pages.freeBlocks = out
 }
 
-// blockChain is one block's worth of cache cells being returned by a
-// flush: a pre-threaded sublist that splices into the block's free list
-// with two stores.
-type blockChain struct {
-	block uint32
-	head  Addr
-	tail  Addr
-	n     int32
-}
-
-// Flush returns all cells held in the cache to their blocks' free lists.
-// Called when a mutator detaches so its cached cells can be reused and
-// their blocks eventually reclaimed. Per class, the cells are bucketed
-// into per-block chains without any lock — the cells are private to the
-// cache, so rethreading their link words races with nothing — and then
-// spliced under one shard lock acquisition: O(blocks) lock work instead
-// of O(cells).
+// Flush releases every block the cache owns, publishing its pending
+// claims, so the blocks' remaining blue cells can be reused and the
+// blocks eventually reclaimed. Called when a mutator detaches. One
+// shard-lock acquisition per class with a block, no per-cell work.
 func (h *Heap) Flush(c *Cache) {
-	for class := 0; class < NumClasses; class++ {
-		h.publishAllocRun(c, class, 0)
-		if c.count[class] > 0 {
-			h.flushClass(c, class)
+	for class := range c.cls {
+		if cc := &c.cls[class]; cc.end != 0 {
+			s := h.shardFor(class)
+			s.lock()
+			s.flushes.Add(1)
+			h.releaseBlock(cc, class, s)
+			s.unlock()
 		}
 	}
 }
 
-func (h *Heap) flushClass(c *Cache, class int) {
-	var chains []blockChain
-	for c.count[class] > 0 {
-		addr := c.head[class]
-		c.head[class] = atomic.LoadUint32(&h.mem[addr/WordBytes])
-		c.count[class]--
-		b := addr / BlockSize
-		var ch *blockChain
-		for i := range chains {
-			if chains[i].block == b {
-				ch = &chains[i]
-				break
-			}
-		}
-		if ch == nil {
-			chains = append(chains, blockChain{block: b, head: addr, tail: addr, n: 1})
-			continue
-		}
-		atomic.StoreUint32(&h.mem[addr/WordBytes], ch.head)
-		ch.head = addr
-		ch.n++
-	}
-	total := int64(0)
-	s := h.shardFor(class)
-	s.lock()
-	s.flushes.Add(1)
-	for i := range chains {
-		ch := &chains[i]
-		bm := &h.blocks[ch.block]
-		atomic.StoreUint32(&h.mem[ch.tail/WordBytes], bm.freeHead)
-		bm.freeHead = ch.head
-		bm.freeCells += ch.n
-		bm.cached.Add(-ch.n)
-		if !bm.inPartial {
-			h.partial[class] = append(h.partial[class], ch.block)
-			bm.inPartial = true
-		}
-		total += int64(ch.n)
-	}
-	s.freeCells.Add(total)
-	s.cached.Add(-total)
-	s.unlock()
-}
-
-// FreeCell releases one dead cell during sweep: the object is recolored
-// blue and threaded back onto its block's free list. Only the collector
-// calls it, for cells whose color was the clear color, so it can never
-// race with an allocation of the same cell.
+// SweepBlock is the heap's one reclamation primitive: it shows dead
+// every allocated (non-blue) object of block b with its color, in
+// address order, and frees the ones dead returns true for. Freeing a
+// small cell is a color store — the cell turns blue, which is all
+// "free" means — and the block's new blue cells are counted once after
+// the walk, under one shard-lock acquisition, and only if there were
+// any (see blockMeta.freeCells for why the colors go first). A dead
+// large object returns its blocks to the page pool. No cell memory is
+// written and nothing is allocated. It returns the objects and bytes
+// (cell sizes: what the paper's "space freed" numbers count) freed.
 //
-// The returned bytes are the cell size (what the paper's "space freed"
-// numbers count).
-func (h *Heap) FreeCell(addr Addr) int {
-	b := addr / BlockSize
+// Only the collector calls it, and only for cells no mutator can reach,
+// so a cell it turns blue races with nothing but the block owner's
+// claim of it. Concurrent calls on one block must free disjoint cells.
+func (h *Heap) SweepBlock(b int, dead func(addr Addr, col Color) bool) (objects, bytes int) {
 	bm := &h.blocks[b]
-	class := int(bm.class.Load())
-	if class == int(blockLargeHead) {
-		return h.freeLarge(addr)
+	class := bm.class.Load()
+	switch class {
+	case blockFree, blockLargeCont:
+		return 0, 0
+	case blockLargeHead:
+		addr := Addr(b) * BlockSize
+		if col := h.Color(addr); col != Blue && dead(addr, col) {
+			return 1, h.freeLarge(addr)
+		}
+		return 0, 0
 	}
-	size := classSizes[class]
-	h.SetColor(addr, Blue)
-	s := h.shardFor(class)
+	cell := classSizes[class]
+	stride := cell / Granule
+	g := b * (BlockSize / Granule)
+	n := 0
+	for end := g + BlockSize/cell*stride; g < end; g += stride {
+		col := Color(atomic.LoadUint32(&h.colors[g]))
+		if col != Blue && dead(Addr(g*Granule), col) {
+			atomic.StoreUint32(&h.colors[g], uint32(Blue))
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	s := h.shardFor(int(class))
 	s.lock()
-	atomic.StoreUint32(&h.mem[addr/WordBytes], bm.freeHead)
-	bm.freeHead = addr
-	bm.freeCells++
-	if !bm.inPartial {
-		h.partial[class] = append(h.partial[class], b)
-		bm.inPartial = true
+	before := bm.freeCells
+	bm.freeCells += int32(n)
+	if bm.owned {
+		s.cached.Add(int64(n))
+	} else {
+		s.freeCells.Add(int64(n))
+		if before <= 0 && bm.freeCells > 0 {
+			h.partial[class] = append(h.partial[class], uint32(b))
+		}
 	}
-	s.freeCells.Add(1)
 	s.unlock()
-	s.allocatedBytes.Add(-int64(size))
-	s.allocatedObjects.Add(-1)
-	return size
-}
-
-// FreeBatch frees a batch of dead cells with one shard lock acquisition
-// per size class present in the batch. Large objects in the batch are
-// freed individually. It returns the total bytes freed.
-func (h *Heap) FreeBatch(addrs []Addr) int {
-	total := 0
-	var larges []Addr
-	var byClass [NumClasses][]Addr
-	for _, addr := range addrs {
-		class := h.blocks[addr/BlockSize].class.Load()
-		if class == blockLargeHead {
-			larges = append(larges, addr)
-			continue
-		}
-		byClass[class] = append(byClass[class], addr)
-	}
-	for class, list := range byClass {
-		if len(list) > 0 {
-			total += h.freeClassBatch(class, list)
-		}
-	}
-	for _, addr := range larges {
-		total += h.freeLarge(addr)
-	}
-	return total
-}
-
-// freeClassBatch threads a batch of dead cells of one class back onto
-// their blocks' free lists under a single shard lock acquisition.
-func (h *Heap) freeClassBatch(class int, list []Addr) int {
-	size := classSizes[class]
-	s := h.shardFor(class)
-	s.lock()
-	for _, addr := range list {
-		b := addr / BlockSize
-		bm := &h.blocks[b]
-		h.SetColor(addr, Blue)
-		atomic.StoreUint32(&h.mem[addr/WordBytes], bm.freeHead)
-		bm.freeHead = addr
-		bm.freeCells++
-		if !bm.inPartial {
-			h.partial[class] = append(h.partial[class], b)
-			bm.inPartial = true
-		}
-	}
-	s.freeCells.Add(int64(len(list)))
-	s.unlock()
-	s.allocatedBytes.Add(-int64(size * len(list)))
-	s.allocatedObjects.Add(-int64(len(list)))
-	return size * len(list)
+	s.allocatedBytes.Add(-int64(n * cell))
+	s.allocatedObjects.Add(-int64(n))
+	return n, n * cell
 }
 
 // freeLarge returns a large object's blocks to the free pool.
@@ -445,50 +374,44 @@ func (h *Heap) freeLarge(addr Addr) int {
 	return size
 }
 
-// ReclaimEmptyBlocks returns fully free small-object blocks (no live
-// cells, none cached) to the free pool so another size class can reuse
-// them. The collector calls it at the end of sweep.
-//
-// Retirement is two-phase to respect the invariant that class
-// transitions happen only under the page lock: under each shard lock
-// the block is stripped from its partial list and its free list reset
-// (it then looks like a fully allocated block with no free cells —
-// harmless, nothing can allocate from or free into it); the blockFree
-// stamp and free-pool push happen under the page lock afterwards.
+// ReclaimEmptyBlocks returns fully free small-object blocks (every cell
+// blue, not owned by a cache) to the free pool so another size class
+// can reuse them. The collector calls it at the end of sweep. Owned
+// blocks are not on the partial lists, so walking those is enough; the
+// class transition happens under the page lock, taken inside the shard
+// lock (the lock order) on the first retirement of each class.
 func (h *Heap) ReclaimEmptyBlocks() int {
-	var freed []uint32
+	p := &h.pages
+	freed := 0
 	for class := 0; class < NumClasses; class++ {
 		s := h.shardFor(class)
 		s.lock()
 		cells := int32(CellsPerBlock(class))
 		out := h.partial[class][:0]
-		removed := int64(0)
+		retired := 0
 		for _, b := range h.partial[class] {
 			bm := &h.blocks[b]
-			if bm.freeCells == cells && bm.cached.Load() == 0 {
-				bm.freeHead = 0
-				bm.freeCells = 0
-				bm.inPartial = false
-				freed = append(freed, b)
-				removed += int64(cells)
-			} else {
+			if bm.freeCells != cells {
 				out = append(out, b)
+				continue
 			}
-		}
-		h.partial[class] = out
-		s.freeCells.Add(-removed)
-		s.unlock()
-	}
-	if len(freed) > 0 {
-		p := &h.pages
-		p.lock()
-		for _, b := range freed {
-			h.blocks[b].class.Store(blockFree)
+			if retired == 0 {
+				p.lock()
+			}
+			retired++
+			bm.freeCells = 0
+			bm.class.Store(blockFree)
 			p.freeBlocks = append(p.freeBlocks, b)
 		}
-		p.unlock()
+		if retired > 0 {
+			p.unlock()
+		}
+		h.partial[class] = out
+		s.freeCells.Add(-int64(retired) * int64(cells))
+		s.unlock()
+		freed += retired
 	}
-	return len(freed)
+	return freed
 }
 
 // FreeBlockCount reports how many unassigned blocks remain.

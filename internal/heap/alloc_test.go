@@ -16,6 +16,26 @@ func newTestHeap(t *testing.T, size int) *Heap {
 	return h
 }
 
+// freeCells frees exactly the given objects through SweepBlock, the way
+// a sweep that found them (and nothing else) dead would, and returns the
+// bytes freed.
+func freeCells(h *Heap, addrs ...Addr) int {
+	dead := make(map[Addr]bool, len(addrs))
+	for _, a := range addrs {
+		dead[a] = true
+	}
+	swept := make(map[Addr]bool)
+	bytes := 0
+	for _, a := range addrs {
+		if b := a / BlockSize; !swept[b] {
+			swept[b] = true
+			_, n := h.SweepBlock(int(b), func(addr Addr, _ Color) bool { return dead[addr] })
+			bytes += n
+		}
+	}
+	return bytes
+}
+
 func TestNewRejectsTinyHeap(t *testing.T) {
 	if _, err := New(BlockSize); err == nil {
 		t.Fatal("New accepted a one-block heap")
@@ -78,30 +98,41 @@ func TestAllocZeroesRecycledSlots(t *testing.T) {
 	h.StoreSlot(a, 0, a)
 	h.StoreSlot(a, 1, a)
 	h.SetColor(a, Yellow) // pretend it's clear-colored garbage
-	h.FreeCell(a)
-	// The recycled cell must come back with zeroed slots.
+	freeCells(h, a)
+	// The recycled cell must come back with zeroed slots. It lies behind
+	// the cursor, so it returns once the block is exhausted and rescanned.
 	b, _ := h.Alloc(&c, 2, 0, White)
-	if b != a {
-		// Cache order may differ; allocate until we get the cell back.
-		for i := 0; i < 1000 && b != a; i++ {
-			b, _ = h.Alloc(&c, 2, 0, White)
-		}
+	for i := 0; i < CellsPerBlock(0) && b != a; i++ {
+		b, _ = h.Alloc(&c, 2, 0, White)
 	}
 	if b != a {
-		t.Skip("cell was not recycled in order; nothing to check")
+		t.Fatal("freed cell was not recycled when its block was rescanned")
 	}
 	if h.LoadSlot(b, 0) != 0 || h.LoadSlot(b, 1) != 0 {
 		t.Error("recycled cell has stale pointer slots")
 	}
 }
 
-func TestFreeCellAccounting(t *testing.T) {
+func TestSweepBlockAccounting(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
 	addr, _ := h.Alloc(&c, 0, 48, White)
-	if got := h.FreeCell(addr); got != 48 {
-		t.Errorf("FreeCell returned %d bytes, want 48", got)
+	keep, _ := h.Alloc(&c, 0, 48, Black)
+	var seen []Addr
+	objects, bytes := h.SweepBlock(int(addr/BlockSize), func(a Addr, col Color) bool {
+		seen = append(seen, a)
+		return col == White
+	})
+	if objects != 1 || bytes != 48 {
+		t.Errorf("SweepBlock freed (%d objects, %d bytes), want (1, 48)", objects, bytes)
 	}
+	if len(seen) != 2 || seen[0] != addr || seen[1] != keep {
+		t.Errorf("SweepBlock showed %#x, want exactly the two allocated cells in address order", seen)
+	}
+	if h.Color(keep) != Black {
+		t.Errorf("surviving cell color = %v, want black", h.Color(keep))
+	}
+	freeCells(h, keep)
 	if h.Color(addr) != Blue {
 		t.Errorf("freed cell color = %v, want blue", h.Color(addr))
 	}
@@ -115,7 +146,7 @@ func TestFreeCellAccounting(t *testing.T) {
 	}
 }
 
-func TestFreeBatch(t *testing.T) {
+func TestSweepBlockAcrossClasses(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
 	var addrs []Addr
@@ -128,8 +159,8 @@ func TestFreeBatch(t *testing.T) {
 		addrs = append(addrs, a)
 		total += h.SizeOf(a)
 	}
-	if got := h.FreeBatch(addrs); got != total {
-		t.Errorf("FreeBatch freed %d bytes, want %d", got, total)
+	if got := freeCells(h, addrs...); got != total {
+		t.Errorf("sweeps freed %d bytes, want %d", got, total)
 	}
 	h.PublishAllocs(&c)
 	if h.AllocatedObjects() != 0 {
@@ -161,7 +192,7 @@ func TestLargeObjects(t *testing.T) {
 		t.Error("large object slot store failed")
 	}
 	free := h.FreeBlockCount()
-	if got := h.FreeCell(a); got != 3*BlockSize {
+	if got := freeCells(h, a); got != 3*BlockSize {
 		t.Errorf("freeing large returned %d, want %d", got, 3*BlockSize)
 	}
 	if h.FreeBlockCount() != free+3 {
@@ -198,9 +229,7 @@ func TestSmallObjectOOMAndRecovery(t *testing.T) {
 		t.Fatal("no allocations succeeded")
 	}
 	// Free everything; allocation must work again.
-	for _, a := range addrs {
-		h.FreeCell(a)
-	}
+	freeCells(h, addrs...)
 	if _, err := h.Alloc(&c, 0, 2048, White); err != nil {
 		t.Fatalf("allocation after free failed: %v", err)
 	}
@@ -209,12 +238,20 @@ func TestSmallObjectOOMAndRecovery(t *testing.T) {
 	}
 }
 
-func TestFlushReturnsCachedCells(t *testing.T) {
+func TestFlushReleasesOwnedBlocks(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _ := h.Alloc(&c, 0, 16, White) // triggers a refill batch
-	h.FreeCell(a)
+	a, _ := h.Alloc(&c, 0, 16, White) // takes ownership of a fresh block
+	freeCells(h, a)
+	if st := h.AllocStats(); st.CachedCells == 0 || st.FreeCells != 0 {
+		t.Errorf("owned block's blue cells counted as (cached %d, free %d), want all cached",
+			st.CachedCells, st.FreeCells)
+	}
 	h.Flush(&c)
+	if st := h.AllocStats(); st.CachedCells != 0 || st.FreeCells != int64(CellsPerBlock(0)) {
+		t.Errorf("after flush (cached %d, free %d), want (0, %d)",
+			st.CachedCells, st.FreeCells, CellsPerBlock(0))
+	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Error(err)
 	}
@@ -234,9 +271,13 @@ func TestReclaimEmptyBlocksKeepsLiveBlocks(t *testing.T) {
 		a, _ := h.Alloc(&c, 0, 64, Yellow)
 		dead = append(dead, a)
 	}
-	h.FreeBatch(dead)
+	freeCells(h, dead...)
 	h.Flush(&c)
-	h.ReclaimEmptyBlocks()
+	before := h.FreeBlockCount()
+	if got := h.ReclaimEmptyBlocks(); got == 0 || h.FreeBlockCount() != before+got {
+		t.Errorf("reclaimed %d blocks, free pool %d -> %d; the all-dead blocks must retire",
+			got, before, h.FreeBlockCount())
+	}
 	if !h.ValidObject(live) || h.Color(live) != Black {
 		t.Error("live object lost after reclaim")
 	}
@@ -321,24 +362,46 @@ func TestAllBlackHints(t *testing.T) {
 	}
 }
 
+// TestBlockQuiet: a block is quiet when it has no blue cells and no
+// owner. A cache keeps the block it has filled until its next refill of
+// the class (or its Flush) — publishing the claims alone does not give
+// the block up — so a just-filled block turns quiet one refill later.
 func TestBlockQuiet(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
 	a, _ := h.Alloc(&c, 0, 16, White)
 	b := int(a / BlockSize)
 	if h.BlockQuiet(b) {
-		t.Error("block with cached cells reported quiet")
+		t.Error("owned block with blue cells reported quiet")
 	}
-	// Exhaust the cache so every cell of the block is live; quietness
-	// shows once the cache publishes its pending allocation run.
 	for i := 0; i < CellsPerBlock(0)-1; i++ {
 		if _, err := h.Alloc(&c, 0, 16, White); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h.PublishAllocs(&c)
+	if h.BlockQuiet(b) {
+		t.Error("fully allocated block reported quiet while its cache still owns it")
+	}
+	// The next allocation of the class refills: the full block is
+	// released, and is quiet from then on.
+	next, err := h.Alloc(&c, 0, 16, White)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(next/BlockSize) == b {
+		t.Fatalf("allocation %#x came from the full block %d", next, b)
+	}
 	if !h.BlockQuiet(b) {
-		t.Error("fully allocated block not quiet")
+		t.Error("fully allocated, released block not quiet")
+	}
+	// A death in it ends the quiet, and the block is offered again.
+	freeCells(h, a)
+	if h.BlockQuiet(b) {
+		t.Error("block with a blue cell reported quiet")
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -354,12 +417,15 @@ func TestAgeTable(t *testing.T) {
 		t.Errorf("age = %d, want 7", h.Age(a))
 	}
 	// Reallocation resets the age.
-	h.FreeCell(a)
+	freeCells(h, a)
 	b, _ := h.Alloc(&c, 0, 32, White)
-	for i := 0; b != a && i < 100; i++ {
+	for i := 0; b != a && i < CellsPerBlock(1); i++ {
 		b, _ = h.Alloc(&c, 0, 32, White)
 	}
-	if b == a && h.Age(a) != 0 {
+	if b != a {
+		t.Fatal("freed cell was not recycled when its block was rescanned")
+	}
+	if h.Age(a) != 0 {
 		t.Errorf("recycled age = %d, want 0", h.Age(a))
 	}
 }
@@ -391,7 +457,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 	go func() {
 		for a := range freeCh {
 			h.SetColor(a, Yellow)
-			h.FreeCell(a)
+			freeCells(h, a)
 		}
 		close(done)
 	}()
@@ -444,13 +510,18 @@ func TestAllocStressAllClasses(t *testing.T) {
 	for i, a := range addrs {
 		if i%2 == 0 {
 			h.SetColor(a, Yellow)
-			h.FreeCell(a)
 		}
+	}
+	for b := 1; b < h.NumBlocks(); b++ {
+		h.SweepBlock(b, func(_ Addr, col Color) bool { return col == Yellow })
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Error(err)
 	}
 	h.PublishAllocs(&c)
+	if err := h.ReconcileCounters(); err != nil {
+		t.Error(err)
+	}
 	if got := int(h.AllocatedObjects()); got != len(addrs)/2 {
 		t.Errorf("allocated objects = %d, want %d", got, len(addrs)/2)
 	}

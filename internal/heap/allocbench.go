@@ -1,5 +1,7 @@
 package heap
 
+import "sync/atomic"
+
 // Allocation-churn workload shared by BenchmarkAllocParallel and the
 // cmd/gcbench mutator-count sweep. It lives in a non-test file so the
 // command can drive exactly the loop the benchmark measures.
@@ -12,32 +14,59 @@ package heap
 var AllocChurnSizes = [...]int{16, 40, 96, 224, 480, 992}
 
 // allocChurnWindow is how many live cells each churner keeps before
-// batch-freeing them, mimicking the collector's sweep cadence
-// (freeBatchSize in the gc package is 256 as well).
+// freeing them all, mimicking the collector's sweep cadence.
 const allocChurnWindow = 256
 
 // AllocChurn runs iters allocation operations as one benchmark mutator:
 // it owns a private Cache, cycles through AllocChurnSizes offset by id,
-// keeps a window of allocChurnWindow live cells, and batch-frees the
-// window the way the sweep does (FreeBatch), so blocks recycle and the
-// loop runs indefinitely inside a bounded heap. The cache is flushed on
-// return, as a detaching mutator would.
+// keeps a window of allocChurnWindow live cells, and frees the window
+// the way the sweep does — SweepBlock over the blocks the window's
+// cells lie in — so blocks recycle and the loop runs indefinitely
+// inside a bounded heap. The cache is flushed on return, as a detaching
+// mutator would.
+//
+// Churners share blocks (one fills a block, another later owns it), so
+// each stamps its cells' first header word with its own tag before the
+// color publishes them, and its sweeps free exactly the cells carrying
+// that tag: every live cell of a churner is in its window, so that is
+// the window, and no two churners ever free the same cell.
 func (h *Heap) AllocChurn(id, iters int) error {
 	var c Cache
 	defer h.Flush(&c)
+	tag := uint32(id + 1)
+	mine := func(addr Addr, _ Color) bool {
+		return atomic.LoadUint32(&h.mem[addr/WordBytes]) == tag
+	}
 	window := make([]Addr, 0, allocChurnWindow)
+	// free sweeps the window's blocks. Requests of one size sit
+	// len(AllocChurnSizes) apart in the window and run through one
+	// block after another, so walking the window per size visits each
+	// block once (a repeat visit would find nothing left to free).
+	free := func() {
+		for k := 0; k < len(AllocChurnSizes); k++ {
+			last := Addr(0)
+			for j := k; j < len(window); j += len(AllocChurnSizes) {
+				if b := window[j] / BlockSize; b != last {
+					h.SweepBlock(int(b), mine)
+					last = b
+				}
+			}
+		}
+		window = window[:0]
+	}
 	for i := 0; i < iters; i++ {
 		size := AllocChurnSizes[(i+id)%len(AllocChurnSizes)]
-		a, err := h.Alloc(&c, 2, size, White)
+		a, err := h.AllocBlue(&c, 2, size)
 		if err != nil {
 			return err
 		}
+		atomic.StoreUint32(&h.mem[a/WordBytes], tag)
+		h.SetColor(a, White)
 		window = append(window, a)
 		if len(window) == cap(window) {
-			h.FreeBatch(window)
-			window = window[:0]
+			free()
 		}
 	}
-	h.FreeBatch(window)
+	free()
 	return nil
 }

@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// The allocator is tiered: per-mutator Cache (lock-free) → per-class
-// central shard (one small lock each) → page allocator (one narrow lock
-// for whole-block acquisition and retirement). Every size class has its
-// own shard, so two mutators refilling different classes never touch the
-// same lock.
+// The allocator is tiered: per-mutator Cache (lock-free claims of blue
+// cells in the blocks it owns) → per-class central shard (one small lock
+// each, for block hand-over and the blue-cell counts) → page allocator
+// (one narrow lock for whole-block acquisition and retirement). Every
+// size class has its own shard, so two mutators refilling different
+// classes never touch the same lock.
 //
 // Lock ordering: shard → page. A thread holding a shard lock may take
 // the page lock (refill formatting a fresh block, reclaim retiring an
@@ -22,9 +23,9 @@ import (
 // under the page lock, always sees each block either in the free pool
 // or already stamped with its destination.
 
-// centralShard is one size class's central free lists: its partial
-// list's lock plus the class's allocation counters. Counters are atomics so the hot path (cache pop) and
-// Stats() never need the lock.
+// centralShard is one size class's central state: its partial list's
+// lock plus the class's counters. Counters are atomics so Stats() never
+// needs the lock.
 type centralShard struct {
 	mu sync.Mutex
 
@@ -33,15 +34,17 @@ type centralShard struct {
 	locks     atomic.Int64
 	contended atomic.Int64
 
-	// refills counts cache refills served, flushes cache flushes
-	// received (per class with cells, not per detach).
+	// refills counts blocks handed to caches, flushes blocks handed
+	// back by a detaching cache (per class with a block, not per
+	// detach).
 	refills atomic.Int64
 	flushes atomic.Int64
 
-	// freeCells is the number of blue cells on the free lists of this
-	// shard's blocks (sum of blockMeta.freeCells); mutated only under
-	// mu. cached is the number of this shard's cells parked in mutator
-	// caches; the allocation fast path decrements it without the lock.
+	// freeCells is the sum of blockMeta.freeCells over this shard's
+	// unowned blocks — the blue cells any cache may come to claim —
+	// and cached the same sum over its owned blocks: blue cells only
+	// their owner can claim, reading high by the owners' unpublished
+	// claims. Both move only under mu, in step with the block counts.
 	freeCells atomic.Int64
 	cached    atomic.Int64
 
@@ -70,7 +73,7 @@ func (s *centralShard) unlock() { s.mu.Unlock() }
 // pageAllocator owns whole-block state: the pool of unassigned blocks
 // and the contiguous-run scan for large objects. Its lock is the bottom
 // of the lock order and is held only for block-granularity operations —
-// never while formatting or walking cell free lists.
+// never while formatting or walking a block's cells.
 type pageAllocator struct {
 	mu         sync.Mutex
 	locks      atomic.Int64
@@ -107,9 +110,11 @@ type ShardStats struct {
 }
 
 // AllocStats aggregates the allocator's contention and throughput
-// counters across tiers. CachedCells is approximate while mutators run
-// (the cache pop decrements it without a lock); everything else is
-// exact at the instant each atomic was read.
+// counters across tiers. Refills is block acquisitions by caches,
+// FreeCells the blue cells of unowned blocks and CachedCells the blue
+// cells of owned ones; CachedCells reads high while mutators run, by
+// the claims their caches have not published. Everything else is exact
+// at the instant each atomic was read.
 type AllocStats struct {
 	ShardLocks, ShardContended int64
 	PageLocks, PageContended   int64

@@ -7,7 +7,8 @@ import "sync/atomic"
 //
 // The collector uses the standard DLG colors plus the yellow color of §4:
 //
-//	blue   – the cell is free (on a free list or in an allocation cache)
+//	blue   – the cell is free; the color table is the free list, there
+//	         is no other record of it
 //	white  – not yet traced (one of the two toggled colors)
 //	yellow – allocated during the current cycle (the other toggled color)
 //	gray   – traced, children not yet scanned

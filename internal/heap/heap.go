@@ -2,8 +2,8 @@
 // on-the-fly collector of Domani, Kolodner and Petrank (PLDI 2000) runs
 // against. It is the stand-in for the prototype JVM heap of the paper:
 // a byte-addressed space carved into 4 KB blocks, each block dedicated to
-// one size class, with per-object colors and ages in side tables and a
-// free-cell discipline based on the blue color.
+// one size class, with per-object colors and ages in side tables. The
+// color table is also the free list: a cell is free iff it is blue.
 //
 // Addresses are plain byte offsets (Addr). Address 0 is never allocated
 // and serves as the nil reference. Objects never move; promotion between
@@ -59,27 +59,40 @@ type blockMeta struct {
 	// nBlocks is the number of blocks of a large object (head only).
 	nBlocks uint32
 
-	// freeHead is the address of the first free cell of this block;
-	// free cells are threaded through their first word. Guarded by the
-	// block's class shard lock.
-	freeHead Addr
-
-	// freeCells is the length of the freeHead list. Guarded by the
-	// class shard lock.
+	// freeCells is the shard's count of the block's blue cells — the
+	// census of the free list the color table is. Guarded by the class
+	// shard lock, and moved in one step per block by each of the two
+	// parties that change a cell's blueness:
+	//
+	//   - the sweep turns a block's dead cells blue FIRST and adds
+	//     their number AFTER the walk (SweepBlock);
+	//   - the owning cache claims blue cells without the lock and
+	//     subtracts its claims later (publishClaims).
+	//
+	// Color-then-count lets the owner claim a cell the sweep has turned
+	// blue but not yet counted, so its publication can leave the count
+	// transiently negative — by at most the sweep's unpublished deaths
+	// in this block — until the sweep's publication lands. (Counting
+	// first would announce cells that are not blue yet: the owner's
+	// cursor walks past them, and a release could list a block whose
+	// free cells do not exist.) The count is therefore exact only while
+	// the block is unowned and no sweep is inside it; while owned it
+	// reads high by the owner's open claims. A block is on its class's
+	// partial list iff it is unowned and freeCells > 0, so every
+	// transition lists a block only when the resulting count is
+	// positive.
 	freeCells int32
 
-	// inPartial records whether the block is on its class's partial
-	// list. Guarded by the class shard lock.
-	inPartial bool
-
-	// cached counts cells of this block currently sitting in some
-	// mutator's allocation cache.
-	cached atomic.Int32
+	// owned records that a mutator Cache holds the block as its
+	// allocation block for the class: only that cache claims its blue
+	// cells, and the block is off the partial list. Guarded by the
+	// class shard lock.
+	owned bool
 
 	// allBlack hints that every cell of the block is an allocated
-	// black (old) object and the block has no free or cached cells.
-	// Such a block cannot produce clear-colored cells before the next
-	// full collection, so partial sweeps skip it — the reason the
+	// black (old) object and the block has neither free cells nor an
+	// owner. Such a block cannot produce clear-colored cells before the
+	// next full collection, so partial sweeps skip it — the reason the
 	// paper's partial collections touch only young-generation pages
 	// (Figure 15). Written by the collector only.
 	allBlack atomic.Bool
@@ -91,7 +104,7 @@ type blockMeta struct {
 // not expose, so the side tables use 32-bit atomics instead — a strictly
 // stronger substitute (see DESIGN.md).
 //
-// Central free-list state is sharded per size class (see central.go):
+// Central allocator state is sharded per size class (see central.go):
 // there is no heap-wide mutex. partial[class] is guarded by
 // shardFor(class); the free-block pool by the page allocator's lock.
 type Heap struct {
@@ -122,13 +135,14 @@ type Heap struct {
 
 	blocks []blockMeta
 
-	// shards are the per-class central free lists; partial[class] is
-	// guarded by shardFor(class).mu. pages owns the free-block pool.
+	// shards are the per-class central counters and locks;
+	// partial[class] is guarded by shardFor(class).mu. pages owns the
+	// free-block pool.
 	// The array is its own allocation: inline, its write-hot counters
 	// would share cache lines with the read-mostly slice headers above,
 	// which every Color/SizeOf call of every thread loads.
 	shards  *[NumClasses]centralShard
-	partial [NumClasses][]uint32 // blocks of a class with free cells
+	partial [NumClasses][]uint32 // unowned blocks of a class with blue cells
 	pages   pageAllocator
 
 	// Touch instrumentation for the Figure 15 experiment; nil unless
@@ -181,8 +195,8 @@ func (h *Heap) NumGranules() int { return h.nGran }
 // AllocatedBytes returns the bytes currently allocated (live plus not yet
 // collected garbage), summed over the class shards and the large-object
 // pool; it drives the full-collection trigger. While mutators run the
-// value lags the truth by their caches' unpublished allocation runs —
-// bounded by one block's worth of cells per class per cache — and is
+// value lags the truth by their caches' unpublished claims — bounded
+// by one block's worth of cells per class per cache — and is
 // exact once every cache has published (refill, Flush, PublishAllocs).
 func (h *Heap) AllocatedBytes() int64 {
 	total := h.pages.largeBytes.Load()
@@ -245,10 +259,11 @@ func (h *Heap) AllBlackHint(b int) bool { return h.blocks[b].allBlack.Load() }
 // SetAllBlackHint records or clears the all-black hint for block b.
 func (h *Heap) SetAllBlackHint(b int, v bool) { h.blocks[b].allBlack.Store(v) }
 
-// BlockQuiet reports whether block b currently has neither free cells
-// nor cells parked in allocation caches — together with an all-black
-// scan this certifies the block cannot change before the next full
-// collection.
+// BlockQuiet reports whether block b currently has no blue cells and no
+// owning allocation cache — together with an all-black scan this
+// certifies the block cannot change before the next full collection. A
+// cache keeps a block it has filled until its next refill of that class
+// (or its Flush), so a just-filled block turns quiet one refill later.
 func (h *Heap) BlockQuiet(b int) bool {
 	bm := &h.blocks[b]
 	class := bm.class.Load()
@@ -263,7 +278,7 @@ func (h *Heap) BlockQuiet(b int) bool {
 	if bm.class.Load() != class {
 		return false
 	}
-	return bm.freeCells == 0 && bm.cached.Load() == 0
+	return bm.freeCells == 0 && !bm.owned
 }
 
 // BlockClass reports the size-class of the block containing addr:

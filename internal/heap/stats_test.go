@@ -59,7 +59,7 @@ func TestCensusAfterFree(t *testing.T) {
 	var c Cache
 	a, _ := h.Alloc(&c, 0, 48, Yellow)
 	b, _ := h.Alloc(&c, 0, 48, Yellow)
-	h.FreeCell(a)
+	freeCells(h, a)
 	s := h.Census()
 	if s.Objects != 1 {
 		t.Errorf("objects after free = %d, want 1", s.Objects)

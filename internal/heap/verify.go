@@ -1,13 +1,10 @@
 package heap
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // lockAll acquires every shard lock in index order, then the page lock —
 // the canonical lock order — giving the caller a globally consistent
-// view of all central free-list and block-pool state.
+// view of all central allocator and block-pool state.
 func (h *Heap) lockAll() {
 	for i := range h.shards {
 		h.shards[i].lock()
@@ -23,15 +20,16 @@ func (h *Heap) unlockAll() {
 }
 
 // CheckIntegrity audits the allocator's bookkeeping: block metadata,
-// free-list structure, the blue-color discipline, and the per-shard
-// freeCells counters (which must equal the sum of the block free lists
-// they cover — the lists and counters only move under the shard locks,
-// all of which are held). Cached-cell counters are only checked for
-// non-negativity here: the allocation fast path defers its accounting
-// in the mutator cache (cached counts read high, allocation totals read
-// low — and transiently even negative when frees outrun an unpublished
-// run — by the open runs), so they are exact only once every cache has
-// published (see ReconcileCounters).
+// the partial lists, and the blue-cell counts against the color table
+// itself. With every shard lock held no block changes hands, so for
+// every unowned small block the blue cells at cell stride must equal
+// its freeCells, and those sum to the shard's freeCells counter; the
+// owned blocks' counts sum to the shard's cached counter, and a block
+// is listed as partial exactly when it is unowned with a positive
+// count. Owned blocks' colors are not compared here — their counts read
+// high by their owners' unpublished claims — but in ReconcileCounters,
+// which is exact once every cache has published. Call it when no sweep
+// is running (a sweep's uncounted blue cells would read as a mismatch).
 func (h *Heap) CheckIntegrity() error {
 	h.lockAll()
 	defer h.unlockAll()
@@ -48,7 +46,19 @@ func (h *Heap) CheckIntegrity() error {
 			return fmt.Errorf("heap: block %d in free pool but has class %d", b, h.blocks[b].class.Load())
 		}
 	}
-	var freeByShard [NumClasses]int64
+	listed := make(map[uint32]bool)
+	for class := range h.partial {
+		for _, b := range h.partial[class] {
+			if listed[b] {
+				return fmt.Errorf("heap: block %d appears twice on the partial lists", b)
+			}
+			listed[b] = true
+			if got := h.blocks[b].class.Load(); got != int32(class) {
+				return fmt.Errorf("heap: block %d of class %d on partial list %d", b, got, class)
+			}
+		}
+	}
+	var freeByShard, cachedByShard [NumClasses]int64
 	for b := 1; b < h.nBlocks; b++ {
 		bm := &h.blocks[b]
 		switch class := bm.class.Load(); class {
@@ -72,8 +82,16 @@ func (h *Heap) CheckIntegrity() error {
 			if class < 0 || int(class) >= NumClasses {
 				return fmt.Errorf("heap: block %d has invalid class %d", b, class)
 			}
-			if err := h.checkBlockFreeList(b, bm); err != nil {
-				return err
+			if want := !bm.owned && bm.freeCells > 0; listed[uint32(b)] != want {
+				return fmt.Errorf("heap: block %d (owned %v, %d free cells) on partial list: %v, want %v",
+					b, bm.owned, bm.freeCells, listed[uint32(b)], want)
+			}
+			if bm.owned {
+				cachedByShard[class] += int64(bm.freeCells)
+				continue
+			}
+			if blue := h.blueCells(b, int(class)); blue != bm.freeCells {
+				return fmt.Errorf("heap: block %d free count %d, color table holds %d blue cells", b, bm.freeCells, blue)
 			}
 			freeByShard[class] += int64(bm.freeCells)
 		}
@@ -81,10 +99,10 @@ func (h *Heap) CheckIntegrity() error {
 	for i := range h.shards {
 		s := &h.shards[i]
 		if got := s.freeCells.Load(); got != freeByShard[i] {
-			return fmt.Errorf("heap: shard %d freeCells counter %d, block lists hold %d", i, got, freeByShard[i])
+			return fmt.Errorf("heap: shard %d freeCells counter %d, unowned blocks hold %d", i, got, freeByShard[i])
 		}
-		if s.cached.Load() < 0 {
-			return fmt.Errorf("heap: shard %d negative cached count %d", i, s.cached.Load())
+		if got := s.cached.Load(); got != cachedByShard[i] {
+			return fmt.Errorf("heap: shard %d cached counter %d, owned blocks hold %d", i, got, cachedByShard[i])
 		}
 	}
 	if h.pages.largeBytes.Load() < 0 || h.pages.largeObjects.Load() < 0 {
@@ -94,25 +112,17 @@ func (h *Heap) CheckIntegrity() error {
 	return nil
 }
 
-// ReconcileCounters cross-checks the shard cached counters against the
-// per-block cached counts, and the shard allocation totals against a
-// color census. It is exact only at quiescence (no mutators allocating,
-// no sweep freeing) AND once every live cache has published its pending
-// allocation runs — Flush and refill publish implicitly, PublishAllocs
-// on demand. Tests and the collector's Verify (which publishes every
-// registered mutator's cache first) call it at such points.
+// ReconcileCounters cross-checks every small block's count — owned
+// blocks included — against the blue cells the color table holds for
+// it, and the shard allocation totals against a color census. It is
+// exact only at quiescence (no mutators allocating, no sweep freeing)
+// AND once every live cache has published its pending claims — Flush
+// and refill publish implicitly, PublishAllocs on demand. Tests and the
+// collector's Verify (which publishes every registered mutator's cache
+// first) call it at such points.
 func (h *Heap) ReconcileCounters() error {
-	var cachedByShard [NumClasses]int64
-	for b := 1; b < h.nBlocks; b++ {
-		bm := &h.blocks[b]
-		if class := bm.class.Load(); class >= 0 {
-			cachedByShard[class] += int64(bm.cached.Load())
-		}
-	}
-	for i := range h.shards {
-		if got := h.shards[i].cached.Load(); got != cachedByShard[i] {
-			return fmt.Errorf("heap: shard %d cached counter %d, blocks hold %d", i, got, cachedByShard[i])
-		}
+	if err := h.reconcileBlocks(); err != nil {
+		return err
 	}
 	s := h.Census()
 	if int64(s.ObjectBytes) != h.AllocatedBytes() {
@@ -126,36 +136,33 @@ func (h *Heap) ReconcileCounters() error {
 	return nil
 }
 
-// checkBlockFreeList walks one block's free list. Caller holds the
-// block's class shard lock.
-func (h *Heap) checkBlockFreeList(b int, bm *blockMeta) error {
-	class := int(bm.class.Load())
-	cell := classSizes[class]
-	count := int32(0)
-	limit := int32(CellsPerBlock(class))
-	for addr := bm.freeHead; addr != 0; {
-		if int(addr)/BlockSize != b {
-			return fmt.Errorf("heap: block %d free list escapes to address %#x", b, addr)
+func (h *Heap) reconcileBlocks() error {
+	h.lockAll()
+	defer h.unlockAll()
+	for b := 1; b < h.nBlocks; b++ {
+		bm := &h.blocks[b]
+		if class := bm.class.Load(); class >= 0 {
+			if blue := h.blueCells(b, int(class)); blue != bm.freeCells {
+				return fmt.Errorf("heap: block %d (owned %v) free count %d, color table holds %d blue cells",
+					b, bm.owned, bm.freeCells, blue)
+			}
 		}
-		if int(addr)%BlockSize%cell != 0 {
-			return fmt.Errorf("heap: block %d free list has misaligned cell %#x", b, addr)
-		}
-		if h.Color(addr) != Blue {
-			return fmt.Errorf("heap: free cell %#x has color %v, want blue", addr, h.Color(addr))
-		}
-		count++
-		if count > limit {
-			return fmt.Errorf("heap: block %d free list longer than %d cells (cycle?)", b, limit)
-		}
-		addr = atomic.LoadUint32(&h.mem[addr/WordBytes])
-	}
-	if count != bm.freeCells {
-		return fmt.Errorf("heap: block %d free count %d, list length %d", b, bm.freeCells, count)
-	}
-	if bm.cached.Load() < 0 {
-		return fmt.Errorf("heap: block %d negative cached count %d", b, bm.cached.Load())
 	}
 	return nil
+}
+
+// blueCells counts the blue cells of small block b of the class — the
+// free list itself, read off the color table.
+func (h *Heap) blueCells(b, class int) int32 {
+	cell := classSizes[class]
+	base := Addr(b) * BlockSize
+	n := int32(0)
+	for off := 0; off+cell <= BlockSize; off += cell {
+		if h.Color(base+Addr(off)) == Blue {
+			n++
+		}
+	}
+	return n
 }
 
 // CountColor returns how many allocated objects currently have color c;

@@ -115,8 +115,8 @@ type Cycle struct {
 	WorkerFreed   []int // objects freed, by sweep worker
 
 	// Tiered-allocator activity during the cycle (mutators keep
-	// allocating while the collector runs): cache refills served by
-	// the central shards, and lock acquisitions — shard plus page —
+	// allocating while the collector runs): blocks acquired by
+	// allocation caches, and lock acquisitions — shard plus page —
 	// that found the lock held.
 	AllocRefills   int64
 	AllocContended int64

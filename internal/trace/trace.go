@@ -61,7 +61,7 @@ import (
 //	cycleabort a cycle abandoned at close (wedged handshake past the
 //	          grace period); K = the phase it was wedged in
 //	allocstats the tiered allocator's activity over one cycle (point
-//	          event at cycle end); N = central-shard cache refills,
+//	          event at cycle end); N = blocks acquired by caches,
 //	          M = contended lock acquisitions (shard + page)
 //	demographics one generational partial's promotion/survival record
 //	          (point event at cycle end); N = objects promoted,

@@ -96,14 +96,14 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 	}
 
 	a := s.Alloc
-	counter(b, "gengc_alloc_refills_total", "Mutator cache refills from the central shards.", a.Refills)
-	counter(b, "gengc_alloc_flushes_total", "Mutator cache flushes back to the central shards.", a.Flushes)
+	counter(b, "gengc_alloc_refills_total", "Blocks acquired by mutator allocation caches from the central shards.", a.Refills)
+	counter(b, "gengc_alloc_flushes_total", "Blocks handed back to the central shards by detaching mutators.", a.Flushes)
 	counter(b, "gengc_alloc_shard_locks_total", "Central shard lock acquisitions.", a.ShardLocks)
 	counter(b, "gengc_alloc_shard_contended_total", "Central shard lock acquisitions that contended.", a.ShardContended)
 	counter(b, "gengc_alloc_page_locks_total", "Page allocator lock acquisitions.", a.PageLocks)
 	counter(b, "gengc_alloc_page_contended_total", "Page allocator lock acquisitions that contended.", a.PageContended)
-	gauge(b, "gengc_alloc_free_cells", "Free cells on the central free lists.", a.FreeCells)
-	gauge(b, "gengc_alloc_cached_cells", "Cells held in mutator caches (approximate).", a.CachedCells)
+	gauge(b, "gengc_alloc_free_cells", "Blue (free) cells in blocks no allocation cache owns.", a.FreeCells)
+	gauge(b, "gengc_alloc_cached_cells", "Blue (free) cells in blocks owned by mutator allocation caches (reads high by unpublished claims).", a.CachedCells)
 
 	bar := s.Barrier
 	counter(b, "gengc_barrier_flushes_total", "Batched-barrier buffer drains.", bar.Flushes)

@@ -138,7 +138,13 @@ func TestStressConcurrent(t *testing.T) {
 
 // TestStressManyCollections forces frequent cycles with a tiny young
 // generation so promotion, card clearing and the color toggle churn.
+// The mutators churn in rounds until the runtime has completed at least
+// three cycles — a fixed operation count can finish before the
+// collector goroutine is scheduled three times on a loaded host — and a
+// generous deadline turns a collector that never gets there into a
+// failure that names the count.
 func TestStressManyCollections(t *testing.T) {
+	const wantCycles = 3
 	for _, mode := range []Mode{Generational, GenerationalAging} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
@@ -148,12 +154,18 @@ func TestStressManyCollections(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Close()
+			deadline := time.Now().Add(30 * time.Second)
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
-					stressMutator(t, rt, seed, 30000)
+					for round := int64(0); ; round++ {
+						stressMutator(t, rt, seed+4*round, 30000)
+						if t.Failed() || rt.Stats().NumCycles >= wantCycles || time.Now().After(deadline) {
+							return
+						}
+					}
 				}(int64(w))
 			}
 			wg.Wait()
@@ -163,9 +175,8 @@ func TestStressManyCollections(t *testing.T) {
 			if err := rt.VerifyCardInvariant(); err != nil {
 				t.Fatal(err)
 			}
-			st := rt.Stats()
-			if st.NumCycles < 3 {
-				t.Errorf("only %d cycles ran; expected frequent collections", st.NumCycles)
+			if n := rt.Stats().NumCycles; n < wantCycles {
+				t.Errorf("only %d cycles ran within the deadline; expected at least %d", n, wantCycles)
 			}
 		})
 	}
