@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test alloc-guard race bench bench-smoke bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test alloc-guard race bench bench-smoke bench-pair bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
 
 all: check
 
@@ -22,13 +22,16 @@ build:
 test:
 	$(GO) test ./...
 
-# alloc-guard runs, by name, the guards that the reclamation path makes
-# no Go-heap allocation: the block-free primitive allocates nothing, and
-# a warmed partial collection allocates the same small constant whether
-# it frees 10 000 cells or 100 000. A reintroduced per-batch or
-# per-cycle allocation fails here rather than in a benchmark.
+# alloc-guard runs, by name, the guards that the allocation and
+# reclamation paths make no Go-heap allocation: a warmed Mutator.Alloc
+# of a pointer-free object allocates nothing (block publications and
+# collection requests included), the block-free primitive allocates
+# nothing, and a warmed partial collection allocates the same small
+# constant whether it frees 10 000 cells or 100 000. A reintroduced
+# per-object, per-batch or per-cycle allocation fails here rather than
+# in a benchmark.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
+	$(GO) test -count=1 -run 'TestMutatorAllocAllocatesNoGoMemory|TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
 
 # The concurrency-heavy subset under the race detector: the worker-pool
 # (Workers>1) trace/sweep tests including the white-box drain
@@ -48,6 +51,16 @@ bench:
 # BENCHMARK.json ↔ command consistency check and input determinism.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
+
+# bench-pair is the paired-run procedure behind every performance
+# number in CHANGES.md (scripts/benchpair.sh): PAIRS alternating
+# parent/change runs of one repository-benchmark workload, then each
+# side's median and quartiles per end-to-end metric, the pairs won and
+# the better / worse / unresolved verdict. Minutes per workload and
+# nothing else may run meanwhile, so it is not part of `make check`.
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=young_churn [PAIRS=10] [SEED=19991231]
+bench-pair:
+	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(or $(PAIRS),10) $(SEED)
 
 # bench-json sweeps the allocation path over mutator counts (1/2/4/8)
 # into BENCH_alloc.json, then the write barrier over mutator counts × barrier modes × write

@@ -61,16 +61,30 @@ func TestHeapAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := rt.NewMutator()
-	defer m.Detach()
 	objs0, bytes0 := rt.HeapObjects(), rt.HeapBytes()
-	a := m.MustAlloc(0, 64)
-	if rt.HeapObjects() != objs0+1 {
-		t.Errorf("objects = %d, want %d", rt.HeapObjects(), objs0+1)
+	m.PushRoot(m.MustAlloc(0, 64))
+	// Between publication points the totals trail the mutator by less
+	// than one block.
+	if got := rt.HeapBytes(); got < bytes0 || got > bytes0+64 {
+		t.Errorf("bytes before publication = %d, want within [%d, %d]", got, bytes0, bytes0+64)
 	}
-	if rt.HeapBytes() != bytes0+64 {
-		t.Errorf("bytes = %d, want %d", rt.HeapBytes(), bytes0+64)
+	// Collect and Detach are publication points: exact from there on.
+	for _, publish := range []struct {
+		name string
+		do   func()
+	}{
+		{"Collect", func() { m.Collect(false) }},
+		{"Detach", func() { m.PushRoot(m.MustAlloc(0, 64)); m.Detach() }},
+	} {
+		publish.do()
+		objs0, bytes0 = objs0+1, bytes0+64
+		if got := rt.HeapObjects(); got != objs0 {
+			t.Errorf("after %s: objects = %d, want %d", publish.name, got, objs0)
+		}
+		if got := rt.HeapBytes(); got != bytes0 {
+			t.Errorf("after %s: bytes = %d, want %d", publish.name, got, bytes0)
+		}
 	}
-	_ = a
 }
 
 func TestGlobals(t *testing.T) {

@@ -292,10 +292,17 @@ func (r *Runtime) OnCycle(fn func(CycleRecord)) { r.c.Metrics().OnRecord(fn) }
 // and the pause statistics of every attached mutator plus the
 // fleet-wide aggregate (which also covers detached mutators).
 type Snapshot struct {
-	Cycles      int64 // completed collection cycles (partial + full)
-	Fulls       int64 // completed full collections
-	HeapBytes   int64 // allocated bytes (live + floating garbage)
-	HeapObjects int64 // allocated objects
+	Cycles int64 // completed collection cycles (partial + full)
+	Fulls  int64 // completed full collections
+
+	// HeapBytes and HeapObjects are the currently allocated bytes (live
+	// plus floating garbage, at cell granularity) and objects. Mutators
+	// publish their allocations a block at a time: the totals are exact
+	// whenever every attached mutator has passed a publication point (a
+	// handshake response, Detach, Collect, Verify) and otherwise trail
+	// each attached mutator by less than one 4 KiB block.
+	HeapBytes   int64
+	HeapObjects int64
 
 	// Stalls counts handshake-watchdog reports: mutators that missed
 	// the stall deadline while the collector waited on them (see
@@ -341,6 +348,14 @@ type Snapshot struct {
 	// PromotionRate is the pacer's smoothed promoted-bytes-per-young-
 	// byte estimate (0 until a generational partial completes).
 	PromotionRate float64
+
+	// FullTargetBytes is the pacer's full-collection target: in the
+	// generational modes a full collection becomes due when a partial
+	// leaves more old-generation bytes than this behind, without
+	// generations when allocated bytes reach it. Recomputed after every
+	// full collection (what it left occupied plus headroom); it never
+	// decreases, so it bounds from below where the heap peak can sit.
+	FullTargetBytes int64
 
 	// SLOBreaches counts recorded pauses that exceeded WithPauseSLO
 	// (always zero without one).
@@ -388,6 +403,7 @@ func (r *Runtime) Snapshot() Snapshot {
 		PromotionRate: r.c.Pacer().PromotionRate(),
 		SLOBreaches:   r.c.SLOBreaches(),
 
+		FullTargetBytes:    r.c.Pacer().Target(),
 		Admission:          r.c.AdmissionStats(),
 		RequestLatency:     r.c.RequestStats(),
 		RequestSLOBreaches: r.c.RequestSLOBreaches(),
@@ -430,10 +446,14 @@ func (r *Runtime) PublishExpvar(name string) error {
 }
 
 // HeapBytes returns the currently allocated bytes (live plus floating
-// garbage).
+// garbage): exact whenever every attached mutator has passed a
+// publication point (a handshake response, Detach, Collect, Verify),
+// otherwise trailing each attached mutator by less than one 4 KiB block
+// (see Snapshot.HeapBytes).
 func (r *Runtime) HeapBytes() int64 { return r.c.HeapBytes() }
 
-// HeapObjects returns the currently allocated object count.
+// HeapObjects returns the currently allocated object count, under the
+// same contract as HeapBytes.
 func (r *Runtime) HeapObjects() int64 { return r.c.HeapObjects() }
 
 // SetGlobal stores v in global root slot i. Global roots live in an

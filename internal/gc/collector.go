@@ -65,10 +65,10 @@ type Collector struct {
 	// (see trace.go).
 	ackEpoch atomic.Int64
 
-	// The three counters below are written by mutators on their hottest
-	// paths (every allocation, every shade), so they are padded onto
-	// cache lines of their own: the words around them — the colors and
-	// handshake status every mutator reads per allocation and barrier,
+	// The three counters below are written by mutators on hot paths
+	// (every shade, every published allocation block), so they are padded
+	// onto cache lines of their own: the words around them — the colors
+	// and handshake status every mutator reads per allocation and barrier,
 	// the registry lock the collector polls — must not bounce with them.
 	_ [64]byte
 
@@ -77,12 +77,12 @@ type Collector struct {
 	// acknowledgement round (monotonic, never reset).
 	grayProduced atomic.Int64
 
-	// heapBytes/heapObjects are the exact facade-facing allocation
-	// totals, charged per allocation (cell size) and per sweep free
-	// batch. The heap's own shard counters defer publication in the
-	// mutator caches for fast-path speed, so they lag by the open
-	// allocation runs; this layer keeps the per-object-exact totals
-	// Snapshot and HeapBytes/HeapObjects promise.
+	// heapBytes/heapObjects are the facade-facing allocation totals
+	// (cell sizes), charged by each mutator a block at a time
+	// (Mutator.publishAllocs) and uncharged per swept block: exact once
+	// every attached mutator has passed a publication point (handshake
+	// response, Detach, Collect, Verify), else trailing each by less than
+	// one block — the contract heap.AllocatedBytes has for its counters.
 	heapBytes   atomic.Int64
 	heapObjects atomic.Int64
 	_           [64]byte
@@ -620,34 +620,18 @@ func (c *Collector) request(full bool) {
 	}
 }
 
-// noteAlloc charges one successful allocation — size is the requested
-// size fed to the pacer, charged the cell size backing the exact heap
-// totals — and converts the pacer's verdict into a collection request.
-// Called from the allocation path; the pacer works from its own
-// counters, so this never touches heap-wide state.
-func (c *Collector) noteAlloc(size, charged int) {
-	c.heapBytes.Add(int64(charged))
-	c.heapObjects.Add(1)
-	switch c.pacer.NoteAlloc(size) {
-	case TriggerFull:
-		c.request(true)
-	case TriggerPartial:
-		c.request(false)
-	}
-}
-
 // noteFreed uncharges a sweep free batch from the exact heap totals.
 func (c *Collector) noteFreed(objects, bytes int) {
 	c.heapBytes.Add(-int64(bytes))
 	c.heapObjects.Add(-int64(objects))
 }
 
-// HeapBytes returns the exact currently allocated bytes (live plus
-// floating garbage, at cell granularity) — unlike the heap's shard
-// counters it does not lag behind unpublished cache runs.
+// HeapBytes returns the currently allocated bytes (live plus floating
+// garbage, at cell granularity): exact once every attached mutator has
+// passed a publication point, else trailing each by less than a block.
 func (c *Collector) HeapBytes() int64 { return c.heapBytes.Load() }
 
-// HeapObjects returns the exact currently allocated object count.
+// HeapObjects returns the allocated object count (HeapBytes' contract).
 func (c *Collector) HeapObjects() int64 { return c.heapObjects.Load() }
 
 // Pacer exposes the collection-scheduling component.

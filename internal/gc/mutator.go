@@ -29,6 +29,11 @@ type Mutator struct {
 
 	cache heap.Cache
 
+	// pend is the allocation accounting not yet published to the
+	// collector (publishAllocs): requested bytes for the pacer, charged
+	// cell bytes and objects for the heap totals. Owner-only plain words.
+	pend struct{ req, bytes, objects int64 }
+
 	// roots is the simulated thread stack. Only the owning goroutine
 	// reads or writes it: per DLG there is no write barrier on stack
 	// operations, and the mutator itself marks these roots when it
@@ -102,6 +107,7 @@ func (m *Mutator) Detach() {
 	// the flush may append to m.gray.buf and mark cards, and after
 	// Detach returns nobody would ever drain the buffer.
 	m.flushBarrier("detach")
+	m.publishAllocs()
 	m.c.H.Flush(&m.cache)
 	m.c.muts.Lock()
 	list := m.c.muts.list
@@ -171,6 +177,7 @@ func (m *Mutator) Cooperate() {
 		return
 	}
 	start := m.pauseStart()
+	m.publishAllocs()
 	// Drain the deferred barrier before responding: the status and ack
 	// stores below publish the response to the collector, and the
 	// sliding-views argument (barrier.go) needs every buffered shade
@@ -506,7 +513,12 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 			if size < heap.HeaderBytes+slots*heap.WordBytes {
 				size = heap.HeaderBytes + slots*heap.WordBytes
 			}
-			m.c.noteAlloc(size, m.c.H.SizeOf(addr))
+			m.pend.req += int64(size)
+			m.pend.bytes += int64(m.c.H.SizeOf(addr))
+			m.pend.objects++
+			if m.pend.bytes >= heap.BlockSize {
+				m.publishAllocs()
+			}
 			return addr, nil
 		}
 		if attempt >= m.c.cfg.AllocRetries {
@@ -514,9 +526,33 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 			m.c.triggerDump("oom")
 			return 0, fmt.Errorf("gc: mutator %d: %w after %d full collections", m.id, err, attempt)
 		}
+		m.publishAllocs()
 		if werr := m.waitForFullCollection(ctx, attempt); werr != nil {
 			return 0, werr
 		}
+	}
+}
+
+// publishAllocs folds the pending allocation accounting into the
+// collector's heap totals and the pacer, whose verdict becomes a
+// collection request. alloc calls it once per heap.BlockSize of charged
+// bytes (the granularity at which heap.Cache publishes its claims), as
+// does every point where the mutator synchronizes with the collector
+// anyway: a handshake response, Detach, Collect, the slow path's wait,
+// Verify. The handshake publication keeps the totals sound: the sweep
+// frees only objects created before the color toggle, hence before their
+// owner's last handshake response of the cycle, so noteFreed never
+// uncharges an object whose charge is still pending.
+func (m *Mutator) publishAllocs() {
+	if m.pend.objects == 0 {
+		return
+	}
+	c, p := m.c, m.pend
+	m.pend.req, m.pend.bytes, m.pend.objects = 0, 0, 0
+	c.heapBytes.Add(p.bytes)
+	c.heapObjects.Add(p.objects)
+	if t := c.pacer.NoteAlloc(p.req); t != TriggerNone {
+		c.request(t == TriggerFull)
 	}
 }
 
@@ -595,6 +631,7 @@ func (m *Mutator) Collect(full bool) {
 		counter = &m.c.fullsDone
 	}
 	start := counter.Load()
+	m.publishAllocs()
 	go m.c.CollectNow(full)
 	for counter.Load() == start {
 		if m.c.closed.Load() {

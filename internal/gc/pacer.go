@@ -21,15 +21,16 @@ const (
 // adaptive full-collection target modeling the paper's grow-on-demand
 // heap, and the DynamicTenure threshold of §6.
 //
-// The pacer never takes a heap-wide snapshot on the allocation path.
-// NoteAlloc maintains its own occupancy estimate with one atomic add and
-// compares it against cached targets; the estimate is resynchronized
-// against the heap's summed per-shard allocation counters once per cycle
-// (Reconcile/EndCycle), which is also the only time the counters are
-// read. Between reconciliations the estimate can only overshoot — sweep
-// frees are not subtracted until cycle end — and an overshoot at worst
-// requests a collection early, which the collector's staleness check
-// (run) drops after consulting the real counters off the hot path.
+// The pacer is off the per-object path: a mutator hands NoteAlloc its
+// requested bytes once per published block (Mutator.publishAllocs), so
+// the §3.3 partial trigger fires at most one block late per attached
+// mutator. NoteAlloc keeps its own occupancy estimate and compares it
+// against cached targets; the estimate is resynchronized against the
+// heap's summed per-shard allocation counters once per cycle
+// (Reconcile/EndCycle), the only time those are read. In between, sweep
+// frees are not subtracted, so the estimate overshoots, which at worst
+// requests a collection early — the collector's staleness check (run)
+// drops it after consulting the real counters.
 type Pacer struct {
 	// Policy parameters, fixed at construction.
 	generational bool
@@ -47,11 +48,12 @@ type Pacer struct {
 	// every reconcile point.
 	occupancy atomic.Int64
 
-	// fullTarget is the adaptive full-collection trigger: a full
-	// cycle is requested once allocated bytes reach it. It models the
-	// paper's growing heap (1 MB initial, 32 MB max): after every
-	// full collection it tracks the live set plus headroom, clamped
-	// to [initialTgt, emergency], and never decreases.
+	// fullTarget is the adaptive full-collection trigger, compared
+	// against old-generation bytes (allocated minus young) in the
+	// generational modes and all allocated bytes without generations.
+	// It models the paper's growing heap (1 MB initial, 32 MB max):
+	// after every full collection it is that quantity plus headroom,
+	// clamped to [initialTgt, emergency], and never decreases.
 	fullTarget atomic.Int64
 
 	// dynOldAge is the current tenure threshold; equals the
@@ -101,12 +103,12 @@ func newPacer(cfg Config, heapSize int) *Pacer {
 	return p
 }
 
-// NoteAlloc records size freshly allocated bytes and returns the
-// collection, if any, that the allocation pushes due. Two atomic adds
-// and at most two atomic loads — no heap traversal, no locks.
-func (p *Pacer) NoteAlloc(size int) Trigger {
-	occ := p.occupancy.Add(int64(size))
-	young := p.young.Add(int64(size))
+// NoteAlloc records bytes of fresh allocation — one mutator's batch
+// since its last publication — and returns the collection, if any,
+// that they push due. No heap traversal, no locks.
+func (p *Pacer) NoteAlloc(bytes int64) Trigger {
+	occ := p.occupancy.Add(bytes)
+	young := p.young.Add(bytes)
 	// Emergency bound: the heap is almost full regardless of mode.
 	if occ >= p.emergency {
 		return TriggerFull
@@ -138,9 +140,17 @@ func (p *Pacer) Target() int64 { return p.fullTarget.Load() }
 // the collector's staleness check for queued partial requests.
 func (p *Pacer) PartialDue() bool { return p.young.Load() >= p.youngBytes }
 
-// FullDue reports whether allocated bytes (the caller reads the real
-// counters, off the hot path) still warrant a full collection.
+// FullDue reports whether a queued full request still holds, from the
+// real counters (read by the caller, off the hot path): the heap is at
+// the emergency bound, or the bytes the mode triggers on — the old
+// generation's in the generational modes — have reached the target.
 func (p *Pacer) FullDue(allocated int64) bool {
+	if allocated >= p.emergency {
+		return true
+	}
+	if p.generational {
+		allocated -= p.young.Load()
+	}
 	return allocated >= p.fullTarget.Load()
 }
 
@@ -160,31 +170,36 @@ func (p *Pacer) Reconcile(allocated int64) {
 // has grown past the target, i.e. a full collection is now due: the
 // "heap is almost full" trigger of §3.3 evaluated against the old
 // generation only.
+//
+// The target is recomputed in the currency it is compared in. The
+// generational modes trigger on allocated − young, so they retarget on
+// it too: what the full collection left behind, not what the mutators
+// allocated while it ran — else every mutator speed-up is baked into a
+// target that never comes down. Without generations NoteAlloc compares
+// total occupancy and the target follows it, sprint included: the
+// paper's heap grows on demand and is never shrunk, so any episode in
+// which allocation outruns collection raises the trigger permanently —
+// the ratchet that lets the non-generational collector settle into a
+// bloated heap while cheap partials keep the generational heap small
+// (the footprints behind Figure 15).
 func (p *Pacer) EndCycle(youngAtStart, allocated int64, full bool) (fullDue bool) {
 	young := p.young.Add(-youngAtStart)
 	p.Reconcile(allocated)
 	if full {
+		if p.generational {
+			allocated -= young
+		}
 		p.Retarget(allocated)
 		return false
 	}
 	return allocated-young >= p.fullTarget.Load()
 }
 
-// Retarget recomputes the adaptive full-collection target after a full
-// collection: the post-collection occupancy plus a fixed headroom,
-// mirroring the paper's grow-on-demand heap.
-//
-// The next target is based on the heap occupancy at the end of the
-// cycle — including what the mutators allocated while the collection
-// ran — and it never decreases: the paper's heap grows on demand from
-// 1 MB toward 32 MB and is never shrunk, so any episode in which
-// allocation outruns collection raises the trigger permanently. This
-// ratchet is what lets the non-generational collector settle into a
-// bloated heap with expensive full collections, while frequent cheap
-// partials keep the generational heap small from the start (compare
-// the footprints behind Figure 15).
-func (p *Pacer) Retarget(allocated int64) {
-	t := allocated + p.headroom
+// Retarget raises the full-collection target to occupied (in the mode's
+// trigger currency) plus the fixed headroom, clamped to [initialTgt,
+// emergency]. It never lowers the target.
+func (p *Pacer) Retarget(occupied int64) {
+	t := occupied + p.headroom
 	if t < p.initialTgt {
 		t = p.initialTgt
 	}

@@ -109,22 +109,100 @@ func TestStopIsIdempotent(t *testing.T) {
 	c.Stop()
 }
 
-// TestRetargetRatchet: the full-collection target never decreases and
-// tracks occupancy plus headroom.
+// TestRetargetRatchet: after a full collection the target is what the
+// cycle left occupied, in the currency the mode triggers in, plus
+// headroom — clamped, and never lowered. The generational modes trigger
+// on old-generation bytes (allocated − young), so what the mutators
+// allocated while the cycle ran must not move their target: retargeting
+// on total occupancy would raise it by the 16 MiB of the last leg for
+// good, which is how a faster mutator bloats heap_peak_mb. Without
+// generations the trigger is total occupancy and the sprint does raise
+// the target — the ratchet behind the footprint contrast of Figure 15.
 func TestRetargetRatchet(t *testing.T) {
-	c := newTestCollector(t, Generational)
-	p := c.Pacer()
-	before := p.Target()
-	p.Retarget(c.H.AllocatedBytes())
-	after := p.Target()
-	if after < before {
-		t.Fatalf("target shrank: %d -> %d", before, after)
-	}
-	// Force it high, retarget with an empty heap: must not drop.
-	p.fullTarget.Store(10 << 20)
-	p.Retarget(c.H.AllocatedBytes())
-	if p.Target() < 10<<20 {
-		t.Fatal("ratchet violated")
+	const (
+		mib      = int64(1 << 20)
+		heapSize = 64 << 20
+		before   = 7 * mib // allocated when the full cycle starts
+		live     = 5 * mib // what its sweep leaves of that
+	)
+	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := Config{Mode: mode, HeapBytes: heapSize,
+				InitialTargetBytes: 4 << 20, HeadroomBytes: 2 << 20}.withDefaults()
+			// fullCycle plays one full collection during which the
+			// mutators allocate sprint bytes, and returns the pacer.
+			fullCycle := func(sprint int64) *Pacer {
+				p := newPacer(cfg, heapSize)
+				p.NoteAlloc(before)
+				youngAtStart := p.YoungAlloc()
+				p.NoteAlloc(sprint)
+				if p.EndCycle(youngAtStart, live+sprint, true) {
+					t.Fatal("a full collection reported another full due")
+				}
+				return p
+			}
+			base := live + int64(cfg.HeadroomBytes)
+			for _, sprint := range []int64{0, 4 * mib, 16 * mib} {
+				want := base
+				if mode == NonGenerational {
+					want += sprint
+				}
+				p := fullCycle(sprint)
+				if got := p.Target(); got != want {
+					t.Errorf("%d MiB allocated during the cycle: target %d, want %d", sprint/mib, got, want)
+				}
+				// Never lowered: a later full cycle that finds less.
+				p.EndCycle(p.YoungAlloc(), mib, true)
+				if got := p.Target(); got != want {
+					t.Errorf("target moved %d -> %d after a smaller full cycle", want, got)
+				}
+			}
+
+			// Clamped to the emergency bound from above and the
+			// initial target from below.
+			p := newPacer(cfg, heapSize)
+			p.EndCycle(0, 0, true)
+			if got := p.Target(); got != int64(cfg.InitialTargetBytes) {
+				t.Errorf("empty heap: target %d, want the initial %d", got, cfg.InitialTargetBytes)
+			}
+			p.EndCycle(0, heapSize, true)
+			if got := p.Target(); got != p.emergency {
+				t.Errorf("full heap: target %d, want the emergency bound %d", got, p.emergency)
+			}
+
+			// The staleness check on a queued full request (run) reads
+			// the target in the same currency: with generations, young
+			// bytes on top of an old generation below the target do
+			// not keep a full due — until the emergency bound.
+			p = fullCycle(0)
+			p.NoteAlloc(4 * mib) // young; total = live + 4 MiB > target
+			if got, want := p.FullDue(live+4*mib), mode == NonGenerational; got != want {
+				t.Errorf("FullDue with %d old + %d young bytes against target %d = %v, want %v",
+					live, 4*mib, p.Target(), got, want)
+			}
+			if !p.FullDue(base+p.YoungAlloc()) || !p.FullDue(p.emergency) {
+				t.Error("FullDue false with the old generation at the target / the heap at the emergency bound")
+			}
+
+			// The partial-end verdict: a full is due iff what the
+			// partial left outside the young generation reached the
+			// target, whatever was allocated while it ran.
+			for _, sprint := range []int64{0, 4 * mib} {
+				for _, c := range []struct {
+					old int64
+					due bool
+				}{{base - 1, false}, {base, true}} {
+					p := fullCycle(0)
+					youngAtStart := p.YoungAlloc()
+					p.NoteAlloc(sprint)
+					if got := p.EndCycle(youngAtStart, c.old+sprint, false); got != c.due {
+						t.Errorf("partial leaving %d old bytes (target %d, sprint %d MiB): fullDue = %v, want %v",
+							c.old, p.Target(), sprint/mib, got, c.due)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -24,14 +24,16 @@ func (c *Collector) Verify() error {
 	c.cycleMu.Lock()
 	defer c.cycleMu.Unlock()
 	// Fold every attached mutator's pending allocation accounting into
-	// the shard counters so the reconciliation below is exact. Safe
-	// because Verify's contract is quiescence: the caches' owners are
-	// not allocating while we touch them.
+	// the shard counters and the collector's totals so the
+	// reconciliation below is exact. Safe because Verify's contract is
+	// quiescence: the owners are not allocating while we touch their
+	// caches and pending counts.
 	c.muts.Lock()
 	attached := append([]*Mutator(nil), c.muts.list...)
 	c.muts.Unlock()
 	for _, m := range attached {
 		c.H.PublishAllocs(&m.cache)
+		m.publishAllocs()
 	}
 	if err := c.H.CheckIntegrity(); err != nil {
 		return err
@@ -39,8 +41,9 @@ func (c *Collector) Verify() error {
 	if err := c.H.ReconcileCounters(); err != nil {
 		return err
 	}
-	// With every cache published the heap counters are exact, so the
-	// collector's own totals must agree with them to the object.
+	// With every cache and mutator published both sets of counters are
+	// exact, so the collector's totals must agree with the heap's to
+	// the object.
 	if got, want := c.HeapBytes(), c.H.AllocatedBytes(); got != want {
 		return fmt.Errorf("gc: collector heap-bytes total %d, heap counters say %d", got, want)
 	}

@@ -53,8 +53,8 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 
 	counter(b, "gengc_cycles_total", "Completed collection cycles (partial and full).", s.Cycles)
 	counter(b, "gengc_full_cycles_total", "Completed full (whole-heap) collections.", s.Fulls)
-	gauge(b, "gengc_heap_bytes", "Live heap bytes after the last collection.", s.HeapBytes)
-	gauge(b, "gengc_heap_objects", "Live heap objects after the last collection.", s.HeapObjects)
+	gauge(b, "gengc_heap_bytes", "Currently allocated heap bytes (live plus floating garbage).", s.HeapBytes)
+	gauge(b, "gengc_heap_objects", "Currently allocated heap objects (live plus floating garbage).", s.HeapObjects)
 	counter(b, "gengc_stalls_total", "Handshake watchdog stall reports.", s.Stalls)
 	counter(b, "gengc_aborted_cycles_total", "Collection cycles abandoned mid-protocol.", s.AbortedCycles)
 	counter(b, "gengc_trace_drops_total", "Trace events dropped by saturated rings.", s.TraceDrops)
@@ -71,6 +71,7 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 	counter(b, "gengc_cards_scanned_total", "Cards examined by card scans.", d.CardsScanned)
 	counter(b, "gengc_area_scanned_bytes_total", "Heap bytes examined while scanning dirty cards.", d.AreaScanned)
 	gaugeF(b, "gengc_promotion_rate", "Smoothed promoted-bytes-per-young-byte estimate (EWMA).", s.PromotionRate)
+	gauge(b, "gengc_pacer_full_target_bytes", "Pacer full-collection target: occupancy left by the last full collection plus headroom; never decreases.", s.FullTargetBytes)
 
 	if len(d.DeathsByClass) > 0 {
 		help(b, "gengc_deaths_total", "Objects swept dead, by allocator size class in bytes (class=\"large\" for whole-block objects).", "counter")

@@ -129,6 +129,7 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		{"gengc_cycles_total", s.Cycles},
 		{"gengc_full_cycles_total", s.Fulls},
 		{"gengc_heap_objects", s.HeapObjects},
+		{"gengc_pacer_full_target_bytes", s.FullTargetBytes},
 		{"gengc_promoted_objects_total", s.Demographics.PromotedObjects},
 		{"gengc_promoted_bytes_total", s.Demographics.PromotedBytes},
 		{"gengc_survived_objects_total", s.Demographics.SurvivedObjects},

@@ -28,6 +28,11 @@ func TestSmokeAllModes(t *testing.T) {
 				m.Write(cur, 0, n)
 				cur = n
 			}
+			// Verify is a publication point: the object total is exact
+			// after it (before it, it trails by up to a block).
+			if err := rt.Verify(); err != nil {
+				t.Fatal(err)
+			}
 			before := rt.HeapObjects()
 			if before < 1999 {
 				t.Fatalf("allocated %d objects, want >= 1999", before)
