@@ -116,8 +116,8 @@ func (c *Collector) clearCardsAging() {
 			c.H.Pages.TouchHeap(addr, 1)
 			size := c.H.SizeOf(addr)
 			c.cyc.AreaScanned += size
-			tenured := c.H.Color(addr) == heap.Black && c.H.Age(addr) >= oldest
-			slots := c.H.Slots(addr)
+			col, slots := c.H.Header(addr)
+			tenured := col == heap.Black && c.H.Age(addr) >= oldest
 			if !tenured {
 				// Young source: keep the card while it points at
 				// anything young, so its tenure cannot orphan an
@@ -164,17 +164,11 @@ func (c *Collector) clearCardsAging() {
 // outlive a full collection (§6).
 func (c *Collector) initFullCollection() {
 	ac := c.AllocColor()
-	recolor := func(addr heap.Addr) {
-		c.H.Pages.TouchHeap(addr, 1)
-		if col := c.H.Color(addr); col == heap.Black || col == heap.Gray {
-			c.H.SetColor(addr, ac)
-		}
-	}
 	c.walkBlocks(func(_ *traceWorker, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			// Recoloring invalidates every all-black hint.
 			c.H.SetAllBlackHint(b, false)
-			c.H.ForEachObjectInBlock(b, recolor)
+			c.H.RecolorBlock(b, heap.Black, heap.Gray, ac)
 		}
 	}, nil)
 	if c.cfg.Mode == Generational {

@@ -319,7 +319,7 @@ func New(cfg Config) (*Collector, error) {
 	// cells' block stays live for the runtime's lifetime.
 	var cache heap.Cache
 	slots := cfg.GlobalRootSlots
-	g, err := h.Alloc(&cache, slots, heap.HeaderBytes+slots*heap.WordBytes, c.AllocColor())
+	g, _, err := h.Alloc(&cache, slots, heap.HeaderBytes+slots*heap.WordBytes, c.AllocColor())
 	if err != nil {
 		return nil, fmt.Errorf("gc: allocating global roots: %w", err)
 	}

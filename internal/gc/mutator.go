@@ -494,6 +494,7 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 			return 0, fmt.Errorf("gc: mutator %d: allocation: %w", m.id, ErrClosed)
 		}
 		var addr heap.Addr
+		var cell int
 		var err error
 		if m.c.seamArmed() {
 			if drop, fail := m.c.seamStep(fault.Alloc); drop || fail {
@@ -504,9 +505,9 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 		}
 		if err == nil {
 			if m.c.cfg.DisableColorToggle {
-				addr, err = m.allocToggleFree(slots, size)
+				addr, cell, err = m.allocToggleFree(slots, size)
 			} else {
-				addr, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor())
+				addr, cell, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor())
 			}
 		}
 		if err == nil {
@@ -514,7 +515,7 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 				size = heap.HeaderBytes + slots*heap.WordBytes
 			}
 			m.pend.req += int64(size)
-			m.pend.bytes += int64(m.c.H.SizeOf(addr))
+			m.pend.bytes += int64(cell)
 			m.pend.objects++
 			if m.pend.bytes >= heap.BlockSize {
 				m.publishAllocs()

@@ -63,10 +63,10 @@ func (m *Mutator) createColor(addr heap.Addr) heap.Color {
 // the cell is taken blue, then colored according to the collector's
 // phase; a gray creation is published to the gray buffer so the next
 // trace scans it.
-func (m *Mutator) allocToggleFree(slots, size int) (heap.Addr, error) {
-	addr, err := m.c.H.AllocBlue(&m.cache, slots, size)
+func (m *Mutator) allocToggleFree(slots, size int) (heap.Addr, int, error) {
+	addr, cell, err := m.c.H.Alloc(&m.cache, slots, size, heap.Blue)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	col := m.createColor(addr)
 	m.c.H.SetColor(addr, col)
@@ -76,7 +76,7 @@ func (m *Mutator) allocToggleFree(slots, size int) (heap.Addr, error) {
 		m.gray.Unlock()
 		m.c.grayProduced.Add(1)
 	}
-	return addr, nil
+	return addr, cell, nil
 }
 
 // sweepToggleFree is the original DLG sweep: reclaim white cells and
@@ -87,15 +87,10 @@ func (c *Collector) sweepToggleFree() {
 	nBlocks := c.H.NumBlocks()
 	for b := 1; b < nBlocks; b++ {
 		c.sweepBlock.Store(int32(b))
-		n, bytes := c.H.SweepBlock(b, func(addr heap.Addr, col heap.Color) bool {
-			c.H.Pages.TouchHeap(addr, 1)
-			if col == heap.Black {
-				c.H.SetColor(addr, heap.White)
-			}
-			// Gray (a boundary creation or a late shade): left as is;
-			// its buffered entry makes the next trace process it.
-			return col == heap.White
-		})
+		// Gray (a boundary creation or a late shade) is left as is; its
+		// buffered entry makes the next trace process it.
+		n, bytes, _ := c.H.SweepBlock(b, heap.White, nil)
+		c.H.RecolorBlock(b, heap.Black, heap.Black, heap.White)
 		c.cyc.ObjectsFreed += n
 		c.cyc.BytesFreed += bytes
 		c.noteFreed(n, bytes)

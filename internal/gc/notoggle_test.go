@@ -175,3 +175,27 @@ func TestToggleFreeConcurrentChurn(t *testing.T) {
 		t.Fatal("last stored child lost")
 	}
 }
+
+// TestToggleFreeSlotFlagSurvives: the toggle-free create takes its cell
+// blue with only the slot flag set and colors it afterwards, and the
+// sweep recolors survivors a word at a time; neither may lose the flag,
+// or the next trace would not follow the object's slots.
+func TestToggleFreeSlotFlagSurvives(t *testing.T) {
+	c := newToggleFree(t)
+	m := c.NewMutator()
+	keep := mustAlloc(t, m, 2, 0)
+	m.PushRoot(keep)
+	for cycle := 0; cycle < 3; cycle++ {
+		m.Update(keep, cycle%2, mustAlloc(t, m, 0, 32))
+		collectWhileCooperating(c, true, m)
+		if got := c.H.Slots(keep); got != 2 {
+			t.Fatalf("cycle %d: survivor has %d slots, want 2", cycle, got)
+		}
+		if err := c.CheckReachableAllocated(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+	}
+}

@@ -93,10 +93,10 @@ func (st *sweepState) mergeInto(c *Collector) {
 // color (so they remain collectible in the next partial collection) and
 // their age is incremented; objects at the threshold stay black.
 //
-// Distinct blocks hold distinct objects, so concurrent calls for
-// different blocks touch disjoint color/age entries and per-block hints.
-// The dead cells are freed by heap.SweepBlock as it walks: a color store
-// each, and one count publication for the block.
+// Distinct blocks hold distinct objects — and whole color words — so
+// concurrent calls for different blocks touch disjoint color/age entries
+// and per-block hints. heap.SweepBlock frees the dead cells a color word
+// at a time; only the aging variant sees the survivors one by one.
 func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, oldest uint8, st *sweepState) {
 	if !full && c.H.AllBlackHint(b) {
 		// Entirely old block: it holds only black objects and
@@ -107,23 +107,15 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 		// generation (Figure 15).
 		return
 	}
-	allBlack := true
-	populated := false
-	n, bytes := c.H.SweepBlock(b, func(addr heap.Addr, col heap.Color) bool {
-		// The paper keeps the color in the object header, so
-		// examining an object during sweep touches its page;
-		// the page model charges that layout even though our
-		// colors live in an atomic side table. Freeing is a
-		// color store, so the same charge covers it.
-		c.H.Pages.TouchHeap(addr, 1)
-		populated = true
-		if col != heap.Black || (aging && c.H.Age(addr) < oldest) {
-			allBlack = false
-		}
-		if col == cc {
-			return true // dead: reclaim
-		}
-		if aging && addr != c.globals {
+	var survivor func(addr heap.Addr, col heap.Color) bool
+	young := false // a survivor below the tenure threshold: not an old block
+	if aging {
+		survivor = func(addr heap.Addr, col heap.Color) bool {
+			age := c.H.Age(addr)
+			young = young || age < oldest
+			if addr == c.globals {
+				return false
+			}
 			c.H.Pages.TouchAge(addr)
 			// Objects at or past the threshold stay black with their
 			// age frozen: that is the promotion, counted trace-side in
@@ -131,7 +123,7 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 			// here — the sweep cannot tell a freshly tenured object
 			// from one tenured cycles ago, but the trace only ever
 			// blackens young ones).
-			if age := c.H.Age(addr); age < oldest {
+			if age < oldest {
 				c.H.SetColor(addr, ac)
 				c.H.SetAge(addr, age+1)
 				if col == heap.Black && !full {
@@ -140,12 +132,12 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 					st.survivalByAge[ageBucket(age)]++
 				}
 			}
+			return false
 		}
-		return false
-	})
-	cls := c.H.BlockClass(b)
+	}
+	n, bytes, allBlack := c.H.SweepBlock(b, cc, survivor)
 	if n > 0 {
-		bucket := cls
+		bucket := c.H.BlockClass(b)
 		if bucket < 0 {
 			bucket = heap.NumClasses // a dead large object, its blocks free by now
 		}
@@ -154,16 +146,9 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 		st.deathsByClass[bucket] += int64(n)
 		c.noteFreed(n, bytes)
 	}
-	if full || cls < 0 {
-		// Full sweeps recompute hints from scratch; non-small
-		// blocks (free or large-object) are never hinted.
-		c.H.SetAllBlackHint(b, false)
-	}
-	if populated && allBlack && c.H.BlockQuiet(b) {
-		c.H.SetAllBlackHint(b, true)
-	} else if populated || cls < 0 {
-		c.H.SetAllBlackHint(b, false)
-	}
+	// Every block the sweep enters gets its hint recomputed (a partial
+	// sweep enters only unhinted ones); only small blocks are all-black.
+	c.H.SetAllBlackHint(b, allBlack && !young && c.H.BlockQuiet(b))
 }
 
 // walkBlocks applies visit to every block of the heap, in chunks of

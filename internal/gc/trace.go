@@ -125,14 +125,16 @@ func (c *Collector) pool() []*traceWorker {
 
 // shade performs the from→gray transition (MarkGray as executed by the
 // collector: after the toggle `from` is the clear color) and, on
-// success, pushes the object on w's stack. The nil test stays a separate
-// early return: folded into the && chain below it compiles to flag
-// materialization in markBlack's per-son loop.
+// success, pushes the object on w's stack. CasColor tests the color
+// before it swaps, so a son that is not `from` costs one load. The nil
+// test stays a separate early return: folded into the condition below it
+// compiles to flag materialization in markBlack's per-son loop. (shade
+// must stay within the inliner's budget for that loop's sake.)
 func (c *Collector) shade(w *traceWorker, x heap.Addr, from heap.Color) {
 	if x == 0 {
 		return
 	}
-	if c.H.Color(x) == from && c.H.CasColor(x, from, heap.Gray) {
+	if c.H.CasColor(x, from, heap.Gray) {
 		w.stack = append(w.stack, x)
 	}
 }
@@ -140,11 +142,11 @@ func (c *Collector) shade(w *traceWorker, x heap.Addr, from heap.Color) {
 // markBlack traces one gray object (Figure 3): shade its sons gray, then
 // blacken it.
 func (c *Collector) markBlack(w *traceWorker, x heap.Addr) {
-	if c.H.Color(x) == heap.Black {
+	col, slots := c.H.Header(x)
+	if col == heap.Black {
 		return
 	}
 	cc := c.ClearColor()
-	slots := c.H.Slots(x)
 	c.H.Pages.TouchHeap(x, heap.HeaderBytes+slots*heap.WordBytes)
 	for i := 0; i < slots; i++ {
 		c.shade(w, c.H.LoadSlot(x, i), cc)

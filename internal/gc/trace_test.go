@@ -157,3 +157,35 @@ func TestMarkBlackCounts(t *testing.T) {
 		t.Errorf("SlotsScanned = %d, want >= 3", last.SlotsScanned)
 	}
 }
+
+// TestTraceScansRecordedSlots: for every size class and a large object,
+// the trace reads an object's slot count where create recorded it (the
+// cell's header, flagged in its color byte) and visits exactly that many
+// slots.
+func TestTraceScansRecordedSlots(t *testing.T) {
+	sizes := []int{3 * heap.BlockSize}
+	for class := 0; class < heap.NumClasses; class++ {
+		sizes = append(sizes, heap.ClassSize(class))
+	}
+	for _, size := range sizes {
+		c := newTestCollector(t, NonGenerational)
+		m := c.NewMutator()
+		leaf := mustAlloc(t, m, 0, 16)
+		slots := heap.MaxSlots(size)
+		root := mustAlloc(t, m, slots, size)
+		m.PushRoot(root)
+		for i := 0; i < slots; i++ {
+			m.Update(root, i, leaf)
+		}
+		collectWhileCooperating(c, true, m)
+		cs := c.Metrics().Cycles()
+		last := cs[len(cs)-1]
+		if want := slots + c.H.Slots(c.globals); last.ObjectsScanned != 3 || last.SlotsScanned != want {
+			t.Errorf("size %d: traced %d objects and %d slots, want 3 (root, leaf, globals) and %d",
+				size, last.ObjectsScanned, last.SlotsScanned, want)
+		}
+		if err := c.Verify(); err != nil {
+			t.Errorf("size %d: %v", size, err)
+		}
+	}
+}

@@ -1,16 +1,19 @@
 package heap
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Cache is a mutator's allocation state: at most one owned block per
 // size class and a cursor into that block's color entries. The color
 // table is the free list — a cell is free iff it is blue — so the cache
 // holds no cells, only the right to claim the blue cells of its blocks.
 // It is the stand-in for the DLG thread-local allocation mechanism the
-// paper mentions in §7: the common allocation path takes no lock and no
-// atomic read-modify-write, and touches no cell memory beyond the slots
-// it zeroes; the accounting for claimed cells is deferred in pend and
-// published in one step (see publishClaims).
+// paper mentions in §7: the common allocation path takes no lock, one
+// atomic (the color publication) and touches no cell memory beyond the
+// slots it zeroes and their count; the accounting for claimed cells is
+// deferred in pend and published in one step (see publishClaims).
 type Cache struct {
 	cls [NumClasses]classCursor
 }
@@ -31,57 +34,68 @@ func (cc *classCursor) block() uint32 { return (cc.end - 1) / (BlockSize / Granu
 // Alloc allocates an object with the given number of pointer slots and a
 // total payload of at least size bytes (the header is added on top), and
 // colors it with allocColor — the "create" routine of Figure 1. The
-// pointer slots are zeroed. It returns ErrOutOfMemory when the heap
-// cannot satisfy the request even from a fresh block; the caller is
-// expected to force a collection and retry.
-func (h *Heap) Alloc(c *Cache, slots int, size int, allocColor Color) (Addr, error) {
-	addr, err := h.AllocBlue(c, slots, size)
-	if err != nil {
-		return 0, err
-	}
-	h.SetColor(addr, allocColor)
-	return addr, nil
-}
-
-// AllocBlue allocates and initializes a cell but leaves it blue; the
-// caller assigns the final color, and must do so before its next
-// allocation from this cache (a blue cell behind the cursor is claimed
-// again once the block is released and rescanned). Used by the
-// toggle-free create protocol, whose color depends on the sweep
-// position: a blue cell is invisible to a concurrently running sweep
-// and to the card scan, so the window between claim and coloring is
-// safe.
+// pointer slots are zeroed. It returns the address and the cell size, or
+// ErrOutOfMemory when the heap cannot satisfy the request even from a
+// fresh block; the caller is expected to force a collection and retry.
 //
-// The claim is a scan of the owned block's color entries, at cell
-// stride from the cursor, for the next blue one. Only the owner claims
-// in its block and only the sweep turns cells blue, so the load needs
-// no read-modify-write: a cell seen blue stays blue until this cache
-// colors it.
-func (h *Heap) AllocBlue(c *Cache, slots int, size int) (Addr, error) {
-	need := HeaderBytes + slots*WordBytes
-	if size < need {
-		size = need
-	}
-	class, cell := ClassFor(size)
+// An allocColor of Blue leaves the cell blue for the caller to color
+// before its next allocation from this cache (a blue cell behind the
+// cursor is claimed again once the block is rescanned), as toggle-free
+// create does: sweep and card scan do not see a blue cell meanwhile.
+//
+// The claim is a scan of the owned block's color bytes, at cell stride
+// from the cursor and one load per word, for the next zero one: only the
+// owner claims in its block, so a cell seen blue stays blue for it.
+func (h *Heap) Alloc(c *Cache, slots int, size int, allocColor Color) (Addr, int, error) {
+	class, cell := ClassFor(max(size, HeaderBytes+slots*WordBytes))
 	if class < 0 {
-		return h.allocLarge(slots, cell)
+		addr, bytes, err := h.allocLarge(cell)
+		if err == nil {
+			h.publish(addr, slots, allocColor)
+		}
+		return addr, bytes, err
 	}
 	cc := &c.cls[class]
 	stride := uint32(cell / Granule)
 	for {
-		for g := cc.cur; g < cc.end; g += stride {
-			if atomic.LoadUint32(&h.colors[g]) == uint32(Blue) {
+		var w uint64
+		for g, wi := cc.cur, ^uint32(0); g < cc.end; g += stride {
+			if g/8 != wi {
+				wi = g / 8
+				w = atomic.LoadUint64(&h.colors[wi])
+			}
+			if uint8(w>>(g%8*8)) == 0 {
 				cc.cur = g + stride
 				cc.pend++
-				addr := g * Granule
-				h.initObject(addr, slots)
-				return addr, nil
+				h.publish(g*Granule, slots, allocColor)
+				return g * Granule, cell, nil
 			}
 		}
 		if err := h.refill(cc, class); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
+}
+
+// publish turns the claimed blue cell at addr into a new object of
+// color col. The age, the slot count and the zeroed slots are written
+// first: the collector reads the color (acquire) before the rest. The
+// byte is zero and only this cache writes it while it is, so the color
+// goes in with an OR — the one atomic of a pointer-free create, which
+// has no slot count to record and so writes no cell memory.
+func (h *Heap) publish(addr Addr, slots int, col Color) {
+	h.ages[addr/Granule] = 0
+	b := uint64(col)
+	if slots > 0 {
+		b |= hasSlots
+		base := int(addr) / WordBytes
+		atomic.StoreUint32(&h.mem[base], uint32(slots))
+		for i := 0; i < slots; i++ {
+			atomic.StoreUint32(&h.mem[base+HeaderBytes/WordBytes+i], 0)
+		}
+	}
+	w, s := h.colorByte(addr)
+	atomic.OrUint64(w, b<<s)
 }
 
 // publishClaims folds the cursor's pending claims — pend cells taken
@@ -117,22 +131,6 @@ func (h *Heap) PublishAllocs(c *Cache) {
 			h.publishClaims(cc, class, s)
 			s.unlock()
 		}
-	}
-}
-
-// initObject prepares a blue cell as a new object, leaving it blue.
-// Order matters: the metadata and zeroed slots must be published before
-// the caller's color store takes the cell out of blue, because the
-// collector reads the color first (acquire) and only then the metadata
-// and slots. Accounting is the caller's job (the counter depends on the
-// tier the cell came from).
-func (h *Heap) initObject(addr Addr, slots int) {
-	g := addr / Granule
-	atomic.StoreUint32(&h.slotsOf[g], uint32(slots))
-	h.ages[g] = 0
-	base := slotIndex(addr, 0)
-	for i := 0; i < slots; i++ {
-		atomic.StoreUint32(&h.mem[base+i], 0)
 	}
 }
 
@@ -208,46 +206,38 @@ func (h *Heap) takeFreeBlock(class int) (uint32, bool) {
 	return b, true
 }
 
-// formatBlock makes every cell of a block already stamped with the class
-// blue and counts them. Caller holds the class shard lock s; the block
-// is on no partial list and owned by nobody, so nothing else can touch
-// its cells.
+// formatBlock counts the cells of a block already stamped with the
+// class. They are blue already: a block reaches the free pool only with
+// every color byte zero — a small block retires when all its cells are
+// blue, a freed large object's head is blued and its other blocks never
+// colored — which CheckIntegrity audits. Caller holds the shard lock s.
 func (h *Heap) formatBlock(b uint32, class int, s *centralShard) {
-	cell := classSizes[class]
-	n := BlockSize / cell
-	base := b * BlockSize
-	for i := 0; i < n; i++ {
-		h.SetColor(base+uint32(i*cell), Blue)
-	}
+	n := CellsPerBlock(class)
 	h.blocks[b].freeCells = int32(n)
 	s.freeCells.Add(int64(n))
 }
 
-// allocLarge allocates an object spanning whole blocks, leaving it
-// blue. size is already rounded to a granule multiple.
-func (h *Heap) allocLarge(slots, size int) (Addr, error) {
+// allocLarge claims whole blocks for an object of size bytes, leaving
+// it blue, and returns its address and the size of the blocks.
+func (h *Heap) allocLarge(size int) (Addr, int, error) {
 	n := (size + BlockSize - 1) / BlockSize
 	p := &h.pages
 	p.lock()
 	start := h.findRun(n)
 	if start < 0 {
 		p.unlock()
-		return 0, ErrOutOfMemory
+		return 0, 0, ErrOutOfMemory
 	}
+	h.blocks[start].nBlocks.Store(uint32(n))
 	h.blocks[start].class.Store(blockLargeHead)
-	h.blocks[start].nBlocks = uint32(n)
 	for i := 1; i < n; i++ {
 		h.blocks[start+i].class.Store(blockLargeCont)
 	}
 	h.removeFreeBlocks(start, n)
 	p.unlock()
-
-	addr := Addr(start) * BlockSize
-	atomic.StoreUint32(&h.largeSize[addr/Granule], uint32(n*BlockSize))
-	h.initObject(addr, slots)
 	p.largeBytes.Add(int64(n * BlockSize))
 	p.largeObjects.Add(1)
-	return addr, nil
+	return Addr(start) * BlockSize, n * BlockSize, nil
 }
 
 // findRun locates n contiguous free blocks, returning the first index or
@@ -296,46 +286,68 @@ func (h *Heap) Flush(c *Cache) {
 	}
 }
 
-// SweepBlock is the heap's one reclamation primitive: it shows dead
-// every allocated (non-blue) object of block b with its color, in
-// address order, and frees the ones dead returns true for. Freeing a
-// small cell is a color store — the cell turns blue, which is all
-// "free" means — and the block's new blue cells are counted once after
-// the walk, under one shard-lock acquisition, and only if there were
-// any (see blockMeta.freeCells for why the colors go first). A dead
-// large object returns its blocks to the page pool. No cell memory is
-// written and nothing is allocated. It returns the objects and bytes
-// (cell sizes: what the paper's "space freed" numbers count) freed.
+// SweepBlock is the heap's one reclamation primitive: it frees every
+// object of block b colored clear (Blue: none). each, if non-nil, is
+// shown every other allocated object with its color, in address order,
+// may recolor it, and condemns it as well by returning true. It returns
+// the objects and bytes (cell sizes: the paper's "space freed") freed
+// and whether every cell of the (small) block was black.
+//
+// The walk takes a color word — eight granules — at a time: a word's
+// dead cells are found by byte equality, counted by population count
+// and turned blue, which is all "free" means, by one atomic AND. The
+// block's new blue cells are counted once after the walk, under one
+// shard-lock acquisition, and only if there were any (see
+// blockMeta.freeCells for why the colors go first). A dead large object
+// returns its blocks to the page pool. No cell memory is touched and
+// nothing is allocated. The paper keeps the color in the object header,
+// so the Figure 15 page model charges a populated block's one page.
 //
 // Only the collector calls it, and only for cells no mutator can reach,
 // so a cell it turns blue races with nothing but the block owner's
 // claim of it. Concurrent calls on one block must free disjoint cells.
-func (h *Heap) SweepBlock(b int, dead func(addr Addr, col Color) bool) (objects, bytes int) {
+func (h *Heap) SweepBlock(b int, clear Color, each func(addr Addr, col Color) bool) (n, bytes int, allBlack bool) {
 	bm := &h.blocks[b]
 	class := bm.class.Load()
-	switch class {
-	case blockFree, blockLargeCont:
-		return 0, 0
-	case blockLargeHead:
-		addr := Addr(b) * BlockSize
-		if col := h.Color(addr); col != Blue && dead(addr, col) {
-			return 1, h.freeLarge(addr)
+	if class == blockFree || class == blockLargeCont {
+		return 0, 0, false
+	}
+	blacks, populated := 0, false
+	words := h.blockWords(b)
+	for i := range words {
+		w := atomic.LoadUint64(&words[i])
+		if w == 0 {
+			continue
 		}
-		return 0, 0
+		populated = true
+		blacks += bits.OnesCount64(eqMask(w, Black))
+		dead := eqMask(w, clear) & allocated(w)
+		if each != nil {
+			for m := allocated(w) &^ dead; m != 0; m &= m - 1 {
+				s := bits.TrailingZeros64(m) - 7
+				if each(Addr(b*BlockSize+(i*8+s/8)*Granule), Color(w>>s&colorBits)) {
+					dead |= 0x80 << s
+				}
+			}
+		}
+		if dead != 0 {
+			atomic.AndUint64(&words[i], ^(dead >> 7 * 0xff))
+			n += bits.OnesCount64(dead)
+		}
+	}
+	if populated {
+		h.Pages.TouchHeap(Addr(b)*BlockSize, 1)
+	}
+	if class == blockLargeHead {
+		if n > 0 {
+			bytes = h.freeLarge(b)
+		}
+		return n, bytes, false
 	}
 	cell := classSizes[class]
-	stride := cell / Granule
-	g := b * (BlockSize / Granule)
-	n := 0
-	for end := g + BlockSize/cell*stride; g < end; g += stride {
-		col := Color(atomic.LoadUint32(&h.colors[g]))
-		if col != Blue && dead(Addr(g*Granule), col) {
-			atomic.StoreUint32(&h.colors[g], uint32(Blue))
-			n++
-		}
-	}
+	allBlack = blacks == BlockSize/cell
 	if n == 0 {
-		return 0, 0
+		return 0, 0, allBlack
 	}
 	s := h.shardFor(int(class))
 	s.lock()
@@ -352,20 +364,18 @@ func (h *Heap) SweepBlock(b int, dead func(addr Addr, col Color) bool) (objects,
 	s.unlock()
 	s.allocatedBytes.Add(-int64(n * cell))
 	s.allocatedObjects.Add(-int64(n))
-	return n, n * cell
+	return n, n * cell, allBlack
 }
 
-// freeLarge returns a large object's blocks to the free pool.
-func (h *Heap) freeLarge(addr Addr) int {
-	h.SetColor(addr, Blue)
-	b := int(addr / BlockSize)
+// freeLarge returns the blocks of the (already blue) large object at
+// block b to the free pool.
+func (h *Heap) freeLarge(b int) int {
 	p := &h.pages
 	p.lock()
-	n := int(h.blocks[b].nBlocks)
+	n := int(h.blocks[b].nBlocks.Load())
 	size := n * BlockSize
 	for i := 0; i < n; i++ {
 		h.blocks[b+i].class.Store(blockFree)
-		h.blocks[b+i].nBlocks = 0
 		p.freeBlocks = append(p.freeBlocks, uint32(b+i))
 	}
 	p.unlock()

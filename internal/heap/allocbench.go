@@ -26,8 +26,8 @@ const allocChurnWindow = 256
 // mutator would.
 //
 // Churners share blocks (one fills a block, another later owns it), so
-// each stamps its cells' first header word with its own tag before the
-// color publishes them, and its sweeps free exactly the cells carrying
+// each stamps its cells' second header word (the first holds the slot
+// count) with its own tag before the color publishes them, and its sweeps free exactly the cells carrying
 // that tag: every live cell of a churner is in its window, so that is
 // the window, and no two churners ever free the same cell.
 func (h *Heap) AllocChurn(id, iters int) error {
@@ -35,7 +35,7 @@ func (h *Heap) AllocChurn(id, iters int) error {
 	defer h.Flush(&c)
 	tag := uint32(id + 1)
 	mine := func(addr Addr, _ Color) bool {
-		return atomic.LoadUint32(&h.mem[addr/WordBytes]) == tag
+		return atomic.LoadUint32(&h.mem[addr/WordBytes+1]) == tag
 	}
 	window := make([]Addr, 0, allocChurnWindow)
 	// free sweeps the window's blocks. Requests of one size sit
@@ -47,7 +47,7 @@ func (h *Heap) AllocChurn(id, iters int) error {
 			last := Addr(0)
 			for j := k; j < len(window); j += len(AllocChurnSizes) {
 				if b := window[j] / BlockSize; b != last {
-					h.SweepBlock(int(b), mine)
+					h.SweepBlock(int(b), Blue, mine)
 					last = b
 				}
 			}
@@ -56,11 +56,11 @@ func (h *Heap) AllocChurn(id, iters int) error {
 	}
 	for i := 0; i < iters; i++ {
 		size := AllocChurnSizes[(i+id)%len(AllocChurnSizes)]
-		a, err := h.AllocBlue(&c, 2, size)
+		a, _, err := h.Alloc(&c, 2, size, Blue)
 		if err != nil {
 			return err
 		}
-		atomic.StoreUint32(&h.mem[a/WordBytes], tag)
+		atomic.StoreUint32(&h.mem[a/WordBytes+1], tag)
 		h.SetColor(a, White)
 		window = append(window, a)
 		if len(window) == cap(window) {

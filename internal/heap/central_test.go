@@ -50,7 +50,7 @@ func TestAllocStatsCounters(t *testing.T) {
 	var c Cache
 	addrs := make([]Addr, 0, 500)
 	for i := 0; i < 500; i++ {
-		a, err := h.Alloc(&c, 2, 48, White)
+		a, _, err := h.Alloc(&c, 2, 48, White)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestCheckIntegrityAuditsColorTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c Cache
-	a, _ := h.Alloc(&c, 0, 48, White)
+	a, _, _ := h.Alloc(&c, 0, 48, White)
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatalf("owned block with an open claim: %v", err)
 	}
@@ -152,8 +152,9 @@ func TestCheckIntegrityAuditsColorTable(t *testing.T) {
 // sweep has turned blue but not yet counted, its publication drives the
 // block's count below zero, a block released in that state is not
 // listed, and the sweep's own publication lists it once the count turns
-// positive. The sweep's callback is the window: it runs after the
-// earlier dead cells turned blue and before the count is published.
+// positive. The sweep's callback is the window: shown a survivor of the
+// block's second color word, it runs after the first word's dead cells
+// turned blue and before the count is published.
 func TestSweepCountsAfterColoring(t *testing.T) {
 	h, err := New(2 * BlockSize) // one usable block
 	if err != nil {
@@ -163,7 +164,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 	var filler Cache
 	var first Addr
 	for i := 0; i < cells; i++ {
-		a, err := h.Alloc(&filler, 0, 16, Yellow)
+		a, _, err := h.Alloc(&filler, 0, 16, Yellow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,20 +174,22 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 	}
 	h.Flush(&filler)
 	freeCells(h, first)
+	survivor := first + 8*16 // first cell of the second color word
+	h.SetColor(survivor, Black)
 
 	// The owner takes the block over with one counted blue cell and
 	// claims it.
 	var c Cache
-	if a, err := h.Alloc(&c, 0, 16, White); err != nil || a != first {
+	if a, _, err := h.Alloc(&c, 0, 16, White); err != nil || a != first {
 		t.Fatalf("owner got %#x, %v; want the one free cell %#x", a, err, first)
 	}
 	inWindow := false
-	objects, _ := h.SweepBlock(int(first/BlockSize), func(addr Addr, col Color) bool {
-		if addr == first+2*16 {
+	objects, _, _ := h.SweepBlock(int(first/BlockSize), Yellow, func(addr Addr, col Color) bool {
+		if addr == survivor {
 			// Cell 1 is blue and uncounted. The owner claims it,
 			// publishes, and lets the block go.
 			inWindow = true
-			if a, err := h.Alloc(&c, 0, 16, White); err != nil || a != first+16 {
+			if a, _, err := h.Alloc(&c, 0, 16, White); err != nil || a != first+16 {
 				t.Errorf("owner got %#x, %v; want the just-freed cell %#x", a, err, first+16)
 			}
 			h.PublishAllocs(&c)
@@ -197,11 +200,12 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 			if st := h.AllocStats(); st.FreeCells != -1 || st.CachedCells != 0 {
 				t.Errorf("released block counts (free %d, cached %d), want (-1, 0)", st.FreeCells, st.CachedCells)
 			}
-			if _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
+			if _, _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
 				t.Errorf("a block with a non-positive count was offered again: %v", err)
 			}
+			return true
 		}
-		return col == Yellow
+		return false
 	})
 	if !inWindow || objects != cells-1 {
 		t.Fatalf("sweep freed %d objects (window reached: %v), want %d", objects, inWindow, cells-1)
@@ -217,11 +221,11 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 		t.Errorf("free cells = %d, want %d", got, cells-2)
 	}
 	for i := 0; i < cells-2; i++ {
-		if _, err := h.Alloc(&c, 0, 16, White); err != nil {
+		if _, _, err := h.Alloc(&c, 0, 16, White); err != nil {
 			t.Fatalf("blue cell %d of %d lost: %v", i, cells-2, err)
 		}
 	}
-	if _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
+	if _, _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
 		t.Errorf("allocation from a full heap: %v", err)
 	}
 }
@@ -246,7 +250,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 	go func() {
 		defer sweeper.Done()
 		for {
-			n, _ := h.SweepBlock(1, func(_ Addr, col Color) bool { return col == Yellow })
+			n, _, _ := h.SweepBlock(1, Yellow, nil)
 			freed += n
 			select {
 			case <-stop:
@@ -258,7 +262,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 	}()
 	var c Cache
 	for i := 0; i < allocs; {
-		a, err := h.Alloc(&c, 0, 16, White)
+		a, _, err := h.Alloc(&c, 0, 16, White)
 		if err == ErrOutOfMemory {
 			runtime.Gosched() // every cell is dead or uncounted: let the sweep catch up
 			continue
@@ -277,7 +281,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 	}
 	close(stop)
 	sweeper.Wait()
-	n, _ := h.SweepBlock(1, func(_ Addr, col Color) bool { return col == Yellow })
+	n, _, _ := h.SweepBlock(1, Yellow, nil)
 	freed += n
 	h.Flush(&c)
 	if freed != allocs {
@@ -306,14 +310,14 @@ func TestSweepBlockAllocatesNothing(t *testing.T) {
 	var blocks [8]int
 	got := testing.AllocsPerRun(20, func() {
 		for i := 0; i < len(blocks)*CellsPerBlock(0); i++ {
-			a, err := h.Alloc(&c, 0, 16, Yellow)
+			a, _, err := h.Alloc(&c, 0, 16, Yellow)
 			if err != nil {
 				t.Fatal(err)
 			}
 			blocks[i/CellsPerBlock(0)] = int(a / BlockSize)
 		}
 		for _, b := range blocks {
-			if n, _ := h.SweepBlock(b, func(_ Addr, col Color) bool { return col == Yellow }); n != CellsPerBlock(0) {
+			if n, _, _ := h.SweepBlock(b, Yellow, nil); n != CellsPerBlock(0) {
 				t.Fatalf("block %d: freed %d cells, want %d", b, n, CellsPerBlock(0))
 			}
 		}

@@ -2,8 +2,16 @@ package heap
 
 import "sync/atomic"
 
-// Color is the marking color of an object, kept in a side table indexed
-// by the granule of the object's start address.
+// Color is the marking color of an object, kept in the color table: one
+// byte per granule — the color and the hasSlots flag — eight to a 64-bit
+// word. A blue cell's byte is zero, as is the byte of every granule that
+// is not the first of its cell, so the table's nonzero bytes are exactly
+// the allocated objects.
+//
+// The bytes of a word belong to objects that different threads color
+// concurrently, so every write is an atomic read-modify-write of the
+// word: create ORs into a byte it knows is zero, the sweep ANDs dead
+// bytes to zero, SetColor and CasColor are compare-and-swap loops.
 //
 // The collector uses the standard DLG colors plus the yellow color of §4:
 //
@@ -45,22 +53,115 @@ func (c Color) String() string {
 	return "invalid"
 }
 
-// Color returns the current color of the object at addr.
-func (h *Heap) Color(addr Addr) Color {
-	return Color(atomic.LoadUint32(&h.colors[addr/Granule]))
+const (
+	colorBits = 0x07 // a color byte's color field
+	hasSlots  = 0x08 // the object has pointer slots; header word 0 counts them
+
+	lo8 = 0x0101010101010101 // bit 0 of every byte of a word
+	hi8 = 0x8080808080808080 // bit 7 of every byte of a word
+
+	// A block is whole words: walkers of different blocks share none.
+	wordsPerBlock = BlockSize / Granule / 8
+)
+
+// eqMask returns bit 7 of every byte of w whose color field equals c.
+// The bytes of x are at most 7, so adding 0x7f sets bit 7 of exactly the
+// nonzero ones and carries nothing into a neighbour.
+func eqMask(w uint64, c Color) uint64 {
+	x := w&(colorBits*lo8) ^ uint64(c)*lo8
+	return ^(x + 0x7f*lo8) & hi8
 }
 
-// SetColor unconditionally recolors the object at addr.
+// allocated returns bit 7 of every byte of w that is not blue: the
+// objects that start in the word's granules.
+func allocated(w uint64) uint64 { return ^eqMask(w, Blue) & hi8 }
+
+// colorByte locates the color byte of the object at addr: its word and
+// the byte's shift in it (eight times the granule's index in the word).
+func (h *Heap) colorByte(addr Addr) (w *uint64, shift Addr) {
+	return &h.colors[addr/(8*Granule)], addr / (Granule / 8) & 56
+}
+
+// blockWords returns the color words of block b.
+func (h *Heap) blockWords(b int) []uint64 { return h.colors[b*wordsPerBlock:][:wordsPerBlock] }
+
+// Color returns the current color of the object at addr.
+func (h *Heap) Color(addr Addr) Color {
+	w, s := h.colorByte(addr)
+	return Color(atomic.LoadUint64(w) >> s & colorBits)
+}
+
+// Header returns the color and the number of pointer slots of the
+// object at addr from one load of its color byte. An object with slots
+// keeps their number in header word 0 of its cell; a pointer-free
+// object's cell is not read, whatever an earlier tenant left there.
+func (h *Heap) Header(addr Addr) (Color, int) {
+	w, s := h.colorByte(addr)
+	b := atomic.LoadUint64(w) >> s
+	if b&hasSlots == 0 {
+		return Color(b & colorBits), 0
+	}
+	return Color(b & colorBits), int(atomic.LoadUint32(&h.mem[addr/WordBytes]))
+}
+
+// SetColor unconditionally recolors the object at addr, keeping its
+// hasSlots flag — except that blue, freeing the cell, zeroes the byte.
 func (h *Heap) SetColor(addr Addr, c Color) {
-	atomic.StoreUint32(&h.colors[addr/Granule], uint32(c))
+	w, s := h.colorByte(addr)
+	field := uint64(colorBits) << s
+	if c == Blue {
+		field = 0xff << s
+	}
+	for {
+		old := atomic.LoadUint64(w)
+		if atomic.CompareAndSwapUint64(w, old, old&^field|uint64(c)<<s) {
+			return
+		}
+	}
 }
 
 // CasColor recolors the object at addr from old to new atomically and
 // reports whether the swap happened. It is the primitive under MarkGray:
 // at most one of several racing mutators/collector wins, so each object
-// enters the gray set at most once per transition.
+// enters the gray set at most once per transition. A neighbour byte
+// changing under the swap is not a failure.
 func (h *Heap) CasColor(addr Addr, old, new Color) bool {
-	return atomic.CompareAndSwapUint32(&h.colors[addr/Granule], uint32(old), uint32(new))
+	w, s := h.colorByte(addr)
+	for {
+		cur := atomic.LoadUint64(w)
+		if Color(cur>>s&colorBits) != old {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(w, cur, cur^uint64(old^new)<<s) {
+			return true
+		}
+	}
+}
+
+// RecolorBlock turns every cell of block b colored from1 or from2 into
+// to, with one compare-and-swap per color word that holds any: the
+// recoloring pass of a full collection and of the toggle-free sweep.
+// Mutators may color other cells of the block meanwhile. The page model
+// charges a populated block as SweepBlock does.
+func (h *Heap) RecolorBlock(b int, from1, from2, to Color) {
+	if c := h.blocks[b].class.Load(); c == blockFree || c == blockLargeCont {
+		return // all blue, always
+	}
+	populated := false
+	words := h.blockWords(b)
+	for i := range words {
+		for {
+			w := atomic.LoadUint64(&words[i])
+			populated = populated || w != 0
+			m := (eqMask(w, from1) | eqMask(w, from2)) >> 7 * colorBits
+			if m == 0 || atomic.CompareAndSwapUint64(&words[i], w, w&^m|m&(uint64(to)*lo8)) {
+				break
+			}
+		}
+	}
+	if populated {
+		h.Pages.TouchHeap(Addr(b)*BlockSize, 1)
+	}
 }
 
 // Age returns the object's age (number of collections survived, §6).

@@ -2,8 +2,9 @@
 // on-the-fly collector of Domani, Kolodner and Petrank (PLDI 2000) runs
 // against. It is the stand-in for the prototype JVM heap of the paper:
 // a byte-addressed space carved into 4 KB blocks, each block dedicated to
-// one size class, with per-object colors and ages in side tables. The
-// color table is also the free list: a cell is free iff it is blue.
+// one size class, with per-object colors and ages in side tables of one
+// byte per granule each. The color table is also the free list: a cell
+// is free iff it is blue.
 //
 // Addresses are plain byte offsets (Addr). Address 0 is never allocated
 // and serves as the nil reference. Objects never move; promotion between
@@ -31,7 +32,8 @@ const (
 
 	// HeaderBytes is the simulated object header: the first two words
 	// of every cell, corresponding to the class pointer and hash/lock
-	// word of the paper's JVM objects. Pointer slots follow it.
+	// word of the paper's JVM objects. Pointer slots follow it. Word 0
+	// counts them if there are any, as the class would (see Header).
 	HeaderBytes = 8
 
 	// WordBytes is the size of one pointer slot.
@@ -56,8 +58,9 @@ type blockMeta struct {
 	// hence atomic.
 	class atomic.Int32
 
-	// nBlocks is the number of blocks of a large object (head only).
-	nBlocks uint32
+	// nBlocks is the number of blocks of a large object (head only),
+	// hence its size. Stored before class publishes the head.
+	nBlocks atomic.Uint32
 
 	// freeCells is the shard's count of the block's blue cells — the
 	// census of the free list the color table is. Guarded by the class
@@ -101,8 +104,9 @@ type blockMeta struct {
 // Heap is the shared address space. All mutator-visible operations
 // (reading and writing pointer slots, colors) use atomic accesses: the
 // paper relies on the hardware's per-byte store atomicity, which Go does
-// not expose, so the side tables use 32-bit atomics instead — a strictly
-// stronger substitute (see DESIGN.md).
+// not expose, so a color byte is only ever written by an atomic
+// read-modify-write of the 64-bit word containing it — a strictly
+// stronger substitute (see colors.go and DESIGN.md).
 //
 // Central allocator state is sharded per size class (see central.go):
 // there is no heap-wide mutex. partial[class] is guarded by
@@ -112,26 +116,17 @@ type Heap struct {
 	SizeBytes int
 
 	nBlocks int
-	nGran   int
 
 	// mem holds the object bodies: header words and pointer slots.
 	mem []uint32
 
-	// colors is the color side table, one entry per granule (only the
-	// entry of an object's first granule is meaningful).
-	colors []uint32
-
-	// slotsOf records the number of pointer slots of the object whose
-	// cell starts at the granule; written at allocation before the
-	// color is published.
-	slotsOf []uint32
+	// colors is the color side table: one byte per granule, eight to a
+	// word, and only the byte of an object's first granule is ever
+	// nonzero (see colors.go).
+	colors []uint64
 
 	// ages is the age side table of §6, one byte per granule.
 	ages []uint8
-
-	// sizeOf records the allocation size class is not enough for:
-	// large objects store their byte size here (head granule).
-	largeSize []uint32
 
 	blocks []blockMeta
 
@@ -166,12 +161,9 @@ func New(sizeBytes int) (*Heap, error) {
 	h := &Heap{
 		SizeBytes: sizeBytes,
 		nBlocks:   nBlocks,
-		nGran:     sizeBytes / Granule,
 		mem:       make([]uint32, sizeBytes/WordBytes),
-		colors:    make([]uint32, sizeBytes/Granule),
-		slotsOf:   make([]uint32, sizeBytes/Granule),
+		colors:    make([]uint64, nBlocks*wordsPerBlock),
 		ages:      make([]uint8, sizeBytes/Granule),
-		largeSize: make([]uint32, sizeBytes/Granule),
 		blocks:    make([]blockMeta, nBlocks),
 		shards:    new([NumClasses]centralShard),
 	}
@@ -190,7 +182,7 @@ func New(sizeBytes int) (*Heap, error) {
 func (h *Heap) NumBlocks() int { return h.nBlocks }
 
 // NumGranules returns the number of granules in the heap.
-func (h *Heap) NumGranules() int { return h.nGran }
+func (h *Heap) NumGranules() int { return h.SizeBytes / Granule }
 
 // AllocatedBytes returns the bytes currently allocated (live plus not yet
 // collected garbage), summed over the class shards and the large-object
@@ -216,16 +208,14 @@ func (h *Heap) AllocatedObjects() int64 {
 }
 
 // Slots returns the number of pointer slots of the object at addr.
-func (h *Heap) Slots(addr Addr) int {
-	return int(atomic.LoadUint32(&h.slotsOf[addr/Granule]))
-}
+func (h *Heap) Slots(addr Addr) int { _, n := h.Header(addr); return n }
 
 // SizeOf returns the cell size in bytes of the object at addr.
 func (h *Heap) SizeOf(addr Addr) int {
 	b := addr / BlockSize
 	switch c := h.blocks[b].class.Load(); c {
 	case blockLargeHead:
-		return int(atomic.LoadUint32(&h.largeSize[addr/Granule]))
+		return int(h.blocks[b].nBlocks.Load()) * BlockSize
 	case blockFree, blockLargeCont:
 		return 0
 	default:
@@ -256,8 +246,13 @@ func (h *Heap) StoreSlot(addr Addr, i int, v Addr) {
 // (black, fully allocated) by a previous sweep.
 func (h *Heap) AllBlackHint(b int) bool { return h.blocks[b].allBlack.Load() }
 
-// SetAllBlackHint records or clears the all-black hint for block b.
-func (h *Heap) SetAllBlackHint(b int, v bool) { h.blocks[b].allBlack.Store(v) }
+// SetAllBlackHint records or clears the all-black hint for block b,
+// storing only a change: the walks set every block's hint every cycle.
+func (h *Heap) SetAllBlackHint(b int, v bool) {
+	if bm := &h.blocks[b]; bm.allBlack.Load() != v {
+		bm.allBlack.Store(v)
+	}
+}
 
 // BlockQuiet reports whether block b currently has no blue cells and no
 // owning allocation cache — together with an all-black scan this
@@ -287,22 +282,8 @@ func (h *Heap) BlockQuiet(b int) bool {
 func (h *Heap) BlockClass(b int) int { return int(h.blocks[b].class.Load()) }
 
 // ValidObject reports whether addr is the start of a currently allocated
-// (non-blue) object. Used by the verifier and tests only.
+// (non-blue) object: only an object's first granule has a non-blue
+// color byte. Used by the verifier and tests only.
 func (h *Heap) ValidObject(addr Addr) bool {
-	if addr == 0 || int(addr) >= h.SizeBytes || addr%Granule != 0 {
-		return false
-	}
-	b := int(addr / BlockSize)
-	switch c := h.blocks[b].class.Load(); c {
-	case blockFree, blockLargeCont:
-		return false
-	case blockLargeHead:
-		return addr%BlockSize == 0 && h.Color(addr) != Blue
-	default:
-		off := int(addr % BlockSize)
-		if off%classSizes[c] != 0 {
-			return false
-		}
-		return h.Color(addr) != Blue
-	}
+	return addr != 0 && int(addr) < h.SizeBytes && addr%Granule == 0 && h.Color(addr) != Blue
 }

@@ -1,73 +1,35 @@
 package heap
 
-// ForEachObject calls fn for every currently allocated (non-blue) object
-// start address, in address order. The collector's sweep is built on it.
-// Objects allocated concurrently may or may not be visited; objects
-// freed by fn itself are not revisited.
-func (h *Heap) ForEachObject(fn func(addr Addr)) {
-	for b := 1; b < h.nBlocks; b++ {
-		h.ForEachObjectInBlock(b, fn)
-	}
-}
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
-// ForEachObjectInBlock calls fn for every allocated object whose cell
-// starts in block b.
-func (h *Heap) ForEachObjectInBlock(b int, fn func(addr Addr)) {
-	bm := &h.blocks[b]
-	class := bm.class.Load()
-	switch class {
-	case blockFree, blockLargeCont:
-		return
-	case blockLargeHead:
-		addr := Addr(b) * BlockSize
-		if h.Color(addr) != Blue {
-			fn(addr)
-		}
-	default:
-		cell := classSizes[class]
-		base := Addr(b) * BlockSize
-		for off := 0; off+cell <= BlockSize; off += cell {
-			addr := base + Addr(off)
-			if h.Color(addr) != Blue {
-				fn(addr)
-			}
-		}
-	}
+// ForEachObject calls fn for every currently allocated (non-blue) object
+// start address, in address order. Objects allocated concurrently may or
+// may not be visited; objects freed by fn itself are not revisited.
+func (h *Heap) ForEachObject(fn func(addr Addr)) {
+	h.ForEachObjectInRange(BlockSize, Addr(h.SizeBytes), fn)
 }
 
 // ForEachObjectInRange calls fn for every allocated object whose cell
 // starts in [start, end). This is the card-scanning primitive: a card's
-// byte range is mapped to the objects that begin on it.
+// byte range is mapped to the objects that begin on it — the granules
+// of the range whose color byte is not blue, read a word at a time.
 func (h *Heap) ForEachObjectInRange(start, end Addr, fn func(addr Addr)) {
-	if end > Addr(h.SizeBytes) {
-		end = Addr(h.SizeBytes)
-	}
-	b := int(start / BlockSize)
-	for b < h.nBlocks && Addr(b)*BlockSize < end {
-		bm := &h.blocks[b]
-		class := bm.class.Load()
-		blockBase := Addr(b) * BlockSize
-		switch class {
-		case blockFree, blockLargeCont:
-			// nothing on this block
-		case blockLargeHead:
-			if blockBase >= start && blockBase < end && h.Color(blockBase) != Blue {
-				fn(blockBase)
-			}
-		default:
-			cell := Addr(classSizes[class])
-			first := Addr(0)
-			if start > blockBase {
-				first = ((start - blockBase) + cell - 1) / cell * cell
-			}
-			for off := first; off+cell <= BlockSize && blockBase+off < end; off += cell {
-				addr := blockBase + off
-				if h.Color(addr) != Blue {
-					fn(addr)
-				}
-			}
+	end = min(end, Addr(h.SizeBytes))
+	lo, hi := (start+Granule-1)/Granule, (end+Granule-1)/Granule
+	for wi := lo / 8; wi*8 < hi; wi++ {
+		m := allocated(atomic.LoadUint64(&h.colors[wi]))
+		if lo > wi*8 {
+			m &^= 1<<((lo-wi*8)*8) - 1
 		}
-		b++
+		if hi-wi*8 < 8 {
+			m &= 1<<((hi-wi*8)*8) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			fn((wi*8 + Addr(bits.TrailingZeros64(m))/8) * Granule)
+		}
 	}
 }
 

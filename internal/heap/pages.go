@@ -7,10 +7,11 @@ import "sync/atomic"
 const PageBytes = 4096
 
 // PageSet records which pages the collector touches during one
-// collection cycle. It covers the heap itself plus the side tables the
-// collector reads and writes (color table, age table, card table),
-// mirroring the paper's note that the measurement includes "all the
-// tables the collector uses (such as the card table)".
+// collection cycle. It covers the heap itself plus the age and card
+// tables, mirroring the paper's note that the measurement includes "all
+// the tables the collector uses (such as the card table)". The paper
+// keeps an object's color in its header, so examining a color is charged
+// as a touch of the object's heap page, not of our color table.
 //
 // With a single collector thread only that thread writes the set; the
 // parallel trace and sweep touch it from several workers at once, so
@@ -19,21 +20,15 @@ const PageBytes = 4096
 // charge per page per cycle. The regions are laid out as consecutive
 // page ranges:
 //
-//	[0, heapPages)                         heap data
-//	[heapPages, +colorPages)               color table (2 bits per granule,
-//	                                       the paper's packed layout; our
-//	                                       in-memory table is wider, but the
-//	                                       page model charges the layout the
-//	                                       paper's collector would touch)
-//	[.., +agePages)                        age table (1 B per granule)
-//	[.., +cardPages)                       card table (1 B per card)
+//	[0, heapPages)          heap data
+//	[heapPages, +agePages)  age table (1 B per granule)
+//	[.., +cardPages)        card table (1 B per card)
 type PageSet struct {
-	heapPages  int
-	colorPages int
-	agePages   int
-	cardPages  int
-	touched    []atomic.Bool
-	count      atomic.Int64
+	heapPages int
+	agePages  int
+	cardPages int
+	touched   []atomic.Bool
+	count     atomic.Int64
 
 	// CostSpins, when positive, charges the collector a busy-spin of
 	// this many iterations for every page first touched in a cycle.
@@ -51,12 +46,11 @@ type PageSet struct {
 // table of nCards one-byte entries.
 func NewPageSet(heapBytes, nCards int) *PageSet {
 	p := &PageSet{
-		heapPages:  pages(heapBytes),
-		colorPages: pages(heapBytes / Granule / 4),
-		agePages:   pages(heapBytes / Granule),
-		cardPages:  pages(nCards),
+		heapPages: pages(heapBytes),
+		agePages:  pages(heapBytes / Granule),
+		cardPages: pages(nCards),
 	}
-	p.touched = make([]atomic.Bool, p.heapPages+p.colorPages+p.agePages+p.cardPages)
+	p.touched = make([]atomic.Bool, p.heapPages+p.agePages+p.cardPages)
 	return p
 }
 
@@ -92,20 +86,12 @@ func (p *PageSet) TouchHeap(addr Addr, size int) {
 	}
 }
 
-// TouchColor records an access to the color-table entry of addr.
-func (p *PageSet) TouchColor(addr Addr) {
-	if p == nil {
-		return
-	}
-	p.mark(p.heapPages + int(addr/Granule/4)/PageBytes)
-}
-
 // TouchAge records an access to the age-table entry of addr.
 func (p *PageSet) TouchAge(addr Addr) {
 	if p == nil {
 		return
 	}
-	p.mark(p.heapPages + p.colorPages + int(addr/Granule)/PageBytes)
+	p.mark(p.heapPages + int(addr/Granule)/PageBytes)
 }
 
 // TouchCardByte records an access to card index ci of the card table.
@@ -113,7 +99,7 @@ func (p *PageSet) TouchCardByte(ci int) {
 	if p == nil {
 		return
 	}
-	p.mark(p.heapPages + p.colorPages + p.agePages + ci/PageBytes)
+	p.mark(p.heapPages + p.agePages + ci/PageBytes)
 }
 
 // Count returns the number of distinct pages touched since the last

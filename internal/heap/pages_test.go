@@ -25,11 +25,10 @@ func TestPageSetBasics(t *testing.T) {
 func TestPageSetRegionsDisjoint(t *testing.T) {
 	p := NewPageSet(1<<20, 1<<16)
 	p.TouchHeap(0, 1)
-	p.TouchColor(0)
 	p.TouchAge(0)
 	p.TouchCardByte(0)
-	if p.Count() != 4 {
-		t.Errorf("four distinct-region touches counted %d pages", p.Count())
+	if p.Count() != 3 {
+		t.Errorf("three distinct-region touches counted %d pages", p.Count())
 	}
 }
 
@@ -49,7 +48,6 @@ func TestPageSetReset(t *testing.T) {
 func TestPageSetNilSafe(t *testing.T) {
 	var p *PageSet
 	p.TouchHeap(0, 16)
-	p.TouchColor(0)
 	p.TouchAge(0)
 	p.TouchCardByte(0)
 	p.Reset()
@@ -76,7 +74,6 @@ func TestPageSetLastPages(t *testing.T) {
 	p := NewPageSet(heapBytes, 999) // odd card count
 	// Touch the very last byte of each region; must not panic.
 	p.TouchHeap(Addr(heapBytes-1), 1)
-	p.TouchColor(Addr(heapBytes - 1))
 	p.TouchAge(Addr(heapBytes - 1))
 	p.TouchCardByte(998)
 }

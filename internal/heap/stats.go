@@ -1,5 +1,10 @@
 package heap
 
+import (
+	"math/bits"
+	"sync/atomic"
+)
+
 // Stats is a point-in-time census of the heap's block and object
 // population, for diagnostics (cmd/gctrace) and fragmentation analysis.
 // Taking a census walks every block; objects allocated or freed
@@ -51,7 +56,8 @@ func (s Stats) Utilization() float64 {
 	return float64(s.ObjectBytes) / float64(assigned)
 }
 
-// Census walks the heap and returns its population snapshot.
+// Census walks the heap and returns its population snapshot, counting
+// each block's objects by color a color word at a time.
 func (h *Heap) Census() Stats {
 	var s Stats
 	s.Alloc = h.AllocStats()
@@ -59,40 +65,32 @@ func (h *Heap) Census() Stats {
 		s.PerClass[c].CellSize = classSizes[c]
 	}
 	for b := 1; b < h.nBlocks; b++ {
-		class := h.blocks[b].class.Load()
-		switch class {
+		live := 0
+		for i := range h.blockWords(b) {
+			w := atomic.LoadUint64(&h.blockWords(b)[i])
+			live += bits.OnesCount64(allocated(w))
+			for c := White; c <= Black; c++ {
+				s.ColorCounts[c] += bits.OnesCount64(eqMask(w, c))
+			}
+		}
+		s.Objects += live
+		switch class := h.blocks[b].class.Load(); class {
 		case blockFree:
 			s.FreeBlocks++
-		case blockLargeCont:
+		case blockLargeCont, blockLargeHead:
 			s.LargeBlocks++
-		case blockLargeHead:
-			s.LargeBlocks++
-			addr := Addr(b) * BlockSize
-			if col := h.Color(addr); col != Blue {
-				size := h.SizeOf(addr)
-				s.Objects++
-				s.ObjectBytes += size
-				s.ColorCounts[col]++
-			}
+			s.ObjectBytes += live * h.SizeOf(Addr(b)*BlockSize)
 		default:
+			cell, free := classSizes[class], CellsPerBlock(int(class))-live
 			s.ClassBlocks++
+			s.ObjectBytes += live * cell
+			s.FreeCells += free
+			s.FreeCellByte += free * cell
+			s.ColorCounts[Blue] += free
 			cs := &s.PerClass[class]
 			cs.Blocks++
-			cell := classSizes[class]
-			base := Addr(b) * BlockSize
-			for off := 0; off+cell <= BlockSize; off += cell {
-				col := h.Color(base + Addr(off))
-				s.ColorCounts[col]++
-				if col == Blue {
-					cs.FreeCells++
-					s.FreeCells++
-					s.FreeCellByte += cell
-				} else {
-					cs.Live++
-					s.Objects++
-					s.ObjectBytes += cell
-				}
-			}
+			cs.Live += live
+			cs.FreeCells += free
 		}
 	}
 	return s

@@ -1,6 +1,10 @@
 package heap
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync/atomic"
+)
 
 // lockAll acquires every shard lock in index order, then the page lock —
 // the canonical lock order — giving the caller a globally consistent
@@ -21,16 +25,20 @@ func (h *Heap) unlockAll() {
 
 // CheckIntegrity audits the allocator's bookkeeping: block metadata,
 // the partial lists, and the blue-cell counts against the color table
-// itself. With every shard lock held no block changes hands, so for
-// every unowned small block the blue cells at cell stride must equal
-// its freeCells, and those sum to the shard's freeCells counter; the
-// owned blocks' counts sum to the shard's cached counter, and a block
-// is listed as partial exactly when it is unowned with a positive
-// count. Owned blocks' colors are not compared here — their counts read
-// high by their owners' unpublished claims — but in ReconcileCounters,
-// which is exact once every cache has published. Call it when no sweep
-// is running (a sweep's uncounted blue cells would read as a mismatch).
-func (h *Heap) CheckIntegrity() error {
+// itself. With every shard lock held no block changes hands, so every
+// unowned small block's blue cells must equal its freeCells, and those
+// sum to the shard's freeCells counter; the owned blocks' counts sum to
+// the shard's cached counter, a block is listed as partial exactly when
+// it is unowned with a positive count, and a free block is all blue.
+// Owned blocks' colors are not compared here — their counts read high
+// by their owners' unpublished claims — but in ReconcileCounters, which
+// is exact once every cache has published. Call it when no sweep is
+// running (a sweep's uncounted blue cells would read as a mismatch).
+func (h *Heap) CheckIntegrity() error { return h.audit(false) }
+
+// audit is CheckIntegrity; owned holds owned blocks' counts to the color
+// table too.
+func (h *Heap) audit(owned bool) error {
 	h.lockAll()
 	defer h.unlockAll()
 	seenFree := make(map[uint32]bool, len(h.pages.freeBlocks))
@@ -66,8 +74,14 @@ func (h *Heap) CheckIntegrity() error {
 			if !seenFree[uint32(b)] {
 				return fmt.Errorf("heap: block %d marked free but not in free pool", b)
 			}
+			// formatBlock relies on a free block being all blue.
+			for i := range h.blockWords(b) {
+				if w := atomic.LoadUint64(&h.blockWords(b)[i]); w != 0 {
+					return fmt.Errorf("heap: free block %d has color word %d = %#x, want all blue", b, i, w)
+				}
+			}
 		case blockLargeHead:
-			n := int(bm.nBlocks)
+			n := int(bm.nBlocks.Load())
 			if n < 1 || b+n > h.nBlocks {
 				return fmt.Errorf("heap: large object at block %d spans %d blocks out of range", b, n)
 			}
@@ -86,14 +100,15 @@ func (h *Heap) CheckIntegrity() error {
 				return fmt.Errorf("heap: block %d (owned %v, %d free cells) on partial list: %v, want %v",
 					b, bm.owned, bm.freeCells, listed[uint32(b)], want)
 			}
+			if blue := h.blueCells(b, int(class)); blue != bm.freeCells && (owned || !bm.owned) {
+				return fmt.Errorf("heap: block %d (owned %v) free count %d, color table holds %d blue cells",
+					b, bm.owned, bm.freeCells, blue)
+			}
 			if bm.owned {
 				cachedByShard[class] += int64(bm.freeCells)
-				continue
+			} else {
+				freeByShard[class] += int64(bm.freeCells)
 			}
-			if blue := h.blueCells(b, int(class)); blue != bm.freeCells {
-				return fmt.Errorf("heap: block %d free count %d, color table holds %d blue cells", b, bm.freeCells, blue)
-			}
-			freeByShard[class] += int64(bm.freeCells)
 		}
 	}
 	for i := range h.shards {
@@ -112,16 +127,16 @@ func (h *Heap) CheckIntegrity() error {
 	return nil
 }
 
-// ReconcileCounters cross-checks every small block's count — owned
-// blocks included — against the blue cells the color table holds for
-// it, and the shard allocation totals against a color census. It is
+// ReconcileCounters is CheckIntegrity with every small block's count —
+// owned blocks included — held to the blue cells the color table holds
+// for it, and the shard allocation totals to a color census. It is
 // exact only at quiescence (no mutators allocating, no sweep freeing)
 // AND once every live cache has published its pending claims — Flush
 // and refill publish implicitly, PublishAllocs on demand. Tests and the
 // collector's Verify (which publishes every registered mutator's cache
 // first) call it at such points.
 func (h *Heap) ReconcileCounters() error {
-	if err := h.reconcileBlocks(); err != nil {
+	if err := h.audit(true); err != nil {
 		return err
 	}
 	s := h.Census()
@@ -136,43 +151,16 @@ func (h *Heap) ReconcileCounters() error {
 	return nil
 }
 
-func (h *Heap) reconcileBlocks() error {
-	h.lockAll()
-	defer h.unlockAll()
-	for b := 1; b < h.nBlocks; b++ {
-		bm := &h.blocks[b]
-		if class := bm.class.Load(); class >= 0 {
-			if blue := h.blueCells(b, int(class)); blue != bm.freeCells {
-				return fmt.Errorf("heap: block %d (owned %v) free count %d, color table holds %d blue cells",
-					b, bm.owned, bm.freeCells, blue)
-			}
-		}
-	}
-	return nil
-}
-
 // blueCells counts the blue cells of small block b of the class — the
 // free list itself, read off the color table.
 func (h *Heap) blueCells(b, class int) int32 {
-	cell := classSizes[class]
-	base := Addr(b) * BlockSize
-	n := int32(0)
-	for off := 0; off+cell <= BlockSize; off += cell {
-		if h.Color(base+Addr(off)) == Blue {
-			n++
-		}
+	n := CellsPerBlock(class)
+	for i := range h.blockWords(b) {
+		n -= bits.OnesCount64(allocated(atomic.LoadUint64(&h.blockWords(b)[i])))
 	}
-	return n
+	return int32(n)
 }
 
 // CountColor returns how many allocated objects currently have color c;
 // test helper.
-func (h *Heap) CountColor(c Color) int {
-	n := 0
-	h.ForEachObject(func(addr Addr) {
-		if h.Color(addr) == c {
-			n++
-		}
-	})
-	return n
-}
+func (h *Heap) CountColor(c Color) int { return h.Census().ColorCounts[c] }

@@ -17,6 +17,13 @@
 # distance between the parent's own quartiles; anything else is
 # "unresolved". Every run's result line is kept in
 # .bench_build/pair/<workload>.log.
+#
+# The benchmark divides its times by workload.host_slowdown, a probe of
+# how slow the host ran around each repetition. The probe can move
+# against the workload (memory latency one way, CPU speed the other), so
+# below the verdicts the script prints each side's median probe factor
+# and the throughput as the clock showed it beside the corrected one,
+# and says so when the two sides' factors differ by more than 10 %.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -38,15 +45,19 @@ git -C "$root" archive "$rev" | tar -x -C "$parent"
 args=(--workload "$workload" --seconds 24 --trace 0)
 [ -n "$seed" ] && args+=(--seed "$seed")
 
-# one <side> <dir> <pair>: run the benchmark in dir, log its result line.
+# one <side> <dir> <pair>: run the benchmark in dir, log its result line
+# behind the workload.host_slowdown median of its end-to-end table (an
+# untraced run's result line does not carry it).
 one() {
-	local line
-	line=$(bash "$2/benchmark/run.sh" "${args[@]}" 2>/dev/null | tail -n 1)
+	local out line slow
+	out=$(bash "$2/benchmark/run.sh" "${args[@]}" 2>/dev/null)
+	line=$(tail -n 1 <<<"$out")
 	case $line in
 	*'"correct":true'*) ;;
 	*) echo "benchpair: $1 run of pair $3 did not end in a correct result: $line" >&2; exit 1 ;;
 	esac
-	echo "$1 $3 $line" >>"$log"
+	slow=$(awk '$1 == "workload.host_slowdown" { print $3 }' <<<"$out")
+	echo "$1 $3 ${slow:-0} $line" >>"$log"
 	echo "pair $3 $1: $(sed 's/.*"throughput_ops_s":{"value":\([0-9.e+]*\).*/\1/' <<<"$line") ops/s" >&2
 }
 
@@ -91,7 +102,18 @@ FNR == NR {
 		sub(/,.*/, "", rest)
 		val[side, names[k], pair] = rest + 0
 	}
+	slow[side, pair] = $3 + 0
 	if (pair > np) np = pair
+}
+# sidemedian fills the globals sm (median host_slowdown of the side) and
+# rm (median throughput as measured, before the correction).
+function sidemedian(side,    i, a, b, as, bs) {
+	for (i = 1; i <= np; i++) {
+		a[i] = slow[side, i]
+		b[i] = a[i] ? val[side, "throughput_ops_s", i] / a[i] : 0
+	}
+	sorted(a, np, as); sorted(b, np, bs)
+	sm = quantile(as, np, 0.5); rm = quantile(bs, np, 0.5)
 }
 END {
 	printf "%-18s %-38s %-38s %-6s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "won", "verdict"
@@ -114,5 +136,14 @@ END {
 			sprintf("%.6g [%.6g, %.6g]", pm, p1, p3),
 			sprintf("%.6g [%.6g, %.6g]", cm, c1, c3),
 			won "/" np, verdict, pm ? 100 * (cm - pm) / pm : 0
+		if (m == "throughput_ops_s") { pthr = pm; cthr = cm }
 	}
+	sidemedian("parent"); psm = sm; prm = rm
+	sidemedian("change")
+	if (!psm || !sm) exit # a benchmark that prints no probe factor
+	printf "host_slowdown median: parent %.3g, change %.3g; throughput_ops_s as measured (corrected): parent %.6g (%.6g), change %.6g (%.6g)\n",
+		psm, sm, prm, pthr, rm, cthr
+	if (psm && (sm / psm > 1.1 || sm / psm < 1 / 1.1))
+		printf "NOTE: the sides ran under host_slowdown medians %.0f%% apart; compare the as-measured numbers before trusting the corrected verdicts\n",
+			100 * (sm > psm ? sm / psm - 1 : psm / sm - 1)
 }' "$root/BENCHMARK.json" "$log"
