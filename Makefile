@@ -63,24 +63,20 @@ bench-pair:
 	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(or $(PAIRS),10) $(SEED)
 
 # bench-json sweeps the allocation path over mutator counts (1/2/4/8)
-# into BENCH_alloc.json, then the write barrier over mutator counts × barrier modes × write
-# APIs into BENCH_barrier.json, then the telemetry surface (tracer +
-# flight recorder + pause SLO, on vs off, plus the scrape-vs-snapshot
-# agreement check) into BENCH_telemetry.json. The barrier and
-# telemetry files embed their baselines for before/after comparison and
-# flag regressions.
+# into BENCH_alloc.json, then the telemetry surface (tracer + flight
+# recorder + pause SLO, on vs off, plus the scrape-vs-snapshot
+# agreement check) into BENCH_telemetry.json. Both files embed their
+# baselines or bounds and flag regressions.
 bench-json:
 	$(GO) run ./cmd/gcbench -experiment alloc -benchjson BENCH_alloc.json
-	$(GO) run ./cmd/gcbench -experiment barrier -barrierjson BENCH_barrier.json
 	$(GO) run ./cmd/gcbench -experiment telemetry -telemetryjson BENCH_telemetry.json
 
 # bench-matrix runs the full contention matrix (cmd/gcsweep): mutators
-# × collector workers × barrier mode × workload
-# contention (churn, Zipf-skewed, auction) into BENCH_matrix.json, with
-# interleaved passes, host-fingerprinted baseline comparison and
-# structural sanity checks (exit 2 on regressions — see BENCHMARKS.md
-# and EXPERIMENTS.md §4). The smoke variant is the seconds-long CI
-# subset of the same sweep.
+# × collector workers × workload contention (churn, Zipf-skewed,
+# auction) into BENCH_matrix.json, with interleaved passes,
+# host-fingerprinted baseline comparison and structural sanity checks
+# (exit 2 on regressions — see BENCHMARKS.md and EXPERIMENTS.md §4).
+# The smoke variant is the seconds-long CI subset of the same sweep.
 bench-matrix:
 	$(GO) run ./cmd/gcsweep -o BENCH_matrix.json
 
@@ -105,16 +101,17 @@ bench-server-smoke:
 # (cmd/gcverify, internal/modelcheck). Positive leg: every named
 # scenario's interleavings are enumerated bounded-exhaustively
 # (preemption bound 1, depth 400) under the virtual scheduler and must
-# be violation-free. Negative leg: re-introducing the historical
-# flush-before-ack ordering bug must be caught with a minimized
-# schedule, and the written replay must reproduce the violation when
-# re-executed — the harness has to be able to find the bug class it
-# exists for, or a green positive leg means nothing.
+# be violation-free. Negative leg: dropping §7.1's allocation-color
+# acceptance from the sync-window barrier (-break no-sync-accept) must
+# be caught on sync-store-race with a minimized schedule, and the
+# written replay must reproduce the violation when re-executed — the
+# harness has to be able to find the bug class it exists for, or a
+# green positive leg means nothing.
 verify-protocol:
 	$(GO) run ./cmd/gcverify -scenario all
 	@tmp=$$(mktemp -d); rc=0; \
-	if $(GO) run ./cmd/gcverify -scenario flush-vs-ack -break flush-before-ack -out $$tmp/replay.json >$$tmp/neg.txt 2>&1; then \
-		echo "verify-protocol: FAILED — re-introduced flush-before-ack bug was not caught"; cat $$tmp/neg.txt; rc=1; \
+	if $(GO) run ./cmd/gcverify -scenario sync-store-race -break no-sync-accept -out $$tmp/replay.json >$$tmp/neg.txt 2>&1; then \
+		echo "verify-protocol: FAILED — the removed §7.1 acceptance was not caught"; cat $$tmp/neg.txt; rc=1; \
 	elif $(GO) run ./cmd/gcverify -replay $$tmp/replay.json >$$tmp/rep.txt 2>&1; then \
 		echo "verify-protocol: FAILED — replay did not reproduce the violation"; cat $$tmp/rep.txt; rc=1; \
 	else \
@@ -131,22 +128,16 @@ chaos:
 	$(GO) run -race ./cmd/gcchaos -seed 1
 
 # trace-verify round-trips the observability pipeline end to end: run a
-# small traced workload under each barrier mode, then require gcreport
-# to parse the JSONL and render the pause CDF and phase breakdown from
-# it. The batched leg additionally requires "barrierflush" events in
-# the trace — the deferred barrier must be observable, not just fast.
+# small traced workload, then require gcreport to parse the JSONL and
+# render the pause CDF and phase breakdown from it.
 trace-verify:
 	@tmp=$$(mktemp -d) && rc=0; \
 	{ $(GO) run ./cmd/gctrace -profile Anagram -scale 0.05 -trace $$tmp/trace.jsonl >/dev/null 2>&1 \
 	  && $(GO) run ./cmd/gcreport $$tmp/trace.jsonl > $$tmp/report.txt \
 	  && grep -q 'Pause-time CDF' $$tmp/report.txt \
 	  && grep -q 'Cycle phase breakdown' $$tmp/report.txt \
-	  && $(GO) run ./cmd/gctrace -profile Anagram -scale 0.05 -barrier batched -trace $$tmp/batched.jsonl >/dev/null 2>&1 \
-	  && grep -q '"barrierflush"' $$tmp/batched.jsonl \
-	  && $(GO) run ./cmd/gcreport $$tmp/batched.jsonl > $$tmp/batched.txt \
-	  && grep -q 'Pause-time CDF' $$tmp/batched.txt \
-	  && echo "trace-verify: OK ($$(wc -l < $$tmp/trace.jsonl | tr -d ' ') eager + $$(wc -l < $$tmp/batched.jsonl | tr -d ' ') batched events)"; } \
-	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt $$tmp/batched.txt 2>/dev/null; }; \
+	  && echo "trace-verify: OK ($$(wc -l < $$tmp/trace.jsonl | tr -d ' ') events)"; } \
+	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc
 
 check: lint build test alloc-guard bench-smoke race chaos trace-verify verify-protocol

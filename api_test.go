@@ -234,3 +234,29 @@ func TestExtensionsThroughFacade(t *testing.T) {
 		t.Fatalf("dynamic tenure through facade: %v", err)
 	}
 }
+
+// TestWriteBatchMatchesWrite: both write APIs leave the same slot
+// contents.
+func TestWriteBatchMatchesWrite(t *testing.T) {
+	rt, err := NewManual(WithMode(Generational), WithHeapBytes(4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	m := rt.NewMutator()
+	defer m.Detach()
+	a := m.MustAlloc(3, 0)
+	b := m.MustAlloc(3, 0)
+	m.PushRoot(a)
+	m.PushRoot(b)
+	vals := []Ref{m.MustAlloc(0, 16), m.MustAlloc(0, 16), Nil}
+	m.WriteBatch(a, vals)
+	for i, v := range vals {
+		m.Write(b, i, v)
+	}
+	for i := range vals {
+		if m.Read(a, i) != vals[i] || m.Read(b, i) != vals[i] {
+			t.Errorf("slot %d: WriteBatch gave %d, Write gave %d, want %d", i, m.Read(a, i), m.Read(b, i), vals[i])
+		}
+	}
+}

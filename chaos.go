@@ -39,7 +39,6 @@ const (
 	FaultSweepShard    = fault.SweepShard
 	FaultAlloc         = fault.Alloc
 	FaultSinkWrite     = fault.SinkWrite
-	FaultBarrierFlush  = fault.BarrierFlush
 )
 
 // The rule kinds.

@@ -36,20 +36,19 @@ var errRegression = errors.New("regressions flagged (see the JSON report)")
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "fig7|fig8|fig9|char|fig16|fig17|aging|fig20|cards|alloc|barrier|telemetry|all")
-		benchJSON   = flag.String("benchjson", "BENCH_alloc.json", "output path of the -experiment alloc sweep")
-		barrierJSON = flag.String("barrierjson", "BENCH_barrier.json", "output path of the -experiment barrier sweep")
-		telemJSON   = flag.String("telemetryjson", "BENCH_telemetry.json", "output path of the -experiment telemetry comparison")
-		scale       = flag.Float64("scale", 1.0, "workload length multiplier")
-		repeats     = flag.Int("repeats", 3, "runs to average per measurement")
-		seed        = flag.Int64("seed", 0, "workload random seed (0 = default)")
-		gcworkers   = flag.Int("gcworkers", 1, "parallel collector workers (1 = the paper's single collector thread)")
-		out         = flag.String("o", "", "also write results to this file")
-		traceOut    = flag.String("trace", "", "write a JSONL event trace of every run to this file (render with gcreport)")
-		csv         = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		quiet       = flag.Bool("q", false, "suppress per-run progress")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
+		experiment = flag.String("experiment", "all", "fig7|fig8|fig9|char|fig16|fig17|aging|fig20|cards|alloc|telemetry|all")
+		benchJSON  = flag.String("benchjson", "BENCH_alloc.json", "output path of the -experiment alloc sweep")
+		telemJSON  = flag.String("telemetryjson", "BENCH_telemetry.json", "output path of the -experiment telemetry comparison")
+		scale      = flag.Float64("scale", 1.0, "workload length multiplier")
+		repeats    = flag.Int("repeats", 3, "runs to average per measurement")
+		seed       = flag.Int64("seed", 0, "workload random seed (0 = default)")
+		gcworkers  = flag.Int("gcworkers", 1, "parallel collector workers (1 = the paper's single collector thread)")
+		out        = flag.String("o", "", "also write results to this file")
+		traceOut   = flag.String("trace", "", "write a JSONL event trace of every run to this file (render with gcreport)")
+		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		quiet      = flag.Bool("q", false, "suppress per-run progress")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
 
@@ -88,7 +87,7 @@ func main() {
 		os.Exit(1)
 	}
 	start := time.Now()
-	err = run(w, opts, *experiment, *csv, *benchJSON, *barrierJSON, *telemJSON)
+	err = run(w, opts, *experiment, *csv, *benchJSON, *telemJSON)
 	if perr := stopProfiles(); perr != nil {
 		fmt.Fprintln(os.Stderr, "gcbench: writing profile:", perr)
 	}
@@ -110,7 +109,7 @@ func main() {
 	fmt.Fprintf(w, "total experiment time: %v\n", time.Since(start).Round(time.Second))
 }
 
-func run(w io.Writer, opts bench.Options, experiment string, csv bool, benchJSON, barrierJSON, telemJSON string) error {
+func run(w io.Writer, opts bench.Options, experiment string, csv bool, benchJSON, telemJSON string) error {
 	render := func(t bench.Table) {
 		if csv {
 			t.FormatCSV(w)
@@ -171,8 +170,6 @@ func run(w io.Writer, opts bench.Options, experiment string, csv bool, benchJSON
 		return cards()
 	case "alloc":
 		return allocExperiment(w, benchJSON)
-	case "barrier":
-		return barrierExperiment(w, barrierJSON)
 	case "telemetry":
 		return telemetryExperiment(w, telemJSON)
 	case "all":

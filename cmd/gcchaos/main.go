@@ -52,8 +52,6 @@ type schedule struct {
 	flight  int  // flight-recorder ring size (0 = recorder off)
 	storm   bool // run allocStorm instead of churn
 	sink    bool
-	// barrier selects the write barrier (zero = BarrierEager).
-	barrier gengc.BarrierMode
 	// expect audits the finished run; it appends violation strings.
 	expect func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string)
 }
@@ -180,34 +178,6 @@ func schedules(workers int) []schedule {
 			},
 		},
 		{
-			// Batched-barrier flush seams: the churn runs under the
-			// batched write barrier while delays land exactly at buffer
-			// flushes (stretching the window between deferring a shade
-			// and publishing it) and safe-point responses are randomly
-			// dropped (so flushes shift to later safe points). The
-			// invariant battery plus the card invariant audit are the
-			// assertion that no deferred entry is ever lost.
-			name:    "flushseam",
-			barrier: gengc.BarrierBatched,
-			rules: []gengc.FaultRule{
-				{Point: gengc.FaultBarrierFlush, Kind: gengc.FaultDelay,
-					P: 0.05, Delay: 200 * time.Microsecond},
-				{Point: gengc.FaultCooperate, Kind: gengc.FaultDrop, P: 0.05},
-			},
-			expect: func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string) {
-				if in.Fired(gengc.FaultBarrierFlush) == 0 {
-					*v = append(*v, "flushseam: the BarrierFlush point never fired — campaign too short")
-				}
-				b := rt.Snapshot().Barrier
-				if b.Mode != gengc.BarrierBatched {
-					*v = append(*v, "flushseam: runtime not in batched barrier mode")
-				}
-				if b.Flushes == 0 {
-					*v = append(*v, "flushseam: zero barrier flushes — deferred path not exercised")
-				}
-			},
-		},
-		{
 			// Failing trace sink: every write errors; the collector
 			// must degrade tracing and keep collecting.
 			name: "failsink",
@@ -298,7 +268,6 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops,
 		gengc.WithHeapBytes(16 << 20),
 		gengc.WithYoungBytes(256 << 10),
 		gengc.WithWorkers(w),
-		gengc.WithBarrier(s.barrier),
 		gengc.WithFlightRecorder(s.flight),
 		gengc.WithSelfCheck(true),
 		gengc.WithStallTimeout(8 * time.Millisecond),

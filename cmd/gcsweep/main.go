@@ -1,8 +1,8 @@
 // Command gcsweep runs the contention-matrix experiment: one command
-// sweeps mutator counts × collector Workers × barrier mode × workload
-// contention level over the churn, Zipf and auction
-// profiles and writes the versioned BENCH_matrix.json report
-// (schema: BENCHMARKS.md; methodology: EXPERIMENTS.md).
+// sweeps mutator counts × collector Workers × workload contention level
+// over the churn, Zipf and auction profiles and writes the versioned
+// BENCH_matrix.json report (schema: BENCHMARKS.md; methodology:
+// EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -14,8 +14,7 @@
 // Each cell runs the same total operation budget split across its
 // mutators, measured over interleaved passes (medians), and records
 // ns/op, fleet pause p50/p99/p99.9, collection-cycle elapsed times,
-// and the contention counters from Runtime.Snapshot (contended
-// allocator locks, batched-barrier flushes, same-card dedup hits).
+// and the contended allocator lock acquisitions from Runtime.Snapshot.
 //
 // Exit codes: 0 = clean, 1 = error, 2 = the report flagged regressions
 // (shape-normalized baseline exceedances on the baseline host, or
@@ -41,7 +40,6 @@ import (
 	"strings"
 	"time"
 
-	"gengc"
 	"gengc/internal/bench"
 )
 
@@ -57,28 +55,12 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseBarriers(s string) ([]gengc.BarrierMode, error) {
-	var out []gengc.BarrierMode
-	for _, f := range strings.Split(s, ",") {
-		switch strings.TrimSpace(f) {
-		case "eager":
-			out = append(out, gengc.BarrierEager)
-		case "batched":
-			out = append(out, gengc.BarrierBatched)
-		default:
-			return nil, fmt.Errorf("bad barrier %q (want eager or batched)", f)
-		}
-	}
-	return out, nil
-}
-
 func main() {
 	var (
 		out       = flag.String("o", "BENCH_matrix.json", "output path of the JSON report")
 		smoke     = flag.Bool("smoke", false, "tiny CI matrix (seconds): 1,2 mutators, high-contention variants, one pass")
 		muts      = flag.String("muts", "1,2,4", "mutator thread counts")
 		workers   = flag.String("workers", "1,2", "collector worker counts")
-		barriers  = flag.String("barriers", "eager,batched", "barrier modes")
 		profiles  = flag.String("profiles", "churn,zipf,auction", "workload profiles")
 		ops       = flag.Int("ops", 0, "operations per run, split across mutators (0 = default)")
 		passes    = flag.Int("passes", 0, "interleaved measurement passes per cell (0 = default)")
@@ -89,7 +71,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*out, *smoke, *muts, *workers, *barriers, *profiles,
+	if err := run(*out, *smoke, *muts, *workers, *profiles,
 		*ops, *passes, *seed, *tolerance, *quiet, *printBase); err != nil {
 		fmt.Fprintln(os.Stderr, "gcsweep:", err)
 		if err == errRegression {
@@ -104,7 +86,7 @@ func main() {
 // collecting the artifact.
 var errRegression = fmt.Errorf("regressions flagged (see the JSON report)")
 
-func run(out string, smoke bool, muts, workers, barriers, profiles string,
+func run(out string, smoke bool, muts, workers, profiles string,
 	ops, passes int, seed int64, tolerance float64, quiet, printBase bool) error {
 	if smoke {
 		// The CI preset: every axis still has ≥2 values where the full
@@ -112,7 +94,7 @@ func run(out string, smoke bool, muts, workers, barriers, profiles string,
 		// profile, one pass, and a small op budget. Completes in
 		// seconds; the sanity checks (and, on the reference host, the
 		// baseline) still gate.
-		muts, workers, barriers = "1,2", "1,2", "eager,batched"
+		muts, workers = "1,2", "1,2"
 		if ops == 0 {
 			ops = 12_000
 		}
@@ -125,10 +107,6 @@ func run(out string, smoke bool, muts, workers, barriers, profiles string,
 		return err
 	}
 	workersL, err := parseInts(workers)
-	if err != nil {
-		return err
-	}
-	barriersL, err := parseBarriers(barriers)
 	if err != nil {
 		return err
 	}
@@ -151,7 +129,6 @@ func run(out string, smoke bool, muts, workers, barriers, profiles string,
 	spec := bench.MatrixSpec{
 		Mutators: mutsL,
 		Workers:  workersL,
-		Barriers: barriersL,
 		Variants: variants,
 		TotalOps: ops,
 		Passes:   passes,
@@ -173,7 +150,7 @@ func run(out string, smoke bool, muts, workers, barriers, profiles string,
 	}()
 
 	fmt.Printf("gcsweep: %d cells × %d passes, %d ops/run, host %s (%s)\n",
-		len(mutsL)*len(workersL)*len(barriersL)*len(variants),
+		len(mutsL)*len(workersL)*len(variants),
 		orDefault(passes, 2), orDefault(ops, 60_000),
 		bench.CurrentHost().Fingerprint(), bench.CurrentHost().GoVersion)
 	start := time.Now()
@@ -225,16 +202,16 @@ func orDefault(v, def int) int {
 // printTable renders the cell medians as an aligned text table grouped
 // by profile/contention.
 func printTable(rep *bench.MatrixReport) {
-	fmt.Printf("\n%-8s %-6s %4s %3s %-7s %9s %9s %10s %9s %8s %8s %8s\n",
-		"profile", "cont", "muts", "w", "barrier", "ns/op",
-		"p99(us)", "p99.9(us)", "cycMax(ms)", "cycles", "contend", "dedup")
+	fmt.Printf("\n%-8s %-6s %4s %3s %9s %9s %10s %9s %8s %8s\n",
+		"profile", "cont", "muts", "w", "ns/op",
+		"p99(us)", "p99.9(us)", "cycMax(ms)", "cycles", "contend")
 	for _, c := range rep.Cells {
-		fmt.Printf("%-8s %-6s %4d %3d %-7s %9.1f %9.1f %10.1f %9.1f %8d %8d %8d\n",
-			c.Profile, c.Contention, c.Mutators, c.Workers, c.Barrier,
+		fmt.Printf("%-8s %-6s %4d %3d %9.1f %9.1f %10.1f %9.1f %8d %8d\n",
+			c.Profile, c.Contention, c.Mutators, c.Workers,
 			c.NsPerOp,
 			float64(c.PauseP99Ns)/1e3, float64(c.PauseP999Ns)/1e3,
 			float64(c.CycleMaxNs)/1e6,
-			c.Cycles, c.AllocContended, c.CardDedupHits)
+			c.Cycles, c.AllocContended)
 	}
 	fmt.Println()
 }

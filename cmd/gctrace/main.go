@@ -23,7 +23,6 @@ func main() {
 	var (
 		profile  = flag.String("profile", "Anagram", "workload profile")
 		modeStr  = flag.String("mode", "gen", "collector: non|gen|aging")
-		barrStr  = flag.String("barrier", "eager", "write barrier: eager|batched")
 		scale    = flag.Float64("scale", 0.5, "run-length multiplier")
 		cardSize = flag.Int("card", 16, "card size in bytes")
 		youngMB  = flag.Int("young", 4, "young generation size in MB")
@@ -57,16 +56,6 @@ func main() {
 		mode = gengc.GenerationalAging
 	default:
 		log.Fatalf("unknown mode %q", *modeStr)
-	}
-
-	var barrier gengc.BarrierMode
-	switch *barrStr {
-	case "eager":
-		barrier = gengc.BarrierEager
-	case "batched":
-		barrier = gengc.BarrierBatched
-	default:
-		log.Fatalf("unknown barrier %q", *barrStr)
 	}
 
 	p, ok := workload.ByName(*profile)
@@ -108,7 +97,6 @@ func main() {
 	}
 	res, err := workload.Run(p, gengc.Config{
 		Mode:          mode,
-		Barrier:       barrier,
 		CardBytes:     *cardSize,
 		YoungBytes:    *youngMB << 20,
 		OldAge:        *oldAge,

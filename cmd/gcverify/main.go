@@ -7,7 +7,7 @@
 // schedule and the scenario's needle object audited at the end.
 //
 //	gcverify -scenario all                 # verify every scenario
-//	gcverify -scenario flush-vs-ack -v     # one scenario, per-run detail
+//	gcverify -scenario shade-vs-ack -v     # one scenario, per-run detail
 //	gcverify -list                         # what exists, and why
 //
 // A violation writes a minimized, replayable schedule to -out and
@@ -17,10 +17,11 @@
 //
 //	gcverify -replay gcverify-replay.json
 //
-// -break flush-before-ack re-introduces the historical "respond before
-// flushing the batched barrier" ordering bug so the harness can
-// demonstrate a catch; the verify-protocol make target runs that
-// negative leg and requires the failure.
+// -break no-sync-accept drops §7.1's allocation-color acceptance from
+// the sync-window write barrier (the yellow window between the card
+// scan and the color toggle) so the harness can demonstrate a catch;
+// the verify-protocol make target runs that negative leg on
+// sync-store-race and requires the failure.
 //
 // Exit status: 0 all explored schedules clean, 1 violation found (or
 // replay reproduced), 2 usage or internal error.
@@ -41,7 +42,7 @@ func main() {
 		depth    = flag.Int("depth", 400, "per-run step bound")
 		preempt  = flag.Int("preempt", 1, "preemption bound (CHESS-style; forced switches are free)")
 		maxRuns  = flag.Int("maxruns", 50000, "exploration run cap (reported as truncated when hit)")
-		breakStr = flag.String("break", "", "re-introduce a historical bug: flush-before-ack")
+		breakStr = flag.String("break", "", "re-introduce a bug the paper argues about: no-sync-accept")
 		replay   = flag.String("replay", "", "replay a failing schedule from this file instead of exploring")
 		out      = flag.String("out", "gcverify-replay.json", "where a violation's minimized schedule is written")
 		verbose  = flag.Bool("v", false, "print the minimized schedule on failure")
@@ -62,10 +63,10 @@ func main() {
 	opts := modelcheck.Options{Depth: *depth, Preempt: *preempt, MaxRuns: *maxRuns}
 	switch *breakStr {
 	case "":
-	case "flush-before-ack":
-		opts.BreakFlushBeforeAck = true
+	case "no-sync-accept":
+		opts.BreakSyncAccept = true
 	default:
-		fmt.Fprintf(os.Stderr, "gcverify: unknown -break mode %q (want flush-before-ack)\n", *breakStr)
+		fmt.Fprintf(os.Stderr, "gcverify: unknown -break mode %q (want no-sync-accept)\n", *breakStr)
 		os.Exit(2)
 	}
 

@@ -84,28 +84,6 @@ const (
 	GenerationalAging = gc.GenerationalAging
 )
 
-// BarrierMode selects the write-barrier implementation (see
-// WithBarrier): eager per-store shading and card marking, or
-// per-mutator buffers drained at safe points.
-type BarrierMode = gc.BarrierMode
-
-const (
-	// BarrierEager is the paper's write barrier: every pointer store
-	// shades and card-marks immediately. The default.
-	BarrierEager = gc.BarrierEager
-	// BarrierBatched defers the barrier's shared-memory work into
-	// per-mutator buffers flushed at safe points, full buffers and
-	// detach. Semantically equivalent (see DESIGN.md, "Barrier
-	// modes"); faster on pointer-write-heavy workloads.
-	BarrierBatched = gc.BarrierBatched
-)
-
-// BarrierStats is the write barrier's counter snapshot (see
-// Snapshot.Barrier): buffer flushes, stores that went through the
-// deferred path, and card entries elided by same-card deduplication.
-// The counters advance only under BarrierBatched.
-type BarrierStats = gc.BarrierStats
-
 // Config parameterizes a Runtime; zero fields assume the paper's
 // defaults: a 32 MB heap, a 4 MB young generation, 16-byte cards
 // ("object marking"), tenure threshold 4 (in the paper's age counting),
@@ -326,11 +304,6 @@ type Snapshot struct {
 	// cells, with a per-shard (one per size class) breakdown.
 	Alloc AllocStats
 
-	// Barrier is the write barrier's counter snapshot: the configured
-	// mode plus — under BarrierBatched — buffer flushes, buffered
-	// stores and same-card dedup hits (see WithBarrier).
-	Barrier BarrierStats
-
 	// Fleet aggregates every pause ever recorded (Mutator == -1);
 	// Mutators holds one entry per currently attached mutator. Both are
 	// zero-valued when pause accounting is off (WithPauseHistograms).
@@ -396,7 +369,6 @@ func (r *Runtime) Snapshot() Snapshot {
 		TraceDrops:    r.c.TraceDrops(),
 		TraceDegraded: r.c.TraceDegraded(),
 		Alloc:         r.c.H.AllocStats(),
-		Barrier:       r.c.BarrierStats(),
 		Fleet:         fleet,
 		Mutators:      per,
 		Demographics:  r.c.DemographicStats(),

@@ -13,19 +13,19 @@ import (
 )
 
 // This file is the contention-matrix harness behind cmd/gcsweep: one
-// sweep over mutators × collector Workers × barrier mode × workload
-// contention level, producing the versioned BENCH_matrix.json
-// report (schema: BENCHMARKS.md). The sweep exists to answer the
-// question the single-experiment harnesses cannot: how the tiered
-// allocator, the batched barrier and the card table behave as skewed
-// pointer-mutation traffic and thread counts rise together.
+// sweep over mutators × collector Workers × workload contention level,
+// producing the versioned BENCH_matrix.json report (schema:
+// BENCHMARKS.md). The sweep exists to answer the question the
+// single-experiment harnesses cannot: how the tiered allocator, the
+// write barrier and the card table behave as skewed pointer-mutation
+// traffic and thread counts rise together.
 
 // MatrixSchema identifies the BENCH_matrix.json format; bump
 // MatrixSchemaVersion on any incompatible field change and record the
 // change in BENCHMARKS.md.
 const (
 	MatrixSchema        = "gengc/bench-matrix"
-	MatrixSchemaVersion = 2
+	MatrixSchemaVersion = 3
 )
 
 // HostMeta is the host-metadata stanza stamped into every matrix
@@ -130,10 +130,9 @@ func MatrixVariants(profiles []string) ([]MatrixVariant, error) {
 
 // MatrixSpec parameterizes one sweep.
 type MatrixSpec struct {
-	Mutators []int               // mutator thread counts
-	Workers  []int               // collector worker counts (WithWorkers)
-	Barriers []gengc.BarrierMode // barrier modes (WithBarrier)
-	Variants []MatrixVariant     // workload × contention legs
+	Mutators []int           // mutator thread counts
+	Workers  []int           // collector worker counts (WithWorkers)
+	Variants []MatrixVariant // workload × contention legs
 
 	// TotalOps is the per-run operation budget, split evenly across the
 	// cell's mutators so every cell performs the same total work.
@@ -177,8 +176,7 @@ func (s MatrixSpec) withDefaults() MatrixSpec {
 }
 
 func (s MatrixSpec) validate() error {
-	if len(s.Mutators) == 0 || len(s.Workers) == 0 ||
-		len(s.Barriers) == 0 || len(s.Variants) == 0 {
+	if len(s.Mutators) == 0 || len(s.Workers) == 0 || len(s.Variants) == 0 {
 		return fmt.Errorf("matrix: every axis needs at least one value")
 	}
 	for _, m := range s.Mutators {
@@ -197,7 +195,6 @@ type MatrixCell struct {
 	Contention string `json:"contention"`
 	Mutators   int    `json:"mutators"`
 	Workers    int    `json:"workers"`
-	Barrier    string `json:"barrier"`
 
 	NsPerOp float64 `json:"ns_per_op"`
 
@@ -213,21 +210,18 @@ type MatrixCell struct {
 	CycleMeanNs int64 `json:"cycle_mean_ns"`
 	CycleMaxNs  int64 `json:"cycle_max_ns"`
 
-	// Contention counters (run totals): contended allocator lock
-	// acquisitions across tiers, batched-barrier buffer flushes, and
-	// same-card dedup hits (both zero under the eager barrier).
+	// Contention counter (run total): contended allocator lock
+	// acquisitions across tiers.
 	AllocContended int64 `json:"alloc_contended"`
-	BarrierFlushes int64 `json:"barrier_flushes"`
-	CardDedupHits  int64 `json:"card_dedup_hits"`
 
 	Passes int `json:"passes"`
 }
 
 // Key is the cell's identity in baseline maps:
-// "profile/contention/m<mutators>/w<workers>/<barrier>".
+// "profile/contention/m<mutators>/w<workers>".
 func (c MatrixCell) Key() string {
-	return fmt.Sprintf("%s/%s/m%d/w%d/%s",
-		c.Profile, c.Contention, c.Mutators, c.Workers, c.Barrier)
+	return fmt.Sprintf("%s/%s/m%d/w%d",
+		c.Profile, c.Contention, c.Mutators, c.Workers)
 }
 
 // MatrixBaseline is an embedded reference run: the fingerprint of the
@@ -275,20 +269,19 @@ type MatrixReport struct {
 // oneRun measures a single cell pass: a fresh runtime, TotalOps split
 // across the mutator threads, snapshot and cycle records on shutdown.
 type oneRun struct {
-	nsPerOp                   float64
-	p50, p99, p999            int64
-	cycles                    int64
-	cycleMean, cycleMax       int64
-	contended, flushes, dedup int64
+	nsPerOp             float64
+	p50, p99, p999      int64
+	cycles              int64
+	cycleMean, cycleMax int64
+	contended           int64
 }
 
-func (s MatrixSpec) runCell(v MatrixVariant, muts, workers int, barrier gengc.BarrierMode, pass int) (oneRun, error) {
+func (s MatrixSpec) runCell(v MatrixVariant, muts, workers, pass int) (oneRun, error) {
 	rt, err := gengc.New(
 		gengc.WithMode(gengc.Generational),
 		gengc.WithHeapBytes(s.HeapBytes),
 		gengc.WithYoungBytes(s.YoungBytes),
 		gengc.WithWorkers(workers),
-		gengc.WithBarrier(barrier),
 	)
 	if err != nil {
 		return oneRun{}, err
@@ -329,8 +322,6 @@ func (s MatrixSpec) runCell(v MatrixVariant, muts, workers int, barrier gengc.Ba
 		p99:       snap.Fleet.P99.Nanoseconds(),
 		p999:      snap.Fleet.P999.Nanoseconds(),
 		contended: snap.Alloc.Contended(),
-		flushes:   snap.Barrier.Flushes,
-		dedup:     snap.Barrier.CardDedupHits,
 	}
 	var sum, max int64
 	recs := rt.Cycles()
@@ -382,31 +373,28 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 	type coords struct {
 		v             MatrixVariant
 		muts, workers int
-		barrier       gengc.BarrierMode
 	}
 	var cells []coords
 	for _, v := range spec.Variants {
 		for _, m := range spec.Mutators {
 			for _, w := range spec.Workers {
-				for _, b := range spec.Barriers {
-					cells = append(cells, coords{v, m, w, b})
-				}
+				cells = append(cells, coords{v, m, w})
 			}
 		}
 	}
 	runs := make([][]oneRun, len(cells))
 	for pass := 0; pass < spec.Passes; pass++ {
 		for i, c := range cells {
-			r, err := spec.runCell(c.v, c.muts, c.workers, c.barrier, pass)
+			r, err := spec.runCell(c.v, c.muts, c.workers, pass)
 			if err != nil {
-				return nil, fmt.Errorf("matrix cell %s/%s m%d w%d %v pass %d: %w",
-					c.v.Profile, c.v.Contention, c.muts, c.workers, c.barrier, pass, err)
+				return nil, fmt.Errorf("matrix cell %s/%s m%d w%d pass %d: %w",
+					c.v.Profile, c.v.Contention, c.muts, c.workers, pass, err)
 			}
 			runs[i] = append(runs[i], r)
 			if spec.Progress != nil {
-				spec.Progress(fmt.Sprintf("pass %d/%d %-8s %-6s m%d w%d %-7v %8.1f ns/op",
+				spec.Progress(fmt.Sprintf("pass %d/%d %-8s %-6s m%d w%d %8.1f ns/op",
 					pass+1, spec.Passes, c.v.Profile, c.v.Contention,
-					c.muts, c.workers, c.barrier, r.nsPerOp))
+					c.muts, c.workers, r.nsPerOp))
 			}
 		}
 	}
@@ -423,7 +411,7 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 	}
 	for i, c := range cells {
 		var ns []float64
-		var p50, p99, p999, cyc, cmean, cmax, cont, fl, dd []int64
+		var p50, p99, p999, cyc, cmean, cmax, cont []int64
 		for _, r := range runs[i] {
 			ns = append(ns, r.nsPerOp)
 			p50 = append(p50, r.p50)
@@ -433,15 +421,12 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 			cmean = append(cmean, r.cycleMean)
 			cmax = append(cmax, r.cycleMax)
 			cont = append(cont, r.contended)
-			fl = append(fl, r.flushes)
-			dd = append(dd, r.dedup)
 		}
 		rep.Cells = append(rep.Cells, MatrixCell{
 			Profile:        c.v.Profile,
 			Contention:     c.v.Contention,
 			Mutators:       c.muts,
 			Workers:        c.workers,
-			Barrier:        c.barrier.String(),
 			NsPerOp:        medianF(ns),
 			PauseP50Ns:     medianI(p50),
 			PauseP99Ns:     medianI(p99),
@@ -450,8 +435,6 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 			CycleMeanNs:    medianI(cmean),
 			CycleMaxNs:     medianI(cmax),
 			AllocContended: medianI(cont),
-			BarrierFlushes: medianI(fl),
-			CardDedupHits:  medianI(dd),
 			Passes:         spec.Passes,
 		})
 	}
@@ -459,7 +442,7 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 }
 
 // groupOfKey extracts the profile/contention group from a cell key
-// ("churn/high/m2/w1/batched" → "churn/high").
+// ("churn/high/m2/w1" → "churn/high").
 func groupOfKey(key string) string {
 	parts := strings.SplitN(key, "/", 3)
 	if len(parts) < 3 {
@@ -551,17 +534,11 @@ func (r *MatrixReport) CompareBaseline(b MatrixBaseline, tolerancePct float64) {
 }
 
 // Sanity appends host-independent structural checks — the ones that
-// still gate CI when the baseline comparison is refused: every batched
-// cell must have recorded buffer flushes (a silent barrier is an
-// observability regression, not a fast one), and every cell must have
-// completed at least one collection cycle (a cell that never collects
-// measured nothing about the collector).
+// still gate CI when the baseline comparison is refused: every cell
+// must have completed at least one collection cycle (a cell that never
+// collects measured nothing about the collector).
 func (r *MatrixReport) Sanity() {
 	for _, c := range r.Cells {
-		if c.Barrier == "batched" && c.BarrierFlushes == 0 {
-			r.Regressions = append(r.Regressions,
-				fmt.Sprintf("%s: batched barrier recorded zero flushes", c.Key()))
-		}
 		if c.Cycles == 0 {
 			r.Regressions = append(r.Regressions,
 				fmt.Sprintf("%s: run completed without a single collection cycle (ops budget too small)", c.Key()))

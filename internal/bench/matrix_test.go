@@ -3,8 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"gengc"
 )
 
 // tinySpec is a one-cell-per-axis matrix that still completes cycles.
@@ -26,7 +24,6 @@ func tinySpec(t *testing.T) MatrixSpec {
 	return MatrixSpec{
 		Mutators:   []int{1, 2},
 		Workers:    []int{1},
-		Barriers:   []gengc.BarrierMode{gengc.BarrierBatched},
 		Variants:   picked,
 		TotalOps:   30_000,
 		Passes:     1,
@@ -68,9 +65,6 @@ func TestRunMatrixSmall(t *testing.T) {
 		if c.Cycles == 0 {
 			t.Errorf("%s: no collection cycles — metrics say nothing about the collector", c.Key())
 		}
-		if c.BarrierFlushes == 0 {
-			t.Errorf("%s: batched cell recorded no flushes", c.Key())
-		}
 	}
 	rep.Sanity()
 	if len(rep.Regressions) != 0 {
@@ -81,7 +75,7 @@ func TestRunMatrixSmall(t *testing.T) {
 func TestMatrixBaselineHostMismatchRefused(t *testing.T) {
 	rep := &MatrixReport{
 		Host:  CurrentHost(),
-		Cells: []MatrixCell{{Profile: "churn", Contention: "low", Mutators: 1, Workers: 1, Barrier: "eager", NsPerOp: 100}},
+		Cells: []MatrixCell{{Profile: "churn", Contention: "low", Mutators: 1, Workers: 1, NsPerOp: 100}},
 	}
 	rep.CompareBaseline(MatrixBaseline{
 		Fingerprint: "plan9/mips gomaxprocs=64 numcpu=64",
@@ -99,10 +93,10 @@ func TestMatrixBaselineHostMismatchRefused(t *testing.T) {
 // the shape-comparison tests. Both groups cost 100 ns/op in this run.
 func shapeCells() []MatrixCell {
 	return []MatrixCell{
-		{Profile: "churn", Contention: "low", Mutators: 1, Workers: 1, Barrier: "eager", NsPerOp: 100},
-		{Profile: "churn", Contention: "low", Mutators: 2, Workers: 1, Barrier: "eager", NsPerOp: 100},
-		{Profile: "zipf", Contention: "s=1.2", Mutators: 1, Workers: 1, Barrier: "eager", NsPerOp: 100},
-		{Profile: "zipf", Contention: "s=1.2", Mutators: 2, Workers: 1, Barrier: "eager", NsPerOp: 100},
+		{Profile: "churn", Contention: "low", Mutators: 1, Workers: 1, NsPerOp: 100},
+		{Profile: "churn", Contention: "low", Mutators: 2, Workers: 1, NsPerOp: 100},
+		{Profile: "zipf", Contention: "s=1.2", Mutators: 1, Workers: 1, NsPerOp: 100},
+		{Profile: "zipf", Contention: "s=1.2", Mutators: 2, Workers: 1, NsPerOp: 100},
 	}
 }
 
@@ -161,13 +155,13 @@ func TestMatrixBaselineTooFewOverlapRefused(t *testing.T) {
 	}
 }
 
-func TestMatrixSanityFlagsSilentBatchedBarrier(t *testing.T) {
+func TestMatrixSanityFlagsCyclelessCell(t *testing.T) {
 	rep := &MatrixReport{Cells: []MatrixCell{
-		{Profile: "zipf", Contention: "s=1.2", Mutators: 1, Workers: 1, Barrier: "batched", Cycles: 3, BarrierFlushes: 0},
-		{Profile: "zipf", Contention: "s=1.2", Mutators: 2, Workers: 1, Barrier: "eager", Cycles: 0},
+		{Profile: "zipf", Contention: "s=1.2", Mutators: 1, Workers: 1, Cycles: 3},
+		{Profile: "zipf", Contention: "s=1.2", Mutators: 2, Workers: 1, Cycles: 0},
 	}}
 	rep.Sanity()
-	if len(rep.Regressions) != 2 {
-		t.Fatalf("expected 2 sanity flags (silent batched barrier, zero cycles), got %v", rep.Regressions)
+	if len(rep.Regressions) != 1 || !strings.Contains(rep.Regressions[0], "zipf/s=1.2/m2/w1") {
+		t.Fatalf("expected 1 sanity flag naming the zero-cycle cell, got %v", rep.Regressions)
 	}
 }

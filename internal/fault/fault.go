@@ -5,11 +5,10 @@
 // collector's chaos testing: named injection points are threaded
 // through the runtime's coordination seams (handshake posting and
 // acknowledgement, safe-point cooperation, trace-worker stealing, sweep
-// shards, allocation, trace-sink writes, batched-barrier buffer
-// flushes, card and remembered-set scans); an armed Injector decides at
-// each hit whether to delay the caller, drop the operation once, or
-// fail it, with a configured probability drawn from a reproducible
-// per-point PRNG stream.
+// shards, allocation, trace-sink writes, card and remembered-set
+// scans); an armed Injector decides at each hit whether to delay the
+// caller, drop the operation once, or fail it, with a configured
+// probability drawn from a reproducible per-point PRNG stream.
 //
 // The second is the Scheduler interface: the same points double as the
 // schedulable steps of a deterministic virtual scheduler
@@ -81,14 +80,6 @@ const (
 	// counter advances), Delay a slow sink.
 	SinkWrite
 
-	// BarrierFlush fires when a batched-barrier mutator drains its
-	// deferred shade/card buffers — at a safe-point response, on a
-	// full buffer, or at detach (delay only: a dropped flush followed
-	// by an acknowledgement would un-publish gray objects the trace
-	// termination check depends on, so Drop/Fail rules are coerced to
-	// their Delay).
-	BarrierFlush
-
 	// CardScan fires once per dirty card inside the §7.2 window: the
 	// card's mark has been cleared (step 1) but its objects are not yet
 	// scanned (step 2). Delay-only; armed only when a scheduler or
@@ -136,8 +127,6 @@ func (p Point) String() string {
 		return "alloc"
 	case SinkWrite:
 		return "sink-write"
-	case BarrierFlush:
-		return "barrier-flush"
 	case CardScan:
 		return "card-scan"
 	case TraceDrain:

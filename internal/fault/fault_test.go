@@ -167,7 +167,6 @@ func TestPointAndKindStrings(t *testing.T) {
 		SweepShard:    "sweep-shard",
 		Alloc:         "alloc",
 		SinkWrite:     "sink-write",
-		BarrierFlush:  "barrier-flush",
 		CardScan:      "card-scan",
 		TraceDrain:    "trace-drain",
 		RemsetDrain:   "remset-drain",

@@ -213,12 +213,6 @@ type Collector struct {
 	stalls        atomic.Int64
 	abortedCycles atomic.Int64
 
-	// Batched-barrier accounting, published by mutator flushes
-	// (barrier.go); all stay zero under the eager barrier.
-	barrierFlushes atomic.Int64
-	barrierStores  atomic.Int64
-	barrierDedup   atomic.Int64
-
 	// onStall is the watchdog's observer (set via OnStall).
 	onStall struct {
 		sync.Mutex
@@ -338,8 +332,8 @@ func runMeta(cfg Config) string {
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
 	}
-	return fmt.Sprintf("gomaxprocs=%d workers=%d barrier=%s mode=%s version=%s",
-		runtime.GOMAXPROCS(0), cfg.Workers, cfg.Barrier, cfg.Mode, version)
+	return fmt.Sprintf("gomaxprocs=%d workers=%d mode=%s version=%s",
+		runtime.GOMAXPROCS(0), cfg.Workers, cfg.Mode, version)
 }
 
 // Config returns the collector's effective configuration.

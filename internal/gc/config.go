@@ -76,38 +76,6 @@ func (m Mode) String() string {
 // a card table).
 func (m Mode) IsGenerational() bool { return m != NonGenerational }
 
-// BarrierMode selects how the write barrier publishes its work to the
-// collector.
-type BarrierMode int
-
-const (
-	// BarrierEager is the paper's barrier, and the default: every
-	// pointer store shades its operands immediately (a CAS plus a
-	// locked gray-buffer append per shade) and dirties its card with
-	// an atomic or as it happens.
-	BarrierEager BarrierMode = iota
-
-	// BarrierBatched defers the barrier's shared-memory work: stores
-	// append the values to shade and the cards to mark into private
-	// per-mutator buffers with plain stores, and the buffers drain at
-	// the mutator's next safe-point response (or when full, or at
-	// Detach) — always before the status/acknowledgement store that
-	// publishes the response, which is the ordering the handshake and
-	// trace-termination protocols already rely on. See DESIGN.md,
-	// "Barrier modes".
-	BarrierBatched
-)
-
-func (b BarrierMode) String() string {
-	switch b {
-	case BarrierEager:
-		return "eager"
-	case BarrierBatched:
-		return "batched"
-	}
-	return "invalid"
-}
-
 // Config parameterizes a collector. The zero value is not usable; call
 // (*Config).withDefaults or use the gengc package, which fills in the
 // paper's defaults (32 MB heap, 4 MB young generation, 16-byte cards,
@@ -173,13 +141,6 @@ type Config struct {
 	// the on-the-fly property and the handshake protocol are
 	// unaffected (see DESIGN.md, "Collector engine").
 	Workers int
-
-	// Barrier selects the write-barrier publication strategy:
-	// BarrierEager (the default, the paper's per-store protocol) or
-	// BarrierBatched (per-mutator buffers drained at safe points).
-	// Batched mode requires the color toggle, so it cannot be combined
-	// with DisableColorToggle.
-	Barrier BarrierMode
 
 	// DisableColorToggle runs the baseline with the *original* DLG
 	// create protocol of §2 instead of the color toggle of §5 /
@@ -259,15 +220,15 @@ type Config struct {
 	// injector decisions wholesale).
 	Scheduler fault.Scheduler
 
-	// UnsafeBreakFlushBeforeAck re-introduces a historical protocol
-	// bug for verification demos: Cooperate publishes its handshake
-	// status and acknowledgement epoch *before* flushing the batched
-	// barrier buffers, un-ordering the flush from the response and
-	// breaking the trace-termination argument (barrier.go's first
-	// safety bullet). Only valid under a virtual scheduler — the
-	// model checker exists to catch exactly this, and nothing else
-	// may run with the ordering broken.
-	UnsafeBreakFlushBeforeAck bool
+	// UnsafeBreakSyncAccept re-introduces, for verification demos, the
+	// bug §7.1 argues about: markGray stops accepting the allocation
+	// color during sync1/sync2, so an object created in the yellow
+	// window between the card scan and the color toggle, and stored
+	// into a black parent there, is never shaded and the sweep frees it
+	// while reachable. Only valid under a virtual scheduler — the model
+	// checker exists to catch exactly this, and nothing else may run
+	// with the acceptance removed.
+	UnsafeBreakSyncAccept bool
 
 	// Log, when non-nil, receives one line per collection cycle.
 	Log io.Writer
@@ -411,12 +372,6 @@ func (c Config) validate() error {
 			return err
 		}
 	}
-	if c.Barrier < BarrierEager || c.Barrier > BarrierBatched {
-		return fmt.Errorf("gc: %w: invalid barrier mode %d", ErrInvalidConfig, int(c.Barrier))
-	}
-	if c.Barrier == BarrierBatched && c.DisableColorToggle {
-		return fmt.Errorf("gc: %w: the batched barrier requires the color toggle", ErrInvalidConfig)
-	}
 	if c.UseRememberedSet && c.Mode != Generational {
 		return fmt.Errorf("gc: %w: remembered set requires the simple generational mode", ErrInvalidConfig)
 	}
@@ -434,8 +389,8 @@ func (c Config) validate() error {
 			return fmt.Errorf("gc: %w: a virtual scheduler excludes the fault injector", ErrInvalidConfig)
 		}
 	}
-	if c.UnsafeBreakFlushBeforeAck && c.Scheduler == nil {
-		return fmt.Errorf("gc: %w: UnsafeBreakFlushBeforeAck requires a virtual scheduler", ErrInvalidConfig)
+	if c.UnsafeBreakSyncAccept && c.Scheduler == nil {
+		return fmt.Errorf("gc: %w: UnsafeBreakSyncAccept requires a virtual scheduler", ErrInvalidConfig)
 	}
 	return nil
 }

@@ -35,7 +35,6 @@ func (c *Collector) Cycle(full bool) {
 		WorkerFreed:   make([]int, c.cfg.Workers)}
 	c.H.Pages.Reset()
 	allocBase := c.H.AllocStats()
-	barrierBase := c.barrierFlushes.Load()
 
 	// --- clear ---
 	toggleFree := c.cfg.DisableColorToggle
@@ -215,7 +214,6 @@ func (c *Collector) Cycle(full bool) {
 	c.cyc.AllocRefills = allocNow.Refills - allocBase.Refills
 	c.cyc.AllocContended = (allocNow.ShardContended + allocNow.PageContended) -
 		(allocBase.ShardContended + allocBase.PageContended)
-	c.cyc.BarrierFlushes = c.barrierFlushes.Load() - barrierBase
 	c.emit("allocstats", start, "", c.cyc.AllocRefills, c.cyc.AllocContended)
 	if !full && c.cfg.Mode.IsGenerational() {
 		c.emit("demographics", start, survivalKey(c.cyc.SurvivalByAge),

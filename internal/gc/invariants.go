@@ -21,12 +21,11 @@ import (
 //     atomics, the collector-owned worker stacks, and lock-protected heap
 //     bookkeeping.
 //
-//   - The CheckReachable* and CheckBarrierBuffers walkers read mutator
-//     root stacks and barrier buffers that belong to their owning
-//     goroutines, with no locks. They are step-safe only under a
-//     virtual scheduler, where every actor is parked while the checker
-//     runs (the scheduler serializes execution); outside model
-//     checking, use Verify, which quiesces first.
+//   - The CheckReachable* walkers read mutator root stacks that belong
+//     to their owning goroutines, with no locks. They are step-safe
+//     only under a virtual scheduler, where every actor is parked
+//     while the checker runs (the scheduler serializes execution);
+//     outside model checking, use Verify, which quiesces first.
 
 // CheckQuiescentCycle audits the collector's own post-cycle state:
 //
@@ -117,8 +116,8 @@ func (c *Collector) CheckReachable(visit func(addr heap.Addr) error) error {
 // step of every phase: the collector must never free (or recycle the
 // cell of) an object the mutators can still reach. This is the needle
 // detector for the protocol's historical failure modes (a store during
-// sync2 whose target the trace missed, a flush racing the final
-// acknowledgement, a dropped handshake with buffered cards).
+// sync2 whose target the trace missed, a deletion shade racing the
+// final acknowledgement, a dropped handshake response).
 func (c *Collector) CheckReachableAllocated() error {
 	return c.CheckReachable(func(a heap.Addr) error {
 		if !c.H.ValidObject(a) {
@@ -149,31 +148,4 @@ func (c *Collector) CheckNoReachableClear() error {
 		}
 		return nil
 	})
-}
-
-// CheckBarrierBuffers asserts the batched barrier's fourth safety
-// bullet (barrier.go): no buffered shade or card entry references a
-// blue (freed) object. Checkable at any step — a buffered entry
-// pointing at a free cell means a flush was lost across a sweep. Eager
-// mode holds vacuously (no buffers).
-func (c *Collector) CheckBarrierBuffers() error {
-	c.muts.Lock()
-	snapshot := append([]*Mutator(nil), c.muts.list...)
-	c.muts.Unlock()
-	for _, m := range snapshot {
-		if m.detached.Load() || m.bb == nil {
-			continue
-		}
-		for _, v := range m.bb.shade {
-			if v != 0 && c.H.ValidObject(v) && c.H.Color(v) == heap.Blue {
-				return fmt.Errorf("gc: invariant: mutator %d holds buffered shade of blue object %#x", m.id, v)
-			}
-		}
-		for _, x := range m.bb.cards {
-			if x != 0 && c.H.ValidObject(x) && c.H.Color(x) == heap.Blue {
-				return fmt.Errorf("gc: invariant: mutator %d holds buffered card entry for blue object %#x", m.id, x)
-			}
-		}
-	}
-	return nil
 }

@@ -53,11 +53,6 @@ type Mutator struct {
 		buf []heap.Addr
 	}
 
-	// bb is the deferred-barrier buffer (Config.Barrier ==
-	// BarrierBatched only; nil selects the eager barrier). See
-	// barrier.go for the machinery and the safety argument.
-	bb *barrierBuf
-
 	// ack mirrors the collector's ackEpoch when the mutator passes a
 	// safe point.
 	ack atomic.Int64
@@ -74,9 +69,6 @@ type Mutator struct {
 // NewMutator attaches a new mutator thread to the collector.
 func (c *Collector) NewMutator() *Mutator {
 	m := &Mutator{c: c, roots: make([]heap.Addr, 0, 64)}
-	if c.cfg.Barrier == BarrierBatched {
-		m.bb = newBarrierBuf()
-	}
 	if !c.cfg.DisablePauseHistograms {
 		m.pauses = &metrics.Histogram{}
 	}
@@ -103,10 +95,6 @@ func (m *Mutator) Detach() {
 	if m.detached.Swap(true) {
 		return
 	}
-	// Publish any deferred barrier work before the gray hand-off below:
-	// the flush may append to m.gray.buf and mark cards, and after
-	// Detach returns nobody would ever drain the buffer.
-	m.flushBarrier("detach")
 	m.publishAllocs()
 	m.c.H.Flush(&m.cache)
 	m.c.muts.Lock()
@@ -178,20 +166,6 @@ func (m *Mutator) Cooperate() {
 	}
 	start := m.pauseStart()
 	m.publishAllocs()
-	// Drain the deferred barrier before responding: the status and ack
-	// stores below publish the response to the collector, and the
-	// sliding-views argument (barrier.go) needs every buffered shade
-	// and card mark visible no later than the response itself. The
-	// flush also runs under the *old* status, so buffered shades see
-	// the same phase they were created under.
-	//
-	// UnsafeBreakFlushBeforeAck (model checking only) re-introduces
-	// the historical ordering bug by moving the flush after the
-	// response stores — cmd/gcverify must catch the lost object.
-	bugOrder := m.c.cfg.UnsafeBreakFlushBeforeAck
-	if !bugOrder {
-		m.flushBarrier("handshake")
-	}
 	cause := "ack"
 	if statusChanged {
 		if Status(m.status.Load()) == StatusSync2 {
@@ -214,9 +188,6 @@ func (m *Mutator) Cooperate() {
 	}
 	if e := m.c.ackEpoch.Load(); e != m.ack.Load() {
 		m.ack.Store(e)
-	}
-	if bugOrder {
-		m.flushBarrier("handshake")
 	}
 	// Hand the processor to the waiting collector: on a single
 	// P a compute-bound mutator would otherwise keep running a
@@ -291,6 +262,13 @@ func (m *Mutator) markGray(x heap.Addr) {
 		return
 	}
 	if Status(m.status.Load()) != StatusAsync {
+		if m.c.cfg.UnsafeBreakSyncAccept {
+			// Model checking only: without the acceptance an object
+			// created yellow after the card scan and stored into a black
+			// parent before the toggle is never shaded — cmd/gcverify
+			// must catch the lost object.
+			return
+		}
 		ac := heap.Color(m.c.allocColor.Load())
 		if col == ac {
 			m.shade(x, ac)
@@ -326,10 +304,6 @@ func (m *Mutator) shade(x heap.Addr, from heap.Color) {
 // slot i of object x with the bookkeeping the current collector mode and
 // phase require.
 func (m *Mutator) Update(x heap.Addr, i int, y heap.Addr) {
-	if m.bb != nil {
-		m.updateBatched(x, i, y)
-		return
-	}
 	c := m.c
 	switch c.cfg.Mode {
 	case GenerationalAging:
@@ -388,25 +362,6 @@ func (m *Mutator) UpdateBatch(x heap.Addr, vals []heap.Addr) {
 	sync := Status(m.status.Load()) != StatusAsync
 	tracing := c.tracing.Load()
 	shadeOld := sync || tracing
-	if b := m.bb; b != nil {
-		for j, y := range vals {
-			if shadeOld {
-				b.bufferShade(c.H.LoadSlot(x, j))
-			}
-			if sync {
-				b.bufferShade(y)
-			}
-			c.H.StoreSlot(x, j, y)
-		}
-		if aging || (c.cfg.Mode == Generational && !sync) {
-			m.bufferCard(x)
-		}
-		b.stores += int64(len(vals))
-		if len(b.shade)+len(b.cards) >= barrierFlushThreshold {
-			m.flushBarrier("full")
-		}
-		return
-	}
 	for j, y := range vals {
 		if shadeOld {
 			if aging {

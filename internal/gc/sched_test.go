@@ -8,142 +8,44 @@ import (
 	"gengc/internal/fault"
 )
 
-// recordingSched is a minimal fault.Scheduler for white-box ordering
-// tests: it never reorders anything (every Step proceeds, every Wait
-// spins the real scheduler), but it records the points it sees and
-// lets a test observe collector/mutator state at a chosen point.
-type recordingSched struct {
-	points []fault.Point
-	onStep func(p fault.Point)
-}
+// passiveSched is a minimal fault.Scheduler for configuration tests:
+// it never reorders anything (every Step proceeds, every Wait spins the
+// real scheduler).
+type passiveSched struct{}
 
-func (rs *recordingSched) Step(p fault.Point) fault.Decision {
-	rs.points = append(rs.points, p)
-	if rs.onStep != nil {
-		rs.onStep(p)
-	}
-	return fault.Decision{}
-}
+func (passiveSched) Step(fault.Point) fault.Decision { return fault.Decision{} }
 
-func (rs *recordingSched) Wait(p fault.Point, ready func() bool) bool {
+func (passiveSched) Wait(_ fault.Point, ready func() bool) bool {
 	for !ready() {
 		runtime.Gosched()
 	}
 	return true
 }
 
-func (rs *recordingSched) saw(p fault.Point) bool {
-	for _, q := range rs.points {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-func schedTestConfig(rs *recordingSched) Config {
+func schedTestConfig() Config {
 	return Config{
 		Mode:                   Generational,
-		Barrier:                BarrierBatched,
 		HeapBytes:              1 << 20,
 		YoungBytes:             256 << 10,
 		CardBytes:              64,
 		InitialTargetBytes:     64 << 10,
 		HeadroomBytes:          64 << 10,
 		GlobalRootSlots:        8,
-		Scheduler:              rs,
+		Scheduler:              passiveSched{},
 		StallTimeout:           -1,
 		DisablePauseHistograms: true,
 	}
 }
 
-// TestCooperateFlushesBeforeAck pins the ordering the sliding-views
-// termination argument depends on (barrier.go): when Cooperate answers
-// an acknowledgement round with entries in its batched barrier buffer,
-// the flush must be published no later than the ack store. The
-// recording scheduler observes the mutator's ack word at the
-// barrier-flush seam point — inside the flush — and it must still lag
-// the collector's epoch. The companion subtest proves the probe is
-// sharp: with the historical bug re-introduced the same probe sees the
-// ack already stored.
-func TestCooperateFlushesBeforeAck(t *testing.T) {
-	run := func(t *testing.T, breakOrder bool) (ackStoredAtFlush bool) {
-		rs := &recordingSched{}
-		cfg := schedTestConfig(rs)
-		cfg.UnsafeBreakFlushBeforeAck = breakOrder
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := c.NewMutator()
-		defer m.Detach()
-		x, err := m.Alloc(2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := m.Alloc(1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An async-phase store buffers a card mark, so the next
-		// Cooperate has something to flush.
-		m.Update(x, 0, y)
-		if len(m.bb.cards) == 0 {
-			t.Fatal("batched Update buffered no card entry")
-		}
-		// Open an acknowledgement round by hand; no collector cycle is
-		// running, so the response below is the only moving part.
-		c.ackEpoch.Add(1)
-		if !m.PendingResponse() {
-			t.Fatal("ack epoch bump did not make a response pending")
-		}
-		flushSeen := false
-		rs.onStep = func(p fault.Point) {
-			if p != fault.BarrierFlush {
-				return
-			}
-			flushSeen = true
-			ackStoredAtFlush = m.ack.Load() == c.ackEpoch.Load()
-		}
-		m.Cooperate()
-		if !flushSeen {
-			t.Fatal("Cooperate never reached the barrier-flush point")
-		}
-		if !rs.saw(fault.Cooperate) {
-			t.Fatal("Cooperate never hit its own seam point")
-		}
-		if m.ack.Load() != c.ackEpoch.Load() {
-			t.Fatal("Cooperate did not store the acknowledgement")
-		}
-		if len(m.bb.shade) != 0 || len(m.bb.cards) != 0 {
-			t.Fatal("Cooperate left barrier entries buffered")
-		}
-		if !c.Cards.IsDirty(c.Cards.IndexOf(x)) {
-			t.Fatal("flush did not mark the buffered card")
-		}
-		return ackStoredAtFlush
-	}
-
-	t.Run("correct-order", func(t *testing.T) {
-		if run(t, false) {
-			t.Fatal("ack was already stored when the flush ran — flush must precede the ack")
-		}
-	})
-	t.Run("broken-order-is-observable", func(t *testing.T) {
-		if !run(t, true) {
-			t.Fatal("UnsafeBreakFlushBeforeAck did not move the flush after the ack store")
-		}
-	})
-}
-
-// TestDroppedHandshakeKeepsBuffers: a Cooperate that the injector turns
-// into a missed safe point must leave the response unmade and the
-// batched buffers intact — no dangling half-published state — and the
-// next safe point must deliver everything: flush first, then the ack.
-func TestDroppedHandshakeKeepsBuffers(t *testing.T) {
+// TestDroppedCooperateLeavesResponseUnmade: a Cooperate that the
+// injector turns into a missed safe point must leave the whole response
+// unmade — neither the posted status adopted nor the acknowledgement
+// stored, so the collector keeps waiting — and the next safe point must
+// deliver both.
+func TestDroppedCooperateLeavesResponseUnmade(t *testing.T) {
 	inj := fault.New(1)
 	inj.Install(fault.Rule{Point: fault.Cooperate, Kind: fault.Drop, Count: 1})
-	cfg := schedTestConfig(nil)
+	cfg := schedTestConfig()
 	cfg.Scheduler = nil
 	cfg.Fault = inj
 	c, err := New(cfg)
@@ -152,44 +54,26 @@ func TestDroppedHandshakeKeepsBuffers(t *testing.T) {
 	}
 	m := c.NewMutator()
 	defer m.Detach()
-	x, err := m.Alloc(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := m.Alloc(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Update(x, 0, y)
-	if got := len(m.bb.cards); got != 1 {
-		t.Fatalf("buffered %d card entries, want 1", got)
-	}
+	c.postHandshake(StatusSync1)
 	c.ackEpoch.Add(1)
 
-	// First safe point: dropped. Nothing may leak — the ack is not
-	// stored, the buffer is untouched, the card table unmarked.
-	m.Cooperate()
+	m.Cooperate() // dropped
+	if Status(m.status.Load()) != StatusAsync {
+		t.Fatal("dropped Cooperate adopted the posted status")
+	}
 	if m.ack.Load() == c.ackEpoch.Load() {
 		t.Fatal("dropped Cooperate stored the acknowledgement")
 	}
-	if got := len(m.bb.cards); got != 1 {
-		t.Fatalf("dropped Cooperate left %d card entries, want the original 1", got)
-	}
-	if c.Cards.IsDirty(c.Cards.IndexOf(x)) {
-		t.Fatal("dropped Cooperate marked the card")
+	if !m.PendingResponse() {
+		t.Fatal("a dropped response is no longer pending")
 	}
 
-	// Second safe point: the rule is spent, the response happens, and
-	// the buffered card arrives with it.
-	m.Cooperate()
+	m.Cooperate() // the rule is spent: the response happens
+	if Status(m.status.Load()) != StatusSync1 {
+		t.Fatal("second Cooperate did not adopt the posted status")
+	}
 	if m.ack.Load() != c.ackEpoch.Load() {
 		t.Fatal("second Cooperate did not store the acknowledgement")
-	}
-	if len(m.bb.shade) != 0 || len(m.bb.cards) != 0 {
-		t.Fatal("second Cooperate left barrier entries buffered")
-	}
-	if !c.Cards.IsDirty(c.Cards.IndexOf(x)) {
-		t.Fatal("second Cooperate did not publish the buffered card mark")
 	}
 	if got := inj.Fired(fault.Cooperate); got != 1 {
 		t.Fatalf("drop rule fired %d times, want 1", got)
@@ -200,10 +84,6 @@ func TestDroppedHandshakeKeepsBuffers(t *testing.T) {
 // verification-only configuration and must refuse the combinations the
 // harness cannot serialize.
 func TestSchedulerConfigValidation(t *testing.T) {
-	base := func() Config {
-		cfg := schedTestConfig(&recordingSched{})
-		return cfg
-	}
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -212,12 +92,12 @@ func TestSchedulerConfigValidation(t *testing.T) {
 		{"scheduler-with-fault", func(cfg *Config) { cfg.Fault = fault.New(1) }},
 		{"break-without-scheduler", func(cfg *Config) {
 			cfg.Scheduler = nil
-			cfg.UnsafeBreakFlushBeforeAck = true
+			cfg.UnsafeBreakSyncAccept = true
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base()
+			cfg := schedTestConfig()
 			tc.mut(&cfg)
 			if _, err := New(cfg); !errors.Is(err, ErrInvalidConfig) {
 				t.Fatalf("New() error = %v, want ErrInvalidConfig", err)
@@ -225,7 +105,7 @@ func TestSchedulerConfigValidation(t *testing.T) {
 		})
 	}
 	// And the supported shape works.
-	cfg := base()
+	cfg := schedTestConfig()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("valid scheduler config rejected: %v", err)

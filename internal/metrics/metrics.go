@@ -120,10 +120,6 @@ type Cycle struct {
 	// that found the lock held.
 	AllocRefills   int64
 	AllocContended int64
-
-	// BarrierFlushes counts batched-barrier buffer drains performed by
-	// mutators while the cycle ran; zero under the eager barrier.
-	BarrierFlushes int64
 }
 
 // Demographics is the run-cumulative heap-demographics aggregate: the

@@ -3,6 +3,7 @@ package modelcheck
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,25 @@ func testOptions(sc *Scenario) Options {
 		o.Preempt = 0
 	}
 	return o
+}
+
+// cleanReports memoizes each scenario's exploration on the unbroken
+// collector at the in-tree bounds: TestDeterminism's first leg is the
+// exploration TestExploreClean already paid for. (No test here runs in
+// parallel, so a plain map does.)
+var cleanReports = map[string]*Report{}
+
+func exploreClean(t *testing.T, sc *Scenario) *Report {
+	t.Helper()
+	if rep, ok := cleanReports[sc.Name]; ok {
+		return rep
+	}
+	rep, err := Explore(sc, testOptions(sc))
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	cleanReports[sc.Name] = rep
+	return rep
 }
 
 // TestDefaultRun: the unperturbed schedule of every scenario completes
@@ -49,10 +69,7 @@ func TestExploreClean(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rep, err := Explore(sc, testOptions(sc))
-			if err != nil {
-				t.Fatalf("explore: %v", err)
-			}
+			rep := exploreClean(t, sc)
 			if rep.Violation != nil {
 				t.Fatalf("violation after %d runs: %s\nschedule: %v",
 					rep.Runs, rep.Violation.Message, rep.Violation.Schedule)
@@ -72,22 +89,30 @@ func TestExploreClean(t *testing.T) {
 	}
 }
 
-// TestBreakFlushBeforeAck: re-introducing the historical
-// flush-after-ack ordering bug must be caught, minimized, and the
-// written replay must reproduce the violation.
-func TestBreakFlushBeforeAck(t *testing.T) {
-	sc, err := ByName("flush-vs-ack")
+// TestBreakNoSyncAccept: dropping §7.1's allocation-color acceptance
+// from the sync-window barrier must be caught, minimized, and the
+// written replay must reproduce the violation. The needle needs the
+// full preemption bound (the store has to land in the yellow window),
+// and it must stay a needle: the exploration passes a thousand
+// schedules before the one that fails, so the negative leg cannot
+// quietly degrade into "every schedule trips".
+func TestBreakNoSyncAccept(t *testing.T) {
+	sc, err := ByName("sync-store-race")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := testOptions(sc)
-	opts.BreakFlushBeforeAck = true
+	opts.Preempt = 1
+	opts.BreakSyncAccept = true
 	rep, err := Explore(sc, opts)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
 	if rep.Violation == nil {
-		t.Fatalf("the re-introduced flush-before-ack bug was not caught in %d runs", rep.Runs)
+		t.Fatalf("the removed §7.1 acceptance was not caught in %d runs", rep.Runs)
+	}
+	if rep.Runs < 1000 {
+		t.Fatalf("violation after only %d runs — the needle no longer needs a specific interleaving", rep.Runs)
 	}
 	v := rep.Violation
 	t.Logf("caught after %d runs: %s", rep.Runs, v.Message)
@@ -122,6 +147,21 @@ func TestBreakFlushBeforeAck(t *testing.T) {
 	t.Logf("replay reproduced: %s", res.Violation)
 }
 
+// TestReplayRetiredBreak: a replay file recorded under the retired
+// flush-before-ack break mode is refused with a message that says the
+// mode is gone, not that it is unknown.
+func TestReplayRetiredBreak(t *testing.T) {
+	for mode, want := range map[string]string{
+		"flush-before-ack": "retired",
+		"no-such-break":    "unknown",
+	} {
+		r := &Replay{Scenario: "sync-store-race", Break: mode}
+		if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("break %q: err = %v, want one mentioning %q", mode, err, want)
+		}
+	}
+}
+
 // TestDeterminism: two explorations of the same scenario agree run for
 // run — the whole harness is a pure function of the choice sequences.
 func TestDeterminism(t *testing.T) {
@@ -129,10 +169,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Explore(sc, testOptions(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := exploreClean(t, sc)
 	b, err := Explore(sc, testOptions(sc))
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // OBSERVABILITY.md documents.
 type Replay struct {
 	Scenario  string   `json:"scenario"`
-	Break     string   `json:"break,omitempty"` // "flush-before-ack" when found under the re-introduced bug
+	Break     string   `json:"break,omitempty"` // "no-sync-accept" when found under the re-introduced bug
 	Depth     int      `json:"depth"`
 	Preempt   int      `json:"preempt"`
 	Violation string   `json:"violation"`
@@ -33,8 +33,8 @@ func NewReplay(rep *Report, opts Options) *Replay {
 		PrefixLen: rep.Violation.PrefixLen,
 		Schedule:  rep.Violation.Schedule,
 	}
-	if opts.BreakFlushBeforeAck {
-		r.Break = "flush-before-ack"
+	if opts.BreakSyncAccept {
+		r.Break = "no-sync-accept"
 	}
 	return r
 }
@@ -79,9 +79,13 @@ func (r *Replay) Run() (*RunResult, error) {
 		return nil, err
 	}
 	opts := Options{Depth: r.Depth, Preempt: r.Preempt}
-	if r.Break == "flush-before-ack" {
-		opts.BreakFlushBeforeAck = true
-	} else if r.Break != "" {
+	switch r.Break {
+	case "":
+	case "no-sync-accept":
+		opts.BreakSyncAccept = true
+	case "flush-before-ack":
+		return nil, fmt.Errorf("replay: break mode %q was retired with the batched write barrier it broke; the file cannot be replayed", r.Break)
+	default:
 		return nil, fmt.Errorf("replay: unknown break mode %q", r.Break)
 	}
 	return runScenario(sc, r.Schedule[:r.PrefixLen], opts)

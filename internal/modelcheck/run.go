@@ -45,10 +45,10 @@ type Options struct {
 	// MaxRuns is the exploration's run-count safety cap.
 	MaxRuns int
 
-	// BreakFlushBeforeAck re-introduces the historical
-	// flush-after-ack ordering bug (gc.Config.UnsafeBreakFlushBeforeAck)
-	// so the harness can demonstrate a catch.
-	BreakFlushBeforeAck bool
+	// BreakSyncAccept removes §7.1's allocation-color acceptance from
+	// the sync-window barrier (gc.Config.UnsafeBreakSyncAccept) so the
+	// harness can demonstrate a catch.
+	BreakSyncAccept bool
 }
 
 // withDefaults fills the standard bounds.
@@ -118,9 +118,7 @@ func runScenario(sc *Scenario, prefix []Choice, opts Options) (*RunResult, error
 	cfg.Scheduler = vs
 	cfg.Fault = nil
 	cfg.Workers = 1
-	if opts.BreakFlushBeforeAck {
-		cfg.UnsafeBreakFlushBeforeAck = true
-	}
+	cfg.UnsafeBreakSyncAccept = opts.BreakSyncAccept
 	c, err := gc.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("modelcheck: %s: config: %w", sc.Name, err)
@@ -283,19 +281,15 @@ func runController(vs *VirtualScheduler, sc *Scenario, env *Env, prefix []Choice
 }
 
 // stepInvariants runs the shared invariants after every step: the
-// lost-object check and the barrier-buffer check always (both are
-// valid at any step), the no-reachable-clear check at sweep-shard
-// steps (valid only between trace fixpoint and end of sweep), plus the
-// scenario's own AfterStep.
+// lost-object check always (valid at any step), the no-reachable-clear
+// check at sweep-shard steps (valid only between trace fixpoint and end
+// of sweep), plus the scenario's own AfterStep.
 func stepInvariants(sc *Scenario, env *Env, step Choice) error {
 	if step.Drop {
 		// A dropped operation changes no state worth re-auditing.
 		return nil
 	}
 	if err := env.C.CheckReachableAllocated(); err != nil {
-		return fmt.Errorf("after %v: %w", step, err)
-	}
-	if err := env.C.CheckBarrierBuffers(); err != nil {
 		return fmt.Errorf("after %v: %w", step, err)
 	}
 	if step.Label == "sweep-shard" {

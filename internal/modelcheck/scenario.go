@@ -97,10 +97,9 @@ type Scenario struct {
 // microConfig is the scenarios' shared heap shape: small enough that a
 // schedule is a few hundred steps (256 blocks → 16 sweep-shard steps
 // per cycle), large enough that allocation never hits the OOM path.
-func microConfig(mode gc.Mode, barrier gc.BarrierMode) gc.Config {
+func microConfig(mode gc.Mode) gc.Config {
 	return gc.Config{
 		Mode:                   mode,
-		Barrier:                barrier,
 		HeapBytes:              1 << 20,
 		YoungBytes:             256 << 10,
 		CardBytes:              64,

@@ -12,9 +12,9 @@ import (
 // them — plus the per-step invariants of run.go on the way. The
 // scenarios correspond to the historical failure modes of on-the-fly
 // collectors: a store during the sync windows (Figure 1's two-shade
-// barrier), a batched flush racing the final acknowledgement round
-// (barrier.go's first safety bullet), a dropped safe point with
-// buffered card marks (§7.2), and the remembered-set variant of the
+// barrier, §7.1's acceptance window), a deletion-barrier shade racing
+// the final acknowledgement round, a dropped safe point around a card
+// mark (§7.2), and the remembered-set variant of the
 // inter-generational re-scan.
 
 // setupOldChain attaches a temporary mutator, allocates an object with
@@ -22,7 +22,7 @@ import (
 // runs warm partial collections so the object ends up old (black;
 // tenured after two cycles in aging mode). The object is left pristine
 // — no stores into it — so its card is clean and nothing masks a
-// lost buffered card mark.
+// lost card mark.
 func setupOldChain(env *Env, name string, slots, warmCycles int) error {
 	t := env.C.NewMutator()
 	x, err := t.Alloc(slots, 0)
@@ -51,7 +51,7 @@ func syncStoreRace() *Scenario {
 		Name: "sync-store-race",
 		Description: "store into an old object racing the sync1/sync2 windows; " +
 			"the two-shade barrier must keep the stored object alive in every schedule",
-		Config:   func() gc.Config { return microConfig(gc.Generational, gc.BarrierEager) },
+		Config:   func() gc.Config { return microConfig(gc.Generational) },
 		Setup:    func(env *Env) error { return setupOldChain(env, "z", 2, 1) },
 		Mutators: []string{"mut", "idle"},
 		Actors: []ActorDecl{
@@ -69,8 +69,8 @@ func syncStoreRace() *Scenario {
 			{Name: "idle", Run: func(env *Env) error { return DriveMutator(env, "idle", nil) }},
 		},
 		Indep: func(a, b Choice) bool {
-			// The bystander owns no roots, no objects and no barrier
-			// buffers; its safe-point responses touch only its own
+			// The bystander owns no roots and no objects; its
+			// safe-point responses touch only its own
 			// status/ack words, which the protagonist never reads —
 			// and vice versa. Drop variants are never declared
 			// independent (a drop changes which future choices exist).
@@ -95,29 +95,28 @@ func syncStoreRace() *Scenario {
 	}
 }
 
-// flushVsAck: batched barrier. Setup leaves old x with x.0 = o (o
-// clear-colored once the test cycle toggles) and x's card dirty. The
-// protagonist pre-arms a root slot, lets the handshakes pass, then
-// resurrects o into the root and deletes x.0 — the deletion barrier's
-// shade of o sits in the batched buffer, and the only thing standing
-// between o and the sweep is the flush-before-ack ordering of
-// Cooperate. With -break flush-before-ack the historical inversion is
-// re-introduced and the checker must produce a schedule where the
-// collector's termination round slips between the acknowledgement
-// store and the flush, frees o, and trips the reachability invariant.
-func flushVsAck() *Scenario {
+// shadeVsAck: setup leaves old x with x.0 = o (o clear-colored once the
+// test cycle toggles) and x's card dirty. The protagonist pre-arms a
+// root slot, lets the handshakes pass, then resurrects o into the root
+// and deletes x.0 — while the collector traces, the deletion barrier's
+// shade of o (the snapshot-at-the-beginning leg of Figure 1) lands in
+// the mutator's gray buffer, and the only thing standing between o and
+// the sweep is trace termination: the acknowledgement round must not
+// let the trace finish while that gray entry is undrained, wherever
+// the store falls between the collector's drains and its rounds.
+func shadeVsAck() *Scenario {
 	return &Scenario{
-		Name: "flush-vs-ack",
-		Description: "batched-barrier flush racing the trace-termination acknowledgement; " +
-			"a buffered SATB shade must be published before the ack that lets the trace finish",
-		Config: func() gc.Config { return microConfig(gc.Generational, gc.BarrierBatched) },
+		Name: "shade-vs-ack",
+		Description: "SATB deletion shade racing the trace-termination acknowledgement; " +
+			"the shaded object must be traced before the round that lets the trace finish",
+		Config: func() gc.Config { return microConfig(gc.Generational) },
 		Setup: func(env *Env) error {
 			if err := setupOldChain(env, "x", 1, 1); err != nil {
 				return err
 			}
 			// Phase 2: allocate o *after* the warm cycle so the test
 			// cycle's color toggle makes it clear-colored (sweepable),
-			// and publish x.0 = o; the detach flush dirties x's card.
+			// and publish x.0 = o, which dirties x's card.
 			t := env.C.NewMutator()
 			o, err := t.Alloc(1, 0)
 			if err != nil {
@@ -159,22 +158,23 @@ func flushVsAck() *Scenario {
 	}
 }
 
-// droppedHandshake: aging mode with OldAge 1, batched barrier, and a
-// drop budget of one safe-point response. The protagonist stores young
-// y into tenured, clean-carded x — the card mark rides the batched
-// buffer — and the schedule may make any one Cooperate a missed safe
-// point. The protocol's obligation: the buffered card must still be
-// published before any card scan that needs it (the next response
-// flushes first, and no cycle can pass the handshake without a
-// response), so y survives both cycles in every schedule including
-// the dropped ones.
+// droppedHandshake: aging mode with OldAge 1 and a drop budget of one
+// safe-point response. The protagonist stores young y into tenured,
+// clean-carded x — Figure 4's barrier marks the card after the store —
+// and the schedule may make any one Cooperate a missed safe point,
+// which moves the store across the collector's phases (a late sync1
+// response puts it beside the §7.2 clear/scan/re-set of the card
+// scan). The protocol's obligation: whichever side of a scan the mark
+// lands on, some scan sees the card dirty before y's root is gone (no
+// cycle passes a handshake without a response), so y survives both
+// cycles in every schedule including the dropped ones.
 func droppedHandshake() *Scenario {
 	return &Scenario{
 		Name: "dropped-handshake",
-		Description: "missed safe point with a buffered card mark; the next response must " +
-			"publish the card before any scan that depends on it",
+		Description: "missed safe point around an old-to-young store; the store's card mark " +
+			"must reach a card scan before the young target loses its root",
 		Config: func() gc.Config {
-			cfg := microConfig(gc.GenerationalAging, gc.BarrierBatched)
+			cfg := microConfig(gc.GenerationalAging)
 			cfg.OldAge = 1
 			return cfg
 		},
@@ -221,7 +221,7 @@ func remsetDrain() *Scenario {
 		Description: "remembered-set record racing the partial collection's drain; " +
 			"the recorded old object must be re-grayed before the trace that keeps its young target alive",
 		Config: func() gc.Config {
-			cfg := microConfig(gc.Generational, gc.BarrierEager)
+			cfg := microConfig(gc.Generational)
 			cfg.UseRememberedSet = true
 			return cfg
 		},
@@ -254,7 +254,7 @@ func remsetDrain() *Scenario {
 
 // Scenarios returns the named scenarios in their canonical order.
 func Scenarios() []*Scenario {
-	return []*Scenario{syncStoreRace(), flushVsAck(), droppedHandshake(), remsetDrain()}
+	return []*Scenario{syncStoreRace(), shadeVsAck(), droppedHandshake(), remsetDrain()}
 }
 
 // ByName resolves one scenario.

@@ -219,8 +219,9 @@ func (t *Trace) Breakdown() []CycleBreakdown {
 }
 
 // Meta returns each run's metadata string — the key=value pairs the
-// collector stamps into its "start" event (GOMAXPROCS, workers,
-// barrier, mode, module version) — indexed by run. Runs traced before
+// collector stamps into its "start" event (GOMAXPROCS, workers, mode,
+// module version; traces recorded while there were two write barriers
+// also carry barrier=) — verbatim, indexed by run. Runs traced before
 // metadata stamping existed, or streams without a leading boundary,
 // yield empty strings.
 func (t *Trace) Meta() []string {

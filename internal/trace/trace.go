@@ -36,9 +36,9 @@ import (
 //	start     runtime created; marks a run boundary in concatenated
 //	          traces (T is 0 at the runtime's epoch). K carries the
 //	          run metadata string when the tracer was built with
-//	          NewWithMeta ("gomaxprocs=8 workers=4 barrier=eager
-//	          mode=generational version=(devel)"), so
-//	          multi-run concatenations stay labeled
+//	          NewWithMeta ("gomaxprocs=8 workers=4
+//	          mode=generational version=(devel)"), so multi-run
+//	          concatenations stay labeled
 //	cycle     one whole collection cycle; K = "partial"|"full",
 //	          N = objects scanned, M = objects freed
 //	sync      one handshake round; K = "sync1"|"sync2"|"sync3"
@@ -68,9 +68,6 @@ import (
 //	          M = bytes promoted, K = the aging survival histogram as
 //	          "age:count,..." pairs (empty in the simple scheme, whose
 //	          every survivor is promoted)
-//	barrierflush one batched-barrier buffer drain; W = mutator id,
-//	          N = deferred shades drained, M = deferred card entries
-//	          drained, K = "handshake"|"full"|"detach" (what forced it)
 //	drops     events lost to ring overflow (emitted at Close); N = count
 type Event struct {
 	// Ev is the event kind (see the table above).

@@ -3,8 +3,9 @@ package workload
 import "gengc"
 
 // BarrierChurn parameterizes the pointer-write-heavy churn loop behind
-// the write-barrier benchmark (cmd/gcbench -experiment barrier) and the
-// barrier-mode equivalence tests. Unlike Profile — which calibrates
+// the telemetry-overhead experiment (cmd/gcbench -experiment telemetry),
+// cmd/gcmon's demo load and the "churn" profile of the contention
+// matrix (cmd/gcsweep). Unlike Profile — which calibrates
 // allocation/death rates against the paper's benchmarks — this loop is
 // deliberately store-dominated: every operation allocates one small
 // object and then fans Fanout pointer stores into a long-lived base
@@ -12,9 +13,7 @@ import "gengc"
 // measured quantity rather than allocation or tracing.
 //
 // The loop is deterministic (no PRNG): two runs with the same
-// parameters perform the identical sequence of allocations and stores,
-// which is what lets the eager-vs-batched equivalence test compare live
-// sets across barrier modes.
+// parameters perform the identical sequence of allocations and stores.
 type BarrierChurn struct {
 	// BaseObjects is the number of long-lived Fanout-slot objects per
 	// mutator; the fan of stores rotates through them. After the first
@@ -31,12 +30,6 @@ type BarrierChurn struct {
 	// reference (an object that rotates out of the ring stays
 	// reachable only through the base slots that still hold it).
 	Ring int
-
-	// UseWriteBatch switches the fan of stores from a Write-per-slot
-	// loop to one WriteBatch call per operation. The stores are
-	// identical (same slots, same values, same program point), so the
-	// two APIs are directly comparable in the benchmark sweep.
-	UseWriteBatch bool
 }
 
 // withDefaults fills unset fields: 64 base objects, fanout 8, a
@@ -75,25 +68,17 @@ func (c BarrierChurn) RunThread(m *gengc.Mutator, ops int) error {
 	for i := range ring {
 		ring[i] = m.PushRoot(gengc.Nil)
 	}
-	vals := make([]gengc.Ref, c.Fanout)
 	for op := 0; op < ops; op++ {
 		y, err := m.Alloc(2, 48)
 		if err != nil {
 			return err
 		}
 		m.SetRoot(ring[op%c.Ring], y)
-		for i := range vals {
+		x := base[op%c.BaseObjects]
+		for i := 0; i < c.Fanout; i++ {
 			// Spread the fan over the ring without a PRNG; the stride
 			// keeps consecutive slots from holding the same value.
-			vals[i] = m.Root(ring[(op+i*7)%c.Ring])
-		}
-		x := base[op%c.BaseObjects]
-		if c.UseWriteBatch {
-			m.WriteBatch(x, vals)
-		} else {
-			for i, v := range vals {
-				m.Write(x, i, v)
-			}
+			m.Write(x, i, m.Root(ring[(op+i*7)%c.Ring]))
 		}
 		m.Safepoint()
 	}

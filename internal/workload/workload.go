@@ -15,8 +15,8 @@
 // than the paper's figures (see DESIGN.md §5 for the full knob table):
 //
 //   - BarrierChurn: a store-dominated loop with uniform fan-out into a
-//     small base set — the write-barrier microbenchmark (cmd/gcbench
-//     -experiment barrier) and the "churn" profile of the contention
+//     small base set — the telemetry-overhead load (cmd/gcbench
+//     -experiment telemetry) and the "churn" profile of the contention
 //     matrix (cmd/gcsweep).
 //   - ZipfChurn: a popularity table whose objects receive pointer
 //     mutations in Zipf-skewed proportion (the Zipf type; skew s is a

@@ -67,9 +67,9 @@ func (z *Zipf) Prob(k int) float64 {
 // receive a skewed share of the pointer mutations — after the first
 // collection the table is old (black) and every such store is an
 // inter-generational write. High skew therefore concentrates card marks
-// (and, under BarrierBatched, same-card dedup opportunities) on a few
-// cards and focuses allocation-death traffic on a few size-class
-// shards; low skew spreads the same store volume across the table.
+// on a few cards and focuses allocation-death traffic on a few
+// size-class shards; low skew spreads the same store volume across the
+// table.
 // This is the popularity shape that "millions of users" traffic
 // actually has, and it is exactly what the uniform churn loop
 // (BarrierChurn) cannot express.

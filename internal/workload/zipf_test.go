@@ -96,7 +96,11 @@ func TestZipfDeterminism(t *testing.T) {
 }
 
 // runProfileThread runs one profile thread against a fresh generational
-// runtime and returns the final snapshot.
+// runtime and returns the final snapshot. Callers that assert a
+// collection happened size ops to cross the young trigger about twice:
+// the background collector has to be scheduled and finish a cycle
+// before Close, and a trigger that fires in the run's last fifth loses
+// that race on a loaded host.
 func runProfileThread(t *testing.T, run func(m *gengc.Mutator, ops int) error, ops int) gengc.Snapshot {
 	t.Helper()
 	rt, err := gengc.New(
@@ -124,7 +128,7 @@ func runProfileThread(t *testing.T, run func(m *gengc.Mutator, ops int) error, o
 // trigger partial collections and checks the heap survives Verify and
 // the skewed stores produced inter-generational traffic.
 func TestZipfChurnRuns(t *testing.T) {
-	snap := runProfileThread(t, ZipfChurn{Skew: 1.2, Seed: 3}.RunThread, 30_000)
+	snap := runProfileThread(t, ZipfChurn{Skew: 1.2, Seed: 3}.RunThread, 60_000)
 	if snap.Cycles == 0 {
 		t.Error("no collection cycles — workload too small to exercise the matrix")
 	}
@@ -136,7 +140,7 @@ func TestZipfChurnRuns(t *testing.T) {
 // TestAuctionRuns drives the auction mix and checks collections
 // happened and the verifier stays clean.
 func TestAuctionRuns(t *testing.T) {
-	snap := runProfileThread(t, Auction{Skew: 1.2, Seed: 5}.RunThread, 80_000)
+	snap := runProfileThread(t, Auction{Skew: 1.2, Seed: 5}.RunThread, 160_000)
 	if snap.Cycles == 0 {
 		t.Error("no collection cycles — workload too small to exercise the matrix")
 	}

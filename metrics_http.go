@@ -11,8 +11,8 @@ import (
 
 // Prometheus text exposition (version 0.0.4) for the runtime's
 // observability surface. MetricsHandler renders the same facts as
-// Snapshot — collection counters, heap occupancy, allocator and barrier
-// counters, the heap demographics, and the fleet pause histogram — as
+// Snapshot — collection counters, heap occupancy, allocator counters,
+// the heap demographics, and the fleet pause histogram — as
 // scrapeable metrics, so a runtime embedded in a service plugs into an
 // existing Prometheus/Grafana stack without bespoke glue. cmd/gcmon
 // mounts this handler on /metrics.
@@ -105,11 +105,6 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 	counter(b, "gengc_alloc_page_contended_total", "Page allocator lock acquisitions that contended.", a.PageContended)
 	gauge(b, "gengc_alloc_free_cells", "Blue (free) cells in blocks no allocation cache owns.", a.FreeCells)
 	gauge(b, "gengc_alloc_cached_cells", "Blue (free) cells in blocks owned by mutator allocation caches (reads high by unpublished claims).", a.CachedCells)
-
-	bar := s.Barrier
-	counter(b, "gengc_barrier_flushes_total", "Batched-barrier buffer drains.", bar.Flushes)
-	counter(b, "gengc_barrier_buffered_stores_total", "Pointer stores deferred through the batched barrier.", bar.BufferedStores)
-	counter(b, "gengc_barrier_card_dedup_hits_total", "Card entries elided by same-card deduplication.", bar.CardDedupHits)
 
 	writePauseHistogram(b, r)
 

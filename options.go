@@ -52,20 +52,6 @@ func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
 
-// WithBarrier selects the write-barrier implementation. BarrierEager
-// (the default) is the paper's barrier: every pointer store pays its
-// shade CAS and card-mark atomic immediately. BarrierBatched defers
-// that shared-memory work into per-mutator buffers with plain appends
-// and drains them at safe-point responses, full buffers and detach —
-// semantically equivalent (the drains complete before the handshake
-// responses the collector's phases wait on; DESIGN.md, "Barrier modes")
-// and faster on pointer-write-heavy workloads. Snapshot.Barrier reports
-// the flush counters. BarrierBatched cannot be combined with
-// WithDisableColorToggle (ErrInvalidConfig).
-func WithBarrier(b BarrierMode) Option {
-	return func(c *Config) { c.Barrier = b }
-}
-
 // WithOldAge sets the aging tenure threshold (GenerationalAging only):
 // the number of collections an object must survive before promotion.
 func WithOldAge(n int) Option {
