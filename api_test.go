@@ -22,7 +22,7 @@ func TestConfigErrorsAreSentinels(t *testing.T) {
 		{"card size", []Option{WithCardBytes(24)}},
 		{"threshold", []Option{WithFullThreshold(2)}},
 		{"workers", []Option{WithWorkers(-3)}},
-		{"mode mismatch", []Option{WithMode(NonGenerational), WithRememberedSet(true)}},
+		{"mode mismatch", []Option{WithConfig(Config{Mode: Generational, DisableColorToggle: true})}},
 		{"via WithConfig", []Option{WithConfig(Config{OldAge: 1000})}},
 	}
 	for _, tc := range cases {
@@ -211,28 +211,6 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	rt.Close()
 	rt.Close()
-}
-
-func TestExtensionsThroughFacade(t *testing.T) {
-	rt, err := NewManual(WithMode(Generational), WithHeapBytes(4<<20), WithRememberedSet(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rt.NewMutator()
-	a := m.MustAlloc(1, 0)
-	m.PushRoot(a)
-	m.Collect(false)
-	y := m.MustAlloc(0, 32)
-	m.Write(a, 0, y)
-	m.Collect(false)
-	if rt.Collector().H.LoadSlot(a, 0) != y {
-		t.Fatal("remembered-set variant lost an inter-generational target")
-	}
-	m.Detach()
-
-	if _, err := NewManual(WithMode(GenerationalAging), WithDynamicTenure(true)); err != nil {
-		t.Fatalf("dynamic tenure through facade: %v", err)
-	}
 }
 
 // TestWriteBatchMatchesWrite: both write APIs leave the same slot

@@ -193,48 +193,6 @@ func BenchmarkFig21to23(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRememberedSet compares the remembered-set extension
-// (§3.1's alternative) against card marking on the inter-generational
-// heavy jess profile.
-func BenchmarkAblationRememberedSet(b *testing.B) {
-	for _, rem := range []bool{false, true} {
-		name := "cards"
-		if rem {
-			name = "remset"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig(gengc.Generational, 4<<20, 16)
-			cfg.UseRememberedSet = rem
-			pp := workload.Jess().Scale(benchScale)
-			for i := 0; i < b.N; i++ {
-				if _, err := workload.Run(pp, cfg, int64(42+i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDynamicTenure compares fixed and dynamic tenuring.
-func BenchmarkAblationDynamicTenure(b *testing.B) {
-	for _, dyn := range []bool{false, true} {
-		name := "fixed"
-		if dyn {
-			name = "dynamic"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig(gengc.GenerationalAging, 4<<20, 16)
-			cfg.DynamicTenure = dyn
-			pp := workload.Jack().Scale(benchScale)
-			for i := 0; i < b.N; i++ {
-				if _, err := workload.Run(pp, cfg, int64(42+i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Micro-benchmarks of the collector's hot paths ---
 
 // BenchmarkWriteBarrier measures the mutator-visible Update cost per

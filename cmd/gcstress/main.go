@@ -41,8 +41,6 @@ func main() {
 		oldAge      = flag.Int("age", 3, "aging tenure threshold")
 		seed        = flag.Int64("seed", time.Now().UnixNano(), "random seed")
 		rounds      = flag.Int("rounds", 4, "verification rounds (workload is split across them)")
-		remset      = flag.Bool("remset", false, "use the remembered-set variant")
-		dynTenure   = flag.Bool("dyntenure", false, "use the dynamic tenuring policy")
 		globalSlots = flag.Int("globals", 64, "global root slots exercised")
 		workers     = flag.Int("workers", 1, "parallel collector workers")
 		traceOut    = flag.String("trace", "", "write a JSONL event trace to this file (render with gcreport)")
@@ -59,8 +57,6 @@ func main() {
 		gengc.WithYoungBytes(*youngKB << 10),
 		gengc.WithCardBytes(*cardBytes),
 		gengc.WithOldAge(*oldAge),
-		gengc.WithRememberedSet(*remset),
-		gengc.WithDynamicTenure(*dynTenure),
 		gengc.WithWorkers(*workers),
 	}
 	var sink *gengc.JSONLTraceSink

@@ -313,7 +313,7 @@ type Snapshot struct {
 	// Demographics is the run-cumulative heap-demographics aggregate:
 	// objects/bytes promoted into the old generation, the young
 	// survival totals and aging survival histogram, per-size-class
-	// death counts, and inter-generational card/remset traffic.
+	// death counts, and inter-generational card traffic.
 	// Populated by generational partial collections; the online signal
 	// the adaptive-pacer work reads.
 	Demographics Demographics
@@ -498,11 +498,11 @@ func (m *Mutator) Write(x Ref, i int, y Ref) { m.m.Update(x, i, y) }
 
 // WriteBatch stores vals into slots 0..len(vals)-1 of object x through
 // the write barrier, with the per-object bookkeeping (phase sampling,
-// the card mark or remembered-set record) done once for the whole batch
-// rather than per slot. It is equivalent to calling Write(x, j,
-// vals[j]) for each j at a single program point; use it for bulk object
-// initialization and dense slot rewrites. Stores that scatter across
-// objects or slots gain nothing — keep those on Write.
+// the card mark) done once for the whole batch rather than per slot. It
+// is equivalent to calling Write(x, j, vals[j]) for each j at a single
+// program point; use it for bulk object initialization and dense slot
+// rewrites. Stores that scatter across objects or slots gain nothing —
+// keep those on Write.
 func (m *Mutator) WriteBatch(x Ref, vals []Ref) { m.m.UpdateBatch(x, vals) }
 
 // Read loads pointer slot i of object x (no read barrier, per DLG).

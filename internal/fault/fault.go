@@ -5,10 +5,10 @@
 // collector's chaos testing: named injection points are threaded
 // through the runtime's coordination seams (handshake posting and
 // acknowledgement, safe-point cooperation, trace-worker stealing, sweep
-// shards, allocation, trace-sink writes, card and remembered-set
-// scans); an armed Injector decides at each hit whether to delay the
-// caller, drop the operation once, or fail it, with a configured
-// probability drawn from a reproducible per-point PRNG stream.
+// shards, allocation, trace-sink writes, card scans); an armed Injector
+// decides at each hit whether to delay the caller, drop the operation
+// once, or fail it, with a configured probability drawn from a
+// reproducible per-point PRNG stream.
 //
 // The second is the Scheduler interface: the same points double as the
 // schedulable steps of a deterministic virtual scheduler
@@ -92,11 +92,6 @@ const (
 	// guarded by an armed-seam check hoisted out of the drain loop.
 	TraceDrain
 
-	// RemsetDrain fires once per remembered-set buffer the collector
-	// drains at the start of a remembered-set partial collection
-	// (delay only) — the inter-generational re-scan ordering seam.
-	RemsetDrain
-
 	// HandshakeWait and AckWait are scheduler wait points, not
 	// injection points: the collector parks on them while waiting for
 	// every mutator to respond to a posted status or acknowledgement
@@ -131,8 +126,6 @@ func (p Point) String() string {
 		return "card-scan"
 	case TraceDrain:
 		return "trace-drain"
-	case RemsetDrain:
-		return "remset-drain"
 	case HandshakeWait:
 		return "handshake-wait"
 	case AckWait:

@@ -169,7 +169,6 @@ func TestPointAndKindStrings(t *testing.T) {
 		SinkWrite:     "sink-write",
 		CardScan:      "card-scan",
 		TraceDrain:    "trace-drain",
-		RemsetDrain:   "remset-drain",
 		HandshakeWait: "handshake-wait",
 		AckWait:       "ack-wait",
 	}

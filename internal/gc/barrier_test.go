@@ -181,6 +181,7 @@ func TestBarrierAsyncTracing(t *testing.T) {
 			c.switchColors() // white becomes the clear color
 			c.tracing.Store(true)
 			defer c.tracing.Store(false)
+			c.Cards.ClearAll() // the idle store above dirtied x's card
 
 			api.store(m, x, y)
 			if c.H.Color(old) != heap.Gray {
@@ -188,6 +189,13 @@ func TestBarrierAsyncTracing(t *testing.T) {
 			}
 			if c.H.Color(y) == heap.Gray {
 				t.Error("stored value grayed during async trace (insertion barrier must be off)")
+			}
+			// Figure 1 marks the card whatever x's color: x is young
+			// (clear-colored) here, but the trace may promote it before
+			// the next partial, which must then find y through the card.
+			if c.H.Color(x) != c.ClearColor() || !c.Cards.IsDirty(c.Cards.IndexOf(x)) {
+				t.Errorf("x color %v, card dirty %v: want clear-colored x on a dirty card",
+					c.H.Color(x), c.Cards.IsDirty(c.Cards.IndexOf(x)))
 			}
 			// The gray must have been published to the mutator's buffer.
 			m.gray.Lock()

@@ -42,10 +42,14 @@ func (s Status) String() string {
 
 // Collector owns the heap, card table and collection machinery. One
 // Collector corresponds to one JVM instance of the paper.
+//
+// Field order is load-bearing: the atomic words every mutator reads per
+// allocation and barrier come first, then the padded words mutators
+// write, then everything else — the read-only cfg included, so editing
+// Config cannot shift the hot words (TestCollectorLayout pins this).
 type Collector struct {
 	H     *heap.Heap
 	Cards *card.Table
-	cfg   Config
 	rec   *metrics.Recorder
 
 	// Color-toggle state (§5). Written by the collector only, read by
@@ -68,9 +72,12 @@ type Collector struct {
 	// The three counters below are written by mutators on hot paths
 	// (every shade, every published allocation block), so they are padded
 	// onto cache lines of their own: the words around them — the colors
-	// and handshake status every mutator reads per allocation and barrier,
-	// the registry lock the collector polls — must not bounce with them.
-	_ [64]byte
+	// and handshake status above, the Config the barrier reads below —
+	// must not bounce with them. The pad also starts them at offset 128,
+	// so the three share one line: straddling two (at offset 112) made
+	// every publishAllocs and every swept block's noteFreed move two
+	// contended lines, and cost old_mutation ~4 % CPU per op.
+	_ [80]byte
 
 	// grayProduced counts gray transitions performed by mutators; the
 	// trace-termination fixpoint check compares it across an
@@ -86,6 +93,9 @@ type Collector struct {
 	heapBytes   atomic.Int64
 	heapObjects atomic.Int64
 	_           [64]byte
+
+	// cfg is read-only after New; the barrier reads cfg.Mode per store.
+	cfg Config
 
 	// muts is the mutator registry.
 	muts struct {
@@ -115,12 +125,6 @@ type Collector struct {
 		buf []heap.Addr
 	}
 
-	// remOrphans holds remembered-set entries from detached mutators.
-	remOrphans struct {
-		sync.Mutex
-		buf []heap.Addr
-	}
-
 	// phase and sweepBlock drive the toggle-free create protocol
 	// (notoggle.go): the collector's coarse phase and the block the
 	// sweep is currently processing.
@@ -132,8 +136,8 @@ type Collector struct {
 	cyc metrics.Cycle
 
 	// pacer owns the collection-scheduling policy: the young-bytes
-	// partial trigger, the adaptive full-collection target and the
-	// dynamic tenure threshold (pacer.go).
+	// partial trigger and the adaptive full-collection target
+	// (pacer.go).
 	pacer *Pacer
 
 	// cyclesDone and fullsDone count completed collections; the
@@ -402,9 +406,6 @@ func (c *Collector) Stop() {
 	}
 }
 
-// Closed reports whether Stop has been initiated.
-func (c *Collector) Closed() bool { return c.closed.Load() }
-
 // Stalls returns how many stalled-mutator reports the handshake
 // watchdog has issued.
 func (c *Collector) Stalls() int64 { return c.stalls.Load() }
@@ -550,9 +551,6 @@ func (c *Collector) recordSelfCheckViolation(err error) {
 		c.selfCheck.firstErr = err
 	}
 	c.selfCheck.Unlock()
-	if c.cfg.Log != nil {
-		fmt.Fprintf(c.cfg.Log, "gc: SELF-CHECK VIOLATION: %v\n", err)
-	}
 }
 
 // SelfCheckErr returns the first inter-cycle self-check violation and
@@ -631,11 +629,8 @@ func (c *Collector) HeapObjects() int64 { return c.heapObjects.Load() }
 // Pacer exposes the collection-scheduling component.
 func (c *Collector) Pacer() *Pacer { return c.pacer }
 
-// oldestAge returns the current tenure threshold.
-func (c *Collector) oldestAge() uint8 { return uint8(c.pacer.OldAge()) }
-
-// OldestAge exposes the current (possibly dynamic) tenure threshold.
-func (c *Collector) OldestAge() int { return c.pacer.OldAge() }
+// oldestAge returns the tenure threshold.
+func (c *Collector) oldestAge() uint8 { return uint8(c.cfg.OldAge) }
 
 // CollectNow runs one synchronous collection cycle on the calling
 // goroutine. The caller must not be a mutator (a mutator would deadlock

@@ -15,7 +15,6 @@ package gc
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"gengc/internal/card"
@@ -151,19 +150,6 @@ type Config struct {
 	// the Remark 5.1 ablation.
 	DisableColorToggle bool
 
-	// UseRememberedSet replaces card marking with a remembered set
-	// for inter-generational pointers — the §3.1 alternative the
-	// paper discusses but does not build. Only valid with
-	// Mode == Generational.
-	UseRememberedSet bool
-
-	// DynamicTenure makes the aging tenure threshold self-adjusting
-	// (§6 notes dynamic policies "could easily be implemented"): the
-	// threshold rises while young survival is high and falls while
-	// almost everything dies young. Only valid with
-	// Mode == GenerationalAging; OldAge is the starting point.
-	DynamicTenure bool
-
 	// TrackPages enables the Figure 15 pages-touched instrumentation.
 	TrackPages bool
 
@@ -229,9 +215,6 @@ type Config struct {
 	// checker exists to catch exactly this, and nothing else may run
 	// with the acceptance removed.
 	UnsafeBreakSyncAccept bool
-
-	// Log, when non-nil, receives one line per collection cycle.
-	Log io.Writer
 
 	// TraceSink, when non-nil, receives the structured event stream
 	// (cycle, handshake-round, ack-round, card-scan, trace-drain,
@@ -372,14 +355,8 @@ func (c Config) validate() error {
 			return err
 		}
 	}
-	if c.UseRememberedSet && c.Mode != Generational {
-		return fmt.Errorf("gc: %w: remembered set requires the simple generational mode", ErrInvalidConfig)
-	}
 	if c.DisableColorToggle && c.Mode != NonGenerational {
 		return fmt.Errorf("gc: %w: the toggle-free create protocol is only supported without generations", ErrInvalidConfig)
-	}
-	if c.DynamicTenure && c.Mode != GenerationalAging {
-		return fmt.Errorf("gc: %w: dynamic tenuring requires the aging mode", ErrInvalidConfig)
 	}
 	if c.Scheduler != nil {
 		if c.Workers != 1 {

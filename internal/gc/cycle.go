@@ -62,11 +62,7 @@ func (c *Collector) Cycle(full bool) {
 		// scan finishes before any yellow object can exist (§7.1).
 		if !full {
 			csStart := time.Now()
-			if c.cfg.UseRememberedSet {
-				c.drainRememberedSet()
-			} else {
-				c.clearCardsSimple()
-			}
+			c.clearCardsSimple()
 			c.emit("cardscan", csStart, "",
 				int64(c.cyc.DirtyCards), int64(c.cyc.AllocatedCards))
 		}
@@ -151,8 +147,7 @@ func (c *Collector) Cycle(full bool) {
 		// minus the globals root when it entered the trace as a root
 		// rather than via a dirty card — yields the promotion counts;
 		// byte-side, the trace accumulated each blackened object's
-		// size, and the card scan / remembered-set drain the re-grayed
-		// old volume.
+		// size, and the card scan the re-grayed old volume.
 		c.cyc.Survivors = c.cyc.ObjectsScanned - c.cyc.InterGenScanned
 		promoted := c.cyc.Survivors
 		promotedBytes := c.cyc.TraceBytes - c.cyc.InterGenBytes
@@ -229,19 +224,6 @@ func (c *Collector) Cycle(full bool) {
 		c.pacer.NotePromotion(c.cyc.PromotedBytes, int(youngAtStart))
 	}
 	c.rec.Record(c.cyc)
-	if c.cfg.Log != nil {
-		fmt.Fprintf(c.cfg.Log,
-			"gc %s: %v sync=%v scanned=%d intergen=%d dirty=%d/%d freed=%d (%d B) survivors=%d pages=%d\n",
-			kind, c.cyc.Duration.Round(time.Microsecond),
-			c.cyc.HandshakeTime.Round(time.Microsecond),
-			c.cyc.ObjectsScanned, c.cyc.InterGenScanned,
-			c.cyc.DirtyCards, c.cyc.AllocatedCards,
-			c.cyc.ObjectsFreed, c.cyc.BytesFreed, c.cyc.Survivors,
-			c.cyc.PagesTouched)
-	}
-	if !full && c.cfg.DynamicTenure {
-		c.pacer.NoteSurvival(c.cyc.ObjectsFreed, c.cyc.Survivors)
-	}
 	// Retire the cycle with the pacer: consume the young bytes the
 	// cycle covered (bytes allocated while it ran are young for the
 	// *next* cycle), reconcile the occupancy estimate against the
@@ -314,8 +296,4 @@ func (c *Collector) abortCycle(start time.Time, phase string) {
 	c.emit("cycleabort", start, phase, 0, 0)
 	c.flushTrace()
 	c.triggerDump("cycleabort")
-	if c.cfg.Log != nil {
-		fmt.Fprintf(c.cfg.Log, "gc: cycle aborted at close (wedged in %s after %v)\n",
-			phase, time.Since(start).Round(time.Millisecond))
-	}
 }

@@ -17,9 +17,9 @@ const (
 )
 
 // Pacer owns the collection-scheduling policy that used to be scattered
-// through the collector: the young-allocation trigger of §3.3, the
+// through the collector: the young-allocation trigger of §3.3 and the
 // adaptive full-collection target modeling the paper's grow-on-demand
-// heap, and the DynamicTenure threshold of §6.
+// heap.
 //
 // The pacer is off the per-object path: a mutator hands NoteAlloc its
 // requested bytes once per published block (Mutator.publishAllocs), so
@@ -56,30 +56,18 @@ type Pacer struct {
 	// clamped to [initialTgt, emergency], and never decreases.
 	fullTarget atomic.Int64
 
-	// dynOldAge is the current tenure threshold; equals the
-	// configured OldAge unless DynamicTenure adjusts it.
-	dynOldAge atomic.Int32
-
 	// promotionRate is an exponentially weighted moving average of
 	// promoted bytes per young byte allocated, observed at the end of
 	// every generational partial (NotePromotion). Stored as a float64
 	// bit pattern; the ROADMAP's adaptive-pacer work reads it to
-	// predict old-generation growth. promotedBytes is the lifetime
-	// total.
+	// predict old-generation growth.
 	promotionRate atomic.Uint64
-	promotedBytes atomic.Int64
 	promotionSeen atomic.Bool
 
-	// Robustness signals for the admission controller (admission.go):
-	// slips counts allocation-deadline misses (an AllocCtx expiring in
-	// the slow path, or an OOM give-up) with lastSlip the unixnano of
-	// the most recent one, and allocWait is an EWMA of how long
-	// allocation slow-path waits lasted (float64 nanoseconds, stored
-	// as a bit pattern like promotionRate).
-	slips         atomic.Int64
-	lastSlip      atomic.Int64
-	allocWait     atomic.Uint64
-	allocWaitSeen atomic.Bool
+	// lastSlip is the unixnano of the most recent allocation-deadline
+	// miss (an AllocCtx expiring in the slow path, or an OOM give-up) —
+	// the admission controller's SlipWithin signal (admission.go).
+	lastSlip atomic.Int64
 }
 
 // promotionAlpha is the EWMA weight of the newest partial's observed
@@ -99,7 +87,6 @@ func newPacer(cfg Config, heapSize int) *Pacer {
 		headroom:     int64(cfg.HeadroomBytes),
 	}
 	p.fullTarget.Store(p.initialTgt)
-	p.dynOldAge.Store(int32(cfg.OldAge))
 	return p
 }
 
@@ -216,7 +203,6 @@ func (p *Pacer) Retarget(occupied int64) {
 // bytes out of the youngBytes the cycle covered. The first observation
 // seeds the EWMA; later ones fold in with weight promotionAlpha.
 func (p *Pacer) NotePromotion(promotedBytes, youngBytes int) {
-	p.promotedBytes.Add(int64(promotedBytes))
 	if youngBytes <= 0 {
 		return
 	}
@@ -241,23 +227,13 @@ func (p *Pacer) PromotionRate() float64 {
 	return math.Float64frombits(p.promotionRate.Load())
 }
 
-// PromotedBytes returns the lifetime total of bytes promoted into the
-// old generation.
-func (p *Pacer) PromotedBytes() int64 { return p.promotedBytes.Load() }
-
-// OldAge returns the current tenure threshold.
-func (p *Pacer) OldAge() int { return int(p.dynOldAge.Load()) }
-
-// Occupancy returns the pacer's current allocated-bytes estimate. It
-// can overshoot the true value between reconcile points (see the type
-// comment) — conservative in the right direction for a shed-before-OOM
+// OccupancyRatio returns the occupancy estimate as a fraction of the
+// emergency full-collection bound (FullThreshold·heap): 1.0 means the
+// next allocation trips the emergency trigger. The admission
+// controller's red-line watermark is expressed in this unit; the
+// estimate can overshoot between reconcile points (see the type
+// comment), which errs in the right direction for a shed-before-OOM
 // watermark.
-func (p *Pacer) Occupancy() int64 { return p.occupancy.Load() }
-
-// OccupancyRatio returns occupancy as a fraction of the emergency
-// full-collection bound (FullThreshold·heap): 1.0 means the next
-// allocation trips the emergency trigger. The admission controller's
-// red-line watermark is expressed in this unit.
 func (p *Pacer) OccupancyRatio() float64 {
 	if p.emergency <= 0 {
 		return 0
@@ -269,12 +245,8 @@ func (p *Pacer) OccupancyRatio() float64 {
 // context expired while waiting for a full collection, or an
 // allocation that exhausted its retry budget (OOM give-up).
 func (p *Pacer) NoteSlip() {
-	p.slips.Add(1)
 	p.lastSlip.Store(time.Now().UnixNano())
 }
-
-// Slips returns the lifetime allocation-deadline miss count.
-func (p *Pacer) Slips() int64 { return p.slips.Load() }
 
 // SlipWithin reports whether an allocation deadline slipped within the
 // last window — the admission controller's "deadlines are slipping
@@ -282,46 +254,4 @@ func (p *Pacer) Slips() int64 { return p.slips.Load() }
 func (p *Pacer) SlipWithin(window time.Duration) bool {
 	last := p.lastSlip.Load()
 	return last != 0 && time.Now().UnixNano()-last <= int64(window)
-}
-
-// NoteAllocWait folds one allocation slow-path wait into the EWMA
-// (same seeding and weight as the promotion-rate estimate).
-func (p *Pacer) NoteAllocWait(d time.Duration) {
-	ns := float64(d.Nanoseconds())
-	if !p.allocWaitSeen.Swap(true) {
-		p.allocWait.Store(math.Float64bits(ns))
-		return
-	}
-	for {
-		old := p.allocWait.Load()
-		next := math.Float64bits(promotionAlpha*ns +
-			(1-promotionAlpha)*math.Float64frombits(old))
-		if p.allocWait.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// AllocWaitEWMA returns the smoothed allocation slow-path wait (0 until
-// the first wait completes).
-func (p *Pacer) AllocWaitEWMA() time.Duration {
-	return time.Duration(math.Float64frombits(p.allocWait.Load()))
-}
-
-// NoteSurvival implements the DynamicTenure policy after a partial
-// collection: high young survival suggests objects need more time to
-// die (raise the threshold, delaying promotion); near-total young
-// mortality means aging buys nothing over simple promotion (lower it).
-func (p *Pacer) NoteSurvival(freed, survivors int) {
-	if freed+survivors == 0 {
-		return
-	}
-	survival := float64(survivors) / float64(freed+survivors)
-	cur := p.dynOldAge.Load()
-	switch {
-	case survival > 0.6 && cur < 10:
-		p.dynOldAge.Store(cur + 1)
-	case survival < 0.2 && cur > 1:
-		p.dynOldAge.Store(cur - 1)
-	}
 }

@@ -8,13 +8,13 @@ import (
 
 // The scheduler seam. Every coordination point of the protocol —
 // handshake post/ack, safe-point cooperation, trace drain and steal,
-// card/remset scans, sweep-shard claims — funnels
-// through the three helpers below, which route each hit to the
-// configured virtual scheduler (Config.Scheduler) when one is armed,
-// else to the chaos injector (Config.Fault) when one is armed, else do
-// nothing. Production holds nil for both, so a seam hit costs two
-// pointer comparisons; the per-object hot loops additionally hoist the
-// armed check out of the loop (seamArmed).
+// card scans, sweep-shard claims — funnels through the three helpers
+// below, which route each hit to the configured virtual scheduler
+// (Config.Scheduler) when one is armed, else to the chaos injector
+// (Config.Fault) when one is armed, else do nothing. Production holds
+// nil for both, so a seam hit costs two pointer comparisons; the
+// per-object hot loops additionally hoist the armed check out of the
+// loop (seamArmed).
 
 // Named timing constants of the real scheduler's wait loops, exported
 // because the virtual scheduler's time model (internal/modelcheck) is

@@ -97,7 +97,7 @@ func (c *Collector) Verify() error {
 // meaningful for the generational modes; in the simple-promotion mode
 // old means black, in the aging mode old means black and tenured.
 func (c *Collector) VerifyCardInvariant() error {
-	if !c.cfg.Mode.IsGenerational() || c.cfg.UseRememberedSet {
+	if !c.cfg.Mode.IsGenerational() {
 		return nil
 	}
 	c.cycleMu.Lock()

@@ -85,8 +85,8 @@ type Cycle struct {
 
 	// TraceBytes is the total byte size of the objects the trace
 	// blackened; InterGenBytes the byte size of the old objects the
-	// card scan (or remembered-set drain) re-grayed. Their difference
-	// is the young-survivor byte volume of a simple-mode partial.
+	// card scan re-grayed. Their difference is the young-survivor byte
+	// volume of a simple-mode partial.
 	TraceBytes    int
 	InterGenBytes int
 
@@ -125,8 +125,8 @@ type Cycle struct {
 // Demographics is the run-cumulative heap-demographics aggregate: the
 // per-cycle promotion/survival/death accounting summed over a runtime's
 // whole history. Promotion, survival and the histograms come from
-// generational partial collections only; the card/remset traffic
-// counters likewise accumulate from the partials that scan them.
+// generational partial collections only; the card traffic counters
+// likewise accumulate from the partials that scan them.
 type Demographics struct {
 	// Objects and bytes promoted into the old generation.
 	PromotedObjects int64 `json:"promoted_objects"`

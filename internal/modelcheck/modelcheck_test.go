@@ -179,10 +179,17 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestByName covers the registry's error path.
+// TestByName covers the registry's error paths: an unknown name, and a
+// retired one (a stale -scenario flag or replay file), which must say so.
 func TestByName(t *testing.T) {
 	if _, err := ByName("no-such-scenario"); err == nil {
 		t.Fatal("expected an error for an unknown scenario")
+	}
+	if _, err := ByName("remset-drain"); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("retired scenario: err = %v, want one mentioning \"retired\"", err)
+	}
+	if _, err := (&Replay{Scenario: "remset-drain"}).Run(); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("retired scenario replay: err = %v, want one mentioning \"retired\"", err)
 	}
 	for _, sc := range Scenarios() {
 		got, err := ByName(sc.Name)

@@ -285,16 +285,13 @@ func assertSlot(env *Env, obj string, i int, val string) error {
 }
 
 // quiescentAudit is the shared end-of-run audit: the full reachability
-// verifier, the card invariant where cards are in use, and the
-// inter-cycle self-check.
-func quiescentAudit(env *Env, cards bool) error {
+// verifier, the card invariant, and the inter-cycle self-check.
+func quiescentAudit(env *Env) error {
 	if err := env.C.Verify(); err != nil {
 		return err
 	}
-	if cards {
-		if err := env.C.VerifyCardInvariant(); err != nil {
-			return err
-		}
+	if err := env.C.VerifyCardInvariant(); err != nil {
+		return err
 	}
 	return env.C.CheckQuiescentCycle()
 }

@@ -3,7 +3,7 @@
 // that implements the collector's fault.Scheduler seam, enumerates
 // bounded-exhaustive interleavings of the protocol's schedulable steps
 // (handshake posts and acknowledgement rounds, safe-point responses,
-// card and remembered-set scans, trace drains, sweep shards), and
+// card scans, trace drains, sweep shards), and
 // asserts the collector's shared invariants
 // (gc.CheckReachableAllocated and friends) after every step of every
 // schedule.

@@ -1,9 +1,6 @@
 package gengc
 
-import (
-	"io"
-	"time"
-)
+import "time"
 
 // Option configures a Runtime under construction. Options apply in
 // order over the paper's defaults (32 MB heap, 4 MB young generation,
@@ -82,40 +79,9 @@ func WithGlobalRootSlots(n int) Option {
 	return func(c *Config) { c.GlobalRootSlots = n }
 }
 
-// WithRememberedSet replaces card marking with a remembered set for
-// inter-generational pointers (§3.1's alternative; Generational only).
-func WithRememberedSet(on bool) Option {
-	return func(c *Config) { c.UseRememberedSet = on }
-}
-
-// WithDynamicTenure makes the aging tenure threshold self-adjusting
-// (GenerationalAging only).
-func WithDynamicTenure(on bool) Option {
-	return func(c *Config) { c.DynamicTenure = on }
-}
-
-// WithDisableColorToggle runs the baseline with the original §2 DLG
-// create protocol instead of the Remark 5.1 color toggle
-// (NonGenerational only; exists for the ablation).
-func WithDisableColorToggle(on bool) Option {
-	return func(c *Config) { c.DisableColorToggle = on }
-}
-
 // WithPageTracking enables the Figure 15 pages-touched instrumentation.
 func WithPageTracking(on bool) Option {
 	return func(c *Config) { c.TrackPages = on }
-}
-
-// WithPageCostSpins charges the collector a busy-spin per first-touched
-// page per cycle, reintroducing the memory-hierarchy cost of the
-// paper's hardware (implies page tracking).
-func WithPageCostSpins(n int) Option {
-	return func(c *Config) { c.PageCostSpins = n }
-}
-
-// WithLog directs one log line per collection cycle to w.
-func WithLog(w io.Writer) Option {
-	return func(c *Config) { c.Log = w }
 }
 
 // WithTraceSink streams the collector's structured events — cycle,
