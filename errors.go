@@ -38,9 +38,8 @@ var (
 	// ErrShed is wrapped by admission rejections (Runtime.Admission's
 	// Admit, and internal consumers like the server engine) when the
 	// admission controller armed with WithAdmission turns a request
-	// away: queue full, queue wait timed out or outlived the caller's
-	// deadline, degraded mode rejecting a low-priority request, or a
-	// draining runtime. Sheds are backpressure, not failures — the
+	// away: queue full, degraded mode rejecting a low-priority request,
+	// or a draining runtime. Sheds are backpressure, not failures — the
 	// caller should drop the request or retry elsewhere, never spin.
 	ErrShed = gc.ErrShed
 )

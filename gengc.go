@@ -156,16 +156,18 @@ type PauseStats = metrics.PauseStats
 type AdmissionConfig = gc.AdmissionConfig
 
 // AdmissionStats is the admission controller's counter snapshot
-// (Snapshot.Admission): admitted/shed totals broken down by shed cause,
-// caller-reported retries, degraded-mode transitions and the live
-// queue/in-flight gauges. Enabled is false — and everything else zero —
+// (Snapshot.Admission): requests taken up before their deadline, shed
+// totals broken down by cause, caller-reported retries, degraded-mode
+// transitions and the live queue-depth/being-served gauges. Enabled is false — and everything else zero —
 // without WithAdmission.
 type AdmissionStats = gc.AdmissionStats
 
 // Admission is the runtime's admission controller handle (see
-// Runtime.Admission): Admit/Release bracket one unit of work, NoteRetry
-// reports a transient-failure retry, BeginDrain stops admission for
-// shutdown.
+// Runtime.Admission): the non-blocking door (Admit) in front of the
+// embedder's own bounded request queue, and the counters that follow a
+// request through it (Start/Finish when served, Expire when its
+// deadline passes in the queue, Abandon at a drain). NoteRetry reports
+// a transient-failure retry, BeginDrain stops admission for shutdown.
 type Admission = gc.Admission
 
 // Priority classifies a request for the admission controller's degraded
@@ -336,7 +338,8 @@ type Snapshot struct {
 
 	// Admission is the admission controller's counter snapshot:
 	// admitted/shed totals by cause, degraded-mode state and the live
-	// queue/in-flight gauges. Enabled is false without WithAdmission.
+	// queue-depth/being-served gauges. Enabled is false without
+	// WithAdmission.
 	Admission AdmissionStats
 
 	// RequestLatency summarizes the end-to-end request-latency
@@ -392,9 +395,9 @@ func (r *Runtime) Snapshot() Snapshot {
 func (r *Runtime) FlightRecorder() *FlightRecorder { return r.c.FlightRecorder() }
 
 // Admission returns the admission controller armed with WithAdmission,
-// or nil. Embedders bracket each unit of work with Admit (which may
-// return an error wrapping ErrShed) and Release; internal/server does
-// this for its request engine.
+// or nil. Embedders ask Admit (which may return an error wrapping
+// ErrShed) before queueing a request, then report it with Start and
+// Finish, or Expire; internal/server does this for its request engine.
 func (r *Runtime) Admission() *Admission { return r.c.Admission() }
 
 // ObserveRequest records one end-to-end request latency into the

@@ -250,11 +250,7 @@ func newServerRuntime(opts ServerOptions, admit bool) (*gengc.Runtime, error) {
 		gengc.WithStallTimeout(100 * time.Millisecond),
 	}
 	if admit {
-		ro = append(ro, gengc.WithAdmission(gengc.AdmissionConfig{
-			MaxInFlight:  4 * opts.Workers,
-			MaxQueue:     8 * opts.Workers,
-			QueueTimeout: opts.SLO / 2,
-		}))
+		ro = append(ro, gengc.WithAdmission(gengc.AdmissionConfig{MaxQueue: 8 * opts.Workers}))
 	}
 	return gengc.New(ro...)
 }

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,12 +11,18 @@ import (
 )
 
 // ErrShed is wrapped by admissions the controller rejected: the queue
-// was full, the queue wait timed out (or the caller's context expired
-// in the queue), the runtime was degraded and the request was
-// low-priority, or the runtime was draining. Callers distinguish the
-// class with errors.Is and must treat it as backpressure — drop or
-// retry elsewhere, never spin.
+// was full, the runtime was degraded and the request was low-priority,
+// or the runtime was draining. Callers distinguish the class with
+// errors.Is and must treat it as backpressure — drop or retry
+// elsewhere, never spin.
 var ErrShed = errors.New("request shed")
+
+// Admit's rejections, built once: a shed storm allocates nothing.
+var (
+	errShedDraining  = fmt.Errorf("gc: admission: draining: %w", ErrShed)
+	errShedDegraded  = fmt.Errorf("gc: admission: degraded mode: %w", ErrShed)
+	errShedQueueFull = fmt.Errorf("gc: admission: queue full: %w", ErrShed)
+)
 
 // Priority classifies a request for the admission controller's degraded
 // mode: when the pacer reports the heap over the red-line watermark or
@@ -45,21 +50,10 @@ func (p Priority) String() string {
 // Admission; the gengc facade sets it via WithAdmission). The zero
 // value of each field selects the default.
 type AdmissionConfig struct {
-	// MaxInFlight bounds concurrently admitted requests — the
-	// controller's token pool. Default 64.
-	MaxInFlight int
-
-	// MaxQueue bounds requests waiting for an in-flight token; a
-	// request arriving with the queue full is shed immediately
-	// (ErrShed) instead of waiting. Default 256.
+	// MaxQueue bounds the requests waiting to be served; a request
+	// arriving with the queue full is shed immediately (ErrShed).
+	// Default 256.
 	MaxQueue int
-
-	// QueueTimeout bounds how long an admitted-queue wait may last
-	// before the request is shed. A caller context with an earlier
-	// deadline shortens the wait further (deadline-aware shedding: a
-	// request that cannot meet its deadline anyway is shed now, while
-	// retrying it is still cheap). Default 50ms.
-	QueueTimeout time.Duration
 
 	// RedLine is the heap-occupancy watermark, as a fraction of the
 	// emergency full-collection bound (FullThreshold·HeapBytes), above
@@ -77,14 +71,8 @@ type AdmissionConfig struct {
 
 // withDefaults fills unset admission fields.
 func (a AdmissionConfig) withDefaults() AdmissionConfig {
-	if a.MaxInFlight == 0 {
-		a.MaxInFlight = 64
-	}
 	if a.MaxQueue == 0 {
 		a.MaxQueue = 256
-	}
-	if a.QueueTimeout == 0 {
-		a.QueueTimeout = 50 * time.Millisecond
 	}
 	if a.RedLine == 0 {
 		a.RedLine = 0.9
@@ -97,14 +85,8 @@ func (a AdmissionConfig) withDefaults() AdmissionConfig {
 
 // validate rejects admission configurations the controller cannot run.
 func (a AdmissionConfig) validate() error {
-	if a.MaxInFlight < 1 || a.MaxInFlight > 1<<20 {
-		return fmt.Errorf("gc: %w: admission in-flight bound %d out of [1,%d]", ErrInvalidConfig, a.MaxInFlight, 1<<20)
-	}
 	if a.MaxQueue < 0 || a.MaxQueue > 1<<20 {
 		return fmt.Errorf("gc: %w: admission queue bound %d out of [0,%d]", ErrInvalidConfig, a.MaxQueue, 1<<20)
-	}
-	if a.QueueTimeout < 0 {
-		return fmt.Errorf("gc: %w: negative admission queue timeout %v", ErrInvalidConfig, a.QueueTimeout)
 	}
 	if a.RedLine <= 0 || a.RedLine > 1 {
 		return fmt.Errorf("gc: %w: admission red-line %v out of (0,1]", ErrInvalidConfig, a.RedLine)
@@ -122,17 +104,17 @@ type AdmissionStats struct {
 	// every other field is zero when it is not.
 	Enabled bool
 
-	// Admitted counts requests granted an in-flight token; Shed is the
-	// sum of the four shed classes below.
+	// Admitted counts requests taken up before their deadline passed
+	// (Start); Shed is the sum of the four shed classes below.
 	Admitted int64
 	Shed     int64
 
 	// ShedQueueFull counts requests rejected at the door because
-	// MaxQueue waiters were already queued; ShedTimeout counts queue
-	// waits cut short by QueueTimeout or the caller's context;
-	// ShedDegraded counts PriorityLow requests rejected while the
-	// runtime was degraded; ShedDraining counts requests rejected
-	// after BeginDrain.
+	// MaxQueue requests were already waiting; ShedTimeout counts queued
+	// requests whose deadline passed unserved (Expire); ShedDegraded
+	// counts PriorityLow requests rejected while the runtime was
+	// degraded; ShedDraining counts requests rejected after BeginDrain
+	// or dropped by a drain that ran out of time (Abandon).
 	ShedQueueFull int64
 	ShedTimeout   int64
 	ShedDegraded  int64
@@ -147,16 +129,18 @@ type AdmissionStats struct {
 	DegradedEnters int64
 	Degraded       bool
 
-	// Queued and InFlight are instantaneous gauges.
+	// Queued (waiting) and InFlight (being served) are gauges.
 	Queued   int64
 	InFlight int64
 }
 
-// Admission is the runtime's admission controller: a bounded in-flight
-// token pool with a bounded, deadline-aware wait queue in front of it,
-// plus a degraded mode driven by the pacer's occupancy and deadline-slip
-// signals. It exists to convert overload into prompt, cheap rejections
-// (ErrShed) instead of unbounded queueing, SLO collapse, or OOM.
+// Admission is the runtime's admission controller: the door in front of
+// a bounded queue of waiting requests, with a degraded mode driven by
+// the pacer's occupancy and deadline-slip signals. It exists to convert
+// overload into prompt, cheap rejections (ErrShed) instead of unbounded
+// queueing, SLO collapse, or OOM. The queue is the caller's
+// (internal/server keeps a newest-first stack); a request passes Admit,
+// then Start and Finish when served, or Expire or Abandon when dropped.
 //
 // The controller is deliberately runtime-level rather than server-level:
 // it reads the pacer directly, so any embedder — not just
@@ -165,18 +149,7 @@ type Admission struct {
 	c   *Collector
 	cfg AdmissionConfig
 
-	// tokens holds MaxInFlight tokens; Admit takes one, Release
-	// returns it. A buffered channel rather than a semaphore count so
-	// queue waits can select on it against the timeout, the caller's
-	// context and drain.
-	tokens chan struct{}
-
-	// drainCh is closed by BeginDrain so queued waiters shed promptly
-	// instead of waiting out their timers against a draining runtime.
-	drainCh   chan struct{}
-	draining  atomic.Bool
-	drainOnce sync.Once
-
+	draining atomic.Bool
 	degraded atomic.Bool
 
 	queued   atomic.Int64
@@ -207,113 +180,79 @@ type Admission struct {
 // newAdmission builds the controller. cfg must already have defaults
 // applied and be validated (Config.withDefaults/validate do both).
 func newAdmission(c *Collector, cfg AdmissionConfig) *Admission {
-	a := &Admission{
-		c:       c,
-		cfg:     cfg,
-		tokens:  make(chan struct{}, cfg.MaxInFlight),
-		drainCh: make(chan struct{}),
-	}
-	for i := 0; i < cfg.MaxInFlight; i++ {
-		a.tokens <- struct{}{}
-	}
+	a := &Admission{c: c, cfg: cfg}
 	if c.tracer != nil {
 		a.ring.r = c.tracer.NewRing()
 	}
 	return a
 }
 
-// Admit asks for an in-flight token for one request of priority pri.
-// It returns nil when the request may proceed (the caller must call
-// Release exactly once when done) and an error wrapping ErrShed when
-// the request is rejected. The wait is bounded by QueueTimeout, the
-// context's deadline, and drain — whichever comes first.
-func (a *Admission) Admit(ctx context.Context, pri Priority) error {
+// Admit is the door: it decides, without blocking, whether a request of
+// priority pri may join the queue. It returns an error wrapping ErrShed
+// when the runtime is draining, when it is degraded and pri is
+// PriorityLow, or when MaxQueue requests are already queued; on nil the
+// request holds one queue place until the caller reports it with Start,
+// Expire or Abandon.
+func (a *Admission) Admit(pri Priority) error {
 	if a.draining.Load() {
 		a.shedDraining.Add(1)
 		a.noteShed("draining", pri)
-		return fmt.Errorf("gc: admission: draining: %w", ErrShed)
+		return errShedDraining
 	}
 	if a.refreshDegraded() && pri == PriorityLow {
 		a.shedDegraded.Add(1)
 		a.noteShed("degraded", pri)
-		return fmt.Errorf("gc: admission: degraded mode: %w", ErrShed)
+		return errShedDegraded
 	}
-	// Fast path: a token is free, no queueing.
-	select {
-	case <-a.tokens:
-		a.admitted.Add(1)
-		a.inflight.Add(1)
-		return nil
-	default:
-	}
-	if a.queued.Load() >= int64(a.cfg.MaxQueue) {
+	// Reserve the place first, so concurrent callers can never hold
+	// more than MaxQueue of them.
+	if a.queued.Add(1) > int64(a.cfg.MaxQueue) {
+		a.queued.Add(-1)
 		a.shedQueueFull.Add(1)
 		a.noteShed("queuefull", pri)
-		return fmt.Errorf("gc: admission: queue full: %w", ErrShed)
+		return errShedQueueFull
 	}
-	a.queued.Add(1)
-	defer a.queued.Add(-1)
-
-	// Deadline-aware wait bound: never wait past the caller's own
-	// deadline — a request that would miss it anyway is cheaper to
-	// shed now, while the client can still retry elsewhere.
-	wait := a.cfg.QueueTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < wait {
-			wait = rem
-		}
-	}
-	if wait <= 0 {
-		a.shedTimeout.Add(1)
-		a.noteShed("timeout", pri)
-		return fmt.Errorf("gc: admission: deadline exhausted in queue: %w", ErrShed)
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-a.tokens:
-		a.admitted.Add(1)
-		a.inflight.Add(1)
-		return nil
-	case <-timer.C:
-		a.shedTimeout.Add(1)
-		a.noteShed("timeout", pri)
-		return fmt.Errorf("gc: admission: queue wait exceeded %v: %w", wait, ErrShed)
-	case <-ctx.Done():
-		a.shedTimeout.Add(1)
-		a.noteShed("timeout", pri)
-		return fmt.Errorf("gc: admission: %w: %w", ErrShed, ctx.Err())
-	case <-a.drainCh:
-		a.shedDraining.Add(1)
-		a.noteShed("draining", pri)
-		return fmt.Errorf("gc: admission: draining: %w", ErrShed)
-	}
+	return nil
 }
 
-// Release returns an in-flight token. Exactly one Release per
-// successful Admit; the channel has capacity for every token, so this
-// never blocks.
-func (a *Admission) Release() {
-	a.inflight.Add(-1)
-	a.tokens <- struct{}{}
+// Start moves one queued request into service: a worker took it up
+// before its deadline passed. Finish ends the service.
+func (a *Admission) Start() {
+	a.queued.Add(-1)
+	a.admitted.Add(1)
+	a.inflight.Add(1)
+}
+
+// Finish ends the service of a request Start began.
+func (a *Admission) Finish() { a.inflight.Add(-1) }
+
+// Expire drops one queued request whose deadline passed before a worker
+// took it up, as a timeout shed. It allocates nothing.
+func (a *Admission) Expire(pri Priority) {
+	a.queued.Add(-1)
+	a.shedTimeout.Add(1)
+	a.noteShed("timeout", pri)
+}
+
+// Abandon drops one queued request that a drain ran out of time to
+// serve, counting it as a draining shed.
+func (a *Admission) Abandon(pri Priority) {
+	a.queued.Add(-1)
+	a.shedDraining.Add(1)
+	a.noteShed("draining", pri)
 }
 
 // NoteRetry records one transient-failure retry performed by a caller
-// holding a token (the server's jittered-backoff ErrStalled loop), so
-// retry pressure is visible next to shed pressure.
+// serving an admitted request (the server's jittered-backoff ErrStalled
+// loop), so retry pressure is visible next to shed pressure.
 func (a *Admission) NoteRetry() { a.retries.Add(1) }
 
 // BeginDrain stops admission permanently: subsequent Admit calls shed
-// with reason "draining" and queued waiters are released to shed
-// promptly. In-flight requests are unaffected — the caller flushes
-// them (internal/server's Drain) and then stops the runtime.
-// Collector.Stop also calls this, so a bare Close sheds instead of
-// stranding late arrivals.
-func (a *Admission) BeginDrain() {
-	if a.draining.CompareAndSwap(false, true) {
-		a.drainOnce.Do(func() { close(a.drainCh) })
-	}
-}
+// with reason "draining". Queued and in-flight requests are unaffected —
+// the caller flushes them (internal/server's Drain) and then stops the
+// runtime. Collector.Stop also calls this, so a bare Close sheds
+// instead of stranding late arrivals.
+func (a *Admission) BeginDrain() { a.draining.Store(true) }
 
 // Draining reports whether BeginDrain has been called.
 func (a *Admission) Draining() bool { return a.draining.Load() }

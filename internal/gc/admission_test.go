@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -19,105 +18,70 @@ func admissionCollector(t *testing.T, ac AdmissionConfig) *Collector {
 	return c
 }
 
-func TestAdmissionTokenCycle(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{MaxInFlight: 2})
+func TestAdmissionLifecycleGauges(t *testing.T) {
+	c := admissionCollector(t, AdmissionConfig{})
 	a := c.Admission()
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if err := a.Admit(ctx, PriorityLow); err != nil {
+	for i := 0; i < 3; i++ {
+		if err := a.Admit(PriorityLow); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
-	st := a.Stats()
-	if !st.Enabled || st.Admitted != 2 || st.InFlight != 2 {
-		t.Fatalf("stats after 2 admits: %+v", st)
+	if st := a.Stats(); !st.Enabled || st.Queued != 3 || st.InFlight != 0 || st.Admitted != 0 {
+		t.Fatalf("stats after 3 admits: %+v, want Queued 3 and nothing admitted yet", st)
 	}
-	a.Release()
-	a.Release()
-	if st := a.Stats(); st.InFlight != 0 {
-		t.Fatalf("in-flight after releases: %+v", st)
+	a.Start()
+	a.Start()
+	if st := a.Stats(); st.Queued != 1 || st.InFlight != 2 || st.Admitted != 2 {
+		t.Fatalf("stats after 2 starts: %+v", st)
 	}
-	// Tokens are reusable after release.
-	if err := a.Admit(ctx, PriorityHigh); err != nil {
-		t.Fatalf("admit after release: %v", err)
+	a.Finish()
+	a.Finish()
+	a.Start()
+	a.Finish()
+	if st := a.Stats(); st.Queued != 0 || st.InFlight != 0 || st.Admitted != 3 || st.Shed != 0 {
+		t.Fatalf("stats after every request finished: %+v", st)
 	}
-	a.Release()
 }
 
 func TestAdmissionQueueTimeoutShed(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{
-		MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 10 * time.Millisecond})
+	c := admissionCollector(t, AdmissionConfig{MaxQueue: 1})
 	a := c.Admission()
-	if err := a.Admit(context.Background(), PriorityHigh); err != nil {
+	if err := a.Admit(PriorityHigh); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	err := a.Admit(context.Background(), PriorityHigh)
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("queued admit past the timeout: err = %v, want ErrShed", err)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("shed took %v, want ~10ms", waited)
-	}
+	// The request's deadline passed in the queue: dropping it frees its
+	// place and counts a timeout shed, not an admission.
+	a.Expire(PriorityHigh)
 	st := a.Stats()
-	if st.ShedTimeout != 1 || st.Shed != 1 {
-		t.Fatalf("stats after timeout shed: %+v", st)
+	if st.ShedTimeout != 1 || st.Shed != 1 || st.Queued != 0 || st.Admitted != 0 {
+		t.Fatalf("stats after an expired request: %+v", st)
 	}
-	a.Release()
-}
-
-func TestAdmissionDeadlineAwareQueueWait(t *testing.T) {
-	// The queue timeout is generous but the caller's own deadline is
-	// not: the wait must be bounded by the deadline, not QueueTimeout.
-	c := admissionCollector(t, AdmissionConfig{
-		MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 30 * time.Second})
-	a := c.Admission()
-	if err := a.Admit(context.Background(), PriorityHigh); err != nil {
-		t.Fatal(err)
+	if err := a.Admit(PriorityHigh); err != nil {
+		t.Fatalf("admit into the freed place: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := a.Admit(ctx, PriorityHigh)
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("err = %v, want ErrShed", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("deadline-bounded queue wait took %v", waited)
-	}
-	a.Release()
 }
 
 func TestAdmissionQueueFullShed(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{
-		MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 200 * time.Millisecond})
+	c := admissionCollector(t, AdmissionConfig{MaxQueue: 1})
 	a := c.Admission()
-	if err := a.Admit(context.Background(), PriorityHigh); err != nil {
+	if err := a.Admit(PriorityHigh); err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the single queue slot with a background waiter.
-	waiting := make(chan error, 1)
-	go func() { waiting <- a.Admit(context.Background(), PriorityHigh) }()
-	for a.Stats().Queued == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if err := a.Admit(context.Background(), PriorityHigh); !errors.Is(err, ErrShed) {
+	if err := a.Admit(PriorityHigh); !errors.Is(err, ErrShed) {
 		t.Fatalf("admit with full queue: err = %v, want ErrShed", err)
 	}
-	if st := a.Stats(); st.ShedQueueFull != 1 {
-		t.Fatalf("stats: %+v, want ShedQueueFull 1", st)
+	if st := a.Stats(); st.ShedQueueFull != 1 || st.Queued != 1 {
+		t.Fatalf("stats: %+v, want ShedQueueFull 1 Queued 1", st)
 	}
-	// Releasing the token admits the queued waiter.
-	a.Release()
-	if err := <-waiting; err != nil {
-		t.Fatalf("queued waiter: %v", err)
+	// A worker taking the request up frees its place.
+	a.Start()
+	if err := a.Admit(PriorityHigh); err != nil {
+		t.Fatalf("admit after start: %v", err)
 	}
-	a.Release()
 }
 
 func TestAdmissionDegradedShedsLowPriority(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{
-		MaxInFlight: 8, SlipWindow: 50 * time.Millisecond})
+	c := admissionCollector(t, AdmissionConfig{SlipWindow: 50 * time.Millisecond})
 	a := c.Admission()
 	// A deadline slip puts the controller into degraded mode for the
 	// slip window.
@@ -125,13 +89,12 @@ func TestAdmissionDegradedShedsLowPriority(t *testing.T) {
 	if !a.Degraded() {
 		t.Fatal("controller not degraded right after a slip")
 	}
-	if err := a.Admit(context.Background(), PriorityLow); !errors.Is(err, ErrShed) {
+	if err := a.Admit(PriorityLow); !errors.Is(err, ErrShed) {
 		t.Fatalf("low-priority admit while degraded: err = %v, want ErrShed", err)
 	}
-	if err := a.Admit(context.Background(), PriorityHigh); err != nil {
+	if err := a.Admit(PriorityHigh); err != nil {
 		t.Fatalf("high-priority admit while degraded: %v", err)
 	}
-	a.Release()
 	st := a.Stats()
 	if st.ShedDegraded != 1 || st.DegradedEnters != 1 {
 		t.Fatalf("stats: %+v, want ShedDegraded 1 DegradedEnters 1", st)
@@ -144,14 +107,13 @@ func TestAdmissionDegradedShedsLowPriority(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := a.Admit(context.Background(), PriorityLow); err != nil {
+	if err := a.Admit(PriorityLow); err != nil {
 		t.Fatalf("low-priority admit after recovery: %v", err)
 	}
-	a.Release()
 }
 
 func TestAdmissionRedLineDegrades(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{MaxInFlight: 8, RedLine: 0.5})
+	c := admissionCollector(t, AdmissionConfig{RedLine: 0.5})
 	a := c.Admission()
 	// Pump the pacer's occupancy estimate past the red line without
 	// touching the heap: NoteAlloc is the estimate's only input
@@ -161,13 +123,12 @@ func TestAdmissionRedLineDegrades(t *testing.T) {
 	if got := c.Pacer().OccupancyRatio(); got < 0.5 {
 		t.Fatalf("occupancy ratio %v, want >= 0.5", got)
 	}
-	if err := a.Admit(context.Background(), PriorityLow); !errors.Is(err, ErrShed) {
+	if err := a.Admit(PriorityLow); !errors.Is(err, ErrShed) {
 		t.Fatalf("low-priority admit over the red line: err = %v, want ErrShed", err)
 	}
-	if err := a.Admit(context.Background(), PriorityHigh); err != nil {
+	if err := a.Admit(PriorityHigh); err != nil {
 		t.Fatalf("high-priority admit over the red line: %v", err)
 	}
-	a.Release()
 	// Dropping the estimate exits degraded mode.
 	c.Pacer().Reconcile(0)
 	if a.Degraded() {
@@ -176,35 +137,22 @@ func TestAdmissionRedLineDegrades(t *testing.T) {
 }
 
 func TestAdmissionDrainSheds(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{MaxInFlight: 1, MaxQueue: 4,
-		QueueTimeout: 30 * time.Second})
+	c := admissionCollector(t, AdmissionConfig{})
 	a := c.Admission()
-	if err := a.Admit(context.Background(), PriorityHigh); err != nil {
+	if err := a.Admit(PriorityHigh); err != nil {
 		t.Fatal(err)
 	}
-	// A queued waiter must be released promptly when drain begins.
-	waiting := make(chan error, 1)
-	go func() { waiting <- a.Admit(context.Background(), PriorityHigh) }()
-	for a.Stats().Queued == 0 {
-		time.Sleep(time.Millisecond)
-	}
 	a.BeginDrain()
-	select {
-	case err := <-waiting:
-		if !errors.Is(err, ErrShed) {
-			t.Fatalf("queued waiter at drain: err = %v, want ErrShed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("queued waiter not released by BeginDrain")
-	}
-	if err := a.Admit(context.Background(), PriorityHigh); !errors.Is(err, ErrShed) {
+	if err := a.Admit(PriorityHigh); !errors.Is(err, ErrShed) {
 		t.Fatalf("admit after drain: err = %v, want ErrShed", err)
 	}
+	// The request queued before the drain is abandoned by a drain that
+	// ran out of time.
+	a.Abandon(PriorityHigh)
 	st := a.Stats()
-	if st.ShedDraining != 2 {
-		t.Fatalf("stats: %+v, want ShedDraining 2", st)
+	if st.ShedDraining != 2 || st.Queued != 0 {
+		t.Fatalf("stats: %+v, want ShedDraining 2 Queued 0", st)
 	}
-	a.Release()
 }
 
 func TestAdmissionStopBeginsDrain(t *testing.T) {
@@ -220,9 +168,7 @@ func TestAdmissionStopBeginsDrain(t *testing.T) {
 
 func TestAdmissionConfigValidation(t *testing.T) {
 	for _, bad := range []AdmissionConfig{
-		{MaxInFlight: -1},
 		{MaxQueue: -1},
-		{QueueTimeout: -time.Second},
 		{RedLine: 1.5},
 		{SlipWindow: -time.Second},
 	} {

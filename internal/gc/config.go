@@ -250,10 +250,10 @@ type Config struct {
 	RequestSLO time.Duration
 
 	// Admission, when non-nil, arms the admission controller
-	// (admission.go): a bounded in-flight token pool with a bounded,
-	// deadline-aware queue and a degraded mode driven by the pacer's
-	// occupancy/slip signals. Nil — the default — means every request
-	// is admitted unconditionally (Collector.Admission returns nil).
+	// (admission.go): the door in front of a bounded request queue, with
+	// a degraded mode driven by the pacer's occupancy/slip signals.
+	// Nil — the default — means every request is admitted
+	// unconditionally (Collector.Admission returns nil).
 	Admission *AdmissionConfig
 
 	// DisablePauseHistograms turns off per-mutator pause accounting.

@@ -27,12 +27,10 @@ type Config struct {
 	// one mutator for its lifetime. Default 4.
 	Workers int
 
-	// QueueCap is the request channel's buffer. With an admission
-	// controller armed the controller's MaxInFlight+MaxQueue bound is
-	// the real limit and this only needs to exceed it; without one
-	// (the naive leg of the overload experiment) this is the unbounded
-	// queue stand-in — submitters block once it fills, modeling a
-	// server that keeps accepting work it cannot finish. Default 65536.
+	// QueueCap is the request channel's buffer without an admission
+	// controller (the naive leg of the overload experiment): submitters
+	// block once it fills, modeling a server that keeps accepting work
+	// it cannot finish. Unused with admission armed. Default 65536.
 	QueueCap int
 
 	// MaxRetries bounds per-request retries of transient ErrStalled
@@ -92,9 +90,9 @@ type Request struct {
 	Size    int
 
 	// Deadline is the end-to-end latency budget, measured from
-	// arrival: the allocation context expires when it runs out, so
-	// queue wait spent before the worker picked the request up counts
-	// against it. 0 means no deadline (the naive leg).
+	// arrival: queue wait counts against it, a request still queued
+	// when it runs out is dropped unserved, and the allocation context
+	// expires with it. 0 means no deadline (the naive leg).
 	Deadline time.Duration
 
 	arrival time.Time
@@ -103,8 +101,10 @@ type Request struct {
 // Stats is the server's cumulative counter snapshot.
 type Stats struct {
 	// Submitted counts Submit calls; Shed the ones rejected by the
-	// admission controller (wrapping gengc.ErrShed); Rejected the ones
-	// refused because the server was draining.
+	// admission controller (wrapping gengc.ErrShed) or accepted and
+	// later dropped unserved — expired in the queue, or left there by
+	// a drain that ran out of time; Rejected the ones refused because
+	// the server was draining.
 	Submitted int64
 	Shed      int64
 	Rejected  int64
@@ -114,33 +114,38 @@ type Stats struct {
 	Completed int64
 	Retries   int64
 
-	// FailedStalled counts requests abandoned on an allocation
-	// deadline (ErrStalled after the retry budget); FailedOOM on heap
-	// exhaustion (ErrOutOfMemory); FailedClosed on runtime shutdown.
+	// FailedStalled counts requests whose deadline passed while being
+	// served (ErrStalled after the retry budget, or between two
+	// allocations); FailedOOM failed on heap exhaustion; FailedClosed
+	// on runtime shutdown. After Drain, Shed + Rejected + Completed and
+	// the three failure counts sum to Submitted.
 	FailedStalled int64
 	FailedOOM     int64
 	FailedClosed  int64
 }
 
-// Server is the request engine: a bounded request channel consumed by
-// Workers goroutines, each owning one mutator, fronted by the runtime's
-// admission controller when one is armed.
+// Server is the request engine: Workers goroutines, each owning one
+// mutator, popping accepted requests newest-first off a stack bounded by
+// the admission controller — or, without one, from a FIFO channel.
 type Server struct {
 	rt  *gengc.Runtime
 	adm *gengc.Admission
 	cfg Config
 
-	reqCh chan Request
-
-	// drainMu guards the draining flag against the Submit path: Submit
-	// holds the read side across its send, so Drain can flip the flag
-	// and know no new request will enter the channel afterwards.
-	drainMu  sync.RWMutex
+	// mu guards draining and stack. Submit holds it across its whole
+	// decision, so no request enters once Drain has set draining. ready
+	// wakes one idle worker per push and all of them at drain.
+	mu       sync.Mutex
 	draining bool
+	stack    []Request
+	ready    sync.Cond
 
-	// pending tracks accepted-but-unfinished requests (queued or in a
-	// worker); Drain waits on it before closing the channel.
-	pending sync.WaitGroup
+	// reqCh is the no-admission leg's FIFO; sending counts the Submit
+	// calls between the draining check and their send, which Drain
+	// waits out before closing it.
+	reqCh   chan Request
+	sending sync.WaitGroup
+
 	workers sync.WaitGroup
 
 	submitted atomic.Int64
@@ -157,11 +162,10 @@ type Server struct {
 // ownership of nothing: Drain flushes in-flight work and closes rt.
 func New(rt *gengc.Runtime, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		rt:    rt,
-		adm:   rt.Admission(),
-		cfg:   cfg,
-		reqCh: make(chan Request, cfg.QueueCap),
+	s := &Server{rt: rt, adm: rt.Admission(), cfg: cfg}
+	s.ready.L = &s.mu
+	if s.adm == nil {
+		s.reqCh = make(chan Request, cfg.QueueCap)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -174,43 +178,75 @@ func New(rt *gengc.Runtime, cfg Config) *Server {
 func (s *Server) Runtime() *gengc.Runtime { return s.rt }
 
 // Submit offers one request. The request's latency clock starts now —
-// admission queueing, channel wait and allocation all count against its
-// Deadline and its recorded latency. The error wraps gengc.ErrShed when
-// the admission controller rejected it and gengc.ErrClosed when the
-// server is draining. Submit may block when the request channel is full
-// and no admission controller bounds it (the naive overload mode).
+// queue wait and allocation both count against its Deadline and its
+// recorded latency. The error wraps gengc.ErrShed when the admission
+// controller turned the request away and gengc.ErrClosed when the server
+// is draining. With admission armed Submit never blocks, and a request
+// it accepts is still dropped unserved if its deadline passes before a
+// worker takes it up (Stats.Shed counts it). Without admission Submit
+// blocks while the request channel is full (the naive overload mode).
 func (s *Server) Submit(req Request) error {
 	req.arrival = time.Now()
 	s.submitted.Add(1)
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
+	s.mu.Lock()
 	if s.draining {
+		s.mu.Unlock()
 		s.rejected.Add(1)
 		return fmt.Errorf("server: draining: %w", gengc.ErrClosed)
 	}
-	if s.adm != nil {
-		ctx := context.Background()
-		if req.Deadline > 0 {
-			// The admission queue wait is bounded by the request's own
-			// budget: a request that cannot make its deadline anyway is
-			// shed now, while retrying elsewhere is still cheap.
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, req.arrival.Add(req.Deadline))
-			defer cancel()
-		}
-		if err := s.adm.Admit(ctx, req.Priority); err != nil {
-			s.shed.Add(1)
-			return fmt.Errorf("server: %w", err)
-		}
+	if s.adm == nil {
+		s.sending.Add(1)
+		s.mu.Unlock()
+		s.reqCh <- req
+		s.sending.Done()
+		return nil
 	}
-	s.pending.Add(1)
-	s.reqCh <- req
+	if err := s.adm.Admit(req.Priority); err != nil {
+		s.mu.Unlock()
+		s.shed.Add(1)
+		return err
+	}
+	s.stack = append(s.stack, req)
+	s.mu.Unlock()
+	s.ready.Signal()
 	return nil
 }
 
-// worker consumes requests until the channel closes. Each worker owns
-// one mutator and a session ring of rooted request graphs — the live
-// set that makes collection matter.
+// take blocks for the next request to serve; false once the server is
+// draining and nothing is left. With admission it pops the newest
+// request, dropping without allocation any whose deadline has passed:
+// under sustained overload the workers serve fresh requests off the top
+// while stale ones at the bottom expire unserved, as in a FIFO.
+func (s *Server) take() (Request, bool) {
+	if s.adm == nil {
+		req, ok := <-s.reqCh
+		return req, ok
+	}
+	for {
+		s.mu.Lock()
+		for len(s.stack) == 0 && !s.draining {
+			s.ready.Wait()
+		}
+		n := len(s.stack) - 1
+		if n < 0 {
+			s.mu.Unlock()
+			return Request{}, false
+		}
+		req := s.stack[n]
+		s.stack = s.stack[:n]
+		s.mu.Unlock()
+		if req.Deadline == 0 || time.Since(req.arrival) < req.Deadline {
+			s.adm.Start()
+			return req, true
+		}
+		s.adm.Expire(req.Priority)
+		s.shed.Add(1)
+	}
+}
+
+// worker serves requests until the server drains. Each worker owns one
+// mutator and a session ring of rooted request graphs — the live set
+// that makes collection matter.
 func (s *Server) worker(id int) {
 	defer s.workers.Done()
 	m := s.rt.NewMutator()
@@ -222,7 +258,11 @@ func (s *Server) worker(id int) {
 	ring := make([]int, 0, s.cfg.SessionObjects)
 	next := 0
 
-	for req := range s.reqCh {
+	for {
+		req, ok := s.take()
+		if !ok {
+			return
+		}
 		head, err := s.process(m, rng, req)
 		if err == nil {
 			s.completed.Add(1)
@@ -235,7 +275,7 @@ func (s *Server) worker(id int) {
 			}
 		} else {
 			switch {
-			case errors.Is(err, gengc.ErrStalled):
+			case errors.Is(err, gengc.ErrStalled), errors.Is(err, context.DeadlineExceeded):
 				s.fStalled.Add(1)
 			case errors.Is(err, gengc.ErrOutOfMemory):
 				s.fOOM.Add(1)
@@ -244,9 +284,8 @@ func (s *Server) worker(id int) {
 			}
 		}
 		if s.adm != nil {
-			s.adm.Release()
+			s.adm.Finish()
 		}
-		s.pending.Done()
 		m.Safepoint()
 	}
 }
@@ -348,35 +387,47 @@ func (s *Server) Stats() Stats {
 }
 
 // Drain shuts the server down gracefully: stop admitting (new Submit
-// calls fail with gengc.ErrClosed, the admission controller sheds with
-// reason "draining"), flush every accepted request through the workers,
-// then close the runtime. ctx bounds the flush wait; on expiry the
-// channel is closed anyway — workers finish the requests already
-// dequeued, late queued ones fail against the closing runtime — so
-// Drain always returns with the runtime closed. Idempotent calls after
-// the first return immediately.
+// calls fail with gengc.ErrClosed), let the workers serve or expire
+// every accepted request, then close the runtime. ctx bounds the wait:
+// on expiry the requests still on the stack are dropped as draining
+// sheds (the channel's backlog, without admission, is served anyway)
+// and Drain returns ctx's error, the runtime closed all the same.
+// Calls after the first return immediately.
 func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
+	s.mu.Lock()
 	if s.draining {
-		s.drainMu.Unlock()
+		s.mu.Unlock()
 		return nil
 	}
 	s.draining = true
-	s.drainMu.Unlock()
-	if s.adm != nil {
+	s.mu.Unlock()
+	if s.adm == nil {
+		s.sending.Wait()
+		close(s.reqCh)
+	} else {
 		s.adm.BeginDrain()
+		s.ready.Broadcast()
 	}
 
-	flushed := make(chan struct{})
-	go func() { s.pending.Wait(); close(flushed) }()
+	stopped := make(chan struct{})
+	go func() { s.workers.Wait(); close(stopped) }()
 	var err error
 	select {
-	case <-flushed:
+	case <-stopped:
 	case <-ctx.Done():
 		err = fmt.Errorf("server: drain: %w", ctx.Err())
+		if s.adm != nil {
+			s.mu.Lock()
+			left := s.stack
+			s.stack = nil
+			s.mu.Unlock()
+			for _, req := range left {
+				s.adm.Abandon(req.Priority)
+			}
+			s.shed.Add(int64(len(left)))
+		}
+		<-stopped
 	}
-	close(s.reqCh)
-	s.workers.Wait()
 	s.rt.Close()
 	return err
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,38 +96,151 @@ func TestServerRetriesTransientStalls(t *testing.T) {
 	}
 }
 
-func TestServerShedsWhenSaturated(t *testing.T) {
-	// One in-flight token, no queue capacity to speak of, and slow
-	// requests (every allocation pays an injected delay): a burst must
-	// shed, not queue without bound.
+// heldServer starts a one-worker server with admission armed and parks
+// its worker inside a first request for about hold (every later
+// allocation runs undelayed), so the test can fill the stack and, in
+// place of the worker, pop it itself.
+func heldServer(t *testing.T, hold time.Duration, ac gengc.AdmissionConfig, opts ...gengc.Option) *Server {
+	t.Helper()
 	in := gengc.NewFaultInjector(5)
 	in.Install(gengc.FaultRule{Point: gengc.FaultAlloc, Kind: gengc.FaultDelay,
-		Delay: 50 * time.Microsecond})
-	rt := testRuntime(t, gengc.WithFaultInjector(in),
-		gengc.WithAdmission(gengc.AdmissionConfig{
-			MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 5 * time.Millisecond}))
+		Delay: hold, Count: 1})
+	rt := testRuntime(t, append(opts, gengc.WithFaultInjector(in), gengc.WithAdmission(ac))...)
 	s := New(rt, Config{Workers: 1})
-	var shed, ok int
-	for i := 0; i < 50; i++ {
-		err := s.Submit(Request{Objects: 256, Slots: 2, Size: 64})
-		switch {
-		case err == nil:
-			ok++
-		case errors.Is(err, gengc.ErrShed):
-			shed++
-		default:
-			t.Fatalf("submit %d: %v", i, err)
+	if err := s.Submit(Request{Objects: 1, Slots: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for s.adm.Stats().InFlight == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return s
+}
+
+func TestServerServesNewestFirst(t *testing.T) {
+	s := heldServer(t, 200*time.Millisecond, gengc.AdmissionConfig{})
+	for objects := 1; objects <= 3; objects++ {
+		if err := s.Submit(Request{Objects: objects, Slots: 1}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if shed == 0 {
-		t.Fatalf("no submissions shed (ok=%d)", ok)
+	for want := 3; want >= 1; want-- {
+		req, ok := s.take()
+		if !ok || req.Objects != want {
+			t.Fatalf("popped %+v (ok %v), want the request with Objects %d", req, ok, want)
+		}
+		s.adm.Finish()
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	st := s.Stats()
-	if st.Shed != int64(shed) || st.Completed != int64(ok) {
-		t.Fatalf("stats %+v, want shed %d completed %d", st, shed, ok)
+	if st := s.rt.Snapshot().Admission; st.Admitted != 4 || st.Queued != 0 || st.InFlight != 0 {
+		t.Fatalf("admission stats %+v, want 4 admitted and empty gauges", st)
+	}
+}
+
+func TestServerShedsWhenSaturated(t *testing.T) {
+	// The worker is busy and the stack holds two requests: the third
+	// is shed at the door, synchronously, without waiting.
+	s := heldServer(t, 100*time.Millisecond, gengc.AdmissionConfig{MaxQueue: 2})
+	for i := 0; i < 2; i++ {
+		if err := s.Submit(Request{Objects: 8, Slots: 1}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if err := s.Submit(Request{Objects: 8, Slots: 1}); !errors.Is(err, gengc.ErrShed) {
+		t.Fatalf("submit onto a full stack: err = %v, want ErrShed", err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	st, adm := s.Stats(), s.rt.Snapshot().Admission
+	if st.Shed != 1 || st.Completed != 3 || adm.ShedQueueFull != 1 || adm.Shed != 1 {
+		t.Fatalf("stats %+v admission %+v, want 1 shed (queue full) and 3 completed", st, adm)
+	}
+}
+
+func TestServerDropsExpiredRequest(t *testing.T) {
+	s := heldServer(t, 300*time.Millisecond, gengc.AdmissionConfig{})
+	fresh := Request{Objects: 2, Slots: 1, Deadline: time.Hour}
+	stale := Request{Objects: 3, Slots: 1, Deadline: time.Nanosecond}
+	// Each run pushes a fresh request and then a stale one on top; the
+	// pop drops the stale one and returns the fresh one below it.
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Submit(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Submit(stale); err != nil {
+			t.Fatal(err)
+		}
+		if req, ok := s.take(); !ok || req.Objects != fresh.Objects {
+			t.Fatalf("popped %+v (ok %v), want the fresh request", req, ok)
+		}
+		s.adm.Finish()
+	})
+	if allocs != 0 {
+		t.Fatalf("submit + expire + pop allocated %v Go objects per run, want 0", allocs)
+	}
+	// The stale requests were never taken up: only the held one and the
+	// fresh ones count as admitted.
+	adm := s.rt.Snapshot().Admission
+	if adm.ShedTimeout != 101 || adm.Admitted != 102 || s.Stats().Shed != 101 {
+		t.Fatalf("admission %+v server %+v, want 101 timeout sheds and 102 admitted",
+			adm, s.Stats())
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+func TestServerShedsLowPriorityWhenDegraded(t *testing.T) {
+	// A red line far below the warm-up's occupancy keeps the runtime
+	// degraded for the whole test.
+	rt := testRuntime(t, gengc.WithAdmission(gengc.AdmissionConfig{RedLine: 0.001}))
+	m := rt.NewMutator()
+	for i := 0; i < 1024; i++ {
+		m.PushRoot(m.MustAlloc(1, 128))
+	}
+	m.Detach()
+	s := New(rt, Config{Workers: 1})
+	if err := s.Submit(Request{Priority: gengc.PriorityLow, Objects: 8, Slots: 1}); !errors.Is(err, gengc.ErrShed) {
+		t.Fatalf("low-priority submit while degraded: err = %v, want ErrShed", err)
+	}
+	if err := s.Submit(Request{Priority: gengc.PriorityHigh, Objects: 8, Slots: 1}); err != nil {
+		t.Fatalf("high-priority submit while degraded: %v", err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st, adm := s.Stats(), rt.Snapshot().Admission; st.Completed != 1 || adm.ShedDegraded != 1 {
+		t.Fatalf("stats %+v admission %+v, want 1 completed and 1 degraded shed", st, adm)
+	}
+}
+
+func TestServerDrainCountsEveryRequest(t *testing.T) {
+	// The worker is held past the drain's deadline: the queued requests
+	// are abandoned and counted, the held one completes, and the runtime
+	// closes either way.
+	s := heldServer(t, 300*time.Millisecond, gengc.AdmissionConfig{})
+	const queued = 5
+	for i := 0; i < queued; i++ {
+		if err := s.Submit(Request{Objects: 8, Slots: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain past its deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if err := s.Submit(Request{Objects: 8, Slots: 1}); !errors.Is(err, gengc.ErrClosed) {
+		t.Fatalf("submit after drain: err = %v, want ErrClosed", err)
+	}
+	st, adm := s.Stats(), s.rt.Snapshot().Admission
+	if st.Completed != 1 || st.Shed != queued || st.Rejected != 1 || adm.ShedDraining != queued {
+		t.Fatalf("stats %+v admission %+v, want 1 completed, %d abandoned, 1 rejected", st, adm, queued)
+	}
+	if sum := st.Completed + st.Shed + st.Rejected + st.FailedStalled + st.FailedOOM + st.FailedClosed; sum != st.Submitted {
+		t.Fatalf("outcomes sum to %d, %d submitted", sum, st.Submitted)
 	}
 }
 
@@ -172,24 +286,32 @@ func TestLoadgenBurstRaisesRate(t *testing.T) {
 	}
 }
 
-// TestServerStressParallelSubmit rides the race-detector subset: many
-// goroutines submitting against a small admitted pool while the
-// collector cycles, then a drain racing late submissions.
+// TestServerStressParallelSubmit rides the race-detector subset: eight
+// goroutines submitting against two workers and a small stack while the
+// collector cycles, then a drain racing late submissions. Every
+// submission must end in exactly one outcome.
 func TestServerStressParallelSubmit(t *testing.T) {
-	rt := testRuntime(t, gengc.WithAdmission(gengc.AdmissionConfig{
-		MaxInFlight: 8, MaxQueue: 16, QueueTimeout: 10 * time.Millisecond}))
-	s := New(rt, Config{Workers: 4})
+	rt := testRuntime(t, gengc.WithAdmission(gengc.AdmissionConfig{MaxQueue: 16}))
+	s := New(rt, Config{Workers: 2})
 	done := make(chan struct{})
+	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func() {
-			for {
+			defer wg.Done()
+			for i := 0; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				_ = s.Submit(Request{Objects: 64, Slots: 2, Size: 64,
-					Deadline: 100 * time.Millisecond})
+				// Every fourth request carries a deadline too short to
+				// survive the stack, exercising the expiry path.
+				deadline := 100 * time.Millisecond
+				if i%4 == 0 {
+					deadline = 50 * time.Microsecond
+				}
+				_ = s.Submit(Request{Objects: 64, Slots: 2, Size: 64, Deadline: deadline})
 			}
 		}()
 	}
@@ -198,8 +320,15 @@ func TestServerStressParallelSubmit(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	wg.Wait()
 	st := s.Stats()
 	if st.Completed == 0 {
 		t.Fatalf("stats %+v: nothing completed", st)
+	}
+	if sum := st.Completed + st.Shed + st.Rejected + st.FailedStalled + st.FailedOOM + st.FailedClosed; sum != st.Submitted {
+		t.Fatalf("stats %+v: outcomes sum to %d, %d submitted", st, sum, st.Submitted)
+	}
+	if adm := rt.Snapshot().Admission; adm.Queued != 0 || adm.InFlight != 0 {
+		t.Fatalf("admission gauges %+v after drain, want empty", adm)
 	}
 }

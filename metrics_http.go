@@ -110,17 +110,17 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 
 	if s.Admission.Enabled {
 		adm := s.Admission
-		counter(b, "gengc_admission_admitted_total", "Requests granted an in-flight token by the admission controller.", adm.Admitted)
-		help(b, "gengc_admission_shed_total", "Requests shed by the admission controller, by cause.", "counter")
+		counter(b, "gengc_admission_admitted_total", "Requests a worker took up from the admission queue before their deadline passed.", adm.Admitted)
+		help(b, "gengc_admission_shed_total", "Requests shed by the admission controller, by cause (timeout: expired in the queue unserved).", "counter")
 		fmt.Fprintf(b, "gengc_admission_shed_total{cause=\"queuefull\"} %d\n", adm.ShedQueueFull)
 		fmt.Fprintf(b, "gengc_admission_shed_total{cause=\"timeout\"} %d\n", adm.ShedTimeout)
 		fmt.Fprintf(b, "gengc_admission_shed_total{cause=\"degraded\"} %d\n", adm.ShedDegraded)
 		fmt.Fprintf(b, "gengc_admission_shed_total{cause=\"draining\"} %d\n", adm.ShedDraining)
-		counter(b, "gengc_admission_retries_total", "Transient-failure retries reported by admitted requests.", adm.Retries)
+		counter(b, "gengc_admission_retries_total", "Transient-failure retries reported while serving admitted requests.", adm.Retries)
 		counter(b, "gengc_admission_degraded_entries_total", "Transitions into degraded mode.", adm.DegradedEnters)
 		gauge(b, "gengc_admission_degraded", "1 while the admission controller is in degraded mode.", boolGauge(adm.Degraded))
-		gauge(b, "gengc_admission_queued", "Requests currently waiting for an in-flight token.", adm.Queued)
-		gauge(b, "gengc_admission_inflight", "Requests currently holding an in-flight token.", adm.InFlight)
+		gauge(b, "gengc_admission_queued", "Requests currently waiting in the admission queue.", adm.Queued)
+		gauge(b, "gengc_admission_inflight", "Requests currently being served by workers.", adm.InFlight)
 	}
 	if h := r.c.RequestHistogram(); h != nil {
 		help(b, "gengc_request_seconds", "End-to-end request latencies observed via ObserveRequest (queue wait + allocation + retries).", "histogram")

@@ -54,7 +54,8 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		gengc.WithHeapBytes(16<<20),
 		gengc.WithYoungBytes(1<<20),
 		gengc.WithFlightRecorder(64),
-		gengc.WithPauseSLO(time.Second))
+		gengc.WithPauseSLO(time.Second),
+		gengc.WithAdmission(gengc.AdmissionConfig{MaxQueue: 12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +112,24 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 	// pressure left to start another cycle. Exposition and snapshot must
 	// now agree exactly.
 	rt.Collect(true)
+
+	// Leave the admission counters and gauges nonzero and pairwise
+	// distinct, so a swapped series cannot pass: 14 arrivals at a
+	// 12-deep queue shed 2, then 3 queued requests expire, 5 are taken
+	// up, 4 of those finish — 4 still queued, 1 being served.
+	adm := rt.Admission()
+	for i := 0; i < 14; i++ {
+		_ = adm.Admit(gengc.PriorityHigh)
+	}
+	for i := 0; i < 3; i++ {
+		adm.Expire(gengc.PriorityHigh)
+	}
+	for i := 0; i < 5; i++ {
+		adm.Start()
+	}
+	for i := 0; i < 4; i++ {
+		adm.Finish()
+	}
 	body, _ := scrape()
 	var fromVar gengc.Snapshot
 	if err := json.Unmarshal([]byte(expvar.Get(expvarName).String()), &fromVar); err != nil {
@@ -118,6 +137,9 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 	}
 	s := rt.Snapshot()
 
+	if a := s.Admission; a.Admitted != 5 || a.ShedQueueFull != 2 || a.ShedTimeout != 3 || a.Queued != 4 || a.InFlight != 1 {
+		t.Fatalf("admission snapshot %+v, want 5 admitted, 2+3 shed, 4 queued, 1 in flight", a)
+	}
 	if s.Cycles < 2 || s.Demographics.PromotedBytes == 0 {
 		t.Fatalf("workload too quiet to validate: cycles=%d promoted=%d",
 			s.Cycles, s.Demographics.PromotedBytes)
@@ -135,6 +157,11 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		{"gengc_survived_objects_total", s.Demographics.SurvivedObjects},
 		{"gengc_dirty_cards_total", s.Demographics.DirtyCards},
 		{"gengc_pause_slo_breaches_total", s.SLOBreaches},
+		{"gengc_admission_admitted_total", s.Admission.Admitted},
+		{`gengc_admission_shed_total{cause="queuefull"}`, s.Admission.ShedQueueFull},
+		{`gengc_admission_shed_total{cause="timeout"}`, s.Admission.ShedTimeout},
+		{"gengc_admission_queued", s.Admission.Queued},
+		{"gengc_admission_inflight", s.Admission.InFlight},
 	}
 	for _, c := range checks {
 		if got := scrapeValue(t, body, c.metric); int64(got) != c.want {
@@ -152,6 +179,9 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 	if fromVar.Demographics.PromotedBytes != s.Demographics.PromotedBytes {
 		t.Errorf("expvar promoted bytes = %d, snapshot %d",
 			fromVar.Demographics.PromotedBytes, s.Demographics.PromotedBytes)
+	}
+	if fromVar.Admission != s.Admission {
+		t.Errorf("expvar admission = %+v, snapshot %+v", fromVar.Admission, s.Admission)
 	}
 	if fromVar.FlightRecorderDumps != s.FlightRecorderDumps {
 		t.Errorf("expvar flight dumps = %d, snapshot %d",

@@ -161,18 +161,20 @@ func WithFaultInjector(in *FaultInjector) Option {
 	return func(c *Config) { c.Fault = in }
 }
 
-// WithAdmission arms the runtime's admission controller: a bounded
-// in-flight token pool (cfg.MaxInFlight) with a bounded, deadline-aware
-// wait queue (cfg.MaxQueue, cfg.QueueTimeout) in front of it, plus a
+// WithAdmission arms the runtime's admission controller: the door in
+// front of a bounded queue of waiting requests (cfg.MaxQueue), plus a
 // degraded mode — driven by the pacer's heap-occupancy red-line
 // (cfg.RedLine, a fraction of the emergency full-collection bound) and
 // recent allocation-deadline slips (cfg.SlipWindow) — that sheds
-// low-priority requests while the runtime is in trouble. Rejections
-// wrap ErrShed; counters surface in Snapshot.Admission and the
-// Prometheus exposition. Zero fields of cfg assume the defaults (64
-// in-flight, 256 queued, 50ms queue timeout, 0.9 red-line, 250ms slip
-// window). The controller sheds *before* the heap reaches the
-// emergency trigger — backpressure instead of ErrOutOfMemory.
+// low-priority requests while the runtime is in trouble. The door never
+// blocks: a request is queued or rejected at once, rejections wrap
+// ErrShed, and each request's own deadline bounds its wait in the
+// queue (internal/server's workers serve the newest request first and
+// drop expired ones). Counters surface in Snapshot.Admission and the
+// Prometheus exposition. Zero fields of cfg assume the defaults (256
+// queued, 0.9 red-line, 250ms slip window). The controller sheds
+// *before* the heap reaches the emergency trigger — backpressure
+// instead of ErrOutOfMemory.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *Config) { c.Admission = &cfg }
 }
