@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test alloc-guard race bench bench-smoke bench-pair bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test alloc-guard race bench bench-smoke bench-pair bench-server bench-server-smoke trace-verify chaos verify-protocol check
 
 all: check
 
@@ -38,9 +38,11 @@ alloc-guard:
 # termination test, the mutator-vs-collector stress and race
 # interleaving tests, the allocator stress test that churns allocations
 # while minor and full cycles run, and the sweep-vs-owner race on one
-# block's color entries and counts.
+# block's color entries and counts, plus the expvar scrape-agreement
+# test, whose mid-flight /metrics scrapes run against four churning
+# mutators and live collection cycles.
 race:
-	$(GO) test -race -run 'Race|Stress|Parallel' ./...
+	$(GO) test -race -run 'Race|Stress|Parallel|TestMetricsExpvarRoundTrip' ./...
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
@@ -61,27 +63,6 @@ bench-smoke:
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=young_churn [PAIRS=10] [SEED=19991231]
 bench-pair:
 	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(or $(PAIRS),10) $(SEED)
-
-# bench-json sweeps the allocation path over mutator counts (1/2/4/8)
-# into BENCH_alloc.json, then the telemetry surface (tracer + flight
-# recorder + pause SLO, on vs off, plus the scrape-vs-snapshot
-# agreement check) into BENCH_telemetry.json. Both files embed their
-# baselines or bounds and flag regressions.
-bench-json:
-	$(GO) run ./cmd/gcbench -experiment alloc -benchjson BENCH_alloc.json
-	$(GO) run ./cmd/gcbench -experiment telemetry -telemetryjson BENCH_telemetry.json
-
-# bench-matrix runs the full contention matrix (cmd/gcsweep): mutators
-# × collector workers × workload contention (churn, Zipf-skewed,
-# auction) into BENCH_matrix.json, with interleaved passes,
-# host-fingerprinted baseline comparison and structural sanity checks
-# (exit 2 on regressions — see BENCHMARKS.md and EXPERIMENTS.md §4).
-# The smoke variant is the seconds-long CI subset of the same sweep.
-bench-matrix:
-	$(GO) run ./cmd/gcsweep -o BENCH_matrix.json
-
-bench-matrix-smoke:
-	$(GO) run ./cmd/gcsweep -smoke -o BENCH_matrix.json
 
 # bench-server runs the server-mode overload experiment (cmd/gcserve):
 # the request engine under an open-loop Poisson arrival sweep at

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"gengc"
@@ -32,6 +33,34 @@ const (
 	ServerSchema        = "gengc/bench-server"
 	ServerSchemaVersion = 1
 )
+
+// HostMeta is the host-metadata stanza stamped into the report, so a
+// reader knows what parallelism and platform the rates were calibrated
+// on.
+type HostMeta struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numcpu"`
+}
+
+// CurrentHost captures the running host's metadata.
+func CurrentHost() HostMeta {
+	return HostMeta{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+	}
+}
+
+// Fingerprint is the one-line host summary: platform and parallelism,
+// without the Go toolchain patch level.
+func (h HostMeta) Fingerprint() string {
+	return fmt.Sprintf("%s/%s gomaxprocs=%d numcpu=%d", h.GOOS, h.GOARCH, h.GoMaxProcs, h.NumCPU)
+}
 
 // ServerOptions parameterizes the sweep. Zero fields assume defaults.
 type ServerOptions struct {

@@ -9,8 +9,7 @@ import (
 // BenchmarkAllocParallel measures the tiered allocation path under 1, 2,
 // 4 and 8 concurrent mutators cycling through mixed size classes, each
 // with its own cache, batch-freeing in sweep-sized batches (AllocChurn).
-// `make bench-json` runs the same loop via cmd/gcbench and records the
-// sweep in BENCH_alloc.json so successive PRs leave a perf trajectory.
+// Run it with `go test -run XXX -bench AllocParallel ./internal/heap`.
 func BenchmarkAllocParallel(b *testing.B) {
 	for _, muts := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("muts=%d", muts), func(b *testing.B) {

@@ -2,9 +2,8 @@ package heap
 
 import "sync/atomic"
 
-// Allocation-churn workload shared by BenchmarkAllocParallel and the
-// cmd/gcbench mutator-count sweep. It lives in a non-test file so the
-// command can drive exactly the loop the benchmark measures.
+// Allocation-churn workload of BenchmarkAllocParallel and the central
+// shard stress test.
 
 // AllocChurnSizes is the mixed request-size schedule of the allocation
 // benchmark: one representative request per frequently used size class,

@@ -124,8 +124,8 @@ type AllocStats struct {
 }
 
 // Contended is the total count of contended lock acquisitions across
-// tiers — the scalar the contention matrix (cmd/gcsweep) records per
-// cell as alloc_contended.
+// tiers — the scalar the repository benchmark reports per thousand
+// allocations as heap.alloc.lock_contended_per_kalloc.
 func (a AllocStats) Contended() int64 {
 	return a.ShardContended + a.PageContended
 }

@@ -3,9 +3,8 @@ package workload
 import "gengc"
 
 // BarrierChurn parameterizes the pointer-write-heavy churn loop behind
-// the telemetry-overhead experiment (cmd/gcbench -experiment telemetry),
-// cmd/gcmon's demo load and the "churn" profile of the contention
-// matrix (cmd/gcsweep). Unlike Profile — which calibrates
+// cmd/gcmon's demo load and the expvar scrape-agreement test
+// (TestMetricsExpvarRoundTrip). Unlike Profile — which calibrates
 // allocation/death rates against the paper's benchmarks — this loop is
 // deliberately store-dominated: every operation allocates one small
 // object and then fans Fanout pointer stores into a long-lived base

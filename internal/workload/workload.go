@@ -10,24 +10,12 @@
 // drive every conclusion in the paper's evaluation, so matching them
 // preserves the shape of the results.
 //
-// Alongside the paper-calibrated profiles, the package carries three
-// deterministic churn loops built for the performance harnesses rather
-// than the paper's figures (see DESIGN.md §5 for the full knob table):
-//
-//   - BarrierChurn: a store-dominated loop with uniform fan-out into a
-//     small base set — the telemetry-overhead load (cmd/gcbench
-//     -experiment telemetry) and the "churn" profile of the contention
-//     matrix (cmd/gcsweep).
-//   - ZipfChurn: a popularity table whose objects receive pointer
-//     mutations in Zipf-skewed proportion (the Zipf type; skew s is a
-//     knob), concentrating inter-generational card traffic on hot
-//     cards — the matrix's "zipf" profile.
-//   - Auction: a RUBiS-style bid/browse/list mix over Zipf-popular item
-//     listings with bid chains and old-generation listing churn — the
-//     matrix's "auction" profile.
-//
-// All three run a fixed operation sequence under a fixed seed, so
-// paired benchmark runs measure the same work.
+// Alongside the paper-calibrated profiles, the package carries one
+// deterministic churn loop built for the observability surface rather
+// than the paper's figures: BarrierChurn, a store-dominated loop with
+// uniform fan-out into a small base set (cmd/gcmon's demo load and the
+// expvar scrape-agreement test's traffic; DESIGN.md §5). It runs a
+// fixed operation sequence, so two runs perform the same work.
 package workload
 
 import (
