@@ -33,9 +33,10 @@ test:
 alloc-guard:
 	$(GO) test -count=1 -run 'TestMutatorAllocAllocatesNoGoMemory|TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
 
-# The concurrency-heavy subset under the race detector: the worker-pool
-# (Workers>1) trace/sweep tests including the white-box drain
-# termination test, the mutator-vs-collector stress and race
+# The concurrency-heavy subset under the race detector: the
+# one-collector engine tests (determinism across identical runs, the
+# white-box drain over a 20 000-node graph, drain spans and the
+# TraceDrain seam), the mutator-vs-collector stress and race
 # interleaving tests, the allocator stress test that churns allocations
 # while minor and full cycles run, and the sweep-vs-owner race on one
 # block's color entries and counts, plus the expvar scrape-agreement
@@ -101,7 +102,7 @@ verify-protocol:
 	rm -rf $$tmp; exit $$rc
 
 # chaos runs a short fixed-seed fault-injection campaign under the race
-# detector: every schedule (stalls, slow workers, transient OOM, the
+# detector: every schedule (stalls, a slow collector, transient OOM, the
 # allocstorm campaign against the tiered allocation path, failing sink,
 # close race) must finish with zero Verify/self-check violations. The
 # fixed seed keeps the fault schedule reproducible run to run.

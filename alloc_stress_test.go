@@ -155,7 +155,10 @@ func TestAccountingStressUnderCycles(t *testing.T) {
 		}
 	}
 	var ready, churned, detached sync.WaitGroup
-	start, stop := make(chan struct{}), make(chan struct{})
+	// stop ends the cycle driver and the sampler; release lets the
+	// mutators drop their bases and detach, only once both have exited —
+	// a sample taken after a detach would find the bases collected.
+	start, stop, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	var cycles atomic.Int64
 	deadline := time.Now().Add(30 * time.Second)
 	for w := 0; w < mutators; w++ {
@@ -193,7 +196,7 @@ func TestAccountingStressUnderCycles(t *testing.T) {
 				}
 			}
 			churned.Done()
-			cooperateUntil(m, stop)
+			cooperateUntil(m, release)
 		}(w)
 	}
 	ready.Wait()
@@ -233,6 +236,7 @@ func TestAccountingStressUnderCycles(t *testing.T) {
 	churned.Wait()
 	close(stop)
 	aux.Wait()
+	close(release)
 	detached.Wait()
 
 	if n := cycles.Load(); n < minCycles {

@@ -21,7 +21,6 @@ func TestConfigErrorsAreSentinels(t *testing.T) {
 	}{
 		{"card size", []Option{WithCardBytes(24)}},
 		{"threshold", []Option{WithFullThreshold(2)}},
-		{"workers", []Option{WithWorkers(-3)}},
 		{"mode mismatch", []Option{WithConfig(Config{Mode: Generational, DisableColorToggle: true})}},
 		{"via WithConfig", []Option{WithConfig(Config{OldAge: 1000})}},
 	}
@@ -38,13 +37,13 @@ func TestConfigErrorsAreSentinels(t *testing.T) {
 
 func TestWithConfigMatchesOptions(t *testing.T) {
 	a, err := NewManual(WithMode(GenerationalAging), WithHeapBytes(8<<20),
-		WithYoungBytes(1<<20), WithCardBytes(64), WithWorkers(2), WithOldAge(5))
+		WithYoungBytes(1<<20), WithCardBytes(64), WithOldAge(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := NewManual(WithConfig(Config{
 		Mode: GenerationalAging, HeapBytes: 8 << 20, YoungBytes: 1 << 20,
-		CardBytes: 64, Workers: 2, OldAge: 5,
+		CardBytes: 64, OldAge: 5,
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -310,147 +310,138 @@ func BenchmarkAblationColorToggle(b *testing.B) {
 }
 
 // BenchmarkParallelCollection measures the elapsed time of on-the-fly
-// collection cycles while four mutator threads churn out garbage over a
-// large live graph — the workload that motivates the parallel trace and
-// sharded sweep. Non-generational mode makes every cycle trace the full
-// live set, so the collector's share of the machine is what bounds the
-// cycle length: a pool of N workers claims N goroutines' worth of
-// scheduler time against the churning mutators, finishing each cycle —
-// and therefore bounding floating garbage — sooner than the paper's
-// single collector thread. Each b.N counts one completed background
-// cycle; avg_cycle_ms and max_cycle_ms report the collector's
-// clear-to-sweep-end elapsed time.
+// collection cycles while four mutator threads churn out garbage in
+// parallel over a large live graph. Non-generational mode makes every
+// cycle trace the full live set, so the one collector thread's share of
+// the machine, competing with the churning mutators, is what bounds the
+// cycle length. Each b.N counts one completed background cycle;
+// avg_cycle_ms and max_cycle_ms report the collector's clear-to-sweep-end
+// elapsed time.
 func BenchmarkParallelCollection(b *testing.B) {
 	const (
 		liveChains = 256
 		chainNodes = 3000
 	)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rt, err := gengc.New(
-				gengc.WithMode(gengc.NonGenerational),
-				gengc.WithHeapBytes(128<<20),
-				gengc.WithGlobalRootSlots(liveChains),
-				gengc.WithWorkers(workers),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
+	rt, err := gengc.New(
+		gengc.WithMode(gengc.NonGenerational),
+		gengc.WithHeapBytes(128<<20),
+		gengc.WithGlobalRootSlots(liveChains),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
 
-			// A wide long-lived graph (~35 MB) published to global
-			// roots: every cycle has a substantial trace, as in a
-			// program with a real live set. The builder detaches before
-			// measuring so only the churning mutators handshake.
-			builder := rt.NewMutator()
-			heads := make([]int, liveChains)
-			for i := range heads {
-				heads[i] = builder.PushRoot(builder.MustAlloc(1, 16))
-			}
-			for i := 0; i < liveChains*chainNodes; i++ {
-				c := i % liveChains
-				n := builder.MustAlloc(1, 32)
-				builder.Write(n, 0, builder.Root(heads[c]))
-				builder.SetRoot(heads[c], n)
-				builder.Safepoint()
-			}
-			for i, h := range heads {
-				rt.SetGlobal(builder, i, builder.Root(h))
-			}
-			builder.Detach()
+	// A wide long-lived graph (~35 MB) published to global
+	// roots: every cycle has a substantial trace, as in a
+	// program with a real live set. The builder detaches before
+	// measuring so only the churning mutators handshake.
+	builder := rt.NewMutator()
+	heads := make([]int, liveChains)
+	for i := range heads {
+		heads[i] = builder.PushRoot(builder.MustAlloc(1, 16))
+	}
+	for i := 0; i < liveChains*chainNodes; i++ {
+		c := i % liveChains
+		n := builder.MustAlloc(1, 32)
+		builder.Write(n, 0, builder.Root(heads[c]))
+		builder.SetRoot(heads[c], n)
+		builder.Safepoint()
+	}
+	for i, h := range heads {
+		rt.SetGlobal(builder, i, builder.Root(h))
+	}
+	builder.Detach()
 
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for t := 0; t < 4; t++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					m := rt.NewMutator()
-					defer m.Detach()
-					rng := rand.New(rand.NewSource(seed))
-					const window = 64
-					slots := make([]int, window)
-					for i := range slots {
-						slots[i] = m.PushRoot(gengc.Nil)
-					}
-					// A private long-lived chain gives the mutator compute
-					// work between heap updates: programs read far more than
-					// they allocate, and an alloc-only mutator parks on the
-					// allocation wall mid-cycle, handing the whole processor
-					// to the collector. Chasing pointers keeps the mutators
-					// runnable — competing with the collector for scheduler
-					// time throughout the cycle — which is the regime the
-					// worker pool exists for.
-					const chainLen = 4096
-					priv := m.PushRoot(m.MustAlloc(1, 16))
-					for i := 1; i < chainLen; i++ {
-						n := m.MustAlloc(1, 16)
-						m.Write(n, 0, m.Root(priv))
-						m.SetRoot(priv, n)
-					}
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						m.Safepoint()
-						i := slots[rng.Intn(window)]
-						switch rng.Intn(8) {
-						case 0, 1, 2, 3, 4: // churn: replace a rooted chain head
-							n := m.MustAlloc(1, 16+rng.Intn(64))
-							m.Write(n, 0, m.Root(i))
-							m.SetRoot(i, n)
-						case 5: // drop a chain
-							m.SetRoot(i, gengc.Nil)
-						default: // pure garbage
-							m.MustAlloc(0, 32)
-						}
-						for x, s := m.Root(priv), 0; s < 512 && x != gengc.Nil; s++ {
-							x = m.Read(x, 0)
-						}
-					}
-				}(int64(t))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for t := 0; t < 4; t++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			m := rt.NewMutator()
+			defer m.Detach()
+			rng := rand.New(rand.NewSource(seed))
+			const window = 64
+			slots := make([]int, window)
+			for i := range slots {
+				slots[i] = m.PushRoot(gengc.Nil)
 			}
-
-			base := int(rt.Stats().NumCycles)
-			b.ResetTimer()
-			for int(rt.Stats().NumCycles)-base < b.N {
-				time.Sleep(500 * time.Microsecond)
+			// A private long-lived chain gives the mutator compute
+			// work between heap updates: programs read far more than
+			// they allocate, and an alloc-only mutator parks on the
+			// allocation wall mid-cycle, handing the whole processor
+			// to the collector. Chasing pointers keeps the mutators
+			// runnable, competing with the collector for scheduler
+			// time throughout the cycle.
+			const chainLen = 4096
+			priv := m.PushRoot(m.MustAlloc(1, 16))
+			for i := 1; i < chainLen; i++ {
+				n := m.MustAlloc(1, 16)
+				m.Write(n, 0, m.Root(priv))
+				m.SetRoot(priv, n)
 			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-
-			cycles := rt.Cycles()
-			if len(cycles) > base {
-				cycles = cycles[base:]
-			}
-			if len(cycles) > b.N {
-				cycles = cycles[:b.N]
-			}
-			var total, max, sync, trace, sweep time.Duration
-			scanned := 0
-			for _, c := range cycles {
-				total += c.Duration
-				if c.Duration > max {
-					max = c.Duration
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				sync += c.HandshakeTime
-				trace += c.TraceTime
-				sweep += c.SweepTime
-				scanned += c.ObjectsScanned
+				m.Safepoint()
+				i := slots[rng.Intn(window)]
+				switch rng.Intn(8) {
+				case 0, 1, 2, 3, 4: // churn: replace a rooted chain head
+					n := m.MustAlloc(1, 16+rng.Intn(64))
+					m.Write(n, 0, m.Root(i))
+					m.SetRoot(i, n)
+				case 5: // drop a chain
+					m.SetRoot(i, gengc.Nil)
+				default: // pure garbage
+					m.MustAlloc(0, 32)
+				}
+				for x, s := m.Root(priv), 0; s < 512 && x != gengc.Nil; s++ {
+					x = m.Read(x, 0)
+				}
 			}
-			if n := len(cycles); n > 0 {
-				b.ReportMetric(float64(scanned)/float64(n), "objs/cycle")
-			}
-			if n := len(cycles); n > 0 {
-				b.ReportMetric(total.Seconds()*1000/float64(n), "avg_cycle_ms")
-				b.ReportMetric(max.Seconds()*1000, "max_cycle_ms")
-				b.ReportMetric(sync.Seconds()*1000/float64(n), "avg_sync_ms")
-				b.ReportMetric(trace.Seconds()*1000/float64(n), "avg_trace_ms")
-				b.ReportMetric(sweep.Seconds()*1000/float64(n), "avg_sweep_ms")
-			}
-		})
+		}(int64(t))
+	}
+
+	base := int(rt.Stats().NumCycles)
+	b.ResetTimer()
+	for int(rt.Stats().NumCycles)-base < b.N {
+		time.Sleep(500 * time.Microsecond)
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+
+	cycles := rt.Cycles()
+	if len(cycles) > base {
+		cycles = cycles[base:]
+	}
+	if len(cycles) > b.N {
+		cycles = cycles[:b.N]
+	}
+	var total, max, sync, trace, sweep time.Duration
+	scanned := 0
+	for _, c := range cycles {
+		total += c.Duration
+		if c.Duration > max {
+			max = c.Duration
+		}
+		sync += c.HandshakeTime
+		trace += c.TraceTime
+		sweep += c.SweepTime
+		scanned += c.ObjectsScanned
+	}
+	if n := len(cycles); n > 0 {
+		b.ReportMetric(float64(scanned)/float64(n), "objs/cycle")
+	}
+	if n := len(cycles); n > 0 {
+		b.ReportMetric(total.Seconds()*1000/float64(n), "avg_cycle_ms")
+		b.ReportMetric(max.Seconds()*1000, "max_cycle_ms")
+		b.ReportMetric(sync.Seconds()*1000/float64(n), "avg_sync_ms")
+		b.ReportMetric(trace.Seconds()*1000/float64(n), "avg_trace_ms")
+		b.ReportMetric(sweep.Seconds()*1000/float64(n), "avg_sweep_ms")
 	}
 }

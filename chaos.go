@@ -29,13 +29,12 @@ type FaultKind = fault.Kind
 
 // The injection points. See the fault package for each point's exact
 // semantics; points whose operation must not be skipped (handshake
-// posting, sweep shards) coerce Drop/Fail rules to their Delay.
+// posting, block-walk chunks) coerce Drop/Fail rules to their Delay.
 const (
 	FaultHandshakePost = fault.HandshakePost
 	FaultHandshakeAck  = fault.HandshakeAck
 	FaultCooperate     = fault.Cooperate
 	FaultTraceDrain    = fault.TraceDrain
-	FaultTraceSteal    = fault.TraceSteal
 	FaultSweepShard    = fault.SweepShard
 	FaultAlloc         = fault.Alloc
 	FaultSinkWrite     = fault.SinkWrite

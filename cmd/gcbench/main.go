@@ -13,8 +13,8 @@
 //	gcbench -experiment cards          # Figures 21-23 (card-size sweep)
 //	gcbench -scale 0.25 -repeats 1 ... # quicker, noisier
 //
-// -gcworkers sizes the collector's worker pool, -trace writes a JSONL
-// event trace for gcreport, -cpuprofile/-memprofile write pprof files.
+// -trace writes a JSONL event trace for gcreport, -cpuprofile and
+// -memprofile write pprof files.
 // The figures reproduce the paper's comparisons; speed claims about
 // this implementation are measured by the repository benchmark
 // (benchmark/, scripts/benchpair.sh).
@@ -38,7 +38,6 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "workload length multiplier")
 		repeats    = flag.Int("repeats", 3, "runs to average per measurement")
 		seed       = flag.Int64("seed", 0, "workload random seed (0 = default)")
-		gcworkers  = flag.Int("gcworkers", 1, "parallel collector workers (1 = the paper's single collector thread)")
 		out        = flag.String("o", "", "also write results to this file")
 		traceOut   = flag.String("trace", "", "write a JSONL event trace of every run to this file (render with gcreport)")
 		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
@@ -59,7 +58,7 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	opts := bench.Options{Scale: *scale, Repeats: *repeats, Seed: *seed, Workers: *gcworkers}
+	opts := bench.Options{Scale: *scale, Repeats: *repeats, Seed: *seed}
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
@@ -75,8 +74,8 @@ func main() {
 		opts.TraceSink = sink
 	}
 
-	fmt.Fprintf(w, "gcbench: scale=%v repeats=%d gcworkers=%d GOMAXPROCS=%d NumCPU=%d\n\n",
-		*scale, *repeats, *gcworkers, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	fmt.Fprintf(w, "gcbench: scale=%v repeats=%d GOMAXPROCS=%d NumCPU=%d\n\n",
+		*scale, *repeats, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	stopProfiles, err := bench.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gcbench:", err)

@@ -1,12 +1,12 @@
 // Command gcchaos runs seeded chaos campaigns against the runtime: a
 // churning multi-mutator workload executes under a sequence of fault
-// schedules — stalled safe points, slow trace workers and sweep shards,
-// transient allocation failures, allocation storms against the tiered
-// allocation path, a failing trace sink, a close racing live allocators,
-// and a server-mode arrival storm against the admission controller
-// (serverstorm: shed, don't panic) — with the full invariant battery (Verify,
-// the card invariant, and the per-cycle self-check) auditing every
-// round. The fault schedule is a pure function of -seed, so a failing
+// schedules — stalled safe points, a slow collector (handshakes, trace
+// drains, block walks), transient allocation failures, allocation
+// storms against the tiered allocation path, a failing trace sink, a
+// close racing live allocators, and a server-mode arrival storm against
+// the admission controller (serverstorm: shed, don't panic) — with the
+// full invariant battery (Verify, the card invariant, and the per-cycle
+// self-check) auditing every round. The fault schedule is a pure function of -seed, so a failing
 // campaign reruns identically.
 //
 //	gcchaos -seed 1 -mode gen -mutators 4 -rounds 2 -ops 3000
@@ -46,17 +46,16 @@ func parseMode(s string) (gengc.Mode, error) {
 // schedule is one named fault configuration plus its post-run
 // expectations.
 type schedule struct {
-	name    string
-	rules   []gengc.FaultRule
-	workers int  // collector workers (0 = the -workers flag)
-	flight  int  // flight-recorder ring size (0 = recorder off)
-	storm   bool // run allocStorm instead of churn
-	sink    bool
+	name   string
+	rules  []gengc.FaultRule
+	flight int  // flight-recorder ring size (0 = recorder off)
+	storm  bool // run allocStorm instead of churn
+	sink   bool
 	// expect audits the finished run; it appends violation strings.
 	expect func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string)
 }
 
-func schedules(workers int) []schedule {
+func schedules() []schedule {
 	return []schedule{
 		{
 			name: "baseline",
@@ -116,22 +115,19 @@ func schedules(workers int) []schedule {
 		},
 		{
 			// Slow collector internals: delayed handshake posting and
-			// ack rounds, slow per-object drains, dropped steal scans,
-			// slow sweep shards. All latency, no lost work — the
-			// invariant battery is the assertion.
-			name:    "slowpool",
-			workers: max(workers, 3),
+			// ack rounds, slow per-object drains, slow block-walk
+			// chunks. All latency, no lost work — the invariant battery
+			// is the assertion.
+			name: "slowcollector",
 			rules: []gengc.FaultRule{
 				{Point: gengc.FaultHandshakePost, Kind: gengc.FaultDelay, P: 0.2, Delay: 500 * time.Microsecond},
 				{Point: gengc.FaultHandshakeAck, Kind: gengc.FaultDelay, P: 0.2, Delay: 300 * time.Microsecond},
 				{Point: gengc.FaultTraceDrain, Kind: gengc.FaultDelay, P: 1, Delay: 10 * time.Microsecond},
-				{Point: gengc.FaultTraceSteal, Kind: gengc.FaultDrop, P: 0.2},
-				{Point: gengc.FaultTraceSteal, Kind: gengc.FaultDelay, P: 0.2, Delay: 100 * time.Microsecond},
 				{Point: gengc.FaultSweepShard, Kind: gengc.FaultDelay, P: 0.2, Delay: 50 * time.Microsecond},
 			},
 			expect: func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string) {
 				if in.Fired(gengc.FaultTraceDrain) == 0 {
-					*v = append(*v, "slowpool: the TraceDrain point never fired at Workers > 1")
+					*v = append(*v, "slowcollector: the TraceDrain point never fired")
 				}
 			},
 		},
@@ -254,20 +250,15 @@ func allocStorm(m *gengc.Mutator, rng *rand.Rand, ops int) error {
 
 // runSchedule executes rounds of churn under one schedule and audits
 // between rounds. It returns the violations it found.
-func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops, workers int, verbose bool) []string {
+func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops int, verbose bool) []string {
 	in := gengc.NewFaultInjector(seed)
 	for _, r := range s.rules {
 		in.Install(r)
-	}
-	w := s.workers
-	if w == 0 {
-		w = workers
 	}
 	opts := []gengc.Option{
 		gengc.WithMode(mode),
 		gengc.WithHeapBytes(16 << 20),
 		gengc.WithYoungBytes(256 << 10),
-		gengc.WithWorkers(w),
 		gengc.WithFlightRecorder(s.flight),
 		gengc.WithSelfCheck(true),
 		gengc.WithStallTimeout(8 * time.Millisecond),
@@ -418,7 +409,7 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 // controller must shed the excess (never panic, never OOM), requests
 // must still complete, and the flight recorder must have frozen at
 // least one dump for the breach window.
-func runServerStorm(seed int64, mode gengc.Mode, workers int) []string {
+func runServerStorm(seed int64, mode gengc.Mode) []string {
 	in := gengc.NewFaultInjector(seed)
 	in.Install(gengc.FaultRule{Point: gengc.FaultCooperate, Kind: gengc.FaultDelay,
 		P: 0.02, Delay: 2 * time.Millisecond})
@@ -429,7 +420,6 @@ func runServerStorm(seed int64, mode gengc.Mode, workers int) []string {
 		gengc.WithMode(mode),
 		gengc.WithHeapBytes(12<<20),
 		gengc.WithYoungBytes(256<<10),
-		gengc.WithWorkers(workers),
 		gengc.WithSelfCheck(true),
 		gengc.WithStallTimeout(8*time.Millisecond),
 		gengc.WithAllocRetries(8),
@@ -496,7 +486,6 @@ func main() {
 		mutators = flag.Int("mutators", 4, "mutator goroutines per schedule")
 		rounds   = flag.Int("rounds", 2, "churn+audit rounds per schedule")
 		ops      = flag.Int("ops", 3000, "operations per mutator per round")
-		workers  = flag.Int("workers", 1, "collector workers (slowpool raises this to >= 3)")
 		verbose  = flag.Bool("v", false, "print per-point injection statistics")
 	)
 	flag.Parse()
@@ -508,14 +497,14 @@ func main() {
 	fmt.Printf("gcchaos: seed=%d mode=%s mutators=%d rounds=%d ops=%d\n",
 		*seed, mode, *mutators, *rounds, *ops)
 	var violations []string
-	for i, s := range schedules(*workers) {
+	for i, s := range schedules() {
 		// Each schedule gets its own deterministic sub-seed so adding a
 		// schedule does not perturb the others.
 		violations = append(violations,
-			runSchedule(s, *seed*1000003+int64(i), mode, *mutators, *rounds, *ops, *workers, *verbose)...)
+			runSchedule(s, *seed*1000003+int64(i), mode, *mutators, *rounds, *ops, *verbose)...)
 	}
 	violations = append(violations, runCloseRace(*seed*1000003+997, mode, *mutators)...)
-	violations = append(violations, runServerStorm(*seed*1000003+1009, mode, *workers)...)
+	violations = append(violations, runServerStorm(*seed*1000003+1009, mode)...)
 
 	if len(violations) > 0 {
 		fmt.Fprintf(os.Stderr, "gcchaos: %d violation(s):\n", len(violations))

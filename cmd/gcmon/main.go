@@ -42,7 +42,6 @@ func main() {
 		conns   = flag.Int("maxconns", 64, "maximum simultaneous HTTP connections")
 		modeStr = flag.String("mode", "gen", "collector: non|gen|aging")
 		threads = flag.Int("threads", 4, "churn mutator threads")
-		workers = flag.Int("workers", 1, "parallel collector workers")
 		youngMB = flag.Int("young", 4, "young generation size in MB")
 		flight  = flag.Int("flightrecorder", 256, "flight-recorder ring size (0 disables)")
 		slo     = flag.Duration("slo", 0, "pause SLO (0 disables; breaches trigger dumps)")
@@ -63,7 +62,6 @@ func main() {
 
 	rt, err := gengc.New(
 		gengc.WithMode(mode),
-		gengc.WithWorkers(*workers),
 		gengc.WithYoungBytes(*youngMB<<20),
 		gengc.WithFlightRecorder(*flight),
 		gengc.WithPauseSLO(*slo),

@@ -42,7 +42,6 @@ func main() {
 		seed        = flag.Int64("seed", time.Now().UnixNano(), "random seed")
 		rounds      = flag.Int("rounds", 4, "verification rounds (workload is split across them)")
 		globalSlots = flag.Int("globals", 64, "global root slots exercised")
-		workers     = flag.Int("workers", 1, "parallel collector workers")
 		traceOut    = flag.String("trace", "", "write a JSONL event trace to this file (render with gcreport)")
 	)
 	flag.Parse()
@@ -57,7 +56,6 @@ func main() {
 		gengc.WithYoungBytes(*youngKB << 10),
 		gengc.WithCardBytes(*cardBytes),
 		gengc.WithOldAge(*oldAge),
-		gengc.WithWorkers(*workers),
 	}
 	var sink *gengc.JSONLTraceSink
 	if *traceOut != "" {

@@ -28,7 +28,6 @@ func main() {
 		youngMB  = flag.Int("young", 4, "young generation size in MB")
 		oldAge   = flag.Int("age", 0, "aging tenure threshold (0 = default)")
 		pageCost = flag.Int("pagecost", 0, "simulated memory cost per page touch (spins)")
-		workers  = flag.Int("workers", 1, "parallel collector workers")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		traceOut = flag.String("trace", "", "write a JSONL event trace to this file (render with gcreport)")
 		list     = flag.Bool("list", false, "list profiles and exit")
@@ -69,14 +68,9 @@ func main() {
 	// runs on the collector goroutine via Runtime.OnCycle.
 	start := time.Now()
 	streamCycle := func(c metrics.Cycle) {
-		line := fmt.Sprintf("[%9.2fms] cycle %d (%v): scanned %d objects / %d slots, freed %d objects (%d KB), %d dirty cards",
+		fmt.Fprintf(os.Stderr, "[%9.2fms] cycle %d (%v): scanned %d objects / %d slots, freed %d objects (%d KB), %d dirty cards\n",
 			time.Since(start).Seconds()*1000, c.Seq, c.Kind,
 			c.ObjectsScanned, c.SlotsScanned, c.ObjectsFreed, c.BytesFreed/1024, c.DirtyCards)
-		if c.Workers > 1 {
-			line += fmt.Sprintf(", %d workers (%d steals, trace efficiency %.2f)",
-				c.Workers, c.Steals, c.TraceEfficiency())
-		}
-		fmt.Fprintln(os.Stderr, line)
 	}
 
 	ropts := []workload.RunOption{workload.OnCycle(streamCycle)}
@@ -100,7 +94,6 @@ func main() {
 		CardBytes:     *cardSize,
 		YoungBytes:    *youngMB << 20,
 		OldAge:        *oldAge,
-		Workers:       *workers,
 		TrackPages:    true,
 		PageCostSpins: *pageCost,
 	}, *seed, ropts...)

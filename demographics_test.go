@@ -3,8 +3,7 @@ package gengc_test
 // Exact-accounting tests for the heap demographics surface: workloads
 // with known lifetimes drive manual collections and the promotion,
 // survival, and death counters in Snapshot().Demographics must come out
-// to the planted values — at Workers=1 (serial sweep) and Workers=4
-// (sharded sweep, exercised under -race via the Parallel test names).
+// to the planted values.
 
 import (
 	"testing"
@@ -13,15 +12,15 @@ import (
 	"gengc/internal/heap"
 )
 
-// testDemographicsSimple plants live objects of one size class next to
-// dead ones and checks the simple generational scheme's trace-side
-// promotion arithmetic: every traced young object except the globals
-// root is promoted, everything untraced dies into its size class.
-func testDemographicsSimple(t *testing.T, workers int) {
+// TestDemographicsSimpleExact plants live objects of one size class
+// next to dead ones and checks the simple generational scheme's
+// trace-side promotion arithmetic: every traced young object except the
+// globals root is promoted, everything untraced dies into its size
+// class.
+func TestDemographicsSimpleExact(t *testing.T) {
 	rt, err := gengc.NewManual(
 		gengc.WithMode(gengc.Generational),
-		gengc.WithHeapBytes(4<<20),
-		gengc.WithWorkers(workers))
+		gengc.WithHeapBytes(4<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,19 +71,15 @@ func testDemographicsSimple(t *testing.T, workers int) {
 	}
 }
 
-func TestDemographicsSimpleExact(t *testing.T)         { testDemographicsSimple(t, 1) }
-func TestDemographicsSimpleExactParallel(t *testing.T) { testDemographicsSimple(t, 4) }
-
-// testDemographicsAging walks a rooted cohort through the aging
+// TestDemographicsAgingCohort walks a rooted cohort through the aging
 // pipeline with OldAge=2: two partial collections demote it with ages
 // 0 and 1, the third tenures it, and the fourth no longer sees it.
-func testDemographicsAging(t *testing.T, workers int) {
+func TestDemographicsAgingCohort(t *testing.T) {
 	const oldAge = 2
 	rt, err := gengc.NewManual(
 		gengc.WithMode(gengc.GenerationalAging),
 		gengc.WithOldAge(oldAge),
-		gengc.WithHeapBytes(4<<20),
-		gengc.WithWorkers(workers))
+		gengc.WithHeapBytes(4<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +155,3 @@ func testDemographicsAging(t *testing.T, workers int) {
 		t.Fatalf("deaths in class %d = %v, want >= %d", class, d.DeathsByClass, cohort)
 	}
 }
-
-func TestDemographicsAgingCohort(t *testing.T)         { testDemographicsAging(t, 1) }
-func TestDemographicsAgingCohortParallel(t *testing.T) { testDemographicsAging(t, 4) }

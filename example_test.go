@@ -38,14 +38,13 @@ func Example() {
 
 // ExampleNewManual shows the paper's parameter space expressed as
 // functional options: collector variant, young generation size, card
-// size, tenure threshold, and the parallel-collector worker count.
+// size, and tenure threshold.
 func ExampleNewManual() {
 	rt, err := gengc.NewManual(
 		gengc.WithMode(gengc.GenerationalAging),
 		gengc.WithYoungBytes(2<<20), // 2 MB young generation
 		gengc.WithCardBytes(4096),   // "block marking"
 		gengc.WithOldAge(5),         // tenure after six survived collections
-		gengc.WithWorkers(2),        // parallel trace & sweep
 	)
 	if err != nil {
 		panic(err)

@@ -87,9 +87,9 @@ const (
 // Config parameterizes a Runtime; zero fields assume the paper's
 // defaults: a 32 MB heap, a 4 MB young generation, 16-byte cards
 // ("object marking"), tenure threshold 4 (in the paper's age counting),
-// a full collection once the heap is 75% allocated, and one collector
-// worker. Runtimes are built from functional options (WithMode,
-// WithHeapBytes, ...); a prepared Config is applied with WithConfig.
+// and a full collection once the heap is 75% allocated. Runtimes are
+// built from functional options (WithMode, WithHeapBytes, ...); a
+// prepared Config is applied with WithConfig.
 type Config = gc.Config
 
 // CycleRecord is the per-collection record passed to OnCycle observers
@@ -97,7 +97,7 @@ type Config = gc.Config
 type CycleRecord = metrics.Cycle
 
 // TraceEvent is one structured collector event: a timestamped span
-// (cycle, handshake round, trace drain, sweep shard, card scan) or a
+// (cycle, handshake round, trace drain, sweep, card scan) or a
 // mutator pause, as delivered to a TraceSink. See the trace package's
 // Event documentation for the kind table, and OBSERVABILITY.md for the
 // event ↔ paper-figure map.

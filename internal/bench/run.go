@@ -35,10 +35,6 @@ type Options struct {
 	// gc.Config.PageCostSpins. Negative disables; 0 uses the default.
 	PageCost int
 
-	// Workers is the parallel collector worker count (0 or 1 keeps the
-	// paper's single collector thread).
-	Workers int
-
 	// TraceSink, when non-nil, receives every run's structured
 	// collector events (concatenated; each run opens with a "start"
 	// boundary event). Feed a gengc.NewJSONLTraceSink and render the
@@ -85,7 +81,6 @@ func (o Options) config(mode gengc.Mode, youngBytes, cardBytes, oldAge int) geng
 		YoungBytes:    youngBytes,
 		CardBytes:     cardBytes,
 		OldAge:        oldAge,
-		Workers:       o.Workers,
 		TrackPages:    o.TrackPages,
 		PageCostSpins: o.PageCost,
 	}

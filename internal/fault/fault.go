@@ -4,8 +4,8 @@
 // The first is the deterministic, seeded fault-injection layer for the
 // collector's chaos testing: named injection points are threaded
 // through the runtime's coordination seams (handshake posting and
-// acknowledgement, safe-point cooperation, trace-worker stealing, sweep
-// shards, allocation, trace-sink writes, card scans); an armed Injector
+// acknowledgement, safe-point cooperation, trace drains, block-walk
+// chunks, allocation, trace-sink writes, card scans); an armed Injector
 // decides at each hit whether to delay the caller, drop the operation
 // once, or fail it, with a configured probability drawn from a
 // reproducible per-point PRNG stream.
@@ -58,14 +58,9 @@ const (
 	// mutator answers at its next safe point instead.
 	Cooperate
 
-	// TraceSteal fires when a dry trace worker of an engaged pool is
-	// about to scan its victims (never with one active worker: there is
-	// no victim): Delay simulates a slow worker, Drop/Fail skip one
-	// steal scan.
-	TraceSteal
-
-	// SweepShard fires once per claimed sweep chunk (delay only:
-	// skipping a shard would leave dead cells unreclaimed and stale
+	// SweepShard fires once per 16-block chunk of a block walk — the
+	// sweep and the full-collection recoloring pass (delay only:
+	// skipping a chunk would leave dead cells unreclaimed and stale
 	// block hints behind).
 	SweepShard
 
@@ -87,8 +82,8 @@ const (
 	// free per card.
 	CardScan
 
-	// TraceDrain fires once per object a trace worker pops from its
-	// stack, at any worker count (delay only). Like CardScan it is
+	// TraceDrain fires once per object the collector pops from its
+	// gray stack (delay only). Like CardScan it is
 	// guarded by an armed-seam check hoisted out of the drain loop.
 	TraceDrain
 
@@ -114,8 +109,6 @@ func (p Point) String() string {
 		return "handshake-ack"
 	case Cooperate:
 		return "cooperate"
-	case TraceSteal:
-		return "trace-steal"
 	case SweepShard:
 		return "sweep-shard"
 	case Alloc:
@@ -169,7 +162,7 @@ const (
 
 	// Drop suppresses the operation this time; the caller skips it
 	// and retries through its normal path (a missed safe-point
-	// response, a skipped steal scan).
+	// response, a dropped sink write).
 	Drop
 
 	// Fail makes the operation report failure to its caller (a

@@ -163,7 +163,6 @@ func TestPointAndKindStrings(t *testing.T) {
 		HandshakePost: "handshake-post",
 		HandshakeAck:  "handshake-ack",
 		Cooperate:     "cooperate",
-		TraceSteal:    "trace-steal",
 		SweepShard:    "sweep-shard",
 		Alloc:         "alloc",
 		SinkWrite:     "sink-write",

@@ -331,13 +331,12 @@ func TestUpdateBatchMatchesUpdate(t *testing.T) {
 }
 
 // TestUpdateBatchChurnRaceStress runs both write APIs under -race with
-// a started collector, parallel trace/sweep workers and several
-// concurrent mutators — stores landing in whatever phase the running
+// a started collector and several concurrent mutators — stores landing in whatever phase the running
 // cycles are in — then audits every invariant. (The name matters:
 // `make race` selects Race|Stress|Parallel tests.)
 func TestUpdateBatchChurnRaceStress(t *testing.T) {
 	c, err := New(Config{Mode: Generational, HeapBytes: 16 << 20,
-		YoungBytes: 256 << 10, Workers: 4, SelfCheck: true})
+		YoungBytes: 256 << 10, SelfCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,6 @@ func (c *Collector) drainDirtyAllocatedCards(fn func(ci int)) int {
 // the color toggle, so no yellow objects exist yet (§7.1's required
 // ordering).
 func (c *Collector) clearCardsSimple() {
-	w0 := c.workers[0]
 	c.cyc.AllocatedCards = c.drainDirtyAllocatedCards(func(ci int) {
 		// The drain already cleared the mark (whole words at a time).
 		c.cyc.DirtyCards++
@@ -74,7 +73,7 @@ func (c *Collector) clearCardsSimple() {
 			if c.H.Color(addr) == heap.Black {
 				c.H.Pages.TouchHeap(addr, size)
 				if c.H.CasColor(addr, heap.Black, heap.Gray) {
-					w0.stack = append(w0.stack, addr)
+					c.gray = append(c.gray, addr)
 					c.cyc.InterGenScanned++
 					c.cyc.InterGenBytes += size
 				}
@@ -105,7 +104,7 @@ func (c *Collector) clearCardsSimple() {
 // objects on dirty cards.)
 func (c *Collector) clearCardsAging() {
 	oldest := c.oldestAge()
-	w0, cc := c.workers[0], c.ClearColor()
+	cc := c.ClearColor()
 	c.cyc.AllocatedCards = c.drainDirtyAllocatedCards(func(ci int) {
 		c.cyc.DirtyCards++
 		// Step 1 (clear) already happened: the drain fetched and
@@ -142,7 +141,7 @@ func (c *Collector) clearCardsAging() {
 				if t == 0 {
 					continue
 				}
-				c.shade(w0, t, cc) // step 2
+				c.shade(t, cc) // step 2
 				if col := c.H.Color(t); col != heap.Black && col != heap.Blue {
 					remark = true
 				}
@@ -164,13 +163,13 @@ func (c *Collector) clearCardsAging() {
 // outlive a full collection (§6).
 func (c *Collector) initFullCollection() {
 	ac := c.AllocColor()
-	c.walkBlocks(func(_ *traceWorker, lo, hi int) {
+	c.walkBlocks(func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			// Recoloring invalidates every all-black hint.
 			c.H.SetAllBlackHint(b, false)
 			c.H.RecolorBlock(b, heap.Black, heap.Gray, ac)
 		}
-	}, nil)
+	})
 	if c.cfg.Mode == Generational {
 		c.Cards.ClearAll()
 		for ci := 0; ci < c.Cards.NumCards(); ci += heap.PageBytes {

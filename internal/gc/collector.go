@@ -109,15 +109,10 @@ type Collector struct {
 	// special treatment beyond being grayed as a root each cycle.
 	globals heap.Addr
 
-	// workers is the trace/sweep worker pool (trace.go). Worker 0 is
-	// the collector goroutine itself and always exists: its stack is
-	// the collector's gray-set working stack, fed by root marking, the
-	// card scan and the mutator gray buffers. The rest are created on
-	// first use (pool). traceIdle counts the workers of an engaged pool
-	// that found no work anywhere — the drain-local termination
-	// condition.
-	workers   []*traceWorker
-	traceIdle atomic.Int32
+	// gray is the collector's gray-set working stack (trace.go), fed by
+	// root marking, the card scan and the mutator gray buffers.
+	// Collector goroutine only.
+	gray []heap.Addr
 
 	// orphans holds gray objects inherited from detached mutators.
 	orphans struct {
@@ -161,9 +156,8 @@ type Collector struct {
 
 	// tracer and ring are the structured-event layer (nil without a
 	// configured TraceSink or armed flight recorder); ring is the
-	// collector goroutine's own event buffer (shared with pool worker 0,
-	// which it runs); the other workers and the mutators get their own
-	// (observe.go).
+	// collector goroutine's own event buffer; the mutators get their
+	// own (observe.go).
 	tracer *trace.Tracer
 	ring   *trace.Ring
 
@@ -289,7 +283,6 @@ func New(cfg Config) (*Collector, error) {
 		c.tracer.SetInjector(c.flt)
 		c.ring = c.tracer.NewRing()
 	}
-	c.workers = []*traceWorker{{ring: c.ring}}
 	if cfg.TrackPages || cfg.PageCostSpins > 0 {
 		h.Pages = heap.NewPageSet(h.SizeBytes, ct.NumCards())
 		h.Pages.CostSpins = cfg.PageCostSpins
@@ -336,8 +329,8 @@ func runMeta(cfg Config) string {
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
 	}
-	return fmt.Sprintf("gomaxprocs=%d workers=%d mode=%s version=%s",
-		runtime.GOMAXPROCS(0), cfg.Workers, cfg.Mode, version)
+	return fmt.Sprintf("gomaxprocs=%d mode=%s version=%s",
+		runtime.GOMAXPROCS(0), cfg.Mode, version)
 }
 
 // Config returns the collector's effective configuration.

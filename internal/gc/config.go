@@ -132,15 +132,6 @@ type Config struct {
 	// go through the ordinary write barrier.
 	GlobalRootSlots int
 
-	// Workers is the size of the collector's worker pool for the trace
-	// and sweep phases; the collector goroutine is worker 0. 1 (the
-	// default) is the paper's single collector thread. With more, a
-	// long drain spills from worker 0 onto per-worker stacks with work
-	// stealing and a long sweep shares its block cursor with the pool;
-	// the on-the-fly property and the handshake protocol are
-	// unaffected (see DESIGN.md, "Collector engine").
-	Workers int
-
 	// DisableColorToggle runs the baseline with the *original* DLG
 	// create protocol of §2 instead of the color toggle of §5 /
 	// Remark 5.1: no yellow color, the clear color is always white,
@@ -198,10 +189,9 @@ type Config struct {
 	// goroutine parks until the scheduler resumes it) and the
 	// collector's handshake/acknowledgement wait loops block on
 	// Scheduler.Wait instead of spinning. This is the model-checking
-	// hook (internal/modelcheck); it requires Workers == 1 (the virtual
-	// scheduler serializes execution and cannot own the pool goroutines
-	// a larger pool spawns — the one-worker engine it steps is the
-	// same code every worker count runs) and excludes Fault (the two
+	// hook (internal/modelcheck). The collector goroutine runs the
+	// whole trace and sweep itself, so the engine the scheduler steps
+	// is the only engine there is. Scheduler excludes Fault (the two
 	// consumers share the seam — the scheduler's Step decisions replace
 	// injector decisions wholesale).
 	Scheduler fault.Scheduler
@@ -218,7 +208,7 @@ type Config struct {
 
 	// TraceSink, when non-nil, receives the structured event stream
 	// (cycle, handshake-round, ack-round, card-scan, trace-drain,
-	// sweep-shard and mutator-pause spans; see the trace package).
+	// sweep and mutator-pause spans; see the trace package).
 	// Events are buffered in lock-free per-producer rings and drained
 	// to the sink at the end of every cycle and at Stop.
 	TraceSink trace.Sink
@@ -292,9 +282,6 @@ func (c Config) withDefaults() Config {
 	if c.GlobalRootSlots == 0 {
 		c.GlobalRootSlots = 256
 	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = time.Second
 	}
@@ -332,9 +319,6 @@ func (c Config) validate() error {
 	if c.OldAge < 1 || c.OldAge > 200 {
 		return fmt.Errorf("gc: %w: tenure threshold %d out of range", ErrInvalidConfig, c.OldAge)
 	}
-	if c.Workers < 1 || c.Workers > 256 {
-		return fmt.Errorf("gc: %w: worker count %d out of [1,256]", ErrInvalidConfig, c.Workers)
-	}
 	if c.AllocRetries < 1 || c.AllocRetries > 1000 {
 		return fmt.Errorf("gc: %w: allocation retry bound %d out of [1,1000]", ErrInvalidConfig, c.AllocRetries)
 	}
@@ -359,9 +343,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("gc: %w: the toggle-free create protocol is only supported without generations", ErrInvalidConfig)
 	}
 	if c.Scheduler != nil {
-		if c.Workers != 1 {
-			return fmt.Errorf("gc: %w: a virtual scheduler requires Workers == 1 (got %d)", ErrInvalidConfig, c.Workers)
-		}
 		if c.Fault != nil {
 			return fmt.Errorf("gc: %w: a virtual scheduler excludes the fault injector", ErrInvalidConfig)
 		}

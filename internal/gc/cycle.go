@@ -30,9 +30,7 @@ func (c *Collector) Cycle(full bool) {
 	if full {
 		kind = metrics.Full
 	}
-	c.cyc = metrics.Cycle{Kind: kind, Workers: c.cfg.Workers,
-		WorkerScanned: make([]int, c.cfg.Workers),
-		WorkerFreed:   make([]int, c.cfg.Workers)}
+	c.cyc = metrics.Cycle{Kind: kind}
 	c.H.Pages.Reset()
 	allocBase := c.H.AllocStats()
 
@@ -101,11 +99,10 @@ func (c *Collector) Cycle(full bool) {
 	// object to the trace — if the card scan already re-grayed it, it
 	// is inside the InterGenScanned counters instead — so the simple
 	// scheme's trace-side promotion arithmetic below can exclude it.
-	w0 := c.workers[0]
-	rootsBefore := len(w0.stack)
-	c.shade(w0, c.globals, c.ClearColor())
-	c.shade(w0, c.globals, heap.Black)
-	rootedGlobals := len(w0.stack) > rootsBefore
+	rootsBefore := len(c.gray)
+	c.shade(c.globals, c.ClearColor())
+	c.shade(c.globals, heap.Black)
+	rootedGlobals := len(c.gray) > rootsBefore
 	if !c.waitHandshake() {
 		c.abortCycle(start, "sync3")
 		return
@@ -287,11 +284,8 @@ func (c *Collector) abortCycle(start time.Time, phase string) {
 	c.postHandshake(StatusAsync)
 	c.tracing.Store(false)
 	c.phase.Store(uint32(phaseIdle))
-	for _, w := range c.workers {
-		// An aborted trace leaves its grays queued; no drain is running,
-		// so the steal windows are already empty.
-		w.stack = w.stack[:0]
-	}
+	// An aborted trace leaves its grays queued.
+	c.gray = c.gray[:0]
 	c.abortedCycles.Add(1)
 	c.emit("cycleabort", start, phase, 0, 0)
 	c.flushTrace()

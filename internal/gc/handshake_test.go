@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -96,11 +97,10 @@ func TestAckRoundVisibility(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("collected %d grays after ack round, want 1", n)
 	}
-	w0 := c.workers[0]
-	if len(w0.stack) != 1 || w0.stack[0] != x {
-		t.Fatalf("worker 0 stack = %v", w0.stack)
+	if len(c.gray) != 1 || c.gray[0] != x {
+		t.Fatalf("gray stack = %v", c.gray)
 	}
-	w0.stack = w0.stack[:0]
+	c.gray = c.gray[:0]
 	c.switchColors() // restore
 }
 
@@ -121,4 +121,48 @@ func TestCooperateFastPathCheap(t *testing.T) {
 		t.Fatal("fast-path Cooperate marked roots")
 	}
 	c.switchColors()
+}
+
+// TestFullWaitOutlastsItsHelper: without a background collector, an
+// allocation wait runs its full collection on a helper goroutine. When
+// another full completes first, the wait must still cooperate until its
+// own helper's cycle has run: that cycle needs this mutator's handshake
+// responses, and once the mutator stops cooperating a helper left
+// queued on the cycle lock would wedge the next cycle or Verify.
+func TestFullWaitOutlastsItsHelper(t *testing.T) {
+	c := newTestCollector(t, Generational)
+	m := c.NewMutator()
+	c.cycleMu.Lock() // hold the helper back, queued on the cycle lock
+	waited := make(chan error, 1)
+	go func() { waited <- m.waitForFullCollection(context.Background(), 0) }()
+	for c.fullWaiters.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // the wait has read its start count
+	c.fullsDone.Add(1)                // another full completes first
+	select {
+	case err := <-waited:
+		c.cycleMu.Unlock()
+		t.Fatalf("wait returned (%v) while its own helper cycle was still queued", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.cycleMu.Unlock()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("wait did not end after its helper cycle ran")
+	}
+	verified := make(chan error, 1)
+	go func() { verified <- c.Verify() }()
+	select {
+	case err := <-verified:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Verify wedged behind a queued helper cycle")
+	}
 }

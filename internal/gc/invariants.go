@@ -18,7 +18,7 @@ import (
 //
 //   - CheckQuiescentCycle is safe on the collector goroutine whenever
 //     a cycle just completed (mutators may keep running): it reads only
-//     atomics, the collector-owned worker stacks, and lock-protected heap
+//     atomics, the collector-owned gray stack, and lock-protected heap
 //     bookkeeping.
 //
 //   - The CheckReachable* walkers read mutator root stacks that belong
@@ -30,7 +30,7 @@ import (
 // CheckQuiescentCycle audits the collector's own post-cycle state:
 //
 //   - the trace machinery is quiesced (status async, trace predicate
-//     off, no gray object queued on any trace worker),
+//     off, no gray object queued on the collector's stack),
 //   - allocator bookkeeping is consistent (heap.CheckIntegrity counts
 //     the blue cells of every unowned block under the shard locks),
 //   - no object is left gray — the trace fixpoint plus the final
@@ -48,10 +48,8 @@ func (c *Collector) CheckQuiescentCycle() error {
 	if c.tracing.Load() {
 		return fmt.Errorf("gc: self-check: trace predicate still set after cycle")
 	}
-	for id, w := range c.workers {
-		if n := len(w.stack) + int(w.sharedN.Load()); n != 0 {
-			return fmt.Errorf("gc: self-check: %d objects left queued on trace worker %d", n, id)
-		}
+	if n := len(c.gray); n != 0 {
+		return fmt.Errorf("gc: self-check: %d objects left queued on the gray stack", n)
 	}
 	if err := c.H.CheckIntegrity(); err != nil {
 		return fmt.Errorf("gc: self-check: %w", err)

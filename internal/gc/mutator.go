@@ -516,7 +516,8 @@ func (m *Mutator) publishAllocs() {
 // waitForFullCollection requests a full collection and cooperates until
 // one completes. Without a background collector goroutine (tests that
 // drive collections manually) the cycle is run on a helper goroutine so
-// this mutator can keep responding to its handshakes.
+// this mutator can keep responding to its handshakes, and the wait ends
+// when that cycle does (collectOnHelper).
 //
 // The poll interval backs off with the retry attempt — each failed
 // round means the last collection freed too little, so hammering the
@@ -543,16 +544,18 @@ func (m *Mutator) waitForFullCollection(ctx context.Context, attempt int) error 
 			m.id, heap.ErrOutOfMemory)
 	}
 	start := m.c.fullsDone.Load()
+	done := func() bool { return m.c.fullsDone.Load() != start }
 	if m.c.started.Load() {
 		m.c.request(true)
 	} else {
-		go m.c.CollectNow(true)
+		helper := m.collectOnHelper(true)
+		done = func() bool { return finished(helper) }
 	}
 	sleep := AllocWaitSleepBase << uint(attempt)
 	if sleep > AllocWaitSleepMax {
 		sleep = AllocWaitSleepMax
 	}
-	for m.c.fullsDone.Load() == start {
+	for !done() {
 		if m.c.closed.Load() {
 			return fmt.Errorf("gc: mutator %d: full collection wait: %w", m.id, ErrClosed)
 		}
@@ -573,19 +576,39 @@ func (m *Mutator) waitForFullCollection(ctx context.Context, attempt int) error 
 // staleness filtering) while this mutator cooperates until it completes.
 // On a stopped collector it returns immediately.
 func (m *Mutator) Collect(full bool) {
-	counter := &m.c.cyclesDone
-	if full {
-		counter = &m.c.fullsDone
-	}
-	start := counter.Load()
 	m.publishAllocs()
-	go m.c.CollectNow(full)
-	for counter.Load() == start {
+	helper := m.collectOnHelper(full)
+	for !finished(helper) {
 		if m.c.closed.Load() {
 			return
 		}
 		m.Cooperate()
 		time.Sleep(CollectPollInterval)
+	}
+}
+
+// collectOnHelper runs a cycle on a helper goroutine and returns a
+// channel that closes when the cycle returns. The cycle needs this
+// mutator's handshake responses, so the caller cooperates until that
+// channel closes, not merely until some other cycle completes: a helper
+// that another cycle overtook would stay queued on the cycle lock and
+// wedge the next cycle (or Verify) once the mutator stopped cooperating.
+func (m *Mutator) collectOnHelper(full bool) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		m.c.CollectNow(full)
+		close(done)
+	}()
+	return done
+}
+
+// finished reports whether ch is closed, without blocking.
+func finished(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 

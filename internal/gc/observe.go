@@ -30,22 +30,6 @@ func (c *Collector) emit(ev string, start time.Time, detail string, n, m int64) 
 	})
 }
 
-// emitWorker appends a span event to one pool worker's ring, from the
-// goroutine running that worker. ring may be nil (no sink).
-func (c *Collector) emitWorker(ring *trace.Ring, ev string, worker int, start time.Time, n int64) {
-	if ring == nil {
-		return
-	}
-	ring.Emit(trace.Event{
-		Ev:     ev,
-		T:      c.tracer.Rel(start),
-		D:      time.Since(start).Nanoseconds(),
-		Cycle:  c.cyclesDone.Load() + 1,
-		Worker: worker,
-		N:      n,
-	})
-}
-
 // flushTrace drains every producer ring into the sink; called at the
 // end of each cycle so traces stream out while the run progresses.
 func (c *Collector) flushTrace() {

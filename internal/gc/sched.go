@@ -7,8 +7,8 @@ import (
 )
 
 // The scheduler seam. Every coordination point of the protocol —
-// handshake post/ack, safe-point cooperation, trace drain and steal,
-// card scans, sweep-shard claims — funnels through the three helpers
+// handshake post/ack, safe-point cooperation, trace drain, card scans,
+// block-walk chunks — funnels through the three helpers
 // below, which route each hit to the configured virtual scheduler
 // (Config.Scheduler) when one is armed, else to the chaos injector
 // (Config.Fault) when one is armed, else do nothing. Production holds

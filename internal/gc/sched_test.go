@@ -88,7 +88,6 @@ func TestSchedulerConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"scheduler-with-workers", func(cfg *Config) { cfg.Workers = 2 }},
 		{"scheduler-with-fault", func(cfg *Config) { cfg.Fault = fault.New(1) }},
 		{"break-without-scheduler", func(cfg *Config) {
 			cfg.Scheduler = nil

@@ -13,12 +13,11 @@ const PageBytes = 4096
 // keeps an object's color in its header, so examining a color is charged
 // as a touch of the object's heap page, not of our color table.
 //
-// With a single collector thread only that thread writes the set; the
-// parallel trace and sweep touch it from several workers at once, so
-// the touched bits and the counter are atomic — the first toucher of a
-// page wins the CAS and pays the simulated memory cost, exactly one
-// charge per page per cycle. The regions are laid out as consecutive
-// page ranges:
+// Only the collector goroutine touches the set, inside collection
+// cycles that the collector serializes, so the touched bits and the
+// counter are plain words: the first touch of a page pays the simulated
+// memory cost, exactly one charge per page per cycle. The regions are
+// laid out as consecutive page ranges:
 //
 //	[0, heapPages)          heap data
 //	[heapPages, +agePages)  age table (1 B per granule)
@@ -27,8 +26,8 @@ type PageSet struct {
 	heapPages int
 	agePages  int
 	cardPages int
-	touched   []atomic.Bool
-	count     atomic.Int64
+	touched   []bool
+	count     int
 
 	// CostSpins, when positive, charges the collector a busy-spin of
 	// this many iterations for every page first touched in a cycle.
@@ -50,20 +49,18 @@ func NewPageSet(heapBytes, nCards int) *PageSet {
 		agePages:  pages(heapBytes / Granule),
 		cardPages: pages(nCards),
 	}
-	p.touched = make([]atomic.Bool, p.heapPages+p.agePages+p.cardPages)
+	p.touched = make([]bool, p.heapPages+p.agePages+p.cardPages)
 	return p
 }
 
 func pages(bytes int) int { return (bytes + PageBytes - 1) / PageBytes }
 
 func (p *PageSet) mark(page int) {
-	if p.touched[page].Load() {
+	if p.touched[page] {
 		return
 	}
-	if !p.touched[page].CompareAndSwap(false, true) {
-		return // another worker touched it first and pays the cost
-	}
-	p.count.Add(1)
+	p.touched[page] = true
+	p.count++
 	if p.CostSpins > 0 {
 		s := p.sink.Load()
 		for i := 0; i < p.CostSpins; i++ {
@@ -108,7 +105,7 @@ func (p *PageSet) Count() int {
 	if p == nil {
 		return 0
 	}
-	return int(p.count.Load())
+	return p.count
 }
 
 // Reset clears the set for the next collection cycle.
@@ -116,8 +113,6 @@ func (p *PageSet) Reset() {
 	if p == nil {
 		return
 	}
-	for i := range p.touched {
-		p.touched[i].Store(false)
-	}
-	p.count.Store(0)
+	clear(p.touched)
+	p.count = 0
 }

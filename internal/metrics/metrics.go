@@ -106,14 +106,6 @@ type Cycle struct {
 	// zero when page tracking is off.
 	PagesTouched int
 
-	// Parallel-collector counters. Workers is the configured worker
-	// count (1 = the paper's single collector thread); the per-worker
-	// slices and the steal count are populated only when Workers > 1.
-	Workers       int
-	Steals        int   // work-stealing transfers during the trace
-	WorkerScanned []int // objects blackened, by trace worker
-	WorkerFreed   []int // objects freed, by sweep worker
-
 	// Tiered-allocator activity during the cycle (mutators keep
 	// allocating while the collector runs): blocks acquired by
 	// allocation caches, and lock acquisitions — shard plus page —
@@ -196,25 +188,6 @@ func addVec(dst, src []int64) []int64 {
 	return dst
 }
 
-// TraceEfficiency reports how evenly the trace work spread over the
-// workers: scanned / (workers × busiest worker's scanned), 1.0 being a
-// perfect split. Zero when the cycle ran serially or scanned nothing.
-func (c Cycle) TraceEfficiency() float64 {
-	if c.Workers <= 1 || len(c.WorkerScanned) == 0 {
-		return 0
-	}
-	max := 0
-	for _, n := range c.WorkerScanned {
-		if n > max {
-			max = n
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	return float64(c.ObjectsScanned) / float64(c.Workers*max)
-}
-
 // Recorder accumulates cycle records and aggregate statistics. The
 // collector goroutine is the only writer; readers take the mutex.
 type Recorder struct {
@@ -294,13 +267,6 @@ type Summary struct {
 	PctBytesFreedPartial float64
 	AvgDirtyCardPct      float64 // Figure 22 (partials only)
 	AvgAreaScanned       float64 // Figure 23 (partials only)
-
-	// Parallel-collector aggregates; zero when every cycle ran with a
-	// single worker. Efficiency is the mean per-cycle
-	// TraceEfficiency over cycles that scanned anything in parallel.
-	AvgSteals          float64
-	AvgTraceEfficiency float64
-	ParallelCycles     int
 }
 
 // Summarize computes the aggregates at the end of a run. elapsed is the
@@ -321,20 +287,10 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 		sweptP, sweptF, dirtyPct, area                 float64
 		nP, nF                                         int
 	)
-	var steals, traceEff float64
-	var nPar, nParEff int
 	for _, c := range r.cycles {
 		s.ObjectsFreed += int64(c.ObjectsFreed)
 		s.BytesFreed += int64(c.BytesFreed)
 		s.ObjectsScanned += int64(c.ObjectsScanned)
-		if c.Workers > 1 {
-			nPar++
-			steals += float64(c.Steals)
-			if eff := c.TraceEfficiency(); eff > 0 {
-				traceEff += eff
-				nParEff++
-			}
-		}
 		switch c.Kind {
 		case Partial:
 			nP++
@@ -358,13 +314,6 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 			pagesF += float64(c.PagesTouched)
 			sweptF += float64(c.Survivors)
 		}
-	}
-	s.ParallelCycles = nPar
-	if nPar > 0 {
-		s.AvgSteals = steals / float64(nPar)
-	}
-	if nParEff > 0 {
-		s.AvgTraceEfficiency = traceEff / float64(nParEff)
 	}
 	s.NumPartial, s.NumFull = nP, nF
 	if nP > 0 {

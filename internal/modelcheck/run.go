@@ -117,7 +117,6 @@ func runScenario(sc *Scenario, prefix []Choice, opts Options) (*RunResult, error
 	cfg := sc.Config()
 	cfg.Scheduler = vs
 	cfg.Fault = nil
-	cfg.Workers = 1
 	cfg.UnsafeBreakSyncAccept = opts.BreakSyncAccept
 	c, err := gc.New(cfg)
 	if err != nil {

@@ -106,7 +106,6 @@ func microConfig(mode gc.Mode) gc.Config {
 		InitialTargetBytes:     64 << 10,
 		HeadroomBytes:          64 << 10,
 		GlobalRootSlots:        8,
-		Workers:                1,
 		StallTimeout:           -1, // waits divert to the scheduler; no watchdog clock churn
 		DisablePauseHistograms: true,
 	}

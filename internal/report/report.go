@@ -151,7 +151,7 @@ type CycleBreakdown struct {
 	Acks    time.Duration
 	AckN    int
 	Trace   time.Duration // whole trace-to-fixpoint phase
-	Drain   time.Duration // serial + per-worker drain spans (may overlap)
+	Drain   time.Duration // sum of the trace's drain spans
 	Sweep   time.Duration
 	Scanned int64
 	Freed   int64
@@ -219,11 +219,11 @@ func (t *Trace) Breakdown() []CycleBreakdown {
 }
 
 // Meta returns each run's metadata string — the key=value pairs the
-// collector stamps into its "start" event (GOMAXPROCS, workers, mode,
-// module version; traces recorded while there were two write barriers
-// also carry barrier=) — verbatim, indexed by run. Runs traced before
-// metadata stamping existed, or streams without a leading boundary,
-// yield empty strings.
+// collector stamps into its "start" event (GOMAXPROCS, mode, module
+// version; traces recorded while there were a worker pool or two write
+// barriers also carry workers= or barrier=) — verbatim, indexed by run.
+// Runs traced before metadata stamping existed, or streams without a
+// leading boundary, yield empty strings.
 func (t *Trace) Meta() []string {
 	meta := make([]string, t.Runs)
 	for _, e := range t.Events {

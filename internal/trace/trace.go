@@ -1,13 +1,12 @@
 // Package trace is the collector's structured event layer: timestamped
 // spans for everything the cycle does — the whole cycle, the three
 // handshake rounds, trace-termination acknowledgement rounds, trace
-// drains, sweep shards, card scans — plus per-mutator pause events, all
+// drains, the sweep, card scans — plus per-mutator pause events, all
 // delivered to a pluggable Sink.
 //
-// Producers (the collector goroutine, each trace/sweep worker, each
-// mutator) write into private single-producer ring buffers, so emitting
-// an event on a hot path costs one index check and one array store — no
-// lock, no allocation. The collector drains every ring into the sink at
+// Producers (the collector goroutine, each mutator) write into private
+// single-producer ring buffers, so emitting an event on a hot path costs
+// one index check and one array store — no lock, no allocation. The collector drains every ring into the sink at
 // the end of each cycle and on shutdown; events therefore reach the sink
 // grouped by producer, not globally time-ordered, and consumers sort by
 // the T field when order matters (cmd/gcreport does).
@@ -36,9 +35,9 @@ import (
 //	start     runtime created; marks a run boundary in concatenated
 //	          traces (T is 0 at the runtime's epoch). K carries the
 //	          run metadata string when the tracer was built with
-//	          NewWithMeta ("gomaxprocs=8 workers=4
-//	          mode=generational version=(devel)"), so multi-run
-//	          concatenations stay labeled
+//	          NewWithMeta ("gomaxprocs=8 mode=generational
+//	          version=(devel)"), so multi-run concatenations stay
+//	          labeled
 //	cycle     one whole collection cycle; K = "partial"|"full",
 //	          N = objects scanned, M = objects freed
 //	sync      one handshake round; K = "sync1"|"sync2"|"sync3"
@@ -46,12 +45,10 @@ import (
 //	initfull  the InitFullCollection recoloring walk (full cycles)
 //	cardscan  the dirty-card scan; N = dirty cards, M = allocated cards
 //	trace     the whole trace-to-fixpoint phase; N = objects scanned
-//	drain     one worker's part in one trace drain; W = worker,
+//	drain     one trace drain of the collector's gray stack; W = 0,
 //	          N = objects blackened (per cycle they sum to the
 //	          cycle's objects scanned)
 //	sweep     the whole sweep phase; N = objects freed
-//	sweepshard one worker's share of a sweep that engaged the worker
-//	          pool; W = worker, N = objects freed by that worker
 //	pause     one mutator-visible delay; W = mutator id,
 //	          K = "roots"|"handshake"|"ack"|"allocwait"
 //	stall     the handshake watchdog caught a mutator past the stall
@@ -85,8 +82,8 @@ type Event struct {
 	// cycle (mutator pauses, run boundaries).
 	Cycle int64 `json:"cyc,omitempty"`
 
-	// Worker is the collector worker or mutator id that produced the
-	// event (0 is the collector goroutine / first worker).
+	// Worker is the mutator id a pause or stall event concerns; 0 on
+	// the collector's own events, -1 on the admission controller's.
 	Worker int `json:"w"`
 
 	// N and M are kind-specific counts (see the table above).

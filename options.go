@@ -4,9 +4,9 @@ import "time"
 
 // Option configures a Runtime under construction. Options apply in
 // order over the paper's defaults (32 MB heap, 4 MB young generation,
-// 16-byte cards, simple promotion, one collector worker), so later
-// options override earlier ones and WithConfig can seed the whole
-// configuration before per-field options refine it.
+// 16-byte cards, simple promotion), so later options override earlier
+// ones and WithConfig can seed the whole configuration before per-field
+// options refine it.
 type Option func(*Config)
 
 // WithConfig replaces the entire configuration with cfg. It is the
@@ -38,15 +38,6 @@ func WithYoungBytes(n int) Option {
 // 4096 its "block marking".
 func WithCardBytes(n int) Option {
 	return func(c *Config) { c.CardBytes = n }
-}
-
-// WithWorkers sets the size of the collector's worker pool for the
-// trace and sweep phases (the collector goroutine is worker 0). 1 (the
-// default) is the paper's single collector thread; with more, long
-// drains and sweeps spill onto the pool — work-stealing tracing and a
-// shared sweep cursor — while preserving the on-the-fly property.
-func WithWorkers(n int) Option {
-	return func(c *Config) { c.Workers = n }
 }
 
 // WithOldAge sets the aging tenure threshold (GenerationalAging only):

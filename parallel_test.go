@@ -42,9 +42,8 @@ func buildChurn(t *testing.T, rt *Runtime) {
 }
 
 // cycleEssence strips a cycle record down to the fields that must be
-// reproducible across identical runs: timing and parallel-scheduling
-// detail (Duration, HandshakeTime, Steals, per-worker splits) are
-// explicitly excluded.
+// reproducible across identical runs: timing (Duration, HandshakeTime)
+// is explicitly excluded.
 type cycleEssence struct {
 	kind           string
 	seq            int
@@ -71,17 +70,16 @@ func essence(cycles []CycleRecord) []cycleEssence {
 	return out
 }
 
-// TestParallelWorkersEquivalence runs the same deterministic workload in
-// every mode at Workers ∈ {1, 2, 4} and compares each run against a
-// reference Workers=1 run of that mode. With the mutator quiescent
-// during each manual collection the reachable set — and therefore what
-// is scanned and what is freed — must be identical whatever the pool
-// size; the Workers=1 row compares two identical runs, pinning that the
-// one-worker engine is deterministic.
+// TestParallelWorkersEquivalence pins that the collector is
+// deterministic: two identical runs of the deterministic workload give
+// the same cycle essences and the same final heap in every mode. With
+// the mutator quiescent during each manual collection the reachable set
+// — and therefore what is scanned and what is freed — is fixed by the
+// workload alone.
 func TestParallelWorkersEquivalence(t *testing.T) {
-	run := func(t *testing.T, mode Mode, workers int) (ce []cycleEssence, objects int64, steals int) {
+	run := func(t *testing.T, mode Mode) ([]cycleEssence, int64) {
 		rt, err := NewManual(WithMode(mode), WithHeapBytes(8<<20),
-			WithYoungBytes(256<<10), WithOldAge(2), WithWorkers(workers))
+			WithYoungBytes(256<<10), WithOldAge(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,39 +91,33 @@ func TestParallelWorkersEquivalence(t *testing.T) {
 		if err := rt.VerifyCardInvariant(); err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range rt.Cycles() {
-			steals += c.Steals
-		}
-		return essence(rt.Cycles()), rt.HeapObjects(), steals
+		return essence(rt.Cycles()), rt.HeapObjects()
 	}
 	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
 		t.Run(mode.String(), func(t *testing.T) {
-			ref, refObjects, _ := run(t, mode, 1)
-			for _, workers := range []int{1, 2, 4} {
-				got, objects, steals := run(t, mode, workers)
-				if len(got) != len(ref) {
-					t.Fatalf("Workers=%d ran %d cycles, the Workers=1 reference %d", workers, len(got), len(ref))
+			ref, refObjects := run(t, mode)
+			got, objects := run(t, mode)
+			if len(got) != len(ref) {
+				t.Fatalf("the second run ran %d cycles, the first %d", len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Errorf("cycle %d differs between two identical runs:\n  first:  %+v\n  second: %+v",
+						i+1, ref[i], got[i])
 				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Errorf("cycle %d differs between Workers=1 and Workers=%d:\n  ref: %+v\n  got: %+v",
-							i+1, workers, ref[i], got[i])
-					}
-				}
-				if objects != refObjects {
-					t.Errorf("final heap: %d objects at Workers=1, %d at Workers=%d", refObjects, objects, workers)
-				}
-				t.Logf("Workers=%d stole %d work batches over %d cycles", workers, steals, len(got))
+			}
+			if objects != refObjects {
+				t.Errorf("final heap: %d objects in the first run, %d in the second", refObjects, objects)
 			}
 		})
 	}
 }
 
-// TestParallelRaceStress is the Workers=4 counterpart of
-// TestStressConcurrent: four mutator goroutines race the on-the-fly
-// collector and its worker pool in every mode, then the full heap audit
-// and the card invariant must hold. Run under -race this exercises every
-// cross-thread access path of the pooled trace and sweep.
+// TestParallelRaceStress is TestStressConcurrent with a smaller young
+// generation (so more partial cycles) and other seeds: four mutator
+// goroutines race the on-the-fly collector in every mode, then the full
+// heap audit and the card invariant must hold. Run under -race this
+// exercises every cross-thread access path of the trace and sweep.
 func TestParallelRaceStress(t *testing.T) {
 	ops := 40000
 	if testing.Short() {
@@ -140,7 +132,6 @@ func TestParallelRaceStress(t *testing.T) {
 				WithYoungBytes(512<<10),
 				WithOldAge(2),
 				WithFullThreshold(0.3),
-				WithWorkers(4),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -173,16 +164,15 @@ func TestParallelRaceStress(t *testing.T) {
 	}
 }
 
-// TestParallelManualAllModes drives the deterministic workload with
-// Workers=4 across every mode, including the aging and page-tracking
-// paths, and audits the heap after each run.
+// TestParallelManualAllModes drives the deterministic workload with page
+// tracking on across every mode, including the aging path, and audits
+// the heap after each run; every cycle must have touched pages.
 func TestParallelManualAllModes(t *testing.T) {
 	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			rt, err := NewManual(WithMode(mode), WithHeapBytes(8<<20),
-				WithYoungBytes(256<<10), WithOldAge(2), WithWorkers(4),
-				WithPageTracking(true))
+				WithYoungBytes(256<<10), WithOldAge(2), WithPageTracking(true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,27 +189,8 @@ func TestParallelManualAllModes(t *testing.T) {
 				t.Fatal("no cycles recorded")
 			}
 			for _, c := range cycles {
-				if c.Workers != 4 {
-					t.Errorf("cycle %d recorded Workers=%d, want 4", c.Seq, c.Workers)
-				}
-				if got := len(c.WorkerScanned); got != 4 {
-					t.Errorf("cycle %d has %d per-worker scan counters, want 4", c.Seq, got)
-				}
-				sum := 0
-				for _, n := range c.WorkerScanned {
-					sum += n
-				}
-				if sum != c.ObjectsScanned {
-					t.Errorf("cycle %d: per-worker scans sum to %d, total says %d",
-						c.Seq, sum, c.ObjectsScanned)
-				}
-				sum = 0
-				for _, n := range c.WorkerFreed {
-					sum += n
-				}
-				if sum != c.ObjectsFreed {
-					t.Errorf("cycle %d: per-worker frees sum to %d, total says %d",
-						c.Seq, sum, c.ObjectsFreed)
+				if c.PagesTouched == 0 {
+					t.Errorf("cycle %d touched no pages with page tracking on", c.Seq)
 				}
 			}
 		})
