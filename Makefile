@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test alloc-guard race bench bench-smoke bench-pair bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test alloc-guard inline-guard race bench bench-smoke bench-pair bench-server bench-server-smoke trace-verify chaos verify-protocol check
 
 all: check
 
@@ -32,6 +32,22 @@ test:
 # in a benchmark.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestMutatorAllocAllocatesNoGoMemory|TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
+
+# inline-guard fails unless the compiler still inlines the trace's gray
+# transition: (*Collector).shade must be inlinable (cost 76 against the
+# inliner's budget of 80) and inlined into markBlack's per-son loop in
+# trace.go. Once, at cost 131, it silently stopped inlining there and
+# the trace lost 15 % per object; this turns that into a build failure.
+inline-guard:
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/gc 2>&1); \
+	if ! echo "$$out" | grep -q 'can inline (\*Collector)\.shade'; then \
+		echo "inline-guard: (*Collector).shade is no longer inlinable"; \
+		echo "$$out" | grep '(\*Collector)\.shade'; exit 1; \
+	fi; \
+	if ! echo "$$out" | grep -qE 'trace\.go:[0-9]+:[0-9]+: inlining call to \(\*Collector\)\.shade'; then \
+		echo "inline-guard: markBlack no longer inlines (*Collector).shade"; exit 1; \
+	fi; \
+	echo "inline-guard: OK"
 
 # The concurrency-heavy subset under the race detector: the
 # one-collector engine tests (determinism across identical runs, the
@@ -122,4 +138,4 @@ trace-verify:
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc
 
-check: lint build test alloc-guard bench-smoke race chaos trace-verify verify-protocol
+check: lint build test alloc-guard inline-guard bench-smoke race chaos trace-verify verify-protocol

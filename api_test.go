@@ -21,7 +21,6 @@ func TestConfigErrorsAreSentinels(t *testing.T) {
 	}{
 		{"card size", []Option{WithCardBytes(24)}},
 		{"threshold", []Option{WithFullThreshold(2)}},
-		{"mode mismatch", []Option{WithConfig(Config{Mode: Generational, DisableColorToggle: true})}},
 		{"via WithConfig", []Option{WithConfig(Config{OldAge: 1000})}},
 	}
 	for _, tc := range cases {

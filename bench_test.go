@@ -286,29 +286,6 @@ func benchCollection(b *testing.B, full bool) {
 	}
 }
 
-// BenchmarkAblationColorToggle reproduces the motivation for Remark 5.1:
-// the baseline with the §5 color toggle versus the original §2 create
-// protocol (sweep-position-dependent creation colors plus an extra
-// recoloring duty during sweep).
-func BenchmarkAblationColorToggle(b *testing.B) {
-	for _, noToggle := range []bool{false, true} {
-		name := "toggle"
-		if noToggle {
-			name = "original"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig(gengc.NonGenerational, 4<<20, 16)
-			cfg.DisableColorToggle = noToggle
-			pp := workload.Anagram().Scale(benchScale)
-			for i := 0; i < b.N; i++ {
-				if _, err := workload.Run(pp, cfg, int64(42+i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelCollection measures the elapsed time of on-the-fly
 // collection cycles while four mutator threads churn out garbage in
 // parallel over a large live graph. Non-generational mode makes every

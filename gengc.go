@@ -307,8 +307,7 @@ type Snapshot struct {
 	Alloc AllocStats
 
 	// Fleet aggregates every pause ever recorded (Mutator == -1);
-	// Mutators holds one entry per currently attached mutator. Both are
-	// zero-valued when pause accounting is off (WithPauseHistograms).
+	// Mutators holds one entry per currently attached mutator.
 	Fleet    PauseStats
 	Mutators []PauseStats
 

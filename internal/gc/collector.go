@@ -120,12 +120,6 @@ type Collector struct {
 		buf []heap.Addr
 	}
 
-	// phase and sweepBlock drive the toggle-free create protocol
-	// (notoggle.go): the collector's coarse phase and the block the
-	// sweep is currently processing.
-	phase      atomic.Uint32
-	sweepBlock atomic.Int32
-
 	// cyc accumulates the current cycle's counters (collector
 	// goroutine only).
 	cyc metrics.Cycle
@@ -288,13 +282,7 @@ func New(cfg Config) (*Collector, error) {
 		h.Pages.CostSpins = cfg.PageCostSpins
 	}
 	c.allocColor.Store(uint32(heap.White))
-	if cfg.DisableColorToggle {
-		// No yellow role: white is both the creation default and the
-		// clear color; createColor overrides per phase.
-		c.clearColor.Store(uint32(heap.White))
-	} else {
-		c.clearColor.Store(uint32(heap.Yellow))
-	}
+	c.clearColor.Store(uint32(heap.Yellow))
 	c.pacer = newPacer(cfg, h.SizeBytes)
 	if cfg.Admission != nil {
 		c.admission = newAdmission(c, *cfg.Admission)

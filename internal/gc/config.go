@@ -132,15 +132,6 @@ type Config struct {
 	// go through the ordinary write barrier.
 	GlobalRootSlots int
 
-	// DisableColorToggle runs the baseline with the *original* DLG
-	// create protocol of §2 instead of the color toggle of §5 /
-	// Remark 5.1: no yellow color, the clear color is always white,
-	// sweep recolors black objects white as it passes, and the color
-	// of a new object depends on the collector's phase and the sweep
-	// pointer. Only valid with Mode == NonGenerational; exists for
-	// the Remark 5.1 ablation.
-	DisableColorToggle bool
-
 	// TrackPages enables the Figure 15 pages-touched instrumentation.
 	TrackPages bool
 
@@ -226,7 +217,7 @@ type Config struct {
 	// PauseSLO, when positive, is the mutator pause service-level
 	// objective: every recorded pause longer than this is counted
 	// (Snapshot.SLOBreaches) and triggers a flight-recorder dump when
-	// one is armed. Requires pause histograms (the default).
+	// one is armed.
 	PauseSLO time.Duration
 
 	// RequestSLO, when positive, is the per-request latency objective:
@@ -245,14 +236,6 @@ type Config struct {
 	// Nil — the default — means every request is admitted
 	// unconditionally (Collector.Admission returns nil).
 	Admission *AdmissionConfig
-
-	// DisablePauseHistograms turns off per-mutator pause accounting.
-	// By default every mutator records its handshake/root-marking and
-	// allocation-stall delays into a log-linear histogram (reported by
-	// PauseStats); the cost is two clock reads per actual handshake
-	// response — nothing on the Cooperate fast path — so accounting is
-	// on unless explicitly disabled.
-	DisablePauseHistograms bool
 }
 
 // withDefaults returns a copy with unset fields filled with the paper's
@@ -328,9 +311,6 @@ func (c Config) validate() error {
 	if c.PauseSLO < 0 {
 		return fmt.Errorf("gc: %w: negative pause SLO %v", ErrInvalidConfig, c.PauseSLO)
 	}
-	if c.PauseSLO > 0 && c.DisablePauseHistograms {
-		return fmt.Errorf("gc: %w: a pause SLO requires pause histograms", ErrInvalidConfig)
-	}
 	if c.RequestSLO < 0 {
 		return fmt.Errorf("gc: %w: negative request SLO %v", ErrInvalidConfig, c.RequestSLO)
 	}
@@ -338,9 +318,6 @@ func (c Config) validate() error {
 		if err := c.Admission.validate(); err != nil {
 			return err
 		}
-	}
-	if c.DisableColorToggle && c.Mode != NonGenerational {
-		return fmt.Errorf("gc: %w: the toggle-free create protocol is only supported without generations", ErrInvalidConfig)
 	}
 	if c.Scheduler != nil {
 		if c.Fault != nil {

@@ -35,14 +35,12 @@ func (c *Collector) Cycle(full bool) {
 	allocBase := c.H.AllocStats()
 
 	// --- clear ---
-	toggleFree := c.cfg.DisableColorToggle
-	if full && !toggleFree {
+	if full {
 		ifStart := time.Now()
 		c.initFullCollection()
 		c.emit("initfull", ifStart, "", 0, 0)
 	}
 	c.tracing.Store(true)
-	c.phase.Store(uint32(phaseTracing))
 	syncStart := time.Now()
 	if !c.handshake(StatusSync1) {
 		c.abortCycle(start, "sync1")
@@ -77,9 +75,7 @@ func (c *Collector) Cycle(full bool) {
 				int64(c.cyc.DirtyCards), int64(c.cyc.AllocatedCards))
 		}
 	default:
-		if !toggleFree {
-			c.switchColors()
-		}
+		c.switchColors()
 	}
 	if !c.waitHandshake() {
 		c.abortCycle(start, "sync2")
@@ -122,14 +118,7 @@ func (c *Collector) Cycle(full bool) {
 
 	// --- sweep ---
 	sweepStart := time.Now()
-	if toggleFree {
-		c.sweepBlock.Store(0)
-		c.phase.Store(uint32(phaseSweeping))
-		c.sweepToggleFree()
-	} else {
-		c.sweep(full)
-	}
-	c.phase.Store(uint32(phaseIdle))
+	c.sweep(full)
 	c.H.ReclaimEmptyBlocks()
 	c.cyc.SweepTime = time.Since(sweepStart)
 	c.emit("sweep", sweepStart, "", int64(c.cyc.ObjectsFreed), 0)
@@ -283,7 +272,6 @@ func survivalKey(v []int64) string {
 func (c *Collector) abortCycle(start time.Time, phase string) {
 	c.postHandshake(StatusAsync)
 	c.tracing.Store(false)
-	c.phase.Store(uint32(phaseIdle))
 	// An aborted trace leaves its grays queued.
 	c.gray = c.gray[:0]
 	c.abortedCycles.Add(1)

@@ -51,9 +51,8 @@ type Mutator struct {
 	// safe point.
 	ack atomic.Int64
 
-	// pauses is this mutator's latency histogram of GC-imposed delays
-	// (nil when Config.DisablePauseHistograms); ring is its trace
-	// event buffer (nil without a TraceSink).
+	// pauses is this mutator's latency histogram of GC-imposed delays;
+	// ring is its trace event buffer (nil without a TraceSink).
 	pauses *metrics.Histogram
 	ring   *trace.Ring
 
@@ -68,10 +67,7 @@ type Mutator struct {
 
 // NewMutator attaches a new mutator thread to the collector.
 func (c *Collector) NewMutator() *Mutator {
-	m := &Mutator{c: c, roots: make([]heap.Addr, 0, 64)}
-	if !c.cfg.DisablePauseHistograms {
-		m.pauses = &metrics.Histogram{}
-	}
+	m := &Mutator{c: c, roots: make([]heap.Addr, 0, 64), pauses: &metrics.Histogram{}}
 	if c.tracer != nil {
 		m.ring = c.tracer.NewRing()
 	}
@@ -115,9 +111,7 @@ func (m *Mutator) Detach() {
 		m.c.adoptOrphans(buf)
 	}
 	// Preserve the pause history for fleet-wide statistics.
-	if m.pauses != nil {
-		m.pauses.MergeInto(m.c.retired)
-	}
+	m.pauses.MergeInto(m.c.retired)
 }
 
 // adoptOrphans hands gray objects from a detached mutator to the
@@ -155,7 +149,7 @@ func (m *Mutator) Cooperate() {
 	if drop, fail := m.c.seamStep(fault.Cooperate); drop || fail {
 		return
 	}
-	start := m.pauseStart()
+	start := time.Now()
 	m.publishAllocs()
 	cause := "ack"
 	if statusChanged {
@@ -200,29 +194,15 @@ func (m *Mutator) PendingResponse() bool {
 		m.ack.Load() != m.c.ackEpoch.Load()
 }
 
-// pauseStart samples the clock iff pause accounting or tracing wants
-// it; the zero time means "don't record".
-func (m *Mutator) pauseStart() time.Time {
-	if m.pauses == nil && m.ring == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// recordPause closes a pause span opened by pauseStart: the delay goes
+// recordPause closes a pause span that began at start: the delay goes
 // into the mutator's histogram and, with a trace sink, out as a "pause"
 // event attributed to this mutator. The yield to the collector counts
 // as part of the pause — it is time this thread gave up because the
 // collector asked, which is exactly what the paper's pause figures
 // measure.
 func (m *Mutator) recordPause(start time.Time, cause string) {
-	if start.IsZero() {
-		return
-	}
 	d := time.Since(start)
-	if m.pauses != nil {
-		m.pauses.Record(d)
-	}
+	m.pauses.Record(d)
 	if m.ring != nil {
 		m.ring.Emit(trace.Event{
 			Ev:     "pause",
@@ -445,11 +425,7 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 			}
 		}
 		if err == nil {
-			if m.c.cfg.DisableColorToggle {
-				addr, cell, err = m.allocToggleFree(slots, size)
-			} else {
-				addr, cell, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor())
-			}
+			addr, cell, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor())
 		}
 		if err == nil {
 			if size < heap.HeaderBytes+slots*heap.WordBytes {
@@ -531,7 +507,7 @@ func (m *Mutator) publishAllocs() {
 // made while waiting are recorded as their own (nested, much shorter)
 // pauses; OBSERVABILITY.md documents the overlap.
 func (m *Mutator) waitForFullCollection(ctx context.Context, attempt int) error {
-	defer m.recordPause(m.pauseStart(), "allocwait")
+	defer m.recordPause(time.Now(), "allocwait")
 	m.c.fullWaiters.Add(1)
 	defer m.c.fullWaiters.Add(-1)
 	if m.c.vsched != nil {

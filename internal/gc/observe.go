@@ -45,16 +45,13 @@ func (c *Collector) flushTrace() {
 // responses (including root marking at the sync2→async transition),
 // acknowledgement-round responses, and allocation stalls waiting for a
 // full collection. Safe to call at any time, including while mutators
-// run; empty when Config.DisablePauseHistograms is set.
+// run.
 func (c *Collector) PauseStats() (fleet metrics.PauseStats, perMutator []metrics.PauseStats) {
 	agg := c.PauseHistogram()
 	c.muts.Lock()
 	snapshot := append([]*Mutator(nil), c.muts.list...)
 	c.muts.Unlock()
 	for _, m := range snapshot {
-		if m.pauses == nil {
-			continue
-		}
 		perMutator = append(perMutator, m.pauses.Stats(m.id))
 	}
 	fleet = agg.Stats(-1)
@@ -72,9 +69,7 @@ func (c *Collector) PauseHistogram() *metrics.Histogram {
 	snapshot := append([]*Mutator(nil), c.muts.list...)
 	c.muts.Unlock()
 	for _, m := range snapshot {
-		if m.pauses != nil {
-			m.pauses.MergeInto(agg)
-		}
+		m.pauses.MergeInto(agg)
 	}
 	return agg
 }

@@ -38,11 +38,6 @@ func (cc *classCursor) block() uint32 { return (cc.end - 1) / (BlockSize / Granu
 // ErrOutOfMemory when the heap cannot satisfy the request even from a
 // fresh block; the caller is expected to force a collection and retry.
 //
-// An allocColor of Blue leaves the cell blue for the caller to color
-// before its next allocation from this cache (a blue cell behind the
-// cursor is claimed again once the block is rescanned), as toggle-free
-// create does: sweep and card scan do not see a blue cell meanwhile.
-//
 // The claim is a scan of the owned block's color bytes, at cell stride
 // from the cursor and one load per word, for the next zero one: only the
 // owner claims in its block, so a cell seen blue stays blue for it.

@@ -588,37 +588,3 @@ func TestRangePartitionProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestAllocBlueLeavesBlue: Alloc with Blue publishes metadata — the
-// hasSlots flag included — but not a color: until its caller colors it
-// the cell is no object to anyone, and coloring keeps the flag.
-func TestAllocBlueLeavesBlue(t *testing.T) {
-	h := newTestHeap(t, 1<<20)
-	var c Cache
-	a, _, err := h.Alloc(&c, 2, 0, Blue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Color(a) != Blue || h.ValidObject(a) {
-		t.Fatalf("blue allocation: color %v, valid %v", h.Color(a), h.ValidObject(a))
-	}
-	h.ForEachObject(func(x Addr) {
-		if x == a {
-			t.Error("iteration showed a cell still blue")
-		}
-	})
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Slots(a) != 2 {
-		t.Fatalf("slots = %d", h.Slots(a))
-	}
-	h.PublishAllocs(&c)
-	if h.AllocatedObjects() != 1 {
-		t.Fatalf("accounting = %d", h.AllocatedObjects())
-	}
-	h.SetColor(a, White)
-	if !h.ValidObject(a) {
-		t.Fatal("colored cell not valid")
-	}
-}

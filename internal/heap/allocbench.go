@@ -26,15 +26,22 @@ const allocChurnWindow = 256
 //
 // Churners share blocks (one fills a block, another later owns it), so
 // each stamps its cells' second header word (the first holds the slot
-// count) with its own tag before the color publishes them, and its sweeps free exactly the cells carrying
-// that tag: every live cell of a churner is in its window, so that is
-// the window, and no two churners ever free the same cell.
+// count) with its own tag, and its sweeps free exactly the cells
+// carrying that tag: every live cell of a churner is in its window, so
+// that is the window, and no two churners ever free the same cell. A
+// sweep zeroes the tag of each cell it frees, so a cell claimed but not
+// yet stamped carries no churner's tag.
 func (h *Heap) AllocChurn(id, iters int) error {
 	var c Cache
 	defer h.Flush(&c)
 	tag := uint32(id + 1)
 	mine := func(addr Addr, _ Color) bool {
-		return atomic.LoadUint32(&h.mem[addr/WordBytes+1]) == tag
+		w := &h.mem[addr/WordBytes+1]
+		if atomic.LoadUint32(w) != tag {
+			return false
+		}
+		atomic.StoreUint32(w, 0)
+		return true
 	}
 	window := make([]Addr, 0, allocChurnWindow)
 	// free sweeps the window's blocks. Requests of one size sit
@@ -55,12 +62,11 @@ func (h *Heap) AllocChurn(id, iters int) error {
 	}
 	for i := 0; i < iters; i++ {
 		size := AllocChurnSizes[(i+id)%len(AllocChurnSizes)]
-		a, _, err := h.Alloc(&c, 2, size, Blue)
+		a, _, err := h.Alloc(&c, 2, size, White)
 		if err != nil {
 			return err
 		}
 		atomic.StoreUint32(&h.mem[a/WordBytes+1], tag)
-		h.SetColor(a, White)
 		window = append(window, a)
 		if len(window) == cap(window) {
 			free()

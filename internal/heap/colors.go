@@ -140,7 +140,7 @@ func (h *Heap) CasColor(addr Addr, old, new Color) bool {
 
 // RecolorBlock turns every cell of block b colored from1 or from2 into
 // to, with one compare-and-swap per color word that holds any: the
-// recoloring pass of a full collection and of the toggle-free sweep.
+// recoloring pass of a full collection.
 // Mutators may color other cells of the block meanwhile. The page model
 // charges a populated block as SweepBlock does.
 func (h *Heap) RecolorBlock(b int, from1, from2, to Color) {

@@ -153,7 +153,11 @@ func (h *Histogram) MergeInto(dst *Histogram) {
 // bucket counts of a Prometheus histogram exposition. Observations are
 // attributed by their bucket's upper edge, so the result is conservative
 // in the same ≤ ~6% sense as Quantile. The final element of the result
-// is the total count regardless of the last bound (the +Inf bucket).
+// is the sum of every bucket regardless of the last bound (the +Inf
+// bucket). It is taken from the same loads as the rest, not from Count:
+// Record and MergeInto add to a bucket before the count, so mid-flight
+// the two differ, and an exposition must render its _count from this
+// element to stay a valid histogram.
 func (h *Histogram) CumulativeLE(bounds []int64) []int64 {
 	out := make([]int64, len(bounds)+1)
 	var cum int64
@@ -173,7 +177,7 @@ func (h *Histogram) CumulativeLE(bounds []int64) []int64 {
 	for ; j < len(bounds); j++ {
 		out[j] = cum
 	}
-	out[len(bounds)] = h.count.Load()
+	out[len(bounds)] = cum
 	return out
 }
 

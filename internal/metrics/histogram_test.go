@@ -128,6 +128,26 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestCumulativeLEInFlightRecord: a Record caught between its bucket
+// add and its count add must still yield a valid cumulative series —
+// monotone, ending (+Inf) at the bucket sum, not at the lagging count.
+func TestCumulativeLEInFlightRecord(t *testing.T) {
+	var h Histogram
+	h.Record(3 * time.Microsecond)
+	h.Record(2 * time.Millisecond)
+	h.counts[histIndex(int64(5*time.Millisecond))].Add(1) // in flight: no count yet
+	bounds := []int64{int64(time.Microsecond), int64(time.Millisecond), int64(10 * time.Millisecond)}
+	cum := h.CumulativeLE(bounds)
+	for i := 1; i < len(cum); i++ {
+		if cum[i] < cum[i-1] {
+			t.Fatalf("cumulative series %v not monotone at %d", cum, i)
+		}
+	}
+	if got := cum[len(bounds)]; got != 3 {
+		t.Fatalf("+Inf = %d, want the bucket sum 3 (series %v, count %d)", got, cum, h.Count())
+	}
+}
+
 // TestHistogramRaceConcurrentRecord hammers one histogram from many
 // goroutines while a reader takes quantiles; run under -race via the
 // Makefile's race target.

@@ -3,6 +3,7 @@ package modelcheck
 import (
 	"fmt"
 
+	"gengc/internal/fault"
 	"gengc/internal/gc"
 )
 
@@ -14,8 +15,9 @@ import (
 // collectors: a store during the sync windows (Figure 1's two-shade
 // barrier, §7.1's acceptance window), a deletion-barrier shade racing
 // the final acknowledgement round, a dropped safe point around a card
-// mark (§7.2), and a store into an object the running trace then
-// promotes (the card mark's independence from the source's color).
+// mark (§7.2), a store into an object the running trace then promotes
+// (the card mark's independence from the source's color), and the
+// non-generational baseline's create racing its sweep (Remark 5.1).
 
 // setupOldChain attaches a temporary mutator, allocates an object with
 // slots pointer slots, publishes it in globals slot 0, detaches, and
@@ -254,9 +256,59 @@ func promoteAfterStore() *Scenario {
 	}
 }
 
+// createDuringSweep: the non-generational baseline's create protocol.
+// The collector runs one full cycle; the mutator answers the three
+// handshakes and the trace's acknowledgement round, then allocates and
+// roots n once the collector parks at a sweep chunk or finishes, so one
+// preemption places the create before, inside or after the sweep's 16
+// SweepShard chunks. Remark 5.1's color toggle makes the create color
+// the marked color from the toggle through the sweep: a new object is
+// never the color the sweep frees, wherever the sweep is.
+func createDuringSweep() *Scenario {
+	return &Scenario{
+		Name: "create-during-sweep",
+		Description: "allocation racing the non-generational sweep; " +
+			"a new object must never carry the color the sweep frees",
+		Config:   func() gc.Config { return microConfig(gc.NonGenerational) },
+		Setup:    func(*Env) error { return nil },
+		Mutators: []string{"mut"},
+		Actors: []ActorDecl{
+			collectorActor(1),
+			{Name: "mut", Run: func(env *Env) error {
+				return DriveMutator(env, "mut", []Op{
+					coopOp(),
+					coopOp(),
+					coopOp(),
+					coopOp(),
+					sweepGated(allocRootOp("n", 1)),
+				})
+			}},
+		},
+		AtEnd: func(env *Env) error {
+			if err := assertAlive(env, "n"); err != nil {
+				return err
+			}
+			return quiescentAudit(env)
+		},
+	}
+}
+
+// sweepGated holds op until the collector parks at a sweep chunk (the
+// full-collection recolor pass parks there too, but before the first
+// handshake) or the run is over.
+func sweepGated(op Op) Op {
+	op.Gate = func(env *Env, _ *gc.Mutator) func() bool {
+		return func() bool {
+			return env.Done.Load() || env.VS.parkedAt("collector", fault.SweepShard.String())
+		}
+	}
+	return op
+}
+
 // Scenarios returns the named scenarios in their canonical order.
 func Scenarios() []*Scenario {
-	return []*Scenario{syncStoreRace(), shadeVsAck(), droppedHandshake(), promoteAfterStore()}
+	return []*Scenario{syncStoreRace(), shadeVsAck(), droppedHandshake(), promoteAfterStore(),
+		createDuringSweep()}
 }
 
 // ByName resolves one scenario. A retired name — a stale -scenario

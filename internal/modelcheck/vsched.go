@@ -189,5 +189,17 @@ func (vs *VirtualScheduler) WaitDriver(label string, ready func() bool) bool {
 	return vs.park(parkWait, label, ready).ok
 }
 
+// parkedAt reports whether the named actor is parked at label. It is
+// for gate predicates, which only the controller evaluates, while
+// every actor is parked.
+func (vs *VirtualScheduler) parkedAt(name, label string) bool {
+	for _, a := range vs.actors {
+		if a.name == name {
+			return a.label == label
+		}
+	}
+	return false
+}
+
 // Aborted reports whether the controller is unwinding this run.
 func (vs *VirtualScheduler) Aborted() bool { return vs.aborted.Load() }

@@ -31,7 +31,7 @@ func RenderPauseCDF(w io.Writer, t *Trace, csv bool) {
 	fmt.Fprintf(w, "Pause-time CDF (%d pauses, %d mutators, %d runs)\n",
 		c.Count, c.Mutators, t.Runs)
 	if c.Count == 0 {
-		fmt.Fprintln(w, "  no pause events in trace (pause accounting off?)")
+		fmt.Fprintln(w, "  no pause events in trace")
 		fmt.Fprintln(w)
 		return
 	}

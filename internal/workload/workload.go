@@ -165,7 +165,7 @@ type Result struct {
 	Cycles   []metrics.Cycle
 
 	// Pauses is the fleet-wide pause statistics over every mutator
-	// thread of the run (zero-valued when pause accounting is off).
+	// thread of the run.
 	Pauses metrics.PauseStats
 
 	// Census is the final heap population, taken after the collector

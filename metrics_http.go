@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gengc/internal/heap"
+	"gengc/internal/metrics"
 )
 
 // Prometheus text exposition (version 0.0.4) for the runtime's
@@ -124,14 +125,7 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 	}
 	if h := r.c.RequestHistogram(); h != nil {
 		help(b, "gengc_request_seconds", "End-to-end request latencies observed via ObserveRequest (queue wait + allocation + retries).", "histogram")
-		cum := h.CumulativeLE(pauseBucketBounds)
-		for i, bound := range pauseBucketBounds {
-			fmt.Fprintf(b, "gengc_request_seconds_bucket{le=%q} %d\n",
-				formatSeconds(bound), cum[i])
-		}
-		fmt.Fprintf(b, "gengc_request_seconds_bucket{le=\"+Inf\"} %d\n", cum[len(pauseBucketBounds)])
-		fmt.Fprintf(b, "gengc_request_seconds_sum %s\n", formatSeconds(int64(h.Total())))
-		fmt.Fprintf(b, "gengc_request_seconds_count %d\n", h.Count())
+		writeHistogram(b, "gengc_request_seconds", h)
 		help(b, "gengc_request_quantile_seconds", "Bucketed request-latency quantiles (upper bucket edge, <=6% relative error).", "gauge")
 		for _, q := range []struct {
 			label string
@@ -157,14 +151,7 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 func writePauseHistogram(b *strings.Builder, r *Runtime) {
 	h := r.c.PauseHistogram()
 	help(b, "gengc_pause_seconds", "Mutator-visible pause durations (handshake and ack responses, allocation stalls).", "histogram")
-	cum := h.CumulativeLE(pauseBucketBounds)
-	for i, bound := range pauseBucketBounds {
-		fmt.Fprintf(b, "gengc_pause_seconds_bucket{le=%q} %d\n",
-			formatSeconds(bound), cum[i])
-	}
-	fmt.Fprintf(b, "gengc_pause_seconds_bucket{le=\"+Inf\"} %d\n", cum[len(pauseBucketBounds)])
-	fmt.Fprintf(b, "gengc_pause_seconds_sum %s\n", formatSeconds(int64(h.Total())))
-	fmt.Fprintf(b, "gengc_pause_seconds_count %d\n", h.Count())
+	writeHistogram(b, "gengc_pause_seconds", h)
 
 	help(b, "gengc_pause_quantile_seconds", "Bucketed pause quantiles (upper bucket edge, <=6% relative error).", "gauge")
 	for _, q := range []struct {
@@ -174,6 +161,21 @@ func writePauseHistogram(b *strings.Builder, r *Runtime) {
 		fmt.Fprintf(b, "gengc_pause_quantile_seconds{q=%q} %s\n",
 			q.label, formatSeconds(int64(h.Quantile(q.q))))
 	}
+}
+
+// writeHistogram renders h's buckets, sum and count as the samples of
+// the Prometheus histogram name. The +Inf bucket and the count are the
+// same bucket sum, so a scrape racing Record still shows a monotone
+// series that ends at its count.
+func writeHistogram(b *strings.Builder, name string, h *metrics.Histogram) {
+	cum := h.CumulativeLE(pauseBucketBounds)
+	for i, bound := range pauseBucketBounds {
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, formatSeconds(bound), cum[i])
+	}
+	total := cum[len(pauseBucketBounds)]
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, total)
+	fmt.Fprintf(b, "%s_sum %s\n", name, formatSeconds(int64(h.Total())))
+	fmt.Fprintf(b, "%s_count %d\n", name, total)
 }
 
 // writeInfo renders the run metadata stamped into the trace start event

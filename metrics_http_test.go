@@ -44,6 +44,18 @@ func scrapeValue(t *testing.T, body, name string) float64 {
 	return 0
 }
 
+// checkHistogramTotals fails unless every histogram in the exposition
+// has its +Inf bucket equal to its _count, as Prometheus requires.
+func checkHistogramTotals(t *testing.T, body string) {
+	t.Helper()
+	for _, name := range []string{"gengc_pause_seconds", "gengc_request_seconds"} {
+		inf := scrapeValue(t, body, name+`_bucket{le="+Inf"}`)
+		if n := scrapeValue(t, body, name+"_count"); inf != n {
+			t.Errorf("%s: +Inf bucket %v, _count %v", name, inf, n)
+		}
+	}
+}
+
 // TestMetricsExpvarRoundTrip churns mutators against a background
 // collector while scraping /metrics and the expvar snapshot, then
 // quiesces and checks both exposition paths against Snapshot() value
@@ -99,6 +111,7 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		if !strings.Contains(body, "gengc_cycles_total") {
 			t.Fatal("mid-flight scrape lacks gengc_cycles_total")
 		}
+		checkHistogramTotals(t, body)
 		_ = expvar.Get(expvarName).String()
 		time.Sleep(time.Millisecond)
 	}
@@ -131,6 +144,7 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		adm.Finish()
 	}
 	body, _ := scrape()
+	checkHistogramTotals(t, body)
 	var fromVar gengc.Snapshot
 	if err := json.Unmarshal([]byte(expvar.Get(expvarName).String()), &fromVar); err != nil {
 		t.Fatalf("expvar snapshot does not unmarshal: %v", err)

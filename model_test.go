@@ -228,44 +228,3 @@ func TestModelOracle(t *testing.T) {
 		})
 	}
 }
-
-// TestModelOracleToggleFree runs the oracle against the original-DLG
-// baseline as well.
-func TestModelOracleToggleFree(t *testing.T) {
-	rtCfg := Config{Mode: NonGenerational, HeapBytes: 16 << 20,
-		YoungBytes: 1 << 20, DisableColorToggle: true}
-	rt, err := NewManual(WithConfig(rtCfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	md := &model{rt: rt, m: rt.NewMutator()}
-	for i := 0; i < 16; i++ {
-		md.m.PushRoot(Nil)
-		md.roots = append(md.roots, nil)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for step := 0; step < 3000; step++ {
-		md.m.Safepoint()
-		switch rng.Intn(6) {
-		case 0, 1, 2:
-			o := md.alloc(t, rng.Intn(3))
-			md.setRoot(rng.Intn(len(md.roots)), o)
-		case 3:
-			md.setRoot(rng.Intn(len(md.roots)), nil)
-		case 4:
-			if step%11 == 0 {
-				md.m.Collect(true)
-				md.check(t, false)
-			}
-		default:
-		}
-	}
-	md.m.Collect(true)
-	md.m.Collect(true)
-	md.check(t, true)
-	if err := rt.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	md.m.Detach()
-}

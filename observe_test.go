@@ -130,27 +130,6 @@ func TestSnapshotPerMutator(t *testing.T) {
 	}
 }
 
-// TestPauseHistogramsOff checks WithPauseHistograms(false) switches the
-// accounting off cleanly.
-func TestPauseHistogramsOff(t *testing.T) {
-	rt, err := gengc.NewManual(gengc.WithMode(gengc.Generational),
-		gengc.WithHeapBytes(4<<20), gengc.WithPauseHistograms(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	m := rt.NewMutator()
-	defer m.Detach()
-	root := m.PushRoot(gengc.Nil)
-	for i := 0; i < 500; i++ {
-		m.SetRoot(root, m.MustAlloc(1, 64))
-	}
-	m.Collect(true)
-	if snap := rt.Snapshot(); snap.Fleet.Count != 0 || len(snap.Mutators) != 0 {
-		t.Fatalf("pause accounting off but snapshot has data: %+v", snap)
-	}
-}
-
 // TestTraceSinkEvents runs collections against a memory sink and checks
 // the event stream's shape: the start boundary, per-cycle spans, and
 // cycle numbers that match the metrics records.

@@ -85,15 +85,6 @@ func WithTraceSink(sink TraceSink) Option {
 	return func(c *Config) { c.TraceSink = sink }
 }
 
-// WithPauseHistograms enables or disables per-mutator pause accounting
-// (log-linear histograms behind Snapshot and PauseStats). It is on by
-// default — recording costs one timestamp pair and one atomic increment
-// per responded handshake — so this option exists to switch it off for
-// barrier microbenchmarks.
-func WithPauseHistograms(on bool) Option {
-	return func(c *Config) { c.DisablePauseHistograms = !on }
-}
-
 // WithFlightRecorder arms the anomaly flight recorder with a ring of
 // the last n trace events. The ring records continuously at near-zero
 // cost (it taps the same per-producer ring + cycle-drain path as
@@ -110,8 +101,7 @@ func WithFlightRecorder(n int) Option {
 // WithPauseSLO declares a mutator pause service-level objective: every
 // recorded pause longer than d raises Snapshot.SLOBreaches and triggers
 // a flight-recorder dump when one is armed (WithFlightRecorder).
-// Requires pause histograms (the default); zero disables SLO
-// accounting.
+// Zero disables SLO accounting.
 func WithPauseSLO(d time.Duration) Option {
 	return func(c *Config) { c.PauseSLO = d }
 }
