@@ -9,8 +9,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(WithCardBytes(24)); err == nil {
 		t.Fatal("New accepted an invalid card size")
 	}
-	if _, err := NewManual(WithFullThreshold(2)); err == nil {
-		t.Fatal("NewManual accepted an invalid threshold")
+	if _, err := NewManual(WithYoungBytes(64 << 20)); err == nil {
+		t.Fatal("NewManual accepted a young generation larger than the heap")
 	}
 }
 
@@ -20,7 +20,6 @@ func TestConfigErrorsAreSentinels(t *testing.T) {
 		opts []Option
 	}{
 		{"card size", []Option{WithCardBytes(24)}},
-		{"threshold", []Option{WithFullThreshold(2)}},
 		{"via WithConfig", []Option{WithConfig(Config{OldAge: 1000})}},
 	}
 	for _, tc := range cases {
@@ -104,9 +103,7 @@ func TestGlobals(t *testing.T) {
 
 func TestMustAllocPanicsOnHopelessOOM(t *testing.T) {
 	rt, err := NewManual(
-		WithMode(Generational), WithHeapBytes(256<<10),
-		WithYoungBytes(128<<10), WithInitialTargetBytes(128<<10),
-		WithHeadroomBytes(64<<10),
+		WithMode(Generational), WithHeapBytes(256<<10), WithYoungBytes(128<<10),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -234,5 +231,35 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 		if m.Read(a, i) != vals[i] || m.Read(b, i) != vals[i] {
 			t.Errorf("slot %d: WriteBatch gave %d, Write gave %d, want %d", i, m.Read(a, i), m.Read(b, i), vals[i])
 		}
+	}
+}
+
+// TestSmallHeap: a heap and young size alone make a valid configuration
+// — the full-collection trigger is derived from the heap, not a 4 MB
+// default that a 2 MB heap cannot hold — and the small runtime
+// collects and verifies.
+func TestSmallHeap(t *testing.T) {
+	rt, err := NewManual(WithHeapBytes(2<<20), WithYoungBytes(512<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	m := rt.NewMutator()
+	defer m.Detach()
+	keep := m.PushRoot(Nil)
+	for i := 0; i < 20000; i++ {
+		x := m.MustAlloc(1, 64)
+		m.Write(x, 0, m.Root(keep))
+		if i%100 == 0 {
+			m.SetRoot(keep, x)
+		}
+		m.Safepoint()
+	}
+	m.Collect(true)
+	if n := rt.Collector().FullsDone(); n == 0 {
+		t.Fatal("no full collection ran")
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -296,13 +296,12 @@ func benchCollection(b *testing.B, full bool) {
 // elapsed time.
 func BenchmarkParallelCollection(b *testing.B) {
 	const (
-		liveChains = 256
+		liveChains = 256 // one per global root slot
 		chainNodes = 3000
 	)
 	rt, err := gengc.New(
 		gengc.WithMode(gengc.NonGenerational),
 		gengc.WithHeapBytes(128<<20),
-		gengc.WithGlobalRootSlots(liveChains),
 	)
 	if err != nil {
 		b.Fatal(err)

@@ -31,8 +31,7 @@ func drive(m *Mutator, fn func()) {
 // panics with the typed *OOMPanic whose chain reaches ErrOutOfMemory.
 func TestMustAllocOOMPanic(t *testing.T) {
 	rt, err := NewManual(WithMode(Generational), WithHeapBytes(256<<10),
-		WithYoungBytes(128<<10), WithInitialTargetBytes(128<<10),
-		WithHeadroomBytes(64<<10))
+		WithYoungBytes(128<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

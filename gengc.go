@@ -499,13 +499,13 @@ func (m *Mutator) MustAlloc(slots, size int) Ref {
 func (m *Mutator) Write(x Ref, i int, y Ref) { m.m.Update(x, i, y) }
 
 // WriteBatch stores vals into slots 0..len(vals)-1 of object x through
-// the write barrier, with the per-object bookkeeping (phase sampling,
-// the card mark) done once for the whole batch rather than per slot. It
-// is equivalent to calling Write(x, j, vals[j]) for each j at a single
-// program point; use it for bulk object initialization and dense slot
-// rewrites. Stores that scatter across objects or slots gain nothing —
-// keep those on Write.
-func (m *Mutator) WriteBatch(x Ref, vals []Ref) { m.m.UpdateBatch(x, vals) }
+// the write barrier: Write(x, j, vals[j]) for each j, so the barrier
+// the model checker verifies is the only one there is.
+func (m *Mutator) WriteBatch(x Ref, vals []Ref) {
+	for j, y := range vals {
+		m.m.Update(x, j, y)
+	}
+}
 
 // Read loads pointer slot i of object x (no read barrier, per DLG).
 func (m *Mutator) Read(x Ref, i int) Ref { return m.m.Read(x, i) }

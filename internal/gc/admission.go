@@ -47,55 +47,28 @@ func (p Priority) String() string {
 }
 
 // AdmissionConfig parameterizes the admission controller (Config.
-// Admission; the gengc facade sets it via WithAdmission). The zero
-// value of each field selects the default.
+// Admission; the gengc facade sets it via WithAdmission).
 type AdmissionConfig struct {
 	// MaxQueue bounds the requests waiting to be served; a request
 	// arriving with the queue full is shed immediately (ErrShed).
-	// Default 256.
+	// 0 selects the default, 256.
 	MaxQueue int
+}
 
-	// RedLine is the heap-occupancy watermark, as a fraction of the
-	// emergency full-collection bound (FullThreshold·HeapBytes), above
-	// which the controller enters degraded mode and sheds PriorityLow
-	// requests. 0.9 (the default) means "degrade at 90% of the
-	// occupancy that would force an emergency full collection" — shed
-	// before OOM, never after.
-	RedLine float64
+// Degraded mode's two thresholds are fixed policy, like the pacer's.
+const (
+	// redLine is the heap-occupancy watermark, as a fraction of the
+	// pacer's emergency full-collection bound, above which the
+	// controller is degraded and sheds PriorityLow requests: degrade at
+	// 90% of the occupancy that would force an emergency full
+	// collection — shed before OOM, never after.
+	redLine = 0.9
 
-	// SlipWindow is how long after an allocation-deadline slip
+	// slipWindow is how long after an allocation-deadline slip
 	// (AllocCtx expiring in the allocation slow path, or an OOM
-	// give-up) the controller stays in degraded mode. Default 250ms.
-	SlipWindow time.Duration
-}
-
-// withDefaults fills unset admission fields.
-func (a AdmissionConfig) withDefaults() AdmissionConfig {
-	if a.MaxQueue == 0 {
-		a.MaxQueue = 256
-	}
-	if a.RedLine == 0 {
-		a.RedLine = 0.9
-	}
-	if a.SlipWindow == 0 {
-		a.SlipWindow = 250 * time.Millisecond
-	}
-	return a
-}
-
-// validate rejects admission configurations the controller cannot run.
-func (a AdmissionConfig) validate() error {
-	if a.MaxQueue < 0 || a.MaxQueue > 1<<20 {
-		return fmt.Errorf("gc: %w: admission queue bound %d out of [0,%d]", ErrInvalidConfig, a.MaxQueue, 1<<20)
-	}
-	if a.RedLine <= 0 || a.RedLine > 1 {
-		return fmt.Errorf("gc: %w: admission red-line %v out of (0,1]", ErrInvalidConfig, a.RedLine)
-	}
-	if a.SlipWindow < 0 {
-		return fmt.Errorf("gc: %w: negative admission slip window %v", ErrInvalidConfig, a.SlipWindow)
-	}
-	return nil
-}
+	// give-up) the controller stays degraded.
+	slipWindow = 250 * time.Millisecond
+)
 
 // AdmissionStats is the controller's cumulative-counter snapshot
 // (Snapshot.Admission in the facade).
@@ -149,6 +122,10 @@ type Admission struct {
 	c   *Collector
 	cfg AdmissionConfig
 
+	// slipWindow is the package constant, held per controller so tests
+	// can shorten it.
+	slipWindow time.Duration
+
 	draining atomic.Bool
 	degraded atomic.Bool
 
@@ -163,11 +140,6 @@ type Admission struct {
 	retries        atomic.Int64
 	degradedEnters atomic.Int64
 
-	// lastDump rate-limits flight-recorder triggers from the shed path
-	// (unixnano): a storm of sheds is exactly when flushing the tracer
-	// per event would hurt.
-	lastDump atomic.Int64
-
 	// ring is the controller's trace-event buffer. Rings are SPSC;
 	// Admit runs on arbitrary caller goroutines, so emission is
 	// serialized by the mutex.
@@ -180,7 +152,7 @@ type Admission struct {
 // newAdmission builds the controller. cfg must already have defaults
 // applied and be validated (Config.withDefaults/validate do both).
 func newAdmission(c *Collector, cfg AdmissionConfig) *Admission {
-	a := &Admission{c: c, cfg: cfg}
+	a := &Admission{c: c, cfg: cfg, slipWindow: slipWindow}
 	if c.tracer != nil {
 		a.ring.r = c.tracer.NewRing()
 	}
@@ -267,13 +239,13 @@ func (a *Admission) Degraded() bool { return a.refreshDegraded() }
 // and recent allocation-deadline slips — and emits the enter/exit
 // transition events.
 func (a *Admission) refreshDegraded() bool {
-	deg := a.c.pacer.OccupancyRatio() >= a.cfg.RedLine ||
-		a.c.pacer.SlipWithin(a.cfg.SlipWindow)
+	deg := a.c.pacer.OccupancyRatio() >= redLine ||
+		a.c.pacer.SlipWithin(a.slipWindow)
 	if deg {
 		if a.degraded.CompareAndSwap(false, true) {
 			a.degradedEnters.Add(1)
 			a.emit("degraded", "enter", 0)
-			a.dump("degraded")
+			a.c.triggerDump("degraded")
 		}
 	} else if a.degraded.CompareAndSwap(true, false) {
 		a.emit("degraded", "exit", 0)
@@ -281,11 +253,11 @@ func (a *Admission) refreshDegraded() bool {
 	return deg
 }
 
-// noteShed emits the trace event and (rate-limited) flight-recorder
-// trigger for one shed request.
+// noteShed emits the trace event and flight-recorder trigger for one
+// shed request.
 func (a *Admission) noteShed(reason string, pri Priority) {
 	a.emit("shed", reason, int64(pri))
-	a.dump("shed")
+	a.c.triggerDump("shed")
 }
 
 // emit publishes one admission event. Worker -1 marks events not
@@ -303,18 +275,6 @@ func (a *Admission) emit(ev, kind string, n int64) {
 		N:      n,
 		K:      kind,
 	})
-}
-
-// dump triggers a flight-recorder capture, rate-limited to one per
-// second on the admission side: Collector.triggerDump flushes the whole
-// tracer, which must not run per-request during a shed storm.
-func (a *Admission) dump(reason string) {
-	now := time.Now().UnixNano()
-	last := a.lastDump.Load()
-	if now-last < int64(time.Second) || !a.lastDump.CompareAndSwap(last, now) {
-		return
-	}
-	a.c.triggerDump(reason)
 }
 
 // Stats snapshots the controller's counters.

@@ -81,8 +81,9 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 }
 
 func TestAdmissionDegradedShedsLowPriority(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{SlipWindow: 50 * time.Millisecond})
+	c := admissionCollector(t, AdmissionConfig{})
 	a := c.Admission()
+	a.slipWindow = 50 * time.Millisecond
 	// A deadline slip puts the controller into degraded mode for the
 	// slip window.
 	c.Pacer().NoteSlip()
@@ -112,16 +113,15 @@ func TestAdmissionDegradedShedsLowPriority(t *testing.T) {
 	}
 }
 
-func TestAdmissionRedLineDegrades(t *testing.T) {
-	c := admissionCollector(t, AdmissionConfig{RedLine: 0.5})
+func TestAdmissionOccupancyDegrades(t *testing.T) {
+	c := admissionCollector(t, AdmissionConfig{})
 	a := c.Admission()
 	// Pump the pacer's occupancy estimate past the red line without
 	// touching the heap: NoteAlloc is the estimate's only input
 	// between reconciles.
-	emergency := int64(float64(c.H.SizeBytes) * c.Config().FullThreshold)
-	c.Pacer().Reconcile(emergency/2 + (1 << 20))
-	if got := c.Pacer().OccupancyRatio(); got < 0.5 {
-		t.Fatalf("occupancy ratio %v, want >= 0.5", got)
+	c.Pacer().Reconcile(c.Pacer().emergency*9/10 + (1 << 20))
+	if got := c.Pacer().OccupancyRatio(); got < redLine {
+		t.Fatalf("occupancy ratio %v, want >= %v", got, redLine)
 	}
 	if err := a.Admit(PriorityLow); !errors.Is(err, ErrShed) {
 		t.Fatalf("low-priority admit over the red line: err = %v, want ErrShed", err)
@@ -169,8 +169,7 @@ func TestAdmissionStopBeginsDrain(t *testing.T) {
 func TestAdmissionConfigValidation(t *testing.T) {
 	for _, bad := range []AdmissionConfig{
 		{MaxQueue: -1},
-		{RedLine: 1.5},
-		{SlipWindow: -time.Second},
+		{MaxQueue: 1<<20 + 1},
 	} {
 		_, err := New(Config{Mode: Generational, Admission: &bad})
 		if !errors.Is(err, ErrInvalidConfig) {

@@ -1,9 +1,6 @@
 package gc
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"gengc/internal/heap"
@@ -59,16 +56,14 @@ func TestCreateUsesAllocationColor(t *testing.T) {
 	}
 }
 
-// writeAPIs are the two entry points of the one write barrier, as
-// "store y into slot 0 of x": the per-phase tests below run once
-// through each and must see the same shades, gray-buffer contents and
-// card state.
+// writeAPIs lists the entry points of the one write barrier, as "store
+// y into slot 0 of x"; the per-phase tests below run once through each.
+// Update is the only one: the facade's WriteBatch is a loop over it.
 var writeAPIs = []struct {
 	name  string
 	store func(m *Mutator, x, y heap.Addr)
 }{
 	{"Update", func(m *Mutator, x, y heap.Addr) { m.Update(x, 0, y) }},
-	{"UpdateBatch", func(m *Mutator, x, y heap.Addr) { m.UpdateBatch(x, []heap.Addr{y}) }},
 }
 
 // TestBarrierAsyncIdle: during async with the collector idle, a
@@ -249,150 +244,6 @@ func TestAgingUpdateMarksCardAfterStore(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestUpdateBatchMatchesUpdate: a multi-slot UpdateBatch must leave
-// what the per-slot Update loop leaves — slot contents, the shaded
-// set, the gray buffer in order, the gray-transition count and the
-// object's card — in every mode and in every phase the barrier
-// distinguishes. (The one-slot batches of the phase tests above cannot
-// see the per-object bookkeeping UpdateBatch does once instead of per
-// slot.)
-func TestUpdateBatchMatchesUpdate(t *testing.T) {
-	const n = 4
-	phases := []struct {
-		name  string
-		enter func(c *Collector, m *Mutator)
-	}{
-		{"async-idle", func(*Collector, *Mutator) {}},
-		{"async-tracing", func(c *Collector, m *Mutator) {
-			c.switchColors()
-			c.tracing.Store(true)
-		}},
-		{"sync", func(c *Collector, m *Mutator) {
-			c.postHandshake(StatusSync1)
-			m.Cooperate()
-		}},
-	}
-	// observe runs the stores through one API on a fresh collector and
-	// renders everything the barrier may have touched. Both runs
-	// allocate in the same order, so objects are named by role.
-	observe := func(t *testing.T, mode Mode, enter func(*Collector, *Mutator), batch bool) string {
-		c := newTestCollector(t, mode)
-		m := c.NewMutator()
-		x := mustAlloc(t, m, n, 0)
-		names := map[heap.Addr]string{x: "x"}
-		olds, vals := make([]heap.Addr, n), make([]heap.Addr, n)
-		for i := range olds {
-			olds[i] = mustAlloc(t, m, 0, 32)
-			vals[i] = mustAlloc(t, m, 0, 32)
-			names[olds[i]] = fmt.Sprintf("old%d", i)
-			names[vals[i]] = fmt.Sprintf("val%d", i)
-		}
-		vals[n-1] = 0 // a nil store rides along
-		m.UpdateBatch(x, olds)
-		ci := c.Cards.IndexOf(x)
-		c.Cards.Clear(ci)
-		enter(c, m)
-		if batch {
-			m.UpdateBatch(x, vals)
-		} else {
-			for i, y := range vals {
-				m.Update(x, i, y)
-			}
-		}
-		out := fmt.Sprintf("card=%v produced=%d x=%v", c.Cards.IsDirty(ci), c.grayProduced.Load(), c.H.Color(x))
-		for i := range olds {
-			if got := c.H.LoadSlot(x, i); got != vals[i] {
-				t.Errorf("slot %d = %#x, want %#x", i, got, vals[i])
-			}
-			out += fmt.Sprintf(" old%d=%v", i, c.H.Color(olds[i]))
-			if vals[i] != 0 {
-				out += fmt.Sprintf(" val%d=%v", i, c.H.Color(vals[i]))
-			}
-		}
-		out += " gray="
-		for _, g := range m.gray.buf {
-			out += names[g] + ","
-		}
-		return out
-	}
-	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
-		for _, ph := range phases {
-			t.Run(mode.String()+"/"+ph.name, func(t *testing.T) {
-				loop := observe(t, mode, ph.enter, false)
-				batch := observe(t, mode, ph.enter, true)
-				if loop != batch {
-					t.Errorf("barrier state diverged:\n  Update loop: %s\n  UpdateBatch: %s", loop, batch)
-				}
-			})
-		}
-	}
-}
-
-// TestUpdateBatchChurnRaceStress runs both write APIs under -race with
-// a started collector and several concurrent mutators — stores landing in whatever phase the running
-// cycles are in — then audits every invariant. (The name matters:
-// `make race` selects Race|Stress|Parallel tests.)
-func TestUpdateBatchChurnRaceStress(t *testing.T) {
-	c, err := New(Config{Mode: Generational, HeapBytes: 16 << 20,
-		YoungBytes: 256 << 10, SelfCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	const mutators = 4
-	var wg sync.WaitGroup
-	for id := 0; id < mutators; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			m := c.NewMutator()
-			defer m.Detach()
-			rng := rand.New(rand.NewSource(int64(id) + 7))
-			live := 0
-			for op := 0; op < 4000; op++ {
-				switch r := rng.Float64(); {
-				case r < 0.5 || live == 0:
-					ref, err := m.Alloc(2, 16+rng.Intn(64))
-					if err != nil {
-						t.Errorf("mutator %d: %v", id, err)
-						return
-					}
-					m.PushRoot(ref)
-					live++
-				case r < 0.8 && live >= 2:
-					a := m.Root(rng.Intn(live))
-					vals := []heap.Addr{m.Root(rng.Intn(live)), m.Root(rng.Intn(live))}
-					if rng.Intn(2) == 0 {
-						m.UpdateBatch(a, vals)
-					} else {
-						m.Update(a, rng.Intn(2), vals[0])
-					}
-				default:
-					drop := 1 + rng.Intn(min(live, 6))
-					m.PopRoots(drop)
-					live -= drop
-				}
-				m.Cooperate()
-			}
-		}(id)
-	}
-	wg.Wait()
-	c.CollectNow(true)
-	if err := c.Verify(); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-	if err := c.VerifyCardInvariant(); err != nil {
-		t.Errorf("card invariant: %v", err)
-	}
-	if err, n := c.SelfCheckErr(); n > 0 {
-		t.Errorf("%d self-check violations, first: %v", n, err)
-	}
-	if c.CyclesDone() == 0 {
-		t.Error("stress run never overlapped a collection cycle")
-	}
-	c.Stop()
 }
 
 func TestReadHasNoBarrier(t *testing.T) {

@@ -104,9 +104,10 @@ type Collector struct {
 		nextID int
 	}
 
-	// globals is a heap object holding the global root slots; stores
-	// to it go through the normal write barrier, so it needs no
-	// special treatment beyond being grayed as a root each cycle.
+	// globals is a heap object holding the globalRootSlots global
+	// root slots; stores to it go through the normal write barrier, so
+	// it needs no special treatment beyond being grayed as a root each
+	// cycle.
 	globals heap.Addr
 
 	// gray is the collector's gray-set working stack (trace.go), fed by
@@ -156,8 +157,8 @@ type Collector struct {
 	ring   *trace.Ring
 
 	// recorder is the anomaly flight recorder (nil unless
-	// Config.FlightRecorderEvents is positive); it receives the event
-	// stream as a (tee'd) trace sink and freezes dumps on trigger.
+	// Config.FlightRecorderEvents is positive); it taps the event
+	// stream ahead of the trace sink and freezes dumps on trigger.
 	recorder *telemetry.Recorder
 
 	// sloBreaches counts recorded mutator pauses that exceeded
@@ -171,12 +172,9 @@ type Collector struct {
 	// reqHist is the per-request latency histogram fed by
 	// ObserveRequest (nil unless request accounting is on: a
 	// RequestSLO or an admission controller); reqSLOBreaches counts
-	// observations over Config.RequestSLO, and reqSLODump rate-limits
-	// their flight-recorder triggers (unixnano — a breach storm must
-	// not flush the tracer per request).
+	// observations over Config.RequestSLO.
 	reqHist        *metrics.Histogram
 	reqSLOBreaches atomic.Int64
-	reqSLODump     atomic.Int64
 
 	// demo accumulates run-cumulative heap demographics, folded in by
 	// the collector goroutine at the end of every cycle; readers take
@@ -242,6 +240,11 @@ type Stall struct {
 	Waited time.Duration
 }
 
+// globalRootSlots is the number of global (class-static-like) root
+// slots. The globals object is one object, one card and one drain step
+// whatever its slot count.
+const globalRootSlots = 256
+
 // New builds a collector and its heap. Start must be called before any
 // allocation can trigger background collections; collections can also be
 // run synchronously with CollectNow (used by tests).
@@ -260,22 +263,18 @@ func New(cfg Config) (*Collector, error) {
 	}
 	c := &Collector{H: h, Cards: ct, cfg: cfg, rec: metrics.NewRecorder(),
 		retired: &metrics.Histogram{}, flt: cfg.Fault, vsched: cfg.Scheduler}
+	var tap func(trace.Event)
 	if cfg.FlightRecorderEvents > 0 {
 		c.recorder = telemetry.NewRecorder(cfg.FlightRecorderEvents)
+		tap = c.recorder.Emit
 	}
-	var sink trace.Sink
-	switch {
-	case cfg.TraceSink != nil && c.recorder != nil:
-		sink = trace.TeeSink(cfg.TraceSink, c.recorder)
-	case cfg.TraceSink != nil:
-		sink = cfg.TraceSink
-	case c.recorder != nil:
-		sink = c.recorder
-	}
-	if sink != nil {
-		c.tracer = trace.NewWithMeta(sink, runMeta(cfg))
+	if cfg.TraceSink != nil || tap != nil {
+		c.tracer = trace.NewWithMeta(cfg.TraceSink, tap, runMeta(cfg))
 		c.tracer.SetInjector(c.flt)
 		c.ring = c.tracer.NewRing()
+	}
+	if c.recorder != nil {
+		c.recorder.SetFlushFn(c.tracer.Flush)
 	}
 	if cfg.TrackPages || cfg.PageCostSpins > 0 {
 		h.Pages = heap.NewPageSet(h.SizeBytes, ct.NumCards())
@@ -297,8 +296,8 @@ func New(cfg Config) (*Collector, error) {
 	// The global-roots object. Allocated with a private cache; its
 	// cells' block stays live for the runtime's lifetime.
 	var cache heap.Cache
-	slots := cfg.GlobalRootSlots
-	g, _, err := h.Alloc(&cache, slots, heap.HeaderBytes+slots*heap.WordBytes, c.AllocColor())
+	g, _, err := h.Alloc(&cache, globalRootSlots,
+		heap.HeaderBytes+globalRootSlots*heap.WordBytes, c.AllocColor())
 	if err != nil {
 		return nil, fmt.Errorf("gc: allocating global roots: %w", err)
 	}
@@ -443,21 +442,19 @@ func (c *Collector) notifyStall(s Stall) {
 	}
 }
 
-// triggerDump freezes a flight-recorder capture for reason. The rings
-// are flushed first so the event that provoked the trigger — emitted
-// moments ago into a producer ring — is inside the captured window;
-// Tracer.Flush is mutex-guarded, so this is safe from any goroutine
-// (the watchdog mid-handshake, a mutator's allocation give-up, a pause
-// recording). Nil-safe: without an armed recorder it costs one pointer
-// comparison.
+// triggerDump freezes a flight-recorder capture for reason. A capture
+// flushes the rings first (the recorder's flush function) so the event
+// that provoked the trigger — emitted moments ago into a producer ring
+// — is inside the captured window; a trigger inside the recorder's
+// one-second gap is only counted, so a shed or breach storm costs no
+// flushes. Tracer.Flush is mutex-guarded, so this is safe from any
+// goroutine (the watchdog mid-handshake, a mutator's allocation
+// give-up, a pause recording, a shed). Nil-safe: without an armed
+// recorder it costs one pointer comparison.
 func (c *Collector) triggerDump(reason string) {
-	if c.recorder == nil {
-		return
+	if c.recorder != nil {
+		c.recorder.Trigger(reason)
 	}
-	if c.tracer != nil {
-		c.tracer.Flush()
-	}
-	c.recorder.Trigger(reason)
 }
 
 // FlightRecorder returns the armed anomaly flight recorder, or nil.
@@ -483,7 +480,7 @@ func (c *Collector) AdmissionStats() AdmissionStats {
 // ObserveRequest records one end-to-end request latency — queue wait
 // plus allocation work plus retries, measured by the embedding server —
 // into the request histogram, and enforces the RequestSLO: a breach is
-// counted and triggers a (rate-limited) flight-recorder dump. A no-op
+// counted and triggers a flight-recorder dump. A no-op
 // unless request accounting is on (RequestSLO or Admission configured).
 func (c *Collector) ObserveRequest(d time.Duration) {
 	if c.reqHist == nil {
@@ -492,11 +489,7 @@ func (c *Collector) ObserveRequest(d time.Duration) {
 	c.reqHist.Record(d)
 	if slo := c.cfg.RequestSLO; slo > 0 && d > slo {
 		c.reqSLOBreaches.Add(1)
-		now := time.Now().UnixNano()
-		if last := c.reqSLODump.Load(); now-last >= int64(time.Second) &&
-			c.reqSLODump.CompareAndSwap(last, now) {
-			c.triggerDump("requestslo")
-		}
+		c.triggerDump("requestslo")
 	}
 }
 

@@ -84,7 +84,8 @@ type Config struct {
 	Mode Mode
 
 	// HeapBytes is the heap size. The paper runs with a maximum heap
-	// of 32 MB.
+	// of 32 MB. The pacer derives its full-collection trigger from it
+	// (pacer.go), so any heap that holds YoungBytes is valid.
 	HeapBytes int
 
 	// YoungBytes is the size parameter of the young generation
@@ -102,35 +103,6 @@ type Config struct {
 	// only). The paper counts ages from 1 at allocation; we count
 	// survivals from 0, so our OldAge = paper's age − 1.
 	OldAge int
-
-	// FullThreshold caps the adaptive full-collection target at this
-	// fraction of the heap — the paper's "standard method of starting
-	// the concurrent collection when the heap is almost full" (§3.3).
-	// The trigger calculation is deliberately identical with and
-	// without generations (§8).
-	FullThreshold float64
-
-	// InitialTargetBytes is the starting point of the adaptive
-	// full-collection target. The paper's heap grows from 1 MB toward
-	// the 32 MB maximum, so full collections fire long before the
-	// maximum heap fills; we model that with a target that starts
-	// here and, after every full collection, tracks the live set plus
-	// HeadroomBytes (clamped to [InitialTargetBytes,
-	// FullThreshold·HeapBytes]).
-	InitialTargetBytes int
-
-	// HeadroomBytes is the allocation headroom above the live set at
-	// which the next full collection triggers. The paper's grow-on-
-	// demand heap keeps roughly constant headroom over the live data
-	// (its non-generational javac run collects every ~2.5 MB despite
-	// a double-digit-MB live set), which a multiplicative target
-	// would not reproduce.
-	HeadroomBytes int
-
-	// GlobalRootSlots is the number of global (class-static-like)
-	// root slots; they live in a heap object so that stores to them
-	// go through the ordinary write barrier.
-	GlobalRootSlots int
 
 	// TrackPages enables the Figure 15 pages-touched instrumentation.
 	TrackPages bool
@@ -209,9 +181,9 @@ type Config struct {
 	// the last N trace events, frozen into a dump — together with a
 	// runtime snapshot — when a stall is reported, a cycle aborts, an
 	// allocation gives up (OOM or ErrStalled), or a pause breaches
-	// PauseSLO. The recorder taps the same event stream as TraceSink
-	// (tee'd when both are set), so arming it without a sink still
-	// turns the trace layer on.
+	// PauseSLO. The recorder taps the same event stream as TraceSink,
+	// ahead of it and outside its failure isolation, so arming it
+	// without a sink still turns the trace layer on.
 	FlightRecorderEvents int
 
 	// PauseSLO, when positive, is the mutator pause service-level
@@ -253,18 +225,6 @@ func (c Config) withDefaults() Config {
 	if c.OldAge == 0 {
 		c.OldAge = 3 // paper's default threshold 4, counted from age 1
 	}
-	if c.FullThreshold == 0 {
-		c.FullThreshold = 0.75
-	}
-	if c.InitialTargetBytes == 0 {
-		c.InitialTargetBytes = 4 << 20
-	}
-	if c.HeadroomBytes == 0 {
-		c.HeadroomBytes = 4 << 20
-	}
-	if c.GlobalRootSlots == 0 {
-		c.GlobalRootSlots = 256
-	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = time.Second
 	}
@@ -272,7 +232,10 @@ func (c Config) withDefaults() Config {
 		c.AllocRetries = 3
 	}
 	if c.Admission != nil {
-		a := c.Admission.withDefaults()
+		a := *c.Admission
+		if a.MaxQueue == 0 {
+			a.MaxQueue = 256
+		}
 		c.Admission = &a
 	}
 	return c
@@ -290,15 +253,6 @@ func (c Config) validate() error {
 	if c.YoungBytes <= 0 || c.YoungBytes > c.HeapBytes {
 		return fmt.Errorf("gc: %w: invalid young generation size %d (heap %d)", ErrInvalidConfig, c.YoungBytes, c.HeapBytes)
 	}
-	if c.FullThreshold <= 0 || c.FullThreshold >= 1 {
-		return fmt.Errorf("gc: %w: full-collection threshold %v out of (0,1)", ErrInvalidConfig, c.FullThreshold)
-	}
-	if c.InitialTargetBytes < 64<<10 || c.InitialTargetBytes > c.HeapBytes {
-		return fmt.Errorf("gc: %w: initial full-collection target %d out of range", ErrInvalidConfig, c.InitialTargetBytes)
-	}
-	if c.HeadroomBytes < 64<<10 || c.HeadroomBytes > c.HeapBytes {
-		return fmt.Errorf("gc: %w: full-collection headroom %d out of range", ErrInvalidConfig, c.HeadroomBytes)
-	}
 	if c.OldAge < 1 || c.OldAge > 200 {
 		return fmt.Errorf("gc: %w: tenure threshold %d out of range", ErrInvalidConfig, c.OldAge)
 	}
@@ -314,10 +268,8 @@ func (c Config) validate() error {
 	if c.RequestSLO < 0 {
 		return fmt.Errorf("gc: %w: negative request SLO %v", ErrInvalidConfig, c.RequestSLO)
 	}
-	if c.Admission != nil {
-		if err := c.Admission.validate(); err != nil {
-			return err
-		}
+	if a := c.Admission; a != nil && (a.MaxQueue < 0 || a.MaxQueue > 1<<20) {
+		return fmt.Errorf("gc: %w: admission queue bound %d out of [0,%d]", ErrInvalidConfig, a.MaxQueue, 1<<20)
 	}
 	if c.Scheduler != nil {
 		if c.Fault != nil {

@@ -16,9 +16,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.OldAge != 3 {
 		t.Errorf("OldAge = %d, want 3 (paper age 4)", c.OldAge)
 	}
-	if c.FullThreshold != 0.75 {
-		t.Errorf("FullThreshold = %v", c.FullThreshold)
-	}
 	if err := c.validate(); err != nil {
 		t.Errorf("defaults do not validate: %v", err)
 	}
@@ -34,11 +31,7 @@ func TestConfigValidation(t *testing.T) {
 		{"bad card size", func(c *Config) { c.CardBytes = 24 }},
 		{"card too big", func(c *Config) { c.CardBytes = 8192 }},
 		{"young > heap", func(c *Config) { c.YoungBytes = c.HeapBytes * 2 }},
-		{"threshold 0", func(c *Config) { c.FullThreshold = -1 }},
-		{"threshold 1+", func(c *Config) { c.FullThreshold = 1.5 }},
 		{"old age", func(c *Config) { c.OldAge = 5000 }},
-		{"initial target", func(c *Config) { c.InitialTargetBytes = 1 }},
-		{"headroom", func(c *Config) { c.HeadroomBytes = 1 }},
 	}
 	for _, tc := range cases {
 		c := base

@@ -224,7 +224,7 @@ func (c *Collector) Cycle(full bool) {
 		c.fullsDone.Add(1)
 	}
 	if c.cfg.SelfCheck {
-		if err := c.selfCheckCycle(); err != nil {
+		if err := c.CheckQuiescentCycle(); err != nil {
 			c.recordSelfCheckViolation(fmt.Errorf("after %s cycle %d: %w",
 				kind, c.cyclesDone.Load(), err))
 		}

@@ -43,13 +43,6 @@ type stallWatch struct {
 	iter     int
 }
 
-// newWatch opens a watchdog window for one handshake or ack wait. The
-// clock is read once here; the per-iteration cost until a deadline
-// fires is one counter increment and mask test.
-func (c *Collector) newWatch(phase string) stallWatch {
-	return stallWatch{phase: phase, start: time.Now()}
-}
-
 // watchdog runs the stall check once per gated iteration (every
 // iteration when slow is set — the wait is already sleeping between
 // polls). lagging reports whether a mutator has yet to respond to the
@@ -96,21 +89,30 @@ func (c *Collector) watchdog(w *stallWatch, lagging func(*Mutator) bool, slow bo
 }
 
 // waitHandshake blocks until every attached mutator has responded to
-// the last posted status, watched by the stall watchdog. Mutators
-// attached mid-wait adopt the posted status on attach, so they never
-// stall the handshake; detached mutators are skipped. The false return
-// is the close-abort path: the collector is stopping and a mutator
-// stayed unresponsive past the grace period.
+// the last posted status (waitAll).
 func (c *Collector) waitHandshake() bool {
 	target := c.statusC.Load()
-	if handled, ok := c.seamWait(fault.HandshakeWait,
-		func() bool { return c.allMutatorsAt(target) }); handled {
+	return c.waitAll(fault.HandshakeWait, phaseLabel(Status(target)),
+		func(m *Mutator) bool { return m.status.Load() != target })
+}
+
+// waitAll is the collector's one wait loop, shared by the handshake and
+// acknowledgement rounds: it blocks until no attached mutator is
+// lagging. Under a virtual scheduler the wait diverts to it at point p
+// (seamWait); otherwise it yields, then sleeps, watched by the stall
+// watchdog, which reports laggards under phase. Mutators attached
+// mid-wait adopt the posted status on attach, so they never stall the
+// wait; detached mutators are skipped. The false return is the
+// close-abort path: the collector is stopping and a mutator stayed
+// unresponsive past the grace period.
+func (c *Collector) waitAll(p fault.Point, phase string, lagging func(*Mutator) bool) bool {
+	done := func() bool { return c.noneLagging(lagging) }
+	if handled, ok := c.seamWait(p, done); handled {
 		return ok
 	}
-	w := c.newWatch(phaseLabel(Status(target)))
-	lagging := func(m *Mutator) bool { return m.status.Load() != target }
+	w := stallWatch{phase: phase, start: time.Now()}
 	for spin := 0; ; spin++ {
-		if c.allMutatorsAt(target) {
+		if done() {
 			return true
 		}
 		if c.watchdog(&w, lagging, spin >= HandshakeYieldBudget) {
@@ -118,6 +120,19 @@ func (c *Collector) waitHandshake() bool {
 		}
 		yieldOrSleep(spin)
 	}
+}
+
+// noneLagging reports whether every attached mutator has answered the
+// wait in progress.
+func (c *Collector) noneLagging(lagging func(*Mutator) bool) bool {
+	c.muts.Lock()
+	defer c.muts.Unlock()
+	for _, m := range c.muts.list {
+		if !m.detached.Load() && lagging(m) {
+			return false
+		}
+	}
+	return true
 }
 
 // phaseLabel names the wait for stall reports: the three handshake
@@ -151,20 +166,6 @@ func yieldOrSleep(spin int) {
 	time.Sleep(d)
 }
 
-func (c *Collector) allMutatorsAt(target uint32) bool {
-	c.muts.Lock()
-	defer c.muts.Unlock()
-	for _, m := range c.muts.list {
-		if m.detached.Load() {
-			continue
-		}
-		if m.status.Load() != target {
-			return false
-		}
-	}
-	return true
-}
-
 // handshake is the combined post-and-wait of Figure 3.
 func (c *Collector) handshake(s Status) bool {
 	c.postHandshake(s)
@@ -175,49 +176,18 @@ func (c *Collector) handshake(s Status) bool {
 // It closes the trace-termination race: when a mutator acknowledges the
 // epoch, every gray transition it performed before the acknowledgement
 // is visible in its gray buffer. Each round's latency is recorded in
-// the cycle record and emitted as an "ack" trace event. Like
-// waitHandshake it is watched by the stall watchdog and returns false
-// only on the close-abort path.
+// the cycle record and emitted as an "ack" trace event. It waits in
+// waitAll and returns false only on the close-abort path.
 func (c *Collector) ackRound() bool {
 	// Delay-only seam (a Drop/Fail rule degrades to its delay): the
 	// epoch bump must happen or the round never completes.
 	c.seamDelay(fault.HandshakeAck)
 	start := time.Now()
 	e := c.ackEpoch.Add(1)
-	if handled, ok := c.seamWait(fault.AckWait,
-		func() bool { return c.allMutatorsAcked(e) }); handled {
-		if !ok {
-			return false
-		}
-		c.cyc.AckRounds++
-		c.emit("ack", start, "", e, 0)
-		return true
+	if !c.waitAll(fault.AckWait, "ack", func(m *Mutator) bool { return m.ack.Load() < e }) {
+		return false
 	}
-	w := c.newWatch("ack")
-	lagging := func(m *Mutator) bool { return m.ack.Load() < e }
-	for spin := 0; ; spin++ {
-		if c.allMutatorsAcked(e) {
-			c.cyc.AckRounds++
-			c.emit("ack", start, "", e, 0)
-			return true
-		}
-		if c.watchdog(&w, lagging, spin >= HandshakeYieldBudget) {
-			return false
-		}
-		yieldOrSleep(spin)
-	}
-}
-
-func (c *Collector) allMutatorsAcked(e int64) bool {
-	c.muts.Lock()
-	defer c.muts.Unlock()
-	for _, m := range c.muts.list {
-		if m.detached.Load() {
-			continue
-		}
-		if m.ack.Load() < e {
-			return false
-		}
-	}
+	c.cyc.AckRounds++
+	c.emit("ack", start, "", e, 0)
 	return true
 }

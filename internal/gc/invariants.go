@@ -7,10 +7,10 @@ import (
 )
 
 // Shared protocol invariants, used by three auditors: the inter-cycle
-// self-check (Config.SelfCheck, selfcheck.go), the quiescent verifier
-// (Verify, verify.go) and the model checker (internal/modelcheck),
-// which calls the step-safe subset after every schedulable step of an
-// enumerated interleaving. Keeping the checks here — one body each —
+// self-check (Config.SelfCheck, run at the end of Cycle), the
+// quiescent verifier (Verify, verify.go) and the model checker
+// (internal/modelcheck), which calls the step-safe subset after every
+// schedulable step of an enumerated interleaving. Keeping the checks here — one body each —
 // means the model checker asserts exactly the invariants the runtime
 // audits on itself, not a reimplementation that could drift.
 //
@@ -67,20 +67,29 @@ func (c *Collector) CheckQuiescentCycle() error {
 // globals object, every attached mutator's root stack, and the slots of
 // everything found — calling visit once per distinct address before its
 // slots are followed. visit's error stops the walk and is returned with
-// the path context (which root family reached the address).
+// the path context: the root or the object slot that reached the
+// address, formatted only then.
 //
 // Step-safe only under a virtual scheduler: the walk reads mutator root
-// stacks without synchronization (see the file comment).
+// stacks without synchronization (see the file comment). Verify runs
+// it with the mutators quiesced.
 func (c *Collector) CheckReachable(visit func(addr heap.Addr) error) error {
+	// reach is one pushed address and how the walk got there: slot i
+	// of object from, or (from 0) root i of mutator mut, or the
+	// globals object (mut -1).
+	type reach struct {
+		to, from heap.Addr
+		i, mut   int
+	}
 	seen := make(map[heap.Addr]bool)
-	var stack []heap.Addr
-	push := func(a heap.Addr) {
-		if a != 0 && !seen[a] {
-			seen[a] = true
-			stack = append(stack, a)
+	var stack []reach
+	push := func(r reach) {
+		if r.to != 0 && !seen[r.to] {
+			seen[r.to] = true
+			stack = append(stack, r)
 		}
 	}
-	push(c.globals)
+	push(reach{to: c.globals, mut: -1})
 	c.muts.Lock()
 	snapshot := append([]*Mutator(nil), c.muts.list...)
 	c.muts.Unlock()
@@ -88,22 +97,30 @@ func (c *Collector) CheckReachable(visit func(addr heap.Addr) error) error {
 		if m.detached.Load() {
 			continue
 		}
-		for _, r := range m.roots {
-			push(r)
+		for i, a := range m.roots {
+			push(reach{to: a, i: i, mut: m.id})
 		}
 	}
 	for len(stack) > 0 {
-		a := stack[len(stack)-1]
+		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if err := visit(a); err != nil {
-			return err
+		if err := visit(r.to); err != nil {
+			switch {
+			case r.from != 0:
+				return fmt.Errorf("%w (reached from object %#x slot %d)", err, r.from, r.i)
+			case r.mut >= 0:
+				return fmt.Errorf("%w (reached from mutator %d root %d)", err, r.mut, r.i)
+			}
+			return fmt.Errorf("%w (the global root object)", err)
 		}
-		if !c.H.ValidObject(a) {
+		if !c.H.ValidObject(r.to) {
 			// visit tolerated it; nothing to walk.
 			continue
 		}
-		for i, n := 0, c.H.Slots(a); i < n; i++ {
-			push(c.H.LoadSlot(a, i))
+		for i, n := 0, c.H.Slots(r.to); i < n; i++ {
+			if a := c.H.LoadSlot(r.to, i); a != 0 {
+				push(reach{to: a, from: r.to, i: i})
+			}
 		}
 	}
 	return nil
@@ -120,9 +137,6 @@ func (c *Collector) CheckReachableAllocated() error {
 	return c.CheckReachable(func(a heap.Addr) error {
 		if !c.H.ValidObject(a) {
 			return fmt.Errorf("gc: invariant: reachable address %#x is not a live object (freed or corrupt)", a)
-		}
-		if c.H.Color(a) == heap.Blue {
-			return fmt.Errorf("gc: invariant: reachable object %#x is blue (free)", a)
 		}
 		return nil
 	})

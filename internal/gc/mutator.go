@@ -314,53 +314,6 @@ func (m *Mutator) Update(x heap.Addr, i int, y heap.Addr) {
 	}
 }
 
-// UpdateBatch stores vals into slots 0..len(vals)-1 of object x — one
-// Update per slot, but with the per-object bookkeeping done once: the
-// handshake phase is sampled a single time (sound: only this goroutine
-// changes m.status, at safe points, and no safe point occurs inside the
-// batch), and the card mark for x is issued once instead of len(vals)
-// times (all slots of x share x's card).
-//
-// Equivalence caveat: the stores must all target the same object and a
-// dense slot prefix. Writes that scatter across objects — like the
-// random-slot mutation phases of internal/workload — get no benefit
-// and must keep using Update.
-func (m *Mutator) UpdateBatch(x heap.Addr, vals []heap.Addr) {
-	if len(vals) == 0 {
-		return
-	}
-	c := m.c
-	aging := c.cfg.Mode == GenerationalAging
-	sync := Status(m.status.Load()) != StatusAsync
-	tracing := c.tracing.Load()
-	shadeOld := sync || tracing
-	for j, y := range vals {
-		if shadeOld {
-			if aging {
-				m.markGrayAging(c.H.LoadSlot(x, j))
-			} else {
-				m.markGray(c.H.LoadSlot(x, j))
-			}
-		}
-		if sync {
-			if aging {
-				m.markGrayAging(y)
-			} else {
-				m.markGray(y)
-			}
-		}
-		c.H.StoreSlot(x, j, y)
-	}
-	switch c.cfg.Mode {
-	case GenerationalAging:
-		c.Cards.Mark(x)
-	case Generational:
-		if !sync {
-			c.Cards.Mark(x)
-		}
-	}
-}
-
 // Read loads pointer slot i of object x. DLG needs no read barrier.
 func (m *Mutator) Read(x heap.Addr, i int) heap.Addr {
 	return m.c.H.LoadSlot(x, i)

@@ -35,9 +35,7 @@ type Pacer struct {
 	// Policy parameters, fixed at construction.
 	generational bool
 	youngBytes   int64
-	emergency    int64 // FullThreshold · heap size: the hard "almost full" bound
-	initialTgt   int64
-	headroom     int64
+	emergency    int64 // fullThreshold · heap size: the hard "almost full" bound
 
 	// young counts bytes allocated since the last collection (the
 	// §3.3 partial trigger).
@@ -51,9 +49,10 @@ type Pacer struct {
 	// fullTarget is the adaptive full-collection trigger, compared
 	// against old-generation bytes (allocated minus young) in the
 	// generational modes and all allocated bytes without generations.
-	// It models the paper's growing heap (1 MB initial, 32 MB max):
-	// after every full collection it is that quantity plus headroom,
-	// clamped to [initialTgt, emergency], and never decreases.
+	// It models the paper's growing heap (1 MB initial, 32 MB max): it
+	// starts at min(fullHeadroom, emergency), after every full
+	// collection it is that quantity plus fullHeadroom, capped at
+	// emergency, and it never decreases.
 	fullTarget atomic.Int64
 
 	// promotionRate is an exponentially weighted moving average of
@@ -70,6 +69,25 @@ type Pacer struct {
 	lastSlip atomic.Int64
 }
 
+// The full-collection policy is fixed, as in the paper, which starts a
+// collection "when the heap is almost full" (§3.3) and sweeps no knob
+// of it.
+const (
+	// fullThreshold is the fraction of the heap at which a full
+	// collection is forced whatever the adaptive target says: the
+	// emergency bound.
+	fullThreshold = 0.75
+
+	// fullHeadroom is both the initial full-collection target and the
+	// allocation headroom above the live set at which the next full
+	// collection triggers. The paper's grow-on-demand heap keeps
+	// roughly constant headroom over the live data (its
+	// non-generational javac run collects every ~2.5 MB despite a
+	// double-digit-MB live set), which a multiplicative target would
+	// not reproduce.
+	fullHeadroom = 4 << 20
+)
+
 // promotionAlpha is the EWMA weight of the newest partial's observed
 // promotion rate: heavy enough to track phase changes within a few
 // cycles, light enough that one anomalous partial does not whipsaw the
@@ -82,11 +100,9 @@ func newPacer(cfg Config, heapSize int) *Pacer {
 	p := &Pacer{
 		generational: cfg.Mode.IsGenerational(),
 		youngBytes:   int64(cfg.YoungBytes),
-		emergency:    int64(float64(heapSize) * cfg.FullThreshold),
-		initialTgt:   int64(cfg.InitialTargetBytes),
-		headroom:     int64(cfg.HeadroomBytes),
+		emergency:    int64(float64(heapSize) * fullThreshold),
 	}
-	p.fullTarget.Store(p.initialTgt)
+	p.fullTarget.Store(min(fullHeadroom, p.emergency))
 	return p
 }
 
@@ -183,20 +199,11 @@ func (p *Pacer) EndCycle(youngAtStart, allocated int64, full bool) (fullDue bool
 }
 
 // Retarget raises the full-collection target to occupied (in the mode's
-// trigger currency) plus the fixed headroom, clamped to [initialTgt,
-// emergency]. It never lowers the target.
+// trigger currency) plus fullHeadroom, capped at the emergency bound.
+// It never lowers the target, so the initial target is its floor.
 func (p *Pacer) Retarget(occupied int64) {
-	t := occupied + p.headroom
-	if t < p.initialTgt {
-		t = p.initialTgt
-	}
-	if t > p.emergency {
-		t = p.emergency
-	}
-	if prev := p.fullTarget.Load(); t < prev {
-		t = prev
-	}
-	p.fullTarget.Store(t)
+	t := min(occupied+fullHeadroom, p.emergency)
+	p.fullTarget.Store(max(t, p.fullTarget.Load()))
 }
 
 // NotePromotion records one generational partial's outcome: promoted
@@ -228,7 +235,7 @@ func (p *Pacer) PromotionRate() float64 {
 }
 
 // OccupancyRatio returns the occupancy estimate as a fraction of the
-// emergency full-collection bound (FullThreshold·heap): 1.0 means the
+// emergency full-collection bound (fullThreshold·heap): 1.0 means the
 // next allocation trips the emergency trigger. The admission
 // controller's red-line watermark is expressed in this unit; the
 // estimate can overshoot between reconcile points (see the type

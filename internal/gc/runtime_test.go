@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gengc/internal/heap"
+	"gengc/internal/trace"
 )
 
 // TestBackgroundTrigger: the young-generation trigger fires the
@@ -38,11 +39,7 @@ func TestBackgroundTrigger(t *testing.T) {
 // TestOOMTriggersFullCollection: when the heap fills with garbage, the
 // allocation slow path forces a full collection and succeeds.
 func TestOOMTriggersFullCollection(t *testing.T) {
-	c, err := New(Config{
-		Mode: NonGenerational, HeapBytes: 2 << 20,
-		YoungBytes: 1 << 20, InitialTargetBytes: 1 << 20,
-		HeadroomBytes: 512 << 10, FullThreshold: 0.9,
-	})
+	c, err := New(Config{Mode: NonGenerational, HeapBytes: 2 << 20, YoungBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +68,7 @@ func TestOOMTriggersFullCollection(t *testing.T) {
 // TestHopelessOOMReturnsError: a heap packed with live data eventually
 // reports out-of-memory instead of hanging.
 func TestHopelessOOMReturnsError(t *testing.T) {
-	c, err := New(Config{Mode: Generational, HeapBytes: 1 << 20, YoungBytes: 512 << 10,
-		InitialTargetBytes: 256 << 10, HeadroomBytes: 128 << 10})
+	c, err := New(Config{Mode: Generational, HeapBytes: 1 << 20, YoungBytes: 512 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +107,7 @@ func TestStopIsIdempotent(t *testing.T) {
 
 // TestRetargetRatchet: after a full collection the target is what the
 // cycle left occupied, in the currency the mode triggers in, plus
-// headroom — clamped, and never lowered. The generational modes trigger
+// headroom — capped, and never lowered. The generational modes trigger
 // on old-generation bytes (allocated − young), so what the mutators
 // allocated while the cycle ran must not move their target: retargeting
 // on total occupancy would raise it by the 16 MiB of the last leg for
@@ -128,8 +124,7 @@ func TestRetargetRatchet(t *testing.T) {
 	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := Config{Mode: mode, HeapBytes: heapSize,
-				InitialTargetBytes: 4 << 20, HeadroomBytes: 2 << 20}.withDefaults()
+			cfg := Config{Mode: mode, HeapBytes: heapSize}.withDefaults()
 			// fullCycle plays one full collection during which the
 			// mutators allocate sprint bytes, and returns the pacer.
 			fullCycle := func(sprint int64) *Pacer {
@@ -142,7 +137,7 @@ func TestRetargetRatchet(t *testing.T) {
 				}
 				return p
 			}
-			base := live + int64(cfg.HeadroomBytes)
+			base := live + fullHeadroom
 			for _, sprint := range []int64{0, 4 * mib, 16 * mib} {
 				want := base
 				if mode == NonGenerational {
@@ -163,12 +158,17 @@ func TestRetargetRatchet(t *testing.T) {
 			// initial target from below.
 			p := newPacer(cfg, heapSize)
 			p.EndCycle(0, 0, true)
-			if got := p.Target(); got != int64(cfg.InitialTargetBytes) {
-				t.Errorf("empty heap: target %d, want the initial %d", got, cfg.InitialTargetBytes)
+			if got := p.Target(); got != fullHeadroom {
+				t.Errorf("empty heap: target %d, want the initial %d", got, fullHeadroom)
 			}
 			p.EndCycle(0, heapSize, true)
 			if got := p.Target(); got != p.emergency {
 				t.Errorf("full heap: target %d, want the emergency bound %d", got, p.emergency)
+			}
+			// A heap whose emergency bound is below the headroom starts
+			// its target at that bound.
+			if p := newPacer(cfg, 2<<20); p.Target() != p.emergency {
+				t.Errorf("2 MiB heap: initial target %d, want the emergency bound %d", p.Target(), p.emergency)
 			}
 
 			// The staleness check on a queued full request (run) reads
@@ -234,4 +234,70 @@ func TestVerifyCatchesDanglingRoot(t *testing.T) {
 	if err := c.Verify(); err == nil {
 		t.Fatal("Verify missed a dangling root")
 	}
+}
+
+// flushCountSink counts Flush calls and fails each one when failing is
+// set.
+type flushCountSink struct {
+	flushes int
+	failing bool
+}
+
+func (s *flushCountSink) Emit(trace.Event) {}
+func (s *flushCountSink) Flush() error {
+	s.flushes++
+	if s.failing {
+		return errors.New("sink down")
+	}
+	return nil
+}
+
+// TestTriggerDumpFlushesOncePerGap: a storm of flight-recorder triggers
+// flushes the tracer once, for the one capture the recorder's gap lets
+// through, and counts every trigger.
+func TestTriggerDumpFlushesOncePerGap(t *testing.T) {
+	sink := &flushCountSink{}
+	c, err := New(Config{Mode: Generational, TraceSink: sink, FlightRecorderEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for i := 0; i < 100; i++ {
+		c.triggerDump("shed")
+	}
+	if sink.flushes > 1 {
+		t.Errorf("100 triggers flushed the tracer %d times, want at most 1", sink.flushes)
+	}
+	if got := c.FlightRecorder().TriggerCount(); got != 100 {
+		t.Errorf("TriggerCount = %d, want 100", got)
+	}
+}
+
+// TestFailingSinkDoesNotStarveRecorder: the tracer's failure isolation
+// cuts off the user's sink, not the flight recorder, so a dump taken
+// after the sink degraded still holds the latest cycle.
+func TestFailingSinkDoesNotStarveRecorder(t *testing.T) {
+	c, err := New(Config{Mode: Generational, TraceSink: &flushCountSink{failing: true},
+		FlightRecorderEvents: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		c.CollectNow(false)
+	}
+	if !c.TraceDegraded() {
+		t.Fatal("the failing sink never degraded")
+	}
+	if !c.FlightRecorder().Trigger("manual") {
+		t.Fatal("manual trigger captured nothing")
+	}
+	d, _ := c.FlightRecorder().LastDump()
+	for _, e := range d.Events {
+		if e.Ev == "cycle" && e.Cycle == cycles {
+			return
+		}
+	}
+	t.Errorf("dump of %d events holds no cycle event for cycle %d", len(d.Events), cycles)
 }

@@ -24,15 +24,12 @@ func (passiveSched) Wait(_ fault.Point, ready func() bool) bool {
 
 func schedTestConfig() Config {
 	return Config{
-		Mode:               Generational,
-		HeapBytes:          1 << 20,
-		YoungBytes:         256 << 10,
-		CardBytes:          64,
-		InitialTargetBytes: 64 << 10,
-		HeadroomBytes:      64 << 10,
-		GlobalRootSlots:    8,
-		Scheduler:          passiveSched{},
-		StallTimeout:       -1,
+		Mode:         Generational,
+		HeapBytes:    1 << 20,
+		YoungBytes:   256 << 10,
+		CardBytes:    64,
+		Scheduler:    passiveSched{},
+		StallTimeout: -1,
 	}
 }
 

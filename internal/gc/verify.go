@@ -16,10 +16,10 @@ import (
 //   - exact shard-counter reconciliation — cached cells and allocation
 //     totals against the per-block state and a color census — which is
 //     only meaningful at quiescence (heap.ReconcileCounters),
-//   - every object reachable from the global roots and the registered
-//     mutators' roots is allocated (not blue) — i.e. the collector never
-//     freed a live object,
-//   - reachable addresses are valid object starts.
+//   - every address reachable from the global roots and the registered
+//     mutators' roots is a valid, allocated (not blue) object start —
+//     i.e. the collector never freed a live object. This is the model
+//     checker's lost-object walk, CheckReachableAllocated.
 func (c *Collector) Verify() error {
 	c.cycleMu.Lock()
 	defer c.cycleMu.Unlock()
@@ -50,45 +50,7 @@ func (c *Collector) Verify() error {
 	if got, want := c.HeapObjects(), c.H.AllocatedObjects(); got != want {
 		return fmt.Errorf("gc: collector heap-objects total %d, heap counters say %d", got, want)
 	}
-	seen := make(map[heap.Addr]bool)
-	var stack []heap.Addr
-	push := func(a heap.Addr, what string) error {
-		if a == 0 || seen[a] {
-			return nil
-		}
-		if !c.H.ValidObject(a) {
-			return fmt.Errorf("gc: %s references %#x which is not a live object (color %v)",
-				what, a, c.H.Color(a))
-		}
-		seen[a] = true
-		stack = append(stack, a)
-		return nil
-	}
-	if err := push(c.globals, "global root object"); err != nil {
-		return err
-	}
-	c.muts.Lock()
-	muts := append([]*Mutator(nil), c.muts.list...)
-	c.muts.Unlock()
-	for _, m := range muts {
-		for i, r := range m.roots {
-			if err := push(r, fmt.Sprintf("mutator %d root %d", m.id, i)); err != nil {
-				return err
-			}
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		slots := c.H.Slots(x)
-		for i := 0; i < slots; i++ {
-			t := c.H.LoadSlot(x, i)
-			if err := push(t, fmt.Sprintf("object %#x slot %d", x, i)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.CheckReachableAllocated()
 }
 
 // VerifyCardInvariant checks the generational invariant of §3.1: every

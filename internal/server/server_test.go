@@ -193,14 +193,10 @@ func TestServerDropsExpiredRequest(t *testing.T) {
 }
 
 func TestServerShedsLowPriorityWhenDegraded(t *testing.T) {
-	// A red line far below the warm-up's occupancy keeps the runtime
-	// degraded for the whole test.
-	rt := testRuntime(t, gengc.WithAdmission(gengc.AdmissionConfig{RedLine: 0.001}))
-	m := rt.NewMutator()
-	for i := 0; i < 1024; i++ {
-		m.PushRoot(m.MustAlloc(1, 128))
-	}
-	m.Detach()
+	// An occupancy estimate far past the red line keeps the runtime
+	// degraded until a collection reconciles it, after the submits.
+	rt := testRuntime(t, gengc.WithAdmission(gengc.AdmissionConfig{}))
+	rt.Collector().Pacer().Reconcile(1 << 40)
 	s := New(rt, Config{Workers: 1})
 	if err := s.Submit(Request{Priority: gengc.PriorityLow, Objects: 8, Slots: 1}); !errors.Is(err, gengc.ErrShed) {
 		t.Fatalf("low-priority submit while degraded: err = %v, want ErrShed", err)

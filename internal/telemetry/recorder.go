@@ -5,9 +5,9 @@
 // breach — freezes the last events plus a runtime snapshot into a Dump
 // that can be serialized as JSONL for offline triage with cmd/gcreport.
 //
-// The Recorder implements trace.Sink, so it slots into the existing
-// trace layer: with no user sink it is the tracer's only sink; with one
-// it rides behind a trace.TeeSink. Either way events reach it already
+// The Recorder is the trace layer's tap (trace.NewWithMeta): it sees
+// every event ahead of any user sink and outside that sink's failure
+// isolation, so a failing sink cannot starve it. Events reach it already
 // serialized by the Tracer, batched once per collection cycle.
 package telemetry
 
@@ -86,10 +86,11 @@ type Recorder struct {
 	dumps []Dump
 	last  time.Time // last capture time (rate limiting)
 
-	snapFn atomic.Value // func() any
-	count  atomic.Int64 // total events recorded
-	dumpN  atomic.Int64 // total dumps captured
-	trigN  atomic.Int64 // total triggers (captured or rate-limited)
+	flushFn func()       // set before the first Trigger (SetFlushFn)
+	snapFn  atomic.Value // func() any
+	count   atomic.Int64 // total events recorded
+	dumpN   atomic.Int64 // total dumps captured
+	trigN   atomic.Int64 // total triggers (captured or rate-limited)
 }
 
 // NewRecorder builds a flight recorder retaining the last n events.
@@ -108,7 +109,15 @@ func (r *Recorder) SetSnapshotFn(fn func() any) {
 	r.snapFn.Store(fn)
 }
 
-// Emit records one event into the ring (trace.Sink).
+// SetFlushFn installs the function a capturing Trigger runs before it
+// copies the ring: the tracer's flush, which drains the producers'
+// rings into the recorder so the event that provoked the trigger is
+// inside the window. A trigger the rate limit drops never runs it, so
+// a storm of triggers costs no flushes. Call it before the first
+// Trigger.
+func (r *Recorder) SetFlushFn(fn func()) { r.flushFn = fn }
+
+// Emit records one event into the ring (the tracer's tap).
 func (r *Recorder) Emit(e trace.Event) {
 	r.mu.Lock()
 	r.ring[r.next] = e
@@ -120,9 +129,6 @@ func (r *Recorder) Emit(e trace.Event) {
 	r.mu.Unlock()
 	r.count.Add(1)
 }
-
-// Flush is a no-op (trace.Sink); the ring is always current.
-func (r *Recorder) Flush() error { return nil }
 
 // eventsLocked copies the ring's contents, oldest first. Caller holds
 // mu.
@@ -147,9 +153,9 @@ func (r *Recorder) Events() []trace.Event {
 
 // Trigger captures a dump for reason, unless a capture happened within
 // the rate-limit gap. It reports whether a dump was actually taken;
-// either way the trigger is counted. The snapshot function runs outside
-// the lock, so a Snapshot that itself reads tracer state cannot
-// deadlock against a concurrent ring drain.
+// either way the trigger is counted. The flush and snapshot functions
+// run outside the lock, so a flush that emits into the ring, or a
+// Snapshot that itself reads tracer state, cannot deadlock against it.
 func (r *Recorder) Trigger(reason string) bool {
 	r.trigN.Add(1)
 	now := time.Now()
@@ -159,10 +165,12 @@ func (r *Recorder) Trigger(reason string) bool {
 		return false
 	}
 	r.last = now
-	events := r.eventsLocked()
 	r.mu.Unlock()
+	if r.flushFn != nil {
+		r.flushFn()
+	}
 
-	d := Dump{Reason: reason, TriggeredAt: now, Events: events}
+	d := Dump{Reason: reason, TriggeredAt: now, Events: r.Events()}
 	if fn, _ := r.snapFn.Load().(func() any); fn != nil {
 		d.Snapshot = fn()
 	}

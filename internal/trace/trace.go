@@ -163,10 +163,13 @@ const sinkFailureLimit = 3
 //
 // Sink failures are isolated: calls into the sink run under a recover,
 // and after sinkFailureLimit consecutive failures the tracer degrades —
-// tracing turns itself off (events become counted drops) rather than
-// taking the collector down with the sink.
+// the sink is cut off (its events become counted drops) rather than
+// taking the collector down with it. The isolation covers the sink
+// only: the tap, a trusted in-process consumer (the flight recorder),
+// sees every event whatever the sink does.
 type Tracer struct {
-	sink  Sink
+	sink  Sink        // nil when the tap is the only consumer
+	tap   func(Event) // nil when there is none
 	epoch time.Time
 
 	flt       *fault.Injector // SinkWrite injection; nil = disabled
@@ -182,13 +185,15 @@ type Tracer struct {
 // New starts a tracer over sink and emits the run-boundary "start"
 // event. The epoch for all event timestamps is the moment of creation.
 func New(sink Sink) *Tracer {
-	return NewWithMeta(sink, "")
+	return NewWithMeta(sink, nil, "")
 }
 
-// NewWithMeta is New with a run-metadata string stamped into the
-// "start" event's K field, labeling this run in concatenated traces.
-func NewWithMeta(sink Sink, meta string) *Tracer {
-	t := &Tracer{sink: sink, epoch: time.Now()}
+// NewWithMeta is New with a tap, which receives every event ahead of
+// the sink and outside its failure isolation (either may be nil), and a
+// run-metadata string stamped into the "start" event's K field,
+// labeling this run in concatenated traces.
+func NewWithMeta(sink Sink, tap func(Event), meta string) *Tracer {
+	t := &Tracer{sink: sink, tap: tap, epoch: time.Now()}
 	t.mu.Lock()
 	t.safeEmit(Event{Ev: "start", K: meta})
 	t.mu.Unlock()
@@ -196,8 +201,8 @@ func NewWithMeta(sink Sink, meta string) *Tracer {
 }
 
 // SetInjector installs the fault injector consulted before every sink
-// call (the SinkWrite point). A Fail decision is treated exactly like a
-// sink error; nil uninstalls.
+// call (the SinkWrite point; the tap is never faulted). A Fail decision
+// is treated exactly like a sink error; nil uninstalls.
 func (t *Tracer) SetInjector(in *fault.Injector) {
 	t.mu.Lock()
 	t.flt = in
@@ -233,9 +238,16 @@ func (t *Tracer) noteFailure() {
 	}
 }
 
-// safeEmit delivers one event to the sink, absorbing panics and
-// injected faults. A lost event counts as a drop. Caller holds mu.
+// safeEmit delivers one event to the tap, then to the sink, absorbing
+// the sink's panics and injected faults. An event the sink lost counts
+// as a drop. Caller holds mu.
 func (t *Tracer) safeEmit(e Event) {
+	if t.tap != nil {
+		t.tap(e)
+	}
+	if t.sink == nil {
+		return
+	}
 	if t.degraded.Load() {
 		t.sinkDrops.Add(1)
 		return
@@ -259,7 +271,7 @@ func (t *Tracer) safeEmit(e Event) {
 // safeFlush pushes the sink's buffer downstream, absorbing panics and
 // counting errors against the failure budget. Caller holds mu.
 func (t *Tracer) safeFlush() {
-	if t.degraded.Load() {
+	if t.sink == nil || t.degraded.Load() {
 		return
 	}
 	defer func() {
@@ -363,34 +375,6 @@ func (s *JSONLSink) Flush() error {
 
 // Err returns the first error encountered while writing, if any.
 func (s *JSONLSink) Err() error { return s.err }
-
-// teeSink fans the event stream out to several sinks. A panic in one
-// sink propagates to the Tracer's recover like any single-sink panic;
-// the first Flush error wins.
-type teeSink struct{ sinks []Sink }
-
-// TeeSink returns a sink that duplicates every event (and flush) to
-// each of sinks, in order. Used to feed the flight recorder alongside a
-// configured trace sink.
-func TeeSink(sinks ...Sink) Sink { return &teeSink{sinks: sinks} }
-
-// Emit delivers the event to every sink.
-func (t *teeSink) Emit(e Event) {
-	for _, s := range t.sinks {
-		s.Emit(e)
-	}
-}
-
-// Flush flushes every sink, returning the first error.
-func (t *teeSink) Flush() error {
-	var first error
-	for _, s := range t.sinks {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
 
 // MemorySink collects events in memory; intended for tests and for
 // embedders that post-process a run's events without serializing them.

@@ -22,7 +22,10 @@ func WithMode(m Mode) Option {
 	return func(c *Config) { c.Mode = m }
 }
 
-// WithHeapBytes sets the heap size; the paper's maximum is 32 MB.
+// WithHeapBytes sets the heap size; the paper's maximum is 32 MB. The
+// full-collection trigger is derived from it — forced at 75 % of the
+// heap, adaptive from min(4 MB, that bound) up — so any heap that holds
+// the young generation (WithYoungBytes) is a valid configuration.
 func WithHeapBytes(n int) Option {
 	return func(c *Config) { c.HeapBytes = n }
 }
@@ -46,30 +49,6 @@ func WithOldAge(n int) Option {
 	return func(c *Config) { c.OldAge = n }
 }
 
-// WithFullThreshold caps the adaptive full-collection target at this
-// fraction of the heap (§3.3's "heap is almost full").
-func WithFullThreshold(f float64) Option {
-	return func(c *Config) { c.FullThreshold = f }
-}
-
-// WithInitialTargetBytes sets the starting point of the adaptive
-// full-collection target (the paper's heap grows from 1 MB on demand).
-func WithInitialTargetBytes(n int) Option {
-	return func(c *Config) { c.InitialTargetBytes = n }
-}
-
-// WithHeadroomBytes sets the allocation headroom above the live set at
-// which the next full collection triggers.
-func WithHeadroomBytes(n int) Option {
-	return func(c *Config) { c.HeadroomBytes = n }
-}
-
-// WithGlobalRootSlots sets the number of global (class-static-like)
-// root slots.
-func WithGlobalRootSlots(n int) Option {
-	return func(c *Config) { c.GlobalRootSlots = n }
-}
-
 // WithPageTracking enables the Figure 15 pages-touched instrumentation.
 func WithPageTracking(on bool) Option {
 	return func(c *Config) { c.TrackPages = on }
@@ -88,11 +67,11 @@ func WithTraceSink(sink TraceSink) Option {
 // WithFlightRecorder arms the anomaly flight recorder with a ring of
 // the last n trace events. The ring records continuously at near-zero
 // cost (it taps the same per-producer ring + cycle-drain path as
-// WithTraceSink, tee'd behind it when both are set); when an anomaly
-// fires — a stall report, an aborted cycle, an allocation giving up
-// with ErrOutOfMemory or ErrStalled, a WithPauseSLO breach — the ring
-// and a Snapshot freeze into a dump retrievable via
-// Runtime.FlightRecorder (and servable by cmd/gcmon's
+// WithTraceSink, ahead of that sink and unaffected by its failures);
+// when an anomaly fires — a stall report, an aborted cycle, an
+// allocation giving up with ErrOutOfMemory or ErrStalled, a
+// WithPauseSLO breach — the ring and a Snapshot freeze into a dump
+// retrievable via Runtime.FlightRecorder (and servable by cmd/gcmon's
 // /flightrecorder/dump). Zero (the default) disables the recorder.
 func WithFlightRecorder(n int) Option {
 	return func(c *Config) { c.FlightRecorderEvents = n }
@@ -143,19 +122,18 @@ func WithFaultInjector(in *FaultInjector) Option {
 }
 
 // WithAdmission arms the runtime's admission controller: the door in
-// front of a bounded queue of waiting requests (cfg.MaxQueue), plus a
-// degraded mode — driven by the pacer's heap-occupancy red-line
-// (cfg.RedLine, a fraction of the emergency full-collection bound) and
-// recent allocation-deadline slips (cfg.SlipWindow) — that sheds
-// low-priority requests while the runtime is in trouble. The door never
+// front of a bounded queue of waiting requests (cfg.MaxQueue; zero
+// assumes 256), plus a degraded mode that sheds low-priority requests
+// while the runtime is in trouble — heap occupancy at 90 % of the
+// emergency full-collection bound, or an allocation deadline slipped
+// within the last 250 ms. Both thresholds are fixed. The door never
 // blocks: a request is queued or rejected at once, rejections wrap
 // ErrShed, and each request's own deadline bounds its wait in the
 // queue (internal/server's workers serve the newest request first and
 // drop expired ones). Counters surface in Snapshot.Admission and the
-// Prometheus exposition. Zero fields of cfg assume the defaults (256
-// queued, 0.9 red-line, 250ms slip window). The controller sheds
-// *before* the heap reaches the emergency trigger — backpressure
-// instead of ErrOutOfMemory.
+// Prometheus exposition. The controller sheds *before* the heap
+// reaches the emergency trigger — backpressure instead of
+// ErrOutOfMemory.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *Config) { c.Admission = &cfg }
 }

@@ -128,10 +128,9 @@ func TestParallelRaceStress(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			rt, err := New(
 				WithMode(mode),
-				WithHeapBytes(8<<20),
+				WithHeapBytes(4<<20),
 				WithYoungBytes(512<<10),
 				WithOldAge(2),
-				WithFullThreshold(0.3),
 			)
 			if err != nil {
 				t.Fatal(err)

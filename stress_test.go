@@ -91,13 +91,13 @@ func TestStressConcurrent(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			rt, err := New(WithConfig(Config{
-				Mode:       mode,
-				HeapBytes:  8 << 20,
+				Mode: mode,
+				// Small enough that the workload's ~5 MB allocation
+				// volume crosses the 3 MB full-collection trigger even
+				// in non-generational mode.
+				HeapBytes:  4 << 20,
 				YoungBytes: 1 << 20,
 				OldAge:     2,
-				// Low enough that the workload's ~5 MB allocation
-				// volume crosses it even in non-generational mode.
-				FullThreshold: 0.3,
 			}))
 			if err != nil {
 				t.Fatal(err)
@@ -179,5 +179,69 @@ func TestStressManyCollections(t *testing.T) {
 				t.Errorf("only %d cycles ran within the deadline; expected at least %d", n, wantCycles)
 			}
 		})
+	}
+}
+
+// TestWriteBatchChurnRaceStress runs both write APIs under -race with
+// the background collector and several concurrent mutators — stores
+// landing in whatever phase the running cycles are in — then audits
+// every invariant. (The name matters: `make race` selects
+// Race|Stress|Parallel tests.)
+func TestWriteBatchChurnRaceStress(t *testing.T) {
+	rt, err := New(WithMode(Generational), WithHeapBytes(16<<20),
+		WithYoungBytes(256<<10), WithSelfCheck(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var wg sync.WaitGroup
+	for id := 0; id < 4; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			m := rt.NewMutator()
+			defer m.Detach()
+			rng := rand.New(rand.NewSource(int64(id) + 7))
+			live := 0
+			for op := 0; op < 4000; op++ {
+				switch r := rng.Float64(); {
+				case r < 0.5 || live == 0:
+					ref, err := m.Alloc(2, 16+rng.Intn(64))
+					if err != nil {
+						t.Errorf("mutator %d: %v", id, err)
+						return
+					}
+					m.PushRoot(ref)
+					live++
+				case r < 0.8 && live >= 2:
+					a := m.Root(rng.Intn(live))
+					vals := []Ref{m.Root(rng.Intn(live)), m.Root(rng.Intn(live))}
+					if rng.Intn(2) == 0 {
+						m.WriteBatch(a, vals)
+					} else {
+						m.Write(a, rng.Intn(2), vals[0])
+					}
+				default:
+					drop := 1 + rng.Intn(min(live, 6))
+					m.PopRoots(drop)
+					live -= drop
+				}
+				m.Safepoint()
+			}
+		}(id)
+	}
+	wg.Wait()
+	rt.Collect(true)
+	if err := rt.Verify(); err != nil {
+		t.Errorf("Verify: %v", err)
+	}
+	if err := rt.VerifyCardInvariant(); err != nil {
+		t.Errorf("card invariant: %v", err)
+	}
+	if err, n := rt.Collector().SelfCheckErr(); n > 0 {
+		t.Errorf("%d self-check violations, first: %v", n, err)
+	}
+	if rt.Stats().NumCycles == 0 {
+		t.Error("stress run never overlapped a collection cycle")
 	}
 }
