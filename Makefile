@@ -124,13 +124,17 @@ verify-protocol:
 	fi; \
 	rm -rf $$tmp; exit $$rc
 
-# chaos runs a short fixed-seed fault-injection campaign under the race
-# detector: every schedule (stalls, a slow collector, transient OOM, the
-# allocstorm campaign against the tiered allocation path, failing sink,
-# close race) must finish with zero Verify/self-check violations. The
-# fixed seed keeps the fault schedule reproducible run to run.
+# chaos runs a short fixed-seed fault-injection campaign in every mode:
+# the generational collector under the race detector, the
+# non-generational and aging collectors without it. Every schedule
+# (stalls, a slow collector, transient OOM, the allocstorm campaign
+# against the tiered allocation path, failing sink, close race, server
+# storm) must finish with zero Verify/self-check violations. The fixed
+# seed keeps the fault schedule reproducible run to run.
 chaos:
 	$(GO) run -race ./cmd/gcchaos -seed 1
+	$(GO) run ./cmd/gcchaos -seed 1 -mode non
+	$(GO) run ./cmd/gcchaos -seed 1 -mode aging
 
 # trace-verify round-trips the observability pipeline end to end: run a
 # small traced workload, then require gcreport to parse the JSONL and

@@ -56,12 +56,12 @@ func TestAllocShardStressUnderCycles(t *testing.T) {
 		WithHeapBytes(16<<20),
 		WithYoungBytes(256<<10),
 		WithOldAge(2),
-		WithSelfCheck(true),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	audit := auditCycles(rt)
 
 	// Cycle driver: alternate minor and full collections for the whole
 	// run, so refills, flushes and sweep frees hit the shards
@@ -96,7 +96,7 @@ func TestAllocShardStressUnderCycles(t *testing.T) {
 	if err := rt.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err, n := rt.Collector().SelfCheckErr(); err != nil {
+	if err, n := audit(); err != nil {
 		t.Fatalf("%d self-check violations, first: %v", n, err)
 	}
 	// Stats totals must agree with the allocator's shard counters once

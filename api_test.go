@@ -2,8 +2,41 @@ package gengc
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"strings"
 	"testing"
 )
+
+// TestPublicSurface pins what a user can set: Config's fields and the
+// With… options of options.go. A new knob must edit these lists.
+func TestPublicSurface(t *testing.T) {
+	var fields, opts []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		fields = append(fields, f.Name)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "With") {
+			opts = append(opts, fd.Name.Name)
+		}
+	}
+	for _, c := range [][2]string{
+		{strings.Join(fields, " "), "Mode HeapBytes YoungBytes CardBytes OldAge TrackPages PageCostSpins " +
+			"StallTimeout Fault TraceSink FlightRecorderEvents PauseSLO RequestSLO Admission"},
+		{strings.Join(opts, " "), "WithConfig WithMode WithHeapBytes WithYoungBytes WithCardBytes WithOldAge " +
+			"WithTraceSink WithFlightRecorder WithPauseSLO WithStallTimeout WithFaultInjector WithAdmission WithRequestSLO"},
+	} {
+		if c[0] != c[1] {
+			t.Errorf("public surface changed:\n got %s\nwant %s", c[0], c[1])
+		}
+	}
+}
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(WithCardBytes(24)); err == nil {

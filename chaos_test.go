@@ -198,12 +198,12 @@ func TestAllocCtxStalledCollection(t *testing.T) {
 
 // TestAllocFaultRetries arms a bounded run of injected allocation
 // failures and checks the retry path absorbs them: the allocation
-// succeeds once the rule disarms, within the configured retry budget.
+// succeeds once the rule disarms, within the three-round retry budget.
 func TestAllocFaultRetries(t *testing.T) {
 	in := NewFaultInjector(11)
 	in.Install(FaultRule{Point: FaultAlloc, Kind: FaultFail, Count: 2})
 	rt, err := NewManual(WithMode(Generational), WithHeapBytes(4<<20),
-		WithFaultInjector(in), WithAllocRetries(3))
+		WithFaultInjector(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +228,13 @@ func TestAllocFaultRetries(t *testing.T) {
 }
 
 // TestAllocRetryBudgetExhausted checks that an unbounded fault stream
-// surfaces as ErrOutOfMemory after exactly the configured retries
-// rather than looping forever.
+// surfaces as ErrOutOfMemory after exactly the three retries rather than
+// looping forever.
 func TestAllocRetryBudgetExhausted(t *testing.T) {
 	in := NewFaultInjector(13)
 	in.Install(FaultRule{Point: FaultAlloc, Kind: FaultFail})
 	rt, err := NewManual(WithMode(Generational), WithHeapBytes(4<<20),
-		WithFaultInjector(in), WithAllocRetries(2))
+		WithFaultInjector(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +245,8 @@ func TestAllocRetryBudgetExhausted(t *testing.T) {
 	if _, err := m.Alloc(1, 0); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory after exhausted retries", err)
 	}
-	if fired := in.Fired(FaultAlloc); fired != 3 {
-		t.Errorf("Alloc point fired %d times, want 3 (initial + 2 retries)", fired)
+	if fired := in.Fired(FaultAlloc); fired != 4 {
+		t.Errorf("Alloc point fired %d times, want 4 (initial + 3 retries)", fired)
 	}
 }
 
@@ -413,12 +413,12 @@ func TestDetachHandshakeRace(t *testing.T) {
 func TestAllocCtxCancelledBetweenRetries(t *testing.T) {
 	in := NewFaultInjector(13)
 	// Every allocation reports transient OOM, so the slow path loops
-	// collect-and-retry; the huge retry budget guarantees cancellation
-	// lands mid-budget, not after ErrOutOfMemory gave up.
+	// collect-and-retry; delayed handshake posts make each of the three
+	// rounds outlast the 20ms cancellation, so it lands mid-budget.
 	in.Install(FaultRule{Point: FaultAlloc, Kind: FaultFail})
+	in.Install(FaultRule{Point: FaultHandshakePost, Kind: FaultDelay, P: 1, Delay: 25 * time.Millisecond})
 	rt, err := New(WithMode(Generational), WithHeapBytes(4<<20),
-		WithFaultInjector(in), WithAllocRetries(1000),
-		WithStallTimeout(10*time.Millisecond))
+		WithFaultInjector(in), WithStallTimeout(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

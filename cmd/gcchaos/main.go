@@ -6,8 +6,8 @@
 // close racing live allocators, and a server-mode arrival storm against
 // the admission controller (serverstorm: shed, don't panic) — with the
 // full invariant battery (Verify, the card invariant, and the per-cycle
-// self-check) auditing every round. The fault schedule is a pure function of -seed, so a failing
-// campaign reruns identically.
+// self-check) auditing every round. The fault schedule is a pure
+// function of -seed, so a failing campaign reruns identically.
 //
 //	gcchaos -seed 1 -mode gen -mutators 4 -rounds 2 -ops 3000
 //
@@ -248,6 +248,32 @@ func allocStorm(m *gengc.Mutator, rng *rand.Rand, ops int) error {
 	return nil
 }
 
+// armAudit runs the per-cycle self-check — the collector's post-cycle
+// audit, CheckQuiescentCycle — from the OnCycle hook after every
+// completed cycle. The returned report appends the leg's violation
+// count and first violation, if any.
+func armAudit(rt *gengc.Runtime) (report func(leg string, v *[]string)) {
+	var mu sync.Mutex
+	var n int
+	var first error
+	rt.OnCycle(func(c gengc.CycleRecord) {
+		if err := rt.Collector().CheckQuiescentCycle(); err != nil {
+			mu.Lock()
+			if n++; first == nil {
+				first = fmt.Errorf("after %s cycle %d: %w", c.Kind, c.Seq, err)
+			}
+			mu.Unlock()
+		}
+	})
+	return func(leg string, v *[]string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if n > 0 {
+			*v = append(*v, fmt.Sprintf("%s: %d self-check violations, first: %v", leg, n, first))
+		}
+	}
+}
+
 // runSchedule executes rounds of churn under one schedule and audits
 // between rounds. It returns the violations it found.
 func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops int, verbose bool) []string {
@@ -260,9 +286,7 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 		gengc.WithHeapBytes(16 << 20),
 		gengc.WithYoungBytes(256 << 10),
 		gengc.WithFlightRecorder(s.flight),
-		gengc.WithSelfCheck(true),
 		gengc.WithStallTimeout(8 * time.Millisecond),
-		gengc.WithAllocRetries(8),
 		gengc.WithFaultInjector(in),
 	}
 	if s.sink {
@@ -272,6 +296,7 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 	if err != nil {
 		log.Fatalf("%s: %v", s.name, err)
 	}
+	report := armAudit(rt)
 	work := churn
 	if s.storm {
 		work = allocStorm
@@ -280,6 +305,25 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		errs := make(chan error, mutators)
+		// A driver mutator collects while the round's mutators run: every
+		// mode gets cycles for the faults to hit (non-generational churn
+		// never reaches the full-collection trigger), each with at least
+		// one attached mutator for the Cooperate point to hold.
+		stop := make(chan struct{})
+		driven := make(chan struct{})
+		go func() {
+			defer close(driven)
+			m := rt.NewMutator()
+			defer m.Detach()
+			for {
+				m.Collect(false)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
 		for id := 0; id < mutators; id++ {
 			wg.Add(1)
 			go func(id int) {
@@ -293,6 +337,8 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 			}(id)
 		}
 		wg.Wait()
+		close(stop)
+		<-driven
 		close(errs)
 		for err := range errs {
 			violations = append(violations, fmt.Sprintf("%s round %d: %v", s.name, round, err))
@@ -309,9 +355,7 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 			}
 		}
 	}
-	if err, n := rt.Collector().SelfCheckErr(); n > 0 {
-		violations = append(violations, fmt.Sprintf("%s: %d self-check violations, first: %v", s.name, n, err))
-	}
+	report(s.name, &violations)
 	if s.expect != nil {
 		s.expect(rt, in, &violations)
 	}
@@ -341,13 +385,13 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 		gengc.WithMode(mode),
 		gengc.WithHeapBytes(16<<20),
 		gengc.WithYoungBytes(256<<10),
-		gengc.WithSelfCheck(true),
 		gengc.WithStallTimeout(8*time.Millisecond),
 		gengc.WithFaultInjector(in),
 	)
 	if err != nil {
 		log.Fatalf("closerace: %v", err)
 	}
+	report := armAudit(rt)
 	var violations []string
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -395,6 +439,7 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 		violations = append(violations,
 			fmt.Sprintf("closerace: %d/%d allocators settled with ErrClosed", got, mutators))
 	}
+	report("closerace", &violations)
 	snap := rt.Snapshot()
 	fmt.Printf("%-9s cycles=%-4d fulls=%-3d stalls=%-3d aborted=%d\n",
 		"closerace", snap.Cycles, snap.Fulls, snap.Stalls, snap.AbortedCycles)
@@ -420,9 +465,7 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 		gengc.WithMode(mode),
 		gengc.WithHeapBytes(12<<20),
 		gengc.WithYoungBytes(256<<10),
-		gengc.WithSelfCheck(true),
 		gengc.WithStallTimeout(8*time.Millisecond),
-		gengc.WithAllocRetries(8),
 		gengc.WithFlightRecorder(256),
 		gengc.WithRequestSLO(25*time.Millisecond),
 		gengc.WithAdmission(gengc.AdmissionConfig{MaxQueue: 16}),
@@ -431,6 +474,7 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 	if err != nil {
 		log.Fatalf("serverstorm: %v", err)
 	}
+	report := armAudit(rt)
 	srv := server.New(rt, server.Config{
 		Workers: 4, MaxRetries: 2, RetryBackoff: time.Millisecond, Seed: seed})
 	load := server.RunLoad(context.Background(), srv, server.LoadConfig{
@@ -472,6 +516,7 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 		violations = append(violations,
 			"serverstorm: sheds fired but the flight recorder froze no dump for the breach window")
 	}
+	report("serverstorm", &violations)
 	snap := rt.Snapshot()
 	fmt.Printf("%-9s cycles=%-4d fulls=%-3d stalls=%-3d offered=%-6d done=%-6d shed=%-6d degraded=%d\n",
 		"serverstorm", snap.Cycles, snap.Fulls, snap.Stalls,

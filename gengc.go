@@ -464,9 +464,9 @@ type Mutator struct {
 // total size of at least size bytes (pass 0 for the minimal size). The
 // new object is colored with the current allocation color, per the
 // paper's create routine. On heap exhaustion the mutator transparently
-// waits for a full collection and retries, up to WithAllocRetries
-// rounds; the returned error then satisfies errors.Is(err,
-// ErrOutOfMemory). On a Closed runtime the error wraps ErrClosed.
+// waits for a full collection and retries, up to three rounds; the
+// returned error then satisfies errors.Is(err, ErrOutOfMemory). On a
+// Closed runtime the error wraps ErrClosed.
 func (m *Mutator) Alloc(slots, size int) (Ref, error) {
 	return m.m.Alloc(slots, size)
 }

@@ -42,7 +42,8 @@ func (o Options) Fig7() (Table, error) {
 		}
 		t.AddRow(fmt.Sprint(n), pct(imp.Percent), pct(paperFig7[n]))
 	}
-	t.Notes = append(t.Notes, "host is a uniprocessor; see EXPERIMENTS.md on the MP/UP condition")
+	t.Notes = append(t.Notes, "measured on "+CurrentHost().Fingerprint()+
+		"; see EXPERIMENTS.md on the MP/UP condition")
 	return t, nil
 }
 

@@ -96,19 +96,16 @@ func (o Options) runAveraged(p workload.Profile, cfg gengc.Config) (workload.Res
 		ropts = append(ropts, workload.TraceTo(o.TraceSink))
 	}
 	results := make([]workload.Result, 0, o.Repeats)
-	var sum time.Duration
 	for r := 0; r < o.Repeats; r++ {
 		res, err := workload.Run(p, cfg, o.Seed+int64(r)*104729, ropts...)
 		if err != nil {
 			return workload.Result{}, 0, err
 		}
 		results = append(results, res)
-		sum += res.Elapsed
 	}
 	// Use the median run (by elapsed time): single-CPU scheduling
 	// noise is heavy-tailed, so the median is far more stable than
 	// the mean across repeats.
-	_ = sum
 	sort.Slice(results, func(i, j int) bool { return results[i].Elapsed < results[j].Elapsed })
 	best := results[len(results)/2]
 	avg := best.Elapsed

@@ -128,7 +128,7 @@ func (p Point) String() string {
 }
 
 // Scheduler is the deterministic-scheduler seam. When the collector is
-// configured with one (gc.Config.Scheduler), every injection point
+// built with one (gc.NewScheduled), every injection point
 // becomes a schedulable step: the calling actor announces the point it
 // reached and blocks until the scheduler resumes it with a Decision,
 // and the collector's wait loops block on Wait instead of spinning.

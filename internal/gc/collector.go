@@ -97,6 +97,10 @@ type Collector struct {
 	// cfg is read-only after New; the barrier reads cfg.Mode per store.
 	cfg Config
 
+	// breakSyncAccept removes §7.1's allocation-color acceptance from
+	// markGray (NewScheduled only): the model checker's negative leg.
+	breakSyncAccept bool
+
 	// muts is the mutator registry.
 	muts struct {
 		sync.Mutex
@@ -192,7 +196,7 @@ type Collector struct {
 	// so every injection point costs one pointer comparison.
 	flt *fault.Injector
 
-	// vsched is the armed virtual scheduler (cfg.Scheduler); nil in
+	// vsched is the armed virtual scheduler (NewScheduled); nil in
 	// production. When set, every seam hit parks the caller on the
 	// scheduler and the handshake waits divert to Scheduler.Wait
 	// (sched.go).
@@ -207,13 +211,6 @@ type Collector struct {
 	onStall struct {
 		sync.Mutex
 		fn func(Stall)
-	}
-
-	// selfCheck retains inter-cycle audit results (Config.SelfCheck).
-	selfCheck struct {
-		sync.Mutex
-		violations int64
-		firstErr   error
 	}
 
 	stopCh   chan struct{}
@@ -248,7 +245,26 @@ const globalRootSlots = 256
 // New builds a collector and its heap. Start must be called before any
 // allocation can trigger background collections; collections can also be
 // run synchronously with CollectNow (used by tests).
-func New(cfg Config) (*Collector, error) {
+func New(cfg Config) (*Collector, error) { return build(cfg, nil, false) }
+
+// NewScheduled builds, for the model checker (internal/modelcheck), the
+// collector New builds with its seams stepped by the virtual scheduler
+// s: every fault point parks the caller until s resumes it, and the
+// handshake and acknowledgement waits block on s.Wait. s excludes
+// cfg.Fault (both consume the seams). breakSyncAccept re-introduces the
+// bug §7.1 argues about — markGray stops accepting the allocation color
+// during sync1/sync2, so an object created yellow between the card scan
+// and the toggle and stored into a black parent is freed while
+// reachable — for the checker to catch.
+func NewScheduled(cfg Config, s fault.Scheduler, breakSyncAccept bool) (*Collector, error) {
+	if cfg.Fault != nil {
+		return nil, fmt.Errorf("gc: %w: a virtual scheduler excludes the fault injector", ErrInvalidConfig)
+	}
+	return build(cfg, s, breakSyncAccept)
+}
+
+// build is the one constructor body behind New and NewScheduled.
+func build(cfg Config, vs fault.Scheduler, breakSyncAccept bool) (*Collector, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -261,8 +277,8 @@ func New(cfg Config) (*Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Collector{H: h, Cards: ct, cfg: cfg, rec: metrics.NewRecorder(),
-		retired: &metrics.Histogram{}, flt: cfg.Fault, vsched: cfg.Scheduler}
+	c := &Collector{H: h, Cards: ct, cfg: cfg, breakSyncAccept: breakSyncAccept,
+		rec: metrics.NewRecorder(), retired: &metrics.Histogram{}, flt: cfg.Fault, vsched: vs}
 	var tap func(trace.Event)
 	if cfg.FlightRecorderEvents > 0 {
 		c.recorder = telemetry.NewRecorder(cfg.FlightRecorderEvents)
@@ -515,25 +531,6 @@ func (c *Collector) DemographicStats() metrics.Demographics {
 	c.demo.Lock()
 	defer c.demo.Unlock()
 	return c.demo.Demographics.Clone()
-}
-
-// recordSelfCheckViolation retains an inter-cycle audit failure.
-func (c *Collector) recordSelfCheckViolation(err error) {
-	c.selfCheck.Lock()
-	c.selfCheck.violations++
-	if c.selfCheck.firstErr == nil {
-		c.selfCheck.firstErr = err
-	}
-	c.selfCheck.Unlock()
-}
-
-// SelfCheckErr returns the first inter-cycle self-check violation and
-// how many occurred (both zero when clean or when Config.SelfCheck is
-// off).
-func (c *Collector) SelfCheckErr() (error, int64) {
-	c.selfCheck.Lock()
-	defer c.selfCheck.Unlock()
-	return c.selfCheck.firstErr, c.selfCheck.violations
 }
 
 // run is the collector goroutine: it waits for a trigger and runs one

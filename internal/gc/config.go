@@ -71,8 +71,8 @@ func (m Mode) String() string {
 	return "invalid"
 }
 
-// Generational reports whether the mode maintains generations (and hence
-// a card table).
+// IsGenerational reports whether the mode maintains generations (and
+// hence a card table).
 func (m Mode) IsGenerational() bool { return m != NonGenerational }
 
 // Config parameterizes a collector. The zero value is not usable; call
@@ -123,22 +123,8 @@ type Config struct {
 	// counter — instead of spinning blind, then keeps waiting. It is
 	// also the grace period a closing collector grants a wedged
 	// handshake before aborting the cycle (see Stop). 0 selects the
-	// default (1s); negative disables the watchdog (Stop then uses
-	// the default as its abort grace).
+	// default (1s); negative values are rejected.
 	StallTimeout time.Duration
-
-	// AllocRetries bounds the allocation slow path: how many
-	// full-collection waits a mutator performs before Alloc gives up
-	// and returns ErrOutOfMemory. 0 selects the default (3).
-	AllocRetries int
-
-	// SelfCheck runs an inter-cycle invariant audit on the collector
-	// goroutine at the end of every completed cycle: allocator
-	// bookkeeping, no leftover gray objects, quiesced trace state.
-	// Unlike Verify it tolerates running mutators, so chaos campaigns
-	// can audit every cycle without quiescing. Violations are counted
-	// and the first is retained (SelfCheckErr).
-	SelfCheck bool
 
 	// Fault, when non-nil, arms the deterministic fault-injection
 	// layer: the injector's rules fire at the collector's named
@@ -146,28 +132,6 @@ type Config struct {
 	// semantics). Nil — the default — leaves every injection point a
 	// single pointer comparison.
 	Fault *fault.Injector
-
-	// Scheduler, when non-nil, arms the deterministic virtual-scheduler
-	// seam: every fault point becomes a schedulable step (the calling
-	// goroutine parks until the scheduler resumes it) and the
-	// collector's handshake/acknowledgement wait loops block on
-	// Scheduler.Wait instead of spinning. This is the model-checking
-	// hook (internal/modelcheck). The collector goroutine runs the
-	// whole trace and sweep itself, so the engine the scheduler steps
-	// is the only engine there is. Scheduler excludes Fault (the two
-	// consumers share the seam — the scheduler's Step decisions replace
-	// injector decisions wholesale).
-	Scheduler fault.Scheduler
-
-	// UnsafeBreakSyncAccept re-introduces, for verification demos, the
-	// bug §7.1 argues about: markGray stops accepting the allocation
-	// color during sync1/sync2, so an object created in the yellow
-	// window between the card scan and the color toggle, and stored
-	// into a black parent there, is never shaded and the sweep frees it
-	// while reachable. Only valid under a virtual scheduler — the model
-	// checker exists to catch exactly this, and nothing else may run
-	// with the acceptance removed.
-	UnsafeBreakSyncAccept bool
 
 	// TraceSink, when non-nil, receives the structured event stream
 	// (cycle, handshake-round, ack-round, card-scan, trace-drain,
@@ -228,9 +192,6 @@ func (c Config) withDefaults() Config {
 	if c.StallTimeout == 0 {
 		c.StallTimeout = time.Second
 	}
-	if c.AllocRetries == 0 {
-		c.AllocRetries = 3
-	}
 	if c.Admission != nil {
 		a := *c.Admission
 		if a.MaxQueue == 0 {
@@ -256,8 +217,8 @@ func (c Config) validate() error {
 	if c.OldAge < 1 || c.OldAge > 200 {
 		return fmt.Errorf("gc: %w: tenure threshold %d out of range", ErrInvalidConfig, c.OldAge)
 	}
-	if c.AllocRetries < 1 || c.AllocRetries > 1000 {
-		return fmt.Errorf("gc: %w: allocation retry bound %d out of [1,1000]", ErrInvalidConfig, c.AllocRetries)
+	if c.StallTimeout < 0 {
+		return fmt.Errorf("gc: %w: negative stall timeout %v", ErrInvalidConfig, c.StallTimeout)
 	}
 	if c.FlightRecorderEvents < 0 || c.FlightRecorderEvents > 1<<20 {
 		return fmt.Errorf("gc: %w: flight recorder size %d out of [0,%d]", ErrInvalidConfig, c.FlightRecorderEvents, 1<<20)
@@ -270,14 +231,6 @@ func (c Config) validate() error {
 	}
 	if a := c.Admission; a != nil && (a.MaxQueue < 0 || a.MaxQueue > 1<<20) {
 		return fmt.Errorf("gc: %w: admission queue bound %d out of [0,%d]", ErrInvalidConfig, a.MaxQueue, 1<<20)
-	}
-	if c.Scheduler != nil {
-		if c.Fault != nil {
-			return fmt.Errorf("gc: %w: a virtual scheduler excludes the fault injector", ErrInvalidConfig)
-		}
-	}
-	if c.UnsafeBreakSyncAccept && c.Scheduler == nil {
-		return fmt.Errorf("gc: %w: UnsafeBreakSyncAccept requires a virtual scheduler", ErrInvalidConfig)
 	}
 	return nil
 }

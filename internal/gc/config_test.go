@@ -32,6 +32,7 @@ func TestConfigValidation(t *testing.T) {
 		{"card too big", func(c *Config) { c.CardBytes = 8192 }},
 		{"young > heap", func(c *Config) { c.YoungBytes = c.HeapBytes * 2 }},
 		{"old age", func(c *Config) { c.OldAge = 5000 }},
+		{"negative stall timeout", func(c *Config) { c.StallTimeout = -1 }},
 	}
 	for _, tc := range cases {
 		c := base

@@ -223,12 +223,6 @@ func (c *Collector) Cycle(full bool) {
 	if full {
 		c.fullsDone.Add(1)
 	}
-	if c.cfg.SelfCheck {
-		if err := c.CheckQuiescentCycle(); err != nil {
-			c.recordSelfCheckViolation(fmt.Errorf("after %s cycle %d: %w",
-				kind, c.cyclesDone.Load(), err))
-		}
-	}
 }
 
 // trimTrailingZeros shrinks a histogram slice to its populated prefix;

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -370,5 +371,29 @@ func TestMutatorAttachMidCycle(t *testing.T) {
 	wg.Wait()
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckQuiescentCycleNamesViolations is the auditor's negative leg:
+// after a clean cycle, an object left gray — or one left on the
+// collector's gray stack — must be named as a violation, not passed.
+func TestCheckQuiescentCycleNamesViolations(t *testing.T) {
+	for want, leave := range map[string]func(*Collector){
+		"left gray after cycle":         func(c *Collector) { c.H.SetColor(c.globals, heap.Gray) },
+		"left queued on the gray stack": func(c *Collector) { c.gray = append(c.gray, c.globals) },
+	} {
+		c, err := New(Config{Mode: Generational, HeapBytes: 1 << 20, YoungBytes: 256 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.CollectNow(true)
+		if err := c.CheckQuiescentCycle(); err != nil {
+			t.Fatalf("clean cycle failed the audit: %v", err)
+		}
+		leave(c)
+		if err := c.CheckQuiescentCycle(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("audit = %v, want a violation naming %q", err, want)
+		}
+		c.Stop()
 	}
 }

@@ -56,19 +56,11 @@ func (c *Collector) watchdog(w *stallWatch, lagging func(*Mutator) bool, slow bo
 		return false
 	}
 	deadline := c.cfg.StallTimeout
-	closing := c.closed.Load()
-	if deadline <= 0 && !closing {
-		return false // watchdog disabled, nothing to time
-	}
 	elapsed := time.Since(w.start)
-	grace := deadline
-	if grace <= 0 {
-		grace = StopGraceDefault
-	}
-	if closing && elapsed > grace {
+	if c.closed.Load() && elapsed > deadline {
 		return true
 	}
-	if deadline <= 0 || elapsed < deadline {
+	if elapsed < deadline {
 		return false
 	}
 	// Past the deadline: report every laggard exactly once per wait.

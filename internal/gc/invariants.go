@@ -7,12 +7,13 @@ import (
 )
 
 // Shared protocol invariants, used by three auditors: the inter-cycle
-// self-check (Config.SelfCheck, run at the end of Cycle), the
-// quiescent verifier (Verify, verify.go) and the model checker
-// (internal/modelcheck), which calls the step-safe subset after every
-// schedulable step of an enumerated interleaving. Keeping the checks here — one body each —
-// means the model checker asserts exactly the invariants the runtime
-// audits on itself, not a reimplementation that could drift.
+// self-check (CheckQuiescentCycle, which callers run from the OnCycle
+// hook after every completed cycle), the quiescent verifier (Verify,
+// verify.go) and the model checker (internal/modelcheck), which calls
+// the step-safe subset after every schedulable step of an enumerated
+// interleaving. Keeping the checks here — one body each — means the
+// model checker asserts exactly the invariants the runtime audits on
+// itself, not a reimplementation that could drift.
 //
 // Two safety classes:
 //

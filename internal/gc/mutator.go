@@ -233,7 +233,7 @@ func (m *Mutator) markGray(x heap.Addr) {
 		return
 	}
 	if Status(m.status.Load()) != StatusAsync {
-		if m.c.cfg.UnsafeBreakSyncAccept {
+		if m.c.breakSyncAccept {
 			// Model checking only: without the acceptance an object
 			// created yellow after the card scan and stored into a black
 			// parent before the toggle is never shaded — cmd/gcverify
@@ -319,6 +319,10 @@ func (m *Mutator) Read(x heap.Addr, i int) heap.Addr {
 	return m.c.H.LoadSlot(x, i)
 }
 
+// allocRetries bounds the allocation slow path: how many full-collection
+// waits a mutator performs before Alloc gives up with ErrOutOfMemory.
+const allocRetries = 3
+
 // Alloc is the create routine of Figure 1: pick a free cell and color it
 // with the current allocation color. size is the total object size in
 // bytes (at least header + slots); slots pointer slots are zeroed.
@@ -326,8 +330,8 @@ func (m *Mutator) Read(x heap.Addr, i int) heap.Addr {
 // When the heap is exhausted the mutator requests a full collection and
 // waits for it while continuing to cooperate with handshakes (a blocked
 // mutator that stopped responding would deadlock the collector). The
-// number of collect-and-retry rounds is bounded by Config.AllocRetries;
-// past it the error wraps heap.ErrOutOfMemory. On a stopped collector
+// number of collect-and-retry rounds is bounded by allocRetries; past it
+// the error wraps heap.ErrOutOfMemory. On a stopped collector
 // the error wraps ErrClosed.
 func (m *Mutator) Alloc(slots, size int) (heap.Addr, error) {
 	return m.alloc(context.Background(), slots, size)
@@ -392,7 +396,7 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 			}
 			return addr, nil
 		}
-		if attempt >= m.c.cfg.AllocRetries {
+		if attempt >= allocRetries {
 			m.c.pacer.NoteSlip()
 			m.c.triggerDump("oom")
 			return 0, fmt.Errorf("gc: mutator %d: %w after %d full collections", m.id, err, attempt)

@@ -8,13 +8,12 @@ import (
 
 // The scheduler seam. Every coordination point of the protocol —
 // handshake post/ack, safe-point cooperation, trace drain, card scans,
-// block-walk chunks — funnels through the three helpers
-// below, which route each hit to the configured virtual scheduler
-// (Config.Scheduler) when one is armed, else to the chaos injector
-// (Config.Fault) when one is armed, else do nothing. Production holds
-// nil for both, so a seam hit costs two pointer comparisons; the
-// per-object hot loops additionally hoist the armed check out of the
-// loop (seamArmed).
+// block-walk chunks — funnels through the three helpers below, which
+// route each hit to the virtual scheduler (NewScheduled) when one is
+// armed, else to the chaos injector (Config.Fault) when one is armed,
+// else do nothing. Production holds nil for both, so a seam hit costs
+// two pointer comparisons; the per-object hot loops additionally hoist
+// the armed check out of the loop (seamArmed).
 
 // Named timing constants of the real scheduler's wait loops, exported
 // because the virtual scheduler's time model (internal/modelcheck) is
@@ -43,12 +42,6 @@ const (
 	// before the cap applies: Min<<7 = 128µs would overshoot the
 	// 100µs Max, so the 7th doubling clamps.
 	HandshakeBackoffDoublings = 7
-
-	// StopGraceDefault is the grace a closing collector grants a
-	// wedged handshake before aborting the cycle when the watchdog is
-	// disabled (negative StallTimeout) — the fallback for the
-	// configured StallTimeout, which is the grace otherwise.
-	StopGraceDefault = time.Second
 
 	// AllocWaitSleepBase/Max bound the poll backoff of a mutator
 	// waiting for a full collection after an allocation failure: the

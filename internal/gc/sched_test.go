@@ -24,12 +24,10 @@ func (passiveSched) Wait(_ fault.Point, ready func() bool) bool {
 
 func schedTestConfig() Config {
 	return Config{
-		Mode:         Generational,
-		HeapBytes:    1 << 20,
-		YoungBytes:   256 << 10,
-		CardBytes:    64,
-		Scheduler:    passiveSched{},
-		StallTimeout: -1,
+		Mode:       Generational,
+		HeapBytes:  1 << 20,
+		YoungBytes: 256 << 10,
+		CardBytes:  64,
 	}
 }
 
@@ -42,7 +40,6 @@ func TestDroppedCooperateLeavesResponseUnmade(t *testing.T) {
 	inj := fault.New(1)
 	inj.Install(fault.Rule{Point: fault.Cooperate, Kind: fault.Drop, Count: 1})
 	cfg := schedTestConfig()
-	cfg.Scheduler = nil
 	cfg.Fault = inj
 	c, err := New(cfg)
 	if err != nil {
@@ -77,7 +74,7 @@ func TestDroppedCooperateLeavesResponseUnmade(t *testing.T) {
 }
 
 // TestSchedulerConfigValidation: the virtual-scheduler seam is a
-// verification-only configuration and must refuse the combinations the
+// verification-only constructor and must refuse the combinations the
 // harness cannot serialize.
 func TestSchedulerConfigValidation(t *testing.T) {
 	cases := []struct {
@@ -85,23 +82,18 @@ func TestSchedulerConfigValidation(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"scheduler-with-fault", func(cfg *Config) { cfg.Fault = fault.New(1) }},
-		{"break-without-scheduler", func(cfg *Config) {
-			cfg.Scheduler = nil
-			cfg.UnsafeBreakSyncAccept = true
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := schedTestConfig()
 			tc.mut(&cfg)
-			if _, err := New(cfg); !errors.Is(err, ErrInvalidConfig) {
-				t.Fatalf("New() error = %v, want ErrInvalidConfig", err)
+			if _, err := NewScheduled(cfg, passiveSched{}, false); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("NewScheduled() error = %v, want ErrInvalidConfig", err)
 			}
 		})
 	}
 	// And the supported shape works.
-	cfg := schedTestConfig()
-	c, err := New(cfg)
+	c, err := NewScheduled(schedTestConfig(), passiveSched{}, false)
 	if err != nil {
 		t.Fatalf("valid scheduler config rejected: %v", err)
 	}

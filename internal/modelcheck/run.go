@@ -46,8 +46,8 @@ type Options struct {
 	MaxRuns int
 
 	// BreakSyncAccept removes §7.1's allocation-color acceptance from
-	// the sync-window barrier (gc.Config.UnsafeBreakSyncAccept) so the
-	// harness can demonstrate a catch.
+	// the sync-window barrier (gc.NewScheduled's breakSyncAccept) so
+	// the harness can demonstrate a catch.
 	BreakSyncAccept bool
 }
 
@@ -114,11 +114,7 @@ func (r *RunResult) Schedule() []Choice {
 func runScenario(sc *Scenario, prefix []Choice, opts Options) (*RunResult, error) {
 	opts = opts.withDefaults()
 	vs := NewVirtualScheduler()
-	cfg := sc.Config()
-	cfg.Scheduler = vs
-	cfg.Fault = nil
-	cfg.UnsafeBreakSyncAccept = opts.BreakSyncAccept
-	c, err := gc.New(cfg)
+	c, err := gc.NewScheduled(sc.Config(), vs, opts.BreakSyncAccept)
 	if err != nil {
 		return nil, fmt.Errorf("modelcheck: %s: config: %w", sc.Name, err)
 	}

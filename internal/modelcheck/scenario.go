@@ -99,11 +99,10 @@ type Scenario struct {
 // per cycle), large enough that allocation never hits the OOM path.
 func microConfig(mode gc.Mode) gc.Config {
 	return gc.Config{
-		Mode:         mode,
-		HeapBytes:    1 << 20,
-		YoungBytes:   256 << 10,
-		CardBytes:    64,
-		StallTimeout: -1, // waits divert to the scheduler; no watchdog clock churn
+		Mode:       mode,
+		HeapBytes:  1 << 20,
+		YoungBytes: 256 << 10,
+		CardBytes:  64,
 	}
 }
 

@@ -49,11 +49,6 @@ func WithOldAge(n int) Option {
 	return func(c *Config) { c.OldAge = n }
 }
 
-// WithPageTracking enables the Figure 15 pages-touched instrumentation.
-func WithPageTracking(on bool) Option {
-	return func(c *Config) { c.TrackPages = on }
-}
-
 // WithTraceSink streams the collector's structured events — cycle,
 // handshake, drain, sweep and card-scan spans plus mutator pauses — to
 // sink. Events are buffered in per-producer rings and drained at the
@@ -90,27 +85,11 @@ func WithPauseSLO(d time.Duration) Option {
 // round within d, the collector reports a stall (the "stall" trace
 // event, the Snapshot.Stalls counter and the OnStall callback) — once
 // per mutator per wait — and keeps waiting. Zero keeps the 1s default;
-// a negative d disables the watchdog. The deadline also bounds how long
-// Close waits for a wedged handshake before abandoning the cycle.
+// New rejects a negative d with ErrInvalidConfig. The deadline also
+// bounds how long Close waits for a wedged handshake before abandoning
+// the cycle.
 func WithStallTimeout(d time.Duration) Option {
 	return func(c *Config) { c.StallTimeout = d }
-}
-
-// WithAllocRetries bounds how many full-collection-and-retry rounds an
-// exhausted allocation attempts before giving up with ErrOutOfMemory.
-// Zero keeps the default of 3.
-func WithAllocRetries(n int) Option {
-	return func(c *Config) { c.AllocRetries = n }
-}
-
-// WithSelfCheck makes the collector audit its own protocol invariants
-// at the end of every cycle (status converged, trace quiesced, no
-// object left gray, allocator bookkeeping intact) while the mutators
-// keep running. Violations are counted and retained (see
-// Collector.SelfCheckErr) rather than panicking. Intended for chaos
-// campaigns and stress tests; each audit walks the heap once.
-func WithSelfCheck(on bool) Option {
-	return func(c *Config) { c.SelfCheck = on }
 }
 
 // WithFaultInjector arms deterministic fault injection: in decides at

@@ -170,8 +170,8 @@ func TestParallelManualAllModes(t *testing.T) {
 	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			rt, err := NewManual(WithMode(mode), WithHeapBytes(8<<20),
-				WithYoungBytes(256<<10), WithOldAge(2), WithPageTracking(true))
+			rt, err := NewManual(WithConfig(Config{Mode: mode, HeapBytes: 8 << 20,
+				YoungBytes: 256 << 10, OldAge: 2, TrackPages: true}))
 			if err != nil {
 				t.Fatal(err)
 			}

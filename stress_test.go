@@ -3,9 +3,27 @@ package gengc
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// auditCycles runs the collector's post-cycle audit (CheckQuiescentCycle)
+// from the OnCycle hook after every completed cycle. The returned func
+// reports the first violation and how many there were.
+func auditCycles(rt *Runtime) func() (error, int64) {
+	var n atomic.Int64
+	var first atomic.Value
+	rt.OnCycle(func(CycleRecord) {
+		if err := rt.Collector().CheckQuiescentCycle(); err != nil && n.Add(1) == 1 {
+			first.Store(err)
+		}
+	})
+	return func() (error, int64) {
+		err, _ := first.Load().(error)
+		return err, n.Load()
+	}
+}
 
 // stressMutator hammers the heap from one goroutine: it keeps a window
 // of live structures in its roots, continuously allocates, links,
@@ -189,11 +207,12 @@ func TestStressManyCollections(t *testing.T) {
 // Race|Stress|Parallel tests.)
 func TestWriteBatchChurnRaceStress(t *testing.T) {
 	rt, err := New(WithMode(Generational), WithHeapBytes(16<<20),
-		WithYoungBytes(256<<10), WithSelfCheck(true))
+		WithYoungBytes(256<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	audit := auditCycles(rt)
 	var wg sync.WaitGroup
 	for id := 0; id < 4; id++ {
 		wg.Add(1)
@@ -238,7 +257,7 @@ func TestWriteBatchChurnRaceStress(t *testing.T) {
 	if err := rt.VerifyCardInvariant(); err != nil {
 		t.Errorf("card invariant: %v", err)
 	}
-	if err, n := rt.Collector().SelfCheckErr(); n > 0 {
+	if err, n := audit(); n > 0 {
 		t.Errorf("%d self-check violations, first: %v", n, err)
 	}
 	if rt.Stats().NumCycles == 0 {
