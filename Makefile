@@ -34,7 +34,7 @@ alloc-guard:
 	$(GO) test -count=1 -run 'TestMutatorAllocAllocatesNoGoMemory|TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
 
 # inline-guard fails unless the compiler still inlines the trace's gray
-# transition: (*Collector).shade must be inlinable (cost 76 against the
+# transition: (*Collector).shade must be inlinable (cost 77 against the
 # inliner's budget of 80) and inlined into markBlack's per-son loop in
 # trace.go. Once, at cost 131, it silently stopped inlining there and
 # the trace lost 15 % per object; this turns that into a build failure.

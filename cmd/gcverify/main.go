@@ -51,7 +51,7 @@ func main() {
 
 	if *list {
 		for _, sc := range modelcheck.Scenarios() {
-			fmt.Printf("%-19s %s\n", sc.Name, sc.Description)
+			fmt.Printf("%-20s %s\n", sc.Name, sc.Description)
 		}
 		return
 	}
@@ -96,14 +96,14 @@ func main() {
 		if rep.Violation != nil {
 			status = "VIOLATION"
 		}
-		fmt.Printf("%-19s %-9s runs=%-6d pruned=%d(sleep)+%d(preempt) maxSteps=%d maxVTime=%v depth=%d preempt=%d\n",
+		fmt.Printf("%-20s %-9s runs=%-6d pruned=%d(sleep)+%d(preempt) maxSteps=%d maxVTime=%v depth=%d preempt=%d\n",
 			sc.Name, status, rep.Runs, rep.SleepPruned, rep.PreemptSkipped,
 			rep.MaxSteps, rep.MaxVTime, opts.Depth, opts.Preempt)
 		if rep.DepthCapped > 0 {
-			fmt.Printf("%-19s           %d runs hit the depth bound\n", "", rep.DepthCapped)
+			fmt.Printf("%-20s           %d runs hit the depth bound\n", "", rep.DepthCapped)
 		}
 		if rep.PrefixMismatches > 0 {
-			fmt.Printf("%-19s           %d prefix mismatches — determinism is broken\n", "", rep.PrefixMismatches)
+			fmt.Printf("%-20s           %d prefix mismatches — determinism is broken\n", "", rep.PrefixMismatches)
 			failed = true
 		}
 		if rep.Violation != nil {

@@ -58,10 +58,9 @@ const (
 	// mutator answers at its next safe point instead.
 	Cooperate
 
-	// SweepShard fires once per 16-block chunk of a block walk — the
-	// sweep and the full-collection recoloring pass (delay only:
-	// skipping a chunk would leave dead cells unreclaimed and stale
-	// block hints behind).
+	// SweepShard fires once per 16-block chunk of the sweep's block
+	// walk (delay only: skipping a chunk would leave dead cells
+	// unreclaimed and stale block hints behind).
 	SweepShard
 
 	// Alloc fires in the allocation path: Drop/Fail simulate a

@@ -136,7 +136,7 @@ func TestAgingFullKeepsCards(t *testing.T) {
 }
 
 // TestAgingFullRetenures: tenured objects survive a full collection and
-// are black (still old) afterwards.
+// carry the old code afterwards — the one the full collection flipped to.
 func TestAgingFullRetenures(t *testing.T) {
 	c := newAgingCollector(t, 1)
 	m := c.NewMutator()
@@ -148,7 +148,7 @@ func TestAgingFullRetenures(t *testing.T) {
 		t.Fatal("setup: not tenured")
 	}
 	collectWhileCooperating(c, true, m)
-	if !c.H.ValidObject(a) || c.H.Color(a) != heap.Black {
+	if !c.H.ValidObject(a) || c.H.Color(a) != c.OldColor() {
 		t.Fatalf("after full: valid=%v color=%v", c.H.ValidObject(a), c.H.Color(a))
 	}
 	if got := c.H.Age(a); got != 1 {
@@ -229,6 +229,47 @@ func TestAgingTenureDoesNotOrphanPointers(t *testing.T) {
 		}
 		if m.Read(s, 0) != x {
 			t.Fatal("S's slot corrupted")
+		}
+	}
+	if err := c.VerifyCardInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAgingCardScanRemarksYoungTargets is §7.2's step 3 under aging:
+// tenured sources on dirty cards point at a target below the tenure age,
+// which the partial keeps young (the sweep demotes it), so both cards
+// must stay dirty. Two cards share the target: the scan of the second
+// finds it already shaded by the first and must still read it as young.
+func TestAgingCardScanRemarksYoungTargets(t *testing.T) {
+	c := newAgingCollector(t, 2)
+	m := c.NewMutator()
+	s1 := mustAlloc(t, m, 1, 0)
+	m.PushRoot(s1)
+	s2 := mustAlloc(t, m, 1, 0)
+	m.PushRoot(s2)
+	for i := 0; i < 3; i++ { // threshold 2: tenured at the 3rd survival
+		collectWhileCooperating(c, false, m)
+	}
+	for _, s := range []heap.Addr{s1, s2} {
+		if c.H.Color(s) != c.OldColor() || c.H.Age(s) < 2 {
+			t.Fatalf("setup: source %#x not tenured (color %v, age %d)", s, c.H.Color(s), c.H.Age(s))
+		}
+	}
+	y := mustAlloc(t, m, 0, 32)
+	m.Update(s1, 0, y)
+	m.Update(s2, 0, y)
+	cards := []int{c.Cards.IndexOf(s1), c.Cards.IndexOf(s2)}
+	if cards[0] == cards[1] {
+		t.Fatal("setup: both sources on one card")
+	}
+	collectWhileCooperating(c, false, m)
+	if !c.H.ValidObject(y) || c.H.Color(y) == c.OldColor() || c.H.Age(y) != 1 {
+		t.Fatalf("setup: target not a young survivor (color %v, age %d)", c.H.Color(y), c.H.Age(y))
+	}
+	for i, ci := range cards {
+		if !c.Cards.IsDirty(ci) {
+			t.Errorf("card %d of tenured source %d cleared under a pointer to a young object", ci, i+1)
 		}
 	}
 	if err := c.VerifyCardInvariant(); err != nil {

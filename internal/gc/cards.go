@@ -53,8 +53,8 @@ func (c *Collector) drainDirtyAllocatedCards(fn func(ci int)) int {
 
 // clearCardsSimple is ClearCards of Figure 3 (the simple promotion
 // algorithm): walk the card table; for every dirty card clear the mark
-// and re-gray the black (old) objects on it, so that the trace scans
-// them and thereby reaches the young objects they reference.
+// and re-gray the old objects on it, so that the trace scans them and
+// thereby reaches the young objects they reference.
 //
 // Clearing unconditionally is sound here because every object surviving
 // the collection is promoted, turning all recorded inter-generational
@@ -62,6 +62,7 @@ func (c *Collector) drainDirtyAllocatedCards(fn func(ci int)) int {
 // the color toggle, so no yellow objects exist yet (§7.1's required
 // ordering).
 func (c *Collector) clearCardsSimple() {
+	old := c.OldColor()
 	c.cyc.AllocatedCards = c.drainDirtyAllocatedCards(func(ci int) {
 		// The drain already cleared the mark (whole words at a time).
 		c.cyc.DirtyCards++
@@ -70,9 +71,9 @@ func (c *Collector) clearCardsSimple() {
 			c.H.Pages.TouchHeap(addr, 1)
 			size := c.H.SizeOf(addr)
 			c.cyc.AreaScanned += size
-			if c.H.Color(addr) == heap.Black {
+			if c.H.Color(addr) == old {
 				c.H.Pages.TouchHeap(addr, size)
-				if c.H.CasColor(addr, heap.Black, heap.Gray) {
+				if c.H.CasColor(addr, old, heap.NoColor, heap.Gray) {
 					c.gray = append(c.gray, addr)
 					c.cyc.InterGenScanned++
 					c.cyc.InterGenBytes += size
@@ -90,7 +91,11 @@ func (c *Collector) clearCardsSimple() {
 // race-free against the mutator's update-then-mark barrier.
 //
 // It runs after the color toggle (Figure 5 order), so "young" targets
-// are exactly the non-black, non-free objects.
+// are exactly the objects neither old nor free. Step 2 shades a target
+// gray, not straight to the old code as the trace does: a target the
+// scan already shaded must still read as young when another dirty card
+// points at it (gray is not old), or that card would be cleared under
+// an old→young pointer once the sweep demotes the target.
 //
 // One extension over the paper's Figure 6 is required for soundness: a
 // *young* object on a dirty card may hold pointers to younger objects,
@@ -104,7 +109,7 @@ func (c *Collector) clearCardsSimple() {
 // objects on dirty cards.)
 func (c *Collector) clearCardsAging() {
 	oldest := c.oldestAge()
-	cc := c.ClearColor()
+	cc, old := c.ClearColor(), c.OldColor()
 	c.cyc.AllocatedCards = c.drainDirtyAllocatedCards(func(ci int) {
 		c.cyc.DirtyCards++
 		// Step 1 (clear) already happened: the drain fetched and
@@ -116,7 +121,7 @@ func (c *Collector) clearCardsAging() {
 			size := c.H.SizeOf(addr)
 			c.cyc.AreaScanned += size
 			col, slots := c.H.Header(addr)
-			tenured := col == heap.Black && c.H.Age(addr) >= oldest
+			tenured := col == old && c.H.Age(addr) >= oldest
 			if !tenured {
 				// Young source: keep the card while it points at
 				// anything young, so its tenure cannot orphan an
@@ -126,7 +131,7 @@ func (c *Collector) clearCardsAging() {
 					if t == 0 {
 						continue
 					}
-					if col := c.H.Color(t); col != heap.Black && col != heap.Blue {
+					if col := c.H.Color(t); col != old && col != heap.Blue {
 						remark = true
 					}
 				}
@@ -141,8 +146,8 @@ func (c *Collector) clearCardsAging() {
 				if t == 0 {
 					continue
 				}
-				c.shade(t, cc) // step 2
-				if col := c.H.Color(t); col != heap.Black && col != heap.Blue {
+				c.shade(t, cc, heap.NoColor, heap.Gray) // step 2
+				if col := c.H.Color(t); col != old && col != heap.Blue {
 					remark = true
 				}
 			}
@@ -154,22 +159,23 @@ func (c *Collector) clearCardsAging() {
 	c.cyc.CardsScanned = c.cyc.AllocatedCards
 }
 
-// initFullCollection is InitFullCollection of Figures 3 and 6: recolor
-// all black and gray objects with the (pre-toggle) allocation color so
-// that the toggle makes the whole heap collectible. The simple algorithm
-// also clears every card mark ("a full collection begins by clearing
-// card marks, without tracing from the dirty cards", §3.2); the aging
-// algorithm keeps them, because its inter-generational pointers can
-// outlive a full collection (§6).
+// initFullCollection is InitFullCollection of Figures 3 and 6, without
+// its heap walk. The figures recolor every black and gray object with
+// the (pre-toggle) allocation color so that the toggle makes the whole
+// heap collectible; instead the collector flips which old code means
+// "old" and lets the previous one — stale — stand for that allocation
+// color until this cycle's sweep (Collector.unstale): the barrier, the
+// trace and the sweep treat a stale byte exactly as the walk's output.
+// The simple algorithm also clears every card mark ("a full collection
+// begins by clearing card marks, without tracing from the dirty cards",
+// §3.2); the aging algorithm keeps them, because its inter-generational
+// pointers can outlive a full collection (§6). The all-black hints need
+// no reset: a full sweep ignores them and recomputes every block's.
 func (c *Collector) initFullCollection() {
-	ac := c.AllocColor()
-	c.walkBlocks(func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			// Recoloring invalidates every all-black hint.
-			c.H.SetAllBlackHint(b, false)
-			c.H.RecolorBlock(b, heap.Black, heap.Gray, ac)
-		}
-	})
+	old := c.OldColor()
+	c.staleTwin.Store(uint32(c.AllocColor()))
+	c.staleColor.Store(uint32(old))
+	c.oldColor.Store(uint32(heap.OtherBlack(old)))
 	if c.cfg.Mode == Generational {
 		c.Cards.ClearAll()
 		for ci := 0; ci < c.Cards.NumCards(); ci += heap.PageBytes {

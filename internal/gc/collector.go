@@ -57,6 +57,17 @@ type Collector struct {
 	allocColor atomic.Uint32
 	clearColor atomic.Uint32
 
+	// The old-code flip (§5's toggle applied to the old generation,
+	// initFullCollection). oldColor is the code that means "old". From
+	// a full collection's flip until its sweep staleColor holds the
+	// previous one, and a byte holding it means staleTwin, the
+	// pre-toggle allocation color; outside that window it is
+	// heap.NoColor. Written by the collector only; mutators read
+	// staleColor and staleTwin in MarkGray.
+	oldColor   atomic.Uint32
+	staleColor atomic.Uint32
+	staleTwin  atomic.Uint32
+
 	// statusC is the collector's handshake status.
 	statusC atomic.Uint32
 
@@ -77,7 +88,7 @@ type Collector struct {
 	// so the three share one line: straddling two (at offset 112) made
 	// every publishAllocs and every swept block's noteFreed move two
 	// contended lines, and cost old_mutation ~4 % CPU per op.
-	_ [80]byte
+	_ [64]byte
 
 	// grayProduced counts gray transitions performed by mutators; the
 	// trace-termination fixpoint check compares it across an
@@ -298,6 +309,8 @@ func build(cfg Config, vs fault.Scheduler, breakSyncAccept bool) (*Collector, er
 	}
 	c.allocColor.Store(uint32(heap.White))
 	c.clearColor.Store(uint32(heap.Yellow))
+	c.oldColor.Store(uint32(heap.Black))
+	c.staleColor.Store(uint32(heap.NoColor))
 	c.pacer = newPacer(cfg, h.SizeBytes)
 	if cfg.Admission != nil {
 		c.admission = newAdmission(c, *cfg.Admission)
@@ -351,6 +364,25 @@ func (c *Collector) AllocColor() heap.Color { return heap.Color(c.allocColor.Loa
 
 // ClearColor returns the current clear color.
 func (c *Collector) ClearColor() heap.Color { return heap.Color(c.clearColor.Load()) }
+
+// OldColor returns the old code: the color of old objects, which the
+// trace also gives every object it reaches.
+func (c *Collector) OldColor() heap.Color { return heap.Color(c.oldColor.Load()) }
+
+// stale returns the stale old code: the one a full collection
+// flipped away from, until its sweep; heap.NoColor otherwise.
+func (c *Collector) stale() heap.Color { return heap.Color(c.staleColor.Load()) }
+
+// unstale returns the color col stands for: a byte holding the stale
+// old code reads as staleTwin — the color the recoloring walk of
+// Figure 3's InitFullCollection would have written, so the allocation
+// color before the toggle and the clear color after it.
+func (c *Collector) unstale(col heap.Color) heap.Color {
+	if col == c.stale() {
+		return heap.Color(c.staleTwin.Load())
+	}
+	return col
+}
 
 // Globals returns the address of the global-roots object.
 func (c *Collector) Globals() heap.Addr { return c.globals }

@@ -23,6 +23,14 @@ import (
 func (c *Collector) Cycle(full bool) {
 	c.cycleMu.Lock()
 	defer c.cycleMu.Unlock()
+	if c.closed.Load() {
+		// Nothing runs after Stop: a close-aborted cycle may have left
+		// the heap mid-collection — grays on no stack, a full
+		// collection's stale old code still set — which a later cycle
+		// would misread (its trace could not reach past the grays, and
+		// a second flip would make the unreached stale objects old).
+		return
+	}
 
 	start := time.Now()
 	youngAtStart := c.pacer.YoungAlloc()
@@ -88,16 +96,16 @@ func (c *Collector) Cycle(full bool) {
 	c.postHandshake(StatusAsync)
 	// Mark global roots: the globals object itself is the root; its
 	// referents are reached when the trace scans it. It may already be
-	// black (it is old): re-gray it so a partial collection scans its
-	// slots, since stores to globals mark cards like any heap store
-	// but the globals object must act as a first-class root.
+	// old: re-gray it so a partial collection scans its slots, since
+	// stores to globals mark cards like any heap store but the globals
+	// object must act as a first-class root.
 	// rootedGlobals records whether *this* graying admitted the globals
 	// object to the trace — if the card scan already re-grayed it, it
 	// is inside the InterGenScanned counters instead — so the simple
 	// scheme's trace-side promotion arithmetic below can exclude it.
 	rootsBefore := len(c.gray)
-	c.shade(c.globals, c.ClearColor())
-	c.shade(c.globals, heap.Black)
+	c.shade(c.globals, c.ClearColor(), c.stale(), heap.Gray)
+	c.shade(c.globals, c.OldColor(), heap.NoColor, heap.Gray)
 	rootedGlobals := len(c.gray) > rootsBefore
 	if !c.waitHandshake() {
 		c.abortCycle(start, "sync3")
@@ -262,11 +270,13 @@ func survivalKey(v []int64) string {
 // converges the protocol state — status back to async, trace predicate
 // off — and skips the sweep entirely, so no object is freed on the
 // strength of the incomplete trace. Objects left gray or unswept are
-// floating garbage the closing runtime never needs back.
+// floating garbage the closing runtime never needs back, and no later
+// cycle runs to build on them (Cycle returns once the collector is
+// closed).
 func (c *Collector) abortCycle(start time.Time, phase string) {
 	c.postHandshake(StatusAsync)
 	c.tracing.Store(false)
-	// An aborted trace leaves its grays queued.
+	// The stack goes; its objects stay gray (no later cycle runs).
 	c.gray = c.gray[:0]
 	c.abortedCycles.Add(1)
 	c.emit("cycleabort", start, phase, 0, 0)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gengc/internal/heap"
 )
@@ -375,12 +376,18 @@ func TestMutatorAttachMidCycle(t *testing.T) {
 }
 
 // TestCheckQuiescentCycleNamesViolations is the auditor's negative leg:
-// after a clean cycle, an object left gray — or one left on the
-// collector's gray stack — must be named as a violation, not passed.
+// after a clean cycle, an object left gray, one left on the collector's
+// gray stack, one still carrying the old code the full collection
+// flipped away from, or the stale code left set must be named as a
+// violation, not passed.
 func TestCheckQuiescentCycleNamesViolations(t *testing.T) {
 	for want, leave := range map[string]func(*Collector){
 		"left gray after cycle":         func(c *Collector) { c.H.SetColor(c.globals, heap.Gray) },
 		"left queued on the gray stack": func(c *Collector) { c.gray = append(c.gray, c.globals) },
+		"still carries the stale old code": func(c *Collector) {
+			c.H.SetColor(c.globals, heap.OtherBlack(c.OldColor()))
+		},
+		"stale old code black still set": func(c *Collector) { c.staleColor.Store(uint32(heap.Black)) },
 	} {
 		c, err := New(Config{Mode: Generational, HeapBytes: 1 << 20, YoungBytes: 256 << 10})
 		if err != nil {
@@ -395,5 +402,87 @@ func TestCheckQuiescentCycleNamesViolations(t *testing.T) {
 			t.Errorf("audit = %v, want a violation naming %q", err, want)
 		}
 		c.Stop()
+	}
+}
+
+// TestFullCollectionFlipsOldCode: each full collection flips the old code
+// instead of recoloring the heap, and the census — hence Snapshot,
+// expvar and /metrics — counts old objects the same on either side of a
+// flip: both codes fold into Black.
+func TestFullCollectionFlipsOldCode(t *testing.T) {
+	c := newTestCollector(t, Generational)
+	m := c.NewMutator()
+	var live []heap.Addr
+	for i := 0; i < 50; i++ {
+		a := mustAlloc(t, m, 1, 0)
+		m.PushRoot(a)
+		live = append(live, a)
+	}
+	for i := 0; i < 20; i++ {
+		mustAlloc(t, m, 0, 32) // garbage
+	}
+	collectWhileCooperating(c, false, m)
+	want := c.H.CountColor(heap.Black)
+	if want < len(live) {
+		t.Fatalf("after a partial %d old objects, want at least the %d rooted", want, len(live))
+	}
+	for i, old := range []heap.Color{heap.Black2, heap.Black} {
+		collectWhileCooperating(c, true, m)
+		if got := c.OldColor(); got != old {
+			t.Fatalf("full %d: old code %v, want %v", i+1, got, old)
+		}
+		for _, a := range live {
+			if got := c.H.Color(a); got != old {
+				t.Fatalf("full %d: live object %#x is %v, want %v", i+1, a, got, old)
+			}
+		}
+		if got := c.H.CountColor(heap.Black); got != want {
+			t.Errorf("full %d: CountColor(black) = %d, want %d", i+1, got, want)
+		}
+		if s := c.H.Census(); s.ColorCounts[heap.Black] != want {
+			t.Errorf("full %d: census black = %d, want %d", i+1, s.ColorCounts[heap.Black], want)
+		}
+		if err := c.CheckQuiescentCycle(); err != nil {
+			t.Errorf("full %d: %v", i+1, err)
+		}
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoCycleAfterCloseAbort: Stop aborts a full cycle wedged on a
+// mutator that never cooperates, which leaves the cycle's stale old code
+// set (and could leave grays on no stack). A cycle that gets the lock
+// afterwards must not run on that heap: a second flip would make the
+// unreached stale objects old.
+func TestNoCycleAfterCloseAbort(t *testing.T) {
+	c, err := New(Config{Mode: Generational, HeapBytes: 1 << 20, YoungBytes: 256 << 10,
+		StallTimeout: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.NewMutator()
+	m.PushRoot(mustAlloc(t, m, 1, 0))
+	done := make(chan struct{})
+	go func() {
+		c.CollectNow(true)
+		close(done)
+	}()
+	for Status(c.statusC.Load()) == StatusAsync {
+		time.Sleep(time.Millisecond)
+	}
+	c.Stop()
+	<-done
+	if c.AbortedCycles() != 1 || c.stale() == heap.NoColor {
+		t.Fatalf("setup: %d aborted cycles, stale code %v; want the wedged full cycle aborted mid-flip",
+			c.AbortedCycles(), c.stale())
+	}
+	m.Detach()
+	cycles := c.CyclesDone()
+	c.Cycle(true)
+	if c.CyclesDone() != cycles || c.AbortedCycles() != 1 {
+		t.Errorf("a cycle ran after the close: %d completed (was %d), %d aborted",
+			c.CyclesDone(), cycles, c.AbortedCycles())
 	}
 }

@@ -48,14 +48,14 @@ func TestParallelDrainTerminationRace(t *testing.T) {
 		// The objects carry the allocation color; the toggle makes it
 		// the clear color, as at the start of a cycle's trace.
 		c.switchColors()
-		c.shade(root, c.ClearColor())
+		c.shade(root, c.ClearColor(), heap.NoColor, c.OldColor())
 		c.drain()
 
 		if c.cyc.ObjectsScanned != n {
 			t.Errorf("seed=%d: blackened %d objects, graph has %d", seed, c.cyc.ObjectsScanned, n)
 		}
 		for i, x := range nodes {
-			if c.H.Color(x) != heap.Black {
+			if c.H.Color(x) != c.OldColor() {
 				t.Fatalf("seed=%d: node %d left %v", seed, i, c.H.Color(x))
 			}
 		}

@@ -38,7 +38,10 @@ import (
 //     acknowledgement round blackened every gray before the sweep, and
 //     in the async window between cycles the write barrier cannot
 //     produce new grays (mutators only gray during sync1/sync2 or
-//     while the collector is tracing).
+//     while the collector is tracing),
+//   - the stale old code is retired and no object carries it: a full
+//     collection's sweep frees every stale object the trace did not
+//     reach, and the trace recolored every one it did.
 //
 // A violation means the cycle that just finished broke the collector's
 // own protocol, independent of whatever the mutators are doing.
@@ -55,13 +58,23 @@ func (c *Collector) CheckQuiescentCycle() error {
 	if err := c.H.CheckIntegrity(); err != nil {
 		return fmt.Errorf("gc: self-check: %w", err)
 	}
-	var firstGray error
+	if s := c.stale(); s != heap.NoColor {
+		return fmt.Errorf("gc: self-check: stale old code %v still set after cycle", s)
+	}
+	stale := heap.OtherBlack(c.OldColor())
+	var first error
 	c.H.ForEachObject(func(addr heap.Addr) {
-		if firstGray == nil && c.H.Color(addr) == heap.Gray {
-			firstGray = fmt.Errorf("gc: self-check: object %#x left gray after cycle", addr)
+		if first != nil {
+			return
+		}
+		switch c.H.Color(addr) {
+		case heap.Gray:
+			first = fmt.Errorf("gc: self-check: object %#x left gray after cycle", addr)
+		case stale:
+			first = fmt.Errorf("gc: self-check: object %#x still carries the stale old code %v after cycle", addr, stale)
 		}
 	})
-	return firstGray
+	return first
 }
 
 // CheckReachable walks every object reachable from the roots — the
@@ -144,8 +157,9 @@ func (c *Collector) CheckReachableAllocated() error {
 }
 
 // CheckNoReachableClear asserts that no reachable object still carries
-// the clear color. Valid only in the window where the trace has reached
-// its fixpoint but the cycle's sweep has not completed — from
+// the clear color (or, in a full collection, the stale old code, which
+// the sweep frees alike). Valid only in the window where the trace has
+// reached its fixpoint but the cycle's sweep has not completed — from
 // tracing.Store(false) through the end of sweep — when every reachable
 // object must have been blackened (or be allocation-colored, §7.1); a
 // clear-colored reachable object there is about to be freed by the
@@ -156,7 +170,7 @@ func (c *Collector) CheckNoReachableClear() error {
 		if !c.H.ValidObject(a) {
 			return fmt.Errorf("gc: invariant: reachable address %#x is not a live object", a)
 		}
-		if c.H.Color(a) == cc {
+		if c.unstale(c.H.Color(a)) == cc {
 			return fmt.Errorf("gc: invariant: reachable object %#x still clear-colored (%v) during sweep", a, cc)
 		}
 		return nil

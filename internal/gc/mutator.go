@@ -178,7 +178,11 @@ func (m *Mutator) Cooperate() {
 	// P a compute-bound mutator would otherwise keep running a
 	// full preemption quantum, stretching the sync1/sync2 window
 	// in which the write barrier promotes freshly created
-	// objects (§7.1).
+	// objects (§7.1). Measured on server_overload (4 alternating
+	// 8 s pairs, without vs with this yield): 44–49 k vs 59–64 k
+	// ops/s, latency_p50_us 1.4–2.0 ms vs 0.53–0.73 ms,
+	// cpu_ns_per_op 32.9–37.1 µs vs 25.2–27.6 µs, success_frac
+	// 0.68–0.73 vs 0.85–0.86. It stays.
 	runtime.Gosched()
 	m.recordPause(start, cause)
 }
@@ -222,14 +226,16 @@ func (m *Mutator) recordPause(start time.Time, cause string) {
 // the clear color, or — during sync1/sync2 — also if it has the
 // allocation color (the §7.1 exception that protects yellow objects
 // created in the window between the card scan and the color toggle).
+// During a full collection a stale old code reads as the color the
+// retired recoloring walk would have written (Collector.unstale).
 func (m *Mutator) markGray(x heap.Addr) {
 	if x == 0 {
 		return
 	}
 	col := m.c.H.Color(x)
-	cc := heap.Color(m.c.clearColor.Load())
-	if col == cc {
-		m.shade(x, cc)
+	as := m.c.unstale(col)
+	if as == heap.Color(m.c.clearColor.Load()) {
+		m.shade(x, col)
 		return
 	}
 	if Status(m.status.Load()) != StatusAsync {
@@ -240,9 +246,8 @@ func (m *Mutator) markGray(x heap.Addr) {
 			// must catch the lost object.
 			return
 		}
-		ac := heap.Color(m.c.allocColor.Load())
-		if col == ac {
-			m.shade(x, ac)
+		if as == heap.Color(m.c.allocColor.Load()) {
+			m.shade(x, col)
 		}
 	}
 }
@@ -252,17 +257,18 @@ func (m *Mutator) markGrayAging(x heap.Addr) {
 	if x == 0 {
 		return
 	}
-	cc := heap.Color(m.c.clearColor.Load())
-	if m.c.H.Color(x) == cc {
-		m.shade(x, cc)
+	col := m.c.H.Color(x)
+	if m.c.unstale(col) == heap.Color(m.c.clearColor.Load()) {
+		m.shade(x, col)
 	}
 }
 
-// shade performs the gray transition and publishes the object to the
-// collector. The CAS guarantees each object enters a gray buffer at most
-// once per transition, which bounds the trace's total work.
-func (m *Mutator) shade(x heap.Addr, from heap.Color) {
-	if !m.c.H.CasColor(x, from, heap.Gray) {
+// shade performs the gray transition from col, the color the caller
+// read, and publishes the object to the collector. The CAS guarantees
+// each object enters a gray buffer at most once per transition, which
+// bounds the trace's total work.
+func (m *Mutator) shade(x heap.Addr, col heap.Color) {
+	if !m.c.H.CasColor(x, col, heap.NoColor, heap.Gray) {
 		return
 	}
 	m.gray.Lock()

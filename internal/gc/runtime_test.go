@@ -230,7 +230,7 @@ func TestVerifyCatchesDanglingRoot(t *testing.T) {
 	a := mustAlloc(t, m, 0, 32)
 	m.PushRoot(a)
 	// Simulate an (incorrect) free of a live object.
-	c.H.SweepBlock(int(a/heap.BlockSize), heap.Blue, func(x heap.Addr, _ heap.Color) bool { return x == a })
+	c.H.SweepBlock(int(a/heap.BlockSize), heap.NoColor, heap.NoColor, heap.Black, func(x heap.Addr, _ heap.Color) bool { return x == a })
 	if err := c.Verify(); err == nil {
 		t.Fatal("Verify missed a dangling root")
 	}

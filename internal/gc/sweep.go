@@ -23,25 +23,26 @@ func ageBucket(a uint8) int {
 }
 
 // sweepBlockOne reclaims the clear-colored objects of block b (Figures 2
-// and 5), counting them into the cycle record. With the color toggle
-// there is nothing else to do in the simple algorithm: black (old)
-// objects stay black — that is the promotion — and allocation-colored
+// and 5) — and, in a full collection, the stale-coded ones — counting
+// them into the cycle record. With the color toggle there is nothing
+// else to do in the simple algorithm: old objects keep the old code —
+// that is the promotion — and allocation-colored
 // objects were created during the cycle and stay untouched, playing the
 // role of white in the next cycle.
 //
 // The aging variant additionally walks the age table: reachable objects
 // younger than the tenure threshold are recolored with the allocation
 // color (so they remain collectible in the next partial collection) and
-// their age is incremented; objects at the threshold stay black.
+// their age is incremented; objects at the threshold stay old.
 //
 // heap.SweepBlock frees the dead cells a color word at a time; only the
 // aging variant sees the survivors one by one.
-func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, oldest uint8) {
+func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, stale, old, ac heap.Color, oldest uint8) {
 	if !full && c.H.AllBlackHint(b) {
-		// Entirely old block: it holds only black objects and
-		// has no free cells, so nothing in it can carry the
-		// clear color until a full collection recolors the
-		// heap. Partial sweeps skip it — this is what confines
+		// Entirely old block: it holds only old objects and has
+		// no free cells, so nothing in it can carry the clear
+		// color until a full collection flips the old code.
+		// Partial sweeps skip it — this is what confines
 		// a partial collection's working set to the young
 		// generation (Figure 15).
 		return
@@ -56,7 +57,7 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 				return false
 			}
 			c.H.Pages.TouchAge(addr)
-			// Objects at or past the threshold stay black with their
+			// Objects at or past the threshold stay old with their
 			// age frozen: that is the promotion, counted trace-side in
 			// finishCycle (traced young minus the survivors demoted
 			// here — the sweep cannot tell a freshly tenured object
@@ -65,7 +66,7 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 			if age < oldest {
 				c.H.SetColor(addr, ac)
 				c.H.SetAge(addr, age+1)
-				if col == heap.Black && !full {
+				if col == old && !full {
 					c.cyc.Survivors++
 					c.cyc.SurvivorBytes += c.H.SizeOf(addr)
 					if c.cyc.SurvivalByAge == nil {
@@ -77,7 +78,7 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 			return false
 		}
 	}
-	n, bytes, allBlack := c.H.SweepBlock(b, cc, survivor)
+	n, bytes, allBlack := c.H.SweepBlock(b, cc, stale, old, survivor)
 	if n > 0 {
 		bucket := c.H.BlockClass(b)
 		if bucket < 0 {
@@ -96,29 +97,23 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, ac heap.Color, ol
 	c.H.SetAllBlackHint(b, allBlack && !young && c.H.BlockQuiet(b))
 }
 
-// walkBlocks applies visit to every block of the heap (block 0 is
-// reserved), in chunks [lo, hi) of sweepChunkBlocks — the one block
-// walker under both the sweep and the full-collection recoloring pass.
-func (c *Collector) walkBlocks(visit func(lo, hi int)) {
+// sweep reclaims every clear-colored object, block by block, in chunks
+// of sweepChunkBlocks, and — in a full collection — every stale-coded
+// one: no byte holds the stale code afterwards, so it retires.
+func (c *Collector) sweep(full bool) {
+	cc, stale, old := c.ClearColor(), c.stale(), c.OldColor()
+	ac := c.AllocColor()
+	aging := c.cfg.Mode == GenerationalAging
+	oldest := c.oldestAge()
 	nBlocks := c.H.NumBlocks()
 	for lo := 1; lo < nBlocks; lo += sweepChunkBlocks {
 		// Delay-only point: skipping a chunk would leak its dead cells
 		// and corrupt the hint/aging bookkeeping, so Drop/Fail rules
 		// degrade to their configured delay.
 		c.seamDelay(fault.SweepShard)
-		visit(lo, min(lo+sweepChunkBlocks, nBlocks))
-	}
-}
-
-// sweep reclaims every clear-colored object, block by block.
-func (c *Collector) sweep(full bool) {
-	cc := c.ClearColor()
-	ac := c.AllocColor()
-	aging := c.cfg.Mode == GenerationalAging
-	oldest := c.oldestAge()
-	c.walkBlocks(func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			c.sweepBlockOne(b, full, aging, cc, ac, oldest)
+		for b := lo; b < min(lo+sweepChunkBlocks, nBlocks); b++ {
+			c.sweepBlockOne(b, full, aging, cc, stale, old, ac, oldest)
 		}
-	})
+	}
+	c.staleColor.Store(uint32(heap.NoColor))
 }

@@ -8,42 +8,45 @@ import (
 )
 
 // The collector engine's trace half. As in the paper (§8), one
-// collector thread does all of it: the collector goroutine pops gray
-// objects off its own stack (Collector.gray), which root marking, the
-// card scan and the mutator gray buffers feed. Every gray transition is
-// a CAS on the color table (CasColor), so an object enters the stack at
-// most once per cycle and is blackened exactly once.
+// collector thread does all of it: the collector goroutine pops objects
+// off its own stack (Collector.gray), which root marking, the card scan
+// and the mutator gray buffers feed. Every push follows a successful CAS
+// on the color table (CasColor) out of a color the object holds at most
+// once per cycle, so an object enters the stack at most once per cycle
+// and is scanned exactly once.
 
-// shade performs the from→gray transition (MarkGray as executed by the
-// collector: after the toggle `from` is the clear color) and, on
-// success, pushes the object on the collector's gray stack. CasColor
-// tests the color before it swaps, so a son that is not `from` costs one
-// load. The nil test stays a separate early return: folded into the
-// condition below it compiles to flag materialization in markBlack's
-// per-son loop. (shade must stay within the inliner's budget for that
-// loop's sake.)
-func (c *Collector) shade(x heap.Addr, from heap.Color) {
-	if x == 0 {
-		return
-	}
-	if c.H.CasColor(x, from, heap.Gray) {
+// shade is MarkGray as executed by the collector: an object colored
+// from — or alias, the stale old code during a full collection — goes
+// to `to` and onto the collector's gray stack. The trace passes the
+// clear color, the stale code and the old code: its sons skip gray and
+// cost one CAS each (markBlack blackens only what arrives gray). CasColor
+// tests the color before it swaps, so a son that matches neither costs
+// one load. x must not be nil: the callers test for it, markBlack as a
+// separate branch in its per-son loop, which keeps shade within the
+// inliner's budget (make inline-guard) — shade must inline into that
+// loop.
+func (c *Collector) shade(x heap.Addr, from, alias, to heap.Color) {
+	if c.H.CasColor(x, from, alias, to) {
 		c.gray = append(c.gray, x)
 	}
 }
 
-// markBlack traces one gray object (Figure 3): shade its sons gray, then
-// blacken it.
+// markBlack traces one object off the gray stack (Figure 3): shade its
+// clear (or stale) sons straight to the old code, then blacken it if it
+// arrived gray — from a mutator buffer, the card scan or the globals
+// re-gray. An object the trace itself shaded is old already.
 func (c *Collector) markBlack(x heap.Addr) {
 	col, slots := c.H.Header(x)
-	if col == heap.Black {
-		return
-	}
-	cc := c.ClearColor()
+	cc, stale, old := c.ClearColor(), c.stale(), c.OldColor()
 	c.H.Pages.TouchHeap(x, heap.HeaderBytes+slots*heap.WordBytes)
 	for i := 0; i < slots; i++ {
-		c.shade(c.H.LoadSlot(x, i), cc)
+		if y := c.H.LoadSlot(x, i); y != 0 {
+			c.shade(y, cc, stale, old)
+		}
 	}
-	c.H.SetColor(x, heap.Black)
+	if col == heap.Gray {
+		c.H.SetColor(x, old)
+	}
 	c.cyc.ObjectsScanned++
 	c.cyc.SlotsScanned += slots
 	c.cyc.TraceBytes += c.H.SizeOf(x)

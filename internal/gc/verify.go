@@ -57,20 +57,20 @@ func (c *Collector) Verify() error {
 // inter-generational pointer (a pointer from an old object to a young
 // one) lies on a dirty card. Like Verify it requires quiescence. Only
 // meaningful for the generational modes; in the simple-promotion mode
-// old means black, in the aging mode old means black and tenured.
+// old means the old code, in the aging mode the old code and tenured.
 func (c *Collector) VerifyCardInvariant() error {
 	if !c.cfg.Mode.IsGenerational() {
 		return nil
 	}
 	c.cycleMu.Lock()
 	defer c.cycleMu.Unlock()
-	oldest := c.oldestAge()
+	oldest, old := c.oldestAge(), c.OldColor()
 	var firstErr error
 	c.H.ForEachObject(func(addr heap.Addr) {
 		if firstErr != nil {
 			return
 		}
-		if c.H.Color(addr) != heap.Black {
+		if c.H.Color(addr) != old {
 			return
 		}
 		if c.cfg.Mode == GenerationalAging && c.H.Age(addr) < oldest {
@@ -88,8 +88,8 @@ func (c *Collector) VerifyCardInvariant() error {
 				continue
 			}
 			col := c.H.Color(t)
-			young := col != heap.Black && col != heap.Blue
-			if c.cfg.Mode == GenerationalAging && col == heap.Black && c.H.Age(t) < oldest {
+			young := col != old && col != heap.Blue
+			if c.cfg.Mode == GenerationalAging && col == old && c.H.Age(t) < oldest {
 				young = true
 			}
 			if young && !c.Cards.IsDirty(c.Cards.IndexOf(addr)) {

@@ -29,7 +29,7 @@ func freeCells(h *Heap, addrs ...Addr) int {
 	for _, a := range addrs {
 		if b := a / BlockSize; !swept[b] {
 			swept[b] = true
-			_, n, _ := h.SweepBlock(int(b), Blue, func(addr Addr, _ Color) bool { return dead[addr] })
+			_, n, _ := h.SweepBlock(int(b), NoColor, NoColor, Black, func(addr Addr, _ Color) bool { return dead[addr] })
 			bytes += n
 		}
 	}
@@ -119,7 +119,7 @@ func TestSweepBlockAccounting(t *testing.T) {
 	addr, _, _ := h.Alloc(&c, 0, 48, White)
 	keep, _, _ := h.Alloc(&c, 0, 48, Black)
 	var seen []Addr
-	objects, bytes, _ := h.SweepBlock(int(addr/BlockSize), Blue, func(a Addr, col Color) bool {
+	objects, bytes, _ := h.SweepBlock(int(addr/BlockSize), NoColor, NoColor, Black, func(a Addr, col Color) bool {
 		seen = append(seen, a)
 		return col == White
 	})
@@ -434,15 +434,23 @@ func TestColorTransitions(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
 	a, _, _ := h.Alloc(&c, 0, 32, White)
-	if !h.CasColor(a, White, Gray) {
+	if !h.CasColor(a, White, NoColor, Gray) {
 		t.Fatal("CAS white->gray failed")
 	}
-	if h.CasColor(a, White, Black) {
-		t.Fatal("CAS from stale color succeeded")
+	if h.CasColor(a, White, NoColor, Black) {
+		t.Fatal("CAS from a color the object no longer has succeeded")
 	}
 	h.SetColor(a, Black)
 	if h.Color(a) != Black {
 		t.Fatal("SetColor lost")
+	}
+	// The alias matches as well as the from color: the stale old code
+	// of a full collection goes straight to the new one.
+	if !h.CasColor(a, Yellow, Black, Black2) || h.Color(a) != Black2 {
+		t.Fatalf("CAS black->black2 through the alias failed: %v", h.Color(a))
+	}
+	if h.CasColor(a, Yellow, NoColor, Gray) || h.CasColor(a, Yellow, Black, Gray) {
+		t.Fatal("CAS matched neither from nor alias and still succeeded")
 	}
 }
 
@@ -513,7 +521,7 @@ func TestAllocStressAllClasses(t *testing.T) {
 		}
 	}
 	for b := 1; b < h.NumBlocks(); b++ {
-		h.SweepBlock(b, Yellow, nil)
+		h.SweepBlock(b, Yellow, NoColor, Black, nil)
 	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Error(err)
@@ -546,8 +554,17 @@ func TestCountColor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := h.CountColor(Black); got != 5 {
-		t.Errorf("CountColor(black) = %d, want 5", got)
+	for i := 0; i < 2; i++ {
+		if _, _, err := h.Alloc(&c, 0, 32, Black2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both old codes count as black, whichever one is asked for.
+	if got := h.CountColor(Black); got != 7 {
+		t.Errorf("CountColor(black) = %d, want 7", got)
+	}
+	if got := h.CountColor(Black2); got != 7 {
+		t.Errorf("CountColor(black2) = %d, want 7", got)
 	}
 	if got := h.CountColor(White); got != 3 {
 		t.Errorf("CountColor(white) = %d, want 3", got)

@@ -53,7 +53,7 @@ func (h *Heap) AllocChurn(id, iters int) error {
 			last := Addr(0)
 			for j := k; j < len(window); j += len(AllocChurnSizes) {
 				if b := window[j] / BlockSize; b != last {
-					h.SweepBlock(int(b), Blue, mine)
+					h.SweepBlock(int(b), NoColor, NoColor, Black, mine)
 					last = b
 				}
 			}

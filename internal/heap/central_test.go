@@ -184,7 +184,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 		t.Fatalf("owner got %#x, %v; want the one free cell %#x", a, err, first)
 	}
 	inWindow := false
-	objects, _, _ := h.SweepBlock(int(first/BlockSize), Yellow, func(addr Addr, col Color) bool {
+	objects, _, _ := h.SweepBlock(int(first/BlockSize), Yellow, NoColor, Black, func(addr Addr, col Color) bool {
 		if addr == survivor {
 			// Cell 1 is blue and uncounted. The owner claims it,
 			// publishes, and lets the block go.
@@ -250,7 +250,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 	go func() {
 		defer sweeper.Done()
 		for {
-			n, _, _ := h.SweepBlock(1, Yellow, nil)
+			n, _, _ := h.SweepBlock(1, Yellow, NoColor, Black, nil)
 			freed += n
 			select {
 			case <-stop:
@@ -281,7 +281,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 	}
 	close(stop)
 	sweeper.Wait()
-	n, _, _ := h.SweepBlock(1, Yellow, nil)
+	n, _, _ := h.SweepBlock(1, Yellow, NoColor, Black, nil)
 	freed += n
 	h.Flush(&c)
 	if freed != allocs {
@@ -317,7 +317,7 @@ func TestSweepBlockAllocatesNothing(t *testing.T) {
 			blocks[i/CellsPerBlock(0)] = int(a / BlockSize)
 		}
 		for _, b := range blocks {
-			if n, _, _ := h.SweepBlock(b, Yellow, nil); n != CellsPerBlock(0) {
+			if n, _, _ := h.SweepBlock(b, Yellow, NoColor, Black, nil); n != CellsPerBlock(0) {
 				t.Fatalf("block %d: freed %d cells, want %d", b, n, CellsPerBlock(0))
 			}
 		}

@@ -19,13 +19,21 @@ import "sync/atomic"
 //	         is no other record of it
 //	white  – not yet traced (one of the two toggled colors)
 //	yellow – allocated during the current cycle (the other toggled color)
-//	gray   – traced, children not yet scanned
-//	black  – traced, children scanned; doubles as "old generation"
+//	gray   – reached, slots not yet scanned: written only by mutators'
+//	         MarkGray, the card scan and the collector's re-gray of the
+//	         globals root; the collector's own trace shades a son
+//	         straight to the old code
+//	black  – reached by the trace; doubles as "old generation". There
+//	         are two old codes, Black and Black2
 //
 // White and yellow are not fixed roles: the color-toggle mechanism of §5
 // exchanges which of the two is the allocation color and which is the
-// clear color at the start of every cycle. Blue is the zero value so that
-// a freshly mapped color table reads as all-free.
+// clear color at the start of every cycle. The old codes toggle the same
+// way, once per full collection: the collector flips which one means
+// "old", and until that collection's sweep the other one ("stale") reads
+// as the color InitFullCollection's recoloring walk would have written —
+// so there is no such walk. Blue is the zero value so that a freshly
+// mapped color table reads as all-free.
 type Color uint32
 
 const (
@@ -34,7 +42,16 @@ const (
 	Yellow
 	Gray
 	Black
+	Black2
+
+	// NoColor is a code no color byte ever holds: the collector's stale
+	// old code outside a full collection, matching nothing.
+	NoColor Color = colorBits
 )
+
+// OtherBlack returns the old code that old is not: the flip of a full
+// collection.
+func OtherBlack(old Color) Color { return Black ^ Black2 ^ old }
 
 // String returns the color name for diagnostics.
 func (c Color) String() string {
@@ -49,6 +66,8 @@ func (c Color) String() string {
 		return "gray"
 	case Black:
 		return "black"
+	case Black2:
+		return "black2"
 	}
 	return "invalid"
 }
@@ -65,10 +84,14 @@ const (
 )
 
 // eqMask returns bit 7 of every byte of w whose color field equals c.
-// The bytes of x are at most 7, so adding 0x7f sets bit 7 of exactly the
-// nonzero ones and carries nothing into a neighbour.
-func eqMask(w uint64, c Color) uint64 {
-	x := w&(colorBits*lo8) ^ uint64(c)*lo8
+func eqMask(w uint64, c Color) uint64 { return eqBytes(w, uint64(c)*lo8) }
+
+// eqBytes is eqMask against a color already copied into every byte of
+// pat, for loops that hoist the multiply. The bytes of x are at most 7,
+// so adding 0x7f sets bit 7 of exactly the nonzero ones and carries
+// nothing into a neighbour.
+func eqBytes(w, pat uint64) uint64 {
+	x := w&(colorBits*lo8) ^ pat
 	return ^(x + 0x7f*lo8) & hi8
 }
 
@@ -120,47 +143,26 @@ func (h *Heap) SetColor(addr Addr, c Color) {
 	}
 }
 
-// CasColor recolors the object at addr from old to new atomically and
+// CasColor recolors the object at addr from `from` — or from alias, a
+// second color that stands for the same thing (the stale old code during
+// a full collection; NoColor matches nothing) — to `to` atomically and
 // reports whether the swap happened. It is the primitive under MarkGray:
 // at most one of several racing mutators/collector wins, so each object
 // enters the gray set at most once per transition. A neighbour byte
 // changing under the swap is not a failure.
-func (h *Heap) CasColor(addr Addr, old, new Color) bool {
-	w, s := h.colorByte(addr)
+func (h *Heap) CasColor(addr Addr, from, alias, to Color) bool {
+	// colorByte, spelled out: the call costs the collector's shade,
+	// which inlines this, 4 of its inlining budget.
+	w, s := &h.colors[addr/(8*Granule)], addr/(Granule/8)&56
 	for {
 		cur := atomic.LoadUint64(w)
-		if Color(cur>>s&colorBits) != old {
+		c := Color(cur >> s & colorBits)
+		if c != from && c != alias {
 			return false
 		}
-		if atomic.CompareAndSwapUint64(w, cur, cur^uint64(old^new)<<s) {
+		if atomic.CompareAndSwapUint64(w, cur, cur^uint64(c^to)<<s) {
 			return true
 		}
-	}
-}
-
-// RecolorBlock turns every cell of block b colored from1 or from2 into
-// to, with one compare-and-swap per color word that holds any: the
-// recoloring pass of a full collection.
-// Mutators may color other cells of the block meanwhile. The page model
-// charges a populated block as SweepBlock does.
-func (h *Heap) RecolorBlock(b int, from1, from2, to Color) {
-	if c := h.blocks[b].class.Load(); c == blockFree || c == blockLargeCont {
-		return // all blue, always
-	}
-	populated := false
-	words := h.blockWords(b)
-	for i := range words {
-		for {
-			w := atomic.LoadUint64(&words[i])
-			populated = populated || w != 0
-			m := (eqMask(w, from1) | eqMask(w, from2)) >> 7 * colorBits
-			if m == 0 || atomic.CompareAndSwapUint64(&words[i], w, w&^m|m&(uint64(to)*lo8)) {
-				break
-			}
-		}
-	}
-	if populated {
-		h.Pages.TouchHeap(Addr(b)*BlockSize, 1)
 	}
 }
 

@@ -109,16 +109,16 @@ func TestRaceColorWordNeighbours(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				h.SetColor(a, Yellow)
 				ok := check("SetColor", Yellow, slots*(r&1))
-				if h.CasColor(a, White, Gray) {
+				if h.CasColor(a, White, NoColor, Gray) {
 					t.Errorf("cell %#x: CasColor from the wrong color succeeded", a)
 				}
-				if !h.CasColor(a, Yellow, Gray) {
+				if !h.CasColor(a, Yellow, NoColor, Gray) {
 					t.Errorf("cell %#x: CasColor from its own color failed", a)
 				}
 				ok = ok && check("CasColor", Gray, slots*(r&1))
 				h.SetColor(a, Black)
 				ok = ok && check("SetColor", Black, slots*(r&1))
-				if n, _, _ := h.SweepBlock(b, Blue, mine); n != 1 {
+				if n, _, _ := h.SweepBlock(b, NoColor, NoColor, Black, mine); n != 1 {
 					t.Errorf("cell %#x: sweep freed %d cells, want 1", a, n)
 				}
 				ok = ok && check("sweep", Blue, 0)
@@ -137,10 +137,11 @@ func TestRaceColorWordNeighbours(t *testing.T) {
 }
 
 // populateBlock fills one block of the class in a fresh heap from rng:
-// cells of random colors and slot counts, some freed again, the block
-// left owned, released or — allBlack — filled with black cells only.
-// The same seed builds the same heap.
-func populateBlock(t *testing.T, class int, seed int64, allBlack bool) (*Heap, *Cache, int) {
+// cells of random colors (both old codes among them) and slot counts,
+// some freed again, the block left owned, released or — allBlack —
+// filled with cells of the old code old only. The same seed builds the
+// same heap.
+func populateBlock(t *testing.T, class int, seed int64, allBlack bool, old Color) (*Heap, *Cache, int) {
 	t.Helper()
 	h := newTestHeap(t, 4*BlockSize)
 	rng := rand.New(rand.NewSource(seed))
@@ -152,9 +153,9 @@ func populateBlock(t *testing.T, class int, seed int64, allBlack bool) (*Heap, *
 		n = CellsPerBlock(class)
 	}
 	for i := 0; i < n; i++ {
-		col := Black
+		col := old
 		if !allBlack {
-			col = White + Color(rng.Intn(4))
+			col = White + Color(rng.Intn(5))
 		}
 		a, _, err := h.Alloc(c, rng.Intn(MaxSlots(cell)+1)%8, cell, col)
 		if err != nil {
@@ -168,7 +169,7 @@ func populateBlock(t *testing.T, class int, seed int64, allBlack bool) (*Heap, *
 		for i := rng.Intn(len(addrs)); i > 0; i-- {
 			holes[addrs[rng.Intn(len(addrs))]] = true
 		}
-		h.SweepBlock(b, Blue, func(a Addr, _ Color) bool { return holes[a] })
+		h.SweepBlock(b, NoColor, NoColor, Black, func(a Addr, _ Color) bool { return holes[a] })
 	}
 	if rng.Intn(2) == 0 {
 		h.Flush(c)
@@ -178,9 +179,9 @@ func populateBlock(t *testing.T, class int, seed int64, allBlack bool) (*Heap, *
 
 // referenceSweep is the per-cell sweep SweepBlock replaced, kept as the
 // definition the word-at-a-time walk must agree with: examine every
-// cell of small block b at stride, turn the clear-colored ones blue,
-// publish the count once.
-func referenceSweep(h *Heap, b int, clear Color) (n, bytes int, allBlack bool) {
+// cell of small block b at stride, turn the clear- and stale-colored
+// ones blue, publish the count once.
+func referenceSweep(h *Heap, b int, clear, stale, old Color) (n, bytes int, allBlack bool) {
 	bm := &h.blocks[b]
 	class := int(bm.class.Load())
 	cell := classSizes[class]
@@ -188,10 +189,10 @@ func referenceSweep(h *Heap, b int, clear Color) (n, bytes int, allBlack bool) {
 	for i := 0; i < BlockSize/cell; i++ {
 		addr := Addr(b*BlockSize + i*cell)
 		col := h.Color(addr)
-		if col != Black {
+		if col != old {
 			allBlack = false
 		}
-		if col != Blue && col == clear {
+		if col != Blue && (col == clear || col == stale) {
 			h.SetColor(addr, Blue)
 			n++
 		}
@@ -218,9 +219,10 @@ func referenceSweep(h *Heap, b int, clear Color) (n, bytes int, allBlack bool) {
 }
 
 // TestSweepBlockMatchesReference: over random populations of every size
-// class and both clear colors, SweepBlock and the per-cell reference
-// sweep free the same set, report the same count, bytes and all-black
-// census, and leave the same free count and partial-list membership.
+// class, both clear colors and both old codes, with and without a stale
+// old code, SweepBlock and the per-cell reference sweep free the same
+// set, report the same count, bytes and all-black census, and leave the
+// same free count and partial-list membership.
 func TestSweepBlockMatchesReference(t *testing.T) {
 	listed := func(h *Heap, class, b int) bool {
 		for _, x := range h.partial[class] {
@@ -231,20 +233,23 @@ func TestSweepBlockMatchesReference(t *testing.T) {
 		return false
 	}
 	for class := 0; class < NumClasses; class++ {
-		for _, clear := range []Color{White, Yellow} {
+		for k, cols := range [][3]Color{
+			{White, NoColor, Black}, {Yellow, NoColor, Black}, {Yellow, Black, Black2}, {White, Black2, Black},
+		} {
+			clear, stale, old := cols[0], cols[1], cols[2]
 			for trial := 0; trial < 40; trial++ {
-				seed := int64(class*1000 + trial)
+				seed := int64(class*1000 + trial + k*100)
 				allBlack := trial%8 == 7
-				got, gc, b := populateBlock(t, class, seed, allBlack)
-				want, wc, _ := populateBlock(t, class, seed, allBlack)
-				gn, gb, gBlack := got.SweepBlock(b, clear, nil)
-				wn, wb, wBlack := referenceSweep(want, b, clear)
+				got, gc, b := populateBlock(t, class, seed, allBlack, old)
+				want, wc, _ := populateBlock(t, class, seed, allBlack, old)
+				gn, gb, gBlack := got.SweepBlock(b, clear, stale, old, nil)
+				wn, wb, wBlack := referenceSweep(want, b, clear, stale, old)
 				if gn != wn || gb != wb || gBlack != wBlack {
 					t.Fatalf("class %d clear %v seed %d: SweepBlock = (%d, %d, %v), reference = (%d, %d, %v)",
 						class, clear, seed, gn, gb, gBlack, wn, wb, wBlack)
 				}
 				if allBlack && !gBlack {
-					t.Fatalf("class %d: a block of black cells only is not all-black", class)
+					t.Fatalf("class %d: a block of %v cells only is not all-black", class, old)
 				}
 				for i, w := range want.blockWords(b) {
 					if g := got.blockWords(b)[i]; g != w {

@@ -26,7 +26,7 @@ type Stats struct {
 	PerClass [NumClasses]ClassStats
 
 	// ColorCounts indexes by Color (Blue..Black); Blue counts free
-	// cells in assigned blocks.
+	// cells in assigned blocks and Black both old codes (Black2 too).
 	ColorCounts [5]int
 
 	// Alloc is the tiered allocator's counter snapshot (shard
@@ -69,8 +69,8 @@ func (h *Heap) Census() Stats {
 		for i := range h.blockWords(b) {
 			w := atomic.LoadUint64(&h.blockWords(b)[i])
 			live += bits.OnesCount64(allocated(w))
-			for c := White; c <= Black; c++ {
-				s.ColorCounts[c] += bits.OnesCount64(eqMask(w, c))
+			for c := White; c <= Black2; c++ {
+				s.ColorCounts[min(c, Black)] += bits.OnesCount64(eqMask(w, c))
 			}
 		}
 		s.Objects += live

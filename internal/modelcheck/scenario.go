@@ -236,14 +236,14 @@ func pushNilRootOp(idxName string) Op {
 }
 
 // collectorActor returns the standard collector actor: run cycles
-// partial collections, then declare the run over.
-func collectorActor(cycles int) ActorDecl {
+// collections — partial ones unless full — then declare the run over.
+func collectorActor(cycles int, full bool) ActorDecl {
 	return ActorDecl{Name: "collector", Run: func(env *Env) error {
 		for i := 0; i < cycles; i++ {
 			if env.VS.Aborted() {
 				break
 			}
-			env.C.CollectNow(false)
+			env.C.CollectNow(full)
 		}
 		env.Done.Store(true)
 		return nil

@@ -17,7 +17,9 @@ import (
 // the final acknowledgement round, a dropped safe point around a card
 // mark (§7.2), a store into an object the running trace then promotes
 // (the card mark's independence from the source's color), and the
-// non-generational baseline's create racing its sweep (Remark 5.1).
+// non-generational baseline's create racing its sweep (Remark 5.1), and
+// a deletion racing a full collection's trace over objects whose old
+// code the collection flipped away from.
 
 // setupOldChain attaches a temporary mutator, allocates an object with
 // slots pointer slots, publishes it in globals slot 0, detaches, and
@@ -57,7 +59,7 @@ func syncStoreRace() *Scenario {
 		Setup:    func(env *Env) error { return setupOldChain(env, "z", 2, 1) },
 		Mutators: []string{"mut", "idle"},
 		Actors: []ActorDecl{
-			collectorActor(2),
+			collectorActor(2, false),
 			{Name: "mut", Run: func(env *Env) error {
 				return DriveMutator(env, "mut", []Op{
 					coopOp(),
@@ -132,7 +134,7 @@ func shadeVsAck() *Scenario {
 		},
 		Mutators: []string{"mut"},
 		Actors: []ActorDecl{
-			collectorActor(1),
+			collectorActor(1, false),
 			{Name: "mut", Run: func(env *Env) error {
 				return DriveMutator(env, "mut", []Op{
 					pushNilRootOp("root-o"),
@@ -187,7 +189,7 @@ func droppedHandshake() *Scenario {
 		},
 		Mutators: []string{"mut"},
 		Actors: []ActorDecl{
-			collectorActor(2),
+			collectorActor(2, false),
 			{Name: "mut", Run: func(env *Env) error {
 				return DriveMutator(env, "mut", []Op{
 					allocRootOp("y", 1),
@@ -230,7 +232,7 @@ func promoteAfterStore() *Scenario {
 		Setup:    func(*Env) error { return nil }, // x and y are the mutator's own
 		Mutators: []string{"mut"},
 		Actors: []ActorDecl{
-			collectorActor(2),
+			collectorActor(2, false),
 			{Name: "mut", Run: func(env *Env) error {
 				return DriveMutator(env, "mut", []Op{
 					allocRootOp("x", 1),
@@ -273,7 +275,7 @@ func createDuringSweep() *Scenario {
 		Setup:    func(*Env) error { return nil },
 		Mutators: []string{"mut"},
 		Actors: []ActorDecl{
-			collectorActor(1),
+			collectorActor(1, false),
 			{Name: "mut", Run: func(env *Env) error {
 				return DriveMutator(env, "mut", []Op{
 					coopOp(),
@@ -293,9 +295,9 @@ func createDuringSweep() *Scenario {
 	}
 }
 
-// sweepGated holds op until the collector parks at a sweep chunk (the
-// full-collection recolor pass parks there too, but before the first
-// handshake) or the run is over.
+// sweepGated holds op until the collector parks at a sweep chunk — the
+// sweep is the only walk that passes the SweepShard seam; a full
+// collection flips its old code without one — or the run is over.
 func sweepGated(op Op) Op {
 	op.Gate = func(env *Env, _ *gc.Mutator) func() bool {
 		return func() bool {
@@ -305,10 +307,74 @@ func sweepGated(op Op) Op {
 	return op
 }
 
+// staleDeletionShade: the old-code flip. Setup runs a partial that
+// promotes a and b (a.0 = b), so both carry the old code. The test
+// cycle is full: its flip turns that code stale, which the trace, the
+// barrier and the sweep must read as the color the retired recoloring
+// walk would have written. After the mutator's sync2 root scan (its
+// pre-armed root still nil) it loads b into the root and deletes a.0,
+// wherever that falls against the trace's drains: b survives only if
+// the deletion barrier shades a stale object as a clear one, or the
+// trace reached a first.
+func staleDeletionShade() *Scenario {
+	return &Scenario{
+		Name: "stale-deletion-shade",
+		Description: "SATB deletion of an old object during a full collection's old-code flip; " +
+			"the barrier must shade the stale code as the clear color",
+		Config: func() gc.Config { return microConfig(gc.Generational) },
+		Setup: func(env *Env) error {
+			t := env.C.NewMutator()
+			a, err := t.Alloc(1, 0)
+			if err != nil {
+				t.Detach()
+				return err
+			}
+			b, err := t.Alloc(1, 0)
+			if err != nil {
+				t.Detach()
+				return err
+			}
+			t.Update(a, 0, b)
+			t.Update(env.C.Globals(), 0, a)
+			t.Detach()
+			env.C.CollectNow(false)
+			env.Addrs["a"], env.Addrs["b"] = a, b
+			return nil
+		},
+		Mutators: []string{"mut"},
+		Actors: []ActorDecl{
+			collectorActor(1, true),
+			{Name: "mut", Run: func(env *Env) error {
+				return DriveMutator(env, "mut", []Op{
+					pushNilRootOp("root-b"),
+					coopOp(),
+					coopOp(),
+					coopOp(),
+					setRootOp("root-b", "b"),
+					storeOp("a", 0, ""),
+					coopOp(),
+				})
+			}},
+		},
+		AtEnd: func(env *Env) error {
+			if err := assertAlive(env, "b"); err != nil {
+				return err
+			}
+			if err := assertSlot(env, "a", 0, ""); err != nil {
+				return err
+			}
+			if err := assertAlive(env, "a"); err != nil {
+				return err
+			}
+			return quiescentAudit(env)
+		},
+	}
+}
+
 // Scenarios returns the named scenarios in their canonical order.
 func Scenarios() []*Scenario {
 	return []*Scenario{syncStoreRace(), shadeVsAck(), droppedHandshake(), promoteAfterStore(),
-		createDuringSweep()}
+		createDuringSweep(), staleDeletionShade()}
 }
 
 // ByName resolves one scenario. A retired name — a stale -scenario

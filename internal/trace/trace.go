@@ -42,7 +42,8 @@ import (
 //	          N = objects scanned, M = objects freed
 //	sync      one handshake round; K = "sync1"|"sync2"|"sync3"
 //	ack       one trace-termination acknowledgement round; N = epoch
-//	initfull  the InitFullCollection recoloring walk (full cycles)
+//	initfull  InitFullCollection (full cycles): the old-code flip
+//	          and, in simple promotion, the card-table clear
 //	cardscan  the dirty-card scan; N = dirty cards, M = allocated cards
 //	trace     the whole trace-to-fixpoint phase; N = objects scanned
 //	drain     one trace drain of the collector's gray stack; W = 0,
