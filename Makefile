@@ -33,10 +33,12 @@ test:
 alloc-guard:
 	$(GO) test -count=1 -run 'TestMutatorAllocAllocatesNoGoMemory|TestSweepBlockAllocatesNothing|TestSweepAllocatesNoGoMemory' ./internal/heap ./internal/gc
 
-# inline-guard fails unless the compiler still inlines the trace's gray
-# transition: (*Collector).shade must be inlinable (cost 77 against the
+# inline-guard fails unless the compiler still inlines the trace's hot
+# calls: (*Collector).shade must be inlinable (cost 77 against the
 # inliner's budget of 80) and inlined into markBlack's per-son loop in
-# trace.go. Once, at cost 131, it silently stopped inlining there and
+# trace.go, and (*Heap).Header must be inlined into drain in trace.go,
+# where the batched drain's stage 1 issues its members' header loads
+# back to back. Once, at cost 131, shade silently stopped inlining and
 # the trace lost 15 % per object; this turns that into a build failure.
 inline-guard:
 	@out=$$($(GO) build -gcflags=-m=2 ./internal/gc 2>&1); \
@@ -46,6 +48,9 @@ inline-guard:
 	fi; \
 	if ! echo "$$out" | grep -qE 'trace\.go:[0-9]+:[0-9]+: inlining call to \(\*Collector\)\.shade'; then \
 		echo "inline-guard: markBlack no longer inlines (*Collector).shade"; exit 1; \
+	fi; \
+	if ! echo "$$out" | grep -qE 'trace\.go:[0-9]+:[0-9]+: inlining call to heap\.\(\*Heap\)\.Header'; then \
+		echo "inline-guard: drain no longer inlines (*Heap).Header"; exit 1; \
 	fi; \
 	echo "inline-guard: OK"
 

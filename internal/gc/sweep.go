@@ -93,7 +93,8 @@ func (c *Collector) sweepBlockOne(b int, full, aging bool, cc, stale, old, ac he
 		c.noteFreed(n, bytes)
 	}
 	// Every block the sweep enters gets its hint recomputed (a partial
-	// sweep enters only unhinted ones); only small blocks are all-black.
+	// sweep enters only unhinted ones, and no sweep enters a block with
+	// no cell); only small blocks are all-black.
 	c.H.SetAllBlackHint(b, allBlack && !young && c.H.BlockQuiet(b))
 }
 
@@ -112,7 +113,13 @@ func (c *Collector) sweep(full bool) {
 		// degrade to their configured delay.
 		c.seamDelay(fault.SweepShard)
 		for b := lo; b < min(lo+sweepChunkBlocks, nBlocks); b++ {
-			c.sweepBlockOne(b, full, aging, cc, stale, old, ac, oldest)
+			// A block with no cell has nothing to free, and its hint is
+			// false already: it became free through a sweep that freed
+			// its cells and rewrote the hint, or never held a cell
+			// (CheckIntegrity audits that).
+			if c.H.HoldsCells(b) {
+				c.sweepBlockOne(b, full, aging, cc, stale, old, ac, oldest)
+			}
 		}
 	}
 	c.staleColor.Store(uint32(heap.NoColor))

@@ -34,9 +34,9 @@ func (c *Collector) shade(x heap.Addr, from, alias, to heap.Color) {
 // markBlack traces one object off the gray stack (Figure 3): shade its
 // clear (or stale) sons straight to the old code, then blacken it if it
 // arrived gray — from a mutator buffer, the card scan or the globals
-// re-gray. An object the trace itself shaded is old already.
-func (c *Collector) markBlack(x heap.Addr) {
-	col, slots := c.H.Header(x)
+// re-gray. An object the trace itself shaded is old already. col and
+// slots are x's Header, loaded by drain.
+func (c *Collector) markBlack(x heap.Addr, col heap.Color, slots int) {
 	cc, stale, old := c.ClearColor(), c.stale(), c.OldColor()
 	c.H.Pages.TouchHeap(x, heap.HeaderBytes+slots*heap.WordBytes)
 	for i := 0; i < slots; i++ {
@@ -52,12 +52,42 @@ func (c *Collector) markBlack(x heap.Addr) {
 	c.cyc.TraceBytes += c.H.SizeOf(x)
 }
 
+// The gray-stack depth at which drain works in batches, and the batch
+// size. A partial collection's card scan grays old objects scattered
+// over the heap, so each one's header load misses the cache; a batch
+// issues its members' loads back to back and the misses overlap. Below
+// frontierMin the stack is a trace's dependent chain (a full trace of a
+// linked structure keeps it 1–6 deep), whose next entry is a son just
+// shaded, and batching it only costs.
+const (
+	frontierMin = 16
+	batchMax    = 32
+)
+
 // drain blackens gray objects until the collector's stack is empty.
 // Gray objects produced concurrently by mutators accumulate in their own
 // buffers and are folded in by trace(). A drain that blackened anything
 // emits one "drain" span. This is the per-object hot loop: the armed
-// seam is stepped once per popped object, the check hoisted so it costs
-// nothing when neither a scheduler nor an injector is installed.
+// seam is stepped once per blackened object, the check hoisted so it
+// costs nothing when neither a scheduler nor an injector is installed.
+//
+// Figure 2 says only "pick a gray object", so the order is drain's to
+// choose. A stack shallower than frontierMin is popped one entry at a
+// time. A deeper one gives up its top min(n, batchMax) entries: stage 1
+// loads every member's Header, stage 2 scans them top first (LIFO within
+// the batch), and the sons stage 2 pushes are drained after it. Each
+// object is still scanned exactly once.
+//
+// A header loaded in stage 1 is still the object's header in stage 2,
+// although mutators run (and the seam may park the collector) in
+// between. Every entry on the stack is gray or carries the old code.
+// Mutators shade only clear (or stale) objects and, in the sync
+// windows, allocation-colored ones; the collector's own shade moves only
+// clear or stale objects; the sweep does not run during the trace; and
+// a full collection flips the old code before the trace, not during it.
+// So nothing changes a member's color before its scan, and its slot
+// count never changes while it lives: stage 2's col == Gray test sees
+// what a fresh load would.
 func (c *Collector) drain() {
 	if len(c.gray) == 0 {
 		return
@@ -65,13 +95,35 @@ func (c *Collector) drain() {
 	start := time.Now()
 	before := c.cyc.ObjectsScanned
 	seam := c.seamArmed()
+	var batch [batchMax]struct {
+		x     heap.Addr
+		col   heap.Color
+		slots int
+	}
 	for n := len(c.gray); n > 0; n = len(c.gray) {
-		x := c.gray[n-1]
-		c.gray = c.gray[:n-1]
-		if seam {
-			c.seamDelay(fault.TraceDrain)
+		if n < frontierMin {
+			x := c.gray[n-1]
+			c.gray = c.gray[:n-1]
+			if seam {
+				c.seamDelay(fault.TraceDrain)
+			}
+			col, slots := c.H.Header(x)
+			c.markBlack(x, col, slots)
+			continue
 		}
-		c.markBlack(x)
+		k := min(n, batchMax)
+		for i, x := range c.gray[n-k:] {
+			batch[i].x = x
+			batch[i].col, batch[i].slots = c.H.Header(x)
+		}
+		c.gray = c.gray[:n-k]
+		for i := k - 1; i >= 0; i-- {
+			if seam {
+				c.seamDelay(fault.TraceDrain)
+			}
+			b := &batch[i]
+			c.markBlack(b.x, b.col, b.slots)
+		}
 	}
 	if n := c.cyc.ObjectsScanned - before; n > 0 {
 		c.emit("drain", start, "", int64(n), 0)

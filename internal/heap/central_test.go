@@ -146,6 +146,43 @@ func TestCheckIntegrityAuditsColorTable(t *testing.T) {
 	}
 }
 
+// TestCheckIntegrityAuditsHintsOfCelllessBlocks: the sweep passes by
+// free blocks and large objects' continuation blocks without rewriting
+// their all-black hints, so the audit reports either kind carrying one.
+// A large object's head and a full small block may carry it.
+func TestCheckIntegrityAuditsHintsOfCelllessBlocks(t *testing.T) {
+	h, err := New(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Cache
+	large, _, err := h.Alloc(&c, 0, 3*BlockSize, White)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := int(large / BlockSize)
+	free := h.NumBlocks() - 1
+	if h.HoldsCells(free) || !h.HoldsCells(head) || h.HoldsCells(head+1) {
+		t.Fatalf("HoldsCells: free block %v, large head %v, continuation %v",
+			h.HoldsCells(free), h.HoldsCells(head), h.HoldsCells(head+1))
+	}
+	h.SetAllBlackHint(head, true)
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatalf("hinted large-object head: %v", err)
+	}
+	h.SetAllBlackHint(head, false)
+	for name, b := range map[string]int{"free block": free, "continuation block": head + 2} {
+		h.SetAllBlackHint(b, true)
+		if err := h.CheckIntegrity(); err == nil {
+			t.Errorf("CheckIntegrity missed the all-black hint on a %s", name)
+		}
+		h.SetAllBlackHint(b, false)
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSweepCountsAfterColoring pins the order SweepBlock frees in —
 // colors first, count after the walk — and that every publication
 // tolerates the window between the two: the owner claims a cell the

@@ -276,6 +276,15 @@ func (h *Heap) BlockQuiet(b int) bool {
 	return bm.freeCells == 0 && !bm.owned
 }
 
+// HoldsCells reports whether block b can hold an object's first
+// granule: a small-object block or a large object's head. A free block
+// and a large object's continuation block hold no cell, so the sweep
+// passes them by.
+func (h *Heap) HoldsCells(b int) bool {
+	class := h.blocks[b].class.Load()
+	return class != blockFree && class != blockLargeCont
+}
+
 // BlockClass reports the size-class of the block containing addr:
 // class index for small-object blocks, -1 for free blocks, -2/-3 for
 // large-object blocks.

@@ -29,7 +29,9 @@ func (h *Heap) unlockAll() {
 // unowned small block's blue cells must equal its freeCells, and those
 // sum to the shard's freeCells counter; the owned blocks' counts sum to
 // the shard's cached counter, a block is listed as partial exactly when
-// it is unowned with a positive count, and a free block is all blue.
+// it is unowned with a positive count, a free block is all blue, and no
+// block without a cell (free, or a large object's continuation) carries
+// the all-black hint.
 // Owned blocks' colors are not compared here — their counts read high
 // by their owners' unpublished claims — but in ReconcileCounters, which
 // is exact once every cache has published. Call it when no sweep is
@@ -69,7 +71,13 @@ func (h *Heap) audit(owned bool) error {
 	var freeByShard, cachedByShard [NumClasses]int64
 	for b := 1; b < h.nBlocks; b++ {
 		bm := &h.blocks[b]
-		switch class := bm.class.Load(); class {
+		class := bm.class.Load()
+		if !h.HoldsCells(b) && bm.allBlack.Load() {
+			// The sweep skips these blocks and never rewrites their
+			// hint, so a set one would outlive the block's next use.
+			return fmt.Errorf("heap: block %d holds no cell (class %d) but carries the all-black hint", b, class)
+		}
+		switch class {
 		case blockFree:
 			if !seenFree[uint32(b)] {
 				return fmt.Errorf("heap: block %d marked free but not in free pool", b)

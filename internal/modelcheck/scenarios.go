@@ -5,6 +5,7 @@ import (
 
 	"gengc/internal/fault"
 	"gengc/internal/gc"
+	"gengc/internal/heap"
 )
 
 // The needle catalog. Each scenario plants an object whose survival
@@ -17,9 +18,11 @@ import (
 // the final acknowledgement round, a dropped safe point around a card
 // mark (§7.2), a store into an object the running trace then promotes
 // (the card mark's independence from the source's color), and the
-// non-generational baseline's create racing its sweep (Remark 5.1), and
-// a deletion racing a full collection's trace over objects whose old
-// code the collection flipped away from.
+// non-generational baseline's create racing its sweep (Remark 5.1), a
+// deletion racing a full collection's trace over objects whose old
+// code the collection flipped away from, and a deletion landing inside
+// a batch of the trace's drain, between a member's header load and its
+// scan.
 
 // setupOldChain attaches a temporary mutator, allocates an object with
 // slots pointer slots, publishes it in globals slot 0, detaches, and
@@ -307,6 +310,21 @@ func sweepGated(op Op) Op {
 	return op
 }
 
+// drainGated holds op until the collector parks at a TraceDrain step —
+// inside a drain, between two scans — or posts the trace's
+// acknowledgement round, or the run is over. Ungated, the op would run
+// straight after the async response, before the trace, and placing it
+// inside a drain would take a second preemption.
+func drainGated(op Op) Op {
+	op.Gate = func(env *Env, m *gc.Mutator) func() bool {
+		return func() bool {
+			return env.Done.Load() || m.PendingResponse() ||
+				env.VS.parkedAt("collector", fault.TraceDrain.String())
+		}
+	}
+	return op
+}
+
 // staleDeletionShade: the old-code flip. Setup runs a partial that
 // promotes a and b (a.0 = b), so both carry the old code. The test
 // cycle is full: its flip turns that code stale, which the trace, the
@@ -371,10 +389,100 @@ func staleDeletionShade() *Scenario {
 	}
 }
 
+// wideFrontierOlds is how many old objects wide-frontier puts on dirty
+// cards: with the globals root on top, the partial's first drain starts
+// at least this deep, the gray-stack depth at which drain works in
+// batches.
+const wideFrontierOlds = 16
+
+// wideFrontier: the batched drain. Setup promotes wideFrontierOlds old
+// objects behind a holder in globals slot 0, then stores a young son
+// into each, which dirties their cards. The test partial's card scan
+// grays them all, so its first drain gives up the whole stack as one
+// batch: it loads every member's header, then scans the globals root
+// (pushed last) first and x — the lowest-addressed old object, pushed
+// first — last. After the handshakes, wherever the schedule lands it
+// against the drain's scans (drainGated), the mutator moves x's son y
+// into globals slot 1 and deletes x.0. y survives only if the deletion
+// barrier shades it, or x's scan — from the header its batch loaded
+// before the mutator ran — reached it first.
+func wideFrontier() *Scenario {
+	return &Scenario{
+		Name: "wide-frontier",
+		Description: "deletion of a batched drain member's young son between the member's header load " +
+			"and its scan; the son, moved into an already scanned object, must survive",
+		Config: func() gc.Config { return microConfig(gc.Generational) },
+		Setup: func(env *Env) error {
+			t := env.C.NewMutator()
+			holder, err := t.Alloc(wideFrontierOlds, 0)
+			if err != nil {
+				t.Detach()
+				return err
+			}
+			t.Update(env.C.Globals(), 0, holder)
+			olds := make([]heap.Addr, wideFrontierOlds)
+			for i := range olds {
+				if olds[i], err = t.Alloc(1, 0); err != nil {
+					t.Detach()
+					return err
+				}
+				t.Update(holder, i, olds[i])
+			}
+			t.Detach()
+			env.C.CollectNow(false) // promotes holder and olds; clears their cards
+			t = env.C.NewMutator()
+			defer t.Detach()
+			x := olds[0]
+			for _, o := range olds {
+				y, err := t.Alloc(1, 0)
+				if err != nil {
+					return err
+				}
+				t.Update(o, 0, y)
+				x = min(x, o)
+			}
+			env.Addrs["globals"] = env.C.Globals()
+			env.Addrs["x"] = x
+			env.Addrs["y"] = env.C.H.LoadSlot(x, 0)
+			return nil
+		},
+		Mutators: []string{"mut"},
+		Actors: []ActorDecl{
+			collectorActor(1, false),
+			{Name: "mut", Run: func(env *Env) error {
+				return DriveMutator(env, "mut", []Op{
+					coopOp(),
+					coopOp(),
+					coopOp(),
+					drainGated(storeOp("globals", 1, "y")),
+					drainGated(storeOp("x", 0, "")),
+					coopOp(),
+				})
+			}},
+		},
+		AtEnd: func(env *Env) error {
+			cs := env.C.Metrics().Cycles()
+			if n := cs[len(cs)-1].InterGenScanned; n < wideFrontierOlds {
+				return fmt.Errorf("the card scan grayed %d old objects, want %d: the drain did not batch", n, wideFrontierOlds)
+			}
+			if err := assertAlive(env, "y"); err != nil {
+				return err
+			}
+			if err := assertSlot(env, "globals", 1, "y"); err != nil {
+				return err
+			}
+			if err := assertSlot(env, "x", 0, ""); err != nil {
+				return err
+			}
+			return quiescentAudit(env)
+		},
+	}
+}
+
 // Scenarios returns the named scenarios in their canonical order.
 func Scenarios() []*Scenario {
 	return []*Scenario{syncStoreRace(), shadeVsAck(), droppedHandshake(), promoteAfterStore(),
-		createDuringSweep(), staleDeletionShade()}
+		createDuringSweep(), staleDeletionShade(), wideFrontier()}
 }
 
 // ByName resolves one scenario. A retired name — a stale -scenario
