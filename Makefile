@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test alloc-guard inline-guard race small-heap bench bench-smoke bench-pair bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test alloc-guard inline-guard race small-heap bench bench-smoke bench-pair trace-verify chaos verify-protocol check
 
 all: check
 
@@ -92,20 +92,6 @@ bench-smoke:
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=young_churn [PAIRS=10] [SEED=19991231]
 bench-pair:
 	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(or $(PAIRS),10) $(SEED)
-
-# bench-server runs the server-mode overload experiment (cmd/gcserve):
-# the request engine under an open-loop Poisson arrival sweep at
-# multiples of a capacity calibrated on this host, admission controller
-# on vs naive, into BENCH_server.json. The host-independent gate (exit
-# 2) requires the admitted legs to shed with bounded p99.9 and zero OOM
-# while the naive top-rate leg measurably breaches the SLO or OOMs —
-# see BENCHMARKS.md and EXPERIMENTS.md §5. The smoke variant is the
-# seconds-long CI subset (one underload + one overload pair).
-bench-server:
-	$(GO) run ./cmd/gcserve -o BENCH_server.json
-
-bench-server-smoke:
-	$(GO) run ./cmd/gcserve -smoke -o BENCH_server.json
 
 # verify-protocol runs the deterministic protocol-verification harness
 # (cmd/gcverify, internal/modelcheck). Positive leg: every named

@@ -478,7 +478,7 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 	srv := server.New(rt, server.Config{
 		Workers: 4, MaxRetries: 2, RetryBackoff: time.Millisecond, Seed: seed})
 	load := server.RunLoad(context.Background(), srv, server.LoadConfig{
-		StartRate:   5000,
+		Rate:        5000,
 		Duration:    400 * time.Millisecond,
 		BurstEvery:  100 * time.Millisecond,
 		BurstLen:    25 * time.Millisecond,

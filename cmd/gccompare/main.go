@@ -1,6 +1,7 @@
 // Command gccompare measures one profile's elapsed time under the
-// generational and non-generational collectors (median of N repeats)
-// and reports the improvement percentage — one cell of the paper's
+// generational and non-generational collectors (median of N repeats,
+// bench.Options.MeasureImprovement, as gcbench's figures do) and
+// reports the improvement percentage — one cell of the paper's
 // Figures 8, 9 and 16–21, runnable in isolation.
 //
 //	gccompare -profile Anagram -repeats 5 -scale 0.5
@@ -11,17 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 	"time"
 
 	"gengc"
+	"gengc/internal/bench"
 	"gengc/internal/workload"
 )
-
-func median(ds []time.Duration) time.Duration {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
-}
 
 func main() {
 	var (
@@ -36,6 +32,9 @@ func main() {
 		seed     = flag.Int64("seed", 42, "base workload seed")
 	)
 	flag.Parse()
+	if *repeats < 1 {
+		log.Fatalf("-repeats %d: need at least one run per configuration", *repeats)
+	}
 
 	names := []string{*profile}
 	if *profile == "all" {
@@ -48,40 +47,32 @@ func main() {
 	if *aging {
 		genMode = gengc.GenerationalAging
 	}
+	o := bench.Options{Scale: *scale, Repeats: *repeats, Seed: *seed}
 	for _, name := range names {
 		p, ok := workload.ByName(name)
 		if !ok {
 			log.Fatalf("unknown profile %q", name)
 		}
-		p = p.Scale(*scale)
-		var med [2]time.Duration
-		var stats [2]string
-		for mi, mode := range []gengc.Mode{genMode, gengc.NonGenerational} {
-			var ds []time.Duration
-			for r := 0; r < *repeats; r++ {
-				res, err := workload.Run(p, gengc.Config{
-					Mode:          mode,
-					CardBytes:     *cardSize,
-					YoungBytes:    *youngMB << 20,
-					OldAge:        *oldAge,
-					PageCostSpins: *pageCost,
-				}, *seed+int64(r)*1000)
-				if err != nil {
-					log.Fatal(err)
-				}
-				ds = append(ds, res.Elapsed)
-				if r == *repeats/2 {
-					s := res.Summary
-					stats[mi] = fmt.Sprintf("%dp/%df gc%%=%.0f maxpause=%v",
-						s.NumPartial, s.NumFull, s.GCActivePct,
-						res.Pauses.Max.Round(time.Microsecond))
-				}
-			}
-			med[mi] = median(ds)
+		// PageCostSpins 0 is no spin, as -pagecost 0 asks.
+		imp, err := o.MeasureImprovement(p, gengc.Config{
+			Mode:          genMode,
+			CardBytes:     *cardSize,
+			YoungBytes:    *youngMB << 20,
+			OldAge:        *oldAge,
+			PageCostSpins: *pageCost,
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-		imp := 100 * float64(med[1]-med[0]) / float64(med[1])
 		fmt.Printf("%-14s improvement %6.1f%%   %v=%-9v [%s]   baseline=%-9v [%s]\n",
-			name, imp, genMode, med[0].Round(time.Millisecond), stats[0],
-			med[1].Round(time.Millisecond), stats[1])
+			name, imp.Percent, genMode, imp.Gen.Elapsed.Round(time.Millisecond), summary(imp.Gen),
+			imp.NonGen.Elapsed.Round(time.Millisecond), summary(imp.NonGen))
 	}
+}
+
+// summary describes the median run of one side.
+func summary(res workload.Result) string {
+	s := res.Summary
+	return fmt.Sprintf("%dp/%df gc%%=%.0f maxpause=%v",
+		s.NumPartial, s.NumFull, s.GCActivePct, res.Pauses.Max.Round(time.Microsecond))
 }

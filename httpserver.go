@@ -11,9 +11,9 @@ import (
 // net/http server has no read/header/write timeouts and accepts
 // connections without bound — a slowloris client or a connection flood
 // against /metrics could starve the very process the endpoint is meant
-// to watch. cmd/gcmon and cmd/gcserve serve through these helpers; the
-// limits are deliberately conservative because the handlers are small
-// and local (a scrape, a snapshot, a flight-recorder dump).
+// to watch. cmd/gcmon serves through these helpers; the limits are
+// deliberately conservative because the handlers are small and local (a
+// scrape, a snapshot, a flight-recorder dump).
 
 // HardenedServer returns an *http.Server for h with bounded
 // read-header, read, write and idle timeouts, suitable for the

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"gengc"
@@ -42,8 +43,9 @@ func (o Options) Fig7() (Table, error) {
 		}
 		t.AddRow(fmt.Sprint(n), pct(imp.Percent), pct(paperFig7[n]))
 	}
-	t.Notes = append(t.Notes, "measured on "+CurrentHost().Fingerprint()+
-		"; see EXPERIMENTS.md on the MP/UP condition")
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"measured at GOMAXPROCS=%d NumCPU=%d; see EXPERIMENTS.md on the MP/UP condition",
+		runtime.GOMAXPROCS(0), runtime.NumCPU()))
 	return t, nil
 }
 

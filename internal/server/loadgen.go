@@ -11,27 +11,24 @@ import (
 )
 
 // Open-loop load generation: arrivals follow a Poisson process whose
-// rate can ramp linearly and spike in periodic bursts, and — the open-
-// loop property — an arrival is submitted when its time comes whether
-// or not earlier requests have finished. A slow server therefore sees
-// the queue it earned, not a politely coordinated trickle; this is the
-// methodology point the "Distilling the Real Cost of Production
-// Garbage Collectors" paper makes against closed-loop harnesses.
+// rate can spike in periodic bursts, and — the open-loop property — an
+// arrival is submitted when its time comes whether or not earlier
+// requests have finished. A slow server therefore sees the queue it
+// earned, not a politely coordinated trickle; this is the methodology
+// point the "Distilling the Real Cost of Production Garbage Collectors"
+// paper makes against closed-loop harnesses.
 
 // LoadConfig parameterizes one load run.
 type LoadConfig struct {
-	// StartRate and EndRate are the offered arrival rates in requests
-	// per second at the start and end of the run; the rate ramps
-	// linearly between them. EndRate 0 holds StartRate flat.
-	StartRate float64
-	EndRate   float64
+	// Rate is the offered arrival rate in requests per second.
+	Rate float64
 
 	// Duration is the run length.
 	Duration time.Duration
 
 	// BurstEvery, when positive, multiplies the instantaneous rate by
 	// BurstFactor for BurstLen at every BurstEvery boundary — periodic
-	// arrival spikes on top of the ramp.
+	// arrival spikes on top of the base rate.
 	BurstEvery  time.Duration
 	BurstLen    time.Duration
 	BurstFactor float64
@@ -50,16 +47,9 @@ type LoadConfig struct {
 
 // LoadStats summarizes one load run from the generator's side.
 type LoadStats struct {
-	// Offered is how many arrivals the schedule produced; Submitted
-	// how many reached Submit (all of them — the generator never
-	// drops); SubmitErrors how many Submit rejected (shed or
-	// draining).
-	Offered      int64
-	SubmitErrors int64
-
-	// MaxLate is the worst lag between an arrival's scheduled time and
-	// its actual submission — scheduler oversleep, not server latency.
-	MaxLate time.Duration
+	// Offered is how many arrivals the schedule produced. Every one
+	// reaches Submit: the generator never drops.
+	Offered int64
 }
 
 // RunLoad drives the server with cfg's arrival schedule and blocks
@@ -70,8 +60,6 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) LoadStats {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var (
 		stats   LoadStats
-		errs    int64
-		errsMu  sync.Mutex
 		inMsgWG sync.WaitGroup
 	)
 	start := time.Now()
@@ -91,9 +79,6 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) LoadStats {
 		// the schedule (open loop).
 		for !next.After(now) && next.Before(end) {
 			stats.Offered++
-			if late := now.Sub(next); late > stats.MaxLate {
-				stats.MaxLate = late
-			}
 			req := cfg.Template
 			req.Priority = gengc.PriorityHigh
 			if rng.Float64() < cfg.LowFraction {
@@ -102,11 +87,8 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) LoadStats {
 			inMsgWG.Add(1)
 			go func(r Request) {
 				defer inMsgWG.Done()
-				if err := s.Submit(r); err != nil {
-					errsMu.Lock()
-					errs++
-					errsMu.Unlock()
-				}
+				// A refused request is counted in the server's Stats.
+				_ = s.Submit(r)
 			}(req)
 			next = next.Add(interArrival(rng, cfg, next.Sub(start)))
 		}
@@ -118,9 +100,6 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) LoadStats {
 		}
 	}
 	inMsgWG.Wait()
-	errsMu.Lock()
-	stats.SubmitErrors = errs
-	errsMu.Unlock()
 	return stats
 }
 
@@ -140,14 +119,10 @@ func interArrival(rng *rand.Rand, cfg LoadConfig, t time.Duration) time.Duration
 	return time.Duration(gap * float64(time.Second))
 }
 
-// rateAt evaluates the offered rate at elapsed time t: linear ramp plus
-// burst windows.
+// rateAt evaluates the offered rate at elapsed time t: the base rate,
+// multiplied inside burst windows.
 func rateAt(cfg LoadConfig, t time.Duration) float64 {
-	rate := cfg.StartRate
-	if cfg.EndRate > 0 && cfg.Duration > 0 {
-		frac := float64(t) / float64(cfg.Duration)
-		rate = cfg.StartRate + (cfg.EndRate-cfg.StartRate)*frac
-	}
+	rate := cfg.Rate
 	if cfg.BurstEvery > 0 && cfg.BurstLen > 0 && cfg.BurstFactor > 1 {
 		if math.Mod(t.Seconds(), cfg.BurstEvery.Seconds()) < cfg.BurstLen.Seconds() {
 			rate *= cfg.BurstFactor

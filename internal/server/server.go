@@ -2,11 +2,14 @@
 // collector as the memory engine of a long-running daemon: simulated
 // requests allocate object graphs under AllocCtx deadlines on a pool of
 // worker-owned mutators, an open-loop load generator (loadgen.go)
-// drives Poisson arrivals with ramps and bursts, and the runtime's
+// drives Poisson arrivals with periodic bursts, and the runtime's
 // admission controller (gengc.WithAdmission) converts overload into
-// prompt sheds instead of SLO collapse or OOM. cmd/gcserve sweeps it
-// across arrival rates into BENCH_server.json; DESIGN.md §"Server mode
-// & admission control" has the control-loop picture.
+// prompt sheds instead of SLO collapse or OOM. The repository
+// benchmark's server_overload workload measures it under open-loop
+// overload, cmd/gcchaos's serverstorm campaign under injected faults,
+// and TestOverloadAdmissionContrast sets an admitted leg against a
+// naive one at three times capacity; DESIGN.md §"Server mode &
+// admission control" has the control-loop picture.
 package server
 
 import (
