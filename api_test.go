@@ -27,7 +27,7 @@ func TestPublicSurface(t *testing.T) {
 		}
 	}
 	for _, c := range [][2]string{
-		{strings.Join(fields, " "), "Mode HeapBytes YoungBytes CardBytes OldAge TrackPages PageCostSpins " +
+		{strings.Join(fields, " "), "Mode HeapBytes YoungBytes CardBytes OldAge TrackPages " +
 			"StallTimeout Fault TraceSink FlightRecorderEvents PauseSLO RequestSLO Admission"},
 		{strings.Join(opts, " "), "WithConfig WithMode WithHeapBytes WithYoungBytes WithCardBytes WithOldAge " +
 			"WithTraceSink WithFlightRecorder WithPauseSLO WithStallTimeout WithFaultInjector WithAdmission WithRequestSLO"},

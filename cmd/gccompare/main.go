@@ -1,8 +1,8 @@
-// Command gccompare measures one profile's elapsed time under the
-// generational and non-generational collectors (median of N repeats,
-// bench.Options.MeasureImprovement, as gcbench's figures do) and
-// reports the improvement percentage — one cell of the paper's
-// Figures 8, 9 and 16–21, runnable in isolation.
+// Command gccompare measures one profile's modeled time (bench.Modeled)
+// under the generational and non-generational collectors in N
+// alternating pairs, as gcbench's figures do, and reports the median
+// improvement, the pairs won and the unclaimed wall-clock improvement —
+// one cell of the paper's Figures 8, 9 and 16–21, runnable in isolation.
 //
 //	gccompare -profile Anagram -repeats 5 -scale 0.5
 //	gccompare -profile all
@@ -23,10 +23,9 @@ func main() {
 	var (
 		profile  = flag.String("profile", "all", "profile name, or 'all'")
 		scale    = flag.Float64("scale", 0.5, "run-length multiplier")
-		repeats  = flag.Int("repeats", 5, "repeats per configuration (median reported)")
+		repeats  = flag.Int("repeats", 5, "repeats per configuration (alternating pairs; median reported)")
 		cardSize = flag.Int("card", 16, "card size in bytes")
 		youngMB  = flag.Int("young", 4, "young generation size in MB")
-		pageCost = flag.Int("pagecost", 4000, "simulated memory cost per page touch")
 		aging    = flag.Bool("aging", false, "compare the aging collector instead of simple promotion")
 		oldAge   = flag.Int("age", 0, "aging tenure threshold (0 = default)")
 		seed     = flag.Int64("seed", 42, "base workload seed")
@@ -53,26 +52,25 @@ func main() {
 		if !ok {
 			log.Fatalf("unknown profile %q", name)
 		}
-		// PageCostSpins 0 is no spin, as -pagecost 0 asks.
 		imp, err := o.MeasureImprovement(p, gengc.Config{
-			Mode:          genMode,
-			CardBytes:     *cardSize,
-			YoungBytes:    *youngMB << 20,
-			OldAge:        *oldAge,
-			PageCostSpins: *pageCost,
+			Mode:       genMode,
+			CardBytes:  *cardSize,
+			YoungBytes: *youngMB << 20,
+			OldAge:     *oldAge,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-14s improvement %6.1f%%   %v=%-9v [%s]   baseline=%-9v [%s]\n",
-			name, imp.Percent, genMode, imp.Gen.Elapsed.Round(time.Millisecond), summary(imp.Gen),
-			imp.NonGen.Elapsed.Round(time.Millisecond), summary(imp.NonGen))
+		fmt.Printf("%-14s improvement %6.1f%% won %d/%d wall %6.1f%%   %v=%-9v [%s]   baseline=%-9v [%s]\n",
+			name, imp.Percent, imp.PairsWon, *repeats, imp.WallPercent(),
+			genMode, bench.Modeled(imp.Gen).Round(time.Millisecond), summary(imp.Gen),
+			bench.Modeled(imp.NonGen).Round(time.Millisecond), summary(imp.NonGen))
 	}
 }
 
 // summary describes the median run of one side.
 func summary(res workload.Result) string {
 	s := res.Summary
-	return fmt.Sprintf("%dp/%df gc%%=%.0f maxpause=%v",
-		s.NumPartial, s.NumFull, s.GCActivePct, res.Pauses.Max.Round(time.Microsecond))
+	return fmt.Sprintf("wall=%v %dp/%df maxpause=%v",
+		res.Elapsed.Round(time.Millisecond), s.NumPartial, s.NumFull, res.Pauses.Max.Round(time.Microsecond))
 }

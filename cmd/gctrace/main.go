@@ -27,7 +27,6 @@ func main() {
 		cardSize = flag.Int("card", 16, "card size in bytes")
 		youngMB  = flag.Int("young", 4, "young generation size in MB")
 		oldAge   = flag.Int("age", 0, "aging tenure threshold (0 = default)")
-		pageCost = flag.Int("pagecost", 0, "simulated memory cost per page touch (spins)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		traceOut = flag.String("trace", "", "write a JSONL event trace to this file (render with gcreport)")
 		list     = flag.Bool("list", false, "list profiles and exit")
@@ -90,12 +89,11 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := workload.Run(p, gengc.Config{
-		Mode:          mode,
-		CardBytes:     *cardSize,
-		YoungBytes:    *youngMB << 20,
-		OldAge:        *oldAge,
-		TrackPages:    true,
-		PageCostSpins: *pageCost,
+		Mode:       mode,
+		CardBytes:  *cardSize,
+		YoungBytes: *youngMB << 20,
+		OldAge:     *oldAge,
+		TrackPages: true,
 	}, *seed, ropts...)
 	if perr := stopProfiles(); perr != nil {
 		log.Printf("writing profile: %v", perr)

@@ -1,16 +1,19 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"gengc"
+	"gengc/internal/metrics"
 	"gengc/internal/workload"
 )
 
 // tinyOpts keeps experiment runs minimal for unit tests.
 func tinyOpts() Options {
-	return Options{Scale: 0.002, Repeats: 1, Seed: 1, PageCost: -1}
+	return Options{Scale: 0.002, Repeats: 1, Seed: 1}
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -18,11 +21,73 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Scale != 1.0 || o.Repeats != 3 || o.Seed == 0 || o.HeapBytes != 32<<20 {
 		t.Errorf("defaults = %+v", o)
 	}
-	if o.PageCost == 0 {
-		t.Error("default page cost not applied")
+}
+
+// TestPageCostDerivation re-derives pageCost from the paper's tables:
+// a least-squares fit, with no intercept, of Figure 13's cycle times
+// against Figure 11's objects scanned and Figure 15's pages gives the
+// cost of a page in object scans, and one object scan here costs
+// traceNsPerObject.
+func TestPageCostDerivation(t *testing.T) {
+	const traceNsPerObject = 32 // gc.trace.ns_per_object, traced old_mutation
+	var soo, spp, sop, sot, spt float64
+	cells := 0
+	for name, f11 := range paperFig11 {
+		f13, f15 := paperFig13[name], paperFig15[name]
+		for _, c := range [][3]float64{
+			{f11.Partial + f11.InterGen, f13.Partial, f15.Partial},
+			{f11.Full, f13.Full, f15.Full},
+			{f11.NonGen, f13.NonGen, f15.NonGen},
+		} {
+			o, ms, pg := c[0], c[1], c[2]
+			if o < 0 || ms < 0 || pg < 0 {
+				continue // not reported (mtrt never ran a full collection)
+			}
+			cells++
+			soo, spp, sop, sot, spt = soo+o*o, spp+pg*pg, sop+o*pg, sot+o*ms, spt+pg*ms
+		}
 	}
-	if o2 := (Options{PageCost: -1}).withDefaults(); o2.PageCost != 0 {
-		t.Errorf("negative PageCost should disable, got %d", o2.PageCost)
+	if cells != 20 {
+		t.Fatalf("%d cells report all three figures, want 20", cells)
+	}
+	det := soo*spp - sop*sop
+	perObject := (sot*spp - spt*sop) / det // ms
+	perPage := (spt*soo - sot*sop) / det
+	ratio := perPage / perObject
+	t.Logf("fit: %.2f µs/object, %.1f µs/page, one page = %.1f object scans",
+		1000*perObject, 1000*perPage, ratio)
+	want := ratio * traceNsPerObject
+	if got := float64(pageCost.Nanoseconds()); math.Abs(got-want) > 0.05*want {
+		t.Errorf("pageCost = %v, derivation gives %.0f ns (%.1f scans × %d ns)",
+			pageCost, want, ratio, traceNsPerObject)
+	}
+}
+
+// TestModelAndPairs checks the model arithmetic and the pair scoring on
+// synthetic runs whose modeled and wall-clock verdicts disagree.
+func TestModelAndPairs(t *testing.T) {
+	run := func(wallMs, pages int) workload.Result {
+		return workload.Result{Profile: "p", Elapsed: time.Duration(wallMs) * time.Millisecond,
+			Cycles: []metrics.Cycle{{PagesTouched: pages / 2}, {PagesTouched: pages - pages/2}}}
+	}
+	if got, want := Modeled(run(10, 1000)), 10*time.Millisecond+1000*pageCost; got != want {
+		t.Errorf("Modeled = %v, want %v", got, want)
+	}
+	gen := []workload.Result{run(10, 100), run(12, 100), run(9, 100)}
+	non := []workload.Result{run(9, 1000), run(9, 1000), run(8, 100)}
+	imp := compare(gen, non)
+	if imp.PairsWon != 2 {
+		t.Errorf("pairs won = %d, want 2", imp.PairsWon)
+	}
+	if imp.Profile != "p" || imp.Gen.Elapsed != 10*time.Millisecond || imp.NonGen.Elapsed != 9*time.Millisecond {
+		t.Errorf("medians = %v / %v", imp.Gen.Elapsed, imp.NonGen.Elapsed)
+	}
+	genT, nonT := 10*time.Millisecond+100*pageCost, 9*time.Millisecond+1000*pageCost
+	if want := 100 * (nonT - genT).Seconds() / nonT.Seconds(); math.Abs(imp.Percent-want) > 1e-9 || want <= 0 {
+		t.Errorf("modeled improvement = %v, want %v", imp.Percent, want)
+	}
+	if want := 100 * (9.0 - 10.0) / 9.0; math.Abs(imp.WallPercent()-want) > 1e-9 {
+		t.Errorf("wall improvement = %v, want %v", imp.WallPercent(), want)
 	}
 }
 
@@ -88,7 +153,7 @@ func TestCharacterizationTables(t *testing.T) {
 	if len(chs) != 7 {
 		t.Fatalf("%d characterizations, want 7", len(chs))
 	}
-	for _, build := range []func([]Characterization) Table{
+	for _, build := range []func([]Improvement) Table{
 		Fig10, Fig11, Fig12, Fig13, Fig14, Fig15,
 	} {
 		tab := build(chs)
@@ -141,8 +206,8 @@ func TestMeasureRelative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel < -1000 || rel > 1000 {
-		t.Errorf("implausible relative improvement %v", rel)
+	if rel.Percent < -1000 || rel.Percent > 1000 {
+		t.Errorf("implausible relative improvement %v", rel.Percent)
 	}
 }
 

@@ -45,7 +45,7 @@ func (o Options) Fig7() (Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"measured at GOMAXPROCS=%d NumCPU=%d; see EXPERIMENTS.md on the MP/UP condition",
-		runtime.GOMAXPROCS(0), runtime.NumCPU()))
+		runtime.GOMAXPROCS(0), runtime.NumCPU()), modelNote)
 	return t, nil
 }
 
@@ -53,13 +53,15 @@ func (o Options) Fig7() (Table, error) {
 func (o Options) Fig8() (Table, error) {
 	o = o.withDefaults()
 	t := Table{ID: "fig8", Title: "Anagram improvement",
-		Header: []string{"benchmark", "improvement", "paper(MP)", "paper(UP)"}}
+		Header: []string{"benchmark", "improvement", "paper(MP)", "paper(UP)", "pairs won", "wall"}}
 	imp, err := o.MeasureImprovement(workload.Anagram(),
 		o.config(gengc.Generational, defaultYoung, defaultCard, 0))
 	if err != nil {
 		return t, err
 	}
-	t.AddRow("Anagram", pct(imp.Percent), pct(paperFig8.MP), pct(paperFig8.UP))
+	t.AddRow("Anagram", pct(imp.Percent), pct(paperFig8.MP), pct(paperFig8.UP),
+		fmt.Sprintf("%d/%d", imp.PairsWon, o.Repeats), pct(imp.WallPercent()))
+	t.Notes = append(t.Notes, modelNote)
 	return t, nil
 }
 
@@ -67,7 +69,7 @@ func (o Options) Fig8() (Table, error) {
 func (o Options) Fig9() (Table, error) {
 	o = o.withDefaults()
 	t := Table{ID: "fig9", Title: "SPECjvm improvement",
-		Header: []string{"benchmark", "improvement", "paper(MP)", "paper(UP)"}}
+		Header: []string{"benchmark", "improvement", "paper(MP)", "paper(UP)", "pairs won", "wall"}}
 	for _, p := range workload.SPEC() {
 		imp, err := o.MeasureImprovement(p,
 			o.config(gengc.Generational, defaultYoung, defaultCard, 0))
@@ -75,62 +77,66 @@ func (o Options) Fig9() (Table, error) {
 			return t, err
 		}
 		ref := paperFig9[p.Name]
-		t.AddRow(p.Name, pct(imp.Percent), pct(ref.MP), pct(ref.UP))
+		t.AddRow(p.Name, pct(imp.Percent), pct(ref.MP), pct(ref.UP),
+			fmt.Sprintf("%d/%d", imp.PairsWon, o.Repeats), pct(imp.WallPercent()))
 	}
+	t.Notes = append(t.Notes, modelNote)
 	return t, nil
 }
 
-// Characterization holds the per-profile paired runs that Figures 10–15
-// are derived from.
-type Characterization struct {
-	Profile string
-	Gen     workload.Result
-	NonGen  workload.Result
-}
+// modelNote labels the tables whose times are modeled.
+var modelNote = fmt.Sprintf("times are modeled: wall clock + pages touched × %v "+
+	"(internal/bench pageCost); a wall column is the wall-clock improvement and claims nothing", pageCost)
 
 // Characterize runs every profile once under the default generational
-// configuration and once under the baseline, with page tracking on.
-func (o Options) Characterize() ([]Characterization, error) {
+// configuration and once under the baseline: the paired runs that
+// Figures 10–15 are derived from.
+func (o Options) Characterize() ([]Improvement, error) {
 	o = o.withDefaults()
-	o.TrackPages = true
 	// Characterization tables are single-run measurements in the
 	// paper as well ("running a single copy of the application").
 	o.Repeats = 1
-	var out []Characterization
+	var out []Improvement
 	for _, p := range append(workload.SPEC(), workload.Anagram()) {
 		imp, err := o.MeasureImprovement(p,
 			o.config(gengc.Generational, defaultYoung, defaultCard, 0))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Characterization{Profile: p.Name, Gen: imp.Gen, NonGen: imp.NonGen})
+		out = append(out, imp)
 	}
 	return out, nil
 }
 
 // Fig10 regenerates Figure 10: use of garbage collection.
-func Fig10(chs []Characterization) Table {
+func Fig10(chs []Improvement) Table {
 	t := Table{ID: "fig10", Title: "Use of garbage collection in application",
 		Header: []string{"benchmark", "%GC", "partial", "full", "%GC w/o gen", "cycles w/o gen",
 			"paper:%GC", "p:part", "p:full", "p:%GC-ng", "p:cyc-ng"}}
 	for _, ch := range chs {
 		ref := paperFig10[ch.Profile]
 		t.AddRow(ch.Profile,
-			pct(ch.Gen.Summary.GCActivePct),
+			pct(gcPct(ch.Gen)),
 			fmt.Sprint(ch.Gen.Summary.NumPartial),
 			fmt.Sprint(ch.Gen.Summary.NumFull),
-			pct(ch.NonGen.Summary.GCActivePct),
+			pct(gcPct(ch.NonGen)),
 			fmt.Sprint(ch.NonGen.Summary.NumCycles),
 			pct(ref.GCPct), fmt.Sprint(ref.Partials), fmt.Sprint(ref.Fulls),
 			pct(ref.GCPctNG), fmt.Sprint(ref.CyclesNG))
 	}
-	t.Notes = append(t.Notes,
+	t.Notes = append(t.Notes, modelNote,
 		"on one CPU the collector's wall time overlaps mutator execution, inflating %GC against the paper's 4-way host")
 	return t
 }
 
+// gcPct is the share of a run's modeled time that its collections were
+// active; the page charge falls on the collections.
+func gcPct(r workload.Result) float64 {
+	return 100 * modeled(r.Summary.GCActive, pagesTouched(r)).Seconds() / Modeled(r).Seconds()
+}
+
 // Fig11 regenerates Figure 11: objects scanned.
-func Fig11(chs []Characterization) Table {
+func Fig11(chs []Improvement) Table {
 	t := Table{ID: "fig11", Title: "Generational characterization part 1: objects scanned",
 		Header: []string{"benchmark", "inter-gen", "partial", "full", "w/o gen",
 			"p:ig", "p:part", "p:full", "p:ng"}}
@@ -162,7 +168,7 @@ func avgScannedAll(r workload.Result) float64 {
 }
 
 // Fig12 regenerates Figure 12: percentage freed.
-func Fig12(chs []Characterization) Table {
+func Fig12(chs []Improvement) Table {
 	t := Table{ID: "fig12", Title: "Generational characterization part 2: percentage freed",
 		Header: []string{"benchmark", "%bytes partial", "%objs partial", "%objs full", "%objs w/o gen",
 			"p:%bytes", "p:%objs", "p:full", "p:ng"}}
@@ -187,30 +193,35 @@ func Fig12(chs []Characterization) Table {
 }
 
 // Fig13 regenerates Figure 13: elapsed time of collection cycles.
-func Fig13(chs []Characterization) Table {
+func Fig13(chs []Improvement) Table {
 	t := Table{ID: "fig13", Title: "Elapsed time of collection cycles (ms)",
 		Header: []string{"benchmark", "partial", "full", "w/o gen", "p:part", "p:full", "p:ng"}}
+	ms := func(wall time.Duration, pages float64) string {
+		return f1(modeled(wall, pages).Seconds() * 1000)
+	}
 	for _, ch := range chs {
 		ref := paperFig13[ch.Profile]
+		s, ns := ch.Gen.Summary, ch.NonGen.Summary
 		full := "N/A"
-		if ch.Gen.Summary.NumFull > 0 {
-			full = f1(ch.Gen.Summary.AvgTimeFull.Seconds() * 1000)
+		if s.NumFull > 0 {
+			full = ms(s.AvgTimeFull, s.AvgPagesFull)
 		}
 		pfull := "N/A"
 		if ref.Full >= 0 {
 			pfull = f0(ref.Full)
 		}
 		t.AddRow(ch.Profile,
-			f1(ch.Gen.Summary.AvgTimePartial.Seconds()*1000),
+			ms(s.AvgTimePartial, s.AvgPagesPartial),
 			full,
-			f1(ch.NonGen.Summary.AvgTimeFull.Seconds()*1000),
+			ms(ns.AvgTimeFull, ns.AvgPagesFull),
 			f0(ref.Partial), pfull, f0(ref.NonGen))
 	}
+	t.Notes = append(t.Notes, modelNote)
 	return t
 }
 
 // Fig14 regenerates Figure 14: average gain from collections.
-func Fig14(chs []Characterization) Table {
+func Fig14(chs []Improvement) Table {
 	t := Table{ID: "fig14", Title: "Average gain from collections",
 		Header: []string{"benchmark", "objs/partial", "objs/full", "objs w/o gen",
 			"bytes/partial", "bytes/full", "bytes w/o gen"}}
@@ -232,7 +243,7 @@ func Fig14(chs []Characterization) Table {
 }
 
 // Fig15 regenerates Figure 15: pages touched per collection.
-func Fig15(chs []Characterization) Table {
+func Fig15(chs []Improvement) Table {
 	t := Table{ID: "fig15", Title: "Average pages touched by a GC",
 		Header: []string{"benchmark", "partial", "full", "w/o gen", "p:part", "p:full", "p:ng"}}
 	for _, ch := range chs {
@@ -278,6 +289,7 @@ func (o Options) Fig16() (Table, error) {
 			t.AddRow(row...)
 		}
 	}
+	t.Notes = append(t.Notes, modelNote)
 	return t, nil
 }
 
@@ -302,6 +314,7 @@ func (o Options) Fig17() (Table, error) {
 		}
 		t.AddRow(row...)
 	}
+	t.Notes = append(t.Notes, modelNote)
 	return t, nil
 }
 
@@ -326,7 +339,8 @@ func (o Options) FigAging() (Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	t.Notes = append(t.Notes, "paper age N = object tenured after N-1 survived collections (allocation age differs by one)")
+	t.Notes = append(t.Notes, modelNote,
+		"paper age N = object tenured after N-1 survived collections (allocation age differs by one)")
 	return t, nil
 }
 
@@ -346,20 +360,20 @@ func (o Options) Fig20() (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			row = append(row, f1(rel))
+			row = append(row, f1(rel.Percent))
 		}
 		t.AddRow(row...)
 	}
+	t.Notes = append(t.Notes, modelNote)
 	return t, nil
 }
 
-// CardSweep holds one profile's generational runs across card sizes,
-// plus the non-generational baseline; Figures 21–23 derive from it.
+// CardSweep holds one profile's improvements across card sizes, each
+// card size measured in pairs against the baseline; Figures 21–23
+// derive from it.
 type CardSweep struct {
-	Profile  string
-	ByCard   map[int]workload.Result
-	Baseline time.Duration // averaged non-generational elapsed
-	GenAvg   map[int]time.Duration
+	Profile string
+	ByCard  map[int]Improvement
 }
 
 // SweepCards runs the §8.5.3 card-size sweep.
@@ -367,21 +381,13 @@ func (o Options) SweepCards() ([]CardSweep, error) {
 	o = o.withDefaults()
 	var out []CardSweep
 	for _, p := range append(workload.SPEC(), workload.Anagram()) {
-		cs := CardSweep{Profile: p.Name,
-			ByCard: map[int]workload.Result{},
-			GenAvg: map[int]time.Duration{}}
-		_, nonAvg, err := o.runAveraged(p, o.config(gengc.NonGenerational, defaultYoung, defaultCard, 0))
-		if err != nil {
-			return nil, err
-		}
-		cs.Baseline = nonAvg
+		cs := CardSweep{Profile: p.Name, ByCard: map[int]Improvement{}}
 		for _, card := range cardSizes {
-			res, avg, err := o.runAveraged(p, o.config(gengc.Generational, defaultYoung, card, 0))
+			imp, err := o.MeasureImprovement(p, o.config(gengc.Generational, defaultYoung, card, 0))
 			if err != nil {
 				return nil, err
 			}
-			cs.ByCard[card] = res
-			cs.GenAvg[card] = avg
+			cs.ByCard[card] = imp
 		}
 		out = append(out, cs)
 	}
@@ -395,13 +401,13 @@ func Fig21(sweeps []CardSweep) Table {
 	for _, cs := range sweeps {
 		row := []string{cs.Profile}
 		for _, card := range cardSizes {
-			imp := 100 * (cs.Baseline - cs.GenAvg[card]).Seconds() / cs.Baseline.Seconds()
-			row = append(row, f1(imp))
+			row = append(row, f1(cs.ByCard[card].Percent))
 		}
 		ref := paperFig21[cs.Profile]
 		row = append(row, f1(ref.At16), f1(ref.At4096))
 		t.AddRow(row...)
 	}
+	t.Notes = append(t.Notes, modelNote)
 	return t
 }
 
@@ -412,7 +418,7 @@ func Fig22(sweeps []CardSweep) Table {
 	for _, cs := range sweeps {
 		row := []string{cs.Profile}
 		for _, card := range cardSizes {
-			row = append(row, f1(cs.ByCard[card].Summary.AvgDirtyCardPct))
+			row = append(row, f1(cs.ByCard[card].Gen.Summary.AvgDirtyCardPct))
 		}
 		ref := paperFig22[cs.Profile]
 		row = append(row, f1(ref.At16), f1(ref.At4096))
@@ -429,7 +435,7 @@ func Fig23(sweeps []CardSweep) Table {
 	for _, cs := range sweeps {
 		row := []string{cs.Profile}
 		for _, card := range cardSizes {
-			row = append(row, f1(cs.ByCard[card].Summary.AvgAreaScanned/1024))
+			row = append(row, f1(cs.ByCard[card].Gen.Summary.AvgAreaScanned/1024))
 		}
 		t.AddRow(row...)
 	}

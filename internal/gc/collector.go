@@ -303,9 +303,8 @@ func build(cfg Config, vs fault.Scheduler, breakSyncAccept bool) (*Collector, er
 	if c.recorder != nil {
 		c.recorder.SetFlushFn(c.tracer.Flush)
 	}
-	if cfg.TrackPages || cfg.PageCostSpins > 0 {
+	if cfg.TrackPages {
 		h.Pages = heap.NewPageSet(h.SizeBytes, ct.NumCards())
-		h.Pages.CostSpins = cfg.PageCostSpins
 	}
 	c.allocColor.Store(uint32(heap.White))
 	c.clearColor.Store(uint32(heap.Yellow))

@@ -104,17 +104,10 @@ type Config struct {
 	// survivals from 0, so our OldAge = paper's age − 1.
 	OldAge int
 
-	// TrackPages enables the Figure 15 pages-touched instrumentation.
+	// TrackPages enables the Figure 15 pages-touched instrumentation
+	// (CycleRecord.PagesTouched). The experiment harness and gctrace
+	// set it: the harness's page-cost model charges per counted page.
 	TrackPages bool
-
-	// PageCostSpins, when positive, charges the collector a busy-spin
-	// per page it touches for the first time in a cycle (implies
-	// TrackPages). This reintroduces the memory-hierarchy cost that
-	// dominated collection time on the paper's hardware; the
-	// experiment harness enables it so that the locality advantage of
-	// partial collections (Figure 15) is reflected in elapsed time as
-	// it was in the paper.
-	PageCostSpins int
 
 	// StallTimeout is the handshake watchdog deadline: when a mutator
 	// has not responded to a posted handshake (or acknowledgement

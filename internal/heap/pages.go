@@ -1,7 +1,5 @@
 package heap
 
-import "sync/atomic"
-
 // PageBytes is the virtual-memory page size used for the Figure 15
 // "pages touched by the collector" measurements.
 const PageBytes = 4096
@@ -15,9 +13,10 @@ const PageBytes = 4096
 //
 // Only the collector goroutine touches the set, inside collection
 // cycles that the collector serializes, so the touched bits and the
-// counter are plain words: the first touch of a page pays the simulated
-// memory cost, exactly one charge per page per cycle. The regions are
-// laid out as consecutive page ranges:
+// counter are plain words: the first touch of a page counts it, exactly
+// once per page per cycle. The experiment harness charges a modeled
+// memory cost per counted page (internal/bench). The regions are laid
+// out as consecutive page ranges:
 //
 //	[0, heapPages)          heap data
 //	[heapPages, +agePages)  age table (1 B per granule)
@@ -28,17 +27,6 @@ type PageSet struct {
 	cardPages int
 	touched   []bool
 	count     int
-
-	// CostSpins, when positive, charges the collector a busy-spin of
-	// this many iterations for every page first touched in a cycle.
-	// It models the memory-hierarchy cost (faults, TLB and cache
-	// misses over a cold page) that dominated collection time on the
-	// paper's 1999 hardware — the paper's Figure 15 shows pages
-	// touched, and its timing figures scale with them. Without this
-	// cost a modern simulator's side tables are too cache-friendly
-	// for the locality benefit of generations to be visible.
-	CostSpins int
-	sink      atomic.Uint64
 }
 
 // NewPageSet builds a page tracker for a heap of heapBytes with a card
@@ -61,13 +49,6 @@ func (p *PageSet) mark(page int) {
 	}
 	p.touched[page] = true
 	p.count++
-	if p.CostSpins > 0 {
-		s := p.sink.Load()
-		for i := 0; i < p.CostSpins; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-		}
-		p.sink.Store(s)
-	}
 }
 
 // TouchHeap records that the collector touched heap bytes [addr,

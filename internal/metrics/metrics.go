@@ -264,7 +264,7 @@ type Summary struct {
 	AvgPagesFull         float64
 	PctObjsFreedPartial  float64 // freed / (freed + survivors) in partials
 	PctObjsFreedFull     float64
-	PctBytesFreedPartial float64
+	PctBytesFreedPartial float64 // freed / (freed + promoted + demoted bytes) in partials
 	AvgDirtyCardPct      float64 // Figure 22 (partials only)
 	AvgAreaScanned       float64 // Figure 23 (partials only)
 }
@@ -284,7 +284,7 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 	var (
 		igSum, scanP, scanF, freedP, freedF            float64
 		freedBP, freedBF, timeP, timeF, pagesP, pagesF float64
-		sweptP, sweptF, dirtyPct, area                 float64
+		sweptP, sweptF, survBP, dirtyPct, area         float64
 		nP, nF                                         int
 	)
 	for _, c := range r.cycles {
@@ -301,6 +301,9 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 			timeP += float64(c.Duration)
 			pagesP += float64(c.PagesTouched)
 			sweptP += float64(c.Survivors)
+			// Every young survivor was either promoted or demoted
+			// (aging), so this is the partial's surviving byte volume.
+			survBP += float64(c.PromotedBytes + c.SurvivorBytes)
 			area += float64(c.AreaScanned)
 			if c.AllocatedCards > 0 {
 				dirtyPct += 100 * float64(c.DirtyCards) / float64(c.AllocatedCards)
@@ -331,7 +334,7 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 			// are collected": freed / (freed + young survivors).
 			s.PctObjsFreedPartial = 100 * freedP / (freedP + sweptP)
 		}
-		if denom := freedBP + bytesSurvivedPartial(r.cycles); denom > 0 {
+		if denom := freedBP + survBP; denom > 0 {
 			s.PctBytesFreedPartial = 100 * freedBP / denom
 		}
 	}
@@ -347,23 +350,4 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 		}
 	}
 	return s
-}
-
-// bytesSurvivedPartial estimates surviving young bytes across partial
-// cycles from the sweep's survivor counts; the per-cycle record carries
-// ObjectsSwept, so approximate survivor bytes with the run's average
-// object size.
-func bytesSurvivedPartial(cycles []Cycle) float64 {
-	var freedObjs, freedBytes, swept float64
-	for _, c := range cycles {
-		if c.Kind == Partial {
-			freedObjs += float64(c.ObjectsFreed)
-			freedBytes += float64(c.BytesFreed)
-			swept += float64(c.Survivors)
-		}
-	}
-	if freedObjs == 0 {
-		return 0
-	}
-	return swept * freedBytes / freedObjs
 }

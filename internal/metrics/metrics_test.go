@@ -107,6 +107,20 @@ func TestSummarizeAggregates(t *testing.T) {
 	}
 }
 
+// TestSummarizeBytesFreedPartial: Figure 12's byte share counts a
+// partial's survivors exactly, promoted plus (aging) demoted bytes; a
+// full collection's bytes do not enter it.
+func TestSummarizeBytesFreedPartial(t *testing.T) {
+	r := NewRecorder()
+	r.Record(Cycle{Kind: Partial, ObjectsFreed: 10, BytesFreed: 6000, PromotedBytes: 1500})
+	r.Record(Cycle{Kind: Partial, ObjectsFreed: 10, BytesFreed: 2000, PromotedBytes: 300, SurvivorBytes: 200})
+	r.Record(Cycle{Kind: Full, ObjectsFreed: 50, BytesFreed: 90000})
+	// 8000 freed of 8000 + 1500 + 300 + 200 = 10000 bytes.
+	if got := r.Summarize(time.Second).PctBytesFreedPartial; got != 80 {
+		t.Errorf("PctBytesFreedPartial = %v, want 80", got)
+	}
+}
+
 func TestSummarizeDefaultElapsed(t *testing.T) {
 	r := NewRecorder()
 	r.Record(Cycle{Kind: Full, Duration: time.Millisecond})
