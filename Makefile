@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test alloc-guard inline-guard race small-heap bench bench-smoke bench-pair trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test alloc-guard inline-guard race bench bench-smoke bench-pair trace-verify chaos verify-protocol check
 
 all: check
 
@@ -65,13 +65,6 @@ inline-guard:
 # mutators and live collection cycles.
 race:
 	$(GO) test -race -run 'Race|Stress|Parallel|TestMetricsExpvarRoundTrip' ./...
-
-# small-heap runs the invariant checker (cmd/gcstress) on a 2 MB heap
-# with a 512 KB young generation, set by nothing but those two flags:
-# the pacer derives its full-collection trigger from the heap, so the
-# run must configure, collect and verify to PASS within seconds.
-small-heap:
-	$(GO) run ./cmd/gcstress -heap 2 -young 512 -threads 2 -ops 20000 -seed 1
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
@@ -140,4 +133,4 @@ trace-verify:
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc
 
-check: lint build test alloc-guard inline-guard small-heap bench-smoke race chaos trace-verify verify-protocol
+check: lint build test alloc-guard inline-guard bench-smoke race chaos trace-verify verify-protocol

@@ -1,4 +1,4 @@
-package gengc
+package gengc_test
 
 import (
 	"runtime"
@@ -6,39 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-)
 
-// allocChurnMutator is an allocation-heavy mutator for the shard stress
-// test: it cycles through mixed size classes (each mutator offset so
-// concurrent mutators mostly hit different classes, the pattern the
-// sharded central lists are built for), keeps a rolling window of live
-// objects rooted, and drops the rest as garbage for the concurrent
-// cycles to reclaim.
-func allocChurnMutator(t *testing.T, rt *Runtime, id, ops int) {
-	m := rt.NewMutator()
-	defer m.Detach()
-	sizes := []int{16, 40, 96, 224, 480, 992}
-	const window = 128
-	roots := make([]int, window)
-	for i := range roots {
-		roots[i] = m.PushRoot(Nil)
-	}
-	for op := 0; op < ops; op++ {
-		n, err := m.Alloc(2, sizes[(op+id)%len(sizes)])
-		if err != nil {
-			t.Errorf("mutator %d: alloc: %v", id, err)
-			return
-		}
-		m.SetRoot(roots[op%window], n)
-		if op%64 == 0 {
-			// Some structure, so the trace has pointers to chase.
-			if x := m.Root(roots[(op/2)%window]); x != Nil {
-				m.Write(x, 0, n)
-			}
-			m.Safepoint()
-		}
-	}
-}
+	"gengc"
+	"gengc/internal/workload"
+)
 
 // TestAllocShardStressUnderCycles churns allocations from several
 // mutators while partial and full collections run continuously.
@@ -51,17 +22,17 @@ func TestAllocShardStressUnderCycles(t *testing.T) {
 	if testing.Short() {
 		ops = 6000
 	}
-	rt, err := NewManual(
-		WithMode(GenerationalAging),
-		WithHeapBytes(16<<20),
-		WithYoungBytes(256<<10),
-		WithOldAge(2),
+	rt, err := gengc.NewManual(
+		gengc.WithMode(gengc.GenerationalAging),
+		gengc.WithHeapBytes(16<<20),
+		gengc.WithYoungBytes(256<<10),
+		gengc.WithOldAge(2),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	audit := auditCycles(rt)
+	audit := workload.Audit(rt)
 
 	// Cycle driver: alternate minor and full collections for the whole
 	// run, so refills, flushes and sweep frees hit the shards
@@ -81,22 +52,17 @@ func TestAllocShardStressUnderCycles(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			allocChurnMutator(t, rt, id, ops)
-		}(w)
-	}
-	wg.Wait()
+	err = workload.RunStorm(rt, 4, ops, 0)
 	close(stop)
 	driver.Wait()
 
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := rt.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err, n := audit(); err != nil {
+	if n, err := audit(); n > 0 {
 		t.Fatalf("%d self-check violations, first: %v", n, err)
 	}
 	// Stats totals must agree with the allocator's shard counters once
@@ -134,7 +100,7 @@ func TestAccountingStressUnderCycles(t *testing.T) {
 		baseBytes = mutators * baseObjs * baseSize
 		minCycles = 6 // two fulls, four partials
 	)
-	rt, err := NewManual(WithMode(Generational), WithHeapBytes(16<<20), WithYoungBytes(256<<10))
+	rt, err := gengc.NewManual(gengc.WithMode(gengc.Generational), gengc.WithHeapBytes(16<<20), gengc.WithYoungBytes(256<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +109,7 @@ func TestAccountingStressUnderCycles(t *testing.T) {
 	// cooperateUntil keeps m answering handshakes while its goroutine
 	// has nothing else to do: every collection waits on every attached
 	// mutator.
-	cooperateUntil := func(m *Mutator, ch <-chan struct{}) {
+	cooperateUntil := func(m *gengc.Mutator, ch <-chan struct{}) {
 		for {
 			select {
 			case <-ch:
@@ -175,7 +141,7 @@ func TestAccountingStressUnderCycles(t *testing.T) {
 			m.Collect(false)
 			ready.Done()
 			cooperateUntil(m, start)
-			slot := m.PushRoot(Nil)
+			slot := m.PushRoot(gengc.Nil)
 			for op := 0; cycles.Load() < minCycles; op++ {
 				n, err := m.Alloc(1, 24+8*((op+id)%32))
 				if err != nil {

@@ -1,5 +1,6 @@
-// Command gcchaos runs seeded chaos campaigns against the runtime: a
-// churning multi-mutator workload executes under a sequence of fault
+// Command gcchaos runs seeded chaos campaigns against the runtime: the
+// soaks' randomized multi-mutator workload (internal/workload's Mix,
+// or its AllocStorm variant) executes under a sequence of fault
 // schedules — stalled safe points, a slow collector (handshakes, trace
 // drains, block walks), transient allocation failures, allocation
 // storms against the tiered allocation path, a failing trace sink, a
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -29,19 +29,8 @@ import (
 
 	"gengc"
 	"gengc/internal/server"
+	"gengc/internal/workload"
 )
-
-func parseMode(s string) (gengc.Mode, error) {
-	switch s {
-	case "non", "nongen", "non-generational":
-		return gengc.NonGenerational, nil
-	case "gen", "generational", "simple":
-		return gengc.Generational, nil
-	case "aging":
-		return gengc.GenerationalAging, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (non|gen|aging)", s)
-}
 
 // schedule is one named fault configuration plus its post-run
 // expectations.
@@ -49,7 +38,7 @@ type schedule struct {
 	name   string
 	rules  []gengc.FaultRule
 	flight int  // flight-recorder ring size (0 = recorder off)
-	storm  bool // run allocStorm instead of churn
+	storm  bool // run workload.RunStorm instead of workload.RunMix
 	sink   bool
 	// expect audits the finished run; it appends violation strings.
 	expect func(rt *gengc.Runtime, in *gengc.FaultInjector, v *[]string)
@@ -194,87 +183,7 @@ func schedules() []schedule {
 	}
 }
 
-// churn is one mutator's workload round: build linked structures, cross-
-// link them, drop subsets, and cooperate — a deterministic PRNG stream
-// per mutator keeps the workload reproducible modulo scheduling.
-func churn(m *gengc.Mutator, rng *rand.Rand, ops int) error {
-	var live int
-	for op := 0; op < ops; op++ {
-		switch r := rng.Float64(); {
-		case r < 0.6 || live == 0:
-			ref, err := m.Alloc(2, 16+rng.Intn(48))
-			if err != nil {
-				return err
-			}
-			m.PushRoot(ref)
-			live++
-		case r < 0.8 && live >= 2:
-			// Cross-link two rooted objects through the barrier.
-			a := m.Root(rng.Intn(live))
-			b := m.Root(rng.Intn(live))
-			m.Write(a, rng.Intn(2), b)
-		default:
-			drop := 1 + rng.Intn(min(live, 8))
-			m.PopRoots(drop)
-			live -= drop
-		}
-		m.Safepoint()
-	}
-	return nil
-}
-
-// allocStorm is the allocation-dominated variant of churn: nearly every
-// operation allocates, cycling mixed size classes through a fixed window
-// of roots so the slot's previous occupant becomes garbage for the
-// concurrent sweep to push back into the class shards.
-func allocStorm(m *gengc.Mutator, rng *rand.Rand, ops int) error {
-	sizes := []int{16, 40, 96, 224, 480, 992}
-	const window = 96
-	for i := 0; i < window; i++ {
-		m.PushRoot(gengc.Nil)
-	}
-	for op := 0; op < ops; op++ {
-		ref, err := m.Alloc(2, sizes[rng.Intn(len(sizes))])
-		if err != nil {
-			return err
-		}
-		slot := rng.Intn(window)
-		if old := m.Root(slot); old != gengc.Nil && rng.Float64() < 0.25 {
-			m.Write(ref, 0, old)
-		}
-		m.SetRoot(slot, ref)
-		m.Safepoint()
-	}
-	return nil
-}
-
-// armAudit runs the per-cycle self-check — the collector's post-cycle
-// audit, CheckQuiescentCycle — from the OnCycle hook after every
-// completed cycle. The returned report appends the leg's violation
-// count and first violation, if any.
-func armAudit(rt *gengc.Runtime) (report func(leg string, v *[]string)) {
-	var mu sync.Mutex
-	var n int
-	var first error
-	rt.OnCycle(func(c gengc.CycleRecord) {
-		if err := rt.Collector().CheckQuiescentCycle(); err != nil {
-			mu.Lock()
-			if n++; first == nil {
-				first = fmt.Errorf("after %s cycle %d: %w", c.Kind, c.Seq, err)
-			}
-			mu.Unlock()
-		}
-	})
-	return func(leg string, v *[]string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if n > 0 {
-			*v = append(*v, fmt.Sprintf("%s: %d self-check violations, first: %v", leg, n, first))
-		}
-	}
-}
-
-// runSchedule executes rounds of churn under one schedule and audits
+// runSchedule executes rounds of the soak under one schedule and audits
 // between rounds. It returns the violations it found.
 func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops int, verbose bool) []string {
 	in := gengc.NewFaultInjector(seed)
@@ -296,18 +205,16 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 	if err != nil {
 		log.Fatalf("%s: %v", s.name, err)
 	}
-	report := armAudit(rt)
-	work := churn
+	audit := workload.Audit(rt)
+	work := workload.RunMix
 	if s.storm {
-		work = allocStorm
+		work = workload.RunStorm
 	}
 	var violations []string
 	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, mutators)
 		// A driver mutator collects while the round's mutators run: every
-		// mode gets cycles for the faults to hit (non-generational churn
-		// never reaches the full-collection trigger), each with at least
+		// mode gets cycles for the faults to hit (non-generational soaks
+		// need not reach the full-collection trigger), each with at least
 		// one attached mutator for the Cooperate point to hold.
 		stop := make(chan struct{})
 		driven := make(chan struct{})
@@ -324,23 +231,10 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 				}
 			}
 		}()
-		for id := 0; id < mutators; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				m := rt.NewMutator()
-				defer m.Detach()
-				rng := rand.New(rand.NewSource(seed ^ int64(round*1000+id)))
-				if err := work(m, rng, ops); err != nil {
-					errs <- fmt.Errorf("mutator %d: %w", id, err)
-				}
-			}(id)
-		}
-		wg.Wait()
+		err := work(rt, mutators, ops, seed^int64(round*1000))
 		close(stop)
 		<-driven
-		close(errs)
-		for err := range errs {
+		if err != nil {
 			violations = append(violations, fmt.Sprintf("%s round %d: %v", s.name, round, err))
 		}
 		// All mutators detached: the heap is quiescent. Settle with a
@@ -349,13 +243,13 @@ func runSchedule(s schedule, seed int64, mode gengc.Mode, mutators, rounds, ops 
 		if err := rt.Verify(); err != nil {
 			violations = append(violations, fmt.Sprintf("%s round %d: Verify: %v", s.name, round, err))
 		}
-		if mode != gengc.NonGenerational {
-			if err := rt.VerifyCardInvariant(); err != nil {
-				violations = append(violations, fmt.Sprintf("%s round %d: card invariant: %v", s.name, round, err))
-			}
+		if err := rt.VerifyCardInvariant(); err != nil {
+			violations = append(violations, fmt.Sprintf("%s round %d: card invariant: %v", s.name, round, err))
 		}
 	}
-	report(s.name, &violations)
+	if n, err := audit(); n > 0 {
+		violations = append(violations, fmt.Sprintf("%s: %d self-check violations, first: %v", s.name, n, err))
+	}
 	if s.expect != nil {
 		s.expect(rt, in, &violations)
 	}
@@ -391,7 +285,7 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 	if err != nil {
 		log.Fatalf("closerace: %v", err)
 	}
-	report := armAudit(rt)
+	audit := workload.Audit(rt)
 	var violations []string
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -402,9 +296,9 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 			defer wg.Done()
 			m := rt.NewMutator()
 			defer m.Detach()
-			rng := rand.New(rand.NewSource(seed + int64(id)))
+			mix := workload.NewMix(rt, m, seed+int64(id))
 			for {
-				if err := churn(m, rng, 64); err != nil {
+				if err := mix.Run(64); err != nil {
 					if !errors.Is(err, gengc.ErrClosed) {
 						mu.Lock()
 						violations = append(violations,
@@ -439,7 +333,9 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 		violations = append(violations,
 			fmt.Sprintf("closerace: %d/%d allocators settled with ErrClosed", got, mutators))
 	}
-	report("closerace", &violations)
+	if n, err := audit(); n > 0 {
+		violations = append(violations, fmt.Sprintf("closerace: %d self-check violations, first: %v", n, err))
+	}
 	snap := rt.Snapshot()
 	fmt.Printf("%-9s cycles=%-4d fulls=%-3d stalls=%-3d aborted=%d\n",
 		"closerace", snap.Cycles, snap.Fulls, snap.Stalls, snap.AbortedCycles)
@@ -474,7 +370,7 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 	if err != nil {
 		log.Fatalf("serverstorm: %v", err)
 	}
-	report := armAudit(rt)
+	audit := workload.Audit(rt)
 	srv := server.New(rt, server.Config{
 		Workers: 4, MaxRetries: 2, RetryBackoff: time.Millisecond, Seed: seed})
 	load := server.RunLoad(context.Background(), srv, server.LoadConfig{
@@ -516,7 +412,9 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 		violations = append(violations,
 			"serverstorm: sheds fired but the flight recorder froze no dump for the breach window")
 	}
-	report("serverstorm", &violations)
+	if n, err := audit(); n > 0 {
+		violations = append(violations, fmt.Sprintf("serverstorm: %d self-check violations, first: %v", n, err))
+	}
 	snap := rt.Snapshot()
 	fmt.Printf("%-9s cycles=%-4d fulls=%-3d stalls=%-3d offered=%-6d done=%-6d shed=%-6d degraded=%d\n",
 		"serverstorm", snap.Cycles, snap.Fulls, snap.Stalls,
@@ -534,7 +432,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-point injection statistics")
 	)
 	flag.Parse()
-	mode, err := parseMode(*modeStr)
+	mode, err := workload.ParseMode(*modeStr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,16 +48,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var mode gengc.Mode
-	switch *modeStr {
-	case "non":
-		mode = gengc.NonGenerational
-	case "gen":
-		mode = gengc.Generational
-	case "aging":
-		mode = gengc.GenerationalAging
-	default:
-		log.Fatalf("unknown mode %q", *modeStr)
+	mode, err := workload.ParseMode(*modeStr)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	rt, err := gengc.New(

@@ -1,5 +1,5 @@
 // Command gcreport renders a JSONL collector trace (produced with the
-// -trace flag of gcbench, gctrace or gcstress, or any
+// -trace flag of gcbench or gctrace, or any
 // gengc.NewJSONLTraceSink) into paper-style text figures: the
 // mutator pause-time CDF, the per-phase collection-cycle breakdown,
 // the dirty-card statistics, the promotion/survival demographics, and

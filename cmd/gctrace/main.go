@@ -44,16 +44,9 @@ func main() {
 		return
 	}
 
-	var mode gengc.Mode
-	switch *modeStr {
-	case "non":
-		mode = gengc.NonGenerational
-	case "gen":
-		mode = gengc.Generational
-	case "aging":
-		mode = gengc.GenerationalAging
-	default:
-		log.Fatalf("unknown mode %q", *modeStr)
+	mode, err := workload.ParseMode(*modeStr)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	p, ok := workload.ByName(*profile)

@@ -257,7 +257,10 @@ func (r *Runtime) Collect(full bool) { r.c.CollectNow(full) }
 // Stats returns the aggregate collection statistics so far.
 func (r *Runtime) Stats() metrics.Summary { return r.c.Metrics().Summarize(0) }
 
-// Cycles returns the per-collection records (one entry per cycle).
+// Cycles returns the most recent per-collection records, oldest first:
+// at most the last 1024 (metrics.RetainedCycles), so a long-lived
+// runtime's record memory stays bounded. Stats and
+// Snapshot.Demographics cover every cycle; OnCycle sees every record.
 func (r *Runtime) Cycles() []CycleRecord { return r.c.Metrics().Cycles() }
 
 // OnCycle registers fn to receive every collection's record as the
@@ -373,7 +376,7 @@ func (r *Runtime) Snapshot() Snapshot {
 		Alloc:         r.c.H.AllocStats(),
 		Fleet:         fleet,
 		Mutators:      per,
-		Demographics:  r.c.DemographicStats(),
+		Demographics:  r.c.Metrics().Demographics(),
 		PromotionRate: r.c.Pacer().PromotionRate(),
 		SLOBreaches:   r.c.SLOBreaches(),
 

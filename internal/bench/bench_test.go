@@ -68,7 +68,7 @@ func TestPageCostDerivation(t *testing.T) {
 func TestModelAndPairs(t *testing.T) {
 	run := func(wallMs, pages int) workload.Result {
 		return workload.Result{Profile: "p", Elapsed: time.Duration(wallMs) * time.Millisecond,
-			Cycles: []metrics.Cycle{{PagesTouched: pages / 2}, {PagesTouched: pages - pages/2}}}
+			Summary: metrics.Summary{PagesTouched: int64(pages)}}
 	}
 	if got, want := Modeled(run(10, 1000)), 10*time.Millisecond+1000*pageCost; got != want {
 		t.Errorf("Modeled = %v, want %v", got, want)

@@ -132,7 +132,7 @@ func Fig10(chs []Improvement) Table {
 // gcPct is the share of a run's modeled time that its collections were
 // active; the page charge falls on the collections.
 func gcPct(r workload.Result) float64 {
-	return 100 * modeled(r.Summary.GCActive, pagesTouched(r)).Seconds() / Modeled(r).Seconds()
+	return 100 * modeled(r.Summary.GCActive, float64(r.Summary.PagesTouched)).Seconds() / Modeled(r).Seconds()
 }
 
 // Fig11 regenerates Figure 11: objects scanned.

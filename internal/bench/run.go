@@ -92,14 +92,8 @@ func modeled(wall time.Duration, pages float64) time.Duration {
 
 // Modeled returns a run's modeled time: its wall time plus the charge
 // for every page its collections touched.
-func Modeled(r workload.Result) time.Duration { return modeled(r.Elapsed, pagesTouched(r)) }
-
-func pagesTouched(r workload.Result) float64 {
-	n := 0
-	for _, c := range r.Cycles {
-		n += c.PagesTouched
-	}
-	return float64(n)
+func Modeled(r workload.Result) time.Duration {
+	return modeled(r.Elapsed, float64(r.Summary.PagesTouched))
 }
 
 // run runs the scaled profile once with page tracking on: the model

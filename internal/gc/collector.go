@@ -191,14 +191,6 @@ type Collector struct {
 	reqHist        *metrics.Histogram
 	reqSLOBreaches atomic.Int64
 
-	// demo accumulates run-cumulative heap demographics, folded in by
-	// the collector goroutine at the end of every cycle; readers take
-	// the mutex (DemographicStats).
-	demo struct {
-		sync.Mutex
-		metrics.Demographics
-	}
-
 	// retired accumulates the pause histograms of detached mutators so
 	// fleet-wide pause statistics cover the runtime's whole history.
 	retired *metrics.Histogram
@@ -556,13 +548,6 @@ func (c *Collector) RequestStats() metrics.PauseStats {
 // RequestHistogram returns the request-latency histogram, or nil when
 // request accounting is off (metrics exposition reads the buckets).
 func (c *Collector) RequestHistogram() *metrics.Histogram { return c.reqHist }
-
-// DemographicStats returns the run-cumulative heap demographics.
-func (c *Collector) DemographicStats() metrics.Demographics {
-	c.demo.Lock()
-	defer c.demo.Unlock()
-	return c.demo.Demographics.Clone()
-}
 
 // run is the collector goroutine: it waits for a trigger and runs one
 // cycle per request, coalescing requests that arrive mid-cycle.

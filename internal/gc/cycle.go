@@ -101,8 +101,8 @@ func (c *Collector) Cycle(full bool) {
 	// object must act as a first-class root.
 	// rootedGlobals records whether *this* graying admitted the globals
 	// object to the trace — if the card scan already re-grayed it, it
-	// is inside the InterGenScanned counters instead — so the simple
-	// scheme's trace-side promotion arithmetic below can exclude it.
+	// is inside the InterGenScanned counters instead — so the
+	// trace-side promotion arithmetic below can exclude it.
 	rootsBefore := len(c.gray)
 	c.shade(c.globals, c.ClearColor(), c.stale(), heap.Gray)
 	c.shade(c.globals, c.OldColor(), heap.NoColor, heap.Gray)
@@ -134,53 +134,33 @@ func (c *Collector) Cycle(full bool) {
 	switch {
 	case full:
 		c.cyc.Survivors = c.cyc.ObjectsScanned
-	case c.cfg.Mode == Generational:
-		// Young survivors: everything blackened except the old
-		// objects re-grayed by the card scan. In the simple scheme
-		// every one of them is promoted, so the same arithmetic —
-		// minus the globals root when it entered the trace as a root
-		// rather than via a dirty card — yields the promotion counts;
-		// byte-side, the trace accumulated each blackened object's
-		// size, and the card scan the re-grayed old volume.
-		c.cyc.Survivors = c.cyc.ObjectsScanned - c.cyc.InterGenScanned
-		promoted := c.cyc.Survivors
+	case c.cfg.Mode.IsGenerational():
+		// Promotion, counted from the trace side: a partial's trace
+		// blackens only young objects plus the old ones the card scan
+		// re-grayed, so the difference is the young survivors (the
+		// trace accumulated each blackened object's size, the card
+		// scan the re-grayed old volume). In the simple scheme every
+		// one of them is promoted. In the aging scheme the sweep has
+		// already counted and demoted those below the threshold; the
+		// rest reached it and stayed black — the newly tenured cohort,
+		// which the sweep cannot tell from one tenured cycles ago.
+		// Either way the globals root is no promotion when it entered
+		// the trace as a root rather than via a dirty card.
+		promoted := c.cyc.ObjectsScanned - c.cyc.InterGenScanned
 		promotedBytes := c.cyc.TraceBytes - c.cyc.InterGenBytes
+		if c.cfg.Mode == Generational {
+			c.cyc.Survivors = promoted
+		} else {
+			promoted -= c.cyc.Survivors
+			promotedBytes -= c.cyc.SurvivorBytes
+		}
 		if rootedGlobals {
 			promoted--
 			promotedBytes -= c.H.SizeOf(c.globals)
 		}
-		if promoted < 0 {
-			promoted = 0
-		}
-		if promotedBytes < 0 {
-			promotedBytes = 0
-		}
-		c.cyc.PromotedObjects = promoted
-		c.cyc.PromotedBytes = promotedBytes
-	case c.cfg.Mode == GenerationalAging:
-		// Aging: the sweep already counted (and demoted) the young
-		// survivors below the threshold. Everything else the trace
-		// blackened — minus the re-grayed old objects and the globals
-		// root — reached the threshold and stayed black: the newly
-		// tenured cohort. The sweep itself cannot count it (a freshly
-		// tenured object is indistinguishable from one tenured cycles
-		// ago), but the trace only ever blackens young objects in a
-		// partial, so the subtraction is exact.
-		promoted := c.cyc.ObjectsScanned - c.cyc.InterGenScanned - c.cyc.Survivors
-		promotedBytes := c.cyc.TraceBytes - c.cyc.InterGenBytes - c.cyc.SurvivorBytes
-		if rootedGlobals {
-			promoted--
-			promotedBytes -= c.H.SizeOf(c.globals)
-		}
-		if promoted < 0 {
-			promoted = 0
-		}
-		if promotedBytes < 0 {
-			promotedBytes = 0
-		}
-		c.cyc.PromotedObjects = promoted
-		c.cyc.PromotedBytes = promotedBytes
-		if promoted > 0 {
+		c.cyc.PromotedObjects = max(promoted, 0)
+		c.cyc.PromotedBytes = max(promotedBytes, 0)
+		if c.cfg.Mode == GenerationalAging && promoted > 0 {
 			// The tenure bucket closes the survival histogram: its
 			// final populated index is the threshold age.
 			oldest := int(c.oldestAge())
@@ -211,9 +191,6 @@ func (c *Collector) Cycle(full bool) {
 	c.emit("cycle", start, kind.String(),
 		int64(c.cyc.ObjectsScanned), int64(c.cyc.ObjectsFreed))
 	c.flushTrace()
-	c.demo.Lock()
-	c.demo.AddCycle(c.cyc)
-	c.demo.Unlock()
 	if !full && c.cfg.Mode.IsGenerational() {
 		c.pacer.NotePromotion(c.cyc.PromotedBytes, int(youngAtStart))
 	}

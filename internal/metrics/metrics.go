@@ -188,14 +188,32 @@ func addVec(dst, src []int64) []int64 {
 	return dst
 }
 
+// RetainedCycles is how many of the most recent cycle records a
+// Recorder keeps for Cycles. The run totals behind Summarize and
+// Demographics are running sums over every cycle, so a long-lived
+// runtime's recorder stays this size however many cycles it runs.
+const RetainedCycles = 1024
+
 // Recorder accumulates cycle records and aggregate statistics. The
 // collector goroutine is the only writer; readers take the mutex.
 type Recorder struct {
 	mu       sync.Mutex
 	start    time.Time
-	cycles   []Cycle
-	gcTime   time.Duration
+	seq      int           // cycles recorded so far
+	recent   []Cycle       // ring of the last RetainedCycles records
+	tot      [2]kindTotals // indexed by CycleKind
+	demo     Demographics
 	onRecord func(Cycle)
+}
+
+// kindTotals is the running sum of one cycle kind's records, the
+// inputs Summarize averages.
+type kindTotals struct {
+	n                                     int
+	scanned, interGen, freed, freedBytes  int64
+	survivors, survivedBytes, area, pages int64
+	time                                  time.Duration
+	dirtyPct                              float64
 }
 
 // NewRecorder starts a recorder; the start time anchors the
@@ -204,13 +222,35 @@ func NewRecorder() *Recorder {
 	return &Recorder{start: time.Now()}
 }
 
-// Record appends one finished cycle and invokes the OnRecord observer,
-// if any, outside the recorder lock.
+// Record numbers one finished cycle, folds it into the run totals and
+// the demographics, retains it among the recent records, and invokes
+// the OnRecord observer, if any, outside the recorder lock.
 func (r *Recorder) Record(c Cycle) {
 	r.mu.Lock()
-	c.Seq = len(r.cycles) + 1
-	r.cycles = append(r.cycles, c)
-	r.gcTime += c.Duration
+	r.seq++
+	c.Seq = r.seq
+	if len(r.recent) < RetainedCycles {
+		r.recent = append(r.recent, c)
+	} else {
+		r.recent[(c.Seq-1)%RetainedCycles] = c
+	}
+	t := &r.tot[c.Kind]
+	t.n++
+	t.scanned += int64(c.ObjectsScanned)
+	t.interGen += int64(c.InterGenScanned)
+	t.freed += int64(c.ObjectsFreed)
+	t.freedBytes += int64(c.BytesFreed)
+	t.survivors += int64(c.Survivors)
+	// Every young survivor of a partial was either promoted or demoted
+	// (aging), so this is a partial's surviving byte volume.
+	t.survivedBytes += int64(c.PromotedBytes + c.SurvivorBytes)
+	t.area += int64(c.AreaScanned)
+	t.pages += int64(c.PagesTouched)
+	t.time += c.Duration
+	if c.AllocatedCards > 0 {
+		t.dirtyPct += 100 * float64(c.DirtyCards) / float64(c.AllocatedCards)
+	}
+	r.demo.AddCycle(c)
 	fn := r.onRecord
 	r.mu.Unlock()
 	if fn != nil {
@@ -228,13 +268,25 @@ func (r *Recorder) OnRecord(fn func(Cycle)) {
 	r.mu.Unlock()
 }
 
-// Cycles returns a copy of all recorded cycles.
+// Cycles returns a copy of the most recent cycle records, at most
+// RetainedCycles of them, oldest first.
 func (r *Recorder) Cycles() []Cycle {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Cycle, len(r.cycles))
-	copy(out, r.cycles)
-	return out
+	out := make([]Cycle, 0, len(r.recent))
+	oldest := 0
+	if len(r.recent) == RetainedCycles {
+		oldest = r.seq % RetainedCycles
+	}
+	return append(append(out, r.recent[oldest:]...), r.recent[:oldest]...)
+}
+
+// Demographics returns the heap demographics summed over every
+// recorded cycle.
+func (r *Recorder) Demographics() Demographics {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.demo.Clone()
 }
 
 // Summary condenses a run into the aggregates the paper tabulates.
@@ -248,6 +300,7 @@ type Summary struct {
 	ObjectsFreed   int64
 	BytesFreed     int64
 	ObjectsScanned int64
+	PagesTouched   int64 // Figure 15's pages, summed over every cycle
 
 	// Per-kind averages (Figures 11–15, 22–23). Zero when the kind
 	// never ran.
@@ -269,84 +322,54 @@ type Summary struct {
 	AvgAreaScanned       float64 // Figure 23 (partials only)
 }
 
-// Summarize computes the aggregates at the end of a run. elapsed is the
-// run's wall time (from the recorder's start when zero).
+// Summarize computes the aggregates over every recorded cycle. elapsed
+// is the run's wall time (from the recorder's start when zero).
 func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if elapsed == 0 {
 		elapsed = time.Since(r.start)
 	}
-	s := Summary{Elapsed: elapsed, GCActive: r.gcTime, NumCycles: len(r.cycles)}
+	p, f := r.tot[Partial], r.tot[Full]
+	s := Summary{
+		Elapsed: elapsed, GCActive: p.time + f.time, NumCycles: r.seq,
+		NumPartial: p.n, NumFull: f.n,
+		ObjectsFreed:   p.freed + f.freed,
+		BytesFreed:     p.freedBytes + f.freedBytes,
+		ObjectsScanned: p.scanned + f.scanned,
+		PagesTouched:   p.pages + f.pages,
+	}
 	if elapsed > 0 {
-		s.GCActivePct = 100 * float64(r.gcTime) / float64(elapsed)
+		s.GCActivePct = 100 * float64(s.GCActive) / float64(elapsed)
 	}
-	var (
-		igSum, scanP, scanF, freedP, freedF            float64
-		freedBP, freedBF, timeP, timeF, pagesP, pagesF float64
-		sweptP, sweptF, survBP, dirtyPct, area         float64
-		nP, nF                                         int
-	)
-	for _, c := range r.cycles {
-		s.ObjectsFreed += int64(c.ObjectsFreed)
-		s.BytesFreed += int64(c.BytesFreed)
-		s.ObjectsScanned += int64(c.ObjectsScanned)
-		switch c.Kind {
-		case Partial:
-			nP++
-			igSum += float64(c.InterGenScanned)
-			scanP += float64(c.ObjectsScanned)
-			freedP += float64(c.ObjectsFreed)
-			freedBP += float64(c.BytesFreed)
-			timeP += float64(c.Duration)
-			pagesP += float64(c.PagesTouched)
-			sweptP += float64(c.Survivors)
-			// Every young survivor was either promoted or demoted
-			// (aging), so this is the partial's surviving byte volume.
-			survBP += float64(c.PromotedBytes + c.SurvivorBytes)
-			area += float64(c.AreaScanned)
-			if c.AllocatedCards > 0 {
-				dirtyPct += 100 * float64(c.DirtyCards) / float64(c.AllocatedCards)
-			}
-		case Full:
-			nF++
-			scanF += float64(c.ObjectsScanned)
-			freedF += float64(c.ObjectsFreed)
-			freedBF += float64(c.BytesFreed)
-			timeF += float64(c.Duration)
-			pagesF += float64(c.PagesTouched)
-			sweptF += float64(c.Survivors)
-		}
-	}
-	s.NumPartial, s.NumFull = nP, nF
-	if nP > 0 {
-		fp := float64(nP)
-		s.AvgInterGenScanned = igSum / fp
-		s.AvgScannedPartial = scanP / fp
-		s.AvgFreedObjsPartial = freedP / fp
-		s.AvgFreedBytesPartial = freedBP / fp
-		s.AvgTimePartial = time.Duration(timeP / fp)
-		s.AvgPagesPartial = pagesP / fp
-		s.AvgDirtyCardPct = dirtyPct / fp
-		s.AvgAreaScanned = area / fp
-		if freedP+sweptP > 0 {
+	if p.n > 0 {
+		fp := float64(p.n)
+		s.AvgInterGenScanned = float64(p.interGen) / fp
+		s.AvgScannedPartial = float64(p.scanned) / fp
+		s.AvgFreedObjsPartial = float64(p.freed) / fp
+		s.AvgFreedBytesPartial = float64(p.freedBytes) / fp
+		s.AvgTimePartial = time.Duration(float64(p.time) / fp)
+		s.AvgPagesPartial = float64(p.pages) / fp
+		s.AvgDirtyCardPct = p.dirtyPct / fp
+		s.AvgAreaScanned = float64(p.area) / fp
+		if p.freed+p.survivors > 0 {
 			// "percent of the objects of the young generation that
 			// are collected": freed / (freed + young survivors).
-			s.PctObjsFreedPartial = 100 * freedP / (freedP + sweptP)
+			s.PctObjsFreedPartial = 100 * float64(p.freed) / float64(p.freed+p.survivors)
 		}
-		if denom := freedBP + survBP; denom > 0 {
-			s.PctBytesFreedPartial = 100 * freedBP / denom
+		if denom := p.freedBytes + p.survivedBytes; denom > 0 {
+			s.PctBytesFreedPartial = 100 * float64(p.freedBytes) / float64(denom)
 		}
 	}
-	if nF > 0 {
-		ff := float64(nF)
-		s.AvgScannedFull = scanF / ff
-		s.AvgFreedObjsFull = freedF / ff
-		s.AvgFreedBytesFull = freedBF / ff
-		s.AvgTimeFull = time.Duration(timeF / ff)
-		s.AvgPagesFull = pagesF / ff
-		if freedF+sweptF > 0 {
-			s.PctObjsFreedFull = 100 * freedF / (freedF + sweptF)
+	if f.n > 0 {
+		ff := float64(f.n)
+		s.AvgScannedFull = float64(f.scanned) / ff
+		s.AvgFreedObjsFull = float64(f.freed) / ff
+		s.AvgFreedBytesFull = float64(f.freedBytes) / ff
+		s.AvgTimeFull = time.Duration(float64(f.time) / ff)
+		s.AvgPagesFull = float64(f.pages) / ff
+		if f.freed+f.survivors > 0 {
+			s.PctObjsFreedFull = 100 * float64(f.freed) / float64(f.freed+f.survivors)
 		}
 	}
 	return s

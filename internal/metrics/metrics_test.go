@@ -129,3 +129,39 @@ func TestSummarizeDefaultElapsed(t *testing.T) {
 		t.Errorf("elapsed = %v, want positive wall time", s.Elapsed)
 	}
 }
+
+// TestRecorderBounded: after many cycles the recorder retains only the
+// last RetainedCycles records, numbered on from every cycle before
+// them, while the summary and the demographics stay exact over all.
+func TestRecorderBounded(t *testing.T) {
+	const n = 10000
+	r := NewRecorder()
+	for i := 1; i <= n; i++ {
+		c := Cycle{Kind: Partial, Duration: time.Microsecond, ObjectsFreed: i,
+			PromotedObjects: 2, PagesTouched: 3, DeathsByClass: []int64{1}}
+		if i%4 == 0 {
+			c.Kind = Full
+		}
+		r.Record(c)
+	}
+	cs := r.Cycles()
+	if len(cs) != RetainedCycles {
+		t.Fatalf("retained %d records, want %d", len(cs), RetainedCycles)
+	}
+	for i, c := range cs {
+		if want := n - RetainedCycles + 1 + i; c.Seq != want || c.ObjectsFreed != want {
+			t.Fatalf("record %d has Seq %d, ObjectsFreed %d; want %d", i, c.Seq, c.ObjectsFreed, want)
+		}
+	}
+	s := r.Summarize(time.Second)
+	if s.NumCycles != n || s.NumFull != n/4 || s.NumPartial != n-n/4 {
+		t.Errorf("counts = %d cycles, %d full, %d partial", s.NumCycles, s.NumFull, s.NumPartial)
+	}
+	if s.ObjectsFreed != n*(n+1)/2 || s.PagesTouched != 3*n || s.GCActive != n*time.Microsecond {
+		t.Errorf("totals = %d freed, %d pages, %v active", s.ObjectsFreed, s.PagesTouched, s.GCActive)
+	}
+	d := r.Demographics()
+	if d.PromotedObjects != 2*(n-n/4) || len(d.DeathsByClass) != 1 || d.DeathsByClass[0] != n {
+		t.Errorf("demographics = %d promoted, deaths %v", d.PromotedObjects, d.DeathsByClass)
+	}
+}

@@ -15,7 +15,9 @@
 // than the paper's figures: BarrierChurn, a store-dominated loop with
 // uniform fan-out into a small base set (cmd/gcmon's demo load and the
 // expvar scrape-agreement test's traffic; DESIGN.md §5). It runs a
-// fixed operation sequence, so two runs perform the same work.
+// fixed operation sequence, so two runs perform the same work. The
+// soaks' seeded randomized mutators and their per-cycle audit live in
+// soak.go, with the -mode parser the commands share.
 package workload
 
 import (
@@ -162,7 +164,6 @@ type Result struct {
 	Allocs   int64
 	AllocedB int64
 	Summary  metrics.Summary
-	Cycles   []metrics.Cycle
 
 	// Pauses is the fleet-wide pause statistics over every mutator
 	// thread of the run.
@@ -262,7 +263,7 @@ func Run(p Profile, cfg gengc.Config, seed int64, opts ...RunOption) (Result, er
 		return Result{}, fmt.Errorf("workload %s: %w", p.Name, firstErr)
 	}
 	// Let any in-flight cycle finish before summarizing, so the
-	// per-cycle tables include it.
+	// summary includes it.
 	rt.Close()
 	census := rt.Collector().H.Census()
 	return Result{
@@ -273,7 +274,6 @@ func Run(p Profile, cfg gengc.Config, seed int64, opts ...RunOption) (Result, er
 		Allocs:   allocs,
 		AllocedB: alloced,
 		Summary:  rt.Collector().Metrics().Summarize(elapsed),
-		Cycles:   rt.Cycles(),
 		Pauses:   rt.Snapshot().Fleet,
 		Census:   census,
 	}, nil

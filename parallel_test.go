@@ -1,9 +1,10 @@
-package gengc
+package gengc_test
 
 import (
-	"sync"
 	"testing"
-	"time"
+
+	"gengc"
+	"gengc/internal/workload"
 )
 
 // buildChurn drives a deterministic single-mutator workload: a long
@@ -11,7 +12,7 @@ import (
 // explicit partial and full collections. Identical calls produce an
 // identical sequence of heap operations, so two runs differing only in
 // collector configuration are directly comparable.
-func buildChurn(t *testing.T, rt *Runtime) {
+func buildChurn(t *testing.T, rt *gengc.Runtime) {
 	t.Helper()
 	m := rt.NewMutator()
 	defer m.Detach()
@@ -36,7 +37,7 @@ func buildChurn(t *testing.T, rt *Runtime) {
 	for i := 0; i < 1600; i++ {
 		x = m.Read(x, 0)
 	}
-	m.Write(x, 0, Nil)
+	m.Write(x, 0, gengc.Nil)
 	m.Collect(true)
 	m.Collect(true)
 }
@@ -54,7 +55,7 @@ type cycleEssence struct {
 	survivors      int
 }
 
-func essence(cycles []CycleRecord) []cycleEssence {
+func essence(cycles []gengc.CycleRecord) []cycleEssence {
 	out := make([]cycleEssence, 0, len(cycles))
 	for _, c := range cycles {
 		out = append(out, cycleEssence{
@@ -70,30 +71,24 @@ func essence(cycles []CycleRecord) []cycleEssence {
 	return out
 }
 
-// TestParallelWorkersEquivalence pins that the collector is
-// deterministic: two identical runs of the deterministic workload give
-// the same cycle essences and the same final heap in every mode. With
-// the mutator quiescent during each manual collection the reachable set
-// — and therefore what is scanned and what is freed — is fixed by the
-// workload alone.
-func TestParallelWorkersEquivalence(t *testing.T) {
-	run := func(t *testing.T, mode Mode) ([]cycleEssence, int64) {
-		rt, err := NewManual(WithMode(mode), WithHeapBytes(8<<20),
-			WithYoungBytes(256<<10), WithOldAge(2))
+// equivalent runs drive twice on a fresh manual runtime in every mode
+// and requires the two runs to give the same cycle essences and the
+// same final heap. With the mutator quiescent during each manual
+// collection the reachable set — and therefore what is scanned and
+// what is freed — is fixed by the workload alone.
+func equivalent(t *testing.T, drive func(*testing.T, *gengc.Runtime)) {
+	run := func(t *testing.T, mode gengc.Mode) ([]cycleEssence, int64) {
+		rt, err := gengc.NewManual(gengc.WithMode(mode), gengc.WithHeapBytes(8<<20),
+			gengc.WithYoungBytes(256<<10), gengc.WithOldAge(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
-		buildChurn(t, rt)
-		if err := rt.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.VerifyCardInvariant(); err != nil {
-			t.Fatal(err)
-		}
+		drive(t, rt)
+		verifyHeap(t, rt)
 		return essence(rt.Cycles()), rt.HeapObjects()
 	}
-	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
+	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			ref, refObjects := run(t, mode)
 			got, objects := run(t, mode)
@@ -113,76 +108,43 @@ func TestParallelWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelRaceStress is TestStressConcurrent with a smaller young
-// generation (so more partial cycles) and other seeds: four mutator
-// goroutines race the on-the-fly collector in every mode, then the full
-// heap audit and the card invariant must hold. Run under -race this
-// exercises every cross-thread access path of the trace and sweep.
-func TestParallelRaceStress(t *testing.T) {
-	ops := 40000
-	if testing.Short() {
-		ops = 8000
-	}
-	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			rt, err := New(
-				WithMode(mode),
-				WithHeapBytes(4<<20),
-				WithYoungBytes(512<<10),
-				WithOldAge(2),
-			)
-			if err != nil {
+// TestParallelWorkersEquivalence pins that the collector is
+// deterministic: two identical runs of buildChurn give the same cycles
+// and the same final heap in every mode.
+func TestParallelWorkersEquivalence(t *testing.T) { equivalent(t, buildChurn) }
+
+// TestMixDeterministic pins that the soaks' randomized mutator replays
+// from its seed: one workload.Mix at seed 1, four rounds of 3 000
+// operations with a collection after each (the last a full one), gives
+// the same cycles and the same final heap in two runs.
+func TestMixDeterministic(t *testing.T) {
+	equivalent(t, func(t *testing.T, rt *gengc.Runtime) {
+		m := rt.NewMutator()
+		defer m.Detach()
+		mix := workload.NewMix(rt, m, 1)
+		for round := 0; round < 4; round++ {
+			if err := mix.Run(3000); err != nil {
 				t.Fatal(err)
 			}
-			defer rt.Close()
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					stressMutator(t, rt, seed, ops)
-				}(int64(mode)*100 + int64(w))
-			}
-			wg.Wait()
-			if err := rt.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.VerifyCardInvariant(); err != nil {
-				t.Fatal(err)
-			}
-			// A requested cycle may still be in flight; poll briefly.
-			deadline := time.Now().Add(5 * time.Second)
-			for rt.Stats().NumCycles == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if rt.Stats().NumCycles == 0 {
-				t.Error("stress run triggered no collections")
-			}
-		})
-	}
+			m.Collect(round == 3)
+		}
+	})
 }
 
 // TestParallelManualAllModes drives the deterministic workload with page
 // tracking on across every mode, including the aging path, and audits
 // the heap after each run; every cycle must have touched pages.
 func TestParallelManualAllModes(t *testing.T) {
-	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
-		mode := mode
+	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			rt, err := NewManual(WithConfig(Config{Mode: mode, HeapBytes: 8 << 20,
+			rt, err := gengc.NewManual(gengc.WithConfig(gengc.Config{Mode: mode, HeapBytes: 8 << 20,
 				YoungBytes: 256 << 10, OldAge: 2, TrackPages: true}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rt.Close()
 			buildChurn(t, rt)
-			if err := rt.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.VerifyCardInvariant(); err != nil {
-				t.Fatal(err)
-			}
+			verifyHeap(t, rt)
 			cycles := rt.Cycles()
 			if len(cycles) == 0 {
 				t.Fatal("no cycles recorded")
