@@ -121,14 +121,18 @@ chaos:
 	$(GO) run ./cmd/gcchaos -seed 1 -mode aging
 
 # trace-verify round-trips the observability pipeline end to end: run a
-# small traced workload, then require gcreport to parse the JSONL and
-# render the pause CDF and phase breakdown from it.
+# small traced workload (gctrace's default generational mode), then
+# require gcreport to parse the JSONL and render the pause CDF, the
+# phase breakdown, and the card and demographics figures populated from
+# the cycle records the trace carries.
 trace-verify:
 	@tmp=$$(mktemp -d) && rc=0; \
 	{ $(GO) run ./cmd/gctrace -profile Anagram -scale 0.05 -trace $$tmp/trace.jsonl >/dev/null 2>&1 \
 	  && $(GO) run ./cmd/gcreport $$tmp/trace.jsonl > $$tmp/report.txt \
 	  && grep -q 'Pause-time CDF' $$tmp/report.txt \
 	  && grep -q 'Cycle phase breakdown' $$tmp/report.txt \
+	  && grep -q 'scans=' $$tmp/report.txt \
+	  && grep -q 'promoted=' $$tmp/report.txt \
 	  && echo "trace-verify: OK ($$(wc -l < $$tmp/trace.jsonl | tr -d ' ') events)"; } \
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc

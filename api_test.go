@@ -85,6 +85,26 @@ func TestWithConfigMatchesOptions(t *testing.T) {
 	}
 }
 
+// TestDefaultModeIsNonGenerational pins the documented default: without
+// WithMode the runtime runs the non-generational collector, whose every
+// collection is full.
+func TestDefaultModeIsNonGenerational(t *testing.T) {
+	rt, err := NewManual()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if got := rt.Collector().Config().Mode; got != NonGenerational {
+		t.Fatalf("default mode = %v, want %v", got, NonGenerational)
+	}
+	m := rt.NewMutator()
+	defer m.Detach()
+	m.Collect(false)
+	if cs := rt.Cycles(); len(cs) != 1 || cs[0].Kind.String() != "full" {
+		t.Fatalf("m.Collect(false) recorded %+v, want one full cycle", cs)
+	}
+}
+
 func TestHeapAccounting(t *testing.T) {
 	rt, err := NewManual(WithMode(Generational), WithHeapBytes(4<<20))
 	if err != nil {

@@ -325,21 +325,34 @@ func runCloseRace(seed int64, mode gengc.Mode, mutators int) []string {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		violations = append(violations, "closerace: Close did not return within 30s")
-		return violations
+		mu.Lock()
+		defer mu.Unlock()
+		return append(append([]string(nil), violations...),
+			"closerace: Close did not return within 30s")
 	}
-	wg.Wait()
+	// Bounded like the Close wait: a mutator stuck in Alloc is reported
+	// by the settled count instead of hanging the campaign. A straggler
+	// may still append after the timeout, so read a copy under mu.
+	settledAll := make(chan struct{})
+	go func() { wg.Wait(); close(settledAll) }()
+	select {
+	case <-settledAll:
+	case <-time.After(30 * time.Second):
+	}
+	mu.Lock()
+	out := append([]string(nil), violations...)
+	mu.Unlock()
 	if got := settled.Load(); got != int64(mutators) {
-		violations = append(violations,
-			fmt.Sprintf("closerace: %d/%d allocators settled with ErrClosed", got, mutators))
+		out = append(out,
+			fmt.Sprintf("closerace: %d/%d allocators settled with ErrClosed within 30s", got, mutators))
 	}
 	if n, err := audit(); n > 0 {
-		violations = append(violations, fmt.Sprintf("closerace: %d self-check violations, first: %v", n, err))
+		out = append(out, fmt.Sprintf("closerace: %d self-check violations, first: %v", n, err))
 	}
 	snap := rt.Snapshot()
 	fmt.Printf("%-9s cycles=%-4d fulls=%-3d stalls=%-3d aborted=%d\n",
 		"closerace", snap.Cycles, snap.Fulls, snap.Stalls, snap.AbortedCycles)
-	return violations
+	return out
 }
 
 // runServerStorm is the overload leg: the admission-controlled request

@@ -16,10 +16,10 @@
 //	                     serves it as JSONL (the same format the anomaly
 //	                     triggers write); 404 without -flightrecorder
 //
-// The workload is the deterministic pointer-churn loop of the barrier
-// benchmark: each thread allocates into a rooted ring and fans stores
-// into long-lived base objects, so partials, promotions and card traffic
-// all advance continuously.
+// The workload is the soaks' randomized mutator (workload.Mix), one
+// per thread: allocation, linking, unlinking and global publication
+// over a window of roots, so partials, promotions and card traffic all
+// advance continuously.
 package main
 
 import (
@@ -67,22 +67,19 @@ func main() {
 	// The churn threads run until the process dies; ops counts completed
 	// operations for the periodic status line.
 	var ops atomic.Int64
-	churn := workload.BarrierChurn{}
 	for i := 0; i < *threads; i++ {
 		go func() {
 			m := rt.NewMutator()
 			defer m.Detach()
+			mix := workload.NewMix(rt, m, int64(i))
 			for {
-				n0 := m.NumRoots()
-				if err := churn.RunThread(m, 10_000); err != nil {
+				if err := mix.Run(10_000); err != nil {
 					// ErrOutOfMemory/ErrStalled already triggered a
-					// flight dump; drop this chunk's roots and retry.
+					// flight dump; back off and retry.
 					log.Printf("churn thread %d: %v", i, err)
 					time.Sleep(100 * time.Millisecond)
 				}
 				ops.Add(10_000)
-				m.PopRoots(m.NumRoots() - n0)
-				m.Safepoint()
 			}
 		}()
 	}

@@ -96,11 +96,11 @@ type Config = gc.Config
 // and returned by Cycles.
 type CycleRecord = metrics.Cycle
 
-// TraceEvent is one structured collector event: a timestamped span
-// (cycle, handshake round, trace drain, sweep, card scan) or a
-// mutator pause, as delivered to a TraceSink. See the trace package's
-// Event documentation for the kind table, and OBSERVABILITY.md for the
-// event ↔ paper-figure map.
+// TraceEvent is one structured collector event, as delivered to a
+// TraceSink: a completed cycle carrying its CycleRecord, an
+// acknowledgement-round or trace-drain span, or a mutator pause. See
+// the trace package's Event documentation for the kind table, and
+// OBSERVABILITY.md for the event ↔ paper-figure map.
 type TraceEvent = trace.Event
 
 // TraceSink receives the collector's structured event stream (see

@@ -104,33 +104,6 @@ func (t *Table) ClearAll() {
 	}
 }
 
-// ForEachDirtyIn calls fn for every dirty card in [lo, hi], scanning a
-// word (64 cards) at a time so that clean stretches cost one load each.
-// Cards marked concurrently with the scan may or may not be visited —
-// the §7.2 protocol tolerates both outcomes. The marks are left in
-// place; the collector's scan path uses DrainDirtyIn instead.
-func (t *Table) ForEachDirtyIn(lo, hi int, fn func(ci int)) {
-	if hi >= t.nCards {
-		hi = t.nCards - 1
-	}
-	for ci := lo; ci <= hi; {
-		w := atomic.LoadUint64(&t.words[ci>>6])
-		// Mask off bits below ci within its word.
-		w &= ^uint64(0) << (uint(ci) & 63)
-		base := ci &^ 63
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			idx := base + b
-			if idx > hi {
-				return
-			}
-			fn(idx)
-			w &= w - 1
-		}
-		ci = base + 64
-	}
-}
-
 // DrainDirtyIn atomically clears the dirty bits in [lo, hi] one word at
 // a time and calls fn for every card that was dirty. This fuses the
 // per-card "clear" of §7.2 step 1 into one fetch-and-clear per 64

@@ -77,76 +77,6 @@ func TestClearAll(t *testing.T) {
 	}
 }
 
-func TestForEachDirtyIn(t *testing.T) {
-	tab, _ := NewTable(1<<20, 16)
-	// Dirty a pattern deliberately crossing word boundaries (31, 32)
-	// and including the range edges.
-	dirty := []int{0, 5, 31, 32, 33, 63, 64, 100, 1000, 1001}
-	for _, ci := range dirty {
-		tab.MarkIndex(ci)
-	}
-	var got []int
-	tab.ForEachDirtyIn(0, 1001, func(ci int) { got = append(got, ci) })
-	if len(got) != len(dirty) {
-		t.Fatalf("found %v, want %v", got, dirty)
-	}
-	for i := range got {
-		if got[i] != dirty[i] {
-			t.Fatalf("found %v, want %v", got, dirty)
-		}
-	}
-	// Restricted window: excludes cards outside [lo, hi].
-	got = nil
-	tab.ForEachDirtyIn(31, 64, func(ci int) { got = append(got, ci) })
-	want := []int{31, 32, 33, 63, 64}
-	if len(got) != len(want) {
-		t.Fatalf("window scan found %v, want %v", got, want)
-	}
-	// Window starting mid-word must mask lower bits.
-	got = nil
-	tab.ForEachDirtyIn(33, 63, func(ci int) { got = append(got, ci) })
-	if len(got) != 2 || got[0] != 33 || got[1] != 63 {
-		t.Fatalf("mid-word scan found %v, want [33 63]", got)
-	}
-}
-
-// TestForEachDirtyInProperty cross-checks the word-at-a-time scan
-// against a naive per-card scan over random patterns.
-func TestForEachDirtyInProperty(t *testing.T) {
-	prop := func(pattern []uint16, lo8, span8 uint8) bool {
-		tab, _ := NewTable(1<<16, 16) // 4096 cards
-		n := tab.NumCards()
-		for _, p := range pattern {
-			tab.MarkIndex(int(p) % n)
-		}
-		lo := int(lo8) % n
-		hi := lo + int(span8)
-		if hi >= n {
-			hi = n - 1
-		}
-		var fast []int
-		tab.ForEachDirtyIn(lo, hi, func(ci int) { fast = append(fast, ci) })
-		var slow []int
-		for ci := lo; ci <= hi; ci++ {
-			if tab.IsDirty(ci) {
-				slow = append(slow, ci)
-			}
-		}
-		if len(fast) != len(slow) {
-			return false
-		}
-		for i := range fast {
-			if fast[i] != slow[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCountDirty(t *testing.T) {
 	tab, _ := NewTable(1<<20, 16)
 	tab.MarkIndex(10)

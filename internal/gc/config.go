@@ -77,8 +77,9 @@ func (m Mode) IsGenerational() bool { return m != NonGenerational }
 
 // Config parameterizes a collector. The zero value is not usable; call
 // (*Config).withDefaults or use the gengc package, which fills in the
-// paper's defaults (32 MB heap, 4 MB young generation, 16-byte cards,
-// simple promotion).
+// paper's defaults (32 MB heap, 4 MB young generation, 16-byte cards).
+// Mode is not defaulted: its zero value runs the non-generational
+// collector, so a generational run must set Mode.
 type Config struct {
 	// Mode selects the collector variant.
 	Mode Mode
@@ -127,8 +128,9 @@ type Config struct {
 	Fault *fault.Injector
 
 	// TraceSink, when non-nil, receives the structured event stream
-	// (cycle, handshake-round, ack-round, card-scan, trace-drain,
-	// sweep and mutator-pause spans; see the trace package).
+	// (one event per completed cycle carrying its metrics.Cycle
+	// record, ack-round and trace-drain spans, mutator pauses; see the
+	// trace package).
 	// Events are buffered in lock-free per-producer rings and drained
 	// to the sink at the end of every cycle and at Stop.
 	TraceSink trace.Sink

@@ -1,8 +1,6 @@
 package gc
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"gengc/internal/heap"
@@ -46,7 +44,7 @@ func (c *Collector) Cycle(full bool) {
 	if full {
 		ifStart := time.Now()
 		c.initFullCollection()
-		c.emit("initfull", ifStart, "", 0, 0)
+		c.cyc.InitFullTime = time.Since(ifStart)
 	}
 	c.tracing.Store(true)
 	syncStart := time.Now()
@@ -55,7 +53,6 @@ func (c *Collector) Cycle(full bool) {
 		return
 	}
 	c.cyc.Sync1Time = time.Since(syncStart)
-	c.emit("sync", syncStart, "sync1", 0, 0)
 
 	// --- mark ---
 	sync2Start := time.Now()
@@ -67,8 +64,7 @@ func (c *Collector) Cycle(full bool) {
 		if !full {
 			csStart := time.Now()
 			c.clearCardsSimple()
-			c.emit("cardscan", csStart, "",
-				int64(c.cyc.DirtyCards), int64(c.cyc.AllocatedCards))
+			c.cyc.CardScanTime = time.Since(csStart)
 		}
 		c.switchColors()
 	case GenerationalAging:
@@ -79,8 +75,7 @@ func (c *Collector) Cycle(full bool) {
 		if !full {
 			csStart := time.Now()
 			c.clearCardsAging()
-			c.emit("cardscan", csStart, "",
-				int64(c.cyc.DirtyCards), int64(c.cyc.AllocatedCards))
+			c.cyc.CardScanTime = time.Since(csStart)
 		}
 	default:
 		c.switchColors()
@@ -90,7 +85,6 @@ func (c *Collector) Cycle(full bool) {
 		return
 	}
 	c.cyc.Sync2Time = time.Since(sync2Start)
-	c.emit("sync", sync2Start, "sync2", 0, 0)
 
 	sync3Start := time.Now()
 	c.postHandshake(StatusAsync)
@@ -112,7 +106,6 @@ func (c *Collector) Cycle(full bool) {
 		return
 	}
 	c.cyc.Sync3Time = time.Since(sync3Start)
-	c.emit("sync", sync3Start, "sync3", 0, 0)
 	c.cyc.HandshakeTime = time.Since(syncStart)
 
 	// --- trace ---
@@ -122,14 +115,12 @@ func (c *Collector) Cycle(full bool) {
 		return
 	}
 	c.cyc.TraceTime = time.Since(traceStart)
-	c.emit("trace", traceStart, "", int64(c.cyc.ObjectsScanned), 0)
 
 	// --- sweep ---
 	sweepStart := time.Now()
 	c.sweep(full)
 	c.H.ReclaimEmptyBlocks()
 	c.cyc.SweepTime = time.Since(sweepStart)
-	c.emit("sweep", sweepStart, "", int64(c.cyc.ObjectsFreed), 0)
 
 	switch {
 	case full:
@@ -177,24 +168,17 @@ func (c *Collector) Cycle(full bool) {
 	c.cyc.Duration = time.Since(start)
 	c.cyc.PagesTouched = c.H.Pages.Count()
 	// Allocator activity while the cycle ran: the delta of the shard
-	// counters over the cycle, recorded per cycle and emitted as an
-	// "allocstats" point event.
+	// counters over the cycle.
 	allocNow := c.H.AllocStats()
 	c.cyc.AllocRefills = allocNow.Refills - allocBase.Refills
 	c.cyc.AllocContended = (allocNow.ShardContended + allocNow.PageContended) -
 		(allocBase.ShardContended + allocBase.PageContended)
-	c.emit("allocstats", start, "", c.cyc.AllocRefills, c.cyc.AllocContended)
-	if !full && c.cfg.Mode.IsGenerational() {
-		c.emit("demographics", start, survivalKey(c.cyc.SurvivalByAge),
-			int64(c.cyc.PromotedObjects), int64(c.cyc.PromotedBytes))
-	}
-	c.emit("cycle", start, kind.String(),
-		int64(c.cyc.ObjectsScanned), int64(c.cyc.ObjectsFreed))
-	c.flushTrace()
 	if !full && c.cfg.Mode.IsGenerational() {
 		c.pacer.NotePromotion(c.cyc.PromotedBytes, int(youngAtStart))
 	}
-	c.rec.Record(c.cyc)
+	rec := c.rec.Record(c.cyc)
+	c.emitCycle(start, rec)
+	c.flushTrace()
 	// Retire the cycle with the pacer: consume the young bytes the
 	// cycle covered (bytes allocated while it ran are young for the
 	// *next* cycle), reconcile the occupancy estimate against the
@@ -221,25 +205,6 @@ func trimTrailingZeros(v []int64) []int64 {
 		return nil
 	}
 	return v[:n]
-}
-
-// survivalKey renders a survival histogram as "age:count,..." pairs for
-// the demographics trace event's K field, skipping empty buckets.
-func survivalKey(v []int64) string {
-	if len(v) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for age, n := range v {
-		if n == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d:%d", age, n)
-	}
-	return b.String()
 }
 
 // abortCycle abandons a collection whose handshake was wedged past the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gengc/internal/heap"
+	"gengc/internal/metrics"
 )
 
 // collectWhileCooperating runs a synchronous cycle while keeping the
@@ -270,6 +271,39 @@ func TestStatsRecorded(t *testing.T) {
 	}
 	if c.CyclesDone() != 2 || c.FullsDone() != 1 {
 		t.Errorf("counters = %d/%d", c.CyclesDone(), c.FullsDone())
+	}
+}
+
+// TestRecordPhaseDurations: the record's sub-phase durations nest in the
+// phases that contain them — InitFullTime zero on partials, the card
+// scan inside sync2 (and zero outside generational partials), the ack
+// rounds and drains inside the trace.
+func TestRecordPhaseDurations(t *testing.T) {
+	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
+		c := newTestCollector(t, mode)
+		m := c.NewMutator()
+		m.PushRoot(mustAlloc(t, m, 2, 64))
+		for i := 0; i < 200; i++ {
+			mustAlloc(t, m, 1, 64)
+		}
+		collectWhileCooperating(c, false, m)
+		collectWhileCooperating(c, true, m)
+		collectWhileCooperating(c, false, m)
+		for _, r := range c.Metrics().Cycles() {
+			full := r.Kind == metrics.Full
+			if !full && r.InitFullTime != 0 {
+				t.Errorf("%v partial cycle %d: InitFullTime %v", mode, r.Seq, r.InitFullTime)
+			}
+			if scans := !full && mode.IsGenerational(); !scans && r.CardScanTime != 0 || r.CardScanTime > r.Sync2Time {
+				t.Errorf("%v %v cycle %d: CardScanTime %v, Sync2Time %v",
+					mode, r.Kind, r.Seq, r.CardScanTime, r.Sync2Time)
+			}
+			if r.AckTime <= 0 || r.DrainTime <= 0 || r.AckTime+r.DrainTime > r.TraceTime {
+				t.Errorf("%v %v cycle %d: AckTime %v + DrainTime %v, TraceTime %v",
+					mode, r.Kind, r.Seq, r.AckTime, r.DrainTime, r.TraceTime)
+			}
+		}
+		m.Detach()
 	}
 }
 

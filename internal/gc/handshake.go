@@ -167,9 +167,9 @@ func (c *Collector) handshake(s Status) bool {
 // ackRound asks every mutator to pass one safe point and waits for it.
 // It closes the trace-termination race: when a mutator acknowledges the
 // epoch, every gray transition it performed before the acknowledgement
-// is visible in its gray buffer. Each round's latency is recorded in
-// the cycle record and emitted as an "ack" trace event. It waits in
-// waitAll and returns false only on the close-abort path.
+// is visible in its gray buffer. Each round's latency is added to the
+// cycle record's AckTime and emitted as an "ack" trace event. It waits
+// in waitAll and returns false only on the close-abort path.
 func (c *Collector) ackRound() bool {
 	// Delay-only seam (a Drop/Fail rule degrades to its delay): the
 	// epoch bump must happen or the round never completes.
@@ -180,6 +180,7 @@ func (c *Collector) ackRound() bool {
 		return false
 	}
 	c.cyc.AckRounds++
+	c.cyc.AckTime += time.Since(start)
 	c.emit("ack", start, "", e, 0)
 	return true
 }

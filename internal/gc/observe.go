@@ -13,8 +13,8 @@ import (
 // comparison per call site.
 
 // emit appends a span event to the collector goroutine's ring. It must
-// be called from the collector goroutine (cycle phases, handshake and
-// ack rounds).
+// be called from the collector goroutine (ack rounds, trace drains,
+// cycle aborts).
 func (c *Collector) emit(ev string, start time.Time, detail string, n, m int64) {
 	if c.tracer == nil {
 		return
@@ -27,6 +27,24 @@ func (c *Collector) emit(ev string, start time.Time, detail string, n, m int64) 
 		K:     detail,
 		N:     n,
 		M:     m,
+	})
+}
+
+// emitCycle appends the "cycle" event carrying the finished cycle's
+// numbered record. The record is copied only when a tracer is attached,
+// so an untraced collector allocates nothing here.
+func (c *Collector) emitCycle(start time.Time, rec metrics.Cycle) {
+	if c.tracer == nil {
+		return
+	}
+	r := rec
+	c.ring.Emit(trace.Event{
+		Ev:    "cycle",
+		T:     c.tracer.Rel(start),
+		D:     r.Duration.Nanoseconds(),
+		Cycle: int64(r.Seq),
+		K:     r.Kind.String(),
+		Rec:   &r,
 	})
 }
 

@@ -125,6 +125,7 @@ func (c *Collector) drain() {
 			c.markBlack(b.x, b.col, b.slots)
 		}
 	}
+	c.cyc.DrainTime += time.Since(start)
 	if n := c.cyc.ObjectsScanned - before; n > 0 {
 		c.emit("drain", start, "", int64(n), 0)
 	}

@@ -37,24 +37,37 @@ type Cycle struct {
 	// write barrier also shades allocation-colored objects (§7.1).
 	HandshakeTime time.Duration
 
+	// InitFullTime is InitFullCollection's span (full collections
+	// only): the old-code flip and, in simple promotion, the card-table
+	// clear. It runs before the first handshake is posted.
+	InitFullTime time.Duration
+
 	// Sync1Time, Sync2Time and Sync3Time split HandshakeTime into the
 	// three rounds of the §7 protocol (each from posting the status to
 	// every mutator responding). Sync2Time includes the card scan and
-	// color toggle, which Figure 2/5 run inside the second round.
-	Sync1Time time.Duration
-	Sync2Time time.Duration
-	Sync3Time time.Duration
+	// color toggle, which Figure 2/5 run inside the second round;
+	// CardScanTime is the card scan's share of it (generational
+	// partials only), the rest the toggle and the handshake wait.
+	Sync1Time    time.Duration
+	Sync2Time    time.Duration
+	Sync3Time    time.Duration
+	CardScanTime time.Duration
 
 	// AckRounds counts the trace-termination acknowledgement rounds
 	// the cycle needed before the gray fixpoint held (trace.go); each
-	// round is one mutator-fleet safe-point pass.
+	// round is one mutator-fleet safe-point pass. AckTime is their
+	// summed latency.
 	AckRounds int
+	AckTime   time.Duration
 
 	// TraceTime and SweepTime split the concurrent phases of the
 	// cycle: the trace-to-fixpoint span (drains plus acknowledgement
 	// rounds) and the sweep span (including empty-block reclamation).
+	// DrainTime is the trace's time spent draining the gray stack; the
+	// rest of TraceTime is AckTime plus the gray-buffer collection.
 	TraceTime time.Duration
 	SweepTime time.Duration
+	DrainTime time.Duration
 
 	// Trace work.
 	ObjectsScanned int // objects blackened by the trace
@@ -223,9 +236,10 @@ func NewRecorder() *Recorder {
 }
 
 // Record numbers one finished cycle, folds it into the run totals and
-// the demographics, retains it among the recent records, and invokes
-// the OnRecord observer, if any, outside the recorder lock.
-func (r *Recorder) Record(c Cycle) {
+// the demographics, retains it among the recent records, invokes the
+// OnRecord observer, if any, outside the recorder lock, and returns the
+// numbered record.
+func (r *Recorder) Record(c Cycle) Cycle {
 	r.mu.Lock()
 	r.seq++
 	c.Seq = r.seq
@@ -256,6 +270,7 @@ func (r *Recorder) Record(c Cycle) {
 	if fn != nil {
 		fn(c)
 	}
+	return c
 }
 
 // OnRecord registers fn to be called with every finished cycle record,

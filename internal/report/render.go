@@ -159,17 +159,17 @@ func RenderMutators(w io.Writer, t *Trace, csv bool) {
 // generational runs: how much each partial tenured, and — in aging mode
 // — the survival histogram showing where the young cohort dies off.
 func RenderDemographics(w io.Writer, t *Trace, csv bool) {
-	s := t.Demographics()
+	partials, s := t.Demographics()
 	fmt.Fprintln(w, "Heap demographics (promotion per partial collection)")
-	if s.Partials == 0 {
-		fmt.Fprintln(w, "  no demographics events in trace (non-generational run?)")
+	if partials == 0 {
+		fmt.Fprintln(w, "  no partial collections in trace (non-generational run?)")
 		fmt.Fprintln(w)
 		return
 	}
-	f := float64(s.Partials)
+	f := float64(partials)
 	if csv {
 		fmt.Fprintln(w, "partials,promoted_objects,promoted_bytes,avg_promoted_objects,avg_promoted_bytes")
-		fmt.Fprintf(w, "%d,%d,%d,%.1f,%.1f\n", s.Partials,
+		fmt.Fprintf(w, "%d,%d,%d,%.1f,%.1f\n", partials,
 			s.PromotedObjects, s.PromotedBytes,
 			float64(s.PromotedObjects)/f, float64(s.PromotedBytes)/f)
 		if len(s.SurvivalByAge) > 0 {
@@ -182,7 +182,7 @@ func RenderDemographics(w io.Writer, t *Trace, csv bool) {
 		}
 	} else {
 		fmt.Fprintf(w, "  partials=%d promoted=%d objects / %d bytes (avg %.1f obj, %.1f B per partial)\n",
-			s.Partials, s.PromotedObjects, s.PromotedBytes,
+			partials, s.PromotedObjects, s.PromotedBytes,
 			float64(s.PromotedObjects)/f, float64(s.PromotedBytes)/f)
 		if len(s.SurvivalByAge) > 0 {
 			var total int64

@@ -2,12 +2,15 @@
 // the paper-style text figures rendered by cmd/gcreport: the pause-time
 // CDF behind the paper's maximum-pause discussion (§8.3, Figure 9's
 // companion measurements), the per-phase cycle breakdown behind Figures
-// 13–14, and the dirty-card table behind Figures 21–23.
+// 13–14, the dirty-card table behind Figures 21–23 and the promotion
+// figures behind Figures 11–12.
 //
 // A trace file may concatenate several runs (gcbench streams every
-// repeat into one sink); each run opens with a "start" event, and all
-// per-cycle aggregation keys on (run, cycle) so restarting cycle
-// numbers do not collide.
+// repeat into one sink); each run opens with a "start" event. Every
+// per-cycle figure is a sum over the records the "cycle" events carry
+// (metrics.Cycle, the runtime's own account of each collection); the
+// pause figures read the "pause" events. Traces recorded before cycle
+// events carried records still parse, but hold no records to sum.
 package report
 
 import (
@@ -17,10 +20,9 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"gengc/internal/metrics"
 	"gengc/internal/trace"
 )
 
@@ -141,80 +143,60 @@ func (c PauseCDF) Max() time.Duration {
 	return time.Duration(c.Sorted[len(c.Sorted)-1])
 }
 
+// records returns the cycle records the trace's "cycle" events carry,
+// in file order.
+func (t *Trace) records() []*metrics.Cycle {
+	var out []*metrics.Cycle
+	for _, e := range t.Events {
+		if e.Ev == "cycle" && e.Rec != nil {
+			out = append(out, e.Rec)
+		}
+	}
+	return out
+}
+
 // CycleBreakdown is the per-phase time decomposition of the traced
 // collection cycles, split by cycle kind.
 type CycleBreakdown struct {
 	Kind    string // "partial" or "full"
 	Cycles  int
-	Total   time.Duration // sum of whole-cycle spans
+	Total   time.Duration // sum of whole-cycle durations
 	Sync    [3]time.Duration
 	Acks    time.Duration
 	AckN    int
 	Trace   time.Duration // whole trace-to-fixpoint phase
-	Drain   time.Duration // sum of the trace's drain spans
+	Drain   time.Duration // the trace's gray-stack drains
 	Sweep   time.Duration
 	Scanned int64
 	Freed   int64
 }
 
-// cycleKey identifies one collection cycle across concatenated runs.
-type cycleKey struct {
-	run int
-	cyc int64
-}
-
-// Breakdown aggregates the phase spans per cycle kind. Cycles whose
-// "cycle" event never arrived (a run cut off mid-cycle) are dropped.
+// Breakdown sums the cycle records' phase durations per cycle kind,
+// ordered by kind name.
 func (t *Trace) Breakdown() []CycleBreakdown {
-	kinds := map[cycleKey]string{}
-	for _, e := range t.Events {
-		if e.Ev == "cycle" {
-			kinds[cycleKey{e.Run, e.Cycle}] = e.K
+	var agg [2]CycleBreakdown // indexed by metrics.CycleKind
+	for _, r := range t.records() {
+		b := &agg[r.Kind]
+		b.Cycles++
+		b.Total += r.Duration
+		b.Sync[0] += r.Sync1Time
+		b.Sync[1] += r.Sync2Time
+		b.Sync[2] += r.Sync3Time
+		b.Acks += r.AckTime
+		b.AckN += r.AckRounds
+		b.Trace += r.TraceTime
+		b.Drain += r.DrainTime
+		b.Sweep += r.SweepTime
+		b.Scanned += int64(r.ObjectsScanned)
+		b.Freed += int64(r.ObjectsFreed)
+	}
+	var out []CycleBreakdown
+	for _, k := range []metrics.CycleKind{metrics.Full, metrics.Partial} {
+		if agg[k].Cycles > 0 {
+			agg[k].Kind = k.String()
+			out = append(out, agg[k])
 		}
 	}
-	agg := map[string]*CycleBreakdown{}
-	get := func(kind string) *CycleBreakdown {
-		b := agg[kind]
-		if b == nil {
-			b = &CycleBreakdown{Kind: kind}
-			agg[kind] = b
-		}
-		return b
-	}
-	syncIdx := map[string]int{"sync1": 0, "sync2": 1, "sync3": 2}
-	for _, e := range t.Events {
-		kind, ok := kinds[cycleKey{e.Run, e.Cycle}]
-		if !ok {
-			continue
-		}
-		b := get(kind)
-		d := time.Duration(e.D)
-		switch e.Ev {
-		case "cycle":
-			b.Cycles++
-			b.Total += d
-			b.Scanned += e.N
-			b.Freed += e.M
-		case "sync":
-			if i, ok := syncIdx[e.K]; ok {
-				b.Sync[i] += d
-			}
-		case "ack":
-			b.Acks += d
-			b.AckN++
-		case "trace":
-			b.Trace += d
-		case "drain":
-			b.Drain += d
-		case "sweep":
-			b.Sweep += d
-		}
-	}
-	out := make([]CycleBreakdown, 0, len(agg))
-	for _, b := range agg {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
 }
 
@@ -234,48 +216,21 @@ func (t *Trace) Meta() []string {
 	return meta
 }
 
-// DemographicStats aggregates the "demographics" events — the
-// per-partial promotion accounting of the generational modes.
-type DemographicStats struct {
-	Partials        int   // partial cycles that reported demographics
-	PromotedObjects int64 // objects promoted into the old generation
-	PromotedBytes   int64
-	SurvivalByAge   []int64 // aging survival histogram (index = age)
-}
-
-// Demographics sums every demographics event in the trace. The survival
-// histogram stays nil for simple-promotion runs (their events carry no
-// age pairs).
-func (t *Trace) Demographics() DemographicStats {
-	var s DemographicStats
-	for _, e := range t.Events {
-		if e.Ev != "demographics" {
-			continue
+// Demographics folds every cycle record into the run-cumulative
+// demographics, the aggregate Snapshot.Demographics reports, and counts
+// the partial collections among them.
+func (t *Trace) Demographics() (partials int, d metrics.Demographics) {
+	for _, r := range t.records() {
+		if r.Kind == metrics.Partial {
+			partials++
 		}
-		s.Partials++
-		s.PromotedObjects += e.N
-		s.PromotedBytes += e.M
-		for _, pair := range strings.Split(e.K, ",") {
-			as, cs, ok := strings.Cut(pair, ":")
-			if !ok {
-				continue
-			}
-			age, err1 := strconv.Atoi(as)
-			n, err2 := strconv.ParseInt(cs, 10, 64)
-			if err1 != nil || err2 != nil || age < 0 {
-				continue
-			}
-			for len(s.SurvivalByAge) <= age {
-				s.SurvivalByAge = append(s.SurvivalByAge, 0)
-			}
-			s.SurvivalByAge[age] += n
-		}
+		d.AddCycle(*r)
 	}
-	return s
+	return partials, d
 }
 
-// CardStats aggregates the "cardscan" events — the dirty-card work of
-// the partial collections (Figures 21–23).
+// CardStats sums the dirty-card work of the partial collections, the
+// only cycles that scan cards (Figures 21–23).
 type CardStats struct {
 	Scans     int
 	Dirty     int64
@@ -283,17 +238,17 @@ type CardStats struct {
 	Time      time.Duration
 }
 
-// Cards sums every card scan in the trace.
+// Cards sums the card scans of every partial cycle record.
 func (t *Trace) Cards() CardStats {
 	var s CardStats
-	for _, e := range t.Events {
-		if e.Ev != "cardscan" {
+	for _, r := range t.records() {
+		if r.Kind != metrics.Partial {
 			continue
 		}
 		s.Scans++
-		s.Dirty += e.N
-		s.Allocated += e.M
-		s.Time += time.Duration(e.D)
+		s.Dirty += int64(r.DirtyCards)
+		s.Allocated += int64(r.AllocatedCards)
+		s.Time += r.CardScanTime
 	}
 	return s
 }

@@ -2,11 +2,27 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"gengc/internal/metrics"
 	"gengc/internal/trace"
+)
+
+// partialRec and fullRec are the records synth's two cycles carry.
+var (
+	partialRec = metrics.Cycle{Kind: metrics.Partial, Seq: 1, Duration: 60,
+		Sync1Time: 5, Sync2Time: 8, Sync3Time: 6, CardScanTime: 4,
+		AckRounds: 1, AckTime: 2, TraceTime: 14, DrainTime: 10, SweepTime: 20,
+		ObjectsScanned: 50, ObjectsFreed: 30, DirtyCards: 8, AllocatedCards: 100,
+		Survivors: 12, PromotedObjects: 12, PromotedBytes: 960,
+		DeathsByClass: []int64{0, 30}}
+	fullRec = metrics.Cycle{Kind: metrics.Full, Seq: 1, Duration: 120,
+		InitFullTime: 3, Sync1Time: 10, TraceTime: 28, DrainTime: 20, SweepTime: 40,
+		ObjectsScanned: 500, ObjectsFreed: 300, Survivors: 500,
+		DeathsByClass: []int64{100, 200}}
 )
 
 // synth builds a two-run JSONL stream through the real JSONL sink, so
@@ -19,28 +35,22 @@ func synth(t *testing.T) *bytes.Buffer {
 
 	// Run 0: one partial cycle, two mutators pausing.
 	emit(trace.Event{Ev: "start"})
-	emit(trace.Event{Ev: "sync", T: 10, D: 5, Cycle: 1, K: "sync1"})
-	emit(trace.Event{Ev: "cardscan", T: 16, D: 4, Cycle: 1, N: 8, M: 100})
-	emit(trace.Event{Ev: "sync", T: 15, D: 8, Cycle: 1, K: "sync2"})
-	emit(trace.Event{Ev: "sync", T: 24, D: 6, Cycle: 1, K: "sync3"})
 	emit(trace.Event{Ev: "ack", T: 31, D: 2, Cycle: 1, N: 1})
 	emit(trace.Event{Ev: "drain", T: 30, D: 10, Cycle: 1, N: 50})
-	emit(trace.Event{Ev: "trace", T: 30, D: 14, Cycle: 1, N: 50})
-	emit(trace.Event{Ev: "sweep", T: 45, D: 20, Cycle: 1, N: 30})
-	emit(trace.Event{Ev: "cycle", T: 10, D: 60, Cycle: 1, K: "partial", N: 50, M: 30})
+	rec := partialRec
+	emit(trace.Event{Ev: "cycle", T: 10, D: 60, Cycle: 1, K: "partial", Rec: &rec})
 	emit(trace.Event{Ev: "pause", T: 12, D: 1000, Worker: 0, K: "handshake"})
 	emit(trace.Event{Ev: "pause", T: 13, D: 3000, Worker: 1, K: "roots"})
 
-	// Run 1: cycle numbering restarts; same cycle seq must not merge
-	// with run 0's. Its cycle is full and twice as slow.
+	// Run 1: cycle numbering restarts. Its cycle is full and twice as
+	// slow.
 	emit(trace.Event{Ev: "start"})
-	emit(trace.Event{Ev: "sync", T: 10, D: 10, Cycle: 1, K: "sync1"})
-	emit(trace.Event{Ev: "trace", T: 21, D: 28, Cycle: 1, N: 500})
-	emit(trace.Event{Ev: "sweep", T: 50, D: 40, Cycle: 1, N: 300})
-	emit(trace.Event{Ev: "cycle", T: 10, D: 120, Cycle: 1, K: "full", N: 500, M: 300})
+	rec1 := fullRec
+	emit(trace.Event{Ev: "cycle", T: 10, D: 120, Cycle: 1, K: "full", Rec: &rec1})
 	emit(trace.Event{Ev: "pause", T: 12, D: 7000, Worker: 0, K: "allocwait"})
-	// A cycle that never completed: its events must be dropped.
-	emit(trace.Event{Ev: "sync", T: 200, D: 9, Cycle: 2, K: "sync1"})
+	// A cycle that never completed: it has no record, so its drain
+	// span feeds no figure.
+	emit(trace.Event{Ev: "drain", T: 200, D: 9, Cycle: 2, N: 40})
 	emit(trace.Event{Ev: "drops", T: 210, N: 3})
 
 	if err := s.Flush(); err != nil {
@@ -60,12 +70,16 @@ func TestParseRuns(t *testing.T) {
 	if tr.Dropped != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped)
 	}
-	if len(tr.Events) != 20 {
-		t.Fatalf("events = %d, want 20", len(tr.Events))
+	if len(tr.Events) != 11 {
+		t.Fatalf("events = %d, want 11", len(tr.Events))
 	}
 	// Run tags: everything after the second "start" is run 1.
-	if tr.Events[11].Run != 0 || tr.Events[12].Run != 1 {
-		t.Fatalf("run boundary misplaced: %+v / %+v", tr.Events[11], tr.Events[12])
+	if tr.Events[5].Run != 0 || tr.Events[6].Run != 1 {
+		t.Fatalf("run boundary misplaced: %+v / %+v", tr.Events[5], tr.Events[6])
+	}
+	// The records survive the JSONL round trip field for field.
+	if got := tr.Events[3].Rec; got == nil || !reflect.DeepEqual(*got, partialRec) {
+		t.Fatalf("partial record = %+v, want %+v", got, partialRec)
 	}
 }
 
@@ -111,7 +125,7 @@ func TestPausesAndQuantiles(t *testing.T) {
 	}
 }
 
-func TestBreakdownKeysByRunAndKind(t *testing.T) {
+func TestBreakdownSumsRecordsByKind(t *testing.T) {
 	tr, err := Parse(synth(t))
 	if err != nil {
 		t.Fatal(err)
@@ -121,19 +135,18 @@ func TestBreakdownKeysByRunAndKind(t *testing.T) {
 		t.Fatalf("breakdowns = %d (%+v), want full+partial", len(bds), bds)
 	}
 	full, partial := bds[0], bds[1]
-	if full.Kind != "full" || partial.Kind != "partial" {
-		t.Fatalf("kinds = %s/%s", full.Kind, partial.Kind)
+	wantPartial := CycleBreakdown{Kind: "partial", Cycles: 1, Total: 60,
+		Sync: [3]time.Duration{5, 8, 6}, Acks: 2, AckN: 1, Trace: 14, Drain: 10,
+		Sweep: 20, Scanned: 50, Freed: 30}
+	if partial != wantPartial {
+		t.Fatalf("partial breakdown = %+v, want %+v", partial, wantPartial)
 	}
-	if partial.Cycles != 1 || partial.Total != 60 || partial.Sync[1] != 8 ||
-		partial.AckN != 1 || partial.Drain != 10 || partial.Sweep != 20 {
-		t.Fatalf("partial breakdown wrong: %+v", partial)
-	}
-	if full.Cycles != 1 || full.Total != 120 || full.Trace != 28 || full.Scanned != 500 {
-		t.Fatalf("full breakdown wrong: %+v", full)
-	}
-	// The orphaned sync of run 1's unfinished cycle 2 must not leak in.
-	if full.Sync[0] != 10 {
-		t.Fatalf("full sync1 = %v, want 10 (unfinished cycle leaked)", full.Sync[0])
+	// The unfinished cycle 2's drain span must not leak in.
+	wantFull := CycleBreakdown{Kind: "full", Cycles: 1, Total: 120,
+		Sync: [3]time.Duration{10, 0, 0}, Trace: 28, Drain: 20, Sweep: 40,
+		Scanned: 500, Freed: 300}
+	if full != wantFull {
+		t.Fatalf("full breakdown = %+v, want %+v", full, wantFull)
 	}
 }
 
@@ -145,6 +158,23 @@ func TestCards(t *testing.T) {
 	s := tr.Cards()
 	if s.Scans != 1 || s.Dirty != 8 || s.Allocated != 100 || s.Time != 4 {
 		t.Fatalf("cards = %+v", s)
+	}
+}
+
+// TestDemographicsFoldRecords: the trace's demographics are the records
+// folded through metrics.Demographics.AddCycle, the code behind
+// Snapshot.Demographics, so the two agree field for field.
+func TestDemographicsFoldRecords(t *testing.T) {
+	tr, err := Parse(synth(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	partials, got := tr.Demographics()
+	var want metrics.Demographics
+	want.AddCycle(partialRec)
+	want.AddCycle(fullRec)
+	if partials != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("demographics = %d partials, %+v; want 1, %+v", partials, got, want)
 	}
 }
 
@@ -179,11 +209,13 @@ func TestRenderEndToEnd(t *testing.T) {
 		RenderPauseCDF(&out, tr, csv)
 		RenderBreakdown(&out, tr, csv)
 		RenderCards(&out, tr, csv)
+		RenderDemographics(&out, tr, csv)
 		RenderMutators(&out, tr, csv)
 	}
 	text := out.String()
 	for _, want := range []string{
 		"2 runs", "3 events lost", "partial", "full",
+		"scans=1 avg dirty=8.0", "partials=1 promoted=12 objects / 960 bytes",
 		"7µs", // the max pause
 		"quantile,pause_ns", "run,mutator,count",
 	} {
@@ -205,8 +237,10 @@ func TestRenderEmptySections(t *testing.T) {
 	RenderPauseCDF(&out, tr, false)
 	RenderBreakdown(&out, tr, false)
 	RenderCards(&out, tr, false)
+	RenderDemographics(&out, tr, false)
 	RenderMutators(&out, tr, false)
-	for _, want := range []string{"no pause events", "no completed cycles", "no card scans"} {
+	for _, want := range []string{"no pause events", "no completed cycles", "no card scans",
+		"no partial collections"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("empty-trace output missing %q", want)
 		}
@@ -215,11 +249,13 @@ func TestRenderEmptySections(t *testing.T) {
 
 // TestOldTraceWithRetiredBarrierEvents: a trace recorded before the
 // batched write barrier was deleted carries "barrier=batched" in its
-// start metadata and one event per buffer flush. Such files must stay
-// readable: the metadata is shown verbatim, and the retired event kind
-// is counted in the summary but feeds no figure. (The kind is spelled
-// in two pieces so a grep for the retired identifier over the Go
-// sources stays empty.)
+// start metadata and one event per buffer flush; it also predates the
+// records on "cycle" events, carrying per-phase span events instead.
+// Such files must stay readable: the metadata is shown verbatim, the
+// pauses and the summary render, and the retired event kinds are
+// counted in the summary but feed no figure — with no records there is
+// no phase table. (The barrier kind is spelled in two pieces so a grep
+// for the retired identifier over the Go sources stays empty.)
 func TestOldTraceWithRetiredBarrierEvents(t *testing.T) {
 	const retired = "barrier" + "flush"
 	const meta = "gomaxprocs=2 workers=1 barrier=batched mode=generational version=(devel)"
@@ -249,14 +285,8 @@ func TestOldTraceWithRetiredBarrierEvents(t *testing.T) {
 		t.Errorf("pauses = %d from %d mutators, max %v; want 2 from 1, max 3µs",
 			p.Count, p.Mutators, p.Max())
 	}
-	bds := tr.Breakdown()
-	if len(bds) != 1 {
-		t.Fatalf("breakdown has %d kinds, want 1: %+v", len(bds), bds)
-	}
-	want := CycleBreakdown{Kind: "partial", Cycles: 1, Total: 60,
-		Sync: [3]time.Duration{5, 8, 6}, Trace: 14, Sweep: 20, Scanned: 50, Freed: 30}
-	if bds[0] != want {
-		t.Errorf("breakdown = %+v, want %+v", bds[0], want)
+	if bds := tr.Breakdown(); len(bds) != 0 {
+		t.Fatalf("breakdown of a record-less trace = %+v, want none", bds)
 	}
 	var out bytes.Buffer
 	RenderSummary(&out, tr)
@@ -268,7 +298,8 @@ func TestOldTraceWithRetiredBarrierEvents(t *testing.T) {
 		RenderDemographics(&out, tr, csv)
 	}
 	text := out.String()
-	for _, s := range []string{"run 0: " + meta, retired + "=3", "2 pauses, 1 mutators", "3µs"} {
+	for _, s := range []string{"run 0: " + meta, retired + "=3", "2 pauses, 1 mutators", "3µs",
+		"1 cycles (0 full)", "no completed cycles"} {
 		if !strings.Contains(text, s) {
 			t.Errorf("rendered output missing %q:\n%s", s, text)
 		}

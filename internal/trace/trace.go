@@ -1,8 +1,7 @@
-// Package trace is the collector's structured event layer: timestamped
-// spans for everything the cycle does — the whole cycle, the three
-// handshake rounds, trace-termination acknowledgement rounds, trace
-// drains, the sweep, card scans — plus per-mutator pause events, all
-// delivered to a pluggable Sink.
+// Package trace is the collector's structured event layer: one event
+// per completed collection cycle carrying its record, spans for the
+// trace-termination acknowledgement rounds and the trace drains, plus
+// per-mutator pause events, all delivered to a pluggable Sink.
 //
 // Producers (the collector goroutine, each mutator) write into private
 // single-producer ring buffers, so emitting an event on a hot path costs
@@ -25,6 +24,7 @@ import (
 	"time"
 
 	"gengc/internal/fault"
+	"gengc/internal/metrics"
 )
 
 // Event is one timestamped span or point event. The fixed field set
@@ -39,17 +39,12 @@ import (
 //	          version=(devel)"), so multi-run concatenations stay
 //	          labeled
 //	cycle     one whole collection cycle; K = "partial"|"full",
-//	          N = objects scanned, M = objects freed
-//	sync      one handshake round; K = "sync1"|"sync2"|"sync3"
+//	          Rec = its metrics.Cycle record (phase durations, trace,
+//	          card, sweep, promotion and allocator counts)
 //	ack       one trace-termination acknowledgement round; N = epoch
-//	initfull  InitFullCollection (full cycles): the old-code flip
-//	          and, in simple promotion, the card-table clear
-//	cardscan  the dirty-card scan; N = dirty cards, M = allocated cards
-//	trace     the whole trace-to-fixpoint phase; N = objects scanned
 //	drain     one trace drain of the collector's gray stack; W = 0,
 //	          N = objects blackened (per cycle they sum to the
 //	          cycle's objects scanned)
-//	sweep     the whole sweep phase; N = objects freed
 //	pause     one mutator-visible delay; W = mutator id,
 //	          K = "roots"|"handshake"|"ack"|"allocwait"
 //	stall     the handshake watchdog caught a mutator past the stall
@@ -58,14 +53,10 @@ import (
 //	          collector had been waiting when the report fired
 //	cycleabort a cycle abandoned at close (wedged handshake past the
 //	          grace period); K = the phase it was wedged in
-//	allocstats the tiered allocator's activity over one cycle (point
-//	          event at cycle end); N = blocks acquired by caches,
-//	          M = contended lock acquisitions (shard + page)
-//	demographics one generational partial's promotion/survival record
-//	          (point event at cycle end); N = objects promoted,
-//	          M = bytes promoted, K = the aging survival histogram as
-//	          "age:count,..." pairs (empty in the simple scheme, whose
-//	          every survivor is promoted)
+//	shed      the admission controller turned a request away; W = -1,
+//	          K = the cause, N = the request priority
+//	degraded  the admission controller entered or left its degraded
+//	          state; W = -1, K = "enter"|"exit"
 //	drops     events lost to ring overflow (emitted at Close); N = count
 type Event struct {
 	// Ev is the event kind (see the table above).
@@ -91,9 +82,11 @@ type Event struct {
 	N int64 `json:"n,omitempty"`
 	M int64 `json:"m,omitempty"`
 
-	// K is a kind-specific detail string (cycle kind, handshake round,
-	// pause cause).
+	// K is a kind-specific detail string (cycle kind, pause cause).
 	K string `json:"k,omitempty"`
+
+	// Rec is the finished cycle's record, on "cycle" events only.
+	Rec *metrics.Cycle `json:"rec,omitempty"`
 }
 
 // Sink receives the event stream. The Tracer serializes all calls, so

@@ -3,10 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gengc/internal/metrics"
 )
 
 func TestRingOverflowDrops(t *testing.T) {
@@ -48,11 +51,11 @@ func TestTracerFlushAndClose(t *testing.T) {
 	if evs[1].T != time.Millisecond.Nanoseconds() {
 		t.Fatalf("Rel timestamp = %d, want %d", evs[1].T, time.Millisecond.Nanoseconds())
 	}
-	ring.Emit(Event{Ev: "sweep"})
+	ring.Emit(Event{Ev: "drain"})
 	tr.Close()
 	tr.Close() // idempotent
-	if evs := sink.Events(); len(evs) != 3 || evs[2].Ev != "sweep" {
-		t.Fatalf("after close: %+v, want final sweep drained", evs)
+	if evs := sink.Events(); len(evs) != 3 || evs[2].Ev != "drain" {
+		t.Fatalf("after close: %+v, want final drain span drained", evs)
 	}
 	ring.Emit(Event{Ev: "lost"})
 	tr.Flush()
@@ -81,7 +84,9 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	s := NewJSONLSink(&buf)
 	want := []Event{
 		{Ev: "start"},
-		{Ev: "cycle", T: 123, D: 456, Cycle: 1, K: "partial", N: 10, M: 5},
+		{Ev: "cycle", T: 123, D: 456, Cycle: 1, K: "partial",
+			Rec: &metrics.Cycle{Seq: 1, Duration: 456, ObjectsScanned: 10, ObjectsFreed: 5,
+				DeathsByClass: []int64{0, 5}}},
 		{Ev: "pause", T: 789, D: 42, Worker: 3, K: "handshake"},
 	}
 	for _, e := range want {
@@ -99,12 +104,13 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &got); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if got != want[i] {
+		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("line %d round-tripped to %+v, want %+v", i, got, want[i])
 		}
 	}
 	// Zero-valued optional fields are omitted from the wire format.
-	if strings.Contains(lines[0], "cyc") || strings.Contains(lines[0], `"n"`) {
+	if strings.Contains(lines[0], "cyc") || strings.Contains(lines[0], `"n"`) ||
+		strings.Contains(lines[0], "rec") {
 		t.Fatalf("start line carries omitempty fields: %s", lines[0])
 	}
 }

@@ -10,14 +10,10 @@
 // drive every conclusion in the paper's evaluation, so matching them
 // preserves the shape of the results.
 //
-// Alongside the paper-calibrated profiles, the package carries one
-// deterministic churn loop built for the observability surface rather
-// than the paper's figures: BarrierChurn, a store-dominated loop with
-// uniform fan-out into a small base set (cmd/gcmon's demo load and the
-// expvar scrape-agreement test's traffic; DESIGN.md §5). It runs a
-// fixed operation sequence, so two runs perform the same work. The
-// soaks' seeded randomized mutators and their per-cycle audit live in
-// soak.go, with the -mode parser the commands share.
+// Alongside the paper-calibrated profiles, soak.go carries the seeded
+// randomized mutators (Mix, AllocStorm) that drive the soaks, cmd/gcmon's
+// demo load and the expvar scrape-agreement test, their per-cycle
+// audit, and the -mode parser the commands share.
 package workload
 
 import (

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -72,11 +71,11 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	const expvarName = "gengc_test_roundtrip"
-	if err := rt.PublishExpvar(expvarName); err != nil {
+	varName := expvarName("gengc_test_roundtrip")
+	if err := rt.PublishExpvar(varName); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.PublishExpvar(expvarName); err == nil {
+	if err := rt.PublishExpvar(varName); err == nil {
 		t.Fatal("PublishExpvar accepted a duplicate name")
 	}
 	handler := rt.MetricsHandler()
@@ -86,21 +85,10 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		return rec.Body.String(), rec.Header().Get("Content-Type")
 	}
 
-	const muts, ops = 4, 20_000
-	churn := workload.BarrierChurn{}
-	var wg sync.WaitGroup
-	errs := make(chan error, muts)
-	for id := 0; id < muts; id++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := rt.NewMutator()
-			defer m.Detach()
-			if err := churn.RunThread(m, ops); err != nil {
-				errs <- err
-			}
-		}()
-	}
+	// Four Mix mutators; ops sized so the churn outlasts the eight
+	// mid-flight scrapes below.
+	churned := make(chan error, 1)
+	go func() { churned <- workload.RunMix(rt, 4, 80_000, 1) }()
 	// Scrape both paths mid-flight: the values race the workload and are
 	// discarded, but serving must not wedge a cycle or trip -race.
 	for i := 0; i < 8; i++ {
@@ -112,12 +100,10 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 			t.Fatal("mid-flight scrape lacks gengc_cycles_total")
 		}
 		checkHistogramTotals(t, body)
-		_ = expvar.Get(expvarName).String()
+		_ = expvar.Get(varName).String()
 		time.Sleep(time.Millisecond)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	if err := <-churned; err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +132,7 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 	body, _ := scrape()
 	checkHistogramTotals(t, body)
 	var fromVar gengc.Snapshot
-	if err := json.Unmarshal([]byte(expvar.Get(expvarName).String()), &fromVar); err != nil {
+	if err := json.Unmarshal([]byte(expvar.Get(varName).String()), &fromVar); err != nil {
 		t.Fatalf("expvar snapshot does not unmarshal: %v", err)
 	}
 	s := rt.Snapshot()

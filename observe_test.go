@@ -7,7 +7,10 @@ package gengc_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,8 +134,8 @@ func TestSnapshotPerMutator(t *testing.T) {
 }
 
 // TestTraceSinkEvents runs collections against a memory sink and checks
-// the event stream's shape: the start boundary, per-cycle spans, and
-// cycle numbers that match the metrics records.
+// the event stream's shape: the start boundary, and one "cycle" event
+// per collection numbered like, and carrying, its metrics record.
 func TestTraceSinkEvents(t *testing.T) {
 	sink := &trace.MemorySink{}
 	rt, err := gengc.NewManual(gengc.WithMode(gengc.Generational),
@@ -172,18 +175,87 @@ func TestTraceSinkEvents(t *testing.T) {
 		if e.D <= 0 {
 			t.Errorf("cycle event %d has non-positive duration %d", i, e.D)
 		}
+		if e.Rec == nil || !reflect.DeepEqual(*e.Rec, recs[i]) {
+			t.Errorf("cycle event %d carries %+v, metrics %+v", i, e.Rec, recs[i])
+			continue
+		}
+		if e.Rec.Sync1Time <= 0 || e.Rec.Sync2Time <= 0 || e.Rec.Sync3Time <= 0 || e.Rec.SweepTime <= 0 {
+			t.Errorf("cycle event %d record lacks a handshake or sweep time: %+v", i, e.Rec)
+		}
 	}
-	if len(byEv["sync"]) != 6 {
-		t.Errorf("sync events = %d, want 3 per cycle", len(byEv["sync"]))
-	}
-	if len(byEv["sweep"]) != 2 {
-		t.Errorf("sweep events = %d, want 2", len(byEv["sweep"]))
+	if cycles[0].Rec.InitFullTime != 0 || cycles[1].Rec.InitFullTime <= 0 {
+		t.Errorf("InitFullTime partial %v, full %v; want 0 and > 0",
+			cycles[0].Rec.InitFullTime, cycles[1].Rec.InitFullTime)
 	}
 	if len(byEv["pause"]) == 0 {
 		t.Error("no pause events emitted")
 	}
-	if len(byEv["initfull"]) != 1 {
-		t.Errorf("initfull events = %d, want 1 (one full cycle)", len(byEv["initfull"]))
+}
+
+// TestTraceTotalsMatchRuntime: the trace's cycle records are the
+// runtime's own, so gcreport's totals over a traced run (two Mix
+// mutators, then a full collection) equal Stats and
+// Snapshot().Demographics exactly, in both generational modes.
+func TestTraceTotalsMatchRuntime(t *testing.T) {
+	for _, mode := range []gengc.Mode{gengc.Generational, gengc.GenerationalAging} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			sink := gengc.NewJSONLTraceSink(&buf)
+			// Tenure after one survival, so the aging run promotes and
+			// closes its survival histogram with the tenure bucket.
+			rt, err := gengc.New(gengc.WithMode(mode), gengc.WithOldAge(1),
+				gengc.WithHeapBytes(8<<20), gengc.WithYoungBytes(512<<10),
+				gengc.WithTraceSink(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := workload.RunMix(rt, 2, 20_000, 5); err != nil {
+				t.Fatal(err)
+			}
+			rt.Collect(true)
+			rt.Close()
+			if err := sink.Err(); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := report.Parse(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := rt.Stats()
+			if st.NumPartial == 0 || st.NumFull == 0 {
+				t.Fatalf("run too quiet: %d partials, %d fulls", st.NumPartial, st.NumFull)
+			}
+			kinds := map[string]int{}
+			var scanned, freed int64
+			for _, b := range tr.Breakdown() {
+				kinds[b.Kind] = b.Cycles
+				scanned += b.Scanned
+				freed += b.Freed
+			}
+			if kinds["partial"] != st.NumPartial || kinds["full"] != st.NumFull {
+				t.Errorf("trace cycles %v, Stats %d partial / %d full", kinds, st.NumPartial, st.NumFull)
+			}
+			if scanned != st.ObjectsScanned || freed != st.ObjectsFreed {
+				t.Errorf("trace scanned/freed %d/%d, Stats %d/%d",
+					scanned, freed, st.ObjectsScanned, st.ObjectsFreed)
+			}
+			partials, demo := tr.Demographics()
+			if partials != st.NumPartial {
+				t.Errorf("demographics partials %d, Stats %d", partials, st.NumPartial)
+			}
+			if want := rt.Snapshot().Demographics; !reflect.DeepEqual(demo, want) {
+				t.Errorf("trace demographics\n%+v\nSnapshot\n%+v", demo, want)
+			}
+			if demo.PromotedObjects == 0 || len(demo.DeathsByClass) == 0 {
+				t.Errorf("demographics empty: %+v", demo)
+			}
+			if mode == gengc.GenerationalAging && len(demo.SurvivalByAge) == 0 {
+				t.Error("aging run has no survival histogram")
+			}
+			if cs := tr.Cards(); cs.Scans != st.NumPartial || cs.Time <= 0 {
+				t.Errorf("card scans %d taking %v, want one per partial", cs.Scans, cs.Time)
+			}
+		})
 	}
 }
 
@@ -237,6 +309,16 @@ func TestTraceJSONLThroughReport(t *testing.T) {
 	}
 }
 
+// expvarSeq numbers the expvar names the tests publish: expvar names
+// are process-global and never unpublished, so each test invocation
+// (-count > 1 included) needs a name of its own.
+var expvarSeq atomic.Int64
+
+// expvarName returns a process-unique expvar name starting with prefix.
+func expvarName(prefix string) string {
+	return fmt.Sprintf("%s_%d", prefix, expvarSeq.Add(1))
+}
+
 // TestPublishExpvar checks the expvar surface: publishing works once
 // per name and reports a duplicate instead of panicking.
 func TestPublishExpvar(t *testing.T) {
@@ -245,10 +327,11 @@ func TestPublishExpvar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if err := rt.PublishExpvar("gengc-test-snapshot"); err != nil {
+	name := expvarName("gengc-test-snapshot")
+	if err := rt.PublishExpvar(name); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.PublishExpvar("gengc-test-snapshot"); err == nil {
+	if err := rt.PublishExpvar(name); err == nil {
 		t.Fatal("second publish under the same name did not fail")
 	}
 }

@@ -4,9 +4,10 @@ import "time"
 
 // Option configures a Runtime under construction. Options apply in
 // order over the paper's defaults (32 MB heap, 4 MB young generation,
-// 16-byte cards, simple promotion), so later options override earlier
-// ones and WithConfig can seed the whole configuration before per-field
-// options refine it.
+// 16-byte cards, and the non-generational collector until WithMode
+// picks another), so later options override earlier ones and
+// WithConfig can seed the whole configuration before per-field options
+// refine it.
 type Option func(*Config)
 
 // WithConfig replaces the entire configuration with cfg. It is the
@@ -49,11 +50,11 @@ func WithOldAge(n int) Option {
 	return func(c *Config) { c.OldAge = n }
 }
 
-// WithTraceSink streams the collector's structured events — cycle,
-// handshake, drain, sweep and card-scan spans plus mutator pauses — to
-// sink. Events are buffered in per-producer rings and drained at the
-// end of every cycle and at Close, so emitting costs the hot paths one
-// array store. Use NewJSONLTraceSink to produce the JSONL format that
+// WithTraceSink streams the collector's structured events — one per
+// completed cycle carrying its CycleRecord, acknowledgement-round and
+// trace-drain spans, mutator pauses — to sink. Events are buffered in
+// per-producer rings and drained at the end of every cycle and at
+// Close, so emitting costs the hot paths one array store. Use NewJSONLTraceSink to produce the JSONL format that
 // cmd/gcreport renders into the paper-style figures.
 func WithTraceSink(sink TraceSink) Option {
 	return func(c *Config) { c.TraceSink = sink }
