@@ -108,6 +108,14 @@ type Collector struct {
 	// cfg is read-only after New; the barrier reads cfg.Mode per store.
 	cfg Config
 
+	// The collector's wait (waitAll): parked is set while the collector
+	// is about to block or blocked on wake, the one-slot channel a
+	// responding mutator sends on (Cooperate), or on tick, the one
+	// reused WaitTick timer.
+	wake   chan struct{}
+	parked atomic.Bool
+	tick   *time.Timer
+
 	// breakSyncAccept removes §7.1's allocation-color acceptance from
 	// markGray (NewScheduled only): the model checker's negative leg.
 	breakSyncAccept bool
@@ -310,6 +318,9 @@ func build(cfg Config, vs fault.Scheduler, breakSyncAccept bool) (*Collector, er
 		c.reqHist = &metrics.Histogram{}
 	}
 	c.reqCh = make(chan struct{}, 1)
+	c.wake = make(chan struct{}, 1)
+	c.tick = time.NewTimer(WaitTick)
+	c.tick.Stop()
 	c.stopCh = make(chan struct{})
 	c.doneCh = make(chan struct{})
 

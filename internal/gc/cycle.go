@@ -109,6 +109,7 @@ func (c *Collector) Cycle(full bool) {
 	c.cyc.HandshakeTime = time.Since(syncStart)
 
 	// --- trace ---
+	c.cyc.CardScanPages = c.H.Pages.Count()
 	traceStart := time.Now()
 	if !c.trace() {
 		c.abortCycle(start, "trace")
@@ -117,6 +118,7 @@ func (c *Collector) Cycle(full bool) {
 	c.cyc.TraceTime = time.Since(traceStart)
 
 	// --- sweep ---
+	c.cyc.TracePages = c.H.Pages.Count() - c.cyc.CardScanPages
 	sweepStart := time.Now()
 	c.sweep(full)
 	c.H.ReclaimEmptyBlocks()
@@ -167,6 +169,7 @@ func (c *Collector) Cycle(full bool) {
 
 	c.cyc.Duration = time.Since(start)
 	c.cyc.PagesTouched = c.H.Pages.Count()
+	c.cyc.SweepPages = c.cyc.PagesTouched - c.cyc.CardScanPages - c.cyc.TracePages
 	// Allocator activity while the cycle ran: the delta of the shard
 	// counters over the cycle.
 	allocNow := c.H.AllocStats()

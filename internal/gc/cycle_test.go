@@ -277,10 +277,15 @@ func TestStatsRecorded(t *testing.T) {
 // TestRecordPhaseDurations: the record's sub-phase durations nest in the
 // phases that contain them — InitFullTime zero on partials, the card
 // scan inside sync2 (and zero outside generational partials), the ack
-// rounds and drains inside the trace.
+// rounds and drains inside the trace — and its per-phase page counts
+// sum to PagesTouched, with pages in every trace (the globals root at
+// least) and every generational partial's card scan.
 func TestRecordPhaseDurations(t *testing.T) {
 	for _, mode := range []Mode{NonGenerational, Generational, GenerationalAging} {
-		c := newTestCollector(t, mode)
+		c, err := New(Config{Mode: mode, HeapBytes: 4 << 20, YoungBytes: 1 << 20, TrackPages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := c.NewMutator()
 		m.PushRoot(mustAlloc(t, m, 2, 64))
 		for i := 0; i < 200; i++ {
@@ -301,6 +306,14 @@ func TestRecordPhaseDurations(t *testing.T) {
 			if r.AckTime <= 0 || r.DrainTime <= 0 || r.AckTime+r.DrainTime > r.TraceTime {
 				t.Errorf("%v %v cycle %d: AckTime %v + DrainTime %v, TraceTime %v",
 					mode, r.Kind, r.Seq, r.AckTime, r.DrainTime, r.TraceTime)
+			}
+			if sum := r.CardScanPages + r.TracePages + r.SweepPages; sum != r.PagesTouched {
+				t.Errorf("%v %v cycle %d: card scan %d + trace %d + sweep %d = %d pages, PagesTouched %d",
+					mode, r.Kind, r.Seq, r.CardScanPages, r.TracePages, r.SweepPages, sum, r.PagesTouched)
+			}
+			if scans := !full && mode.IsGenerational(); r.TracePages <= 0 || scans && r.CardScanPages <= 0 {
+				t.Errorf("%v %v cycle %d: card scan %d, trace %d pages",
+					mode, r.Kind, r.Seq, r.CardScanPages, r.TracePages)
 			}
 		}
 		m.Detach()

@@ -7,22 +7,17 @@ import (
 	"gengc/internal/fault"
 )
 
-// The collector's wait loops poll with the named backoff constants of
-// sched.go (HandshakeYieldBudget and friends — shared with the virtual
-// scheduler's time model). The paper separates the handshake into
-// postHandshake and waitHandshake (§7) instead of using a second
-// collector thread; we do the same.
-const (
-	// watchdogCheckMask gates the watchdog's clock reads while the
-	// wait is still in its yield phase: the stall deadline is checked
-	// once per this many iterations, keeping the hot spin loop free
-	// of time.Now calls. Once the wait falls back to sleeping, every
-	// iteration already pays a sleep — whose true wall cost is timer
-	// granularity, often ~1ms — so the gate is bypassed there: at one
-	// check per 256 sleeps the watchdog would only look every ~250ms
-	// and miss short stalls entirely.
-	watchdogCheckMask = 255
-)
+// The paper separates the handshake into postHandshake and
+// waitHandshake (§7) instead of using a second collector thread; we do
+// the same. The collector's wait (waitAll) polls while it can have a
+// processor of its own and otherwise parks until a response wakes it.
+
+// pollWindow is how long a wait busy-polls before it parks, when the
+// collector can have a processor of its own (fewer attached mutators
+// than GOMAXPROCS): a prompt response then costs no scheduler round
+// trip, and the collector and a lone mutator stay on their own cores
+// instead of trading one at every round.
+const pollWindow = time.Millisecond
 
 // postHandshake publishes a new collector status; mutators observe it at
 // their next safe point and update their own status.
@@ -34,29 +29,22 @@ func (c *Collector) postHandshake(s Status) {
 	c.statusC.Store(uint32(s))
 }
 
-// stallWatch tracks one wait's watchdog state: when the wait began,
-// which mutators were already reported, and the iteration gate.
+// stallWatch tracks one wait's watchdog state: when the wait began and
+// which mutators were already reported.
 type stallWatch struct {
 	phase    string
 	start    time.Time
 	reported map[int]bool
-	iter     int
 }
 
-// watchdog runs the stall check once per gated iteration (every
-// iteration when slow is set — the wait is already sleeping between
-// polls). lagging reports whether a mutator has yet to respond to the
-// wait in progress. It returns true when the wait must be abandoned:
-// the collector is closing and the handshake has been wedged past its
+// watchdog runs the stall check for a wait that has lasted elapsed.
+// lagging reports whether a mutator has yet to respond to the wait in
+// progress. It returns true when the wait must be abandoned: the
+// collector is closing and the handshake has been wedged past its
 // grace period — the caller aborts the cycle (Stop documents why that
 // is safe).
-func (c *Collector) watchdog(w *stallWatch, lagging func(*Mutator) bool, slow bool) (abort bool) {
-	w.iter++
-	if !slow && w.iter&watchdogCheckMask != 0 {
-		return false
-	}
+func (c *Collector) watchdog(w *stallWatch, lagging func(*Mutator) bool, elapsed time.Duration) (abort bool) {
 	deadline := c.cfg.StallTimeout
-	elapsed := time.Since(w.start)
 	if c.closed.Load() && elapsed > deadline {
 		return true
 	}
@@ -91,27 +79,56 @@ func (c *Collector) waitHandshake() bool {
 // waitAll is the collector's one wait loop, shared by the handshake and
 // acknowledgement rounds: it blocks until no attached mutator is
 // lagging. Under a virtual scheduler the wait diverts to it at point p
-// (seamWait); otherwise it yields, then sleeps, watched by the stall
-// watchdog, which reports laggards under phase. Mutators attached
-// mid-wait adopt the posted status on attach, so they never stall the
-// wait; detached mutators are skipped. The false return is the
-// close-abort path: the collector is stopping and a mutator stayed
-// unresponsive past the grace period.
+// (seamWait). Otherwise it busy-polls for pollWindow when the collector
+// can have a processor of its own, then parks (park) until a response
+// wakes it or a tick passes; the stall watchdog, which reports
+// laggards under phase, runs on every iteration. The predicate alone
+// ends the wait: a wake is a hint. Mutators attached mid-wait adopt
+// the posted status on attach, so they never stall the wait; detached
+// mutators are skipped. The false return is the close-abort path: the
+// collector is stopping and a mutator stayed unresponsive past the
+// grace period.
 func (c *Collector) waitAll(p fault.Point, phase string, lagging func(*Mutator) bool) bool {
 	done := func() bool { return c.noneLagging(lagging) }
 	if handled, ok := c.seamWait(p, done); handled {
 		return ok
 	}
 	w := stallWatch{phase: phase, start: time.Now()}
-	for spin := 0; ; spin++ {
+	c.muts.Lock()
+	poll := len(c.muts.list) < runtime.GOMAXPROCS(0)
+	c.muts.Unlock()
+	for {
 		if done() {
 			return true
 		}
-		if c.watchdog(&w, lagging, spin >= HandshakeYieldBudget) {
+		elapsed := time.Since(w.start)
+		if c.watchdog(&w, lagging, elapsed) {
 			return false
 		}
-		yieldOrSleep(spin)
+		if poll && elapsed < pollWindow {
+			continue
+		}
+		c.park(done)
 	}
+}
+
+// park blocks the collector until a mutator's response wakes it or one
+// WaitTick passes. parked is set before the last look at the predicate,
+// so a response stored after that look sees it and sends the wake
+// (Cooperate); a token left by an earlier round only makes the caller
+// look again. The tick timer is the collector's one, reused, so a wait
+// allocates nothing.
+func (c *Collector) park(done func() bool) {
+	c.parked.Store(true)
+	if !done() {
+		c.tick.Reset(WaitTick)
+		select {
+		case <-c.wake:
+		case <-c.tick.C:
+		}
+		c.tick.Stop()
+	}
+	c.parked.Store(false)
 }
 
 // noneLagging reports whether every attached mutator has answered the
@@ -138,24 +155,6 @@ func phaseLabel(target Status) string {
 		return "sync2"
 	}
 	return "sync3"
-}
-
-// yieldOrSleep cedes the processor while polling mutators: Gosched lets
-// a cooperating mutator run immediately (it yields back at its next safe
-// point). Past the yield budget, sleeps back off exponentially from
-// HandshakeSleepMin to the HandshakeSleepMax cap (the constants and
-// their rationale live in sched.go).
-func yieldOrSleep(spin int) {
-	if spin < HandshakeYieldBudget {
-		runtime.Gosched()
-		return
-	}
-	d := HandshakeSleepMax
-	if shift := spin - HandshakeYieldBudget; shift < HandshakeBackoffDoublings {
-		// 1, 2, 4, ... 64µs; from the final doubling the cap applies.
-		d = HandshakeSleepMin << uint(shift)
-	}
-	time.Sleep(d)
 }
 
 // handshake is the combined post-and-wait of Figure 3.

@@ -2,7 +2,10 @@ package gc
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -64,6 +67,110 @@ func TestWaitHandshakeSkipsDetached(t *testing.T) {
 		default:
 			live.Cooperate()
 		}
+	}
+}
+
+// TestWaitSpuriousWakeRace: a wake is only a hint. With a token left in
+// the wake slot, the parked wait takes it, looks again, and keeps
+// waiting until the lagging mutator answers.
+func TestWaitSpuriousWakeRace(t *testing.T) {
+	c := newTestCollector(t, Generational)
+	m := c.NewMutator()
+	c.wake <- struct{}{} // left by an earlier round
+	c.postHandshake(StatusSync1)
+	done := make(chan struct{})
+	go func() {
+		c.waitHandshake()
+		close(done)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.wake) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the wait never took the token")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	select {
+	case <-done:
+		t.Fatal("the wait ended on a spurious wake, before the mutator answered")
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.Cooperate()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wait did not end after the mutator answered")
+	}
+}
+
+// TestWaitLostWakeRace: a response that sends no wake (the status
+// stored behind Cooperate's back) still ends a parked wait within a few
+// ticks.
+func TestWaitLostWakeRace(t *testing.T) {
+	c := newTestCollector(t, Generational)
+	m := c.NewMutator()
+	c.postHandshake(StatusSync1)
+	done := make(chan time.Time, 1)
+	go func() {
+		c.waitHandshake()
+		done <- time.Now()
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !c.parked.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("the wait never parked")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	answered := time.Now()
+	m.status.Store(uint32(StatusSync1))
+	select {
+	case end := <-done:
+		if d := end.Sub(answered); d > 50*time.Millisecond {
+			t.Errorf("the wait noticed an answer without a wake after %v, want a few ticks of %v", d, WaitTick)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wait never noticed an answer that sent no wake")
+	}
+}
+
+// TestHandshakeContendedRace: on one processor, with two compute-bound
+// mutators that reach a safe point every ~1 000 iterations and never
+// otherwise yield, a cycle's handshake and ack rounds are answered in
+// well under a scheduling quantum: each response wakes the parked
+// collector and hands it the processor.
+func TestHandshakeContendedRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := newTestCollector(t, Generational)
+	var stop atomic.Bool
+	var sink atomic.Uint64
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		m := c.NewMutator()
+		wg.Add(1)
+		go func(x uint64) {
+			defer wg.Done()
+			defer m.Detach()
+			for !stop.Load() {
+				for j := 0; j < 1000; j++ {
+					x = x*6364136223846793005 + 1442695040888963407
+				}
+				m.Cooperate()
+			}
+			sink.Add(x)
+		}(uint64(i + 1))
+	}
+	rounds := make([]time.Duration, 10)
+	for i := range rounds {
+		c.CollectNow(false)
+		r := c.cyc
+		rounds[i] = r.Sync1Time + r.Sync2Time + r.Sync3Time + r.AckTime
+	}
+	stop.Store(true)
+	wg.Wait()
+	slices.Sort(rounds)
+	if med := rounds[len(rounds)/2]; med >= 5*time.Millisecond {
+		t.Errorf("median handshake+ack time per cycle %v on one processor, want < 5ms (sorted: %v)", med, rounds)
 	}
 }
 

@@ -174,16 +174,27 @@ func (m *Mutator) Cooperate() {
 	if e := m.c.ackEpoch.Load(); e != m.ack.Load() {
 		m.ack.Store(e)
 	}
-	// Hand the processor to the waiting collector: on a single
-	// P a compute-bound mutator would otherwise keep running a
-	// full preemption quantum, stretching the sync1/sync2 window
-	// in which the write barrier promotes freshly created
-	// objects (§7.1). Measured on server_overload (4 alternating
-	// 8 s pairs, without vs with this yield): 44–49 k vs 59–64 k
-	// ops/s, latency_p50_us 1.4–2.0 ms vs 0.53–0.73 ms,
-	// cpu_ns_per_op 32.9–37.1 µs vs 25.2–27.6 µs, success_frac
-	// 0.68–0.73 vs 0.85–0.86. It stays.
-	runtime.Gosched()
+	// Wake a parked collector and hand it this processor: the send
+	// readies it into this P's runnext, and the yield runs it next.
+	// Without the yield it would wait behind compute-bound mutators
+	// that never reschedule, for the ~10 ms forced preemption, and
+	// stretch the sync1/sync2 window in which the write barrier
+	// promotes freshly created objects (§7.1). Once in 61 schedules Go
+	// takes the global run queue first and runs this mutator again;
+	// the collector then has not cleared parked, and a second yield
+	// reaches it (if it ran and parked again, the yield costs a
+	// reschedule). A collector that is polling has a processor of its
+	// own and needs none of this.
+	if m.c.parked.Load() {
+		select {
+		case m.c.wake <- struct{}{}:
+		default:
+		}
+		runtime.Gosched()
+		if m.c.parked.Load() {
+			runtime.Gosched()
+		}
+	}
 	m.recordPause(start, cause)
 }
 
@@ -512,17 +523,22 @@ func (m *Mutator) waitForFullCollection(ctx context.Context, attempt int) error 
 
 // Collect runs a collection from a mutator goroutine: the cycle runs on
 // a helper goroutine (explicit requests bypass the background trigger's
-// staleness filtering) while this mutator cooperates until it completes.
-// On a stopped collector it returns immediately.
+// staleness filtering) while this mutator cooperates once per WaitTick;
+// it returns as soon as the helper's cycle does. On a stopped collector
+// it returns immediately.
 func (m *Mutator) Collect(full bool) {
 	m.publishAllocs()
 	helper := m.collectOnHelper(full)
-	for !finished(helper) {
-		if m.c.closed.Load() {
-			return
-		}
+	tick := time.NewTimer(WaitTick)
+	defer tick.Stop()
+	for !m.c.closed.Load() {
 		m.Cooperate()
-		time.Sleep(CollectPollInterval)
+		select {
+		case <-helper:
+			return
+		case <-tick.C:
+			tick.Reset(WaitTick)
+		}
 	}
 }
 

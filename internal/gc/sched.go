@@ -15,33 +15,19 @@ import (
 // two pointer comparisons; the per-object hot loops additionally hoist
 // the armed check out of the loop (seamArmed).
 
-// Named timing constants of the real scheduler's wait loops, exported
-// because the virtual scheduler's time model (internal/modelcheck) is
-// built from them: a virtual run reports elapsed time as steps charged
-// at HandshakeSleepMin and blocked waits charged at HandshakeSleepMax,
-// the two ends of the real backoff. Tune them here and both the
-// runtime and the verifier's estimates move together.
+// Named timing constants of the real scheduler's waits. WaitTick is
+// exported because the virtual scheduler's time model
+// (internal/modelcheck) charges each blocked-wait resume one tick.
 const (
-	// HandshakeYieldBudget is how many runtime.Gosched calls a
-	// handshake or acknowledgement wait performs before it falls back
-	// to sleeping. Generous because a sleeping collector on a busy
-	// single-P system is only rescheduled at the next preemption
-	// point, ~10ms away, which would stretch the sync1/sync2 window
-	// and prematurely promote everything allocated inside it (§7.1).
-	HandshakeYieldBudget = 1 << 15
-
-	// HandshakeSleepMin/Max bound the exponential backoff once the
-	// yield budget is spent: the first sleep is Min (a promptly
-	// responding mutator costs almost nothing), doubling
-	// HandshakeBackoffDoublings times up to the Max cap, which bounds
-	// how stale the collector's view of a slow mutator can get.
-	HandshakeSleepMin = time.Microsecond
-	HandshakeSleepMax = 100 * time.Microsecond
-
-	// HandshakeBackoffDoublings is how many times the backoff doubles
-	// before the cap applies: Min<<7 = 128µs would overshoot the
-	// 100µs Max, so the 7th doubling clamps.
-	HandshakeBackoffDoublings = 7
+	// WaitTick bounds how long a parked collector sleeps between
+	// checks of its wait predicate (waitAll) and how often
+	// Mutator.Collect re-cooperates while its cycle runs. A mutator's
+	// response wakes the parked collector at once, so the tick is what
+	// a lost wake costs, and how stale the collector's view of a
+	// mutator that answers without waking it can get. Go fires the
+	// timer only when some P schedules: with every P running a
+	// compute-bound mutator, only the answers end the wait.
+	WaitTick = 100 * time.Microsecond
 
 	// AllocWaitSleepBase/Max bound the poll backoff of a mutator
 	// waiting for a full collection after an allocation failure: the
@@ -52,10 +38,6 @@ const (
 	// promptly.
 	AllocWaitSleepBase = 50 * time.Microsecond
 	AllocWaitSleepMax  = time.Millisecond
-
-	// CollectPollInterval is how often Mutator.Collect polls for its
-	// requested cycle to finish between safe-point responses.
-	CollectPollInterval = 20 * time.Microsecond
 )
 
 // seamArmed reports whether any seam consumer is installed. Hot loops

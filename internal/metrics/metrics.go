@@ -116,8 +116,14 @@ type Cycle struct {
 	DeathsByClass []int64
 
 	// Pages touched by the collector during the cycle (Figure 15);
-	// zero when page tracking is off.
-	PagesTouched int
+	// zero when page tracking is off. The phase counts split it by the
+	// phase that touched each page first: everything before the trace
+	// (a partial's card scan, a full collection's card clear), the
+	// trace, and the sweep. They sum to PagesTouched.
+	PagesTouched  int
+	CardScanPages int
+	TracePages    int
+	SweepPages    int
 
 	// Tiered-allocator activity during the cycle (mutators keep
 	// allocating while the collector runs): blocks acquired by

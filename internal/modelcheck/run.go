@@ -86,11 +86,11 @@ type RunResult struct {
 	Steps       int
 	Preemptions int
 
-	// VTime is the schedule's virtual elapsed time: steps charged at
-	// gc.HandshakeSleepMin, blocked-wait resumes at
-	// gc.HandshakeSleepMax — the two ends of the real scheduler's
-	// backoff (gc/sched.go), so the estimate brackets what the wall
-	// clock would do.
+	// VTime is the schedule's virtual waiting time: one gc.WaitTick
+	// per blocked-wait resume. A real wait resumes when a response
+	// wakes it or, if the wake is lost, one tick later (gc/sched.go),
+	// so VTime bounds what the schedule's waits would cost on the wall
+	// clock with every wake lost. Steps are not charged.
 	VTime time.Duration
 
 	// PrefixMismatch notes a replayed prefix choice that was not
@@ -230,13 +230,10 @@ func runController(vs *VirtualScheduler, sc *Scenario, env *Env, prefix []Choice
 		}
 
 		a := enabled[pick.Actor]
-		wasWait := a.kind == parkWait
 		vs.current = a
 		res.Steps++
-		if wasWait {
-			res.VTime += gc.HandshakeSleepMax
-		} else {
-			res.VTime += gc.HandshakeSleepMin
+		if a.kind == parkWait {
+			res.VTime += gc.WaitTick
 		}
 		msg := resumeMsg{ok: true}
 		if pick.Drop {
