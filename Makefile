@@ -123,8 +123,9 @@ chaos:
 # trace-verify round-trips the observability pipeline end to end: run a
 # small traced workload (gctrace's default generational mode), then
 # require gcreport to parse the JSONL and render the pause CDF, the
-# phase breakdown, and the card and demographics figures populated from
-# the cycle records the trace carries.
+# phase breakdown, the card and demographics figures populated from
+# the cycle records the trace carries, and the per-mutator pause table,
+# with neither pause table empty.
 trace-verify:
 	@tmp=$$(mktemp -d) && rc=0; \
 	{ $(GO) run ./cmd/gctrace -profile Anagram -scale 0.05 -trace $$tmp/trace.jsonl >/dev/null 2>&1 \
@@ -133,6 +134,8 @@ trace-verify:
 	  && grep -q 'Cycle phase breakdown' $$tmp/report.txt \
 	  && grep -q 'scans=' $$tmp/report.txt \
 	  && grep -q 'promoted=' $$tmp/report.txt \
+	  && grep -q 'Per-mutator pauses' $$tmp/report.txt \
+	  && ! grep -q 'no pause events in trace' $$tmp/report.txt \
 	  && echo "trace-verify: OK ($$(wc -l < $$tmp/trace.jsonl | tr -d ' ') events)"; } \
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc

@@ -57,25 +57,12 @@ func main() {
 
 	// Stream each cycle's record to stderr as it completes: the live
 	// event log behind the final characterization below. The callback
-	// runs on the collector goroutine via Runtime.OnCycle; it also sums
-	// the partials' pages by phase and their handshake and ack time
-	// (read once the run has closed the runtime).
+	// runs on the collector goroutine via Runtime.OnCycle.
 	start := time.Now()
-	var part struct {
-		cardScan, trace, sweep int
-		sync, ack              time.Duration
-	}
 	streamCycle := func(c metrics.Cycle) {
 		fmt.Fprintf(os.Stderr, "[%9.2fms] cycle %d (%v): scanned %d objects / %d slots, freed %d objects (%d KB), %d dirty cards\n",
 			time.Since(start).Seconds()*1000, c.Seq, c.Kind,
 			c.ObjectsScanned, c.SlotsScanned, c.ObjectsFreed, c.BytesFreed/1024, c.DirtyCards)
-		if c.Kind == metrics.Partial {
-			part.cardScan += c.CardScanPages
-			part.trace += c.TracePages
-			part.sweep += c.SweepPages
-			part.sync += c.Sync1Time + c.Sync2Time + c.Sync3Time
-			part.ack += c.AckTime
-		}
 	}
 
 	ropts := []workload.RunOption{workload.OnCycle(streamCycle)}
@@ -121,14 +108,15 @@ func main() {
 	fmt.Printf("collections: %d partial + %d full, GC active %.1f%% of elapsed time\n",
 		s.NumPartial, s.NumFull, s.GCActivePct)
 	if s.NumPartial > 0 {
-		n := float64(s.NumPartial)
+		n, part := float64(s.NumPartial), s.Totals[metrics.Partial].Sum
+		sync := part.Sync1Time + part.Sync2Time + part.Sync3Time
 		fmt.Printf("per partial: %.0f objects scanned (%.0f inter-generational), %.0f freed, "+
 			"%.1f%% dirty cards, %.0f KB card area, %.0f pages (card scan %.0f, trace %.0f, sweep %.0f), "+
 			"%.1f ms (handshakes %.2f ms, ack %.2f ms)\n",
 			s.AvgScannedPartial, s.AvgInterGenScanned, s.AvgFreedObjsPartial,
 			s.AvgDirtyCardPct, s.AvgAreaScanned/1024, s.AvgPagesPartial,
-			float64(part.cardScan)/n, float64(part.trace)/n, float64(part.sweep)/n,
-			s.AvgTimePartial.Seconds()*1000, part.sync.Seconds()*1000/n, part.ack.Seconds()*1000/n)
+			float64(part.CardScanPages)/n, float64(part.TracePages)/n, float64(part.SweepPages)/n,
+			s.AvgTimePartial.Seconds()*1000, sync.Seconds()*1000/n, part.AckTime.Seconds()*1000/n)
 		fmt.Printf("young mortality: %.1f%% of objects, %.1f%% of bytes freed by partials\n",
 			s.PctObjsFreedPartial, s.PctBytesFreedPartial)
 	}

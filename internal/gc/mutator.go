@@ -502,9 +502,6 @@ func (m *Mutator) waitForFullCollection(ctx context.Context, attempt int) error 
 		done = func() bool { return finished(helper) }
 	}
 	sleep := AllocWaitSleepBase << uint(attempt)
-	if sleep > AllocWaitSleepMax {
-		sleep = AllocWaitSleepMax
-	}
 	for !done() {
 		if m.c.closed.Load() {
 			return fmt.Errorf("gc: mutator %d: full collection wait: %w", m.id, ErrClosed)

@@ -29,15 +29,14 @@ const (
 	// compute-bound mutator, only the answers end the wait.
 	WaitTick = 100 * time.Microsecond
 
-	// AllocWaitSleepBase/Max bound the poll backoff of a mutator
-	// waiting for a full collection after an allocation failure: the
-	// first retry polls at Base, doubling per failed round (each
-	// failure means the last collection freed too little, so hammering
-	// the next one helps nobody) up to Max — far below the stall
-	// deadline, so the waiting mutator keeps answering handshakes
-	// promptly.
+	// AllocWaitSleepBase is the poll interval of a mutator waiting for
+	// a full collection after an allocation failure, doubling per
+	// failed round (each failure means the last collection freed too
+	// little, so hammering the next one helps nobody). Alloc gives up
+	// after allocRetries (3) rounds, so the wait polls at 50, 100 or
+	// 200 µs — far below the stall deadline, so the waiting mutator
+	// keeps answering handshakes promptly.
 	AllocWaitSleepBase = 50 * time.Microsecond
-	AllocWaitSleepMax  = time.Millisecond
 )
 
 // seamArmed reports whether any seam consumer is installed. Hot loops

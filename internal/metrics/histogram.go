@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -96,14 +97,15 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile returns the value at quantile q in [0,1]: the upper edge of
-// the bucket holding the q·Count-th observation, clamped to the exact
-// recorded maximum so that Quantile(1) == Max().
+// the bucket holding the nearest-rank quantile, the ⌈q·Count⌉-th
+// smallest observation, clamped to the exact recorded maximum so that
+// Quantile(1) == Max().
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
-	rank := int64(q * float64(n))
+	rank := int64(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}

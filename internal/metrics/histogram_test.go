@@ -105,6 +105,24 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNearestRank: a quantile is the bucket of the
+// ⌈q·n⌉-th smallest observation, never a lower one, so the upper edge
+// bounds the exact nearest-rank quantile from above.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{1000, 3000, 7000} {
+		h.Record(d)
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.2, 1023}, {0.5, 3071}, {0.67, 7000}, {1, 7000}} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	var a, b, dst Histogram
 	for i := 0; i < 100; i++ {

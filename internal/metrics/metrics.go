@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -168,31 +169,6 @@ type Demographics struct {
 	SurvivalByAge []int64 `json:"survival_by_age,omitempty"`
 }
 
-// AddCycle folds one finished cycle into the aggregate.
-func (d *Demographics) AddCycle(c Cycle) {
-	if c.Kind == Partial {
-		d.PromotedObjects += int64(c.PromotedObjects)
-		d.PromotedBytes += int64(c.PromotedBytes)
-		d.SurvivedObjects += int64(c.Survivors)
-	}
-	d.TraceBytes += int64(c.TraceBytes)
-	d.InterGenScanned += int64(c.InterGenScanned)
-	d.InterGenBytes += int64(c.InterGenBytes)
-	d.DirtyCards += int64(c.DirtyCards)
-	d.CardsScanned += int64(c.CardsScanned)
-	d.AreaScanned += int64(c.AreaScanned)
-	d.DeathsByClass = addVec(d.DeathsByClass, c.DeathsByClass)
-	d.SurvivalByAge = addVec(d.SurvivalByAge, c.SurvivalByAge)
-}
-
-// Clone returns a deep copy (the histograms are slices).
-func (d Demographics) Clone() Demographics {
-	out := d
-	out.DeathsByClass = append([]int64(nil), d.DeathsByClass...)
-	out.SurvivalByAge = append([]int64(nil), d.SurvivalByAge...)
-	return out
-}
-
 // addVec adds src into dst element-wise, growing dst as needed; a nil
 // src returns dst unchanged.
 func addVec(dst, src []int64) []int64 {
@@ -207,32 +183,175 @@ func addVec(dst, src []int64) []int64 {
 	return dst
 }
 
+// Totals is the running sum of cycle records per cycle kind, indexed by
+// CycleKind: the one fold of the records, behind Summary, Demographics
+// and gcreport's cycle figures. The zero value is empty.
+type Totals [2]KindTotals
+
+// KindTotals sums the records of one cycle kind.
+type KindTotals struct {
+	// Cycles counts the records added.
+	Cycles int
+
+	// Sum is the field-wise sum of the records: every count and
+	// duration, the histograms added element-wise. Kind and Seq are
+	// not summed; they stay zero.
+	Sum Cycle
+
+	// DirtyCardPct sums each record's dirty-card percentage,
+	// 100·DirtyCards/AllocatedCards, over the records with allocated
+	// cards: Figure 22 is its mean per partial.
+	DirtyCardPct float64
+}
+
+// Add folds one cycle record into its kind's sums. It never aliases the
+// record's slices.
+func (t *Totals) Add(c Cycle) {
+	k := &t[c.Kind]
+	k.Cycles++
+	if c.AllocatedCards > 0 {
+		k.DirtyCardPct += 100 * float64(c.DirtyCards) / float64(c.AllocatedCards)
+	}
+	s := &k.Sum
+	s.Duration += c.Duration
+	s.HandshakeTime += c.HandshakeTime
+	s.InitFullTime += c.InitFullTime
+	s.Sync1Time += c.Sync1Time
+	s.Sync2Time += c.Sync2Time
+	s.Sync3Time += c.Sync3Time
+	s.CardScanTime += c.CardScanTime
+	s.AckRounds += c.AckRounds
+	s.AckTime += c.AckTime
+	s.TraceTime += c.TraceTime
+	s.SweepTime += c.SweepTime
+	s.DrainTime += c.DrainTime
+	s.ObjectsScanned += c.ObjectsScanned
+	s.SlotsScanned += c.SlotsScanned
+	s.InterGenScanned += c.InterGenScanned
+	s.DirtyCards += c.DirtyCards
+	s.AllocatedCards += c.AllocatedCards
+	s.CardsScanned += c.CardsScanned
+	s.AreaScanned += c.AreaScanned
+	s.ObjectsFreed += c.ObjectsFreed
+	s.BytesFreed += c.BytesFreed
+	s.Survivors += c.Survivors
+	s.SurvivorBytes += c.SurvivorBytes
+	s.PromotedObjects += c.PromotedObjects
+	s.PromotedBytes += c.PromotedBytes
+	s.TraceBytes += c.TraceBytes
+	s.InterGenBytes += c.InterGenBytes
+	s.SurvivalByAge = addVec(s.SurvivalByAge, c.SurvivalByAge)
+	s.DeathsByClass = addVec(s.DeathsByClass, c.DeathsByClass)
+	s.PagesTouched += c.PagesTouched
+	s.CardScanPages += c.CardScanPages
+	s.TracePages += c.TracePages
+	s.SweepPages += c.SweepPages
+	s.AllocRefills += c.AllocRefills
+	s.AllocContended += c.AllocContended
+}
+
+// clone returns a deep copy (the sums' histograms are slices).
+func (t *Totals) clone() Totals {
+	out := *t
+	for k := range out {
+		out[k].Sum.SurvivalByAge = slices.Clone(out[k].Sum.SurvivalByAge)
+		out[k].Sum.DeathsByClass = slices.Clone(out[k].Sum.DeathsByClass)
+	}
+	return out
+}
+
+// Demographics derives the run-cumulative heap demographics: promotion
+// and survival from the partials, the card traffic, traced volume and
+// histograms from every cycle.
+func (t *Totals) Demographics() Demographics {
+	p, f := &t[Partial].Sum, &t[Full].Sum
+	return Demographics{
+		PromotedObjects: int64(p.PromotedObjects),
+		PromotedBytes:   int64(p.PromotedBytes),
+		SurvivedObjects: int64(p.Survivors),
+		TraceBytes:      int64(p.TraceBytes + f.TraceBytes),
+		InterGenScanned: int64(p.InterGenScanned + f.InterGenScanned),
+		InterGenBytes:   int64(p.InterGenBytes + f.InterGenBytes),
+		DirtyCards:      int64(p.DirtyCards + f.DirtyCards),
+		CardsScanned:    int64(p.CardsScanned + f.CardsScanned),
+		AreaScanned:     int64(p.AreaScanned + f.AreaScanned),
+		DeathsByClass:   addVec(addVec(nil, p.DeathsByClass), f.DeathsByClass),
+		SurvivalByAge:   addVec(addVec(nil, p.SurvivalByAge), f.SurvivalByAge),
+	}
+}
+
+// summarize computes the run aggregates from the sums; elapsed is the
+// run's wall time. The Summary carries a copy of the sums.
+func (t *Totals) summarize(elapsed time.Duration) Summary {
+	p, f := t[Partial], t[Full]
+	s := Summary{
+		Elapsed:        elapsed,
+		GCActive:       p.Sum.Duration + f.Sum.Duration,
+		NumPartial:     p.Cycles,
+		NumFull:        f.Cycles,
+		NumCycles:      p.Cycles + f.Cycles,
+		ObjectsFreed:   int64(p.Sum.ObjectsFreed + f.Sum.ObjectsFreed),
+		BytesFreed:     int64(p.Sum.BytesFreed + f.Sum.BytesFreed),
+		ObjectsScanned: int64(p.Sum.ObjectsScanned + f.Sum.ObjectsScanned),
+		PagesTouched:   int64(p.Sum.PagesTouched + f.Sum.PagesTouched),
+		Totals:         t.clone(),
+	}
+	if elapsed > 0 {
+		s.GCActivePct = 100 * float64(s.GCActive) / float64(elapsed)
+	}
+	if p.Cycles > 0 {
+		fp := float64(p.Cycles)
+		s.AvgInterGenScanned = float64(p.Sum.InterGenScanned) / fp
+		s.AvgScannedPartial = float64(p.Sum.ObjectsScanned) / fp
+		s.AvgFreedObjsPartial = float64(p.Sum.ObjectsFreed) / fp
+		s.AvgFreedBytesPartial = float64(p.Sum.BytesFreed) / fp
+		s.AvgTimePartial = time.Duration(float64(p.Sum.Duration) / fp)
+		s.AvgPagesPartial = float64(p.Sum.PagesTouched) / fp
+		s.AvgDirtyCardPct = p.DirtyCardPct / fp
+		s.AvgAreaScanned = float64(p.Sum.AreaScanned) / fp
+		s.PctObjsFreedPartial = pct(p.Sum.ObjectsFreed, p.Sum.Survivors)
+		// Every young survivor of a partial was either promoted or
+		// demoted (aging), so their bytes are its surviving volume.
+		s.PctBytesFreedPartial = pct(p.Sum.BytesFreed, p.Sum.PromotedBytes+p.Sum.SurvivorBytes)
+	}
+	if f.Cycles > 0 {
+		ff := float64(f.Cycles)
+		s.AvgScannedFull = float64(f.Sum.ObjectsScanned) / ff
+		s.AvgFreedObjsFull = float64(f.Sum.ObjectsFreed) / ff
+		s.AvgFreedBytesFull = float64(f.Sum.BytesFreed) / ff
+		s.AvgTimeFull = time.Duration(float64(f.Sum.Duration) / ff)
+		s.AvgPagesFull = float64(f.Sum.PagesTouched) / ff
+		s.PctObjsFreedFull = pct(f.Sum.ObjectsFreed, f.Sum.Survivors)
+	}
+	return s
+}
+
+// pct is freed's share of freed plus survived, in percent; 0 when both
+// are zero. For objects it is the paper's "percent of the objects of
+// the young generation that are collected".
+func pct(freed, survived int) float64 {
+	if freed+survived == 0 {
+		return 0
+	}
+	return 100 * float64(freed) / float64(freed+survived)
+}
+
 // RetainedCycles is how many of the most recent cycle records a
 // Recorder keeps for Cycles. The run totals behind Summarize and
 // Demographics are running sums over every cycle, so a long-lived
 // runtime's recorder stays this size however many cycles it runs.
 const RetainedCycles = 1024
 
-// Recorder accumulates cycle records and aggregate statistics. The
-// collector goroutine is the only writer; readers take the mutex.
+// Recorder numbers cycle records, keeps the most recent ones and folds
+// every one into the run totals. The collector goroutine is the only
+// writer; readers take the mutex.
 type Recorder struct {
 	mu       sync.Mutex
 	start    time.Time
-	seq      int           // cycles recorded so far
-	recent   []Cycle       // ring of the last RetainedCycles records
-	tot      [2]kindTotals // indexed by CycleKind
-	demo     Demographics
+	seq      int     // cycles recorded so far
+	recent   []Cycle // ring of the last RetainedCycles records
+	tot      Totals
 	onRecord func(Cycle)
-}
-
-// kindTotals is the running sum of one cycle kind's records, the
-// inputs Summarize averages.
-type kindTotals struct {
-	n                                     int
-	scanned, interGen, freed, freedBytes  int64
-	survivors, survivedBytes, area, pages int64
-	time                                  time.Duration
-	dirtyPct                              float64
 }
 
 // NewRecorder starts a recorder; the start time anchors the
@@ -241,10 +360,9 @@ func NewRecorder() *Recorder {
 	return &Recorder{start: time.Now()}
 }
 
-// Record numbers one finished cycle, folds it into the run totals and
-// the demographics, retains it among the recent records, invokes the
-// OnRecord observer, if any, outside the recorder lock, and returns the
-// numbered record.
+// Record numbers one finished cycle, folds it into the run totals,
+// retains it among the recent records, invokes the OnRecord observer,
+// if any, outside the recorder lock, and returns the numbered record.
 func (r *Recorder) Record(c Cycle) Cycle {
 	r.mu.Lock()
 	r.seq++
@@ -254,23 +372,7 @@ func (r *Recorder) Record(c Cycle) Cycle {
 	} else {
 		r.recent[(c.Seq-1)%RetainedCycles] = c
 	}
-	t := &r.tot[c.Kind]
-	t.n++
-	t.scanned += int64(c.ObjectsScanned)
-	t.interGen += int64(c.InterGenScanned)
-	t.freed += int64(c.ObjectsFreed)
-	t.freedBytes += int64(c.BytesFreed)
-	t.survivors += int64(c.Survivors)
-	// Every young survivor of a partial was either promoted or demoted
-	// (aging), so this is a partial's surviving byte volume.
-	t.survivedBytes += int64(c.PromotedBytes + c.SurvivorBytes)
-	t.area += int64(c.AreaScanned)
-	t.pages += int64(c.PagesTouched)
-	t.time += c.Duration
-	if c.AllocatedCards > 0 {
-		t.dirtyPct += 100 * float64(c.DirtyCards) / float64(c.AllocatedCards)
-	}
-	r.demo.AddCycle(c)
+	r.tot.Add(c)
 	fn := r.onRecord
 	r.mu.Unlock()
 	if fn != nil {
@@ -307,7 +409,7 @@ func (r *Recorder) Cycles() []Cycle {
 func (r *Recorder) Demographics() Demographics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.demo.Clone()
+	return r.tot.Demographics()
 }
 
 // Summary condenses a run into the aggregates the paper tabulates.
@@ -341,6 +443,11 @@ type Summary struct {
 	PctBytesFreedPartial float64 // freed / (freed + promoted + demoted bytes) in partials
 	AvgDirtyCardPct      float64 // Figure 22 (partials only)
 	AvgAreaScanned       float64 // Figure 23 (partials only)
+
+	// Totals holds the per-kind record sums the fields above are
+	// computed from; a figure with no field of its own (gctrace's
+	// per-phase pages) divides a sum by its kind's Cycles.
+	Totals Totals
 }
 
 // Summarize computes the aggregates over every recorded cycle. elapsed
@@ -351,47 +458,5 @@ func (r *Recorder) Summarize(elapsed time.Duration) Summary {
 	if elapsed == 0 {
 		elapsed = time.Since(r.start)
 	}
-	p, f := r.tot[Partial], r.tot[Full]
-	s := Summary{
-		Elapsed: elapsed, GCActive: p.time + f.time, NumCycles: r.seq,
-		NumPartial: p.n, NumFull: f.n,
-		ObjectsFreed:   p.freed + f.freed,
-		BytesFreed:     p.freedBytes + f.freedBytes,
-		ObjectsScanned: p.scanned + f.scanned,
-		PagesTouched:   p.pages + f.pages,
-	}
-	if elapsed > 0 {
-		s.GCActivePct = 100 * float64(s.GCActive) / float64(elapsed)
-	}
-	if p.n > 0 {
-		fp := float64(p.n)
-		s.AvgInterGenScanned = float64(p.interGen) / fp
-		s.AvgScannedPartial = float64(p.scanned) / fp
-		s.AvgFreedObjsPartial = float64(p.freed) / fp
-		s.AvgFreedBytesPartial = float64(p.freedBytes) / fp
-		s.AvgTimePartial = time.Duration(float64(p.time) / fp)
-		s.AvgPagesPartial = float64(p.pages) / fp
-		s.AvgDirtyCardPct = p.dirtyPct / fp
-		s.AvgAreaScanned = float64(p.area) / fp
-		if p.freed+p.survivors > 0 {
-			// "percent of the objects of the young generation that
-			// are collected": freed / (freed + young survivors).
-			s.PctObjsFreedPartial = 100 * float64(p.freed) / float64(p.freed+p.survivors)
-		}
-		if denom := p.freedBytes + p.survivedBytes; denom > 0 {
-			s.PctBytesFreedPartial = 100 * float64(p.freedBytes) / float64(denom)
-		}
-	}
-	if f.n > 0 {
-		ff := float64(f.n)
-		s.AvgScannedFull = float64(f.scanned) / ff
-		s.AvgFreedObjsFull = float64(f.freed) / ff
-		s.AvgFreedBytesFull = float64(f.freedBytes) / ff
-		s.AvgTimeFull = time.Duration(float64(f.time) / ff)
-		s.AvgPagesFull = float64(f.pages) / ff
-		if f.freed+f.survivors > 0 {
-			s.PctObjsFreedFull = 100 * float64(f.freed) / float64(f.freed+f.survivors)
-		}
-	}
-	return s
+	return r.tot.summarize(elapsed)
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -163,5 +164,49 @@ func TestRecorderBounded(t *testing.T) {
 	d := r.Demographics()
 	if d.PromotedObjects != 2*(n-n/4) || len(d.DeathsByClass) != 1 || d.DeathsByClass[0] != n {
 		t.Errorf("demographics = %d promoted, deaths %v", d.PromotedObjects, d.DeathsByClass)
+	}
+}
+
+// TestTotalsAddEveryField: Add sums every field of Cycle but Kind and
+// Seq. The record is built by reflection — each count and duration a
+// distinct nonzero value, each slice one element — so a field added to
+// Cycle but not to Add fails here.
+func TestTotalsAddEveryField(t *testing.T) {
+	var c, want Cycle
+	cv, wv := reflect.ValueOf(&c).Elem(), reflect.ValueOf(&want).Elem()
+	for i := range cv.NumField() {
+		name, f, w := cv.Type().Field(i).Name, cv.Field(i), wv.Field(i)
+		v := int64(i + 1)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(v)
+			if name != "Kind" && name != "Seq" {
+				w.SetInt(2 * v)
+			}
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]int64{v}))
+			w.Set(reflect.ValueOf([]int64{2 * v}))
+		default:
+			t.Fatalf("Cycle.%s is a %v: teach Add and this test to sum it", name, f.Kind())
+		}
+	}
+	c.Kind = Full
+	var tot Totals
+	tot.Add(c)
+	tot.Add(c)
+	c.DeathsByClass[0] = -1 // the sums must not alias the record
+	got := tot[Full]
+	gv := reflect.ValueOf(got.Sum)
+	for i := range gv.NumField() {
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("Sum.%s = %v, want %v", gv.Type().Field(i).Name, gv.Field(i), wv.Field(i))
+		}
+	}
+	pct := 100 * float64(c.DirtyCards) / float64(c.AllocatedCards)
+	if got.Cycles != 2 || got.DirtyCardPct != 2*pct {
+		t.Errorf("Cycles %d, DirtyCardPct %v; want 2, %v", got.Cycles, got.DirtyCardPct, 2*pct)
+	}
+	if !reflect.DeepEqual(tot[Partial], KindTotals{}) {
+		t.Errorf("partial totals = %+v, want empty", tot[Partial])
 	}
 }

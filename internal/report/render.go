@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"gengc/internal/metrics"
 )
 
 // Renderers: plain-text (and CSV) figures in the style of the bench
@@ -29,8 +31,8 @@ func fmtQ(q float64) string {
 func RenderPauseCDF(w io.Writer, t *Trace, csv bool) {
 	c := t.Pauses()
 	fmt.Fprintf(w, "Pause-time CDF (%d pauses, %d mutators, %d runs)\n",
-		c.Count, c.Mutators, t.Runs)
-	if c.Count == 0 {
+		c.Fleet.Count(), len(c.PerMutator), t.Runs)
+	if c.Fleet.Count() == 0 {
 		fmt.Fprintln(w, "  no pause events in trace")
 		fmt.Fprintln(w)
 		return
@@ -38,11 +40,11 @@ func RenderPauseCDF(w io.Writer, t *Trace, csv bool) {
 	if csv {
 		fmt.Fprintln(w, "quantile,pause_ns")
 		for _, q := range cdfPoints {
-			fmt.Fprintf(w, "%s,%d\n", fmtQ(q), c.Quantile(q).Nanoseconds())
+			fmt.Fprintf(w, "%s,%d\n", fmtQ(q), c.Fleet.Quantile(q).Nanoseconds())
 		}
 	} else {
 		for _, q := range cdfPoints {
-			fmt.Fprintf(w, "  %-6s %12v\n", fmtQ(q), c.Quantile(q))
+			fmt.Fprintf(w, "  %-6s %12v\n", fmtQ(q), c.Fleet.Quantile(q))
 		}
 	}
 	causes := make([]string, 0, len(c.ByCause))
@@ -58,39 +60,42 @@ func RenderPauseCDF(w io.Writer, t *Trace, csv bool) {
 	fmt.Fprintln(w)
 }
 
-// RenderBreakdown prints the per-phase cycle decomposition per kind.
+// RenderBreakdown prints the per-phase cycle decomposition per kind,
+// full before partial.
 func RenderBreakdown(w io.Writer, t *Trace, csv bool) {
-	bds := t.Breakdown()
+	tot := t.Totals()
 	fmt.Fprintln(w, "Cycle phase breakdown (mean per cycle)")
-	if len(bds) == 0 {
+	if tot[metrics.Partial].Cycles+tot[metrics.Full].Cycles == 0 {
 		fmt.Fprintln(w, "  no completed cycles in trace")
 		fmt.Fprintln(w)
 		return
 	}
 	if csv {
 		fmt.Fprintln(w, "kind,cycles,total_ns,sync1_ns,sync2_ns,sync3_ns,ack_ns,ack_rounds,trace_ns,drain_ns,sweep_ns,scanned,freed")
-		for _, b := range bds {
-			n := int64(b.Cycles)
-			fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%.2f,%d,%d,%d,%.1f,%.1f\n",
-				b.Kind, b.Cycles, b.Total.Nanoseconds()/n,
-				b.Sync[0].Nanoseconds()/n, b.Sync[1].Nanoseconds()/n,
-				b.Sync[2].Nanoseconds()/n, b.Acks.Nanoseconds()/n,
-				float64(b.AckN)/float64(n), b.Trace.Nanoseconds()/n,
-				b.Drain.Nanoseconds()/n, b.Sweep.Nanoseconds()/n,
-				float64(b.Scanned)/float64(n), float64(b.Freed)/float64(n))
-		}
 	} else {
 		fmt.Fprintf(w, "  %-8s %7s %12s %10s %10s %10s %10s %6s %12s %12s %12s %10s %10s\n",
 			"kind", "cycles", "total", "sync1", "sync2", "sync3",
 			"ack", "rnds", "trace", "drain", "sweep", "scanned", "freed")
-		for _, b := range bds {
-			n := time.Duration(b.Cycles)
-			f := float64(b.Cycles)
+	}
+	for _, k := range []metrics.CycleKind{metrics.Full, metrics.Partial} {
+		kt := tot[k]
+		if kt.Cycles == 0 {
+			continue
+		}
+		s, n, f := kt.Sum, time.Duration(kt.Cycles), float64(kt.Cycles)
+		if csv {
+			fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%.2f,%d,%d,%d,%.1f,%.1f\n",
+				k, kt.Cycles, int64(s.Duration/n),
+				int64(s.Sync1Time/n), int64(s.Sync2Time/n), int64(s.Sync3Time/n),
+				int64(s.AckTime/n), float64(s.AckRounds)/f, int64(s.TraceTime/n),
+				int64(s.DrainTime/n), int64(s.SweepTime/n),
+				float64(s.ObjectsScanned)/f, float64(s.ObjectsFreed)/f)
+		} else {
 			fmt.Fprintf(w, "  %-8s %7d %12v %10v %10v %10v %10v %6.2f %12v %12v %12v %10.1f %10.1f\n",
-				b.Kind, b.Cycles, rnd(b.Total/n), rnd(b.Sync[0]/n),
-				rnd(b.Sync[1]/n), rnd(b.Sync[2]/n), rnd(b.Acks/n),
-				float64(b.AckN)/f, rnd(b.Trace/n), rnd(b.Drain/n), rnd(b.Sweep/n),
-				float64(b.Scanned)/f, float64(b.Freed)/f)
+				k, kt.Cycles, rnd(s.Duration/n), rnd(s.Sync1Time/n),
+				rnd(s.Sync2Time/n), rnd(s.Sync3Time/n), rnd(s.AckTime/n),
+				float64(s.AckRounds)/f, rnd(s.TraceTime/n), rnd(s.DrainTime/n), rnd(s.SweepTime/n),
+				float64(s.ObjectsScanned)/f, float64(s.ObjectsFreed)/f)
 		}
 	}
 	fmt.Fprintln(w)
@@ -98,36 +103,34 @@ func RenderBreakdown(w io.Writer, t *Trace, csv bool) {
 
 func rnd(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 
-// RenderCards prints the dirty-card statistics of the traced partials.
+// RenderCards prints the dirty-card statistics of the traced partials,
+// the only cycles that scan cards (Figures 21–23). Its dirty % is
+// Figure 22's: the mean over the partials of each one's dirty share of
+// its allocated cards, as in Summary.AvgDirtyCardPct.
 func RenderCards(w io.Writer, t *Trace, csv bool) {
-	s := t.Cards()
+	p := t.Totals()[metrics.Partial]
 	fmt.Fprintln(w, "Dirty cards (card scans of partial collections)")
-	if s.Scans == 0 {
+	if p.Cycles == 0 {
 		fmt.Fprintln(w, "  no card scans in trace (non-generational run?)")
 		fmt.Fprintln(w)
 		return
 	}
-	pct := 0.0
-	if s.Allocated > 0 {
-		pct = 100 * float64(s.Dirty) / float64(s.Allocated)
-	}
-	f := float64(s.Scans)
+	f := float64(p.Cycles)
+	dirty, alloc, pct := float64(p.Sum.DirtyCards)/f, float64(p.Sum.AllocatedCards)/f, p.DirtyCardPct/f
+	scan := p.Sum.CardScanTime / time.Duration(p.Cycles)
 	if csv {
 		fmt.Fprintln(w, "scans,avg_dirty,avg_allocated,dirty_pct,avg_scan_ns")
-		fmt.Fprintf(w, "%d,%.1f,%.1f,%.2f,%d\n", s.Scans,
-			float64(s.Dirty)/f, float64(s.Allocated)/f, pct,
-			s.Time.Nanoseconds()/int64(s.Scans))
+		fmt.Fprintf(w, "%d,%.1f,%.1f,%.2f,%d\n", p.Cycles, dirty, alloc, pct, scan.Nanoseconds())
 	} else {
 		fmt.Fprintf(w, "  scans=%d avg dirty=%.1f avg allocated=%.1f dirty%%=%.2f avg scan=%v\n",
-			s.Scans, float64(s.Dirty)/f, float64(s.Allocated)/f, pct,
-			rnd(s.Time/time.Duration(s.Scans)))
+			p.Cycles, dirty, alloc, pct, rnd(scan))
 	}
 	fmt.Fprintln(w)
 }
 
 // RenderMutators prints one line of pause quantiles per (run, mutator).
 func RenderMutators(w io.Writer, t *Trace, csv bool) {
-	ms := t.PerMutator()
+	ms := t.Pauses().PerMutator
 	fmt.Fprintln(w, "Per-mutator pauses")
 	if len(ms) == 0 {
 		fmt.Fprintln(w, "  no pause events in trace")
@@ -136,20 +139,18 @@ func RenderMutators(w io.Writer, t *Trace, csv bool) {
 	}
 	if csv {
 		fmt.Fprintln(w, "run,mutator,count,p50_ns,p99_ns,max_ns")
-		for _, m := range ms {
-			fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d\n", m.Run, m.Mutator, m.Count,
-				quantile(m.Sorted, 0.50), quantile(m.Sorted, 0.99),
-				m.Sorted[len(m.Sorted)-1])
-		}
 	} else {
 		fmt.Fprintf(w, "  %4s %8s %8s %12s %12s %12s\n",
 			"run", "mutator", "count", "p50", "p99", "max")
-		for _, m := range ms {
-			fmt.Fprintf(w, "  %4d %8d %8d %12v %12v %12v\n",
-				m.Run, m.Mutator, m.Count,
-				time.Duration(quantile(m.Sorted, 0.50)),
-				time.Duration(quantile(m.Sorted, 0.99)),
-				time.Duration(m.Sorted[len(m.Sorted)-1]))
+	}
+	for _, m := range ms {
+		h := m.Pauses
+		if csv {
+			fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d\n", m.Run, m.Mutator, h.Count(),
+				h.Quantile(0.50).Nanoseconds(), h.Quantile(0.99).Nanoseconds(), h.Max().Nanoseconds())
+		} else {
+			fmt.Fprintf(w, "  %4d %8d %8d %12v %12v %12v\n", m.Run, m.Mutator, h.Count(),
+				h.Quantile(0.50), h.Quantile(0.99), h.Max())
 		}
 	}
 	fmt.Fprintln(w)
@@ -159,7 +160,8 @@ func RenderMutators(w io.Writer, t *Trace, csv bool) {
 // generational runs: how much each partial tenured, and — in aging mode
 // — the survival histogram showing where the young cohort dies off.
 func RenderDemographics(w io.Writer, t *Trace, csv bool) {
-	partials, s := t.Demographics()
+	tot := t.Totals()
+	partials, s := tot[metrics.Partial].Cycles, tot.Demographics()
 	fmt.Fprintln(w, "Heap demographics (promotion per partial collection)")
 	if partials == 0 {
 		fmt.Fprintln(w, "  no partial collections in trace (non-generational run?)")

@@ -6,11 +6,15 @@
 // figures behind Figures 11–12.
 //
 // A trace file may concatenate several runs (gcbench streams every
-// repeat into one sink); each run opens with a "start" event. Every
-// per-cycle figure is a sum over the records the "cycle" events carry
-// (metrics.Cycle, the runtime's own account of each collection); the
-// pause figures read the "pause" events. Traces recorded before cycle
-// events carried records still parse, but hold no records to sum.
+// repeat into one sink); each run opens with a "start" event. The
+// per-cycle figures come from one fold: the records the "cycle" events
+// carry (metrics.Cycle, the runtime's own account of each collection)
+// added into a metrics.Totals, the sums behind Stats and
+// Snapshot.Demographics. The pause figures fold the "pause" events into
+// metrics.Histograms, as the runtime fills Snapshot.Fleet, so their
+// quantiles are bucket edges and their maximum exact. Traces recorded
+// before cycle events carried records still parse, but hold no records
+// to sum.
 package report
 
 import (
@@ -18,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
 
@@ -87,117 +90,65 @@ func Parse(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// quantile returns the q-quantile (0 < q <= 1) of a sorted slice,
-// using the nearest-rank (ceiling) convention.
-func quantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// PauseCDF summarizes the distribution of mutator pause events,
-// fleet-wide and per cause.
+// PauseCDF is the distribution of the trace's "pause" events, folded
+// into the histograms behind Snapshot: one per (run, mutator) and their
+// merge, so every quantile is a bucket's upper edge (≤ ~6 % relative
+// error) and the maximum is exact.
 type PauseCDF struct {
-	Count    int
-	ByCause  map[string]int
-	Sorted   []int64 // all pause durations, ascending (ns)
-	Mutators int     // distinct (run, mutator) pairs that paused
+	Fleet      *metrics.Histogram
+	ByCause    map[string]int
+	PerMutator []MutatorPauses // ordered by run, then mutator id
 }
 
-// Pauses extracts every "pause" event.
+// MutatorPauses is one mutator's pauses within one run.
+type MutatorPauses struct {
+	Run     int
+	Mutator int
+	Pauses  *metrics.Histogram
+}
+
+// Pauses folds every "pause" event into its mutator's histogram and
+// merges those into the fleet's, as the runtime does.
 func (t *Trace) Pauses() PauseCDF {
-	c := PauseCDF{ByCause: map[string]int{}}
-	muts := map[[2]int]bool{}
+	c := PauseCDF{Fleet: &metrics.Histogram{}, ByCause: map[string]int{}}
+	byKey := map[[2]int]*metrics.Histogram{}
 	for _, e := range t.Events {
 		if e.Ev != "pause" {
 			continue
 		}
-		c.Count++
 		c.ByCause[e.K]++
-		c.Sorted = append(c.Sorted, e.D)
-		muts[[2]int{e.Run, e.Worker}] = true
+		k := [2]int{e.Run, e.Worker}
+		h := byKey[k]
+		if h == nil {
+			h = &metrics.Histogram{}
+			byKey[k] = h
+			c.PerMutator = append(c.PerMutator, MutatorPauses{Run: e.Run, Mutator: e.Worker, Pauses: h})
+		}
+		h.Record(time.Duration(e.D))
 	}
-	c.Mutators = len(muts)
-	sort.Slice(c.Sorted, func(i, j int) bool { return c.Sorted[i] < c.Sorted[j] })
+	sort.Slice(c.PerMutator, func(i, j int) bool {
+		a, b := c.PerMutator[i], c.PerMutator[j]
+		if a.Run != b.Run {
+			return a.Run < b.Run
+		}
+		return a.Mutator < b.Mutator
+	})
+	for _, m := range c.PerMutator {
+		m.Pauses.MergeInto(c.Fleet)
+	}
 	return c
 }
 
-// Quantile returns the q-quantile pause duration.
-func (c PauseCDF) Quantile(q float64) time.Duration {
-	return time.Duration(quantile(c.Sorted, q))
-}
-
-// Max returns the largest observed pause.
-func (c PauseCDF) Max() time.Duration {
-	if len(c.Sorted) == 0 {
-		return 0
-	}
-	return time.Duration(c.Sorted[len(c.Sorted)-1])
-}
-
-// records returns the cycle records the trace's "cycle" events carry,
-// in file order.
-func (t *Trace) records() []*metrics.Cycle {
-	var out []*metrics.Cycle
+// Totals folds the records the trace's "cycle" events carry into
+// per-kind sums, the fold behind Stats and Snapshot.Demographics.
+func (t *Trace) Totals() metrics.Totals {
+	var tot metrics.Totals
 	for _, e := range t.Events {
 		if e.Ev == "cycle" && e.Rec != nil {
-			out = append(out, e.Rec)
+			tot.Add(*e.Rec)
 		}
 	}
-	return out
-}
-
-// CycleBreakdown is the per-phase time decomposition of the traced
-// collection cycles, split by cycle kind.
-type CycleBreakdown struct {
-	Kind    string // "partial" or "full"
-	Cycles  int
-	Total   time.Duration // sum of whole-cycle durations
-	Sync    [3]time.Duration
-	Acks    time.Duration
-	AckN    int
-	Trace   time.Duration // whole trace-to-fixpoint phase
-	Drain   time.Duration // the trace's gray-stack drains
-	Sweep   time.Duration
-	Scanned int64
-	Freed   int64
-}
-
-// Breakdown sums the cycle records' phase durations per cycle kind,
-// ordered by kind name.
-func (t *Trace) Breakdown() []CycleBreakdown {
-	var agg [2]CycleBreakdown // indexed by metrics.CycleKind
-	for _, r := range t.records() {
-		b := &agg[r.Kind]
-		b.Cycles++
-		b.Total += r.Duration
-		b.Sync[0] += r.Sync1Time
-		b.Sync[1] += r.Sync2Time
-		b.Sync[2] += r.Sync3Time
-		b.Acks += r.AckTime
-		b.AckN += r.AckRounds
-		b.Trace += r.TraceTime
-		b.Drain += r.DrainTime
-		b.Sweep += r.SweepTime
-		b.Scanned += int64(r.ObjectsScanned)
-		b.Freed += int64(r.ObjectsFreed)
-	}
-	var out []CycleBreakdown
-	for _, k := range []metrics.CycleKind{metrics.Full, metrics.Partial} {
-		if agg[k].Cycles > 0 {
-			agg[k].Kind = k.String()
-			out = append(out, agg[k])
-		}
-	}
-	return out
+	return tot
 }
 
 // Meta returns each run's metadata string — the key=value pairs the
@@ -214,80 +165,4 @@ func (t *Trace) Meta() []string {
 		}
 	}
 	return meta
-}
-
-// Demographics folds every cycle record into the run-cumulative
-// demographics, the aggregate Snapshot.Demographics reports, and counts
-// the partial collections among them.
-func (t *Trace) Demographics() (partials int, d metrics.Demographics) {
-	for _, r := range t.records() {
-		if r.Kind == metrics.Partial {
-			partials++
-		}
-		d.AddCycle(*r)
-	}
-	return partials, d
-}
-
-// CardStats sums the dirty-card work of the partial collections, the
-// only cycles that scan cards (Figures 21–23).
-type CardStats struct {
-	Scans     int
-	Dirty     int64
-	Allocated int64
-	Time      time.Duration
-}
-
-// Cards sums the card scans of every partial cycle record.
-func (t *Trace) Cards() CardStats {
-	var s CardStats
-	for _, r := range t.records() {
-		if r.Kind != metrics.Partial {
-			continue
-		}
-		s.Scans++
-		s.Dirty += int64(r.DirtyCards)
-		s.Allocated += int64(r.AllocatedCards)
-		s.Time += r.CardScanTime
-	}
-	return s
-}
-
-// MutatorPauses summarizes one mutator's pauses within one run.
-type MutatorPauses struct {
-	Run     int
-	Mutator int
-	Count   int
-	Sorted  []int64
-}
-
-// PerMutator groups pause events by (run, mutator id), ordered by run
-// then id.
-func (t *Trace) PerMutator() []MutatorPauses {
-	byKey := map[[2]int]*MutatorPauses{}
-	for _, e := range t.Events {
-		if e.Ev != "pause" {
-			continue
-		}
-		k := [2]int{e.Run, e.Worker}
-		m := byKey[k]
-		if m == nil {
-			m = &MutatorPauses{Run: e.Run, Mutator: e.Worker}
-			byKey[k] = m
-		}
-		m.Count++
-		m.Sorted = append(m.Sorted, e.D)
-	}
-	out := make([]MutatorPauses, 0, len(byKey))
-	for _, m := range byKey {
-		sort.Slice(m.Sorted, func(i, j int) bool { return m.Sorted[i] < m.Sorted[j] })
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Run != out[j].Run {
-			return out[i].Run < out[j].Run
-		}
-		return out[i].Mutator < out[j].Mutator
-	})
-	return out
 }

@@ -107,74 +107,85 @@ func TestPausesAndQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tr.Pauses()
-	if c.Count != 3 {
-		t.Fatalf("pause count = %d, want 3", c.Count)
+	if n := c.Fleet.Count(); n != 3 {
+		t.Fatalf("pause count = %d, want 3", n)
 	}
 	// Worker 0 paused in both runs but is a distinct mutator each run.
-	if c.Mutators != 3 {
-		t.Fatalf("mutators = %d, want 3 (per-run identity)", c.Mutators)
+	if len(c.PerMutator) != 3 {
+		t.Fatalf("mutators = %d, want 3 (per-run identity)", len(c.PerMutator))
 	}
-	if got := c.Max(); got != 7000*time.Nanosecond {
+	if got := c.Fleet.Max(); got != 7000*time.Nanosecond {
 		t.Fatalf("max pause = %v, want 7µs", got)
 	}
-	if got := c.Quantile(0.5); got != 3000*time.Nanosecond {
-		t.Fatalf("p50 = %v, want 3µs", got)
+	// The quantiles are the histogram's bucket edges: p50 is the
+	// 3000 ns pause, whose bucket ends at 3071 ns.
+	if got := c.Fleet.Quantile(0.5); got != 3071*time.Nanosecond {
+		t.Fatalf("p50 = %v, want 3.071µs", got)
 	}
 	if c.ByCause["handshake"] != 1 || c.ByCause["allocwait"] != 1 {
 		t.Fatalf("by cause = %v", c.ByCause)
 	}
 }
 
-func TestBreakdownSumsRecordsByKind(t *testing.T) {
+func TestTotalsSumRecordsByKind(t *testing.T) {
 	tr, err := Parse(synth(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bds := tr.Breakdown()
-	if len(bds) != 2 {
-		t.Fatalf("breakdowns = %d (%+v), want full+partial", len(bds), bds)
+	// The unfinished cycle 2's drain span must not leak in: only the
+	// two records count.
+	var want metrics.Totals
+	want.Add(partialRec)
+	want.Add(fullRec)
+	if got := tr.Totals(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("totals = %+v, want %+v", got, want)
 	}
-	full, partial := bds[0], bds[1]
-	wantPartial := CycleBreakdown{Kind: "partial", Cycles: 1, Total: 60,
-		Sync: [3]time.Duration{5, 8, 6}, Acks: 2, AckN: 1, Trace: 14, Drain: 10,
-		Sweep: 20, Scanned: 50, Freed: 30}
-	if partial != wantPartial {
-		t.Fatalf("partial breakdown = %+v, want %+v", partial, wantPartial)
-	}
-	// The unfinished cycle 2's drain span must not leak in.
-	wantFull := CycleBreakdown{Kind: "full", Cycles: 1, Total: 120,
-		Sync: [3]time.Duration{10, 0, 0}, Trace: 28, Drain: 20, Sweep: 40,
-		Scanned: 500, Freed: 300}
-	if full != wantFull {
-		t.Fatalf("full breakdown = %+v, want %+v", full, wantFull)
+	if p := want[metrics.Partial]; p.Cycles != 1 || p.Sum.Sync2Time != 8 || p.Sum.DrainTime != 10 {
+		t.Fatalf("partial totals = %+v", p)
 	}
 }
 
+// TestCards: the card figure's dirty % is Figure 22's mean of
+// per-partial ratios, not the ratio of the summed counts.
 func TestCards(t *testing.T) {
-	tr, err := Parse(synth(t))
+	var buf bytes.Buffer
+	s := trace.NewJSONLSink(&buf)
+	s.Emit(trace.Event{Ev: "start"})
+	for i, c := range []metrics.Cycle{
+		{Kind: metrics.Partial, DirtyCards: 10, AllocatedCards: 100, CardScanTime: 2000},
+		{Kind: metrics.Partial, DirtyCards: 90, AllocatedCards: 300, CardScanTime: 4000},
+		{Kind: metrics.Full, DirtyCards: 1000, AllocatedCards: 1000},
+	} {
+		c.Seq = i + 1
+		s.Emit(trace.Event{Ev: "cycle", Cycle: int64(c.Seq), K: c.Kind.String(), Rec: &c})
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Cards()
-	if s.Scans != 1 || s.Dirty != 8 || s.Allocated != 100 || s.Time != 4 {
-		t.Fatalf("cards = %+v", s)
+	var out bytes.Buffer
+	RenderCards(&out, tr, false)
+	// (10 % + 30 %) / 2 = 20 %; the ratio of sums would read 25 %.
+	if want := "scans=2 avg dirty=50.0 avg allocated=200.0 dirty%=20.00 avg scan=3µs"; !strings.Contains(out.String(), want) {
+		t.Fatalf("card figure:\n%s\nwant %q", out.String(), want)
 	}
 }
 
-// TestDemographicsFoldRecords: the trace's demographics are the records
-// folded through metrics.Demographics.AddCycle, the code behind
-// Snapshot.Demographics, so the two agree field for field.
+// TestDemographicsFoldRecords: the trace's demographics come from the
+// summed records, promotion and survival from the partials only.
 func TestDemographicsFoldRecords(t *testing.T) {
 	tr, err := Parse(synth(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	partials, got := tr.Demographics()
-	var want metrics.Demographics
-	want.AddCycle(partialRec)
-	want.AddCycle(fullRec)
-	if partials != 1 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("demographics = %d partials, %+v; want 1, %+v", partials, got, want)
+	tot := tr.Totals()
+	want := metrics.Demographics{PromotedObjects: 12, PromotedBytes: 960,
+		SurvivedObjects: 12, DirtyCards: 8, DeathsByClass: []int64{100, 230}}
+	if got := tot.Demographics(); tot[metrics.Partial].Cycles != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("demographics = %d partials, %+v; want 1, %+v", tot[metrics.Partial].Cycles, got, want)
 	}
 }
 
@@ -183,15 +194,15 @@ func TestPerMutator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := tr.PerMutator()
+	ms := tr.Pauses().PerMutator
 	if len(ms) != 3 {
 		t.Fatalf("per-mutator groups = %d, want 3", len(ms))
 	}
-	if ms[0].Run != 0 || ms[0].Mutator != 0 || ms[0].Count != 1 {
-		t.Fatalf("first group = %+v", ms[0])
+	if ms[0].Run != 0 || ms[0].Mutator != 0 || ms[0].Pauses.Count() != 1 {
+		t.Fatalf("first group = run %d mutator %d, %d pauses", ms[0].Run, ms[0].Mutator, ms[0].Pauses.Count())
 	}
-	if ms[2].Run != 1 || ms[2].Mutator != 0 || ms[2].Sorted[0] != 7000 {
-		t.Fatalf("last group = %+v", ms[2])
+	if ms[2].Run != 1 || ms[2].Mutator != 0 || ms[2].Pauses.Max() != 7000 {
+		t.Fatalf("last group = run %d mutator %d, max %v", ms[2].Run, ms[2].Mutator, ms[2].Pauses.Max())
 	}
 }
 
@@ -281,12 +292,12 @@ func TestOldTraceWithRetiredBarrierEvents(t *testing.T) {
 		t.Fatalf("Meta() = %q, want the recorded string verbatim", got)
 	}
 	p := tr.Pauses()
-	if p.Count != 2 || p.Mutators != 1 || p.Max() != 3*time.Microsecond {
+	if p.Fleet.Count() != 2 || len(p.PerMutator) != 1 || p.Fleet.Max() != 3*time.Microsecond {
 		t.Errorf("pauses = %d from %d mutators, max %v; want 2 from 1, max 3µs",
-			p.Count, p.Mutators, p.Max())
+			p.Fleet.Count(), len(p.PerMutator), p.Fleet.Max())
 	}
-	if bds := tr.Breakdown(); len(bds) != 0 {
-		t.Fatalf("breakdown of a record-less trace = %+v, want none", bds)
+	if tot := tr.Totals(); !reflect.DeepEqual(tot, metrics.Totals{}) {
+		t.Fatalf("totals of a record-less trace = %+v, want none", tot)
 	}
 	var out bytes.Buffer
 	RenderSummary(&out, tr)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"gengc"
+	"gengc/internal/metrics"
 	"gengc/internal/report"
 	"gengc/internal/trace"
 	"gengc/internal/workload"
@@ -192,10 +193,12 @@ func TestTraceSinkEvents(t *testing.T) {
 	}
 }
 
-// TestTraceTotalsMatchRuntime: the trace's cycle records are the
-// runtime's own, so gcreport's totals over a traced run (two Mix
-// mutators, then a full collection) equal Stats and
-// Snapshot().Demographics exactly, in both generational modes.
+// TestTraceTotalsMatchRuntime: the trace's cycle records and pause
+// events are the runtime's own, and gcreport folds them with the same
+// code, so over a traced run (two Mix mutators, then a full collection)
+// its per-kind sums equal those behind Stats, its demographics
+// Snapshot().Demographics and its fleet pause statistics
+// Snapshot().Fleet, exactly, in both generational modes.
 func TestTraceTotalsMatchRuntime(t *testing.T) {
 	for _, mode := range []gengc.Mode{gengc.Generational, gengc.GenerationalAging} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -225,26 +228,20 @@ func TestTraceTotalsMatchRuntime(t *testing.T) {
 			if st.NumPartial == 0 || st.NumFull == 0 {
 				t.Fatalf("run too quiet: %d partials, %d fulls", st.NumPartial, st.NumFull)
 			}
-			kinds := map[string]int{}
-			var scanned, freed int64
-			for _, b := range tr.Breakdown() {
-				kinds[b.Kind] = b.Cycles
-				scanned += b.Scanned
-				freed += b.Freed
+			if tr.Dropped != 0 {
+				t.Fatalf("trace dropped %d events", tr.Dropped)
 			}
-			if kinds["partial"] != st.NumPartial || kinds["full"] != st.NumFull {
-				t.Errorf("trace cycles %v, Stats %d partial / %d full", kinds, st.NumPartial, st.NumFull)
+			tot := tr.Totals()
+			if !reflect.DeepEqual(tot, st.Totals) {
+				t.Errorf("trace totals\n%+v\nStats\n%+v", tot, st.Totals)
 			}
-			if scanned != st.ObjectsScanned || freed != st.ObjectsFreed {
-				t.Errorf("trace scanned/freed %d/%d, Stats %d/%d",
-					scanned, freed, st.ObjectsScanned, st.ObjectsFreed)
+			snap := rt.Snapshot()
+			demo := tot.Demographics()
+			if !reflect.DeepEqual(demo, snap.Demographics) {
+				t.Errorf("trace demographics\n%+v\nSnapshot\n%+v", demo, snap.Demographics)
 			}
-			partials, demo := tr.Demographics()
-			if partials != st.NumPartial {
-				t.Errorf("demographics partials %d, Stats %d", partials, st.NumPartial)
-			}
-			if want := rt.Snapshot().Demographics; !reflect.DeepEqual(demo, want) {
-				t.Errorf("trace demographics\n%+v\nSnapshot\n%+v", demo, want)
+			if got := tr.Pauses().Fleet.Stats(-1); got != snap.Fleet {
+				t.Errorf("trace pauses %+v, Snapshot %+v", got, snap.Fleet)
 			}
 			if demo.PromotedObjects == 0 || len(demo.DeathsByClass) == 0 {
 				t.Errorf("demographics empty: %+v", demo)
@@ -252,8 +249,8 @@ func TestTraceTotalsMatchRuntime(t *testing.T) {
 			if mode == gengc.GenerationalAging && len(demo.SurvivalByAge) == 0 {
 				t.Error("aging run has no survival histogram")
 			}
-			if cs := tr.Cards(); cs.Scans != st.NumPartial || cs.Time <= 0 {
-				t.Errorf("card scans %d taking %v, want one per partial", cs.Scans, cs.Time)
+			if p := tot[metrics.Partial]; p.Sum.CardScanTime <= 0 || snap.Fleet.Count == 0 {
+				t.Errorf("%d partials scanned cards for %v, %d pauses", p.Cycles, p.Sum.CardScanTime, snap.Fleet.Count)
 			}
 		})
 	}
@@ -283,16 +280,12 @@ func TestTraceJSONLThroughReport(t *testing.T) {
 	if tr.Runs != 1 {
 		t.Fatalf("runs = %d, want 1", tr.Runs)
 	}
-	bds := tr.Breakdown()
-	var traced int
-	for _, b := range bds {
-		traced += b.Cycles
-	}
-	if traced != res.Summary.NumCycles {
+	tot := tr.Totals()
+	if traced := tot[metrics.Partial].Cycles + tot[metrics.Full].Cycles; traced != res.Summary.NumCycles {
 		t.Fatalf("trace holds %d cycles, metrics %d", traced, res.Summary.NumCycles)
 	}
-	pauses := tr.Pauses()
-	if pauses.Count == 0 {
+	pauses := tr.Pauses().Fleet
+	if pauses.Count() == 0 {
 		t.Fatal("no pause events in trace")
 	}
 	if max := pauses.Max(); max != res.Pauses.Max {
