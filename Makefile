@@ -40,8 +40,14 @@ alloc-guard:
 # where the batched drain's stage 1 issues its members' header loads
 # back to back. Once, at cost 131, shade silently stopped inlining and
 # the trace lost 15 % per object; this turns that into a build failure.
+# It guards the create's first attempt the same way: the facade's
+# Alloc and AllocCtx must stay inlinable (a call less per create), and
+# (*Mutator).first must inline heap.ClassFor (the one-load size-class
+# lookup) and (*Mutator).charge (cost 80, at the budget; out of line,
+# BenchmarkAllocPointerFree lost ~10 %).
 inline-guard:
-	@out=$$($(GO) build -gcflags=-m=2 ./internal/gc 2>&1); \
+	@out=$$($(GO) build -gcflags=-m=2 . ./internal/gc 2>&1); \
+	first=$$(awk '/^func \(m \*Mutator\) first\(/ { s = NR } s && /^}/ { print s, NR; exit }' internal/gc/mutator.go); \
 	if ! echo "$$out" | grep -q 'can inline (\*Collector)\.shade'; then \
 		echo "inline-guard: (*Collector).shade is no longer inlinable"; \
 		echo "$$out" | grep '(\*Collector)\.shade'; exit 1; \
@@ -52,6 +58,17 @@ inline-guard:
 	if ! echo "$$out" | grep -qE 'trace\.go:[0-9]+:[0-9]+: inlining call to heap\.\(\*Heap\)\.Header'; then \
 		echo "inline-guard: drain no longer inlines (*Heap).Header"; exit 1; \
 	fi; \
+	for f in Alloc AllocCtx; do \
+		if ! echo "$$out" | grep -qE "gengc\.go:[0-9]+:[0-9]+: can inline \(\*Mutator\)\.$$f with"; then \
+			echo "inline-guard: the facade's (*Mutator).$$f is no longer inlinable"; exit 1; \
+		fi; \
+	done; \
+	for callee in 'heap.ClassFor' '(*Mutator).charge'; do \
+		if ! echo "$$out" | grep -F "inlining call to $$callee" | \
+			awk -F: -v r="$$first" 'BEGIN { split(r, l, " ") } $$1 ~ /mutator\.go$$/ && $$2 >= l[1] && $$2 <= l[2] { ok = 1 } END { exit !ok }'; then \
+			echo "inline-guard: (*Mutator).first no longer inlines $$callee"; exit 1; \
+		fi; \
+	done; \
 	echo "inline-guard: OK"
 
 # The concurrency-heavy subset under the race detector: the

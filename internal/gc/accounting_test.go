@@ -1,7 +1,10 @@
 package gc
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"gengc/internal/heap"
 )
@@ -120,23 +123,64 @@ func TestPartialTriggerAtMostOneBlockLate(t *testing.T) {
 
 // TestMutatorAllocAllocatesNoGoMemory guards the create fast path: a
 // warmed Alloc of a pointer-free object — block publications, pacer
-// verdicts and collection requests included — makes no Go allocation.
-// Run by name from `make alloc-guard`.
+// verdicts and collection requests included — makes no Go allocation,
+// and neither does AllocCtx under a deadline context, the server's
+// create. Run by name from `make alloc-guard`.
 func TestMutatorAllocAllocatesNoGoMemory(t *testing.T) {
-	c, err := New(Config{Mode: Generational, HeapBytes: 8 << 20, YoungBytes: 64 << 10})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for _, tc := range []struct {
+		name  string
+		alloc func(m *Mutator) (heap.Addr, error)
+	}{
+		{"Alloc", func(m *Mutator) (heap.Addr, error) { return m.Alloc(0, 32) }},
+		{"AllocCtx", func(m *Mutator) (heap.Addr, error) { return m.AllocCtx(ctx, 0, 32) }},
+	} {
+		c, err := New(Config{Mode: Generational, HeapBytes: 8 << 20, YoungBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := c.NewMutator()
+		mustAlloc(t, m, 0, 32) // warm: the size class owns a block
+		// 20 000 × 32 B is over 150 blocks: publications, a crossed
+		// young trigger and block refills all fall inside the measured
+		// runs.
+		if n := testing.AllocsPerRun(20000, func() {
+			if _, err := tc.alloc(m); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Mutator.%s made %v Go allocations per call, want 0", tc.name, n)
+		}
+		m.Detach()
+	}
+}
+
+// TestAllocCtxExpiredClaimsNothing pins what the create's first attempt
+// keeps on a warm cache (an owned block with blue cells): a context
+// that has expired before the call fails the create with the context's
+// error, not ErrStalled — it never waited — and claims no cell.
+func TestAllocCtxExpiredClaimsNothing(t *testing.T) {
+	c, err := New(Config{Mode: Generational, HeapBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := c.NewMutator()
 	defer m.Detach()
 	mustAlloc(t, m, 0, 32) // warm: the size class owns a block
-	// 20 000 × 32 B is over 150 blocks: publications, a crossed young
-	// trigger and block refills all fall inside the measured runs.
-	if n := testing.AllocsPerRun(20000, func() {
-		if _, err := m.Alloc(0, 32); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("Mutator.Alloc made %v Go allocations per call, want 0", n)
+	c.H.PublishAllocs(&m.cache)
+	before, pend := c.H.AllocatedObjects(), m.pend
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := m.AllocCtx(ctx, 0, 32)
+	if a != 0 || !errors.Is(err, context.Canceled) || errors.Is(err, ErrStalled) {
+		t.Fatalf("AllocCtx(expired) = %#x, %v; want 0 and an error wrapping context.Canceled, not ErrStalled", a, err)
+	}
+	c.H.PublishAllocs(&m.cache)
+	if after := c.H.AllocatedObjects(); after != before {
+		t.Fatalf("AllocCtx(expired) claimed %d cells, want none", after-before)
+	}
+	if m.pend != pend {
+		t.Fatalf("AllocCtx(expired) charged %+v, want %+v", m.pend, pend)
 	}
 }

@@ -280,7 +280,7 @@ func build(cfg Config, vs fault.Scheduler, breakSyncAccept bool) (*Collector, er
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	h, err := heap.New(cfg.HeapBytes)
+	h, err := heap.New(cfg.HeapBytes, cfg.Mode == GenerationalAging)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +327,7 @@ func build(cfg Config, vs fault.Scheduler, breakSyncAccept bool) (*Collector, er
 	// The global-roots object. Allocated with a private cache; its
 	// cells' block stays live for the runtime's lifetime.
 	var cache heap.Cache
-	g, _, err := h.Alloc(&cache, globalRootSlots,
+	g, err := h.Alloc(&cache, globalRootSlots,
 		heap.HeaderBytes+globalRootSlots*heap.WordBytes, c.AllocColor())
 	if err != nil {
 		return nil, fmt.Errorf("gc: allocating global roots: %w", err)

@@ -58,11 +58,11 @@ type Mutator struct {
 
 	detached atomic.Bool
 
-	// The pad rounds Mutator up to 320 bytes, a multiple of 64, so its
+	// The pad rounds Mutator up to 384 bytes, a multiple of 64, so its
 	// allocation size class keeps every Mutator cache-line aligned
 	// (TestMutatorLayout). At 288 bytes — a class that alternates
 	// alignment — old_mutation lost ~1.5 % CPU per op.
-	_ [32]byte
+	_ [40]byte
 }
 
 // NewMutator attaches a new mutator thread to the collector.
@@ -351,24 +351,75 @@ const allocRetries = 3
 // the error wraps heap.ErrOutOfMemory. On a stopped collector
 // the error wraps ErrClosed.
 func (m *Mutator) Alloc(slots, size int) (heap.Addr, error) {
-	return m.alloc(context.Background(), slots, size)
+	a, injected := m.first(nil, slots, size)
+	if a != 0 {
+		return a, nil
+	}
+	return m.retry(context.Background(), slots, size, injected)
 }
 
 // AllocCtx is Alloc bounded by a context: the OOM wait for a full
 // collection observes ctx, so a deadline or cancellation turns an
 // indefinite allocation stall into an error. A context that expires
 // while waiting yields an error wrapping both ErrStalled and ctx.Err();
-// the fast path costs one non-blocking receive on ctx.Done() over Alloc.
+// one that has expired before the call yields ctx.Err() alone and
+// claims no cell. The create costs one non-blocking receive on
+// ctx.Done() over Alloc.
 func (m *Mutator) AllocCtx(ctx context.Context, slots, size int) (heap.Addr, error) {
-	return m.alloc(ctx, slots, size)
+	a, injected := m.first(ctx.Done(), slots, size)
+	if a != 0 {
+		return a, nil
+	}
+	return m.retry(ctx, slots, size, injected)
 }
 
-// alloc is the shared allocation path; Alloc passes
-// context.Background(), whose nil Done channel never fires. The test
-// is a non-blocking receive rather than ctx.Err(), which locks a
-// deadline context's mutex on every call; Err runs only once Done has
-// fired.
-func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error) {
+// first is the create's one lean attempt, shared by Alloc and AllocCtx:
+// it checks that the runtime is open, steps the allocation fault seam
+// (only when a scheduler or injector is armed, so the model checker
+// steps through this code too), tests a context's done channel (Alloc
+// passes nil, which costs one comparison), claims a cell in the owned
+// block and charges it. Anything else — a large object, an exhausted block, an
+// injected fault, a closed runtime or an expired context — is a miss:
+// first returns 0, with injected set when the seam injected a fault,
+// and retry takes the request from there. The test is a non-blocking
+// receive rather than ctx.Err(), which locks a deadline context's mutex
+// on every call.
+func (m *Mutator) first(done <-chan struct{}, slots, size int) (a heap.Addr, injected bool) {
+	c := m.c
+	if c.closed.Load() {
+		return 0, false
+	}
+	if c.seamArmed() {
+		if drop, fail := c.seamStep(fault.Alloc); drop || fail {
+			return 0, true
+		}
+	}
+	if fired(done) {
+		return 0, false
+	}
+	req := max(size, heap.HeaderBytes+slots*heap.WordBytes)
+	class, cell := heap.ClassFor(req)
+	if class < 0 {
+		return 0, false
+	}
+	if a = c.H.Claim(&m.cache, class, slots, c.AllocColor()); a != 0 {
+		m.charge(req, cell)
+	}
+	return a, false
+}
+
+// errInjected is the allocation failure the fault seam injects: a
+// transient exhaustion that takes the collect-and-retry path a real OOM
+// takes.
+var errInjected = fmt.Errorf("gc: injected allocation fault: %w", heap.ErrOutOfMemory)
+
+// retry is the allocation path of a miss in first, which has stepped
+// the fault seam for attempt 0 (injected is its verdict). Each attempt
+// tests the context and the runtime, then allocates through heap.Alloc,
+// which refills the class's block when it has to; an exhausted heap or
+// an injected fault waits for a full collection and tries again, up to
+// allocRetries times.
+func (m *Mutator) retry(ctx context.Context, slots, size int, injected bool) (heap.Addr, error) {
 	done := ctx.Done()
 	for attempt := 0; ; attempt++ {
 		if fired(done) {
@@ -388,30 +439,19 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 		if m.c.closed.Load() {
 			return 0, fmt.Errorf("gc: mutator %d: allocation: %w", m.id, ErrClosed)
 		}
-		var addr heap.Addr
-		var cell int
-		var err error
-		if m.c.seamArmed() {
-			if drop, fail := m.c.seamStep(fault.Alloc); drop || fail {
-				// Injected transient exhaustion: exercise the same
-				// collect-and-retry path a real OOM takes.
-				err = fmt.Errorf("gc: injected allocation fault: %w", heap.ErrOutOfMemory)
-			}
+		if attempt > 0 && m.c.seamArmed() {
+			drop, fail := m.c.seamStep(fault.Alloc)
+			injected = drop || fail
 		}
-		if err == nil {
-			addr, cell, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor())
-		}
-		if err == nil {
-			if size < heap.HeaderBytes+slots*heap.WordBytes {
-				size = heap.HeaderBytes + slots*heap.WordBytes
+		err := errInjected
+		if !injected {
+			var addr heap.Addr
+			if addr, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor()); err == nil {
+				req := max(size, heap.HeaderBytes+slots*heap.WordBytes)
+				_, cell := heap.ClassFor(req)
+				m.charge(req, cell)
+				return addr, nil
 			}
-			m.pend.req += int64(size)
-			m.pend.bytes += int64(cell)
-			m.pend.objects++
-			if m.pend.bytes >= heap.BlockSize {
-				m.publishAllocs()
-			}
-			return addr, nil
 		}
 		if attempt >= allocRetries {
 			m.c.pacer.NoteSlip()
@@ -422,6 +462,17 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 		if werr := m.waitForFullCollection(ctx, attempt); werr != nil {
 			return 0, werr
 		}
+	}
+}
+
+// charge adds a create of req requested bytes in a cell of cell bytes
+// to the pending accounting, publishing it once it reaches a block.
+func (m *Mutator) charge(req, cell int) {
+	m.pend.req += int64(req)
+	m.pend.bytes += int64(cell)
+	m.pend.objects++
+	if m.pend.bytes >= heap.BlockSize {
+		m.publishAllocs()
 	}
 }
 
@@ -442,7 +493,7 @@ func fired(done <-chan struct{}) bool {
 
 // publishAllocs folds the pending allocation accounting into the
 // collector's heap totals and the pacer, whose verdict becomes a
-// collection request. alloc calls it once per heap.BlockSize of charged
+// collection request. charge calls it once per heap.BlockSize of charged
 // bytes (the granularity at which heap.Cache publishes its claims), as
 // does every point where the mutator synchronizes with the collector
 // anyway: a handshake response, Detach, Collect, the slow path's wait,

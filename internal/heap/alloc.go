@@ -20,66 +20,92 @@ type Cache struct {
 
 // classCursor is a cache's hold on one size class. cur is the granule
 // index of the next color entry to examine in the owned block and end
-// the index one past the block's last cell; both zero means no block is
-// owned (block 0 never holds cells). pend counts the cells claimed
-// since the last publication, all from the owned block.
+// the index one past the block's last cell; cur == end means the block
+// has nothing left to claim, and both zero that no block is owned
+// (block 0 never holds cells). stride is the class's cell size in
+// granules, set with the block. pend counts the cells claimed since the
+// last publication, all from the owned block.
 type classCursor struct {
-	cur, end uint32
-	pend     int32
+	cur, end, stride uint32
+	pend             int32
 }
 
 // block returns the index of the owned block; end must be nonzero.
 func (cc *classCursor) block() uint32 { return (cc.end - 1) / (BlockSize / Granule) }
 
-// Alloc allocates an object with the given number of pointer slots and a
-// total payload of at least size bytes (the header is added on top), and
-// colors it with allocColor — the "create" routine of Figure 1. The
-// pointer slots are zeroed. It returns the address and the cell size, or
-// ErrOutOfMemory when the heap cannot satisfy the request even from a
-// fresh block; the caller is expected to force a collection and retry.
+// Claim is the create's lock-free step: it takes the next blue cell of
+// the cache's owned block of the class and publishes it as an object
+// with the given number of pointer slots (zeroed) and color col. It
+// returns 0 when the block has no blue cell left or no block is owned;
+// Alloc then refills. The caller supplies the class (ClassFor) and
+// charges the cell.
 //
 // The claim is a scan of the owned block's color bytes, at cell stride
 // from the cursor and one load per word, for the next zero one: only the
-// owner claims in its block, so a cell seen blue stays blue for it.
-func (h *Heap) Alloc(c *Cache, slots int, size int, allocColor Color) (Addr, int, error) {
+// owner claims in its block, so a cell seen blue stays blue for it. A
+// scan that finds none leaves the cursor at the end, so the refill's
+// caller does not rescan the block.
+func (h *Heap) Claim(c *Cache, class, slots int, col Color) Addr {
+	cc := &c.cls[class]
+	var w uint64
+	for g, wi := cc.cur, ^uint32(0); g < cc.end; g += cc.stride {
+		if g/8 != wi {
+			wi = g / 8
+			w = atomic.LoadUint64(&h.colors[wi])
+		}
+		if uint8(w>>(g%8*8)) == 0 {
+			cc.cur = g + cc.stride
+			cc.pend++
+			h.publish(g*Granule, slots, col)
+			return g * Granule
+		}
+	}
+	cc.cur = cc.end
+	return 0
+}
+
+// Alloc allocates an object with the given number of pointer slots and a
+// total payload of at least size bytes (the header is added on top), and
+// colors it with allocColor — the "create" routine of Figure 1. The
+// pointer slots are zeroed. It returns the address, or ErrOutOfMemory
+// when the heap cannot satisfy the request even from a fresh block; the
+// caller is expected to force a collection and retry. ClassFor gives
+// the cell size the object occupies.
+//
+// A small object is a Claim in the owned block or, when that misses, a
+// refill and a Claim in the new block, which cannot miss: a block is
+// taken only while unowned with a positive count, and an unowned
+// block counts no more blue cells than it has (blockMeta.freeCells).
+func (h *Heap) Alloc(c *Cache, slots int, size int, allocColor Color) (Addr, error) {
 	class, cell := ClassFor(max(size, HeaderBytes+slots*WordBytes))
 	if class < 0 {
-		addr, bytes, err := h.allocLarge(cell)
+		addr, err := h.allocLarge(cell)
 		if err == nil {
 			h.publish(addr, slots, allocColor)
 		}
-		return addr, bytes, err
+		return addr, err
 	}
-	cc := &c.cls[class]
-	stride := uint32(cell / Granule)
-	for {
-		var w uint64
-		for g, wi := cc.cur, ^uint32(0); g < cc.end; g += stride {
-			if g/8 != wi {
-				wi = g / 8
-				w = atomic.LoadUint64(&h.colors[wi])
-			}
-			if uint8(w>>(g%8*8)) == 0 {
-				cc.cur = g + stride
-				cc.pend++
-				h.publish(g*Granule, slots, allocColor)
-				return g * Granule, cell, nil
-			}
-		}
-		if err := h.refill(cc, class); err != nil {
-			return 0, 0, err
-		}
+	if a := h.Claim(c, class, slots, allocColor); a != 0 {
+		return a, nil
 	}
+	if err := h.refill(&c.cls[class], class); err != nil {
+		return 0, err
+	}
+	a := h.Claim(c, class, slots, allocColor)
+	if a == 0 {
+		panic("heap: a refilled block has no blue cell")
+	}
+	return a, nil
 }
 
 // publish turns the claimed blue cell at addr into a new object of
-// color col. The age, the slot count and the zeroed slots are written
-// first: the collector reads the color (acquire) before the rest. The
-// byte is zero and only this cache writes it while it is, so the color
-// goes in with an OR — the one atomic of a pointer-free create, which
-// has no slot count to record and so writes no cell memory.
+// color col. The slot count and the zeroed slots are written first: the
+// collector reads the color (acquire) before the rest. The byte is zero
+// and only this cache writes it while it is, so the color goes in with
+// an OR — the one atomic of a pointer-free create, which has no slot
+// count to record and so writes no cell memory. The age (aging only)
+// needs no store: a blue cell's is zero (SweepBlock).
 func (h *Heap) publish(addr Addr, slots int, col Color) {
-	h.ages[addr/Granule] = 0
 	b := uint64(col)
 	if slots > 0 {
 		b |= hasSlots
@@ -159,6 +185,7 @@ func (h *Heap) refill(cc *classCursor, class int) error {
 	s.cached.Add(int64(bm.freeCells))
 	cc.cur = b * (BlockSize / Granule)
 	cc.end = cc.cur + uint32(CellsPerBlock(class)*classSizes[class]/Granule)
+	cc.stride = uint32(classSizes[class] / Granule)
 	return nil
 }
 
@@ -212,16 +239,16 @@ func (h *Heap) formatBlock(b uint32, class int, s *centralShard) {
 	s.freeCells.Add(int64(n))
 }
 
-// allocLarge claims whole blocks for an object of size bytes, leaving
-// it blue, and returns its address and the size of the blocks.
-func (h *Heap) allocLarge(size int) (Addr, int, error) {
-	n := (size + BlockSize - 1) / BlockSize
+// allocLarge claims whole blocks for an object of size bytes, a
+// multiple of BlockSize, leaving it blue, and returns its address.
+func (h *Heap) allocLarge(size int) (Addr, error) {
+	n := size / BlockSize
 	p := &h.pages
 	p.lock()
 	start := h.findRun(n)
 	if start < 0 {
 		p.unlock()
-		return 0, 0, ErrOutOfMemory
+		return 0, ErrOutOfMemory
 	}
 	h.blocks[start].nBlocks.Store(uint32(n))
 	h.blocks[start].class.Store(blockLargeHead)
@@ -232,7 +259,7 @@ func (h *Heap) allocLarge(size int) (Addr, int, error) {
 	p.unlock()
 	p.largeBytes.Add(int64(n * BlockSize))
 	p.largeObjects.Add(1)
-	return Addr(start) * BlockSize, n * BlockSize, nil
+	return Addr(start) * BlockSize, nil
 }
 
 // findRun locates n contiguous free blocks, returning the first index or
@@ -296,10 +323,12 @@ func (h *Heap) Flush(c *Cache) {
 // and turned blue, which is all "free" means, by one atomic AND. The
 // block's new blue cells are counted once after the walk, under one
 // shard-lock acquisition, and only if there were any (see
-// blockMeta.freeCells for why the colors go first). A dead large object
-// returns its blocks to the page pool. No cell memory is touched and
-// nothing is allocated. The paper keeps the color in the object header,
-// so the Figure 15 page model charges a populated block's one page.
+// blockMeta.freeCells for why the colors go first). A heap with ages
+// zeroes the dead cells' ages before it blues them, so a create stores
+// none. A dead large object returns its blocks to the page pool. No
+// cell memory is touched and nothing is allocated. The paper keeps the
+// color in the object header, so the Figure 15 page model charges a
+// populated block's one page.
 //
 // Only the collector calls it, and only for cells no mutator can reach,
 // so a cell it turns blue races with nothing but the block owner's
@@ -333,6 +362,14 @@ func (h *Heap) SweepBlock(b int, clear, stale, old Color, each func(addr Addr, c
 			}
 		}
 		if dead != 0 {
+			if h.ages != nil {
+				// Before the cells turn blue: an owner may claim
+				// them from then on, and finds their ages zero.
+				g := b*wordsPerBlock*8 + i*8
+				for m := dead; m != 0; m &= m - 1 {
+					h.ages[g+bits.TrailingZeros64(m)/8] = 0
+				}
+			}
 			atomic.AndUint64(&words[i], ^(dead >> 7 * 0xff))
 			n += bits.OnesCount64(dead)
 		}

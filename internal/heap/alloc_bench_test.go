@@ -13,7 +13,7 @@ import (
 func BenchmarkAllocParallel(b *testing.B) {
 	for _, muts := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("muts=%d", muts), func(b *testing.B) {
-			h, err := New(64 << 20)
+			h, err := New(64<<20, false)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,7 @@ import (
 
 func newTestHeap(t *testing.T, size int) *Heap {
 	t.Helper()
-	h, err := New(size)
+	h, err := New(size, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func freeCells(h *Heap, addrs ...Addr) int {
 }
 
 func TestNewRejectsTinyHeap(t *testing.T) {
-	if _, err := New(BlockSize); err == nil {
+	if _, err := New(BlockSize, false); err == nil {
 		t.Fatal("New accepted a one-block heap")
 	}
 }
@@ -45,7 +45,7 @@ func TestNewRejectsTinyHeap(t *testing.T) {
 func TestAllocBasics(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	addr, _, err := h.Alloc(&c, 3, 0, White)
+	addr, err := h.Alloc(&c, 3, 0, White)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestAllocBasics(t *testing.T) {
 func TestAllocSlotStores(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 2, 0, White)
-	b, _, _ := h.Alloc(&c, 0, 64, White)
+	a, _ := h.Alloc(&c, 2, 0, White)
+	b, _ := h.Alloc(&c, 0, 64, White)
 	h.StoreSlot(a, 0, b)
 	if got := h.LoadSlot(a, 0); got != b {
 		t.Errorf("slot round trip = %#x, want %#x", got, b)
@@ -94,16 +94,16 @@ func TestAllocSlotStores(t *testing.T) {
 func TestAllocZeroesRecycledSlots(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 2, 0, White)
+	a, _ := h.Alloc(&c, 2, 0, White)
 	h.StoreSlot(a, 0, a)
 	h.StoreSlot(a, 1, a)
 	h.SetColor(a, Yellow) // pretend it's clear-colored garbage
 	freeCells(h, a)
 	// The recycled cell must come back with zeroed slots. It lies behind
 	// the cursor, so it returns once the block is exhausted and rescanned.
-	b, _, _ := h.Alloc(&c, 2, 0, White)
+	b, _ := h.Alloc(&c, 2, 0, White)
 	for i := 0; i < CellsPerBlock(0) && b != a; i++ {
-		b, _, _ = h.Alloc(&c, 2, 0, White)
+		b, _ = h.Alloc(&c, 2, 0, White)
 	}
 	if b != a {
 		t.Fatal("freed cell was not recycled when its block was rescanned")
@@ -116,8 +116,8 @@ func TestAllocZeroesRecycledSlots(t *testing.T) {
 func TestSweepBlockAccounting(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	addr, _, _ := h.Alloc(&c, 0, 48, White)
-	keep, _, _ := h.Alloc(&c, 0, 48, Black)
+	addr, _ := h.Alloc(&c, 0, 48, White)
+	keep, _ := h.Alloc(&c, 0, 48, Black)
 	var seen []Addr
 	objects, bytes, _ := h.SweepBlock(int(addr/BlockSize), NoColor, NoColor, Black, func(a Addr, col Color) bool {
 		seen = append(seen, a)
@@ -152,7 +152,7 @@ func TestSweepBlockAcrossClasses(t *testing.T) {
 	var addrs []Addr
 	total := 0
 	for i := 0; i < 100; i++ {
-		a, _, err := h.Alloc(&c, 1, 32+i%64, White)
+		a, err := h.Alloc(&c, 1, 32+i%64, White)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestSweepBlockAcrossClasses(t *testing.T) {
 func TestLargeObjects(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, err := h.Alloc(&c, 4, 3*BlockSize, White)
+	a, err := h.Alloc(&c, 4, 3*BlockSize, White)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestLargeObjects(t *testing.T) {
 func TestLargeObjectOOM(t *testing.T) {
 	h := newTestHeap(t, 16*BlockSize)
 	var c Cache
-	if _, _, err := h.Alloc(&c, 0, 64*BlockSize, White); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := h.Alloc(&c, 0, 64*BlockSize, White); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("oversized large alloc error = %v, want ErrOutOfMemory", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestSmallObjectOOMAndRecovery(t *testing.T) {
 	var c Cache
 	var addrs []Addr
 	for {
-		a, _, err := h.Alloc(&c, 0, 2048, White)
+		a, err := h.Alloc(&c, 0, 2048, White)
 		if err != nil {
 			if !errors.Is(err, ErrOutOfMemory) {
 				t.Fatalf("unexpected error %v", err)
@@ -230,7 +230,7 @@ func TestSmallObjectOOMAndRecovery(t *testing.T) {
 	}
 	// Free everything; allocation must work again.
 	freeCells(h, addrs...)
-	if _, _, err := h.Alloc(&c, 0, 2048, White); err != nil {
+	if _, err := h.Alloc(&c, 0, 2048, White); err != nil {
 		t.Fatalf("allocation after free failed: %v", err)
 	}
 	if err := h.CheckIntegrity(); err != nil {
@@ -241,7 +241,7 @@ func TestSmallObjectOOMAndRecovery(t *testing.T) {
 func TestFlushReleasesOwnedBlocks(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 16, White) // takes ownership of a fresh block
+	a, _ := h.Alloc(&c, 0, 16, White) // takes ownership of a fresh block
 	freeCells(h, a)
 	if st := h.AllocStats(); st.CachedCells == 0 || st.FreeCells != 0 {
 		t.Errorf("owned block's blue cells counted as (cached %d, free %d), want all cached",
@@ -265,10 +265,10 @@ func TestFlushReleasesOwnedBlocks(t *testing.T) {
 func TestReclaimEmptyBlocksKeepsLiveBlocks(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	live, _, _ := h.Alloc(&c, 0, 64, Black)
+	live, _ := h.Alloc(&c, 0, 64, Black)
 	var dead []Addr
 	for i := 0; i < 200; i++ {
-		a, _, _ := h.Alloc(&c, 0, 64, Yellow)
+		a, _ := h.Alloc(&c, 0, 64, Yellow)
 		dead = append(dead, a)
 	}
 	freeCells(h, dead...)
@@ -291,7 +291,7 @@ func TestForEachObjectInRange(t *testing.T) {
 	var c Cache
 	var addrs []Addr
 	for i := 0; i < 50; i++ {
-		a, _, _ := h.Alloc(&c, 0, 48, White)
+		a, _ := h.Alloc(&c, 0, 48, White)
 		addrs = append(addrs, a)
 	}
 	// Every object must be found exactly once when covering the heap.
@@ -319,7 +319,7 @@ func TestForEachObjectInRange(t *testing.T) {
 func TestAllocatedRegions(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	if _, _, err := h.Alloc(&c, 0, 64, White); err != nil {
+	if _, err := h.Alloc(&c, 0, 64, White); err != nil {
 		t.Fatal(err)
 	}
 	var total int
@@ -337,7 +337,7 @@ func TestAllocatedRegions(t *testing.T) {
 func TestValidObjectRejectsJunk(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 48, White)
+	a, _ := h.Alloc(&c, 0, 48, White)
 	cases := []Addr{0, 1, a + 1, a + Granule, Addr(h.SizeBytes), Addr(h.SizeBytes + 64)}
 	for _, addr := range cases {
 		if h.ValidObject(addr) {
@@ -369,13 +369,13 @@ func TestAllBlackHints(t *testing.T) {
 func TestBlockQuiet(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 16, White)
+	a, _ := h.Alloc(&c, 0, 16, White)
 	b := int(a / BlockSize)
 	if h.BlockQuiet(b) {
 		t.Error("owned block with blue cells reported quiet")
 	}
 	for i := 0; i < CellsPerBlock(0)-1; i++ {
-		if _, _, err := h.Alloc(&c, 0, 16, White); err != nil {
+		if _, err := h.Alloc(&c, 0, 16, White); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,7 +385,7 @@ func TestBlockQuiet(t *testing.T) {
 	}
 	// The next allocation of the class refills: the full block is
 	// released, and is quiet from then on.
-	next, _, err := h.Alloc(&c, 0, 16, White)
+	next, err := h.Alloc(&c, 0, 16, White)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,9 +406,12 @@ func TestBlockQuiet(t *testing.T) {
 }
 
 func TestAgeTable(t *testing.T) {
-	h := newTestHeap(t, 1<<20)
+	h, err := New(1<<20, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 32, White)
+	a, _ := h.Alloc(&c, 0, 32, White)
 	if h.Age(a) != 0 {
 		t.Errorf("fresh age = %d, want 0", h.Age(a))
 	}
@@ -416,11 +419,11 @@ func TestAgeTable(t *testing.T) {
 	if h.Age(a) != 7 {
 		t.Errorf("age = %d, want 7", h.Age(a))
 	}
-	// Reallocation resets the age.
+	// The death zeroes the age, so the reallocation finds it zero.
 	freeCells(h, a)
-	b, _, _ := h.Alloc(&c, 0, 32, White)
+	b, _ := h.Alloc(&c, 0, 32, White)
 	for i := 0; b != a && i < CellsPerBlock(1); i++ {
-		b, _, _ = h.Alloc(&c, 0, 32, White)
+		b, _ = h.Alloc(&c, 0, 32, White)
 	}
 	if b != a {
 		t.Fatal("freed cell was not recycled when its block was rescanned")
@@ -433,7 +436,7 @@ func TestAgeTable(t *testing.T) {
 func TestColorTransitions(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 32, White)
+	a, _ := h.Alloc(&c, 0, 32, White)
 	if !h.CasColor(a, White, NoColor, Gray) {
 		t.Fatal("CAS white->gray failed")
 	}
@@ -477,7 +480,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 			var c Cache
 			defer h.Flush(&c)
 			for i := 0; i < 5000; i++ {
-				a, _, err := h.Alloc(&c, rng.Intn(3), 16+rng.Intn(200), White)
+				a, err := h.Alloc(&c, rng.Intn(3), 16+rng.Intn(200), White)
 				if err != nil {
 					t.Errorf("alloc: %v", err)
 					return
@@ -509,7 +512,7 @@ func TestAllocStressAllClasses(t *testing.T) {
 		if rng.Intn(50) == 0 {
 			size = BlockSize * (1 + rng.Intn(3))
 		}
-		a, _, err := h.Alloc(&c, rng.Intn(4), size, White)
+		a, err := h.Alloc(&c, rng.Intn(4), size, White)
 		if err != nil {
 			t.Fatalf("alloc %d bytes: %v", size, err)
 		}
@@ -545,17 +548,17 @@ func TestCountColor(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
 	for i := 0; i < 5; i++ {
-		if _, _, err := h.Alloc(&c, 0, 32, Black); err != nil {
+		if _, err := h.Alloc(&c, 0, 32, Black); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := h.Alloc(&c, 0, 32, White); err != nil {
+		if _, err := h.Alloc(&c, 0, 32, White); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := h.Alloc(&c, 0, 32, Black2); err != nil {
+		if _, err := h.Alloc(&c, 0, 32, Black2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -579,7 +582,7 @@ func TestRangePartitionProperty(t *testing.T) {
 	var c Cache
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		if _, _, err := h.Alloc(&c, rng.Intn(3), 16+rng.Intn(400), White); err != nil {
+		if _, err := h.Alloc(&c, rng.Intn(3), 16+rng.Intn(400), White); err != nil {
 			t.Fatal(err)
 		}
 	}

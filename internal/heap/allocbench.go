@@ -62,7 +62,7 @@ func (h *Heap) AllocChurn(id, iters int) error {
 	}
 	for i := 0; i < iters; i++ {
 		size := AllocChurnSizes[(i+id)%len(AllocChurnSizes)]
-		a, _, err := h.Alloc(&c, 2, size, White)
+		a, err := h.Alloc(&c, 2, size, White)
 		if err != nil {
 			return err
 		}

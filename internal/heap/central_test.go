@@ -12,7 +12,7 @@ import (
 // exactly against the block lists and a color census once the mutators
 // quiesce.
 func TestShardedAllocReconciles(t *testing.T) {
-	h, err := New(1 << 20)
+	h, err := New(1<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +43,14 @@ func TestShardedAllocReconciles(t *testing.T) {
 // the totals, and freeCells+cached matches the census's blue-cell count
 // at quiescence.
 func TestAllocStatsCounters(t *testing.T) {
-	h, err := New(1 << 20)
+	h, err := New(1<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c Cache
 	addrs := make([]Addr, 0, 500)
 	for i := 0; i < 500; i++ {
-		a, _, err := h.Alloc(&c, 2, 48, White)
+		a, err := h.Alloc(&c, 2, 48, White)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +94,12 @@ func TestAllocStatsCounters(t *testing.T) {
 // Owned blocks' counts read high by their owners' open claims, so their
 // colors are compared only by ReconcileCounters, after PublishAllocs.
 func TestCheckIntegrityAuditsColorTable(t *testing.T) {
-	h, err := New(1 << 20)
+	h, err := New(1<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 48, White)
+	a, _ := h.Alloc(&c, 0, 48, White)
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatalf("owned block with an open claim: %v", err)
 	}
@@ -151,12 +151,12 @@ func TestCheckIntegrityAuditsColorTable(t *testing.T) {
 // their all-black hints, so the audit reports either kind carrying one.
 // A large object's head and a full small block may carry it.
 func TestCheckIntegrityAuditsHintsOfCelllessBlocks(t *testing.T) {
-	h, err := New(1 << 20)
+	h, err := New(1<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c Cache
-	large, _, err := h.Alloc(&c, 0, 3*BlockSize, White)
+	large, err := h.Alloc(&c, 0, 3*BlockSize, White)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCheckIntegrityAuditsHintsOfCelllessBlocks(t *testing.T) {
 // block's second color word, it runs after the first word's dead cells
 // turned blue and before the count is published.
 func TestSweepCountsAfterColoring(t *testing.T) {
-	h, err := New(2 * BlockSize) // one usable block
+	h, err := New(2*BlockSize, false) // one usable block
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 	var filler Cache
 	var first Addr
 	for i := 0; i < cells; i++ {
-		a, _, err := h.Alloc(&filler, 0, 16, Yellow)
+		a, err := h.Alloc(&filler, 0, 16, Yellow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 	// The owner takes the block over with one counted blue cell and
 	// claims it.
 	var c Cache
-	if a, _, err := h.Alloc(&c, 0, 16, White); err != nil || a != first {
+	if a, err := h.Alloc(&c, 0, 16, White); err != nil || a != first {
 		t.Fatalf("owner got %#x, %v; want the one free cell %#x", a, err, first)
 	}
 	inWindow := false
@@ -226,7 +226,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 			// Cell 1 is blue and uncounted. The owner claims it,
 			// publishes, and lets the block go.
 			inWindow = true
-			if a, _, err := h.Alloc(&c, 0, 16, White); err != nil || a != first+16 {
+			if a, err := h.Alloc(&c, 0, 16, White); err != nil || a != first+16 {
 				t.Errorf("owner got %#x, %v; want the just-freed cell %#x", a, err, first+16)
 			}
 			h.PublishAllocs(&c)
@@ -237,7 +237,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 			if st := h.AllocStats(); st.FreeCells != -1 || st.CachedCells != 0 {
 				t.Errorf("released block counts (free %d, cached %d), want (-1, 0)", st.FreeCells, st.CachedCells)
 			}
-			if _, _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
+			if _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
 				t.Errorf("a block with a non-positive count was offered again: %v", err)
 			}
 			return true
@@ -258,11 +258,11 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 		t.Errorf("free cells = %d, want %d", got, cells-2)
 	}
 	for i := 0; i < cells-2; i++ {
-		if _, _, err := h.Alloc(&c, 0, 16, White); err != nil {
+		if _, err := h.Alloc(&c, 0, 16, White); err != nil {
 			t.Fatalf("blue cell %d of %d lost: %v", i, cells-2, err)
 		}
 	}
-	if _, _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
+	if _, err := h.Alloc(&c, 0, 16, White); err != ErrOutOfMemory {
 		t.Errorf("allocation from a full heap: %v", err)
 	}
 }
@@ -273,7 +273,7 @@ func TestSweepCountsAfterColoring(t *testing.T) {
 // color stores and count publications. At quiescence no address was
 // handed out twice, none was lost, and the bookkeeping is exact.
 func TestRaceSweepIntoOwnedBlock(t *testing.T) {
-	h, err := New(2 * BlockSize) // one usable block
+	h, err := New(2*BlockSize, false) // one usable block
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 	}()
 	var c Cache
 	for i := 0; i < allocs; {
-		a, _, err := h.Alloc(&c, 0, 16, White)
+		a, err := h.Alloc(&c, 0, 16, White)
 		if err == ErrOutOfMemory {
 			runtime.Gosched() // every cell is dead or uncounted: let the sweep catch up
 			continue
@@ -339,7 +339,7 @@ func TestRaceSweepIntoOwnedBlock(t *testing.T) {
 // TestSweepBlockAllocatesNothing: the reclamation primitive makes no Go
 // allocation however many cells it frees — no batch, no per-class list.
 func TestSweepBlockAllocatesNothing(t *testing.T) {
-	h, err := New(1 << 20)
+	h, err := New(1<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestSweepBlockAllocatesNothing(t *testing.T) {
 	var blocks [8]int
 	got := testing.AllocsPerRun(20, func() {
 		for i := 0; i < len(blocks)*CellsPerBlock(0); i++ {
-			a, _, err := h.Alloc(&c, 0, 16, Yellow)
+			a, err := h.Alloc(&c, 0, 16, Yellow)
 			if err != nil {
 				t.Fatal(err)
 			}

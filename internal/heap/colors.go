@@ -167,8 +167,8 @@ func (h *Heap) CasColor(addr Addr, from, alias, to Color) bool {
 }
 
 // Age returns the object's age (number of collections survived, §6).
-// Ages are written only by the owning mutator at creation and by the
-// collector during sweep, never concurrently for the same object.
+// Ages are written only by the collector: during sweep, and zeroed when
+// the object dies, so a new object's age is zero without a store.
 func (h *Heap) Age(addr Addr) uint8 { return h.ages[addr/Granule] }
 
 // SetAge records the object's age.

@@ -8,26 +8,36 @@ import (
 	"testing"
 )
 
-// TestSideMetadataBudget: the heap keeps at most two bytes of side table
-// per granule. Every slice field of Heap except the heap memory itself
-// and the per-block metadata counts, so another per-granule table
-// cannot come back unnoticed.
+// TestSideMetadataBudget: the heap keeps one byte of side table per
+// granule, the colors, and a second, the ages, only when it keeps ages
+// (the aging collector). Every slice field of Heap except the heap
+// memory itself and the per-block metadata counts, so another
+// per-granule table cannot come back unnoticed.
 func TestSideMetadataBudget(t *testing.T) {
-	h := newTestHeap(t, 32<<20)
-	v := reflect.ValueOf(h).Elem()
-	total := 0
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		name := v.Type().Field(i).Name
-		if f.Kind() != reflect.Slice || name == "mem" || name == "blocks" {
-			continue
+	for _, tc := range []struct {
+		ages   bool
+		budget int
+	}{{false, 1}, {true, 2}} {
+		h, err := New(32<<20, tc.ages)
+		if err != nil {
+			t.Fatal(err)
 		}
-		n := f.Len() * int(f.Type().Elem().Size())
-		t.Logf("%s: %d bytes", name, n)
-		total += n
-	}
-	if perGranule := float64(total) / float64(h.NumGranules()); perGranule > 2 {
-		t.Errorf("side tables hold %d bytes, %.2f per granule; the budget is 2", total, perGranule)
+		v := reflect.ValueOf(h).Elem()
+		total := 0
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			name := v.Type().Field(i).Name
+			if f.Kind() != reflect.Slice || name == "mem" || name == "blocks" {
+				continue
+			}
+			n := f.Len() * int(f.Type().Elem().Size())
+			t.Logf("ages %v: %s: %d bytes", tc.ages, name, n)
+			total += n
+		}
+		if perGranule := float64(total) / float64(h.NumGranules()); perGranule != float64(tc.budget) {
+			t.Errorf("ages %v: side tables hold %d bytes, %.2f per granule; the budget is %d",
+				tc.ages, total, perGranule, tc.budget)
+		}
 	}
 }
 
@@ -77,7 +87,7 @@ func TestRaceColorWordNeighbours(t *testing.T) {
 	var c Cache
 	var cells [8]Addr
 	for i := range cells {
-		a, _, err := h.Alloc(&c, 0, 16, White)
+		a, err := h.Alloc(&c, 0, 16, White)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +167,7 @@ func populateBlock(t *testing.T, class int, seed int64, allBlack bool, old Color
 		if !allBlack {
 			col = White + Color(rng.Intn(5))
 		}
-		a, _, err := h.Alloc(c, rng.Intn(MaxSlots(cell)+1)%8, cell, col)
+		a, err := h.Alloc(c, rng.Intn(MaxSlots(cell)+1)%8, cell, col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,12 +300,12 @@ func TestSlotsRoundTrip(t *testing.T) {
 	sizes = append(sizes, 3*BlockSize)
 	for _, size := range sizes {
 		for _, slots := range []int{0, 1, MaxSlots(size)} {
-			a, cell, err := h.Alloc(&c, slots, size, White)
+			a, err := h.Alloc(&c, slots, size, White)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cell != size || h.SizeOf(a) != size {
-				t.Fatalf("size %d: Alloc returned cell %d, SizeOf %d", size, cell, h.SizeOf(a))
+			if _, cell := ClassFor(size); cell != size || h.SizeOf(a) != size {
+				t.Fatalf("size %d: ClassFor gave cell %d, SizeOf %d", size, cell, h.SizeOf(a))
 			}
 			if col, n := h.Header(a); col != White || n != slots || h.Slots(a) != slots {
 				t.Fatalf("size %d: Header = (%v, %d), Slots = %d; want (white, %d)", size, col, n, h.Slots(a), slots)
@@ -309,13 +319,13 @@ func TestSlotsRoundTrip(t *testing.T) {
 	}
 
 	const sentinel = 0xdeadbeef
-	a, _, _ := h.Alloc(&c, 2, 0, White)
+	a, _ := h.Alloc(&c, 2, 0, White)
 	for i := 0; i < 16/WordBytes; i++ {
 		h.mem[int(a)/WordBytes+i] = sentinel
 	}
 	freeCells(h, a)
 	h.Flush(&c) // the next claim rescans the block from its start
-	b, _, _ := h.Alloc(&c, 0, 16, White)
+	b, _ := h.Alloc(&c, 0, 16, White)
 	if b != a {
 		t.Fatalf("reuse got %#x, want the freed cell %#x", b, a)
 	}

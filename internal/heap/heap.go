@@ -2,9 +2,9 @@
 // on-the-fly collector of Domani, Kolodner and Petrank (PLDI 2000) runs
 // against. It is the stand-in for the prototype JVM heap of the paper:
 // a byte-addressed space carved into 4 KB blocks, each block dedicated to
-// one size class, with per-object colors and ages in side tables of one
-// byte per granule each. The color table is also the free list: a cell
-// is free iff it is blue.
+// one size class, with per-object colors — and, for the aging
+// collector, ages — in side tables of one byte per granule each. The
+// color table is also the free list: a cell is free iff it is blue.
 //
 // Addresses are plain byte offsets (Addr). Address 0 is never allocated
 // and serves as the nil reference. Objects never move; promotion between
@@ -125,7 +125,9 @@ type Heap struct {
 	// nonzero (see colors.go).
 	colors []uint64
 
-	// ages is the age side table of §6, one byte per granule.
+	// ages is the age side table of §6, one byte per granule; nil
+	// unless the heap keeps ages (New). A blue cell's age is zero: the
+	// sweep zeroes a dead object's (SweepBlock), so a create writes none.
 	ages []uint8
 
 	blocks []blockMeta
@@ -152,7 +154,9 @@ var ErrOutOfMemory = errors.New("heap: out of memory")
 
 // New creates a heap of the given size. Size is rounded up to a whole
 // number of blocks; block 0 is reserved so that address 0 means nil.
-func New(sizeBytes int) (*Heap, error) {
+// With ages the heap keeps the age table that only the aging collector
+// reads (Age, SetAge); without it those two must not be called.
+func New(sizeBytes int, ages bool) (*Heap, error) {
 	if sizeBytes < 2*BlockSize {
 		return nil, fmt.Errorf("heap: size %d too small (min %d)", sizeBytes, 2*BlockSize)
 	}
@@ -163,9 +167,11 @@ func New(sizeBytes int) (*Heap, error) {
 		nBlocks:   nBlocks,
 		mem:       make([]uint32, sizeBytes/WordBytes),
 		colors:    make([]uint64, nBlocks*wordsPerBlock),
-		ages:      make([]uint8, sizeBytes/Granule),
 		blocks:    make([]blockMeta, nBlocks),
 		shards:    new([NumClasses]centralShard),
+	}
+	if ages {
+		h.ages = make([]uint8, sizeBytes/Granule)
 	}
 	for i := range h.blocks {
 		h.blocks[i].class.Store(blockFree)

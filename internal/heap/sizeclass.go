@@ -16,34 +16,36 @@ const NumClasses = len(classSizes)
 // above it become large objects occupying whole blocks.
 const MaxSmall = 2048
 
-// classIndex maps a rounded-up request size in granules to a class index.
-// Indexed by size/Granule for sizes up to MaxSmall.
-var classIndex [MaxSmall/Granule + 1]int8
+// classOf maps a request size in granules, rounded up, to its class
+// and cell size packed in one entry (cell<<classBits | class), so the
+// create's lookup is one table load. Indexed by size/Granule for sizes
+// up to MaxSmall; entry 0 serves requests of no bytes.
+var classOf [MaxSmall/Granule + 1]uint16
+
+// classBits is the width of the class index in a classOf entry.
+const classBits = 4
 
 func init() {
 	c := 0
-	for g := 1; g <= MaxSmall/Granule; g++ {
-		size := g * Granule
-		for classSizes[c] < size {
+	for g := range classOf {
+		for classSizes[c] < max(g, 1)*Granule {
 			c++
 		}
-		classIndex[g] = int8(c)
+		classOf[g] = uint16(classSizes[c]<<classBits | c)
 	}
 }
 
 // ClassFor returns the size-class index and cell size for a request of
-// size bytes, or (-1, rounded) when the request must be a large object.
-// Requests smaller than one granule are rounded up to one granule.
+// size bytes, or -1 and the size rounded up to whole blocks — the
+// blocks a large object occupies — when the request is larger than
+// MaxSmall. Requests of no bytes get the smallest class.
 func ClassFor(size int) (class int, cellSize int) {
-	if size <= 0 {
-		size = 1
+	g := uint(max(size, 0)+Granule-1) / Granule
+	if g >= uint(len(classOf)) {
+		return -1, (size + BlockSize - 1) / BlockSize * BlockSize
 	}
-	g := (size + Granule - 1) / Granule
-	if g*Granule > MaxSmall {
-		return -1, g * Granule
-	}
-	c := int(classIndex[g])
-	return c, classSizes[c]
+	e := classOf[g]
+	return int(e & (1<<classBits - 1)), int(e >> classBits)
 }
 
 // ClassSize returns the cell size in bytes of class c.

@@ -20,11 +20,11 @@ func TestCensusCountsObjects(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
 	for i := 0; i < 10; i++ {
-		if _, _, err := h.Alloc(&c, 0, 48, White); err != nil {
+		if _, err := h.Alloc(&c, 0, 48, White); err != nil {
 			t.Fatal(err)
 		}
 	}
-	big, _, err := h.Alloc(&c, 0, 2*BlockSize, Black)
+	big, err := h.Alloc(&c, 0, 2*BlockSize, Black)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func TestCensusCountsObjects(t *testing.T) {
 func TestCensusAfterFree(t *testing.T) {
 	h := newTestHeap(t, 1<<20)
 	var c Cache
-	a, _, _ := h.Alloc(&c, 0, 48, Yellow)
-	b, _, _ := h.Alloc(&c, 0, 48, Yellow)
+	a, _ := h.Alloc(&c, 0, 48, Yellow)
+	b, _ := h.Alloc(&c, 0, 48, Yellow)
 	freeCells(h, a)
 	s := h.Census()
 	if s.Objects != 1 {
