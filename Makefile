@@ -139,13 +139,21 @@ chaos:
 
 # trace-verify round-trips the observability pipeline end to end: run a
 # small traced workload (gctrace's default generational mode), then
-# require gcreport to parse the JSONL and render the pause CDF, the
-# phase breakdown, the card and demographics figures populated from
-# the cycle records the trace carries, and the per-mutator pause table,
-# with neither pause table empty.
+# require the trace to hold at least one cycle event and gcreport to
+# parse the JSONL and render the pause CDF, the phase breakdown, the
+# card and demographics figures populated from the cycle records the
+# trace carries, and the per-mutator pause table, with neither pause
+# table empty. Anagram at -scale 0.05 allocates about 4.9 MB: against
+# the default 4 MB young generation its one partial can lose the race
+# with Close, which drops an unstarted cycle, and leave no cycle in the
+# trace. With -young 1 the run crosses the partial trigger about four
+# times (4.9 MB / 1 MB), so the trace holds cycles whatever the last
+# one does.
 trace-verify:
 	@tmp=$$(mktemp -d) && rc=0; \
-	{ $(GO) run ./cmd/gctrace -profile Anagram -scale 0.05 -trace $$tmp/trace.jsonl >/dev/null 2>&1 \
+	{ $(GO) run ./cmd/gctrace -profile Anagram -scale 0.05 -young 1 -trace $$tmp/trace.jsonl >/dev/null 2>&1 \
+	  && { n=$$(grep -c '"ev":"cycle"' $$tmp/trace.jsonl); [ "$$n" -gt 0 ] \
+	       || { echo "trace-verify: the trace holds $$n cycle events, want at least 1"; false; }; } \
 	  && $(GO) run ./cmd/gcreport $$tmp/trace.jsonl > $$tmp/report.txt \
 	  && grep -q 'Pause-time CDF' $$tmp/report.txt \
 	  && grep -q 'Cycle phase breakdown' $$tmp/report.txt \

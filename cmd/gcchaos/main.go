@@ -384,8 +384,7 @@ func runServerStorm(seed int64, mode gengc.Mode) []string {
 		log.Fatalf("serverstorm: %v", err)
 	}
 	audit := workload.Audit(rt)
-	srv := server.New(rt, server.Config{
-		Workers: 4, MaxRetries: 2, RetryBackoff: time.Millisecond, Seed: seed})
+	srv := server.New(rt, server.Config{Workers: 4})
 	load := server.RunLoad(context.Background(), srv, server.LoadConfig{
 		Rate:        5000,
 		Duration:    400 * time.Millisecond,

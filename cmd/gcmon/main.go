@@ -4,13 +4,16 @@
 // curl:
 //
 //	gcmon -addr :8080 -mode gen -threads 4 &
-//	curl localhost:8080/metrics              # Prometheus text exposition
-//	curl localhost:8080/snapshot             # Runtime.Snapshot as JSON
+//	curl localhost:8080/metrics              # Runtime.Snapshot as Prometheus text
+//	curl localhost:8080/snapshot             # the same Snapshot as JSON
 //	curl localhost:8080/flightrecorder/dump  # force + serve a flight dump
 //
 // Endpoints:
 //
-//	/metrics             Prometheus text format (Runtime.MetricsHandler)
+//	/metrics             Prometheus text format (Runtime.MetricsHandler):
+//	                     every numeric Snapshot field as one series, named
+//	                     after its field path, plus the pause and request
+//	                     histograms
 //	/snapshot            the full Snapshot, JSON-encoded
 //	/flightrecorder/dump triggers a manual flight-recorder capture and
 //	                     serves it as JSONL (the same format the anomaly

@@ -157,17 +157,17 @@ type AdmissionConfig = gc.AdmissionConfig
 
 // AdmissionStats is the admission controller's counter snapshot
 // (Snapshot.Admission): requests taken up before their deadline, shed
-// totals broken down by cause, caller-reported retries, degraded-mode
-// transitions and the live queue-depth/being-served gauges. Enabled is false — and everything else zero —
-// without WithAdmission.
+// totals broken down by cause, degraded-mode transitions and the live
+// queue-depth/being-served gauges. Enabled is false — and everything
+// else zero — without WithAdmission.
 type AdmissionStats = gc.AdmissionStats
 
 // Admission is the runtime's admission controller handle (see
 // Runtime.Admission): the non-blocking door (Admit) in front of the
 // embedder's own bounded request queue, and the counters that follow a
 // request through it (Start/Finish when served, Expire when its
-// deadline passes in the queue, Abandon at a drain). NoteRetry reports
-// a transient-failure retry, BeginDrain stops admission for shutdown.
+// deadline passes in the queue, Abandon at a drain). BeginDrain stops
+// admission for shutdown.
 type Admission = gc.Admission
 
 // Priority classifies a request for the admission controller's degraded
@@ -274,6 +274,11 @@ func (r *Runtime) OnCycle(fn func(CycleRecord)) { r.c.Metrics().OnRecord(fn) }
 // behavior, cheap enough to poll: collection counts, heap occupancy,
 // and the pause statistics of every attached mutator plus the
 // fleet-wide aggregate (which also covers detached mutators).
+//
+// Every numeric field, nested ones included, is one MetricsHandler
+// series and each field's comment is its definition. A field is a
+// counter unless tagged metric:"gauge" (booleans are 0/1 gauges), and
+// metric:"-" keeps a field that is not a metric off the exposition.
 type Snapshot struct {
 	Cycles int64 // completed collection cycles (partial + full)
 	Fulls  int64 // completed full collections
@@ -284,8 +289,8 @@ type Snapshot struct {
 	// whenever every attached mutator has passed a publication point (a
 	// handshake response, Detach, Collect, Verify) and otherwise trail
 	// each attached mutator by less than one 4 KiB block.
-	HeapBytes   int64
-	HeapObjects int64
+	HeapBytes   int64 `metric:"gauge"`
+	HeapObjects int64 `metric:"gauge"`
 
 	// Stalls counts handshake-watchdog reports: mutators that missed
 	// the stall deadline while the collector waited on them (see
@@ -322,17 +327,13 @@ type Snapshot struct {
 	// the adaptive-pacer work reads.
 	Demographics Demographics
 
-	// PromotionRate is the pacer's smoothed promoted-bytes-per-young-
-	// byte estimate (0 until a generational partial completes).
-	PromotionRate float64
-
 	// FullTargetBytes is the pacer's full-collection target: in the
 	// generational modes a full collection becomes due when a partial
 	// leaves more old-generation bytes than this behind, without
 	// generations when allocated bytes reach it. Recomputed after every
 	// full collection (what it left occupied plus headroom); it never
 	// decreases, so it bounds from below where the heap peak can sit.
-	FullTargetBytes int64
+	FullTargetBytes int64 `metric:"gauge"`
 
 	// SLOBreaches counts recorded pauses that exceeded WithPauseSLO
 	// (always zero without one).
@@ -346,8 +347,8 @@ type Snapshot struct {
 
 	// RequestLatency summarizes the end-to-end request-latency
 	// histogram fed by ObserveRequest (Mutator == -1): per-request
-	// latency as the client saw it — queue wait, allocation work and
-	// retries included — distinct from the per-pause histograms above.
+	// latency as the client saw it — queue wait and allocation work
+	// included — distinct from the per-pause histograms above.
 	// Zero-valued unless WithRequestSLO or WithAdmission is set.
 	RequestLatency PauseStats
 
@@ -356,8 +357,12 @@ type Snapshot struct {
 	RequestSLOBreaches int64
 
 	// FlightRecorderDumps counts anomaly captures the flight recorder
-	// has taken (zero without WithFlightRecorder).
-	FlightRecorderDumps int64
+	// has taken, FlightRecorderTriggers the triggers that fired
+	// (rate-limited ones included) and FlightRecorderEvents the trace
+	// events its ring has recorded. All zero without WithFlightRecorder.
+	FlightRecorderDumps    int64
+	FlightRecorderTriggers int64
+	FlightRecorderEvents   int64
 }
 
 // Snapshot captures the current Snapshot. Safe to call at any time,
@@ -377,7 +382,6 @@ func (r *Runtime) Snapshot() Snapshot {
 		Fleet:         fleet,
 		Mutators:      per,
 		Demographics:  r.c.Metrics().Demographics(),
-		PromotionRate: r.c.Pacer().PromotionRate(),
 		SLOBreaches:   r.c.SLOBreaches(),
 
 		FullTargetBytes:    r.c.Pacer().Target(),
@@ -387,6 +391,8 @@ func (r *Runtime) Snapshot() Snapshot {
 	}
 	if fr := r.c.FlightRecorder(); fr != nil {
 		s.FlightRecorderDumps = fr.DumpCount()
+		s.FlightRecorderTriggers = fr.TriggerCount()
+		s.FlightRecorderEvents = fr.EventCount()
 	}
 	return s
 }

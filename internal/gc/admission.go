@@ -93,18 +93,14 @@ type AdmissionStats struct {
 	ShedDegraded  int64
 	ShedDraining  int64
 
-	// Retries counts transient-failure retries reported by callers
-	// (NoteRetry — the server's ErrStalled retry loop).
-	Retries int64
-
 	// DegradedEnters counts transitions into degraded mode; Degraded
 	// is the current state.
 	DegradedEnters int64
 	Degraded       bool
 
 	// Queued (waiting) and InFlight (being served) are gauges.
-	Queued   int64
-	InFlight int64
+	Queued   int64 `metric:"gauge"`
+	InFlight int64 `metric:"gauge"`
 }
 
 // Admission is the runtime's admission controller: the door in front of
@@ -137,7 +133,6 @@ type Admission struct {
 	shedTimeout    atomic.Int64
 	shedDegraded   atomic.Int64
 	shedDraining   atomic.Int64
-	retries        atomic.Int64
 	degradedEnters atomic.Int64
 
 	// ring is the controller's trace-event buffer. Rings are SPSC;
@@ -214,20 +209,12 @@ func (a *Admission) Abandon(pri Priority) {
 	a.noteShed("draining", pri)
 }
 
-// NoteRetry records one transient-failure retry performed by a caller
-// serving an admitted request (the server's jittered-backoff ErrStalled
-// loop), so retry pressure is visible next to shed pressure.
-func (a *Admission) NoteRetry() { a.retries.Add(1) }
-
 // BeginDrain stops admission permanently: subsequent Admit calls shed
 // with reason "draining". Queued and in-flight requests are unaffected —
 // the caller flushes them (internal/server's Drain) and then stops the
 // runtime. Collector.Stop also calls this, so a bare Close sheds
 // instead of stranding late arrivals.
 func (a *Admission) BeginDrain() { a.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (a *Admission) Draining() bool { return a.draining.Load() }
 
 // Degraded reports whether the controller is currently in degraded
 // mode (refreshing the state from the pacer first, so pollers see the
@@ -289,7 +276,6 @@ func (a *Admission) Stats() AdmissionStats {
 		ShedTimeout:    st,
 		ShedDegraded:   sd,
 		ShedDraining:   sdr,
-		Retries:        a.retries.Load(),
 		DegradedEnters: a.degradedEnters.Load(),
 		Degraded:       a.degraded.Load(),
 		Queued:         a.queued.Load(),

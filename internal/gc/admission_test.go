@@ -161,8 +161,8 @@ func TestAdmissionStopBeginsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Stop()
-	if !c.Admission().Draining() {
-		t.Fatal("Stop did not begin admission drain")
+	if err := c.Admission().Admit(PriorityHigh); !errors.Is(err, errShedDraining) {
+		t.Fatalf("Admit after Stop = %v, want a draining shed", err)
 	}
 }
 

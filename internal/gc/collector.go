@@ -528,10 +528,10 @@ func (c *Collector) AdmissionStats() AdmissionStats {
 }
 
 // ObserveRequest records one end-to-end request latency — queue wait
-// plus allocation work plus retries, measured by the embedding server —
-// into the request histogram, and enforces the RequestSLO: a breach is
-// counted and triggers a flight-recorder dump. A no-op
-// unless request accounting is on (RequestSLO or Admission configured).
+// plus allocation work, measured by the embedding server — into the
+// request histogram, and enforces the RequestSLO: a breach is counted
+// and triggers a flight-recorder dump. A no-op unless request
+// accounting is on (RequestSLO or Admission configured).
 func (c *Collector) ObserveRequest(d time.Duration) {
 	if c.reqHist == nil {
 		return

@@ -155,10 +155,10 @@ type Config struct {
 	// every latency fed to Collector.ObserveRequest longer than this is
 	// counted (RequestSLOBreaches) and triggers a flight-recorder dump
 	// when one is armed. This is end-to-end request accounting — queue
-	// wait plus allocation plus retries — distinct from the per-pause
-	// histograms (PAPERS.md, "Distilling the Real Cost of Production
-	// Garbage Collectors": the honest metric is per-request latency,
-	// not per-pause time).
+	// wait plus allocation — distinct from the per-pause histograms
+	// (PAPERS.md, "Distilling the Real Cost of Production Garbage
+	// Collectors": the honest metric is per-request latency, not
+	// per-pause time).
 	RequestSLO time.Duration
 
 	// Admission, when non-nil, arms the admission controller

@@ -176,9 +176,6 @@ func (c *Collector) Cycle(full bool) {
 	c.cyc.AllocRefills = allocNow.Refills - allocBase.Refills
 	c.cyc.AllocContended = (allocNow.ShardContended + allocNow.PageContended) -
 		(allocBase.ShardContended + allocBase.PageContended)
-	if !full && c.cfg.Mode.IsGenerational() {
-		c.pacer.NotePromotion(c.cyc.PromotedBytes, int(youngAtStart))
-	}
 	rec := c.rec.Record(c.cyc)
 	c.emitCycle(start, rec)
 	c.flushTrace()

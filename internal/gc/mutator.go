@@ -476,9 +476,10 @@ func (m *Mutator) charge(req, cell int) {
 	}
 }
 
-// fired reports, without blocking, whether a context's Done channel has
-// been closed. The nil channel of context.Background never fires and
-// costs Alloc only this comparison.
+// fired reports, without blocking, whether done has been closed: a
+// context's Done channel, or a collection helper's completion channel.
+// The nil channel of context.Background never fires and costs Alloc
+// only this comparison.
 func fired(done <-chan struct{}) bool {
 	if done == nil {
 		return false
@@ -550,7 +551,7 @@ func (m *Mutator) waitForFullCollection(ctx context.Context, attempt int) error 
 		m.c.request(true)
 	} else {
 		helper := m.collectOnHelper(true)
-		done = func() bool { return finished(helper) }
+		done = func() bool { return fired(helper) }
 	}
 	sleep := AllocWaitSleepBase << uint(attempt)
 	for !done() {
@@ -603,16 +604,6 @@ func (m *Mutator) collectOnHelper(full bool) <-chan struct{} {
 		close(done)
 	}()
 	return done
-}
-
-// finished reports whether ch is closed, without blocking.
-func finished(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // PushRoot appends a root slot and returns its index.

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -55,14 +54,6 @@ type Pacer struct {
 	// emergency, and it never decreases.
 	fullTarget atomic.Int64
 
-	// promotionRate is an exponentially weighted moving average of
-	// promoted bytes per young byte allocated, observed at the end of
-	// every generational partial (NotePromotion). Stored as a float64
-	// bit pattern; the ROADMAP's adaptive-pacer work reads it to
-	// predict old-generation growth.
-	promotionRate atomic.Uint64
-	promotionSeen atomic.Bool
-
 	// lastSlip is the unixnano of the most recent allocation-deadline
 	// miss (an AllocCtx expiring in the slow path, or an OOM give-up) —
 	// the admission controller's SlipWithin signal (admission.go).
@@ -87,12 +78,6 @@ const (
 	// not reproduce.
 	fullHeadroom = 4 << 20
 )
-
-// promotionAlpha is the EWMA weight of the newest partial's observed
-// promotion rate: heavy enough to track phase changes within a few
-// cycles, light enough that one anomalous partial does not whipsaw the
-// estimate.
-const promotionAlpha = 0.3
 
 // newPacer derives the pacing policy from the configuration and the
 // actual (block-rounded) heap size.
@@ -204,34 +189,6 @@ func (p *Pacer) EndCycle(youngAtStart, allocated int64, full bool) (fullDue bool
 func (p *Pacer) Retarget(occupied int64) {
 	t := min(occupied+fullHeadroom, p.emergency)
 	p.fullTarget.Store(max(t, p.fullTarget.Load()))
-}
-
-// NotePromotion records one generational partial's outcome: promoted
-// bytes out of the youngBytes the cycle covered. The first observation
-// seeds the EWMA; later ones fold in with weight promotionAlpha.
-func (p *Pacer) NotePromotion(promotedBytes, youngBytes int) {
-	if youngBytes <= 0 {
-		return
-	}
-	rate := float64(promotedBytes) / float64(youngBytes)
-	if !p.promotionSeen.Swap(true) {
-		p.promotionRate.Store(math.Float64bits(rate))
-		return
-	}
-	for {
-		old := p.promotionRate.Load()
-		next := math.Float64bits(promotionAlpha*rate +
-			(1-promotionAlpha)*math.Float64frombits(old))
-		if p.promotionRate.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// PromotionRate returns the smoothed promoted-bytes-per-young-byte
-// estimate (0 until the first generational partial completes).
-func (p *Pacer) PromotionRate() float64 {
-	return math.Float64frombits(p.promotionRate.Load())
 }
 
 // OccupancyRatio returns the occupancy estimate as a fraction of the

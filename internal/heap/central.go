@@ -99,27 +99,33 @@ func (p *pageAllocator) unlock() { p.mu.Unlock() }
 // shardFor returns the central shard that owns size class `class`.
 func (h *Heap) shardFor(class int) *centralShard { return &h.shards[class] }
 
-// ShardStats is the counter snapshot of one central shard.
+// ShardStats is the counter snapshot of one central shard: its lock
+// acquisitions and the contended ones, the blocks caches acquired from
+// it and handed back, the blue cells of its unowned and owned blocks,
+// and the bytes and objects currently allocated in its size class.
 type ShardStats struct {
 	Locks, Contended int64
 	Refills, Flushes int64
-	FreeCells        int64
-	CachedCells      int64
-	AllocatedBytes   int64
-	AllocatedObjects int64
+	FreeCells        int64 `metric:"gauge"`
+	CachedCells      int64 `metric:"gauge"`
+	AllocatedBytes   int64 `metric:"gauge"`
+	AllocatedObjects int64 `metric:"gauge"`
 }
 
 // AllocStats aggregates the allocator's contention and throughput
-// counters across tiers. Refills is block acquisitions by caches,
-// FreeCells the blue cells of unowned blocks and CachedCells the blue
-// cells of owned ones; CachedCells reads high while mutators run, by
-// the claims their caches have not published. Everything else is exact
-// at the instant each atomic was read.
+// counters across tiers. ShardLocks and ShardContended sum the central
+// shards' lock acquisitions and contended ones, PageLocks and
+// PageContended the page allocator's. Refills is block acquisitions by
+// caches and Flushes blocks handed back, FreeCells the blue cells of
+// unowned blocks and CachedCells the blue cells of owned ones;
+// CachedCells reads high while mutators run, by the claims their caches
+// have not published. Everything else is exact at the instant each
+// atomic was read. PerShard[i] is the shard of size class i.
 type AllocStats struct {
 	ShardLocks, ShardContended int64
 	PageLocks, PageContended   int64
 	Refills, Flushes           int64
-	FreeCells, CachedCells     int64
+	FreeCells, CachedCells     int64 `metric:"gauge"`
 	PerShard                   []ShardStats
 }
 

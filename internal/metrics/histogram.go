@@ -87,15 +87,6 @@ func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 // Total returns the sum of all recorded observations.
 func (h *Histogram) Total() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // Quantile returns the value at quantile q in [0,1]: the upper edge of
 // the bucket holding the nearest-rank quantile, the ⌈q·Count⌉-th
 // smallest observation, clamped to the exact recorded maximum so that
@@ -189,7 +180,7 @@ func (h *Histogram) CumulativeLE(bounds []int64) []int64 {
 type PauseStats struct {
 	// Mutator is the owning mutator's id, or -1 for a fleet-wide
 	// aggregate.
-	Mutator int
+	Mutator int `metric:"-"`
 
 	// Count is the number of recorded pauses; Total their sum.
 	Count int64
@@ -197,7 +188,7 @@ type PauseStats struct {
 
 	// P50..P999 are bucketed quantiles (upper bucket edge, ≤ ~6%
 	// relative error); Max is the exact largest recorded pause.
-	P50, P90, P99, P999, Max time.Duration
+	P50, P90, P99, P999, Max time.Duration `metric:"gauge"`
 }
 
 // Stats snapshots the histogram as PauseStats attributed to mutator id.

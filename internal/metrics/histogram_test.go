@@ -100,9 +100,6 @@ func TestHistogramQuantiles(t *testing.T) {
 		}
 		prev = v
 	}
-	if mean := h.Mean(); mean < 400*time.Microsecond || mean > 600*time.Microsecond {
-		t.Errorf("mean = %v, want ≈ 500µs", mean)
-	}
 }
 
 // TestHistogramQuantileNearestRank: a quantile is the bucket of the

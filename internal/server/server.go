@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,23 +35,14 @@ type Config struct {
 	// it cannot finish. Unused with admission armed. Default 65536.
 	QueueCap int
 
-	// MaxRetries bounds per-request retries of transient ErrStalled
-	// failures (jittered exponential backoff between attempts).
-	// Default 2; negative disables retries.
-	MaxRetries int
-
-	// RetryBackoff is the base backoff before the first retry; each
-	// further retry doubles it, and every sleep is jittered ±50%.
-	// Default 2ms.
-	RetryBackoff time.Duration
-
 	// SessionObjects is how many completed request graphs each worker
 	// keeps rooted (a ring evicting the oldest) — the daemon's
 	// session/cache state, which is what gives requests a live set to
 	// collect against. Default 32.
 	SessionObjects int
 
-	// Seed seeds the workers' backoff-jitter PRNGs.
+	// Deprecated: Seed has no effect; the server draws no random
+	// numbers.
 	Seed int64
 }
 
@@ -63,17 +53,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap == 0 {
 		c.QueueCap = 1 << 16
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 2 * time.Millisecond
-	}
 	if c.SessionObjects == 0 {
 		c.SessionObjects = 32
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -112,15 +93,16 @@ type Stats struct {
 	Shed      int64
 	Rejected  int64
 
-	// Completed counts requests whose graph was fully allocated;
-	// Retries the transient-failure retry rounds spent on them.
+	// Completed counts requests whose graph was fully allocated.
 	Completed int64
-	Retries   int64
+
+	// Deprecated: Retries is always 0; the server never re-runs a
+	// request.
+	Retries int64
 
 	// FailedStalled counts requests whose deadline passed while being
-	// served (ErrStalled after the retry budget, or between two
-	// allocations); FailedOOM failed on heap exhaustion; FailedClosed
-	// on runtime shutdown. After Drain, Shed + Rejected + Completed and
+	// served (ErrStalled, or expiry between two allocations); FailedOOM
+	// failed on heap exhaustion; FailedClosed on runtime shutdown. After Drain, Shed + Rejected + Completed and
 	// the three failure counts sum to Submitted.
 	FailedStalled int64
 	FailedOOM     int64
@@ -155,7 +137,6 @@ type Server struct {
 	shed      atomic.Int64
 	rejected  atomic.Int64
 	completed atomic.Int64
-	retries   atomic.Int64
 	fStalled  atomic.Int64
 	fOOM      atomic.Int64
 	fClosed   atomic.Int64
@@ -170,9 +151,9 @@ func New(rt *gengc.Runtime, cfg Config) *Server {
 	if s.adm == nil {
 		s.reqCh = make(chan Request, cfg.QueueCap)
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for range cfg.Workers {
 		s.workers.Add(1)
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
@@ -250,11 +231,10 @@ func (s *Server) take() (Request, bool) {
 // worker serves requests until the server drains. Each worker owns one
 // mutator and a session ring of rooted request graphs — the live set
 // that makes collection matter.
-func (s *Server) worker(id int) {
+func (s *Server) worker() {
 	defer s.workers.Done()
 	m := s.rt.NewMutator()
 	defer m.Detach()
-	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(id)*7919))
 
 	// The session ring: root slots cycling over the last
 	// SessionObjects completed graph heads.
@@ -266,7 +246,7 @@ func (s *Server) worker(id int) {
 		if !ok {
 			return
 		}
-		head, err := s.process(m, rng, req)
+		head, err := s.process(m, req)
 		if err == nil {
 			s.completed.Add(1)
 			s.rt.ObserveRequest(time.Since(req.arrival))
@@ -293,56 +273,18 @@ func (s *Server) worker(id int) {
 	}
 }
 
-// process allocates one request's graph, retrying transient ErrStalled
-// failures with jittered exponential backoff while the deadline allows.
-// It returns the graph head for the caller to root.
-func (s *Server) process(m *gengc.Mutator, rng *rand.Rand, req Request) (gengc.Ref, error) {
+// process allocates one request's graph under its deadline and returns
+// the graph head for the caller to root. A failure is final: AllocCtx
+// returns ErrStalled only once the deadline has passed, so no retry
+// could succeed.
+func (s *Server) process(m *gengc.Mutator, req Request) (gengc.Ref, error) {
 	ctx := context.Background()
 	if req.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, req.arrival.Add(req.Deadline))
 		defer cancel()
 	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		var head gengc.Ref
-		head, err = s.buildGraph(ctx, m, req)
-		if err == nil {
-			return head, nil
-		}
-		// Only allocation stalls are transient: the collector may free
-		// enough on the next cycle. OOM past the runtime's own retry
-		// budget and a closed runtime will not improve.
-		if attempt >= s.cfg.MaxRetries || !errors.Is(err, gengc.ErrStalled) {
-			return gengc.Nil, err
-		}
-		if s.adm != nil {
-			s.adm.NoteRetry()
-		}
-		s.retries.Add(1)
-		if !s.backoff(ctx, m, rng, attempt) {
-			return gengc.Nil, err
-		}
-	}
-}
-
-// backoff sleeps the jittered exponential delay before retry attempt+1,
-// cooperating with handshakes so a backing-off worker cannot stall the
-// collector it is waiting on. Returns false when ctx expired instead.
-func (s *Server) backoff(ctx context.Context, m *gengc.Mutator, rng *rand.Rand, attempt int) bool {
-	base := s.cfg.RetryBackoff << uint(attempt)
-	// Jitter ±50%: decorrelates the retry storms of workers that
-	// failed together.
-	d := base/2 + time.Duration(rng.Int63n(int64(base)))
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if ctx.Err() != nil {
-			return false
-		}
-		m.Safepoint()
-		time.Sleep(200 * time.Microsecond)
-	}
-	return ctx.Err() == nil
+	return s.buildGraph(ctx, m, req)
 }
 
 // buildGraph allocates the request's object chain: head first, each
@@ -382,7 +324,6 @@ func (s *Server) Stats() Stats {
 		Shed:          s.shed.Load(),
 		Rejected:      s.rejected.Load(),
 		Completed:     s.completed.Load(),
-		Retries:       s.retries.Load(),
 		FailedStalled: s.fStalled.Load(),
 		FailedOOM:     s.fOOM.Load(),
 		FailedClosed:  s.fClosed.Load(),

@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"expvar"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,46 +21,96 @@ import (
 	"gengc/internal/workload"
 )
 
-// scrapeValue extracts one sample (exact name, or the name{...} labeled
-// form when name carries the label set) from a Prometheus exposition.
-func scrapeValue(t *testing.T, body, name string) float64 {
+// parseExposition returns a Prometheus text exposition's samples, keyed
+// by name and label set as written, and its TYPE line per family.
+func parseExposition(t *testing.T, body string) (samples map[string]float64, types map[string]string) {
 	t.Helper()
+	samples, types = map[string]float64{}, map[string]string{}
 	sc := bufio.NewScanner(strings.NewReader(body))
 	for sc.Scan() {
 		line := sc.Text()
-		if strings.HasPrefix(line, "#") || !strings.HasPrefix(line, name) {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
 			continue
 		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") {
+		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			t.Fatalf("sample %s: %v", name, err)
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("malformed sample line %q", line)
 		}
-		return v
+		samples[line[:i]] = v
 	}
-	t.Fatalf("metric %s not found in exposition", name)
-	return 0
+	return samples, types
 }
 
 // checkHistogramTotals fails unless every histogram in the exposition
 // has its +Inf bucket equal to its _count, as Prometheus requires.
-func checkHistogramTotals(t *testing.T, body string) {
+func checkHistogramTotals(t *testing.T, samples map[string]float64) {
 	t.Helper()
 	for _, name := range []string{"gengc_pause_seconds", "gengc_request_seconds"} {
-		inf := scrapeValue(t, body, name+`_bucket{le="+Inf"}`)
-		if n := scrapeValue(t, body, name+"_count"); inf != n {
-			t.Errorf("%s: +Inf bucket %v, _count %v", name, inf, n)
+		inf, ok := samples[name+`_bucket{le="+Inf"}`]
+		if n := samples[name+"_count"]; !ok || inf != n {
+			t.Errorf("%s: +Inf bucket %v (present %v), _count %v", name, inf, ok, n)
 		}
+	}
+}
+
+var (
+	acronymWord = regexp.MustCompile(`([A-Z]+)([A-Z][a-z])`)
+	wordStart   = regexp.MustCompile(`([a-z0-9])([A-Z])`)
+)
+
+// snapshotLeaves derives, by reflection over a Snapshot and the naming
+// rule of OBSERVABILITY.md, the sample every numeric leaf must have on
+// /metrics: its name and labels, its value and its metric type.
+func snapshotLeaves(t *testing.T, v reflect.Value, name, labels string, gauge bool, want map[string]float64, types map[string]string) {
+	t.Helper()
+	leaf := func(name string, gauge bool, value float64) {
+		typ := "gauge"
+		if !gauge {
+			typ, name = "counter", name+"_total"
+		}
+		want[name+labels], types[name] = value, typ
+	}
+	switch {
+	case v.Type() == reflect.TypeOf(time.Duration(0)):
+		leaf(name+"_seconds", gauge, time.Duration(v.Int()).Seconds())
+	case v.Kind() == reflect.Bool:
+		value := 0.0
+		if v.Bool() {
+			value = 1
+		}
+		leaf(name, true, value)
+	case v.CanInt():
+		leaf(name, gauge, float64(v.Int()))
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			tag := f.Tag.Get("metric")
+			if tag == "-" {
+				continue
+			}
+			snake := strings.ToLower(wordStart.ReplaceAllString(acronymWord.ReplaceAllString(f.Name, "${1}_${2}"), "${1}_${2}"))
+			snapshotLeaves(t, v.Field(i), name+"_"+snake, labels, gauge || tag == "gauge", want, types)
+		}
+	case v.Kind() == reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			snapshotLeaves(t, v.Index(i), name, `{index="`+strconv.Itoa(i)+`"}`, gauge, want, types)
+		}
+	default:
+		t.Fatalf("Snapshot leaf %s has kind %s, which /metrics does not render", name, v.Kind())
 	}
 }
 
 // TestMetricsExpvarRoundTrip churns mutators against a background
 // collector while scraping /metrics and the expvar snapshot, then
-// quiesces and checks both exposition paths against Snapshot() value
-// for value.
+// quiesces and checks both exposition paths against Snapshot(): every
+// numeric leaf has its sample, every sample but gengc_info and the two
+// histograms is a leaf, and the expvar JSON is the whole Snapshot.
 func TestMetricsExpvarRoundTrip(t *testing.T) {
 	rt, err := gengc.New(
 		gengc.WithMode(gengc.Generational),
@@ -96,10 +148,11 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		if !strings.HasPrefix(ctype, "text/plain") || !strings.Contains(ctype, "version=0.0.4") {
 			t.Fatalf("content type = %q, want Prometheus text 0.0.4", ctype)
 		}
-		if !strings.Contains(body, "gengc_cycles_total") {
+		samples, _ := parseExposition(t, body)
+		if _, ok := samples["gengc_cycles_total"]; !ok {
 			t.Fatal("mid-flight scrape lacks gengc_cycles_total")
 		}
-		checkHistogramTotals(t, body)
+		checkHistogramTotals(t, samples)
 		_ = expvar.Get(varName).String()
 		time.Sleep(time.Millisecond)
 	}
@@ -130,7 +183,8 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 		adm.Finish()
 	}
 	body, _ := scrape()
-	checkHistogramTotals(t, body)
+	samples, types := parseExposition(t, body)
+	checkHistogramTotals(t, samples)
 	var fromVar gengc.Snapshot
 	if err := json.Unmarshal([]byte(expvar.Get(varName).String()), &fromVar); err != nil {
 		t.Fatalf("expvar snapshot does not unmarshal: %v", err)
@@ -140,51 +194,37 @@ func TestMetricsExpvarRoundTrip(t *testing.T) {
 	if a := s.Admission; a.Admitted != 5 || a.ShedQueueFull != 2 || a.ShedTimeout != 3 || a.Queued != 4 || a.InFlight != 1 {
 		t.Fatalf("admission snapshot %+v, want 5 admitted, 2+3 shed, 4 queued, 1 in flight", a)
 	}
-	if s.Cycles < 2 || s.Demographics.PromotedBytes == 0 {
-		t.Fatalf("workload too quiet to validate: cycles=%d promoted=%d",
-			s.Cycles, s.Demographics.PromotedBytes)
-	}
-	checks := []struct {
-		metric string
-		want   int64
-	}{
-		{"gengc_cycles_total", s.Cycles},
-		{"gengc_full_cycles_total", s.Fulls},
-		{"gengc_heap_objects", s.HeapObjects},
-		{"gengc_pacer_full_target_bytes", s.FullTargetBytes},
-		{"gengc_promoted_objects_total", s.Demographics.PromotedObjects},
-		{"gengc_promoted_bytes_total", s.Demographics.PromotedBytes},
-		{"gengc_survived_objects_total", s.Demographics.SurvivedObjects},
-		{"gengc_dirty_cards_total", s.Demographics.DirtyCards},
-		{"gengc_pause_slo_breaches_total", s.SLOBreaches},
-		{"gengc_admission_admitted_total", s.Admission.Admitted},
-		{`gengc_admission_shed_total{cause="queuefull"}`, s.Admission.ShedQueueFull},
-		{`gengc_admission_shed_total{cause="timeout"}`, s.Admission.ShedTimeout},
-		{"gengc_admission_queued", s.Admission.Queued},
-		{"gengc_admission_inflight", s.Admission.InFlight},
-	}
-	for _, c := range checks {
-		if got := scrapeValue(t, body, c.metric); int64(got) != c.want {
-			t.Errorf("%s scraped %v, snapshot %d", c.metric, got, c.want)
-		}
-	}
-	if got := scrapeValue(t, body, `gengc_pause_quantile_seconds{q="0.99"}`); got != s.Fleet.P99.Seconds() {
-		t.Errorf("p99 scraped %v, snapshot %v", got, s.Fleet.P99.Seconds())
+	if s.Cycles < 2 || s.Demographics.PromotedBytes == 0 || s.Fleet.Count == 0 || s.FlightRecorderTriggers == 0 {
+		t.Fatalf("workload too quiet to validate: cycles=%d promoted=%d pauses=%d flight triggers=%d",
+			s.Cycles, s.Demographics.PromotedBytes, s.Fleet.Count, s.FlightRecorderTriggers)
 	}
 
-	if fromVar.Cycles != s.Cycles || fromVar.Fulls != s.Fulls {
-		t.Errorf("expvar cycles/fulls = %d/%d, snapshot %d/%d",
-			fromVar.Cycles, fromVar.Fulls, s.Cycles, s.Fulls)
+	want, wantTypes := map[string]float64{}, map[string]string{}
+	snapshotLeaves(t, reflect.ValueOf(s), "gengc", "", false, want, wantTypes)
+	for name, v := range want {
+		if got, ok := samples[name]; !ok {
+			t.Errorf("no sample %s for its Snapshot leaf", name)
+		} else if got != v {
+			t.Errorf("%s scraped %v, snapshot %v", name, got, v)
+		}
 	}
-	if fromVar.Demographics.PromotedBytes != s.Demographics.PromotedBytes {
-		t.Errorf("expvar promoted bytes = %d, snapshot %d",
-			fromVar.Demographics.PromotedBytes, s.Demographics.PromotedBytes)
+	for family, typ := range wantTypes {
+		if types[family] != typ {
+			t.Errorf("%s has TYPE %q, want %q", family, types[family], typ)
+		}
 	}
-	if fromVar.Admission != s.Admission {
-		t.Errorf("expvar admission = %+v, snapshot %+v", fromVar.Admission, s.Admission)
+	for name := range samples {
+		family, _, _ := strings.Cut(name, "{")
+		switch strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(family, "_bucket"), "_sum"), "_count") {
+		case "gengc_info", "gengc_pause_seconds", "gengc_request_seconds":
+			continue
+		}
+		if _, ok := want[name]; !ok {
+			t.Errorf("sample %s maps to no Snapshot leaf", name)
+		}
 	}
-	if fromVar.FlightRecorderDumps != s.FlightRecorderDumps {
-		t.Errorf("expvar flight dumps = %d, snapshot %d",
-			fromVar.FlightRecorderDumps, s.FlightRecorderDumps)
+
+	if !reflect.DeepEqual(fromVar, s) {
+		t.Errorf("expvar snapshot differs from Snapshot():\nexpvar   %+v\nsnapshot %+v", fromVar, s)
 	}
 }
